@@ -28,6 +28,14 @@ echo "== strip-parallel fusion bit-identity (rules x radii x threads x strips)"
 # pipelining, and the shared serve fleet.
 cargo test -q --release --test fusion_identity
 
+echo "== benchmark harness (wavebench/, a package outside the workspace)"
+# wavebench drives forward_pooled_pair, forward_into, fuse_pyramids_with_kernel,
+# build_worker_pool, fuse_submit and set_shared_pool from outside the
+# workspace, so `cargo build --workspace` never compiles it. Building and
+# testing it here makes removing an API the benchmark uses fail CI instead
+# of the next benchmark run.
+cargo test -q --release --offline --manifest-path wavebench/Cargo.toml
+
 echo "== throughput bench smoke (repro bench --frames 16)"
 # Smoke only: must run to completion and emit the JSON report; the
 # numbers themselves are host-dependent and not asserted here.

@@ -8,9 +8,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wavefuse_dtcwt::{Dtcwt, FilterKernel, Image, ScalarKernel};
+use std::sync::Arc;
+use wavefuse_core::engine::build_worker_pool;
+use wavefuse_dtcwt::{ComboStore, CwtPyramid, Dtcwt, FilterKernel, Image, ScalarKernel};
 use wavefuse_simd::{AutoVecKernel, SimdKernel};
 use wavefuse_zynq::FpgaKernel;
+
+/// Worker kernel slot of the SIMD kernel in [`build_worker_pool`].
+const WORKER_SLOT_SIMD: usize = 1;
 
 const SIZES: [(usize, usize); 5] = [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)];
 
@@ -103,33 +108,55 @@ fn bench_row_kernels(c: &mut Criterion) {
 
 fn bench_parallel(c: &mut Criterion) {
     // Host-side parallelism over the four independent trees (library
-    // extension; the paper's single-core A9 has no equivalent).
+    // extension; the paper's single-core A9 has no equivalent). The pooled
+    // cases run on the engine's standard four-worker pool, SIMD slot.
     let mut group = c.benchmark_group("host_parallelism");
-    let t = Dtcwt::new(3).expect("3 levels");
+    let t = Arc::new(Dtcwt::new(3).expect("3 levels"));
     let img = test_image(176, 144);
+    let pool = build_worker_pool(4, true);
     group.bench_function("forward_serial", |b| {
         let mut k = SimdKernel::new();
         b.iter(|| black_box(t.forward_with(&mut k, black_box(&img)).unwrap()));
     });
     group.bench_function("forward_parallel_x4", |b| {
+        // One pair forward is two transforms: both inputs of a frame.
+        let shared = Arc::new(img.clone());
+        let (mut combos_a, mut combos_b) = (ComboStore::new(), ComboStore::new());
+        let (mut out_a, mut out_b) = (CwtPyramid::empty(), CwtPyramid::empty());
+        let mut outcomes = Vec::new();
         b.iter(|| {
-            black_box(
-                t.forward_parallel(SimdKernel::new, black_box(&img))
-                    .unwrap(),
+            t.forward_pooled_pair(
+                &pool,
+                WORKER_SLOT_SIMD,
+                black_box(&shared),
+                &mut combos_a,
+                &mut out_a,
+                black_box(&shared),
+                &mut combos_b,
+                &mut out_b,
+                &mut outcomes,
             )
+            .unwrap();
+            black_box(out_b.levels())
         });
     });
-    let pyr = t.forward(&img).expect("forward");
+    let pyr = Arc::new(t.forward(&img).expect("forward"));
     group.bench_function("inverse_serial", |b| {
         let mut k = SimdKernel::new();
         b.iter(|| black_box(t.inverse_with(&mut k, black_box(&pyr)).unwrap()));
     });
     group.bench_function("inverse_parallel_x4", |b| {
+        let mut bufs = Vec::new();
+        let mut outcomes = Vec::new();
+        let mut out = Image::zeros(0, 0);
         b.iter(|| {
-            black_box(
-                t.inverse_parallel(SimdKernel::new, black_box(&pyr))
-                    .unwrap(),
-            )
+            t.inverse_pooled_submit(&pool, WORKER_SLOT_SIMD, black_box(&pyr), &mut bufs, 0)
+                .unwrap();
+            outcomes.clear();
+            pool.drain(4, &mut outcomes);
+            t.inverse_collect_outcomes(&mut outcomes, &mut bufs, &mut out)
+                .unwrap();
+            black_box(out.get(0, 0))
         });
     });
     group.finish();

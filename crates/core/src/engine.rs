@@ -16,8 +16,7 @@ use crate::backend::Backend;
 use crate::cost::{CostModel, Direction, TransformPlan};
 use crate::hybrid::HybridKernel;
 use crate::rules::{
-    fuse_lowpass_into, fuse_pyramids_into, fuse_pyramids_with_kernel, FusionRule, FusionScratch,
-    LowpassRule,
+    fuse_lowpass_into, fuse_pyramids_with_kernel, FusionRule, FusionScratch, LowpassRule,
 };
 use crate::FusionError;
 
@@ -142,8 +141,8 @@ struct FrameSlot {
     /// Per-combo reconstruction buffers of this slot's pooled inverse.
     inv_bufs: Vec<Image>,
     /// Outcomes harvested ahead of this frame's `fuse_finish` (a later
-    /// submit clears the pool's ring prefix before its own full-batch
-    /// forward drain), awaiting combo-order accumulation.
+    /// submit clears the pool's ring prefix before collecting its own
+    /// forward jobs), awaiting combo-order accumulation.
     stash: Vec<JobOutcome>,
     /// Whether `stash` holds this slot's four harvested outcomes.
     stashed: bool,
@@ -182,10 +181,7 @@ pub struct FusionEngine {
     lowpass_rule: LowpassRule,
     cost: CostModel,
     power: PowerModel,
-    scalar: ScalarKernel,
-    simd: SimdKernel,
-    fpga: FpgaKernel,
-    hybrid: HybridKernel,
+    kernels: Kernels,
     telemetry: Option<Arc<Telemetry>>,
     // --- steady-state reusable transform state (the zero-alloc hot path) ---
     /// Per-geometry cost plans, so `fuse` never rebuilds op lists per
@@ -274,23 +270,35 @@ struct PackedForward {
     submitted: std::time::Instant,
 }
 
-/// What [`FusionEngine::run_backend`] hands back to `fuse_submit`: the
-/// modeled phase split plus measured wall-clock times and whether the
-/// inverse is still in flight on the pool.
-#[derive(Debug, Default)]
-struct SubmitSplit {
-    inverse_in_flight: bool,
-    /// Ring slot the frame's in-flight state was parked in (pooled path).
-    slot: Option<usize>,
-    forward_s: f64,
-    inverse_s: f64,
-    wall_forward_s: f64,
-    wall_fusion_s: f64,
-    wall_inverse_s: f64,
-    /// PL engine busy seconds (FPGA/hybrid backends only).
-    pl_busy_s: f64,
-    /// Strip fusion jobs fanned out (0 = serial fusion).
-    fusion_strips: usize,
+/// The engine's four backend kernels, grouped so the one a frame runs on
+/// can be borrowed by [`Backend`] while other engine fields stay free.
+#[derive(Debug)]
+struct Kernels {
+    scalar: ScalarKernel,
+    simd: SimdKernel,
+    fpga: FpgaKernel,
+    hybrid: HybridKernel,
+}
+
+impl Kernels {
+    fn get(&mut self, backend: Backend) -> &mut dyn FilterKernel {
+        match backend {
+            Backend::Arm => &mut self.scalar,
+            Backend::Neon => &mut self.simd,
+            Backend::Fpga => &mut self.fpga,
+            Backend::Hybrid => &mut self.hybrid,
+        }
+    }
+
+    /// Zeroes the cycle ledger `backend` reads its modeled time from (the
+    /// FPGA and hybrid kernels; the CPU backends are priced by the plan).
+    fn restart_ledger(&mut self, backend: Backend) {
+        match backend {
+            Backend::Fpga => self.fpga.reset_ledger(),
+            Backend::Hybrid => self.hybrid.reset(),
+            Backend::Arm | Backend::Neon => {}
+        }
+    }
 }
 
 /// Worker kernel-slot index of the scalar (ARM) kernel.
@@ -351,10 +359,12 @@ impl FusionEngine {
             lowpass_rule,
             cost: CostModel::calibrated(),
             power: PowerModel::zc702(),
-            scalar: ScalarKernel::new(),
-            simd: SimdKernel::new(),
-            fpga: FpgaKernel::new(),
-            hybrid: HybridKernel::new(),
+            kernels: Kernels {
+                scalar: ScalarKernel::new(),
+                simd: SimdKernel::new(),
+                fpga: FpgaKernel::new(),
+                hybrid: HybridKernel::new(),
+            },
             telemetry: None,
             plans: Vec::new(),
             scratch: Scratch::new(),
@@ -514,10 +524,9 @@ impl FusionEngine {
     /// hybrid kernels always use the fallback either way.
     pub fn set_columnar(&mut self, enabled: bool) {
         self.columnar = enabled;
-        self.scalar.set_columnar(enabled);
-        self.simd.set_columnar(enabled);
-        self.fpga.set_columnar(enabled);
-        self.hybrid.set_columnar(enabled);
+        for backend in Backend::ALL_EXTENDED {
+            self.kernels.get(backend).set_columnar(enabled);
+        }
         if self.pool_shared {
             // A fleet-shared pool's worker kernels are configured once by
             // the fleet owner; rebuilding it here would orphan the other
@@ -539,10 +548,10 @@ impl FusionEngine {
     /// Name of the filter kernel a backend executes with.
     pub fn kernel_name(&self, backend: Backend) -> &'static str {
         match backend {
-            Backend::Arm => self.scalar.name(),
-            Backend::Neon => self.simd.name(),
-            Backend::Fpga => self.fpga.name(),
-            Backend::Hybrid => self.hybrid.name(),
+            Backend::Arm => self.kernels.scalar.name(),
+            Backend::Neon => self.kernels.simd.name(),
+            Backend::Fpga => self.kernels.fpga.name(),
+            Backend::Hybrid => self.kernels.hybrid.name(),
         }
     }
 
@@ -603,8 +612,8 @@ impl FusionEngine {
             "wavefuse_worker_parked_seconds_total",
             "Seconds workers spent parked on the idle condvar, per worker",
         );
-        self.fpga.set_telemetry(Arc::clone(&telemetry));
-        self.hybrid.set_telemetry(Arc::clone(&telemetry));
+        self.kernels.fpga.set_telemetry(Arc::clone(&telemetry));
+        self.kernels.hybrid.set_telemetry(Arc::clone(&telemetry));
         self.telemetry = Some(telemetry);
     }
 
@@ -736,6 +745,17 @@ impl FusionEngine {
         while self.inflight.len() >= self.depth {
             self.abandon_oldest_in_flight();
         }
+        if self.pool.is_some() && matches!(backend, Backend::Arm | Backend::Neon) {
+            // Harvest older frames' in-flight inverse outcomes into their
+            // slots first (oldest first), so the forward collect only waits
+            // on this frame's eight jobs. Workers run the ring in submission
+            // order either way, so stashing early costs no overlap — the
+            // combo-order accumulation still happens at each frame's own
+            // `fuse_finish`.
+            while self.stash_oldest_in_flight() {}
+            self.packed_forward_submit(a, b, backend)?;
+            return self.packed_forward_finish();
+        }
         if a.dims() != b.dims() {
             return Err(FusionError::DimensionMismatch {
                 a: a.dims(),
@@ -747,24 +767,24 @@ impl FusionEngine {
 
         // The output buffer comes from the pool; recycle it afterwards
         // (see `recycle`) and the steady state never allocates.
-        let mut image = self.out_pool.acquire(w, h);
-        match self.run_backend(a, b, backend, &mut image) {
-            Ok(split) => Ok(PendingFusion {
-                image,
-                backend,
-                dims: (w, h),
-                inverse_in_flight: split.inverse_in_flight,
-                slot: split.slot,
-                forward_s: split.forward_s,
-                inverse_s: split.inverse_s,
-                wall_forward_s: split.wall_forward_s,
-                wall_fusion_s: split.wall_fusion_s,
-                wall_inverse_s: split.wall_inverse_s,
-                pl_busy_s: split.pl_busy_s,
-                fusion_strips: split.fusion_strips,
-            }),
+        let mut pending = PendingFusion {
+            image: self.out_pool.acquire(w, h),
+            backend,
+            dims: (w, h),
+            inverse_in_flight: false,
+            slot: None,
+            forward_s: 0.0,
+            inverse_s: 0.0,
+            wall_forward_s: 0.0,
+            wall_fusion_s: 0.0,
+            wall_inverse_s: 0.0,
+            pl_busy_s: 0.0,
+            fusion_strips: 0,
+        };
+        match self.run_serial(a, b, &mut pending) {
+            Ok(()) => Ok(pending),
             Err(e) => {
-                self.out_pool.release(image);
+                self.out_pool.release(pending.image);
                 Err(e)
             }
         }
@@ -819,19 +839,18 @@ impl FusionEngine {
         }
         let (w, h) = a.dims();
         self.ensure_plan(w, h)?;
-        let kslot = match backend {
-            Backend::Arm => WORKER_SLOT_SCALAR,
-            _ => WORKER_SLOT_SIMD,
-        };
         stage_image(&mut self.img_a, a);
         stage_image(&mut self.img_b, b);
         let pool = self
             .pool
             .as_ref()
             .expect("packed forwards need a worker pool");
+        // Stamped before the submit so the eight job publishes count as
+        // forward wall time.
+        let submitted = std::time::Instant::now();
         self.dtcwt.forward_pooled_pair_submit(
             pool,
-            kslot,
+            worker_slot(backend),
             &self.img_a,
             &mut self.combos,
             &self.img_b,
@@ -840,7 +859,7 @@ impl FusionEngine {
         self.packed = Some(PackedForward {
             backend,
             dims: (w, h),
-            submitted: std::time::Instant::now(),
+            submitted,
         });
         Ok(())
     }
@@ -848,8 +867,8 @@ impl FusionEngine {
     /// Harvests the packed forwards staged by
     /// [`FusionEngine::packed_forward_submit`] (which must be the oldest
     /// jobs left in the ring — collects run in submit order across the
-    /// fleet), fuses the pyramids, and leaves the inverse batch in flight,
-    /// exactly like the pooled path of [`FusionEngine::fuse_submit`].
+    /// fleet), fuses the pyramids, and leaves the inverse batch in flight.
+    /// This is the pooled path of [`FusionEngine::fuse_submit`] too.
     /// Retire with [`FusionEngine::fuse_finish`].
     ///
     /// # Errors
@@ -866,10 +885,7 @@ impl FusionEngine {
             dims: (w, h),
             submitted,
         } = self.packed.take().expect("no packed forward staged");
-        let kslot = match backend {
-            Backend::Arm => WORKER_SLOT_SCALAR,
-            _ => WORKER_SLOT_SIMD,
-        };
+        let kslot = worker_slot(backend);
         let pool = Arc::clone(
             self.pool
                 .as_ref()
@@ -897,12 +913,8 @@ impl FusionEngine {
             // kernel instead (bit-identical by the fold-order contract).
             let fslot = &mut self.slots[si];
             let fused = exclusive_pyramid(&mut fslot.fused);
-            let kernel: &mut dyn FilterKernel = match backend {
-                Backend::Arm => &mut self.scalar,
-                _ => &mut self.simd,
-            };
             fuse_pyramids_with_kernel(
-                kernel,
+                self.kernels.get(backend),
                 &self.pyr_a,
                 &self.pyr_b,
                 self.rule,
@@ -953,19 +965,16 @@ impl FusionEngine {
         fslot.stashed = false;
         self.inflight.push_back(si);
         self.next_slot = (si + 1) % self.depth;
-        let plan = self.cached_plan(w, h);
-        let dir_t = |d| match backend {
-            Backend::Arm => self.cost.arm_seconds(plan, d),
-            _ => self.cost.neon_seconds(plan, d),
-        };
+        let (forward_s, _) = self.take_phase_cost(backend, (w, h), Direction::Forward);
+        let (inverse_s, _) = self.take_phase_cost(backend, (w, h), Direction::Inverse);
         Ok(PendingFusion {
             image,
             backend,
             dims: (w, h),
             inverse_in_flight: true,
             slot: Some(si),
-            forward_s: 2.0 * dir_t(Direction::Forward),
-            inverse_s: dir_t(Direction::Inverse),
+            forward_s,
+            inverse_s,
             wall_forward_s: (t1 - submitted).as_secs_f64(),
             wall_fusion_s: (t2 - t1).as_secs_f64(),
             wall_inverse_s: 0.0,
@@ -1031,12 +1040,12 @@ impl FusionEngine {
                 // but the fused pyramid is still staged in the slot, so
                 // recover with a serial inverse on the backend's kernel.
                 let fused = Arc::clone(&self.slots[si].fused);
-                let kernel: &mut dyn FilterKernel = match backend {
-                    Backend::Arm => &mut self.scalar,
-                    _ => &mut self.simd,
-                };
-                self.dtcwt
-                    .inverse_into(kernel, &fused, &mut self.scratch, &mut image)
+                self.dtcwt.inverse_into(
+                    self.kernels.get(backend),
+                    &fused,
+                    &mut self.scratch,
+                    &mut image,
+                )
             };
             if let Err(e) = result {
                 self.out_pool.release(image);
@@ -1250,263 +1259,94 @@ impl FusionEngine {
         self.wall
     }
 
-    /// Runs forward x2 → fuse → inverse on the chosen backend, writing the
-    /// fused frame into `out` (except on the pooled CPU path, where the
-    /// inverse is left in flight for [`FusionEngine::fuse_finish`] to
-    /// collect). Returns the modeled `(forward, inverse)` seconds — from
-    /// the cycle-level ledgers for the FPGA and hybrid backends, from the
-    /// cached plan for the CPU backends — plus measured wall-clock phase
-    /// times.
-    fn run_backend(
+    /// Runs forward x2 → fuse → inverse serially on the backend's own
+    /// kernel, writing the fused frame into `p.image` and the modeled and
+    /// measured phase times into `p`. Fusion goes through the kernel's
+    /// `fuse_strip`: vectorized on NEON, the scalar reference on the other
+    /// backends — so on the FPGA and hybrid backends it stays on the PS, as
+    /// in the paper, and charges nothing to the cycle ledger.
+    fn run_serial(
         &mut self,
         a: &Image,
         b: &Image,
+        p: &mut PendingFusion,
+    ) -> Result<(), FusionError> {
+        let backend = p.backend;
+        self.kernels.restart_ledger(backend);
+        let t0 = std::time::Instant::now();
+        let kernel = self.kernels.get(backend);
+        self.dtcwt.forward_into(
+            kernel,
+            a,
+            &mut self.combos,
+            &mut self.scratch,
+            exclusive_pyramid(&mut self.pyr_a),
+        )?;
+        self.dtcwt.forward_into(
+            kernel,
+            b,
+            &mut self.combos,
+            &mut self.scratch,
+            exclusive_pyramid(&mut self.pyr_b),
+        )?;
+        let t1 = std::time::Instant::now();
+        let (forward_s, forward_pl_s) = self.take_phase_cost(backend, p.dims, Direction::Forward);
+        let kernel = self.kernels.get(backend);
+        fuse_pyramids_with_kernel(
+            kernel,
+            &self.pyr_a,
+            &self.pyr_b,
+            self.rule,
+            self.lowpass_rule,
+            &mut self.fusion_scratch,
+            &mut self.fused_serial,
+        );
+        let t2 = std::time::Instant::now();
+        self.dtcwt
+            .inverse_into(kernel, &self.fused_serial, &mut self.scratch, &mut p.image)?;
+        p.wall_inverse_s = t2.elapsed().as_secs_f64();
+        let (inverse_s, inverse_pl_s) = self.take_phase_cost(backend, p.dims, Direction::Inverse);
+        p.forward_s = forward_s;
+        p.inverse_s = inverse_s;
+        p.pl_busy_s = forward_pl_s + inverse_pl_s;
+        p.wall_forward_s = (t1 - t0).as_secs_f64();
+        p.wall_fusion_s = (t2 - t1).as_secs_f64();
+        Ok(())
+    }
+
+    /// Modeled `(seconds, PL-busy seconds)` of one frame's transform phase
+    /// on `backend`: both forwards, or the inverse. The CPU backends are
+    /// priced by the cached plan. The FPGA and hybrid backends read the
+    /// cycle ledger their kernel filled since the last restart, which is
+    /// then restarted for the next phase.
+    fn take_phase_cost(
+        &mut self,
         backend: Backend,
-        out: &mut Image,
-    ) -> Result<SubmitSplit, FusionError> {
-        let (w, h) = a.dims();
-        match backend {
-            Backend::Arm | Backend::Neon => {
-                let slot = match backend {
-                    Backend::Arm => WORKER_SLOT_SCALAR,
-                    _ => WORKER_SLOT_SIMD,
-                };
-                let mut split = SubmitSplit::default();
-                if let Some(pool) = &self.pool {
-                    stage_image(&mut self.img_a, a);
-                    stage_image(&mut self.img_b, b);
-                    // Harvest older frames' in-flight inverse outcomes into
-                    // their slots first (oldest first), so the full-batch
-                    // drain inside the forward below only waits on its own
-                    // eight jobs. Workers run the ring in submission order
-                    // either way, so stashing early costs no overlap — the
-                    // combo-order accumulation still happens at each
-                    // frame's own `fuse_finish`.
-                    for idx in 0..self.inflight.len() {
-                        let fslot = &mut self.slots[self.inflight[idx]];
-                        if !fslot.stashed {
-                            fslot.stash.clear();
-                            pool.drain_partial(INVERSE_BATCH_JOBS, &mut fslot.stash);
-                            fslot.stashed = true;
-                        }
-                    }
-                    // Both inputs' forwards go out as one eight-job batch:
-                    // the streams are data-independent, so all four workers
-                    // stay busy instead of idling through two four-job
-                    // waves.
-                    let t0 = std::time::Instant::now();
-                    self.dtcwt.forward_pooled_pair(
-                        pool,
-                        slot,
-                        &self.img_a,
-                        &mut self.combos,
-                        exclusive_pyramid(&mut self.pyr_a),
-                        &self.img_b,
-                        &mut self.combos_b,
-                        exclusive_pyramid(&mut self.pyr_b),
-                        &mut self.outcomes,
-                    )?;
-                    let t1 = std::time::Instant::now();
-                    let si = self.next_slot;
-                    let plan = self.cached_plan_arc(w, h);
-                    if self.pool_shared {
-                        // Strip jobs would drain other streams' jobs on a
-                        // fleet-shared ring; fuse on the dispatcher with
-                        // the backend's vectorized kernel instead
-                        // (bit-identical by the fold-order contract).
-                        let fslot = &mut self.slots[si];
-                        let fused = exclusive_pyramid(&mut fslot.fused);
-                        let kernel: &mut dyn FilterKernel = match backend {
-                            Backend::Arm => &mut self.scalar,
-                            _ => &mut self.simd,
-                        };
-                        fuse_pyramids_with_kernel(
-                            kernel,
-                            &self.pyr_a,
-                            &self.pyr_b,
-                            self.rule,
-                            self.lowpass_rule,
-                            &mut self.fusion_scratch,
-                            fused,
-                        );
-                    } else {
-                        // Private pool: the stash loop and the full-batch
-                        // forward drain above left the ring empty, so fan
-                        // the fusion out as row-strip jobs — the lowpass
-                        // fuses serially on this thread while the workers
-                        // chew the detail strips.
-                        let fslot = &mut self.slots[si];
-                        let fused = exclusive_pyramid(&mut fslot.fused);
-                        split.fusion_strips = fuse_strips_pooled(
-                            pool,
-                            slot,
-                            si as u32,
-                            &self.pyr_a,
-                            &self.pyr_b,
-                            self.rule.to_op(),
-                            self.lowpass_rule,
-                            &plan,
-                            &mut self.fuse_map,
-                            &mut self.fuse_bufs,
-                            &mut self.outcomes,
-                            fused,
-                        )?;
-                    }
-                    let t2 = std::time::Instant::now();
-                    let fslot = &mut self.slots[si];
-                    // Leave the inverse running on the workers; the caller
-                    // overlaps capture/render with it until `fuse_finish`.
-                    self.dtcwt.inverse_pooled_submit(
-                        pool,
-                        slot,
-                        &fslot.fused,
-                        &mut fslot.inv_bufs,
-                        si as u32,
-                    )?;
-                    fslot.busy = true;
-                    fslot.stashed = false;
-                    self.inflight.push_back(si);
-                    self.next_slot = (si + 1) % self.depth;
-                    split.slot = Some(si);
-                    split.inverse_in_flight = true;
-                    split.wall_forward_s = (t1 - t0).as_secs_f64();
-                    split.wall_fusion_s = (t2 - t1).as_secs_f64();
-                } else {
-                    let kernel: &mut dyn FilterKernel = match backend {
-                        Backend::Arm => &mut self.scalar,
-                        _ => &mut self.simd,
-                    };
-                    let t0 = std::time::Instant::now();
-                    self.dtcwt.forward_into(
-                        kernel,
-                        a,
-                        &mut self.combos,
-                        &mut self.scratch,
-                        exclusive_pyramid(&mut self.pyr_a),
-                    )?;
-                    self.dtcwt.forward_into(
-                        kernel,
-                        b,
-                        &mut self.combos,
-                        &mut self.scratch,
-                        exclusive_pyramid(&mut self.pyr_b),
-                    )?;
-                    let t1 = std::time::Instant::now();
-                    let fused = &mut self.fused_serial;
-                    // The kernel path vectorizes fusion on the NEON
-                    // backend (separable sliding-window energies, 8-lane
-                    // compare/select) and falls back to the scalar
-                    // reference on ARM — bit-identical either way.
-                    fuse_pyramids_with_kernel(
-                        kernel,
-                        &self.pyr_a,
-                        &self.pyr_b,
-                        self.rule,
-                        self.lowpass_rule,
-                        &mut self.fusion_scratch,
-                        fused,
-                    );
-                    let t2 = std::time::Instant::now();
-                    self.dtcwt
-                        .inverse_into(kernel, fused, &mut self.scratch, out)?;
-                    split.wall_forward_s = (t1 - t0).as_secs_f64();
-                    split.wall_fusion_s = (t2 - t1).as_secs_f64();
-                    split.wall_inverse_s = t2.elapsed().as_secs_f64();
-                }
-                let plan = self.cached_plan(w, h);
-                let dir_t = |d| match backend {
-                    Backend::Arm => self.cost.arm_seconds(plan, d),
-                    _ => self.cost.neon_seconds(plan, d),
-                };
-                split.forward_s = 2.0 * dir_t(Direction::Forward);
-                split.inverse_s = dir_t(Direction::Inverse);
-                Ok(split)
-            }
+        (w, h): (usize, usize),
+        dir: Direction,
+    ) -> (f64, f64) {
+        let transforms = match dir {
+            Direction::Forward => 2.0,
+            Direction::Inverse => 1.0,
+        };
+        let plan = self.cached_plan(w, h);
+        let cost = match backend {
+            Backend::Arm => (transforms * self.cost.arm_seconds(plan, dir), 0.0),
+            Backend::Neon => (transforms * self.cost.neon_seconds(plan, dir), 0.0),
             Backend::Fpga => {
-                let mut split = SubmitSplit::default();
-                self.fpga.reset_ledger();
-                let t0 = std::time::Instant::now();
-                self.dtcwt.forward_into(
-                    &mut self.fpga,
-                    a,
-                    &mut self.combos,
-                    &mut self.scratch,
-                    exclusive_pyramid(&mut self.pyr_a),
-                )?;
-                self.dtcwt.forward_into(
-                    &mut self.fpga,
-                    b,
-                    &mut self.combos,
-                    &mut self.scratch,
-                    exclusive_pyramid(&mut self.pyr_b),
-                )?;
-                let t1 = std::time::Instant::now();
-                split.forward_s = self.fpga.ledger().elapsed_seconds;
-                // The ledger resets between phases, so PL-busy time must be
-                // sampled per phase and summed.
-                split.pl_busy_s = self.fpga.ledger().pl_busy_seconds(self.fpga.config());
-                let fused = &mut self.fused_serial;
-                fuse_pyramids_into(
-                    &self.pyr_a,
-                    &self.pyr_b,
-                    self.rule,
-                    self.lowpass_rule,
-                    &mut self.fusion_scratch,
-                    fused,
-                );
-                let t2 = std::time::Instant::now();
-                self.fpga.reset_ledger();
-                self.dtcwt
-                    .inverse_into(&mut self.fpga, fused, &mut self.scratch, out)?;
-                split.inverse_s = self.fpga.ledger().elapsed_seconds;
-                split.pl_busy_s += self.fpga.ledger().pl_busy_seconds(self.fpga.config());
-                split.wall_forward_s = (t1 - t0).as_secs_f64();
-                split.wall_fusion_s = (t2 - t1).as_secs_f64();
-                split.wall_inverse_s = t2.elapsed().as_secs_f64();
-                Ok(split)
+                let fpga = &self.kernels.fpga;
+                (
+                    fpga.ledger().elapsed_seconds,
+                    fpga.ledger().pl_busy_seconds(fpga.config()),
+                )
             }
-            Backend::Hybrid => {
-                let mut split = SubmitSplit::default();
-                self.hybrid.reset();
-                let t0 = std::time::Instant::now();
-                self.dtcwt.forward_into(
-                    &mut self.hybrid,
-                    a,
-                    &mut self.combos,
-                    &mut self.scratch,
-                    exclusive_pyramid(&mut self.pyr_a),
-                )?;
-                self.dtcwt.forward_into(
-                    &mut self.hybrid,
-                    b,
-                    &mut self.combos,
-                    &mut self.scratch,
-                    exclusive_pyramid(&mut self.pyr_b),
-                )?;
-                let t1 = std::time::Instant::now();
-                split.forward_s = self.hybrid.elapsed_seconds();
-                split.pl_busy_s = self.hybrid.pl_busy_seconds();
-                let fused = &mut self.fused_serial;
-                fuse_pyramids_into(
-                    &self.pyr_a,
-                    &self.pyr_b,
-                    self.rule,
-                    self.lowpass_rule,
-                    &mut self.fusion_scratch,
-                    fused,
-                );
-                let t2 = std::time::Instant::now();
-                self.hybrid.reset();
-                self.dtcwt
-                    .inverse_into(&mut self.hybrid, fused, &mut self.scratch, out)?;
-                split.inverse_s = self.hybrid.elapsed_seconds();
-                split.pl_busy_s += self.hybrid.pl_busy_seconds();
-                split.wall_forward_s = (t1 - t0).as_secs_f64();
-                split.wall_fusion_s = (t2 - t1).as_secs_f64();
-                split.wall_inverse_s = t2.elapsed().as_secs_f64();
-                Ok(split)
-            }
-        }
+            Backend::Hybrid => (
+                self.kernels.hybrid.elapsed_seconds(),
+                self.kernels.hybrid.pl_busy_seconds(),
+            ),
+        };
+        self.kernels.restart_ledger(backend);
+        cost
     }
 
     /// Modeled per-phase time for one fused frame of the given geometry on
@@ -1597,6 +1437,14 @@ pub fn build_worker_pool(threads: usize, columnar: bool) -> WorkerPool {
     })
 }
 
+/// Worker kernel slot (see [`build_worker_pool`]) of a pooled CPU backend.
+fn worker_slot(backend: Backend) -> usize {
+    match backend {
+        Backend::Arm => WORKER_SLOT_SCALAR,
+        _ => WORKER_SLOT_SIMD,
+    }
+}
+
 /// Static label strings for per-worker metric series, so per-frame delta
 /// reporting never formats. Pools larger than the table fold the excess
 /// workers into the last label.
@@ -1632,10 +1480,10 @@ fn exclusive_pyramid(slot: &mut Arc<CwtPyramid>) -> &mut CwtPyramid {
 /// ([`TransformPlan::fuse_strip_rows`]) and submitted in waves of at most
 /// [`BATCH_SLOTS`]; the lowpass residual fuses serially on this thread
 /// while the first wave runs, so the dispatcher is never idle. Requires an
-/// empty ring (the pooled submit paths guarantee it) and is bit-identical
-/// to the serial reference by the fold-order contract — each strip job
-/// reads the shared source pyramids and computes exactly the scalar
-/// expression tree for its rows.
+/// empty ring (a private pool's packed finish guarantees it) and is
+/// bit-identical to the serial reference by the fold-order contract — each
+/// strip job reads the shared source pyramids and computes exactly the
+/// scalar expression tree for its rows.
 ///
 /// Returns the number of strip jobs dispatched. On a worker error the
 /// earliest error is returned after the whole wave has been harvested
@@ -2073,6 +1921,89 @@ mod tests {
             "inverse prediction off by {:.1}%",
             err_i * 100.0
         );
+    }
+
+    /// One FPGA/hybrid frame run by hand on `kernel`: its ledger is read
+    /// around two `forward_into` calls and one `inverse_into` of the
+    /// scalar-fused pyramid, restarted before each phase. Returns the
+    /// image, forward seconds, inverse seconds and PL-busy seconds.
+    fn ledger_reference<K: FilterKernel>(
+        kernel: &mut K,
+        read: fn(&K) -> (f64, f64),
+        reset: fn(&mut K),
+        a: &Image,
+        b: &Image,
+    ) -> (Image, f64, f64, f64) {
+        let t = Dtcwt::new(3).unwrap();
+        let (mut combos, mut scratch) = (ComboStore::new(), Scratch::new());
+        let (mut pa, mut pb) = (CwtPyramid::empty(), CwtPyramid::empty());
+        reset(kernel);
+        t.forward_into(kernel, a, &mut combos, &mut scratch, &mut pa)
+            .unwrap();
+        t.forward_into(kernel, b, &mut combos, &mut scratch, &mut pb)
+            .unwrap();
+        let (forward_s, forward_pl_s) = read(kernel);
+        let mut fused = CwtPyramid::empty();
+        crate::rules::fuse_pyramids_into(
+            &pa,
+            &pb,
+            FusionRule::WindowEnergy { radius: 1 },
+            LowpassRule::Average,
+            &mut FusionScratch::new(),
+            &mut fused,
+        );
+        reset(kernel);
+        let mut out = Image::zeros(0, 0);
+        t.inverse_into(kernel, &fused, &mut scratch, &mut out)
+            .unwrap();
+        let (inverse_s, inverse_pl_s) = read(kernel);
+        (out, forward_s, inverse_s, forward_pl_s + inverse_pl_s)
+    }
+
+    #[test]
+    fn fpga_and_hybrid_frames_match_their_kernel_ledgers_exactly() {
+        // Fusion on the PS must charge nothing to the ledger, and each
+        // phase must be read between its own resets: the engine's modeled
+        // times are then bit-equal to a hand-run kernel's, frame after
+        // frame, with the two backends interleaved on one engine.
+        for (w, h) in [(64, 48), (88, 72)] {
+            let (a, b) = inputs(w, h);
+            let mut eng = FusionEngine::new(3).unwrap();
+            let mut fpga = FpgaKernel::new();
+            let mut hybrid = HybridKernel::new();
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let want = [
+                    ledger_reference(
+                        &mut fpga,
+                        |k| {
+                            let l = k.ledger();
+                            (l.elapsed_seconds, l.pl_busy_seconds(k.config()))
+                        },
+                        FpgaKernel::reset_ledger,
+                        x,
+                        y,
+                    ),
+                    ledger_reference(
+                        &mut hybrid,
+                        |k| (k.elapsed_seconds(), k.pl_busy_seconds()),
+                        HybridKernel::reset,
+                        x,
+                        y,
+                    ),
+                ];
+                for (backend, (image, forward_s, inverse_s, pl_busy_s)) in
+                    [Backend::Fpga, Backend::Hybrid].into_iter().zip(want)
+                {
+                    let got = eng.fuse(x, y, backend).unwrap();
+                    let tag = format!("{w}x{h} {backend:?}");
+                    assert_eq!(got.image, image, "{tag}");
+                    assert_eq!(got.timing.forward_s.to_bits(), forward_s.to_bits(), "{tag}");
+                    assert_eq!(got.timing.inverse_s.to_bits(), inverse_s.to_bits(), "{tag}");
+                    assert_eq!(got.pl_busy_s.to_bits(), pl_busy_s.to_bits(), "{tag}");
+                    assert!(pl_busy_s > 0.0, "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -370,60 +370,23 @@ impl Dtcwt {
         Ok(())
     }
 
-    /// Forward transform with the four tree combinations dispatched to a
-    /// long-lived [`WorkerPool`] (host-side parallelism; the modeled
-    /// platform timing is unaffected — the paper's single-A9 system has no
-    /// such option, but a library user's host does). `kernel` selects the
-    /// workers' kernel slot. Buffers ping-pong through `combos`/`outcomes`,
-    /// so steady-state dispatch is allocation-free; results are bit-identical
-    /// to the serial paths at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dtcwt::forward_with`], plus [`DtcwtError::MalformedPyramid`]
-    /// if a worker lacks the requested kernel slot.
-    pub fn forward_pooled(
-        self: &Arc<Self>,
-        pool: &WorkerPool,
-        kernel: usize,
-        img: &Arc<Image>,
-        combos: &mut ComboStore,
-        outcomes: &mut Vec<JobOutcome>,
-        out: &mut CwtPyramid,
-    ) -> Result<(), DtcwtError> {
-        self.check_levels(img)?;
-        for (ci, slot) in combos.slots.iter_mut().enumerate() {
-            pool.submit(Job::ForwardCombo {
-                transform: Arc::clone(self),
-                img: Arc::clone(img),
-                tag: 0,
-                combo: ci,
-                kernel,
-                detail: std::mem::take(&mut slot.detail),
-                ll: std::mem::take(&mut slot.ll),
-            });
-        }
-        outcomes.clear();
-        pool.drain(COMBOS.len(), outcomes);
-        let err = place_forward_outcomes(outcomes, combos);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        self.assemble_pyramid_into(img.dims(), combos, out);
-        Ok(())
-    }
-
     /// Forward transforms of **two** images dispatched onto the pool as one
     /// eight-job batch, so both streams' tree combinations fill every worker
     /// concurrently (the visible/thermal forwards of a fusion frame are data
     /// independent — running them serially leaves half the pool idle).
     ///
-    /// Results are bit-identical to two serial [`Dtcwt::forward_into`] calls.
+    /// This is host-side parallelism: the modeled platform timing is
+    /// unaffected. `kernel` selects the workers' kernel slot. Buffers
+    /// ping-pong through the combo stores and `outcomes`, so steady-state
+    /// dispatch is allocation-free, and results are bit-identical to two
+    /// serial [`Dtcwt::forward_into`] calls at any thread count.
     ///
     /// # Errors
     ///
-    /// Same as [`Dtcwt::forward_pooled`]; if both images fail, the error of
-    /// the earliest-submitted failing job (image `a` first) is returned.
+    /// Same as [`Dtcwt::forward_with`], plus [`DtcwtError::MalformedPyramid`]
+    /// if a worker lacks the requested kernel slot; if both images fail, the
+    /// error of the earliest-submitted failing job (image `a` first) is
+    /// returned.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_pooled_pair(
         self: &Arc<Self>,
@@ -538,37 +501,6 @@ impl Dtcwt {
         self.assemble_pyramid_into(dims, combos_a, out_a);
         self.assemble_pyramid_into(dims, combos_b, out_b);
         Ok(())
-    }
-
-    /// Forward transform with the four tree combinations executed on an
-    /// ephemeral four-worker pool, one kernel per worker (see
-    /// [`Dtcwt::forward_pooled`] for the persistent-pool variant).
-    ///
-    /// `kernel_factory` builds one kernel per worker.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dtcwt::forward_with`].
-    pub fn forward_parallel<K, F>(
-        &self,
-        kernel_factory: F,
-        img: &Image,
-    ) -> Result<CwtPyramid, DtcwtError>
-    where
-        K: FilterKernel + Send + 'static,
-        F: Fn() -> K,
-    {
-        self.check_levels(img)?;
-        let pool = WorkerPool::new(COMBOS.len(), &mut |_| {
-            vec![Box::new(kernel_factory()) as Box<dyn FilterKernel + Send>]
-        });
-        let t = Arc::new(self.clone());
-        let img = Arc::new(img.clone());
-        let mut combos = ComboStore::new();
-        let mut outcomes = Vec::with_capacity(COMBOS.len());
-        let mut out = CwtPyramid::empty();
-        t.forward_pooled(&pool, 0, &img, &mut combos, &mut outcomes, &mut out)?;
-        Ok(out)
     }
 
     fn check_levels(&self, img: &Image) -> Result<(), DtcwtError> {
@@ -819,37 +751,14 @@ impl Dtcwt {
         Ok(())
     }
 
-    /// Inverse transform with the four tree combinations dispatched to a
-    /// long-lived [`WorkerPool`] (see [`Dtcwt::forward_pooled`]). `bufs` is a
-    /// recycle bin of output images (up to four are popped and pushed back),
-    /// so steady-state dispatch is allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dtcwt::inverse_with`], plus [`DtcwtError::MalformedPyramid`]
-    /// if a worker lacks the requested kernel slot.
-    pub fn inverse_pooled(
-        self: &Arc<Self>,
-        pool: &WorkerPool,
-        kernel: usize,
-        pyr: &Arc<CwtPyramid>,
-        bufs: &mut Vec<Image>,
-        outcomes: &mut Vec<JobOutcome>,
-        out: &mut Image,
-    ) -> Result<(), DtcwtError> {
-        self.inverse_pooled_submit(pool, kernel, pyr, bufs, 0)?;
-        self.inverse_pooled_finish(pool, bufs, outcomes, out)
-    }
-
     /// Publishes the four inverse combo jobs of `pyr` onto the pool and
     /// returns immediately — the synthesis runs while the caller does other
     /// work (e.g. capturing the next frame). `tag` labels the batch (the
     /// depth-k engine uses its frame-slot index) and comes back on every
     /// outcome. Each submitted batch must eventually be collected, oldest
-    /// first: either by [`Dtcwt::inverse_pooled_finish`] while it is the
-    /// only batch in flight, or — with several batches stacked — by a
-    /// [`WorkerPool::drain_partial`] of its four outcomes followed by
-    /// [`Dtcwt::inverse_collect_outcomes`].
+    /// first, by a [`WorkerPool::drain`] (the only batch in flight) or
+    /// [`WorkerPool::drain_partial`] (several batches stacked) of its four
+    /// outcomes, followed by [`Dtcwt::inverse_collect_outcomes`].
     ///
     /// # Errors
     ///
@@ -877,54 +786,18 @@ impl Dtcwt {
         Ok(())
     }
 
-    /// Abandons an in-flight [`Dtcwt::inverse_pooled_submit`] whose result
-    /// is no longer wanted: drains the four outcomes (blocking until the
-    /// workers finish) and recycles their buffers into `bufs`, leaving the
-    /// pool quiescent for the next batch. Errors are discarded.
-    pub fn inverse_pooled_abandon(
-        self: &Arc<Self>,
-        pool: &WorkerPool,
-        bufs: &mut Vec<Image>,
-        outcomes: &mut Vec<JobOutcome>,
-    ) {
-        outcomes.clear();
-        pool.drain(COMBOS.len(), outcomes);
-        Self::recycle_inverse_outcomes(outcomes, bufs);
-    }
-
-    /// Completes an in-flight [`Dtcwt::inverse_pooled_submit`]: drains the
-    /// four combo outcomes, accumulates them in combo order (bit-identical
-    /// to the serial inverse at any thread count), and recycles the output
-    /// buffers into `bufs`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dtcwt::inverse_with`], plus [`DtcwtError::MalformedPyramid`]
-    /// if a worker lacks the requested kernel slot.
-    pub fn inverse_pooled_finish(
-        self: &Arc<Self>,
-        pool: &WorkerPool,
-        bufs: &mut Vec<Image>,
-        outcomes: &mut Vec<JobOutcome>,
-        out: &mut Image,
-    ) -> Result<(), DtcwtError> {
-        outcomes.clear();
-        pool.drain(COMBOS.len(), outcomes);
-        self.inverse_collect_outcomes(outcomes, bufs, out)
-    }
-
     /// Accumulates one already-harvested inverse batch (the four
     /// [`JobOutcome`]s of a single [`Dtcwt::inverse_pooled_submit`], in any
     /// order) into `out` and recycles the combo buffers into `bufs`. The
     /// combos are summed in combo order, so the result is bit-identical to
-    /// the serial inverse — and to [`Dtcwt::inverse_pooled_finish`] —
-    /// regardless of worker completion order, thread count, or how many
-    /// other batches were in flight alongside this one.
+    /// the serial inverse regardless of worker completion order, thread
+    /// count, or how many other batches were in flight alongside this one.
     ///
     /// # Errors
     ///
-    /// Same as [`Dtcwt::inverse_pooled_finish`]: the lowest-combo error of
-    /// the batch, with all surviving buffers recycled first.
+    /// Same as [`Dtcwt::inverse_with`], plus [`DtcwtError::MalformedPyramid`]
+    /// if a worker lacked the requested kernel slot: the lowest-combo error
+    /// of the batch, with all surviving buffers recycled first.
     pub fn inverse_collect_outcomes(
         &self,
         outcomes: &mut Vec<JobOutcome>,
@@ -972,34 +845,6 @@ impl Dtcwt {
                 bufs.push(out);
             }
         }
-    }
-
-    /// Inverse transform with the four tree combinations inverted on an
-    /// ephemeral four-worker pool (see [`Dtcwt::forward_parallel`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dtcwt::inverse_with`].
-    pub fn inverse_parallel<K, F>(
-        &self,
-        kernel_factory: F,
-        pyr: &CwtPyramid,
-    ) -> Result<Image, DtcwtError>
-    where
-        K: FilterKernel + Send + 'static,
-        F: Fn() -> K,
-    {
-        self.check_pyramid(pyr)?;
-        let pool = WorkerPool::new(COMBOS.len(), &mut |_| {
-            vec![Box::new(kernel_factory()) as Box<dyn FilterKernel + Send>]
-        });
-        let t = Arc::new(self.clone());
-        let pyr = Arc::new(pyr.clone());
-        let mut bufs = Vec::with_capacity(COMBOS.len());
-        let mut outcomes = Vec::with_capacity(COMBOS.len());
-        let mut out = Image::zeros(0, 0);
-        t.inverse_pooled(&pool, 0, &pyr, &mut bufs, &mut outcomes, &mut out)?;
-        Ok(out)
     }
 
     fn check_pyramid(&self, pyr: &CwtPyramid) -> Result<(), DtcwtError> {
@@ -1109,26 +954,6 @@ impl Dtcwt {
         }
         Ok(())
     }
-}
-
-/// Returns the four forward-job buffers to their combo slots, reporting the
-/// lowest-combo error if any job failed.
-fn place_forward_outcomes(
-    outcomes: &mut Vec<JobOutcome>,
-    combos: &mut ComboStore,
-) -> Option<DtcwtError> {
-    let mut first_err: Option<(usize, DtcwtError)> = None;
-    for oc in outcomes.drain(..) {
-        if let Some(e) = oc.error {
-            if first_err.as_ref().is_none_or(|(c, _)| oc.combo < *c) {
-                first_err = Some((oc.combo, e));
-            }
-        }
-        if let JobPayload::Forward { detail, ll } = oc.payload {
-            combos.slots[oc.combo] = ComboSlot { detail, ll };
-        }
-    }
-    first_err.map(|(_, e)| e)
 }
 
 /// Splits two distinct subband indices (`i < j`) out of one level's array.
@@ -1367,6 +1192,30 @@ mod tests {
             t3.inverse_into(&mut k, &pyr, &mut scratch, &mut out),
             Err(DtcwtError::MalformedPyramid(_))
         ));
+        // The pooled submits reject the same inputs before publishing any
+        // job, so the ring stays empty.
+        let pool = WorkerPool::new(2, &mut |_| {
+            vec![Box::new(ScalarKernel::new()) as Box<dyn FilterKernel + Send>]
+        });
+        let img = Arc::new(img);
+        let mut combos_b = ComboStore::new();
+        assert!(matches!(
+            Arc::new(t6).forward_pooled_pair_submit(
+                &pool,
+                0,
+                &img,
+                &mut combos,
+                &img,
+                &mut combos_b
+            ),
+            Err(DtcwtError::BadLevels { .. })
+        ));
+        let mut bufs = Vec::new();
+        assert!(matches!(
+            Arc::new(t3).inverse_pooled_submit(&pool, 0, &Arc::new(pyr), &mut bufs, 0),
+            Err(DtcwtError::MalformedPyramid(_))
+        ));
+        assert_eq!(pool.outstanding(), 0, "nothing was submitted");
     }
 
     #[test]
@@ -1381,53 +1230,13 @@ mod tests {
         let mut bufs = Vec::new();
         let mut outcomes = Vec::new();
         let mut out = Image::zeros(0, 0);
-        t.inverse_pooled(&pool, 0, &pyr, &mut bufs, &mut outcomes, &mut out)
+        t.inverse_pooled_submit(&pool, 0, &pyr, &mut bufs, 0)
+            .unwrap();
+        assert_eq!(pool.drain(4, &mut outcomes), None);
+        t.inverse_collect_outcomes(&mut outcomes, &mut bufs, &mut out)
             .unwrap();
         assert_eq!(out, serial);
         assert_eq!(bufs.len(), 4, "all four buffers recycled");
-    }
-
-    #[test]
-    fn parallel_paths_match_serial() {
-        let img = test_image(88, 72);
-        let t = Dtcwt::new(3).unwrap();
-        let serial = t.forward(&img).unwrap();
-        let parallel = t
-            .forward_parallel(crate::kernel::ScalarKernel::new, &img)
-            .unwrap();
-        for level in 0..3 {
-            for (a, b) in serial.subbands(level).iter().zip(parallel.subbands(level)) {
-                assert!(a.re.max_abs_diff(&b.re) < 1e-6);
-                assert!(a.im.max_abs_diff(&b.im) < 1e-6);
-            }
-        }
-        for (a, b) in serial.lowpass().iter().zip(parallel.lowpass()) {
-            assert!(a.max_abs_diff(b) < 1e-6);
-        }
-        assert_eq!(serial.input_dims(), parallel.input_dims());
-        let inv_serial = t.inverse(&serial).unwrap();
-        let inv_parallel = t
-            .inverse_parallel(crate::kernel::ScalarKernel::new, &parallel)
-            .unwrap();
-        assert!(inv_serial.max_abs_diff(&inv_parallel) < 1e-6);
-        assert!(inv_parallel.max_abs_diff(&img) < 2e-3);
-    }
-
-    #[test]
-    fn parallel_rejects_bad_inputs_like_serial() {
-        let t = Dtcwt::new(6).unwrap();
-        let img = test_image(16, 16);
-        assert!(matches!(
-            t.forward_parallel(crate::kernel::ScalarKernel::new, &img),
-            Err(DtcwtError::BadLevels { .. })
-        ));
-        let t2 = Dtcwt::new(2).unwrap();
-        let t3 = Dtcwt::new(3).unwrap();
-        let pyr = t2.forward(&test_image(32, 32)).unwrap();
-        assert!(matches!(
-            t3.inverse_parallel(crate::kernel::ScalarKernel::new, &pyr),
-            Err(DtcwtError::MalformedPyramid(_))
-        ));
     }
 
     #[test]

@@ -944,21 +944,43 @@ mod tests {
         vec![Box::new(ScalarKernel::new())]
     }
 
+    /// Runs both forwards of `img` paired with itself as one eight-job
+    /// batch on kernel slot `kernel`, returning the two pyramids.
+    fn forward_pair(
+        pool: &WorkerPool,
+        t: &Arc<Dtcwt>,
+        kernel: usize,
+        img: &Arc<Image>,
+    ) -> Result<(CwtPyramid, CwtPyramid), DtcwtError> {
+        let (mut combos_a, mut combos_b) = (ComboStore::new(), ComboStore::new());
+        let (mut out_a, mut out_b) = (CwtPyramid::empty(), CwtPyramid::empty());
+        t.forward_pooled_pair(
+            pool,
+            kernel,
+            img,
+            &mut combos_a,
+            &mut out_a,
+            img,
+            &mut combos_b,
+            &mut out_b,
+            &mut Vec::new(),
+        )?;
+        Ok((out_a, out_b))
+    }
+
     #[test]
     fn pool_runs_forward_jobs() {
         let pool = WorkerPool::new(2, &mut boxed_scalar);
         let t = Arc::new(Dtcwt::new(2).unwrap());
         let img = Arc::new(Image::from_fn(32, 24, |x, y| ((x * 3 + y) % 7) as f32));
-        let mut combos = ComboStore::new();
-        let mut outcomes = Vec::new();
-        let mut out = CwtPyramid::empty();
-        t.forward_pooled(&pool, 0, &img, &mut combos, &mut outcomes, &mut out)
-            .unwrap();
+        let (out_a, out_b) = forward_pair(&pool, &t, 0, &img).unwrap();
         let serial = t.forward(&img).unwrap();
-        for level in 0..2 {
-            for (a, b) in serial.subbands(level).iter().zip(out.subbands(level)) {
-                assert_eq!(a.re, b.re);
-                assert_eq!(a.im, b.im);
+        for out in [&out_a, &out_b] {
+            for level in 0..2 {
+                for (a, b) in serial.subbands(level).iter().zip(out.subbands(level)) {
+                    assert_eq!(a.re, b.re);
+                    assert_eq!(a.im, b.im);
+                }
             }
         }
     }
@@ -968,12 +990,7 @@ mod tests {
         let pool = WorkerPool::new(1, &mut boxed_scalar);
         let t = Arc::new(Dtcwt::new(1).unwrap());
         let img = Arc::new(Image::filled(8, 8, 1.0));
-        let mut combos = ComboStore::new();
-        let mut outcomes = Vec::new();
-        let mut out = CwtPyramid::empty();
-        let err = t
-            .forward_pooled(&pool, 9, &img, &mut combos, &mut outcomes, &mut out)
-            .unwrap_err();
+        let err = forward_pair(&pool, &t, 9, &img).unwrap_err();
         assert!(matches!(err, DtcwtError::MalformedPyramid(_)));
     }
 
@@ -989,17 +1006,13 @@ mod tests {
         let pool = WorkerPool::new(2, &mut boxed_scalar);
         let t = Arc::new(Dtcwt::new(2).unwrap());
         let img = Arc::new(Image::from_fn(32, 24, |x, y| ((x + 5 * y) % 11) as f32));
-        let mut combos = ComboStore::new();
-        let mut outcomes = Vec::new();
-        let mut out = CwtPyramid::empty();
         for _ in 0..4 {
-            t.forward_pooled(&pool, 0, &img, &mut combos, &mut outcomes, &mut out)
-                .unwrap();
+            forward_pair(&pool, &t, 0, &img).unwrap();
         }
         let totals = pool.sched_totals();
         // Every executed job was claimed through the shared cursor; each
-        // forward batch submits four combo jobs.
-        assert_eq!(totals.jobs, 16, "totals: {totals:?}");
+        // pair-forward batch submits eight combo jobs.
+        assert_eq!(totals.jobs, 32, "totals: {totals:?}");
         assert!(totals.batches_claimed >= 1 && totals.batches_claimed <= totals.jobs);
         // A steal is a kind of claim, never more than all of them. (Steal
         // and park counts depend on scheduling luck, so no lower bound.)
@@ -1013,16 +1026,12 @@ mod tests {
         let pool = WorkerPool::new(1, &mut boxed_scalar);
         let t = Arc::new(Dtcwt::new(1).unwrap());
         let img = Arc::new(Image::filled(16, 16, 0.25));
-        let mut combos = ComboStore::new();
-        let mut outcomes = Vec::new();
-        let mut out = CwtPyramid::empty();
         for _ in 0..3 {
-            t.forward_pooled(&pool, 0, &img, &mut combos, &mut outcomes, &mut out)
-                .unwrap();
+            forward_pair(&pool, &t, 0, &img).unwrap();
         }
         let stats = pool.sched_stats(0);
         assert_eq!(stats.steals, 0);
-        assert_eq!(stats.jobs, 12);
+        assert_eq!(stats.jobs, 24);
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //! beyond the paper: the hybrid backend, the QoS governor,
 //! registration-before-fusion, and denoising in the capture path.
 
+use std::sync::Arc;
+
 use wavefuse_core::adaptive::Objective;
+use wavefuse_core::engine::build_worker_pool;
 use wavefuse_core::governor::QosGovernor;
 use wavefuse_core::pipeline::{BackendChoice, PipelineConfig, VideoFusionPipeline};
 use wavefuse_core::{Backend, FusionEngine};
 use wavefuse_dtcwt::analysis::circular_shift;
 use wavefuse_dtcwt::denoise::denoise;
 use wavefuse_dtcwt::swt::Swt2d;
-use wavefuse_dtcwt::{Dtcwt, FilterBank, Image};
+use wavefuse_dtcwt::{ComboStore, CwtPyramid, Dtcwt, FilterBank, Image};
 use wavefuse_metrics::{petrovic_qabf, psnr};
+use wavefuse_simd::SimdKernel;
 use wavefuse_video::register::align_to;
 use wavefuse_video::scene::ScenePair;
 
@@ -172,15 +176,34 @@ fn swt_and_dtcwt_agree_on_what_matters() {
 
 #[test]
 fn parallel_transform_is_a_drop_in_replacement() {
-    let (a, _) = scene_pair(88, 72);
-    let t = Dtcwt::new(3).unwrap();
-    let serial = t.forward(&a).unwrap();
-    let parallel = t
-        .forward_parallel(wavefuse_simd::SimdKernel::new, &a)
-        .unwrap();
-    for level in 0..3 {
-        for (x, y) in serial.subbands(level).iter().zip(parallel.subbands(level)) {
-            assert!(x.re.max_abs_diff(&y.re) < 1e-3);
+    let (a, b) = scene_pair(88, 72);
+    let t = Arc::new(Dtcwt::new(3).unwrap());
+    // Worker kernel slot 1 is the SIMD kernel.
+    let pool = build_worker_pool(4, true);
+    let (img_a, img_b) = (Arc::new(a.clone()), Arc::new(b.clone()));
+    let (mut combos_a, mut combos_b) = (ComboStore::new(), ComboStore::new());
+    let (mut par_a, mut par_b) = (CwtPyramid::empty(), CwtPyramid::empty());
+    t.forward_pooled_pair(
+        &pool,
+        1,
+        &img_a,
+        &mut combos_a,
+        &mut par_a,
+        &img_b,
+        &mut combos_b,
+        &mut par_b,
+        &mut Vec::new(),
+    )
+    .unwrap();
+    let mut simd = SimdKernel::new();
+    for (img, parallel) in [(&a, &par_a), (&b, &par_b)] {
+        let serial = t.forward_with(&mut simd, img).unwrap();
+        for level in 0..3 {
+            for (x, y) in serial.subbands(level).iter().zip(parallel.subbands(level)) {
+                assert_eq!(x.re, y.re);
+                assert_eq!(x.im, y.im);
+            }
         }
+        assert_eq!(serial.lowpass(), parallel.lowpass());
     }
 }

@@ -17,6 +17,12 @@ cargo test -q --release --test alloc_steady_state
 echo "== columnar bit-identity (transpose-free column passes)"
 cargo test -q --release --test columnar_identity
 
+echo "== wavefuse-simd unit tests in release (lane exactness, columnar, strip fusion)"
+# The crate's lane-exactness, columnar-versus-fallback and strip-fusion
+# bit-identity tests also run in debug above, but LLVM vectorizes the
+# lane loops only in release, so the identities are checked here too.
+cargo test -q --release -p wavefuse-simd
+
 echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"
 # Depth {1,2,3} x threads {1,2,4} x frame sizes must reproduce the serial
 # pixel stream exactly; the 640x480 matrix is debug-ignored and runs here.

@@ -1,22 +1,24 @@
 //! Vectorized strip fusion — the NEON-style implementation of the
 //! [`wavefuse_dtcwt::fuse`] fold-order contract.
 //!
-//! The interior of each row is processed in [`F32x8`] blocks (two modeled
-//! quad registers, matching the columnar transform path); borders and
-//! ragged tails fall back to the scalar per-pixel expressions. Bit-identity
-//! with [`wavefuse_dtcwt::fuse_strip_scalar`] holds by construction:
+//! Every rule has one block body, generic over the lane count: the interior
+//! of each row runs it on [`Lanes<8>`] blocks (two modeled quad registers,
+//! matching the columnar transform path) and the ragged tail runs the same
+//! body on `Lanes<1>`. Only the clamped borders of the horizontal window
+//! keep a separate scalar fold. Bit-identity with
+//! [`wavefuse_dtcwt::fuse_strip_scalar`] holds by construction:
 //!
 //! * every vector op is a lane loop with no FMA, so lane `x` evaluates
 //!   exactly the scalar expression tree for column `x`;
 //! * the windowed sums fold in the same ascending order, seeded with the
 //!   first window element — never a zero accumulator;
-//! * the choose rules compare with [`F32x8::ge`] and copy one source's
-//!   lanes verbatim with [`crate::vector::Mask8::select`] (the NEON
+//! * the choose rules compare with [`Lanes::ge`] and copy one source's
+//!   lanes verbatim with [`crate::vector::Mask::select`] (the NEON
 //!   `vcgeq_f32`/`vbslq_f32` pair), so selection is exact;
 //! * the Burt–Kolczynski match/blend arithmetic reuses the scalar
 //!   [`fuse::activity_weights`] per lane after the vectorized window sums.
 
-use crate::vector::F32x8;
+use crate::vector::Lanes;
 use wavefuse_dtcwt::fuse::{self, FuseOp, FuseScratch};
 use wavefuse_dtcwt::{ComplexImage, DtcwtError, Image};
 
@@ -44,184 +46,139 @@ pub fn fuse_strip_simd(
     let (w, h) = fuse::check_strip(a, b, y0, y1)?;
     out_re.reshape(w, y1 - y0);
     out_im.reshape(w, y1 - y0);
-    match op {
-        FuseOp::MaxMagnitude => {
-            for y in y0..y1 {
-                let (ar, ai) = (a.re.row(y), a.im.row(y));
-                let (br, bi) = (b.re.row(y), b.im.row(y));
-                let ore = out_re.row_mut(y - y0);
-                let oim = out_im.row_mut(y - y0);
-                let mut x = 0;
-                while x + W8 <= w {
-                    let var = F32x8::load(&ar[x..]);
-                    let vai = F32x8::load(&ai[x..]);
-                    let vbr = F32x8::load(&br[x..]);
-                    let vbi = F32x8::load(&bi[x..]);
-                    let ma = var * var + vai * vai;
-                    let mb = vbr * vbr + vbi * vbi;
-                    let pick = ma.ge(mb);
-                    pick.select(var, vbr).store(&mut ore[x..]);
-                    pick.select(vai, vbi).store(&mut oim[x..]);
-                    x += W8;
-                }
-                for x in x..w {
-                    let ma = ar[x] * ar[x] + ai[x] * ai[x];
-                    let mb = br[x] * br[x] + bi[x] * bi[x];
-                    let pick_a = ma >= mb;
-                    ore[x] = if pick_a { ar[x] } else { br[x] };
-                    oim[x] = if pick_a { ai[x] } else { bi[x] };
-                }
-            }
+    let radius = match op {
+        FuseOp::MaxMagnitude | FuseOp::Weighted { .. } => None,
+        FuseOp::WindowEnergy { radius } | FuseOp::ActivityGuided { radius, .. } => Some(radius),
+    };
+    if let Some(radius) = radius {
+        horizontal_products(a, a, y0, y1, h, radius, &mut fs.erow, &mut fs.ha);
+        horizontal_products(b, b, y0, y1, h, radius, &mut fs.erow, &mut fs.hb);
+    }
+    if let FuseOp::ActivityGuided { radius, .. } = op {
+        horizontal_products(a, b, y0, y1, h, radius, &mut fs.erow, &mut fs.hx);
+    }
+    let win = WindowSums {
+        fs,
+        h,
+        r: radius.unwrap_or(0) as isize,
+        lo: radius.map_or(0, |r| fuse::strip_source_span(y0, y1, h, r).0),
+    };
+    for y in y0..y1 {
+        let src = Sources::rows(a, b, y);
+        let (ore, oim) = (out_re.row_mut(y - y0), out_im.row_mut(y - y0));
+        let mut x = 0;
+        while x + W8 <= w {
+            let (re, im) = fuse_block::<W8>(op, &src, &win, x, y);
+            re.store(&mut ore[x..]);
+            im.store(&mut oim[x..]);
+            x += W8;
         }
-        FuseOp::Weighted { alpha } => {
-            let beta = 1.0 - alpha;
-            let va = F32x8::splat(alpha);
-            let vb = F32x8::splat(beta);
-            for y in y0..y1 {
-                let (ar, ai) = (a.re.row(y), a.im.row(y));
-                let (br, bi) = (b.re.row(y), b.im.row(y));
-                let ore = out_re.row_mut(y - y0);
-                let oim = out_im.row_mut(y - y0);
-                let mut x = 0;
-                while x + W8 <= w {
-                    (va * F32x8::load(&ar[x..]) + vb * F32x8::load(&br[x..])).store(&mut ore[x..]);
-                    (va * F32x8::load(&ai[x..]) + vb * F32x8::load(&bi[x..])).store(&mut oim[x..]);
-                    x += W8;
-                }
-                for x in x..w {
-                    ore[x] = alpha * ar[x] + beta * br[x];
-                    oim[x] = alpha * ai[x] + beta * bi[x];
-                }
-            }
-        }
-        FuseOp::WindowEnergy { radius } => {
-            let (lo, _hi) = fuse::strip_source_span(y0, y1, h, radius);
-            horizontal_energy_simd(a, y0, y1, h, radius, &mut fs.erow, &mut fs.ha);
-            horizontal_energy_simd(b, y0, y1, h, radius, &mut fs.erow, &mut fs.hb);
-            let r = radius as isize;
-            for y in y0..y1 {
-                let (ar, ai) = (a.re.row(y), a.im.row(y));
-                let (br, bi) = (b.re.row(y), b.im.row(y));
-                let ore = out_re.row_mut(y - y0);
-                let oim = out_im.row_mut(y - y0);
-                let mut x = 0;
-                while x + W8 <= w {
-                    let ea = vertical_sum_v(&fs.ha, x, y, h, r, lo);
-                    let eb = vertical_sum_v(&fs.hb, x, y, h, r, lo);
-                    let pick = ea.ge(eb);
-                    pick.select(F32x8::load(&ar[x..]), F32x8::load(&br[x..]))
-                        .store(&mut ore[x..]);
-                    pick.select(F32x8::load(&ai[x..]), F32x8::load(&bi[x..]))
-                        .store(&mut oim[x..]);
-                    x += W8;
-                }
-                for x in x..w {
-                    let ea = fuse::vertical_sum(&fs.ha, x, y, h, r, lo);
-                    let eb = fuse::vertical_sum(&fs.hb, x, y, h, r, lo);
-                    let pick_a = ea >= eb;
-                    ore[x] = if pick_a { ar[x] } else { br[x] };
-                    oim[x] = if pick_a { ai[x] } else { bi[x] };
-                }
-            }
-        }
-        FuseOp::ActivityGuided {
-            radius,
-            match_threshold,
-        } => {
-            let (lo, _hi) = fuse::strip_source_span(y0, y1, h, radius);
-            horizontal_energy_simd(a, y0, y1, h, radius, &mut fs.erow, &mut fs.ha);
-            horizontal_energy_simd(b, y0, y1, h, radius, &mut fs.erow, &mut fs.hb);
-            horizontal_cross_simd(a, b, y0, y1, h, radius, &mut fs.erow, &mut fs.hx);
-            let r = radius as isize;
-            for y in y0..y1 {
-                let (ar, ai) = (a.re.row(y), a.im.row(y));
-                let (br, bi) = (b.re.row(y), b.im.row(y));
-                let ore = out_re.row_mut(y - y0);
-                let oim = out_im.row_mut(y - y0);
-                let mut x = 0;
-                while x + W8 <= w {
-                    // Window sums vectorize; the branchy match/blend math
-                    // runs the scalar expression per lane.
-                    let ea = vertical_sum_v(&fs.ha, x, y, h, r, lo);
-                    let eb = vertical_sum_v(&fs.hb, x, y, h, r, lo);
-                    let cx = vertical_sum_v(&fs.hx, x, y, h, r, lo);
-                    for i in 0..W8 {
-                        let (w_a, w_b) = fuse::activity_weights(
-                            ea.lanes()[i],
-                            eb.lanes()[i],
-                            cx.lanes()[i],
-                            match_threshold,
-                        );
-                        ore[x + i] = w_a * ar[x + i] + w_b * br[x + i];
-                        oim[x + i] = w_a * ai[x + i] + w_b * bi[x + i];
-                    }
-                    x += W8;
-                }
-                for x in x..w {
-                    let ea = fuse::vertical_sum(&fs.ha, x, y, h, r, lo);
-                    let eb = fuse::vertical_sum(&fs.hb, x, y, h, r, lo);
-                    let cx = fuse::vertical_sum(&fs.hx, x, y, h, r, lo);
-                    let (w_a, w_b) = fuse::activity_weights(ea, eb, cx, match_threshold);
-                    ore[x] = w_a * ar[x] + w_b * br[x];
-                    oim[x] = w_a * ai[x] + w_b * bi[x];
-                }
-            }
+        for x in x..w {
+            let (re, im) = fuse_block::<1>(op, &src, &win, x, y);
+            re.store(&mut ore[x..]);
+            im.store(&mut oim[x..]);
         }
     }
     Ok(())
 }
 
-/// Vertical clamped window fold of one 8-column block — the vector twin of
-/// [`fuse::vertical_sum`] (ascending `dy`, seeded with the first window
-/// row; no clamping needed in `x` since callers keep blocks in-bounds).
-#[inline(always)]
-fn vertical_sum_v(hmap: &Image, x: usize, y: usize, h: usize, r: isize, lo: usize) -> F32x8 {
-    let yy = |dy: isize| ((y as isize + dy).clamp(0, h as isize - 1) as usize) - lo;
-    let mut acc = F32x8::load(&hmap.row(yy(-r))[x..]);
-    let mut dy = -r + 1;
-    while dy <= r {
-        acc += F32x8::load(&hmap.row(yy(dy))[x..]);
-        dy += 1;
+/// One source row of each subband: `a.re`, `a.im`, `b.re`, `b.im`.
+struct Sources<'a>([&'a [f32]; 4]);
+
+impl<'a> Sources<'a> {
+    fn rows(a: &'a ComplexImage, b: &'a ComplexImage, y: usize) -> Self {
+        Sources([a.re.row(y), a.im.row(y), b.re.row(y), b.im.row(y)])
     }
-    acc
+
+    /// Loads `[ar, ai, br, bi]` at columns `x..x + N`.
+    #[inline(always)]
+    fn load<const N: usize>(&self, x: usize) -> [Lanes<N>; 4] {
+        self.0.map(|row| Lanes::load(&row[x..]))
+    }
 }
 
-/// Vectorized twin of [`fuse::horizontal_energy`]: stages each source
-/// row's `re² + im²` in 8-lane blocks, then applies the horizontal window.
-fn horizontal_energy_simd(
-    c: &ComplexImage,
-    y0: usize,
-    y1: usize,
+/// The staged horizontal window sums of a windowed rule and the geometry
+/// of their vertical fold (unused by the pointwise rules).
+struct WindowSums<'a> {
+    fs: &'a FuseScratch,
     h: usize,
-    radius: usize,
-    erow: &mut Vec<f32>,
-    hmap: &mut Image,
-) {
-    let (w, _) = c.dims();
-    let (lo, hi) = fuse::strip_source_span(y0, y1, h, radius);
-    hmap.reshape(w, hi - lo);
-    if erow.len() != w {
-        erow.resize(w, 0.0);
-    }
-    for yy in lo..hi {
-        let (re, im) = (c.re.row(yy), c.im.row(yy));
-        let mut x = 0;
-        while x + W8 <= w {
-            let vr = F32x8::load(&re[x..]);
-            let vi = F32x8::load(&im[x..]);
-            (vr * vr + vi * vi).store(&mut erow[x..]);
-            x += W8;
+    r: isize,
+    lo: usize,
+}
+
+impl WindowSums<'_> {
+    /// Vertical clamped window fold of `N` columns of `hmap` — at `N = 1`
+    /// exactly [`fuse::vertical_sum`] (ascending `dy`, seeded with the first
+    /// window row; no clamping needed in `x` since blocks stay in-bounds).
+    #[inline(always)]
+    fn vertical_sum<const N: usize>(&self, hmap: &Image, x: usize, y: usize) -> Lanes<N> {
+        let yy = |dy: isize| ((y as isize + dy).clamp(0, self.h as isize - 1) as usize) - self.lo;
+        let mut acc = Lanes::load(&hmap.row(yy(-self.r))[x..]);
+        let mut dy = -self.r + 1;
+        while dy <= self.r {
+            acc += Lanes::load(&hmap.row(yy(dy))[x..]);
+            dy += 1;
         }
-        for x in x..w {
-            erow[x] = re[x] * re[x] + im[x] * im[x];
-        }
-        horizontal_window_simd(erow, radius, hmap.row_mut(yy - lo));
+        acc
     }
 }
 
-/// Vectorized twin of [`fuse::horizontal_cross`].
+/// Fuses columns `x..x + N` of row `y` under `op`, returning the fused
+/// `(re, im)` lanes — the one body both the 8-lane blocks and the one-lane
+/// tail run.
+#[inline(always)]
+fn fuse_block<const N: usize>(
+    op: FuseOp,
+    src: &Sources,
+    win: &WindowSums,
+    x: usize,
+    y: usize,
+) -> (Lanes<N>, Lanes<N>) {
+    let [ar, ai, br, bi] = src.load::<N>(x);
+    match op {
+        FuseOp::MaxMagnitude => {
+            let pick = (ar * ar + ai * ai).ge(br * br + bi * bi);
+            (pick.select(ar, br), pick.select(ai, bi))
+        }
+        FuseOp::Weighted { alpha } => {
+            let (va, vb) = (Lanes::splat(alpha), Lanes::splat(1.0 - alpha));
+            (va * ar + vb * br, va * ai + vb * bi)
+        }
+        FuseOp::WindowEnergy { .. } => {
+            let ea = win.vertical_sum::<N>(&win.fs.ha, x, y);
+            let pick = ea.ge(win.vertical_sum(&win.fs.hb, x, y));
+            (pick.select(ar, br), pick.select(ai, bi))
+        }
+        FuseOp::ActivityGuided {
+            match_threshold, ..
+        } => {
+            // Window sums vectorize; the branchy match/blend math runs the
+            // scalar expression per lane.
+            let ea = win.vertical_sum::<N>(&win.fs.ha, x, y);
+            let eb = win.vertical_sum::<N>(&win.fs.hb, x, y);
+            let cx = win.vertical_sum::<N>(&win.fs.hx, x, y);
+            let (mut re, mut im) = ([0.0; N], [0.0; N]);
+            for i in 0..N {
+                let (w_a, w_b) = fuse::activity_weights(
+                    ea.lanes()[i],
+                    eb.lanes()[i],
+                    cx.lanes()[i],
+                    match_threshold,
+                );
+                re[i] = w_a * ar.lanes()[i] + w_b * br.lanes()[i];
+                im[i] = w_a * ai.lanes()[i] + w_b * bi.lanes()[i];
+            }
+            (Lanes::new(re), Lanes::new(im))
+        }
+    }
+}
+
+/// Vectorized twin of [`fuse::horizontal_cross`], and of
+/// [`fuse::horizontal_energy`] when `b` is `a` (`re * re + im * im` is the
+/// same expression tree): stages each source row's `ar * br + ai * bi` in
+/// 8-lane blocks and a one-lane tail, then applies the horizontal window.
 #[allow(clippy::too_many_arguments)]
-fn horizontal_cross_simd(
+fn horizontal_products(
     a: &ComplexImage,
     b: &ComplexImage,
     y0: usize,
@@ -237,18 +194,19 @@ fn horizontal_cross_simd(
     if erow.len() != w {
         erow.resize(w, 0.0);
     }
+    fn product<const N: usize>(src: &Sources, x: usize, erow: &mut [f32]) {
+        let [ar, ai, br, bi] = src.load::<N>(x);
+        (ar * br + ai * bi).store(&mut erow[x..]);
+    }
     for yy in lo..hi {
-        let (ar, ai) = (a.re.row(yy), a.im.row(yy));
-        let (br, bi) = (b.re.row(yy), b.im.row(yy));
+        let src = Sources::rows(a, b, yy);
         let mut x = 0;
         while x + W8 <= w {
-            let v = F32x8::load(&ar[x..]) * F32x8::load(&br[x..])
-                + F32x8::load(&ai[x..]) * F32x8::load(&bi[x..]);
-            v.store(&mut erow[x..]);
+            product::<W8>(&src, x, erow);
             x += W8;
         }
         for x in x..w {
-            erow[x] = ar[x] * br[x] + ai[x] * bi[x];
+            product::<1>(&src, x, erow);
         }
         horizontal_window_simd(erow, radius, hmap.row_mut(yy - lo));
     }
@@ -278,10 +236,10 @@ fn horizontal_window_simd(erow: &[f32], radius: usize, out: &mut [f32]) {
     // Interior: x ≥ r and x + 7 + r ≤ w − 1.
     let mut x = left_end;
     while x >= radius && x + W8 + radius <= w {
-        let mut acc = F32x8::load(&erow[x - radius..]);
+        let mut acc = Lanes::<W8>::load(&erow[x - radius..]);
         let mut dx = 1;
         while dx <= 2 * radius {
-            acc += F32x8::load(&erow[x - radius + dx..]);
+            acc += Lanes::load(&erow[x - radius + dx..]);
             dx += 1;
         }
         acc.store(&mut out[x..]);
@@ -312,11 +270,41 @@ mod tests {
         (a, b)
     }
 
+    /// `pair(w, h)` with NaN, ±inf and ±0.0 scattered over all four
+    /// planes, landing both inside 8-lane blocks and in ragged tail columns.
+    fn non_finite_pair(w: usize, h: usize) -> (ComplexImage, ComplexImage) {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let (mut a, mut b) = pair(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let v = specials[(x + y) % specials.len()];
+                if (x + 2 * y) % 9 == 0 {
+                    a.re.set(x, y, v);
+                }
+                if (2 * x + y) % 11 == 3 {
+                    a.im.set(x, y, v);
+                }
+                if (x + y) % 7 == 5 {
+                    b.re.set(x, y, v);
+                }
+                if (3 * x + y) % 13 == 1 {
+                    b.im.set(x, y, v);
+                }
+            }
+        }
+        (a, b)
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn simd_strip_fusion_matches_scalar_bit_for_bit() {
         // Every rule × radius × odd/even widths (vector blocks + ragged
         // tails) × strip decompositions must reproduce the scalar
-        // reference exactly.
+        // reference exactly, on finite inputs and on inputs carrying NaN,
+        // ±inf and ±0.0 (compared as bits, so NaN and signed zeros count).
         let ops = [
             FuseOp::MaxMagnitude,
             FuseOp::Weighted { alpha: 0.3 },
@@ -333,30 +321,37 @@ mod tests {
             },
         ];
         for (w, h) in [(5usize, 4usize), (8, 8), (23, 11), (32, 16), (45, 13)] {
-            let (a, b) = pair(w, h);
-            for op in ops {
-                let mut fs = FuseScratch::new();
-                let (mut want_re, mut want_im) = (Image::zeros(0, 0), Image::zeros(0, 0));
-                fuse_strip_scalar(&a, &b, 0, h, op, &mut fs, &mut want_re, &mut want_im).unwrap();
-                for rows in [1usize, 2, 5, h] {
-                    let (mut sre, mut sim) = (Image::zeros(0, 0), Image::zeros(0, 0));
-                    let mut y0 = 0;
-                    while y0 < h {
-                        let y1 = (y0 + rows).min(h);
-                        fuse_strip_simd(&a, &b, y0, y1, op, &mut fs, &mut sre, &mut sim).unwrap();
-                        for y in y0..y1 {
-                            assert_eq!(
-                                sre.row(y - y0),
-                                want_re.row(y),
-                                "{op:?} {w}x{h} rows={rows} y={y} re"
-                            );
-                            assert_eq!(
-                                sim.row(y - y0),
-                                want_im.row(y),
-                                "{op:?} {w}x{h} rows={rows} y={y} im"
-                            );
+            for (inputs, (a, b)) in [
+                ("finite", pair(w, h)),
+                ("non-finite", non_finite_pair(w, h)),
+            ] {
+                for op in ops {
+                    let mut fs = FuseScratch::new();
+                    let (mut want_re, mut want_im) = (Image::zeros(0, 0), Image::zeros(0, 0));
+                    fuse_strip_scalar(&a, &b, 0, h, op, &mut fs, &mut want_re, &mut want_im)
+                        .unwrap();
+                    for rows in [1usize, 2, 5, h] {
+                        let (mut sre, mut sim) = (Image::zeros(0, 0), Image::zeros(0, 0));
+                        let mut y0 = 0;
+                        while y0 < h {
+                            let y1 = (y0 + rows).min(h);
+                            fuse_strip_simd(&a, &b, y0, y1, op, &mut fs, &mut sre, &mut sim)
+                                .unwrap();
+                            for y in y0..y1 {
+                                let what = format!("{inputs} {op:?} {w}x{h} rows={rows} y={y}");
+                                assert_eq!(
+                                    bits(sre.row(y - y0)),
+                                    bits(want_re.row(y)),
+                                    "{what} re"
+                                );
+                                assert_eq!(
+                                    bits(sim.row(y - y0)),
+                                    bits(want_im.row(y)),
+                                    "{what} im"
+                                );
+                            }
+                            y0 = y1;
                         }
-                        y0 = y1;
                     }
                 }
             }

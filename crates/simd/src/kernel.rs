@@ -1,36 +1,43 @@
-//! SIMD implementations of the [`FilterKernel`] row primitives.
+//! The NEON engine's [`FilterKernel`]: one kernel body, two row-dot flavours.
 //!
-//! [`SimdKernel`] mirrors the paper's *manual* NEON intrinsics (Fig. 3):
-//! the filter is reversed once so each output becomes a contiguous dot
-//! product, accumulated four lanes at a time in a quad register and folded
-//! with a horizontal add. Tap vectors are zero-padded to a multiple of four
-//! so the loop has no scalar remainder — the paper makes the same
-//! "iteration count is a multiple of the lane count" argument.
+//! [`NeonKernel`] owns the tap caches, the row loops, the columnar column
+//! passes and strip fusion. Its `MANUAL` parameter picks only the inner row
+//! dot product, the one place the paper's two NEON builds differ:
 //!
-//! [`AutoVecKernel`] mirrors the *compiler auto-vectorized* build
-//! (`-mfpu=neon -ftree-vectorize`): straight-line safe Rust with four
-//! independent accumulators and fixed trip counts, the shape LLVM (like GCC
-//! in the paper) vectorizes without intrinsics.
+//! * [`SimdKernel`] (`MANUAL = true`) mirrors the *manual* intrinsics
+//!   (Fig. 3): the filter is reversed once so each output becomes a
+//!   contiguous dot product, accumulated four lanes at a time in an
+//!   [`F32x4`] quad register and folded with [`F32x4::horizontal_sum`].
+//! * [`AutoVecKernel`] (`MANUAL = false`) mirrors the *compiler
+//!   auto-vectorized* build (`-mfpu=neon -ftree-vectorize`): plain
+//!   `[f32; 4]` arithmetic with four independent accumulators and fixed
+//!   trip counts, the shape LLVM (like GCC in the paper) vectorizes without
+//!   intrinsics.
+//!
+//! Tap vectors are zero-padded to a multiple of four so neither dot has a
+//! scalar remainder — the paper makes the same "iteration count is a
+//! multiple of the lane count" argument. Both dots fold their four partials
+//! as `(p0 + p2) + (p1 + p3)`, so the two flavours produce identical bits.
 //!
 //! # Columnar column passes
 //!
-//! Both kernels additionally override the [`FilterKernel`] column-pass
-//! methods with a **transpose-free columnar path**: vector lanes hold 8
-//! (then 4, then 1) *adjacent columns*, rows are loaded stride-1, and each
-//! lane accumulates its own column's convolution — no transposes and no
-//! horizontal sums. Bit-identity with the transpose-staged row path is
-//! preserved by replicating the row dot product's exact summation structure
-//! per column: four partial accumulators indexed by `tap_index % 4` (the
-//! four lanes of the row path's accumulator register) folded as
-//! `(p0 + p2) + (p1 + p3)` ([`F32x4::horizontal_sum`]'s documented order).
-//! Since every column is independent, lane-group width and strip splitting
-//! never change any column's value.
+//! The kernel overrides the [`FilterKernel`] column-pass methods with a
+//! **transpose-free columnar path**: a [`Lanes<N>`] vector holds `N`
+//! *adjacent columns* — 8, then 4, then 1 at the right image edge — rows
+//! are loaded stride-1, and each lane accumulates its own column's
+//! convolution, with no transposes and no horizontal sums. Bit-identity with
+//! the transpose-staged row path is preserved by replicating the row dot
+//! product's exact summation structure per column: four partial
+//! accumulators indexed by `tap_index % 4` (the four lanes of the row
+//! path's accumulator register) folded as `(p0 + p2) + (p1 + p3)`. Since
+//! every column is independent, lane width and strip splitting never change
+//! any column's value.
 
-use crate::vector::{F32x4, F32x8};
+use crate::vector::{F32x4, Lanes};
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
 use wavefuse_dtcwt::kernel::{fallback_analyze_cols, fallback_synthesize_cols, taps_changed};
 use wavefuse_dtcwt::scratch::{ColScratch, Scratch1d};
-use wavefuse_dtcwt::{DtcwtError, FilterKernel, Image};
+use wavefuse_dtcwt::{ComplexImage, DtcwtError, FilterKernel, FuseOp, FuseScratch, Image};
 
 /// Pads `taps` (reversed) to a multiple of four lanes with leading or
 /// trailing zeros.
@@ -65,6 +72,8 @@ fn polyphase_reversed(taps: &[f32], even: &mut Vec<f32>, odd: &mut Vec<f32>) {
     }
 }
 
+/// Manual-intrinsics row dot: [`F32x4`] multiply-accumulate, then the
+/// pairwise horizontal add.
 fn simd_dot(window: &[f32], taps4: &[f32]) -> f32 {
     debug_assert!(taps4.len().is_multiple_of(4));
     debug_assert!(window.len() >= taps4.len());
@@ -97,124 +106,65 @@ fn simd_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
     (acc0.horizontal_sum(), acc1.horizontal_sum())
 }
 
-/// Lane-width-generic column vector for the columnar path. The column loop
-/// batches a lane group of adjacent columns per accumulator, falling from
-/// 8 to 4 to 1 lanes at the right image edge; per-lane arithmetic is the
-/// identical `acc + value * tap` expression at every width, so the grouping
-/// never changes any individual column's result.
-trait ColVec: Copy {
-    fn zero() -> Self;
-    fn load(src: &[f32]) -> Self;
-    fn splat(v: f32) -> Self;
-    fn mul_add(self, a: Self, b: Self) -> Self;
-    fn add(self, rhs: Self) -> Self;
-    fn store(self, dst: &mut [f32]);
+/// Auto-vectorization row dot: plain `[f32; 4]` accumulators the compiler
+/// vectorizes on its own, folded in [`F32x4::horizontal_sum`]'s order.
+#[inline(always)]
+fn unrolled_dot(window: &[f32], taps4: &[f32]) -> f32 {
+    debug_assert!(taps4.len().is_multiple_of(4));
+    let mut acc = [0.0f32; 4];
+    for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
+        acc[0] += w[0] * t[0];
+        acc[1] += w[1] * t[1];
+        acc[2] += w[2] * t[2];
+        acc[3] += w[3] * t[3];
+    }
+    (acc[0] + acc[2]) + (acc[1] + acc[3])
 }
 
-impl ColVec for F32x8 {
-    #[inline(always)]
-    fn zero() -> Self {
-        F32x8::ZERO
+/// Shared-window pair of [`unrolled_dot`]s — same load-sharing trick as
+/// [`simd_dot2`], same bit-identity argument: each filter's per-lane
+/// accumulation order is unchanged.
+#[inline(always)]
+fn unrolled_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
+    debug_assert_eq!(taps0.len(), taps1.len());
+    debug_assert!(taps0.len().is_multiple_of(4));
+    let mut a = [0.0f32; 4];
+    let mut b = [0.0f32; 4];
+    for ((w, t0), t1) in window
+        .chunks_exact(4)
+        .zip(taps0.chunks_exact(4))
+        .zip(taps1.chunks_exact(4))
+    {
+        for l in 0..4 {
+            a[l] += w[l] * t0[l];
+            b[l] += w[l] * t1[l];
+        }
     }
-    #[inline(always)]
-    fn load(src: &[f32]) -> Self {
-        F32x8::load(src)
-    }
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        F32x8::splat(v)
-    }
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        F32x8::mul_add(self, a, b)
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f32]) {
-        F32x8::store(self, dst)
-    }
+    ((a[0] + a[2]) + (a[1] + a[3]), (b[0] + b[2]) + (b[1] + b[3]))
 }
 
-impl ColVec for F32x4 {
-    #[inline(always)]
-    fn zero() -> Self {
-        F32x4::ZERO
-    }
-    #[inline(always)]
-    fn load(src: &[f32]) -> Self {
-        F32x4::load(src)
-    }
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        F32x4::splat(v)
-    }
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        F32x4::mul_add(self, a, b)
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f32]) {
-        F32x4::store(self, dst)
-    }
-}
-
-/// Scalar tail for images narrower than a lane group.
-impl ColVec for f32 {
-    #[inline(always)]
-    fn zero() -> Self {
-        0.0
-    }
-    #[inline(always)]
-    fn load(src: &[f32]) -> Self {
-        src[0]
-    }
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f32]) {
-        dst[0] = self;
-    }
-}
-
-/// Per-column vertical dot product over a lane group starting at column
+/// Per-column vertical dot product over `N` columns starting at column
 /// `x0`: `offs[i]` is the flat offset (`wrapped_row * stride`) of padded
 /// tap `i`'s source row in the image's backing slice, and the four
 /// partial accumulators indexed by `i % 4` replicate the lanes of the row
 /// path's accumulator register, folded in [`F32x4::horizontal_sum`]'s
 /// `(p0 + p2) + (p1 + p3)` order — this is what makes the columnar result
-/// bit-identical to `simd_dot` (and [`AutoVecKernel::unrolled_dot`], which
-/// shares the same structure) per column.
+/// bit-identical to both row dots per column.
 #[inline(always)]
-fn col_dot<V: ColVec>(data: &[f32], offs: &[usize], taps: &[f32], x0: usize) -> V {
+fn col_dot<const N: usize>(data: &[f32], offs: &[usize], taps: &[f32], x0: usize) -> Lanes<N> {
     debug_assert!(taps.len().is_multiple_of(4));
     debug_assert_eq!(offs.len(), taps.len());
-    let (mut p0, mut p1, mut p2, mut p3) = (V::zero(), V::zero(), V::zero(), V::zero());
+    let load = |i: usize| Lanes::<N>::load(&data[offs[i] + x0..]);
+    let (mut p0, mut p1, mut p2, mut p3) = (Lanes::ZERO, Lanes::ZERO, Lanes::ZERO, Lanes::ZERO);
     let mut i = 0;
     while i < taps.len() {
-        p0 = p0.mul_add(V::load(&data[offs[i] + x0..]), V::splat(taps[i]));
-        p1 = p1.mul_add(V::load(&data[offs[i + 1] + x0..]), V::splat(taps[i + 1]));
-        p2 = p2.mul_add(V::load(&data[offs[i + 2] + x0..]), V::splat(taps[i + 2]));
-        p3 = p3.mul_add(V::load(&data[offs[i + 3] + x0..]), V::splat(taps[i + 3]));
+        p0 = p0.mul_add(load(i), Lanes::splat(taps[i]));
+        p1 = p1.mul_add(load(i + 1), Lanes::splat(taps[i + 1]));
+        p2 = p2.mul_add(load(i + 2), Lanes::splat(taps[i + 2]));
+        p3 = p3.mul_add(load(i + 3), Lanes::splat(taps[i + 3]));
         i += 4;
     }
-    p0.add(p2).add(p1.add(p3))
+    (p0 + p2) + (p1 + p3)
 }
 
 /// Fills `idx` with `len` flat row *offsets* (`row * stride` into the image's
@@ -238,29 +188,36 @@ fn fill_wrapped(idx: &mut Vec<usize>, base: isize, len: usize, n: usize, stride:
 /// Each filter's per-column accumulation sequence is exactly [`col_dot`]'s,
 /// so the fusion changes memory traffic, not one bit of output.
 #[inline(always)]
-fn col_dot2<V: ColVec>(data: &[f32], offs: &[usize], t0: &[f32], t1: &[f32], x0: usize) -> (V, V) {
+fn col_dot2<const N: usize>(
+    data: &[f32],
+    offs: &[usize],
+    t0: &[f32],
+    t1: &[f32],
+    x0: usize,
+) -> (Lanes<N>, Lanes<N>) {
     debug_assert!(t0.len().is_multiple_of(4));
     debug_assert_eq!(t0.len(), t1.len());
     debug_assert_eq!(offs.len(), t0.len());
-    let (mut a0, mut a1, mut a2, mut a3) = (V::zero(), V::zero(), V::zero(), V::zero());
-    let (mut b0, mut b1, mut b2, mut b3) = (V::zero(), V::zero(), V::zero(), V::zero());
+    let load = |i: usize| Lanes::<N>::load(&data[offs[i] + x0..]);
+    let (mut a0, mut a1, mut a2, mut a3) = (Lanes::ZERO, Lanes::ZERO, Lanes::ZERO, Lanes::ZERO);
+    let (mut b0, mut b1, mut b2, mut b3) = (Lanes::ZERO, Lanes::ZERO, Lanes::ZERO, Lanes::ZERO);
     let mut i = 0;
     while i < t0.len() {
-        let r0 = V::load(&data[offs[i] + x0..]);
-        a0 = a0.mul_add(r0, V::splat(t0[i]));
-        b0 = b0.mul_add(r0, V::splat(t1[i]));
-        let r1 = V::load(&data[offs[i + 1] + x0..]);
-        a1 = a1.mul_add(r1, V::splat(t0[i + 1]));
-        b1 = b1.mul_add(r1, V::splat(t1[i + 1]));
-        let r2 = V::load(&data[offs[i + 2] + x0..]);
-        a2 = a2.mul_add(r2, V::splat(t0[i + 2]));
-        b2 = b2.mul_add(r2, V::splat(t1[i + 2]));
-        let r3 = V::load(&data[offs[i + 3] + x0..]);
-        a3 = a3.mul_add(r3, V::splat(t0[i + 3]));
-        b3 = b3.mul_add(r3, V::splat(t1[i + 3]));
+        let r0 = load(i);
+        a0 = a0.mul_add(r0, Lanes::splat(t0[i]));
+        b0 = b0.mul_add(r0, Lanes::splat(t1[i]));
+        let r1 = load(i + 1);
+        a1 = a1.mul_add(r1, Lanes::splat(t0[i + 1]));
+        b1 = b1.mul_add(r1, Lanes::splat(t1[i + 1]));
+        let r2 = load(i + 2);
+        a2 = a2.mul_add(r2, Lanes::splat(t0[i + 2]));
+        b2 = b2.mul_add(r2, Lanes::splat(t1[i + 2]));
+        let r3 = load(i + 3);
+        a3 = a3.mul_add(r3, Lanes::splat(t0[i + 3]));
+        b3 = b3.mul_add(r3, Lanes::splat(t1[i + 3]));
         i += 4;
     }
-    (a0.add(a2).add(a1.add(a3)), b0.add(b2).add(b1.add(b3)))
+    ((a0 + a2) + (a1 + a3), (b0 + b2) + (b1 + b3))
 }
 
 /// Filters one output row of both analysis channels in a single pass over
@@ -276,19 +233,19 @@ fn filter_cols2(
     let w = lo.len();
     let mut x = 0;
     while x + 8 <= w {
-        let (a, b) = col_dot2::<F32x8>(data, idx, t0, t1, x);
+        let (a, b) = col_dot2::<8>(data, idx, t0, t1, x);
         a.store(&mut lo[x..]);
         b.store(&mut hi[x..]);
         x += 8;
     }
     while x + 4 <= w {
-        let (a, b) = col_dot2::<F32x4>(data, idx, t0, t1, x);
+        let (a, b) = col_dot2::<4>(data, idx, t0, t1, x);
         a.store(&mut lo[x..]);
         b.store(&mut hi[x..]);
         x += 4;
     }
     while x < w {
-        let (a, b) = col_dot2::<f32>(data, idx, t0, t1, x);
+        let (a, b) = col_dot2::<1>(data, idx, t0, t1, x);
         a.store(&mut lo[x..]);
         b.store(&mut hi[x..]);
         x += 1;
@@ -300,22 +257,22 @@ fn filter_cols(data: &[f32], idx: &[usize], taps: &[f32], out: &mut [f32]) {
     let w = out.len();
     let mut x = 0;
     while x + 8 <= w {
-        col_dot::<F32x8>(data, idx, taps, x).store(&mut out[x..]);
+        col_dot::<8>(data, idx, taps, x).store(&mut out[x..]);
         x += 8;
     }
     while x + 4 <= w {
-        col_dot::<F32x4>(data, idx, taps, x).store(&mut out[x..]);
+        col_dot::<4>(data, idx, taps, x).store(&mut out[x..]);
         x += 4;
     }
     while x < w {
-        col_dot::<f32>(data, idx, taps, x).store(&mut out[x..]);
+        col_dot::<1>(data, idx, taps, x).store(&mut out[x..]);
         x += 1;
     }
 }
 
 /// Reconstructs one output row of the columnar synthesis (the lane-wise sum
 /// of the two channel dot products, matching the row path's
-/// `simd_dot(lo) + simd_dot(hi)` per column).
+/// `dot(lo) + dot(hi)` per column).
 #[allow(clippy::too_many_arguments)]
 fn synth_cols(
     lo: &[f32],
@@ -329,25 +286,21 @@ fn synth_cols(
     let w = out.len();
     let mut x = 0;
     while x + 8 <= w {
-        let v = col_dot::<F32x8>(lo, idx0, t0, x).add(col_dot::<F32x8>(hi, idx1, t1, x));
-        v.store(&mut out[x..]);
+        (col_dot::<8>(lo, idx0, t0, x) + col_dot::<8>(hi, idx1, t1, x)).store(&mut out[x..]);
         x += 8;
     }
     while x + 4 <= w {
-        let v = col_dot::<F32x4>(lo, idx0, t0, x).add(col_dot::<F32x4>(hi, idx1, t1, x));
-        v.store(&mut out[x..]);
+        (col_dot::<4>(lo, idx0, t0, x) + col_dot::<4>(hi, idx1, t1, x)).store(&mut out[x..]);
         x += 4;
     }
     while x < w {
-        let v = col_dot::<f32>(lo, idx0, t0, x).add(col_dot::<f32>(hi, idx1, t1, x));
-        v.store(&mut out[x..]);
+        (col_dot::<1>(lo, idx0, t0, x) + col_dot::<1>(hi, idx1, t1, x)).store(&mut out[x..]);
         x += 1;
     }
 }
 
-/// Columnar analysis shared by both kernels (their row dot products have the
-/// same summation structure, so one columnar body is bit-identical to both).
-/// Tap caches are the caller's `reversed_padded` vectors.
+/// Columnar analysis. Tap caches are the kernel's `reversed_padded`
+/// vectors.
 #[allow(clippy::too_many_arguments)]
 fn columnar_analyze(
     rev0: &[f32],
@@ -386,7 +339,7 @@ fn columnar_analyze(
     }
 }
 
-/// Columnar polyphase synthesis shared by both kernels; the final
+/// Columnar polyphase synthesis; the final
 /// delay-compensating rotation is fused into the destination row index.
 #[allow(clippy::too_many_arguments)]
 fn columnar_synthesize(
@@ -438,29 +391,22 @@ fn columnar_synthesize(
     }
 }
 
-/// Validation shared by the columnar analysis entry points.
-fn check_cols_input(img: &Image) -> Result<(), DtcwtError> {
-    let (w, h) = img.dims();
-    if w == 0 || h == 0 || !h.is_multiple_of(2) {
-        return Err(DtcwtError::BadDimensions {
-            width: w,
-            height: h,
-            reason: "column analysis requires even non-zero height",
-        });
-    }
-    Ok(())
-}
-
-/// Validation shared by the columnar synthesis entry points.
-fn check_cols_channels(lo: &Image, hi: &Image) -> Result<(), DtcwtError> {
-    if lo.is_empty() || lo.dims() != hi.dims() {
-        return Err(DtcwtError::BadDimensions {
-            width: hi.width(),
-            height: hi.height(),
-            reason: "column synthesis channels must be non-empty and equal-sized",
-        });
-    }
-    Ok(())
+/// The NEON engine's filter kernel; `MANUAL` selects the row dot flavour
+/// (see the [module docs](self)). Use it through [`SimdKernel`] or
+/// [`AutoVecKernel`].
+#[derive(Debug, Clone)]
+pub struct NeonKernel<const MANUAL: bool> {
+    rev0: Vec<f32>,
+    rev1: Vec<f32>,
+    g0_even: Vec<f32>,
+    g0_odd: Vec<f32>,
+    g1_even: Vec<f32>,
+    g1_odd: Vec<f32>,
+    a_key0: Vec<f32>,
+    a_key1: Vec<f32>,
+    s_key0: Vec<f32>,
+    s_key1: Vec<f32>,
+    columnar: bool,
 }
 
 /// Manual 4-lane vectorized kernel (the paper's NEON-intrinsics flavor).
@@ -484,24 +430,16 @@ fn check_cols_channels(lo: &Image, hi: &Image) -> Result<(), DtcwtError> {
 /// }
 /// # Ok::<(), wavefuse_dtcwt::DtcwtError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct SimdKernel {
-    rev0: Vec<f32>,
-    rev1: Vec<f32>,
-    g0_even: Vec<f32>,
-    g0_odd: Vec<f32>,
-    g1_even: Vec<f32>,
-    g1_odd: Vec<f32>,
-    a_key0: Vec<f32>,
-    a_key1: Vec<f32>,
-    s_key0: Vec<f32>,
-    s_key1: Vec<f32>,
-    columnar: bool,
-}
+pub type SimdKernel = NeonKernel<true>;
 
-impl Default for SimdKernel {
+/// Compiler-auto-vectorization flavor: plain loops with four independent
+/// accumulators and no lane intrinsics, the shape `-ftree-vectorize`
+/// exploits in the paper's auto-vectorized build.
+pub type AutoVecKernel = NeonKernel<false>;
+
+impl<const MANUAL: bool> Default for NeonKernel<MANUAL> {
     fn default() -> Self {
-        SimdKernel {
+        NeonKernel {
             rev0: Vec::new(),
             rev1: Vec::new(),
             g0_even: Vec::new(),
@@ -517,16 +455,62 @@ impl Default for SimdKernel {
     }
 }
 
-impl SimdKernel {
-    /// Creates a new manual-SIMD kernel (columnar column passes enabled).
+impl<const MANUAL: bool> NeonKernel<MANUAL> {
+    /// Creates a new kernel (columnar column passes enabled).
     pub fn new() -> Self {
-        SimdKernel::default()
+        Self::default()
+    }
+
+    /// This flavour's row dot product.
+    #[inline(always)]
+    fn dot(window: &[f32], taps4: &[f32]) -> f32 {
+        if MANUAL {
+            simd_dot(window, taps4)
+        } else {
+            unrolled_dot(window, taps4)
+        }
+    }
+
+    /// This flavour's shared-window dot pair.
+    #[inline(always)]
+    fn dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
+        if MANUAL {
+            simd_dot2(window, taps0, taps1)
+        } else {
+            unrolled_dot2(window, taps0, taps1)
+        }
+    }
+
+    /// Rebuilds the reversed analysis taps, only when the filter actually
+    /// changes (keyed by tap values). Trailing zero-pad taps read past the
+    /// window center, which the caller's right extension margin covers.
+    fn analysis_taps(&mut self, h0: &[f32], h1: &[f32]) {
+        if taps_changed(&mut self.a_key0, h0) {
+            reversed_padded(h0, false, &mut self.rev0);
+        }
+        if taps_changed(&mut self.a_key1, h1) {
+            reversed_padded(h1, false, &mut self.rev1);
+        }
+    }
+
+    /// Rebuilds the polyphase synthesis taps when the filter changes.
+    fn synthesis_taps(&mut self, g0: &[f32], g1: &[f32]) {
+        if taps_changed(&mut self.s_key0, g0) {
+            polyphase_reversed(g0, &mut self.g0_even, &mut self.g0_odd);
+        }
+        if taps_changed(&mut self.s_key1, g1) {
+            polyphase_reversed(g1, &mut self.g1_even, &mut self.g1_odd);
+        }
     }
 }
 
-impl FilterKernel for SimdKernel {
+impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
     fn name(&self) -> &'static str {
-        "neon-simd"
+        if MANUAL {
+            "neon-simd"
+        } else {
+            "neon-autovec"
+        }
     }
 
     fn analyze_row(
@@ -539,30 +523,22 @@ impl FilterKernel for SimdKernel {
         lo: &mut [f32],
         hi: &mut [f32],
     ) {
-        // Reverse + trailing zero-pad: the padded taps read past the window
-        // center, which the caller's right extension margin covers. Rebuilt
-        // only when the filter actually changes (keyed by tap values).
-        if taps_changed(&mut self.a_key0, h0) {
-            reversed_padded(h0, false, &mut self.rev0);
-        }
-        if taps_changed(&mut self.a_key1, h1) {
-            reversed_padded(h1, false, &mut self.rev1);
-        }
+        self.analysis_taps(h0, h1);
         let (l0, l1) = (h0.len(), h1.len());
         if l0 == l1 && self.rev0.len() == self.rev1.len() {
             // Equal-length pair (the q-shift orthonormal banks): both filters
             // read the same window, so share its loads across the two dots.
             for k in 0..lo.len() {
                 let center = left + 2 * k + phase;
-                let (a, b) = simd_dot2(&ext[center + 1 - l0..], &self.rev0, &self.rev1);
+                let (a, b) = Self::dot2(&ext[center + 1 - l0..], &self.rev0, &self.rev1);
                 lo[k] = a;
                 hi[k] = b;
             }
         } else {
             for k in 0..lo.len() {
                 let center = left + 2 * k + phase;
-                lo[k] = simd_dot(&ext[center + 1 - l0..], &self.rev0);
-                hi[k] = simd_dot(&ext[center + 1 - l1..], &self.rev1);
+                lo[k] = Self::dot(&ext[center + 1 - l0..], &self.rev0);
+                hi[k] = Self::dot(&ext[center + 1 - l1..], &self.rev1);
             }
         }
     }
@@ -581,12 +557,7 @@ impl FilterKernel for SimdKernel {
         // the channel window is contiguous — so each output is again a
         // lane-aligned dot product (front-padded taps read below the window,
         // covered by the caller's left extension margin).
-        if taps_changed(&mut self.s_key0, g0) {
-            polyphase_reversed(g0, &mut self.g0_even, &mut self.g0_odd);
-        }
-        if taps_changed(&mut self.s_key1, g1) {
-            polyphase_reversed(g1, &mut self.g1_even, &mut self.g1_odd);
-        }
+        self.synthesis_taps(g0, g1);
         for (m, o) in out.iter_mut().enumerate() {
             let mp = m as isize - phase as isize;
             let parity = (mp & 1) as usize;
@@ -598,7 +569,7 @@ impl FilterKernel for SimdKernel {
             let k_top = (mp - parity as isize) / 2; // highest contributing k
             let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
             let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
-            *o = simd_dot(&lo_ext[start0..], t0) + simd_dot(&hi_ext[start1..], t1);
+            *o = Self::dot(&lo_ext[start0..], t0) + Self::dot(&hi_ext[start1..], t1);
         }
     }
 
@@ -629,13 +600,15 @@ impl FilterKernel for SimdKernel {
         if !self.columnar {
             return fallback_analyze_cols(self, taps, phase, img, lo, hi, cs, s1);
         }
-        check_cols_input(img)?;
-        if taps_changed(&mut self.a_key0, &taps.h0) {
-            reversed_padded(&taps.h0, false, &mut self.rev0);
+        let (w, h) = img.dims();
+        if w == 0 || h == 0 || !h.is_multiple_of(2) {
+            return Err(DtcwtError::BadDimensions {
+                width: w,
+                height: h,
+                reason: "column analysis requires even non-zero height",
+            });
         }
-        if taps_changed(&mut self.a_key1, &taps.h1) {
-            reversed_padded(&taps.h1, false, &mut self.rev1);
-        }
+        self.analysis_taps(&taps.h0, &taps.h1);
         columnar_analyze(
             &self.rev0,
             &self.rev1,
@@ -663,13 +636,14 @@ impl FilterKernel for SimdKernel {
         if !self.columnar {
             return fallback_synthesize_cols(self, taps, phase, lo, hi, out, cs, s1);
         }
-        check_cols_channels(lo, hi)?;
-        if taps_changed(&mut self.s_key0, &taps.g0) {
-            polyphase_reversed(&taps.g0, &mut self.g0_even, &mut self.g0_odd);
+        if lo.is_empty() || lo.dims() != hi.dims() {
+            return Err(DtcwtError::BadDimensions {
+                width: hi.width(),
+                height: hi.height(),
+                reason: "column synthesis channels must be non-empty and equal-sized",
+            });
         }
-        if taps_changed(&mut self.s_key1, &taps.g1) {
-            polyphase_reversed(&taps.g1, &mut self.g1_even, &mut self.g1_odd);
-        }
+        self.synthesis_taps(&taps.g0, &taps.g1);
         columnar_synthesize(
             &self.g0_even,
             &self.g0_odd,
@@ -687,257 +661,12 @@ impl FilterKernel for SimdKernel {
 
     fn fuse_strip(
         &mut self,
-        a: &wavefuse_dtcwt::ComplexImage,
-        b: &wavefuse_dtcwt::ComplexImage,
+        a: &ComplexImage,
+        b: &ComplexImage,
         y0: usize,
         y1: usize,
-        op: wavefuse_dtcwt::FuseOp,
-        fs: &mut wavefuse_dtcwt::FuseScratch,
-        out_re: &mut Image,
-        out_im: &mut Image,
-    ) -> Result<(), DtcwtError> {
-        crate::fuse::fuse_strip_simd(a, b, y0, y1, op, fs, out_re, out_im)
-    }
-}
-
-/// Compiler-auto-vectorization flavor: plain loops with four independent
-/// accumulators and no lane intrinsics, the shape `-ftree-vectorize`
-/// exploits in the paper's auto-vectorized build.
-#[derive(Debug, Clone)]
-pub struct AutoVecKernel {
-    rev0: Vec<f32>,
-    rev1: Vec<f32>,
-    g0_even: Vec<f32>,
-    g0_odd: Vec<f32>,
-    g1_even: Vec<f32>,
-    g1_odd: Vec<f32>,
-    a_key0: Vec<f32>,
-    a_key1: Vec<f32>,
-    s_key0: Vec<f32>,
-    s_key1: Vec<f32>,
-    columnar: bool,
-}
-
-impl Default for AutoVecKernel {
-    fn default() -> Self {
-        AutoVecKernel {
-            rev0: Vec::new(),
-            rev1: Vec::new(),
-            g0_even: Vec::new(),
-            g0_odd: Vec::new(),
-            g1_even: Vec::new(),
-            g1_odd: Vec::new(),
-            a_key0: Vec::new(),
-            a_key1: Vec::new(),
-            s_key0: Vec::new(),
-            s_key1: Vec::new(),
-            columnar: true,
-        }
-    }
-}
-
-impl AutoVecKernel {
-    /// Creates a new auto-vectorization-shaped kernel (columnar column
-    /// passes enabled).
-    pub fn new() -> Self {
-        AutoVecKernel::default()
-    }
-
-    #[inline(always)]
-    fn unrolled_dot(window: &[f32], taps4: &[f32]) -> f32 {
-        debug_assert!(taps4.len().is_multiple_of(4));
-        let mut acc = [0.0f32; 4];
-        for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
-            acc[0] += w[0] * t[0];
-            acc[1] += w[1] * t[1];
-            acc[2] += w[2] * t[2];
-            acc[3] += w[3] * t[3];
-        }
-        (acc[0] + acc[2]) + (acc[1] + acc[3])
-    }
-
-    /// Shared-window pair of [`AutoVecKernel::unrolled_dot`]s — same
-    /// load-sharing trick as [`simd_dot2`], same bit-identity argument: each
-    /// filter's per-lane accumulation order is unchanged.
-    #[inline(always)]
-    fn unrolled_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
-        debug_assert_eq!(taps0.len(), taps1.len());
-        debug_assert!(taps0.len().is_multiple_of(4));
-        let mut a = [0.0f32; 4];
-        let mut b = [0.0f32; 4];
-        for ((w, t0), t1) in window
-            .chunks_exact(4)
-            .zip(taps0.chunks_exact(4))
-            .zip(taps1.chunks_exact(4))
-        {
-            for l in 0..4 {
-                a[l] += w[l] * t0[l];
-                b[l] += w[l] * t1[l];
-            }
-        }
-        ((a[0] + a[2]) + (a[1] + a[3]), (b[0] + b[2]) + (b[1] + b[3]))
-    }
-}
-
-impl FilterKernel for AutoVecKernel {
-    fn name(&self) -> &'static str {
-        "neon-autovec"
-    }
-
-    fn analyze_row(
-        &mut self,
-        ext: &[f32],
-        left: usize,
-        h0: &[f32],
-        h1: &[f32],
-        phase: usize,
-        lo: &mut [f32],
-        hi: &mut [f32],
-    ) {
-        if taps_changed(&mut self.a_key0, h0) {
-            reversed_padded(h0, false, &mut self.rev0);
-        }
-        if taps_changed(&mut self.a_key1, h1) {
-            reversed_padded(h1, false, &mut self.rev1);
-        }
-        let (l0, l1) = (h0.len(), h1.len());
-        if l0 == l1 && self.rev0.len() == self.rev1.len() {
-            for k in 0..lo.len() {
-                let center = left + 2 * k + phase;
-                let (a, b) = Self::unrolled_dot2(&ext[center + 1 - l0..], &self.rev0, &self.rev1);
-                lo[k] = a;
-                hi[k] = b;
-            }
-        } else {
-            for k in 0..lo.len() {
-                let center = left + 2 * k + phase;
-                lo[k] = Self::unrolled_dot(&ext[center + 1 - l0..], &self.rev0);
-                hi[k] = Self::unrolled_dot(&ext[center + 1 - l1..], &self.rev1);
-            }
-        }
-    }
-
-    fn synthesize_row(
-        &mut self,
-        lo_ext: &[f32],
-        hi_ext: &[f32],
-        left: usize,
-        g0: &[f32],
-        g1: &[f32],
-        phase: usize,
-        out: &mut [f32],
-    ) {
-        if taps_changed(&mut self.s_key0, g0) {
-            polyphase_reversed(g0, &mut self.g0_even, &mut self.g0_odd);
-        }
-        if taps_changed(&mut self.s_key1, g1) {
-            polyphase_reversed(g1, &mut self.g1_even, &mut self.g1_odd);
-        }
-        for (m, o) in out.iter_mut().enumerate() {
-            let mp = m as isize - phase as isize;
-            let parity = (mp & 1) as usize;
-            let (t0, t1) = if parity == 0 {
-                (&self.g0_even, &self.g1_even)
-            } else {
-                (&self.g0_odd, &self.g1_odd)
-            };
-            let k_top = (mp - parity as isize) / 2;
-            let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
-            let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
-            *o = Self::unrolled_dot(&lo_ext[start0..], t0)
-                + Self::unrolled_dot(&hi_ext[start1..], t1);
-        }
-    }
-
-    fn columnar(&self) -> bool {
-        self.columnar
-    }
-
-    fn set_columnar(&mut self, enabled: bool) {
-        self.columnar = enabled;
-    }
-
-    // `unrolled_dot` has the exact same per-lane summation structure as
-    // `simd_dot` (four partials folded `(p0 + p2) + (p1 + p3)`), so both
-    // kernels share one columnar body and each stays bit-identical to its
-    // own transpose-staged fallback.
-    fn analyze_cols(
-        &mut self,
-        taps: &BankTaps,
-        phase: Phase,
-        img: &Image,
-        lo: &mut Image,
-        hi: &mut Image,
-        cs: &mut ColScratch,
-        s1: &mut Scratch1d,
-    ) -> Result<(), DtcwtError> {
-        if !self.columnar {
-            return fallback_analyze_cols(self, taps, phase, img, lo, hi, cs, s1);
-        }
-        check_cols_input(img)?;
-        if taps_changed(&mut self.a_key0, &taps.h0) {
-            reversed_padded(&taps.h0, false, &mut self.rev0);
-        }
-        if taps_changed(&mut self.a_key1, &taps.h1) {
-            reversed_padded(&taps.h1, false, &mut self.rev1);
-        }
-        columnar_analyze(
-            &self.rev0,
-            &self.rev1,
-            taps.h0.len(),
-            taps.h1.len(),
-            phase,
-            img,
-            lo,
-            hi,
-            cs,
-        );
-        Ok(())
-    }
-
-    fn synthesize_cols(
-        &mut self,
-        taps: &BankTaps,
-        phase: Phase,
-        lo: &Image,
-        hi: &Image,
-        out: &mut Image,
-        cs: &mut ColScratch,
-        s1: &mut Scratch1d,
-    ) -> Result<(), DtcwtError> {
-        if !self.columnar {
-            return fallback_synthesize_cols(self, taps, phase, lo, hi, out, cs, s1);
-        }
-        check_cols_channels(lo, hi)?;
-        if taps_changed(&mut self.s_key0, &taps.g0) {
-            polyphase_reversed(&taps.g0, &mut self.g0_even, &mut self.g0_odd);
-        }
-        if taps_changed(&mut self.s_key1, &taps.g1) {
-            polyphase_reversed(&taps.g1, &mut self.g1_even, &mut self.g1_odd);
-        }
-        columnar_synthesize(
-            &self.g0_even,
-            &self.g0_odd,
-            &self.g1_even,
-            &self.g1_odd,
-            phase,
-            taps.delay(),
-            lo,
-            hi,
-            out,
-            cs,
-        );
-        Ok(())
-    }
-
-    fn fuse_strip(
-        &mut self,
-        a: &wavefuse_dtcwt::ComplexImage,
-        b: &wavefuse_dtcwt::ComplexImage,
-        y0: usize,
-        y1: usize,
-        op: wavefuse_dtcwt::FuseOp,
-        fs: &mut wavefuse_dtcwt::FuseScratch,
+        op: FuseOp,
+        fs: &mut FuseScratch,
         out_re: &mut Image,
         out_im: &mut Image,
     ) -> Result<(), DtcwtError> {

@@ -1,26 +1,28 @@
-//! The "NEON engine": 4-lane SIMD filter kernels.
+//! The "NEON engine": SIMD filter kernels on one lane-generic vector type.
 //!
 //! The paper vectorizes the forward and inverse DT-CWT for the ARM
 //! Cortex-A9's NEON unit — 128-bit quad registers holding four `f32` lanes,
 //! driven both by manual intrinsics (`float32x4_t`, Fig. 3) and by compiler
 //! auto-vectorization (`-mfpu=neon -ftree-vectorize`). This crate reproduces
-//! both flavors on a portable 4-lane vector type:
+//! both flavors with one vector type and one kernel body:
 //!
-//! * [`F32x4`] — the quad-register model. Elementwise ops over a `[f32; 4]`
-//!   newtype; LLVM lowers these to native SIMD (SSE/NEON) on release builds,
-//!   and the semantics are identical everywhere (no FMA contraction).
-//! * [`SimdKernel`] — the *manual* vectorization: reversed-tap dot products
-//!   accumulated in a vector register and folded with a horizontal add,
-//!   exactly the structure of the paper's Fig. 3 intrinsics listing.
-//! * [`AutoVecKernel`] — the *auto* vectorization: plain indexed loops
-//!   shaped so the compiler can vectorize them (fixed trip counts, no
-//!   aliasing), mirroring the paper's `__restrict` + masked-length C code.
+//! * [`Lanes<N>`](Lanes) — `N` `f32` lanes with elementwise ops and no FMA
+//!   contraction, so each lane is bit-identical to the scalar expression on
+//!   every target. [`F32x4`] (`N = 4`) is the quad register; the columnar
+//!   column passes and strip fusion batch eight columns in [`F32x8`] and
+//!   finish the right edge at four and one lanes. LLVM lowers the lane
+//!   loops to native SIMD (SSE/NEON) on release builds.
+//! * [`NeonKernel`] — the [`wavefuse_dtcwt::FilterKernel`]: tap caches, row
+//!   loops, transpose-free columnar column passes and strip fusion, written
+//!   once. Its two instantiations differ only in the row dot product:
+//!   [`SimdKernel`] accumulates in an [`F32x4`] and folds with a horizontal
+//!   add, exactly the structure of the paper's intrinsics listing;
+//!   [`AutoVecKernel`] uses plain `[f32; 4]` loops with fixed trip counts,
+//!   mirroring the paper's `__restrict` + masked-length C code.
 //!
-//! Both kernels implement [`wavefuse_dtcwt::FilterKernel`] and are verified
-//! bit-for-bit-close against the scalar reference in the tests. They also
-//! override the trait's *column passes* with a transpose-free columnar path
-//! ([`F32x8`] / [`F32x4`] lanes each owning one image column) that is
-//! bit-identical to the transpose-staged fallback — see [`kernel`].
+//! Both flavors are verified bit-for-bit-close against the scalar reference
+//! in the tests, and their columnar column passes are bit-identical to the
+//! transpose-staged fallback — see [`kernel`].
 //!
 //! # Examples
 //!
@@ -44,12 +46,12 @@ pub mod kernel;
 pub mod vector;
 
 pub use fuse::fuse_strip_simd;
-pub use kernel::{AutoVecKernel, SimdKernel};
-pub use vector::{F32x4, F32x8, Mask8};
+pub use kernel::{AutoVecKernel, NeonKernel, SimdKernel};
+pub use vector::{F32x4, F32x8, Lanes, Mask, Mask8};
 
 /// Number of `f32` lanes in the modeled NEON quad register.
 ///
-/// This stays 4 (the Cortex-A9 quad register) even though the columnar
-/// column passes additionally batch two quad registers per iteration via
-/// [`F32x8`] — cost-model calibration is keyed to the 4-lane row primitive.
+/// The cost model's vector speedup divides by this: it is the width of the
+/// row dot product ([`F32x4`]), not of the wider lane groups the column
+/// passes and strip fusion use.
 pub const LANES: usize = 4;

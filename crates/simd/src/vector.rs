@@ -1,14 +1,17 @@
-//! A portable 4-lane `f32` vector modeling a NEON quad register.
+//! Portable `f32` lane vectors modeling NEON quad registers.
 
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-/// Four `f32` lanes with elementwise arithmetic — the software model of a
-/// NEON `float32x4_t` quad register.
+/// `N` `f32` lanes with elementwise arithmetic — the software model of a
+/// NEON register: [`F32x4`] is one `float32x4_t` quad register, [`F32x8`] a
+/// quad-register pair (`float32x4x2_t`), and `Lanes<1>` the scalar tail of
+/// every lane loop.
 ///
 /// All operations are plain IEEE-754 single-precision lane ops (no fused
-/// multiply-add), so results are bit-identical to scalar code evaluating the
-/// same expression tree, on every target. Release builds lower these to
-/// native SIMD instructions.
+/// multiply-add), so each lane is bit-identical to scalar code evaluating the
+/// same expression tree, on every target and at every width: changing `N`
+/// changes how many columns share a vector, never any column's value.
+/// Release builds lower these to native SIMD instructions.
 ///
 /// # Examples
 ///
@@ -19,43 +22,55 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// let b = F32x4::splat(10.0);
 /// assert_eq!((a * b).horizontal_sum(), 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct F32x4([f32; 4]);
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lanes<const N: usize>([f32; N]);
 
-impl F32x4 {
+/// Four lanes: the NEON `float32x4_t` quad register.
+pub type F32x4 = Lanes<4>;
+
+/// Eight lanes: a NEON quad-register pair, used to batch eight adjacent
+/// image columns per accumulator.
+pub type F32x8 = Lanes<8>;
+
+/// Eight-lane compare mask, produced by [`F32x8::ge`].
+pub type Mask8 = Mask<8>;
+
+impl<const N: usize> Lanes<N> {
     /// All-zero vector.
-    pub const ZERO: F32x4 = F32x4([0.0; 4]);
+    pub const ZERO: Self = Lanes([0.0; N]);
 
-    /// Creates a vector from four lanes.
+    /// Creates a vector from its lanes.
     #[inline(always)]
-    pub const fn new(lanes: [f32; 4]) -> Self {
-        F32x4(lanes)
+    pub const fn new(lanes: [f32; N]) -> Self {
+        Lanes(lanes)
     }
 
-    /// Broadcasts one value to all four lanes (`vdupq_n_f32`).
+    /// Broadcasts one value to every lane (`vdupq_n_f32`).
     #[inline(always)]
     pub const fn splat(v: f32) -> Self {
-        F32x4([v; 4])
+        Lanes([v; N])
     }
 
-    /// Loads four consecutive values from a slice (`vld1q_f32`).
+    /// Loads `N` consecutive values from the head of a slice (`vld1q_f32`).
     ///
     /// # Panics
     ///
-    /// Panics if `src.len() < 4`.
+    /// Panics if `src.len() < N`.
     #[inline(always)]
     pub fn load(src: &[f32]) -> Self {
-        F32x4([src[0], src[1], src[2], src[3]])
+        let mut lanes = [0.0; N];
+        lanes.copy_from_slice(&src[..N]);
+        Lanes(lanes)
     }
 
-    /// Stores the four lanes to the head of a slice (`vst1q_f32`).
+    /// Stores the lanes to the head of a slice (`vst1q_f32`).
     ///
     /// # Panics
     ///
-    /// Panics if `dst.len() < 4`.
+    /// Panics if `dst.len() < N`.
     #[inline(always)]
     pub fn store(self, dst: &mut [f32]) {
-        dst[..4].copy_from_slice(&self.0);
+        dst[..N].copy_from_slice(&self.0);
     }
 
     /// Lane-wise multiply-accumulate `self + a * b` (`vmlaq_f32`).
@@ -63,10 +78,32 @@ impl F32x4 {
     /// Evaluated as separate multiply then add (no FMA), matching the
     /// Cortex-A9 NEON behavior and the scalar reference.
     #[inline(always)]
-    pub fn mul_add(self, a: F32x4, b: F32x4) -> Self {
+    pub fn mul_add(self, a: Self, b: Self) -> Self {
         self + a * b
     }
 
+    /// Borrows the lanes.
+    #[inline(always)]
+    pub fn lanes(&self) -> &[f32; N] {
+        &self.0
+    }
+
+    /// Lane-wise `self >= rhs`, the NEON `vcgeq_f32` analogue. Combined
+    /// with [`Mask::select`] this models the compare/bit-select pair the
+    /// choose-style fusion rules vectorize with; each lane's comparison is
+    /// exactly the scalar `>=` on the same two values.
+    #[inline(always)]
+    pub fn ge(self, rhs: Self) -> Mask<N> {
+        Mask(std::array::from_fn(|i| self.0[i] >= rhs.0[i]))
+    }
+
+    #[inline(always)]
+    fn zip(self, rhs: Self, op: impl Fn(f32, f32) -> f32) -> Self {
+        Lanes(std::array::from_fn(|i| op(self.0[i], rhs.0[i])))
+    }
+}
+
+impl F32x4 {
     /// Sum of the four lanes (`vpadd` reduction), folded pairwise the way
     /// the paper's manual code reduces its accumulator register.
     ///
@@ -74,166 +111,58 @@ impl F32x4 {
     /// implementation detail: for lanes `[a, b, c, d]` the result is exactly
     /// `(a + c) + (b + d)` — lane 0 plus lane 2 first, then lane 1 plus
     /// lane 3, then the two partial sums. Every consumer that must be
-    /// bit-identical to `simd_dot` (the `AutoVecKernel` unrolled fold and
-    /// the columnar kernels' per-column partial-accumulator fold) replicates
-    /// this exact association instead of a left-to-right sum.
+    /// bit-identical to the manual row dot product (the auto-vectorized
+    /// unrolled fold and the columnar kernels' per-column partial-accumulator
+    /// fold) replicates this exact association instead of a left-to-right
+    /// sum. It is defined for four lanes only because that association is
+    /// the quad register's.
     #[inline(always)]
     pub fn horizontal_sum(self) -> f32 {
         let [a, b, c, d] = self.0;
         (a + c) + (b + d)
     }
-
-    /// Borrows the lanes.
-    #[inline(always)]
-    pub fn lanes(&self) -> &[f32; 4] {
-        &self.0
-    }
 }
 
-impl From<[f32; 4]> for F32x4 {
-    fn from(lanes: [f32; 4]) -> Self {
-        F32x4(lanes)
-    }
-}
-
-impl Add for F32x4 {
-    type Output = F32x4;
+impl<const N: usize> Add for Lanes<N> {
+    type Output = Self;
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        F32x4([
-            self.0[0] + rhs.0[0],
-            self.0[1] + rhs.0[1],
-            self.0[2] + rhs.0[2],
-            self.0[3] + rhs.0[3],
-        ])
+        self.zip(rhs, |a, b| a + b)
     }
 }
 
-impl Sub for F32x4 {
-    type Output = F32x4;
+impl<const N: usize> Sub for Lanes<N> {
+    type Output = Self;
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        F32x4([
-            self.0[0] - rhs.0[0],
-            self.0[1] - rhs.0[1],
-            self.0[2] - rhs.0[2],
-            self.0[3] - rhs.0[3],
-        ])
+        self.zip(rhs, |a, b| a - b)
     }
 }
 
-impl Mul for F32x4 {
-    type Output = F32x4;
+impl<const N: usize> Mul for Lanes<N> {
+    type Output = Self;
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        F32x4([
-            self.0[0] * rhs.0[0],
-            self.0[1] * rhs.0[1],
-            self.0[2] * rhs.0[2],
-            self.0[3] * rhs.0[3],
-        ])
+        self.zip(rhs, |a, b| a * b)
     }
 }
 
-impl AddAssign for F32x4 {
+impl<const N: usize> AddAssign for Lanes<N> {
     #[inline(always)]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
 
-/// Eight `f32` lanes — a software model of a NEON quad-register *pair*
-/// (`float32x4x2_t`), used by the columnar kernels to filter eight adjacent
-/// image columns per accumulator.
-///
-/// Like [`F32x4`], every operation is a plain IEEE-754 single-precision lane
-/// op with no fused multiply-add, so each lane's value is bit-identical to a
-/// scalar evaluation of the same expression tree. The columnar path relies on
-/// this: widening from 4 to 8 lanes changes only how many columns are batched,
-/// never any individual column's arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct F32x8([f32; 8]);
-
-impl F32x8 {
-    /// All-zero vector.
-    pub const ZERO: F32x8 = F32x8([0.0; 8]);
-
-    /// Creates a vector from eight lanes.
-    #[inline(always)]
-    pub const fn new(lanes: [f32; 8]) -> Self {
-        F32x8(lanes)
-    }
-
-    /// Broadcasts one value to all eight lanes.
-    #[inline(always)]
-    pub const fn splat(v: f32) -> Self {
-        F32x8([v; 8])
-    }
-
-    /// Loads eight consecutive values from a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() < 8`.
-    #[inline(always)]
-    pub fn load(src: &[f32]) -> Self {
-        F32x8([
-            src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7],
-        ])
-    }
-
-    /// Stores the eight lanes to the head of a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() < 8`.
-    #[inline(always)]
-    pub fn store(self, dst: &mut [f32]) {
-        dst[..8].copy_from_slice(&self.0);
-    }
-
-    /// Lane-wise multiply-accumulate `self + a * b` (separate multiply then
-    /// add, no FMA — see [`F32x4::mul_add`]).
-    #[inline(always)]
-    pub fn mul_add(self, a: F32x8, b: F32x8) -> Self {
-        self + a * b
-    }
-
-    /// Borrows the lanes.
-    #[inline(always)]
-    pub fn lanes(&self) -> &[f32; 8] {
-        &self.0
-    }
-
-    /// Lane-wise `self >= rhs`, the NEON `vcgeq_f32` analogue. Combined
-    /// with [`Mask8::select`] this models the compare/bit-select pair the
-    /// choose-style fusion rules vectorize with; each lane's comparison is
-    /// exactly the scalar `>=` on the same two values.
-    #[inline(always)]
-    pub fn ge(self, rhs: F32x8) -> Mask8 {
-        let mut out = [false; 8];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            *o = a >= b;
-        }
-        Mask8(out)
-    }
-}
-
-/// Lane-wise boolean mask produced by [`F32x8::ge`], the software analogue
+/// Lane-wise boolean mask produced by [`Lanes::ge`], the software analogue
 /// of a NEON `uint32x4_t` compare result feeding `vbslq_f32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mask8([bool; 8]);
+pub struct Mask<const N: usize>([bool; N]);
 
-impl Mask8 {
-    /// Creates a mask from eight lane booleans.
-    #[inline(always)]
-    pub const fn new(lanes: [bool; 8]) -> Self {
-        Mask8(lanes)
-    }
-
+impl<const N: usize> Mask<N> {
     /// Borrows the lanes.
     #[inline(always)]
-    pub fn lanes(&self) -> &[bool; 8] {
+    pub fn lanes(&self) -> &[bool; N] {
         &self.0
     }
 
@@ -241,61 +170,10 @@ impl Mask8 {
     /// `vbslq_f32` analogue). Copies one source lane's bits verbatim, so
     /// selection is exact — never an arithmetic approximation.
     #[inline(always)]
-    pub fn select(self, t: F32x8, f: F32x8) -> F32x8 {
-        let mut out = [0.0f32; 8];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = if self.0[i] { t.0[i] } else { f.0[i] };
-        }
-        F32x8(out)
-    }
-}
-
-impl From<[f32; 8]> for F32x8 {
-    fn from(lanes: [f32; 8]) -> Self {
-        F32x8(lanes)
-    }
-}
-
-impl Add for F32x8 {
-    type Output = F32x8;
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; 8];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            *o = a + b;
-        }
-        F32x8(out)
-    }
-}
-
-impl Sub for F32x8 {
-    type Output = F32x8;
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; 8];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            *o = a - b;
-        }
-        F32x8(out)
-    }
-}
-
-impl Mul for F32x8 {
-    type Output = F32x8;
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; 8];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0.iter())) {
-            *o = a * b;
-        }
-        F32x8(out)
-    }
-}
-
-impl AddAssign for F32x8 {
-    #[inline(always)]
-    fn add_assign(&mut self, rhs: Self) {
-        *self = *self + rhs;
+    pub fn select(self, t: Lanes<N>, f: Lanes<N>) -> Lanes<N> {
+        Lanes(std::array::from_fn(
+            |i| if self.0[i] { t.0[i] } else { f.0[i] },
+        ))
     }
 }
 
@@ -303,45 +181,114 @@ impl AddAssign for F32x8 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn elementwise_ops() {
-        let a = F32x4::new([1.0, 2.0, 3.0, 4.0]);
-        let b = F32x4::new([0.5, 0.5, 0.5, 0.5]);
-        assert_eq!((a + b).lanes(), &[1.5, 2.5, 3.5, 4.5]);
-        assert_eq!((a - b).lanes(), &[0.5, 1.5, 2.5, 3.5]);
-        assert_eq!((a * b).lanes(), &[0.5, 1.0, 1.5, 2.0]);
+    /// Lane `i` of a test vector: distinct, non-integral values.
+    fn ramp<const N: usize>(scale: f32) -> Lanes<N> {
+        Lanes::new(std::array::from_fn(|i| (i as f32 + 1.0) * scale))
+    }
+
+    fn check_elementwise_ops<const N: usize>() {
+        let a = ramp::<N>(1.5);
+        let b = Lanes::<N>::splat(0.5);
+        for i in 0..N {
+            let (x, y) = (a.lanes()[i], 0.5);
+            assert_eq!((a + b).lanes()[i], x + y, "N={N} add lane {i}");
+            assert_eq!((a - b).lanes()[i], x - y, "N={N} sub lane {i}");
+            assert_eq!((a * b).lanes()[i], x * y, "N={N} mul lane {i}");
+        }
+        let mut acc = a;
+        acc += b;
+        assert_eq!(acc, a + b, "N={N} add_assign");
+        assert_eq!(Lanes::<N>::ZERO.lanes(), &[0.0; N]);
+        assert_eq!(b.lanes(), &[0.5; N]);
+    }
+
+    fn check_load_store_round_trip<const N: usize>() {
+        let src: Vec<f32> = (0..=N).map(|i| 9.0 - i as f32).collect();
+        let v = Lanes::<N>::load(&src[1..]);
+        let mut dst = vec![0.0f32; N + 1];
+        v.store(&mut dst);
+        assert_eq!(&dst[..N], &src[1..], "N={N}");
+        assert_eq!(dst[N], 0.0, "N={N}: store wrote past N lanes");
+    }
+
+    fn check_short_load_and_store_panic<const N: usize>() {
+        let short = vec![1.0f32; N - 1];
+        assert!(std::panic::catch_unwind(|| Lanes::<N>::load(&short)).is_err());
+        let mut short = vec![0.0f32; N - 1];
+        let store = std::panic::AssertUnwindSafe(|| Lanes::<N>::ZERO.store(&mut short));
+        assert!(std::panic::catch_unwind(store).is_err());
+    }
+
+    fn check_mul_add_is_lane_exact<const N: usize>() {
+        let acc = ramp::<N>(-0.75) + Lanes::splat(1.0);
+        let a = ramp::<N>(3.1);
+        let b = Lanes::<N>::splat(0.1);
+        let r = acc.mul_add(a, b);
+        for i in 0..N {
+            let want = acc.lanes()[i] + a.lanes()[i] * 0.1;
+            assert_eq!(r.lanes()[i].to_bits(), want.to_bits(), "N={N} lane {i}");
+        }
+    }
+
+    fn check_ge_select_is_lane_exact<const N: usize>() {
+        // Pairs cycled over the lanes: ordering, equality, signed zeros
+        // (`-0.0 >= 0.0` holds, so select must keep `t`'s sign bit) and NaN
+        // (every comparison with NaN is false, so select picks `f`).
+        let pairs = [
+            (1.0f32, 2.0f32),
+            (2.0, 2.0),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (f32::NAN, 1.0),
+            (1.0, f32::NAN),
+            (f32::MIN, f32::MAX),
+            (-1.0, -2.0),
+        ];
+        let a = Lanes::<N>::new(std::array::from_fn(|i| pairs[i % pairs.len()].0));
+        let b = Lanes::<N>::new(std::array::from_fn(|i| pairs[i % pairs.len()].1));
+        let m = a.ge(b);
+        let s = m.select(a, b);
+        for i in 0..N {
+            let (x, y) = (a.lanes()[i], b.lanes()[i]);
+            assert_eq!(m.lanes()[i], x >= y, "N={N} mask lane {i}");
+            let want = if x >= y { x } else { y };
+            assert_eq!(s.lanes()[i].to_bits(), want.to_bits(), "N={N} lane {i}");
+        }
     }
 
     #[test]
-    fn splat_and_zero() {
-        assert_eq!(F32x4::splat(2.0).lanes(), &[2.0; 4]);
-        assert_eq!(F32x4::ZERO.horizontal_sum(), 0.0);
+    fn elementwise_ops() {
+        check_elementwise_ops::<1>();
+        check_elementwise_ops::<4>();
+        check_elementwise_ops::<8>();
     }
 
     #[test]
     fn load_store_round_trip() {
-        let src = [9.0f32, 8.0, 7.0, 6.0, 5.0];
-        let v = F32x4::load(&src[1..]);
-        let mut dst = [0.0f32; 4];
-        v.store(&mut dst);
-        assert_eq!(dst, [8.0, 7.0, 6.0, 5.0]);
+        check_load_store_round_trip::<1>();
+        check_load_store_round_trip::<4>();
+        check_load_store_round_trip::<8>();
     }
 
     #[test]
-    #[should_panic]
-    fn short_load_panics() {
-        let _ = F32x4::load(&[1.0, 2.0, 3.0]);
+    fn short_load_and_store_panic() {
+        check_short_load_and_store_panic::<1>();
+        check_short_load_and_store_panic::<4>();
+        check_short_load_and_store_panic::<8>();
     }
 
     #[test]
-    fn mul_add_matches_scalar_expression() {
-        let acc = F32x4::new([1.0, -1.0, 0.25, 8.0]);
-        let a = F32x4::new([3.0, 5.0, 7.0, 11.0]);
-        let b = F32x4::splat(0.1);
-        let r = acc.mul_add(a, b);
-        for i in 0..4 {
-            assert_eq!(r.lanes()[i], acc.lanes()[i] + a.lanes()[i] * 0.1);
-        }
+    fn mul_add_is_lane_exact() {
+        check_mul_add_is_lane_exact::<1>();
+        check_mul_add_is_lane_exact::<4>();
+        check_mul_add_is_lane_exact::<8>();
+    }
+
+    #[test]
+    fn ge_select_is_lane_exact() {
+        check_ge_select_is_lane_exact::<1>();
+        check_ge_select_is_lane_exact::<4>();
+        check_ge_select_is_lane_exact::<8>();
     }
 
     #[test]
@@ -349,61 +296,5 @@ mod tests {
         // (a + c) + (b + d): check against that exact association.
         let v = F32x4::new([1e8, 1.0, -1e8, 1.0]);
         assert_eq!(v.horizontal_sum(), (1e8 + -1e8) + (1.0 + 1.0));
-    }
-
-    #[test]
-    fn wide_elementwise_ops() {
-        let a = F32x8::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let b = F32x8::splat(0.5);
-        assert_eq!((a + b).lanes()[7], 8.5);
-        assert_eq!((a - b).lanes()[0], 0.5);
-        assert_eq!((a * b).lanes()[3], 2.0);
-        assert_eq!(F32x8::ZERO.lanes(), &[0.0; 8]);
-    }
-
-    #[test]
-    fn wide_load_store_round_trip() {
-        let src: Vec<f32> = (0..9).map(|i| i as f32).collect();
-        let v = F32x8::load(&src[1..]);
-        let mut dst = [0.0f32; 8];
-        v.store(&mut dst);
-        assert_eq!(dst, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn wide_short_load_panics() {
-        let _ = F32x8::load(&[1.0; 7]);
-    }
-
-    #[test]
-    fn wide_mul_add_matches_lane_arithmetic() {
-        let acc = F32x8::splat(1.0);
-        let a = F32x8::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let b = F32x8::splat(0.25);
-        let r = acc.mul_add(a, b);
-        for i in 0..8 {
-            assert_eq!(r.lanes()[i], 1.0 + a.lanes()[i] * 0.25);
-        }
-    }
-
-    #[test]
-    fn ge_select_is_lane_exact() {
-        let a = F32x8::new([1.0, 2.0, 2.0, -1.0, 0.0, -0.0, f32::MIN, 5.0]);
-        let b = F32x8::new([2.0, 2.0, 1.0, -2.0, -0.0, 0.0, f32::MAX, 5.0]);
-        let m = a.ge(b);
-        assert_eq!(
-            m.lanes(),
-            &[false, true, true, true, true, true, false, true]
-        );
-        let s = m.select(a, b);
-        for i in 0..8 {
-            let want = if a.lanes()[i] >= b.lanes()[i] {
-                a.lanes()[i]
-            } else {
-                b.lanes()[i]
-            };
-            assert_eq!(s.lanes()[i].to_bits(), want.to_bits(), "lane {i}");
-        }
     }
 }

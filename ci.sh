@@ -96,14 +96,26 @@ cargo run --release -q -p wavefuse-bench --bin repro -- \
     --bench-out target/BENCH_smoke_weighted.json
 grep -q '"rule":"weighted"' target/BENCH_smoke_weighted.json
 
-echo "== flight recorder smoke (repro eval --flight-record)"
-# The eval reconciles the flight recorder's per-frame energy sum against
-# the pipeline total (0.1% limit) and must round-trip both export files.
+echo "== flight recorder smoke (repro eval --flight-record --metrics)"
+# The eval reconciles the flight recorder's per-phase time (1% limit) and
+# per-frame energy (0.1% limit) against the pipeline totals and must
+# round-trip both export files plus the Prometheus exposition.
 cargo run --release -q -p wavefuse-bench --bin repro -- \
-    eval --frames 12 --flight-record target/flight.jsonl
+    eval --frames 12 --flight-record target/flight.jsonl \
+    --metrics target/eval.prom
 test -s target/flight.jsonl
 grep -q '"energy_mj"' target/flight.jsonl
 grep -q '"traceEvents"' target/flight.jsonl.trace.json
+grep -q '^wavefuse_phase_seconds_bucket' target/eval.prom
+
+echo "== wavefuse demo smoke (--trace writes the flight record)"
+# The CLI's --trace must export the run's flight record as a Chrome trace
+# with per-phase spans.
+mkdir -p target/demo
+cargo run --release -q --bin wavefuse -- \
+    demo -o target/demo --frames 3 --trace target/demo.trace.json
+grep -q '"traceEvents"' target/demo.trace.json
+grep -q '"forward"' target/demo.trace.json
 
 echo "== fallback bench smoke (repro bench --frames 16 --no-columnar)"
 # The staged-transpose fallback must stay runnable end to end; the report

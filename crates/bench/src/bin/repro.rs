@@ -4,7 +4,7 @@
 //! cargo run -p wavefuse-bench --bin repro --release -- all
 //! cargo run -p wavefuse-bench --bin repro --release -- fig9a fig10
 //! cargo run -p wavefuse-bench --bin repro --release -- \
-//!     eval --trace out.trace.json --metrics out.prom
+//!     eval --flight-record out.jsonl --metrics out.prom
 //! ```
 //!
 //! Subcommands: `fig2`, `table1`, `fig9a`, `fig9b`, `fig9c`, `fig10`,
@@ -52,15 +52,14 @@
 //! serve row like `bench` does.
 //!
 //! The `eval` subcommand runs an instrumented pipeline and exports its
-//! telemetry: `--trace <path>` writes a Chrome trace (load it in Perfetto
-//! or `chrome://tracing`), `--metrics <path>` writes a Prometheus text
-//! exposition, `--jsonl <path>` writes the raw events as JSON Lines, and
-//! `--frames <n>` sets the run length (default 20).
-//! `--flight-record <path>` dumps the pipeline's per-frame flight
-//! recorder as JSONL at `<path>` plus a Chrome trace on the modeled
-//! clock at `<path>.trace.json`. The eval also reconciles the flight
-//! recorder's per-frame energy sum against the pipeline's accumulated
-//! total and fails when they disagree by more than 0.1%.
+//! telemetry: `--flight-record <path>` dumps the pipeline's per-frame
+//! flight recorder as JSONL at `<path>` plus a Chrome trace on the
+//! modeled clock at `<path>.trace.json` (load it in Perfetto or
+//! `chrome://tracing`), `--metrics <path>` writes a Prometheus text
+//! exposition, and `--frames <n>` sets the run length (default 20). The
+//! eval reconciles the flight record's per-phase time and per-frame
+//! energy sums against the pipeline's accumulated totals and fails when
+//! a phase disagrees by more than 1% or the energy by more than 0.1%.
 
 use std::process::ExitCode;
 
@@ -69,7 +68,7 @@ use wavefuse_bench::{gate, report};
 use wavefuse_trace::{export, JsonValue, ToJson};
 
 const USAGE: &str = "usage: repro [fig2|table1|fig9a|fig9b|fig9c|fig10|crossover|adaptive|ablation|quality|hybrid|levels|throughput|timeline|bench|serve|eval|all]... \
-[--trace <path>] [--metrics <path>] [--jsonl <path>] [--flight-record <path>] [--frames <n>] [--threads <n>] [--frame-size <WxH>] [--depth <k>] [--matrix] \
+[--metrics <path>] [--flight-record <path>] [--frames <n>] [--threads <n>] [--frame-size <WxH>] [--depth <k>] [--matrix] \
 [--rule choose-max|window-energy|weighted|activity-guided] \
 [--streams <n>] [--bench-out <path>] [--serve-out <path>] [--no-columnar] [--check <baseline.json>] [--tolerance <pct>]";
 
@@ -303,17 +302,9 @@ fn main() -> ExitCode {
             eprintln!("running instrumented evaluation ({frames} frames)...");
             let eval = experiments::telemetry_eval(frames)?;
             println!("{}", report::render_telemetry(&eval));
-            if let Some(path) = opt("trace") {
-                std::fs::write(&path, export::chrome_trace(eval.telemetry.tracer()))?;
-                eprintln!("wrote Chrome trace to {path} (load in Perfetto)");
-            }
             if let Some(path) = opt("metrics") {
-                std::fs::write(&path, export::prometheus_text(eval.telemetry.metrics()))?;
+                std::fs::write(&path, export::prometheus_text(&eval.metrics))?;
                 eprintln!("wrote Prometheus metrics to {path}");
-            }
-            if let Some(path) = opt("jsonl") {
-                std::fs::write(&path, export::jsonl(eval.telemetry.tracer()))?;
-                eprintln!("wrote JSONL events to {path}");
             }
             if let Some(path) = opt("flight-record") {
                 std::fs::write(&path, eval.flight.jsonl())?;
@@ -324,20 +315,20 @@ fn main() -> ExitCode {
                     eval.flight.len()
                 );
             }
-            if eval.energy_error > 0.001 {
+            if let Some(err) = eval.energy_error.filter(|&e| e > 0.001) {
                 return Err(format!(
                     "flight-recorder energy {:.4} mJ disagrees with pipeline total {:.4} mJ \
                      by {:.4}% (limit 0.1%)",
                     eval.flight_energy_mj,
                     eval.stats.energy_mj,
-                    eval.energy_error * 100.0
+                    err * 100.0
                 )
                 .into());
             }
-            if eval.max_phase_error > 0.01 {
+            if let Some(err) = eval.max_phase_error.filter(|&e| e > 0.01) {
                 return Err(format!(
-                    "trace/stats phase disagreement {:.3}% exceeds 1%",
-                    eval.max_phase_error * 100.0
+                    "flight-record/stats phase disagreement {:.3}% exceeds 1%",
+                    err * 100.0
                 )
                 .into());
             }

@@ -582,39 +582,44 @@ pub fn quality_comparison(w: usize, h: usize) -> Result<Vec<QualityRow>, FusionE
     ])
 }
 
-/// Outcome of the instrumented evaluation run: the telemetry handle (for
-/// exporting), the pipeline's own statistics, and the cross-check between
-/// the two — summed per-phase span durations from the trace against the
-/// engine's accumulated [`PhaseTiming`](wavefuse_core::engine::PhaseTiming).
+/// Outcome of the instrumented evaluation run: the metrics registry (for
+/// exporting), the pipeline's own statistics, its flight recorder, and the
+/// cross-check between them — per-phase and per-frame energy sums over the
+/// flight records against the engine's accumulated
+/// [`PhaseTiming`] and energy.
 #[derive(Debug)]
 pub struct TelemetryEval {
-    /// The telemetry attached to the run (trace + metrics, ready to export).
-    pub telemetry: std::sync::Arc<wavefuse_trace::Telemetry>,
+    /// The metrics registry attached to the run, ready to export.
+    pub metrics: std::sync::Arc<wavefuse_trace::MetricsRegistry>,
     /// Pipeline statistics accumulated by the run itself.
     pub stats: wavefuse_core::pipeline::PipelineStats,
-    /// `(phase, trace seconds, stats seconds)` per phase, in timeline order.
+    /// `(phase, flight-record seconds, stats seconds)` per phase, in
+    /// timeline order.
     pub phase_check: Vec<(String, f64, f64)>,
-    /// Largest relative disagreement between trace and stats over the phases.
-    pub max_phase_error: f64,
+    /// Largest relative disagreement between flight record and stats over
+    /// the phases (the 1 % gate); `None` when the ring wrapped and the
+    /// check was skipped.
+    pub max_phase_error: Option<f64>,
     /// The pipeline's flight recorder (a clone of the ring after the run),
     /// for `--flight-record` export.
     pub flight: wavefuse_trace::FlightRecorder,
     /// Per-frame energy summed over the flight recorder, millijoules.
     pub flight_energy_mj: f64,
     /// Relative disagreement between the recorder's per-frame energy sum
-    /// and `stats.energy_mj` (the 0.1 % reconciliation gate).
-    pub energy_error: f64,
+    /// and `stats.energy_mj` (the 0.1 % reconciliation gate); `None` when
+    /// the ring wrapped and the check was skipped.
+    pub energy_error: Option<f64>,
 }
 
 /// Runs an instrumented pipeline (online-adaptive at the paper's 88x72,
 /// with a bursty thermal source so the frame gate drops fields) and
-/// cross-checks the emitted trace against the pipeline's statistics.
+/// cross-checks its flight record against the pipeline's statistics.
 ///
 /// # Errors
 ///
 /// Propagates engine errors.
 pub fn telemetry_eval(frames: usize) -> Result<TelemetryEval, FusionError> {
-    let telemetry = wavefuse_trace::Telemetry::shared();
+    let metrics = std::sync::Arc::new(wavefuse_trace::MetricsRegistry::new());
     let mut pipe = VideoFusionPipeline::new(PipelineConfig {
         frame_size: (88, 72),
         levels: LEVELS,
@@ -626,7 +631,7 @@ pub fn telemetry_eval(frames: usize) -> Result<TelemetryEval, FusionError> {
         threads: 1,
         depth: 1,
     })?;
-    pipe.set_telemetry(std::sync::Arc::clone(&telemetry));
+    pipe.set_telemetry(std::sync::Arc::clone(&metrics));
     for i in 0..frames.max(1) {
         // Every fourth step the thermal camera races ahead by one field,
         // exercising the gate-drop path.
@@ -634,34 +639,37 @@ pub fn telemetry_eval(frames: usize) -> Result<TelemetryEval, FusionError> {
     }
     let stats = pipe.stats();
 
-    // Energy reconciliation: the flight recorder copies each frame's
-    // modeled energy verbatim, so its sum must reproduce the aggregate
-    // stat (to rounding). The default run is far below the ring capacity,
-    // so no frame has been overwritten.
+    // The flight recorder copies each frame's modeled phase times and
+    // energy verbatim, so its sums must reproduce the aggregate stats (to
+    // rounding) — unless the ring wrapped and lost the oldest frames.
     let flight = pipe.flight_recorder().clone();
     let flight_energy_mj: f64 = flight.iter().map(|r| r.energy_mj).sum();
-    let energy_error = if flight.wrapped() {
-        // The ring lost the oldest frames; the sum is no longer comparable.
-        0.0
+    let phase_check: Vec<(String, f64, f64)> = stats
+        .timing
+        .phases()
+        .iter()
+        .enumerate()
+        .map(|(i, (phase, stat_s))| {
+            let flight_s: f64 = flight.iter().map(|r| r.phase_s[i]).sum();
+            (phase.to_string(), flight_s, *stat_s)
+        })
+        .collect();
+    let rel = |got: f64, want: f64| (got - want).abs() / want.max(1e-12);
+    let (max_phase_error, energy_error) = if flight.wrapped() {
+        (None, None)
     } else {
-        (flight_energy_mj - stats.energy_mj).abs() / stats.energy_mj.max(1e-12)
+        (
+            Some(
+                phase_check
+                    .iter()
+                    .map(|(_, f, s)| rel(*f, *s))
+                    .fold(0.0, f64::max),
+            ),
+            Some(rel(flight_energy_mj, stats.energy_mj)),
+        )
     };
-
-    let events = telemetry.tracer().events();
-    let mut phase_check = Vec::new();
-    let mut max_phase_error: f64 = 0.0;
-    for (phase, stat_s) in stats.timing.phases() {
-        let trace_s: f64 = events
-            .iter()
-            .filter(|e| e.category == "phase" && e.name == phase)
-            .map(|e| e.model_dur_s)
-            .sum();
-        let err = (trace_s - stat_s).abs() / stat_s.max(1e-12);
-        max_phase_error = max_phase_error.max(err);
-        phase_check.push((phase.to_string(), trace_s, stat_s));
-    }
     Ok(TelemetryEval {
-        telemetry,
+        metrics,
         stats,
         phase_check,
         max_phase_error,

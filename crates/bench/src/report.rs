@@ -112,22 +112,31 @@ pub fn render_adaptive(outcomes: &[PolicyOutcome]) -> String {
     out
 }
 
-/// Renders the telemetry self-check: trace-derived per-phase time against
-/// the pipeline's own accumulators, plus counter/statistic agreement.
+/// Formats a self-check error, or why it was skipped.
+fn check_error(err: Option<f64>) -> String {
+    err.map_or("skipped (ring wrapped)".into(), |e| {
+        format!("{:.4}%", e * 100.0)
+    })
+}
+
+/// Renders the telemetry self-check: flight-record per-phase time against
+/// the pipeline's own accumulators, plus energy reconciliation.
 pub fn render_telemetry(eval: &crate::experiments::TelemetryEval) -> String {
     let mut out = String::new();
-    out.push_str("## Telemetry self-check (trace vs pipeline statistics)\n");
+    out.push_str("## Telemetry self-check (flight record vs pipeline statistics)\n");
     out.push_str(&format!(
         "{:>10} | {:>12} {:>12} | {:>9}\n",
-        "phase", "trace (s)", "stats (s)", "error"
+        "phase", "flight (s)", "stats (s)", "error"
     ));
     out.push_str(&"-".repeat(52));
     out.push('\n');
-    for (phase, trace_s, stat_s) in &eval.phase_check {
-        let err = (trace_s - stat_s).abs() / stat_s.max(1e-12);
+    for (phase, flight_s, stat_s) in &eval.phase_check {
+        let err = eval
+            .max_phase_error
+            .map(|_| (flight_s - stat_s).abs() / stat_s.max(1e-12));
         out.push_str(&format!(
-            "{phase:>10} | {trace_s:>12.6} {stat_s:>12.6} | {:>8.4}%\n",
-            err * 100.0
+            "{phase:>10} | {flight_s:>12.6} {stat_s:>12.6} | {:>9}\n",
+            check_error(err)
         ));
     }
     let s = &eval.stats;
@@ -141,14 +150,12 @@ pub fn render_telemetry(eval: &crate::experiments::TelemetryEval) -> String {
         s.gate_drops,
     ));
     out.push_str(&format!(
-        "energy {:.2} mJ | trace events {} (dropped {}) | max phase error {:.4}%\n",
+        "energy {:.2} mJ | max phase error {}\n",
         s.energy_mj,
-        eval.telemetry.tracer().len(),
-        eval.telemetry.tracer().dropped(),
-        eval.max_phase_error * 100.0,
+        check_error(eval.max_phase_error),
     ));
     out.push_str(&format!(
-        "flight recorder {} frames{} | per-frame energy sum {:.2} mJ | reconciliation error {:.4}%\n",
+        "flight recorder {} frames{} | per-frame energy sum {:.2} mJ | reconciliation error {}\n",
         eval.flight.len(),
         if eval.flight.wrapped() {
             " (wrapped)"
@@ -156,7 +163,7 @@ pub fn render_telemetry(eval: &crate::experiments::TelemetryEval) -> String {
             ""
         },
         eval.flight_energy_mj,
-        eval.energy_error * 100.0,
+        check_error(eval.energy_error),
     ));
     out
 }
@@ -392,6 +399,40 @@ pub fn render_quality(rows: &[QualityRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wrapped_flight_ring_reports_skipped_checks() {
+        let mut flight = wavefuse_trace::FlightRecorder::new(1);
+        for frame in 0..2 {
+            flight.record(wavefuse_trace::FrameRecord {
+                frame,
+                ..Default::default()
+            });
+        }
+        let eval = crate::experiments::TelemetryEval {
+            metrics: std::sync::Arc::default(),
+            stats: Default::default(),
+            phase_check: vec![("forward".into(), 0.5, 1.0)],
+            max_phase_error: None,
+            flight,
+            flight_energy_mj: 1.0,
+            energy_error: None,
+        };
+        let text = render_telemetry(&eval);
+        assert!(
+            text.contains("max phase error skipped (ring wrapped)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("reconciliation error skipped (ring wrapped)"),
+            "{text}"
+        );
+        assert!(text.contains("(wrapped)"), "{text}");
+        assert!(
+            !text.contains("0.0000%"),
+            "a skipped check is not a 0% error:\n{text}"
+        );
+    }
 
     #[test]
     fn series_render_contains_all_sizes() {

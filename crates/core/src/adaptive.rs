@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wavefuse_trace::Telemetry;
+use wavefuse_trace::MetricsRegistry;
 
 use crate::backend::{Backend, BackendCounts};
 use crate::cost::{CostModel, TransformPlan};
@@ -80,7 +80,7 @@ pub struct AdaptiveScheduler {
     decisions: BackendCounts,
     /// Backends the scheduler chooses among.
     candidates: Vec<Backend>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 /// Smoothing factor of the online EMA (weight of the newest observation).
@@ -108,30 +108,19 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// Attaches a telemetry handle: every decision emits a
-    /// `scheduler_decision` event and a per-backend counter, and every
-    /// online observation a `scheduler_observe` event carrying the
+    /// Attaches a metrics registry: every decision bumps a per-backend
+    /// counter, and every observation records the cost model's
     /// predicted-vs-observed error.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry.metrics().describe(
+    pub fn set_telemetry(&mut self, metrics: Arc<MetricsRegistry>) {
+        metrics.describe(
             "wavefuse_scheduler_decisions_total",
             "Backend selections made by the adaptive scheduler",
         );
-        telemetry.metrics().describe(
+        metrics.describe(
             "wavefuse_scheduler_prediction_error",
             "Relative error of the cost model vs observed frame cost",
         );
-        self.telemetry = Some(telemetry);
-    }
-
-    fn policy_label(&self) -> &'static str {
-        match self.policy {
-            Policy::Threshold { .. } => "threshold",
-            Policy::Model(Objective::Time) => "model_time",
-            Policy::Model(Objective::Energy) => "model_energy",
-            Policy::Online(Objective::Time) => "online_time",
-            Policy::Online(Objective::Energy) => "online_energy",
-        }
+        self.telemetry = Some(metrics);
     }
 
     /// Restricts or extends the candidate set (e.g. include
@@ -201,21 +190,11 @@ impl AdaptiveScheduler {
             }
         };
         self.decisions[backend] += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics().counter_add(
+        if let Some(m) = &self.telemetry {
+            m.counter_add(
                 "wavefuse_scheduler_decisions_total",
                 &[("backend", backend.label())],
                 1.0,
-            );
-            tel.tracer().instant(
-                "scheduler_decision",
-                "scheduler",
-                vec![
-                    ("backend".into(), backend.label().into()),
-                    ("policy".into(), self.policy_label().into()),
-                    ("width".into(), width.into()),
-                    ("height".into(), height.into()),
-                ],
             );
         }
         Ok(backend)
@@ -232,34 +211,21 @@ impl AdaptiveScheduler {
         seconds: f64,
         energy_mj: f64,
     ) {
-        if let Some(tel) = &self.telemetry {
+        if let Some(m) = &self.telemetry {
             // Predicted-vs-observed: useful feedback under every policy, so
-            // emit it before the online-only bookkeeping below.
-            let mut attrs = vec![
-                ("backend".into(), backend.label().into()),
-                ("width".into(), width.into()),
-                ("height".into(), height.into()),
-                ("observed_s".into(), seconds.into()),
-                ("observed_mj".into(), energy_mj.into()),
-            ];
+            // record it before the online-only bookkeeping below.
             if let Ok(pred_s) = self.predicted_cost(width, height, backend, Objective::Time) {
                 let err = if seconds > 0.0 {
                     (pred_s - seconds).abs() / seconds
                 } else {
                     0.0
                 };
-                attrs.push(("predicted_s".into(), pred_s.into()));
-                attrs.push(("error_ratio".into(), err.into()));
-                tel.metrics().observe_log2(
+                m.observe(
                     "wavefuse_scheduler_prediction_error",
                     &[("backend", backend.label())],
                     err,
-                    1e-4,
-                    16,
                 );
             }
-            tel.tracer()
-                .instant("scheduler_observe", "scheduler", attrs);
         }
         let Policy::Online(objective) = self.policy else {
             return;

@@ -9,7 +9,7 @@ use wavefuse_dtcwt::{
 };
 use wavefuse_power::PowerModel;
 use wavefuse_simd::SimdKernel;
-use wavefuse_trace::Telemetry;
+use wavefuse_trace::{FrameRecord, MetricsRegistry};
 use wavefuse_zynq::FpgaKernel;
 
 use crate::backend::Backend;
@@ -182,7 +182,7 @@ pub struct FusionEngine {
     cost: CostModel,
     power: PowerModel,
     kernels: Kernels,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
     // --- steady-state reusable transform state (the zero-alloc hot path) ---
     /// Per-geometry cost plans, so `fuse` never rebuilds op lists per
     /// frame. Shared (`Arc`) so a fleet owner can hand the same plan to
@@ -310,8 +310,8 @@ const PLAN_CACHE_SLOTS: usize = 8;
 /// Jobs per pooled inverse batch: one per tree combination.
 const INVERSE_BATCH_JOBS: usize = 4;
 
-/// The five phase names, in timeline order, as they appear in span
-/// categories and the `phase` metric label.
+/// The five phase names, in timeline order, as they appear in the flight
+/// record's phase spans and the `phase` metric label.
 pub const PHASE_NAMES: [&str; 5] = ["capture", "forward", "fusion", "inverse", "overhead"];
 
 impl PhaseTiming {
@@ -569,46 +569,46 @@ impl FusionEngine {
         self.out_pool.release(output.image);
     }
 
-    /// Attaches a telemetry handle: every subsequent [`FusionEngine::fuse`]
-    /// emits per-phase spans on the modeled clock, phase-latency histograms
-    /// and energy counters. The handle is propagated to the FPGA kernels
-    /// (pure and hybrid) for DMA/cycle accounting.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry.metrics().describe(
+    /// Attaches a metrics registry: every subsequent [`FusionEngine::fuse`]
+    /// records phase-latency histograms and energy, pool and scheduler
+    /// counters. The registry is propagated to the FPGA kernels (pure and
+    /// hybrid) for DMA/cycle accounting.
+    pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
+        telemetry.describe(
             "wavefuse_phase_seconds",
             "Modeled per-phase latency of one fused frame, seconds",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_energy_millijoules_total",
             "Modeled energy spent fusing frames, millijoules",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_pool_hits_total",
             "Frame-buffer acquisitions served from the pool free list",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_pool_misses_total",
             "Frame-buffer acquisitions that allocated a fresh buffer",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_pool_bytes_allocated_total",
             "Bytes allocated by frame-buffer pool misses",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_transpose_bytes",
             "Bytes copied by Image::transpose_into staging (zero in steady \
              state on the columnar SIMD backends)",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_batches_claimed_total",
             "Work-stealing claim chunks taken from the shared cursor, per worker",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_steals_total",
             "Claims that continued a range another worker had been running, \
              per worker",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_worker_parked_seconds_total",
             "Seconds workers spent parked on the idle condvar, per worker",
         );
@@ -617,8 +617,8 @@ impl FusionEngine {
         self.telemetry = Some(telemetry);
     }
 
-    /// The attached telemetry handle, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+    /// The attached metrics registry, if any.
+    pub fn telemetry(&self) -> Option<&Arc<MetricsRegistry>> {
         self.telemetry.as_ref()
     }
 
@@ -1069,34 +1069,15 @@ impl FusionEngine {
         let energy_mj = self
             .power
             .energy_mj(backend.execution_mode(), timing.total_seconds());
-        if let Some(tel) = &self.telemetry {
-            // Lay the five phases out sequentially on the modeled clock
-            // (they are sequential on the platform: Fig. 2), then advance
-            // it by the frame total — so phase spans tile the enclosing
-            // frame span exactly and their durations sum to PhaseTiming.
-            let tracer = tel.tracer();
-            let mut t = tracer.model_now();
+        if let Some(m) = &self.telemetry {
             for (phase, dur) in timing.phases() {
-                tracer.complete_span(
-                    phase,
-                    "phase",
-                    t,
-                    dur,
-                    vec![
-                        ("backend".into(), backend.label().into()),
-                        ("width".into(), w.into()),
-                        ("height".into(), h.into()),
-                    ],
-                );
-                t += dur;
-                tel.metrics().observe(
+                m.observe(
                     "wavefuse_phase_seconds",
                     &[("phase", phase), ("backend", backend.label())],
                     dur,
                 );
             }
-            tracer.advance_model(timing.total_seconds());
-            tel.metrics().counter_add(
+            m.counter_add(
                 "wavefuse_energy_millijoules_total",
                 &[("backend", backend.label())],
                 energy_mj,
@@ -1106,7 +1087,6 @@ impl FusionEngine {
             let stats = self.out_pool.stats();
             let prev = self.reported_pool;
             if stats != prev {
-                let m = tel.metrics();
                 m.counter_add(
                     "wavefuse_pool_hits_total",
                     &[],
@@ -1126,7 +1106,7 @@ impl FusionEngine {
             }
             let transposed = wavefuse_dtcwt::transpose_bytes_total();
             if transposed != self.reported_transpose {
-                tel.metrics().counter_add(
+                m.counter_add(
                     "wavefuse_transpose_bytes",
                     &[("backend", backend.label())],
                     (transposed - self.reported_transpose) as f64,
@@ -1143,7 +1123,6 @@ impl FusionEngine {
                         continue;
                     }
                     let label = worker_label(worker);
-                    let m = tel.metrics();
                     m.counter_add(
                         "wavefuse_batches_claimed_total",
                         &[("worker", label)],
@@ -1172,6 +1151,43 @@ impl FusionEngine {
             predicted_s,
             fusion_strips,
         })
+    }
+
+    /// The engine-known part of a finished frame's flight record: backend,
+    /// kernel, columnar mode, threads, the modeled per-phase time and
+    /// energy, the PS/PL energy split, PL busy time, the cost model's
+    /// prediction and the fusion strip count. Callers fill the schedule
+    /// fields (frame index, clocks, decision, counters) with struct update
+    /// syntax. Allocation-free.
+    pub fn frame_record(&self, out: &FusionOutput) -> FrameRecord {
+        let power_w = self.power.power_w(out.backend.execution_mode());
+        let mut phase_s = [0.0; 5];
+        let mut phase_mj = [0.0; 5];
+        for (i, (_, dur)) in out.timing.phases().iter().enumerate() {
+            phase_s[i] = *dur;
+            phase_mj[i] = power_w * dur * 1e3;
+        }
+        // PS/PL energy split: the PL increment is charged only over the PL
+        // engine's busy window (from the cycle ledger / DMA timeline); the
+        // PS share absorbs the rest, including the PL idle/static part of
+        // the mode's rail power, so ps_mj + pl_mj == energy_mj exactly.
+        let pl_mj = (self.power.pl_increment_w() * out.pl_busy_s * 1e3).min(out.energy_mj);
+        FrameRecord {
+            backend: out.backend.label(),
+            kernel: self.kernel_name(out.backend),
+            columnar: self.columnar,
+            threads: self.threads() as u64,
+            model_dur_s: out.timing.total_seconds(),
+            phase_s,
+            phase_mj,
+            energy_mj: out.energy_mj,
+            ps_mj: out.energy_mj - pl_mj,
+            pl_mj,
+            pl_busy_s: out.pl_busy_s,
+            predicted_s: out.predicted_s,
+            fusion_strips: out.fusion_strips as u64,
+            ..FrameRecord::default()
+        }
     }
 
     /// Summed scheduler counters of the worker pool (zeros when running

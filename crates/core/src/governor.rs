@@ -9,8 +9,6 @@
 //! deadline**, and for that depth the **most energy-efficient backend** —
 //! quality first, energy second, deadline always.
 
-use std::sync::Arc;
-
 use crate::adaptive::Objective;
 use crate::backend::Backend;
 use crate::cost::{CostModel, TransformPlan};
@@ -18,7 +16,6 @@ use crate::rules::FusionRule;
 use crate::FusionError;
 use wavefuse_dtcwt::Dwt2d;
 use wavefuse_power::PowerModel;
-use wavefuse_trace::Telemetry;
 
 /// One feasible operating point chosen by the governor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +52,6 @@ pub struct QosGovernor {
     rule: FusionRule,
     max_levels: usize,
     candidates: Vec<Backend>,
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl QosGovernor {
@@ -68,19 +64,7 @@ impl QosGovernor {
             rule: FusionRule::WindowEnergy { radius: 1 },
             max_levels: max_levels.max(1),
             candidates: vec![Backend::Neon, Backend::Fpga, Backend::Hybrid],
-            telemetry: None,
         }
-    }
-
-    /// Attaches a telemetry handle: every [`QosGovernor::decide`] emits a
-    /// `qos_decision` event (or `qos_infeasible` when no operating point
-    /// meets the deadline) and a per-backend counter.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry.metrics().describe(
-            "wavefuse_qos_decisions_total",
-            "Operating points selected by the QoS governor",
-        );
-        self.telemetry = Some(telemetry);
     }
 
     /// Restricts the candidate backends (e.g. exclude the hybrid to model
@@ -155,39 +139,8 @@ impl QosGovernor {
                 }
             }
             if let Some(d) = best {
-                if let Some(tel) = &self.telemetry {
-                    tel.metrics().counter_add(
-                        "wavefuse_qos_decisions_total",
-                        &[("backend", d.backend.label())],
-                        1.0,
-                    );
-                    tel.tracer().instant(
-                        "qos_decision",
-                        "governor",
-                        vec![
-                            ("backend".into(), d.backend.label().into()),
-                            ("levels".into(), d.levels.into()),
-                            ("width".into(), w.into()),
-                            ("height".into(), h.into()),
-                            ("target_fps".into(), target_fps.into()),
-                            ("predicted_s".into(), d.predicted_seconds.into()),
-                            ("predicted_mj".into(), d.predicted_energy_mj.into()),
-                        ],
-                    );
-                }
                 return Ok(Some(d));
             }
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.tracer().instant(
-                "qos_infeasible",
-                "governor",
-                vec![
-                    ("width".into(), w.into()),
-                    ("height".into(), h.into()),
-                    ("target_fps".into(), target_fps.into()),
-                ],
-            );
         }
         Ok(None)
     }

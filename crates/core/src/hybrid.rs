@@ -91,9 +91,9 @@ impl HybridKernel {
         self.threshold
     }
 
-    /// Attaches a telemetry handle to the wrapped FPGA kernel (and its
+    /// Attaches a metrics registry to the wrapped FPGA kernel (and its
     /// driver model) for DMA/cycle accounting of the FPGA-routed rows.
-    pub fn set_telemetry(&mut self, telemetry: std::sync::Arc<wavefuse_trace::Telemetry>) {
+    pub fn set_telemetry(&mut self, telemetry: std::sync::Arc<wavefuse_trace::MetricsRegistry>) {
         self.fpga.set_telemetry(telemetry);
     }
 

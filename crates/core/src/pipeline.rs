@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wavefuse_dtcwt::{Image, PoolStats, WorkerSchedStats};
-use wavefuse_trace::{FlightRecorder, FrameRecord, LogHistogram, Telemetry};
+use wavefuse_trace::{FlightRecorder, FrameRecord, MetricsRegistry};
 use wavefuse_video::camera::{ThermalCamera, WebCamera};
 use wavefuse_video::fifo::FrameGate;
 use wavefuse_video::scene::ScenePair;
@@ -19,7 +19,7 @@ use wavefuse_video::Frame;
 
 use crate::adaptive::{AdaptiveScheduler, Objective, Policy};
 use crate::backend::{Backend, BackendCounts};
-use crate::engine::{FusionEngine, FusionOutput, PendingFusion, PhaseTiming, PHASE_NAMES};
+use crate::engine::{FusionEngine, FusionOutput, PendingFusion, PhaseTiming};
 use crate::FusionError;
 
 /// Frames the always-on flight recorder retains (the paper profiles runs
@@ -121,7 +121,7 @@ pub struct VideoFusionPipeline {
     gate: FrameGate<Frame>,
     backend: BackendChoice,
     stats: PipelineStats,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
     /// Reusable visible-capture slot (the webcam writes into it in place).
     visible: Frame,
     /// Free list of thermal frame buffers ping-ponged through the gate, so
@@ -151,13 +151,6 @@ pub struct VideoFusionPipeline {
     last_sched: WorkerSchedStats,
     /// Buffer-pool counters already charged to flight records.
     last_pool: PoolStats,
-    /// Always-on sharded histogram of modeled frame latency, seconds.
-    hist_frame_s: LogHistogram,
-    /// Always-on sharded histogram of modeled frame energy, mJ.
-    hist_energy_mj: LogHistogram,
-    /// Per-phase latency histograms, index-aligned with
-    /// [`PHASE_NAMES`](crate::engine::PHASE_NAMES).
-    hist_phase_s: [LogHistogram; 5],
 }
 
 impl VideoFusionPipeline {
@@ -204,53 +197,36 @@ impl VideoFusionPipeline {
             wall_capture_s: 0.0,
             last_sched: WorkerSchedStats::default(),
             last_pool: PoolStats::default(),
-            hist_frame_s: LogHistogram::with_defaults(),
-            hist_energy_mj: LogHistogram::with_defaults(),
-            hist_phase_s: [
-                LogHistogram::with_defaults(),
-                LogHistogram::with_defaults(),
-                LogHistogram::with_defaults(),
-                LogHistogram::with_defaults(),
-                LogHistogram::with_defaults(),
-            ],
         })
     }
 
-    /// Attaches a telemetry handle to the pipeline and every component
+    /// Attaches a metrics registry to the pipeline and every component
     /// beneath it (engine, accelerator kernels, adaptive scheduler).
     ///
-    /// Each [`step`](Self::step) then records a `frame` span on the modeled
-    /// timeline (enclosing the engine's per-phase spans), per-backend frame
-    /// counters, a frame-latency histogram, gate-drop counters, and energy
-    /// totals.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry.metrics().describe(
+    /// Each [`step`](Self::step) then records per-backend frame counters,
+    /// frame-latency and frame-energy histograms, gate-drop counters, and
+    /// energy totals. The per-frame timeline is the
+    /// [flight recorder](Self::flight_recorder), which is always on.
+    pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
+        telemetry.describe(
             "wavefuse_frames_total",
             "Fused frames produced, by executing backend",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_gate_drops_total",
             "Thermal fields dropped at the depth-1 frame gate",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_frame_seconds",
             "Modeled end-to-end latency per fused frame, seconds",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_pipeline_energy_millijoules",
             "Accumulated modeled energy over the pipeline run",
         );
-        telemetry.metrics().describe(
-            "wavefuse_frame_latency_seconds",
-            "Sharded histogram of modeled frame latency across all backends",
-        );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_frame_energy_millijoules",
-            "Sharded histogram of modeled per-frame energy",
-        );
-        telemetry.metrics().describe(
-            "wavefuse_phase_latency_seconds",
-            "Sharded histogram of modeled per-phase latency",
+            "Modeled per-frame energy, millijoules",
         );
         self.engine.set_telemetry(Arc::clone(&telemetry));
         if let BackendChoice::Adaptive(s) = &mut self.backend {
@@ -259,8 +235,8 @@ impl VideoFusionPipeline {
         self.telemetry = Some(telemetry);
     }
 
-    /// The attached telemetry handle, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+    /// The attached metrics registry, if any.
+    pub fn telemetry(&self) -> Option<&Arc<MetricsRegistry>> {
         self.telemetry.as_ref()
     }
 
@@ -327,44 +303,22 @@ impl VideoFusionPipeline {
             BackendChoice::Fixed(b) => *b,
             BackendChoice::Adaptive(s) => s.choose(w, h)?,
         };
-        let (out, slot) = {
-            // The frame span stays open across the fusion, so the engine's
-            // per-phase spans nest under it and its modeled duration is
-            // exactly the clock advance (= the frame's PhaseTiming total).
-            let _frame = self.telemetry.as_ref().map(|tel| {
-                let mut span = tel.tracer().span("frame", "pipeline");
-                span.attr("frame", self.stats.frames)
-                    .attr("backend", backend.label())
-                    .attr("width", w)
-                    .attr("height", h);
-                span
-            });
-            let pending =
-                self.engine
-                    .fuse_submit(self.visible.image(), thermal.image(), backend)?;
-            if pending.inverse_in_flight() {
-                // Software pipelining: the inverse of this frame runs on
-                // the workers while we capture the next frame pair here.
-                // (A capture error abandons the pending frame; the engine
-                // recovers the stray batch on its next submission.)
-                // Inlined thermal capture: the open telemetry span borrows
-                // `self.telemetry`, so only disjoint fields are touched.
-                let t_cap = Instant::now();
-                let mut field = self
-                    .thermal_free
-                    .pop()
-                    .unwrap_or_else(|| Frame::new(Image::zeros(0, 0), 0));
-                self.thermal.capture_into(&mut field)?;
-                if let Some(rejected) = self.gate.offer_reclaiming(field) {
-                    self.thermal_free.push(rejected);
-                }
-                self.web.capture_into(&mut self.visible);
-                self.prefetched = true;
-                self.wall_capture_s += t_cap.elapsed().as_secs_f64();
-            }
-            let slot = pending.slot();
-            (self.engine.fuse_finish(pending)?, slot)
-        };
+        let pending = self
+            .engine
+            .fuse_submit(self.visible.image(), thermal.image(), backend)?;
+        if pending.inverse_in_flight() {
+            // Software pipelining: the inverse of this frame runs on the
+            // workers while we capture the next frame pair here. (A capture
+            // error abandons the pending frame; the engine recovers the
+            // stray batch on its next submission.)
+            let t_cap = Instant::now();
+            self.capture_thermal_field()?;
+            self.web.capture_into(&mut self.visible);
+            self.prefetched = true;
+            self.wall_capture_s += t_cap.elapsed().as_secs_f64();
+        }
+        let slot = pending.slot();
+        let out = self.engine.fuse_finish(pending)?;
         // The consumed thermal frame's buffer goes back to the free list
         // for the next capture.
         self.thermal_free.push(thermal);
@@ -421,8 +375,8 @@ impl VideoFusionPipeline {
         Ok(())
     }
 
-    /// Accumulates statistics, histograms, the flight record and telemetry
-    /// for one retired frame (shared by the serial and depth-k paths).
+    /// Accumulates statistics, the flight record and telemetry for one
+    /// retired frame (shared by the serial and depth-k paths).
     fn record_frame(
         &mut self,
         out: &FusionOutput,
@@ -439,26 +393,8 @@ impl VideoFusionPipeline {
         self.stats.energy_mj += out.energy_mj;
         self.stats.backend_usage[backend] += 1;
         self.stats.gate_drops = self.gate.dropped();
+        let gate_drops = self.stats.gate_drops - drops_before;
 
-        // --- flight record + histograms (always on, allocation-free) ---
-        let model_dur_s = out.timing.total_seconds();
-        self.hist_frame_s.observe(model_dur_s);
-        self.hist_energy_mj.observe(out.energy_mj);
-        let power_w = self.engine.power_model().power_w(backend.execution_mode());
-        let mut phase_s = [0.0; 5];
-        let mut phase_mj = [0.0; 5];
-        for (i, (_, dur)) in out.timing.phases().iter().enumerate() {
-            phase_s[i] = *dur;
-            phase_mj[i] = power_w * dur * 1e3;
-            self.hist_phase_s[i].observe(*dur);
-        }
-        // PS/PL energy split: the PL increment is charged only over the PL
-        // engine's busy window (from the cycle ledger / DMA timeline); the
-        // PS share absorbs the rest, including the PL idle/static part of
-        // the mode's rail power, so ps_mj + pl_mj == energy_mj exactly.
-        let pl_mj =
-            (self.engine.power_model().pl_increment_w() * out.pl_busy_s * 1e3).min(out.energy_mj);
-        let ps_mj = out.energy_mj - pl_mj;
         let decision = match &self.backend {
             BackendChoice::Fixed(_) => "fixed",
             BackendChoice::Adaptive(s) => match s.policy() {
@@ -485,36 +421,22 @@ impl VideoFusionPipeline {
         let wall_end = self.wall_origin.elapsed();
         self.flight.record(FrameRecord {
             frame: frame_index,
-            stream: -1,
-            backend: backend.label(),
-            kernel: self.engine.kernel_name(backend),
             decision,
-            columnar: self.engine.columnar(),
-            threads: self.engine.threads() as u64,
             depth: self.depth as u64,
             slot: slot.map_or(-1, |s| s as i64),
             wall_start_us: wall_start.as_secs_f64() * 1e6,
             wall_dur_us: (wall_end - wall_start).as_secs_f64() * 1e6,
             model_start_s,
-            model_dur_s,
-            phase_s,
-            phase_mj,
-            energy_mj: out.energy_mj,
-            ps_mj,
-            pl_mj,
-            pl_busy_s: out.pl_busy_s,
-            predicted_s: out.predicted_s,
-            fusion_strips: out.fusion_strips as u64,
             deadline_s: 1.0 / self.web.fps(),
             pool_hit,
-            gate_drops: self.stats.gate_drops - drops_before,
+            gate_drops,
             batches_claimed,
             steals,
             parked_ns,
+            ..self.engine.frame_record(out)
         });
 
-        if let Some(tel) = &self.telemetry {
-            let m = tel.metrics();
+        if let Some(m) = &self.telemetry {
             m.counter_add(
                 "wavefuse_frames_total",
                 &[("backend", backend.label())],
@@ -525,40 +447,14 @@ impl VideoFusionPipeline {
                 &[("backend", backend.label())],
                 out.timing.total_seconds(),
             );
+            m.observe("wavefuse_frame_energy_millijoules", &[], out.energy_mj);
             m.gauge_set(
                 "wavefuse_pipeline_energy_millijoules",
                 &[],
                 self.stats.energy_mj,
             );
-            let dropped_now = self.stats.gate_drops - drops_before;
-            if dropped_now > 0 {
-                m.counter_add("wavefuse_gate_drops_total", &[], dropped_now as f64);
-                tel.tracer().instant(
-                    "gate_drop",
-                    "pipeline",
-                    vec![("dropped".into(), dropped_now.into())],
-                );
-            }
-            // Publish the sharded histograms into the registry so the
-            // Prometheus exporter sees them. (Snapshotting allocates, which
-            // is fine here: the telemetry path is outside the
-            // zero-allocation guarantee; the histograms themselves are not.)
-            m.set_histogram(
-                "wavefuse_frame_latency_seconds",
-                &[],
-                self.hist_frame_s.snapshot(),
-            );
-            m.set_histogram(
-                "wavefuse_frame_energy_millijoules",
-                &[],
-                self.hist_energy_mj.snapshot(),
-            );
-            for (i, phase) in PHASE_NAMES.iter().enumerate() {
-                m.set_histogram(
-                    "wavefuse_phase_latency_seconds",
-                    &[("phase", phase)],
-                    self.hist_phase_s[i].snapshot(),
-                );
+            if gate_drops > 0 {
+                m.counter_add("wavefuse_gate_drops_total", &[], gate_drops as f64);
             }
         }
     }
@@ -609,18 +505,6 @@ impl VideoFusionPipeline {
     /// [`FLIGHT_CAPACITY`] frames, oldest overwritten first).
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// Estimated `q`-quantile of modeled frame latency, seconds, from the
-    /// always-on sharded histogram. Allocation-free.
-    pub fn frame_latency_quantile(&self, q: f64) -> f64 {
-        self.hist_frame_s.quantile(q)
-    }
-
-    /// Estimated `q`-quantile of modeled per-frame energy, mJ, from the
-    /// always-on sharded histogram. Allocation-free.
-    pub fn frame_energy_quantile(&self, q: f64) -> f64 {
-        self.hist_energy_mj.quantile(q)
     }
 
     /// The engine (e.g. for prediction queries).
@@ -897,9 +781,6 @@ mod tests {
             // Frame indices are recorded in order.
             let frames: Vec<u64> = rec.iter().map(|r| r.frame).collect();
             assert_eq!(frames, [0, 1, 2, 3, 4, 5]);
-            // The always-on histograms saw every frame.
-            assert!(pipe.frame_latency_quantile(0.5) > 0.0);
-            assert!(pipe.frame_energy_quantile(0.99) > 0.0);
         }
     }
 

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wavefuse_dtcwt::{Image, WorkerPool, BATCH_SLOTS};
-use wavefuse_trace::{LogHistogram, Telemetry};
+use wavefuse_trace::{LogHistogram, MetricsRegistry};
 use wavefuse_video::camera::{ThermalCamera, WebCamera};
 use wavefuse_video::scene::ScenePair;
 use wavefuse_video::Frame;
@@ -272,7 +272,7 @@ pub struct StreamManager {
     unstashed: VecDeque<usize>,
     in_flight: usize,
     digests: bool,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 impl StreamManager {
@@ -304,23 +304,22 @@ impl StreamManager {
         self.digests = enabled;
     }
 
-    /// Attaches telemetry: per-stream labeled counters are emitted at each
-    /// retirement and the per-stream latency histograms are published at
-    /// each [`StreamManager::run`] boundary. Stream labels come from
-    /// [`stream_label`] (cardinality-capped). The streams' engines stay
+    /// Attaches a metrics registry: per-stream labeled frame/drop counters
+    /// and latency histograms are recorded at each retirement. Stream
+    /// labels come from [`stream_label`] (cardinality-capped), so streams
+    /// that share a label add into one series. The streams' engines stay
     /// un-instrumented — the shared pool's counters are fleet-global and
     /// per-engine delta reporting would double-count them.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        let m = telemetry.metrics();
-        m.describe(
+    pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
+        telemetry.describe(
             "wavefuse_stream_frames_total",
             "Frames delivered, by serving stream",
         );
-        m.describe(
+        telemetry.describe(
             "wavefuse_stream_drops_total",
             "Frames dropped by fleet backpressure, by serving stream",
         );
-        m.describe(
+        telemetry.describe(
             "wavefuse_frame_latency_seconds",
             "Capture-to-retire frame latency",
         );
@@ -519,7 +518,6 @@ impl StreamManager {
         }
         self.drain()?;
         let wall_s = t0.elapsed().as_secs_f64();
-        self.publish_histograms();
         Ok(self.report(wall_s, &before))
     }
 
@@ -633,32 +631,20 @@ impl StreamManager {
             }
         }
         st.engine.recycle(out);
-        if let Some(tel) = &self.telemetry {
-            let m = tel.metrics();
+        if let Some(m) = &self.telemetry {
             let label = stream_label(i);
             if dropped {
                 m.counter_add("wavefuse_stream_drops_total", &[("stream", label)], 1.0);
             } else {
                 m.counter_add("wavefuse_stream_frames_total", &[("stream", label)], 1.0);
+                m.observe(
+                    "wavefuse_frame_latency_seconds",
+                    &[("stream", label)],
+                    latency_s,
+                );
             }
         }
         Ok(())
-    }
-
-    /// Publishes every stream's latency histogram under its
-    /// (cardinality-capped) stream label.
-    fn publish_histograms(&self) {
-        let Some(tel) = &self.telemetry else {
-            return;
-        };
-        let m = tel.metrics();
-        for (i, s) in self.streams.iter().enumerate() {
-            m.set_histogram(
-                "wavefuse_frame_latency_seconds",
-                &[("stream", stream_label(i))],
-                s.latency.snapshot(),
-            );
-        }
     }
 
     /// Builds the window report from the per-stream deltas.

@@ -10,17 +10,15 @@
 //!   minus the reduced PS load — which pins the baseline at ≈533 mW;
 //! * energy is power × total time (Fig. 10 = Fig. 9b × the power model).
 //!
-//! [`model::PowerModel`] holds those constants; [`recorder::PowerRecorder`]
-//! reproduces the sampling-and-integration method of the measurement
-//! software.
+//! [`model::PowerModel`] holds those constants. The per-frame energy log
+//! the measurement software kept is the flight record's `phase_mj` /
+//! `energy_mj` (`wavefuse-trace`), charged from this model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod battery;
 pub mod model;
-pub mod recorder;
 
 pub use battery::Battery;
 pub use model::{ExecutionMode, PowerModel};
-pub use recorder::PowerRecorder;

@@ -1,11 +1,10 @@
-//! The three exporters: Prometheus text exposition, Chrome trace-event
-//! JSON (Perfetto / `chrome://tracing` compatible), and JSON Lines.
+//! Prometheus text exposition of a [`MetricsRegistry`]. The per-frame
+//! timeline exporters (Chrome trace-event JSON and JSON Lines) live on
+//! [`FlightRecorder`](crate::FlightRecorder).
 
 use std::fmt::Write as _;
 
-use crate::json::JsonValue;
 use crate::metrics::{MetricValue, MetricsRegistry};
-use crate::tracer::{AttrValue, EventKind, TraceEvent, Tracer};
 
 /// Escapes a Prometheus label value (`\`, `"`, newline).
 fn escape_label(v: &str) -> String {
@@ -139,138 +138,6 @@ pub fn prometheus_text(metrics: &MetricsRegistry) -> String {
     out
 }
 
-fn attr_to_json(v: &AttrValue) -> JsonValue {
-    match v {
-        AttrValue::I64(i) => JsonValue::Num(*i as f64),
-        AttrValue::U64(u) => JsonValue::Num(*u as f64),
-        AttrValue::F64(f) => JsonValue::Num(*f),
-        AttrValue::Bool(b) => JsonValue::Bool(*b),
-        AttrValue::Str(s) => JsonValue::Str(s.clone()),
-    }
-}
-
-fn event_args(e: &TraceEvent) -> JsonValue {
-    let mut args: Vec<(String, JsonValue)> = e
-        .attrs
-        .iter()
-        .map(|(k, v)| (k.clone(), attr_to_json(v)))
-        .collect();
-    args.push(("span_id".into(), JsonValue::Num(e.id as f64)));
-    if let Some(p) = e.parent {
-        args.push(("parent_id".into(), JsonValue::Num(p as f64)));
-    }
-    args.push(("wall_start_us".into(), JsonValue::Num(e.wall_start_us)));
-    if e.wall_dur_us > 0.0 {
-        args.push(("wall_dur_us".into(), JsonValue::Num(e.wall_dur_us)));
-    }
-    JsonValue::Obj(args)
-}
-
-/// Renders the buffered events as a Chrome trace-event JSON document
-/// (object form, `{"traceEvents": [...]}`), loadable in Perfetto or
-/// `chrome://tracing`.
-///
-/// Spans are emitted as complete (`ph:"X"`) events **on the modeled
-/// clock** — `ts`/`dur` are modeled microseconds — so the rendered
-/// timeline shows the platform the cost models simulate. Wall-clock data
-/// rides along in `args`.
-pub fn chrome_trace(tracer: &Tracer) -> String {
-    chrome_trace_from(&tracer.events(), tracer.dropped())
-}
-
-/// [`chrome_trace`] over an explicit event snapshot.
-pub fn chrome_trace_from(events: &[TraceEvent], dropped: u64) -> String {
-    let mut trace_events = vec![JsonValue::Obj(vec![
-        ("name".into(), JsonValue::Str("process_name".into())),
-        ("ph".into(), JsonValue::Str("M".into())),
-        ("pid".into(), JsonValue::Num(1.0)),
-        ("tid".into(), JsonValue::Num(0.0)),
-        (
-            "args".into(),
-            JsonValue::Obj(vec![(
-                "name".into(),
-                JsonValue::Str("wavefuse (modeled platform time)".into()),
-            )]),
-        ),
-    ])];
-    for e in events {
-        let mut obj = vec![
-            ("name".into(), JsonValue::Str(e.name.clone())),
-            ("cat".into(), JsonValue::Str(e.category.clone())),
-            ("pid".into(), JsonValue::Num(1.0)),
-            ("tid".into(), JsonValue::Num(e.tid as f64)),
-            ("ts".into(), JsonValue::Num(e.model_start_s * 1e6)),
-        ];
-        match e.kind {
-            EventKind::Span => {
-                obj.push(("ph".into(), JsonValue::Str("X".into())));
-                obj.push(("dur".into(), JsonValue::Num(e.model_dur_s * 1e6)));
-            }
-            EventKind::Instant => {
-                obj.push(("ph".into(), JsonValue::Str("i".into())));
-                obj.push(("s".into(), JsonValue::Str("t".into())));
-            }
-        }
-        obj.push(("args".into(), event_args(e)));
-        trace_events.push(JsonValue::Obj(obj));
-    }
-    JsonValue::Obj(vec![
-        ("traceEvents".into(), JsonValue::Arr(trace_events)),
-        ("displayTimeUnit".into(), JsonValue::Str("ms".into())),
-        (
-            "otherData".into(),
-            JsonValue::Obj(vec![(
-                "dropped_events".into(),
-                JsonValue::Num(dropped as f64),
-            )]),
-        ),
-    ])
-    .render()
-}
-
-/// Renders the buffered events as JSON Lines: one self-contained JSON
-/// object per event, both clocks included — the format for piping into
-/// `jq` or a log shipper.
-pub fn jsonl(tracer: &Tracer) -> String {
-    let mut out = String::new();
-    for e in tracer.events() {
-        let attrs: Vec<(String, JsonValue)> = e
-            .attrs
-            .iter()
-            .map(|(k, v)| (k.clone(), attr_to_json(v)))
-            .collect();
-        let obj = JsonValue::Obj(vec![
-            ("id".into(), JsonValue::Num(e.id as f64)),
-            (
-                "parent".into(),
-                e.parent
-                    .map_or(JsonValue::Null, |p| JsonValue::Num(p as f64)),
-            ),
-            ("tid".into(), JsonValue::Num(e.tid as f64)),
-            ("name".into(), JsonValue::Str(e.name.clone())),
-            ("cat".into(), JsonValue::Str(e.category.clone())),
-            (
-                "kind".into(),
-                JsonValue::Str(
-                    match e.kind {
-                        EventKind::Span => "span",
-                        EventKind::Instant => "instant",
-                    }
-                    .into(),
-                ),
-            ),
-            ("model_ts_s".into(), JsonValue::Num(e.model_start_s)),
-            ("model_dur_s".into(), JsonValue::Num(e.model_dur_s)),
-            ("wall_ts_us".into(), JsonValue::Num(e.wall_start_us)),
-            ("wall_dur_us".into(), JsonValue::Num(e.wall_dur_us)),
-            ("attrs".into(), JsonValue::Obj(attrs)),
-        ]);
-        obj.write(&mut out);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +156,7 @@ mod tests {
     fn prometheus_histogram_is_cumulative() {
         let m = MetricsRegistry::new();
         for v in [1.5e-6, 1.5e-6, 3e-6, 1.0] {
-            m.observe_log2("lat_seconds", &[], v, 1e-6, 3);
+            m.observe("lat_seconds", &[], v);
         }
         let text = prometheus_text(&m);
         assert!(text.contains("lat_seconds_bucket{le=\"0.000001\"} 0"));
@@ -297,32 +164,5 @@ mod tests {
         assert!(text.contains("lat_seconds_bucket{le=\"0.000004\"} 3"));
         assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("lat_seconds_count 4"));
-    }
-
-    #[test]
-    fn chrome_trace_parses_back() {
-        let t = Tracer::new();
-        t.complete_span("forward", "phase", 0.0, 0.5, Vec::new());
-        let doc = JsonValue::parse(&chrome_trace(&t)).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let span = events
-            .iter()
-            .find(|e| e.get("name").and_then(JsonValue::as_str) == Some("forward"))
-            .unwrap();
-        assert_eq!(span.get("ph").unwrap().as_str(), Some("X"));
-        assert_eq!(span.get("dur").unwrap().as_f64(), Some(500_000.0));
-    }
-
-    #[test]
-    fn jsonl_one_valid_object_per_line() {
-        let t = Tracer::new();
-        t.instant("a", "test", vec![("k".into(), AttrValue::Str("v".into()))]);
-        t.instant("b", "test", Vec::new());
-        let text = jsonl(&t);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            JsonValue::parse(line).unwrap();
-        }
     }
 }

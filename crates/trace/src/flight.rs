@@ -1,4 +1,5 @@
-//! Per-frame flight recorder: a fixed-capacity ring of [`FrameRecord`]s.
+//! Per-frame flight recorder: a fixed-capacity ring of [`FrameRecord`]s,
+//! the workspace's one per-frame timeline.
 //!
 //! The pipeline owns one recorder and overwrites the oldest record once
 //! the ring fills — like an aircraft flight recorder, the last N frames
@@ -11,8 +12,8 @@
 //! platform clock), the per-phase time and energy split, the governor's
 //! decision rationale (deadline, predicted vs measured cost), pool and
 //! scheduler counters, and the PS/PL energy split for FPGA-routed work.
-//! [`FlightRecorder::jsonl`] and [`FlightRecorder::chrome_trace`] export
-//! in the same shapes as [`crate::export`].
+//! [`FlightRecorder::jsonl`] and [`FlightRecorder::chrome_trace`] are the
+//! trace exporters; [`crate::export`] renders the metrics registry.
 
 use crate::json::JsonValue;
 
@@ -258,7 +259,8 @@ impl FlightRecorder {
     }
 
     /// Exports the held records as JSON Lines (one object per frame,
-    /// oldest first), mirroring [`crate::export::jsonl`]'s shape.
+    /// oldest first, both clocks included) — the format for piping into
+    /// `jq` or a log shipper.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
         for rec in self.iter() {
@@ -270,8 +272,9 @@ impl FlightRecorder {
 
     /// Exports the held records in the Chrome trace-event format on the
     /// modeled clock: one `"frame"` span plus one span per phase, with
-    /// the energy split attached as args. Load in Perfetto or
-    /// `chrome://tracing`.
+    /// the energy split and the frame's wall-clock start and duration
+    /// attached as args. `otherData` reports the frames the ring dropped.
+    /// Load in Perfetto or `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
         let mut events: Vec<JsonValue> = vec![JsonValue::Obj(vec![
             ("name".into(), JsonValue::Str("process_name".into())),
@@ -312,6 +315,8 @@ impl FlightRecorder {
                     ("predicted_s".into(), JsonValue::Num(rec.predicted_s)),
                     ("decision".into(), JsonValue::Str(rec.decision.into())),
                     ("kernel".into(), JsonValue::Str(rec.kernel.into())),
+                    ("wall_start_us".into(), JsonValue::Num(rec.wall_start_us)),
+                    ("wall_dur_us".into(), JsonValue::Num(rec.wall_dur_us)),
                 ],
             ));
             let mut ts = rec.model_start_s;
@@ -357,6 +362,8 @@ mod tests {
             energy_mj: frame as f64 * 0.5,
             phase_s: [5e-4, 1e-3, 2e-3, 3e-3, 4e-4],
             model_dur_s: 6.9e-3,
+            wall_start_us: frame as f64 * 100.0,
+            wall_dur_us: 42.0,
             ..FrameRecord::default()
         }
     }
@@ -440,5 +447,65 @@ mod tests {
         for phase in PHASES {
             assert!(names.contains(&phase), "missing {phase} span");
         }
+    }
+
+    #[test]
+    fn jsonl_lines_carry_both_clocks() {
+        let mut r = FlightRecorder::new(2);
+        r.record(FrameRecord {
+            model_start_s: 0.25,
+            ..rec(3)
+        });
+        let line = r.jsonl();
+        let v = JsonValue::parse(line.trim_end()).expect("valid JSONL line");
+        let num = |k: &str| v.get(k).and_then(JsonValue::as_f64);
+        assert_eq!(num("wall_start_us"), Some(300.0));
+        assert_eq!(num("wall_dur_us"), Some(42.0));
+        assert_eq!(num("model_start_s"), Some(0.25));
+        assert_eq!(num("model_dur_s"), Some(6.9e-3));
+    }
+
+    #[test]
+    fn chrome_frame_spans_carry_both_clocks() {
+        let mut r = FlightRecorder::new(2);
+        r.record(rec(1));
+        let doc = JsonValue::parse(&r.chrome_trace()).expect("valid trace JSON");
+        let frame = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_arr)
+            .and_then(|evs| {
+                evs.iter()
+                    .find(|e| e.get("name").and_then(JsonValue::as_str) == Some("frame 1 [NEON]"))
+            })
+            .expect("frame span");
+        // `dur` is on the modeled clock (µs); the wall clock rides in args.
+        let dur = frame.get("dur").and_then(JsonValue::as_f64).expect("dur");
+        assert!((dur - 6.9e3).abs() < 1e-6, "dur {dur}");
+        let args = frame.get("args").expect("args");
+        let num = |k: &str| args.get(k).and_then(JsonValue::as_f64);
+        assert_eq!(num("wall_start_us"), Some(100.0));
+        assert_eq!(num("wall_dur_us"), Some(42.0));
+    }
+
+    #[test]
+    fn wrapped_ring_reports_dropped_frames() {
+        let mut r = FlightRecorder::new(3);
+        for f in 0..8 {
+            r.record(rec(f));
+        }
+        let doc = JsonValue::parse(&r.chrome_trace()).expect("valid trace JSON");
+        let other = doc.get("otherData").expect("otherData");
+        let num = |k: &str| other.get(k).and_then(JsonValue::as_f64);
+        assert_eq!(num("dropped_frames"), Some(5.0));
+        assert_eq!(num("total_frames"), Some(8.0));
+        // Only the three newest frames are exported.
+        let frames = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_arr)
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e.get("cat").and_then(JsonValue::as_str) == Some("flight"))
+            .count();
+        assert_eq!(frames, 3);
     }
 }

@@ -1,11 +1,10 @@
 //! Allocation-free, lock-free log-bucketed histogram.
 //!
-//! [`LogHistogram`] is the always-on companion to the mutex-guarded
-//! [`MetricsRegistry`](crate::MetricsRegistry) histograms: all allocation
-//! happens at construction time, and `observe()` is a handful of relaxed
-//! atomic operations, so the pipeline can record per-frame latency and
-//! energy samples inside the zero-allocation steady state that the
-//! counting-allocator tests enforce.
+//! [`LogHistogram`] is the workspace's one histogram type: every
+//! [`MetricsRegistry`](crate::MetricsRegistry) histogram series is one,
+//! and the serving fleet keeps one per stream for its latency quantiles.
+//! All allocation happens at construction time, and `observe()` is a
+//! handful of relaxed atomic operations.
 //!
 //! Contention is kept off the hot path by *sharding*: each observing
 //! thread is assigned a stable ordinal (process-wide, handed out on first
@@ -13,14 +12,20 @@
 //! counters on the fly — quantile estimation walks at most
 //! `buckets × shards` atomic loads and never allocates either.
 //!
-//! Buckets are the same power-of-two ladder the registry uses
-//! (`min_bound · 2^i`), and [`LogHistogram::snapshot`] converts to a
-//! [`HistogramData`] so existing Prometheus export applies unchanged.
+//! Buckets are a power-of-two ladder (`min_bound · 2^i`), and
+//! [`LogHistogram::snapshot`] converts to a [`HistogramData`] for
+//! Prometheus export.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::metrics::{HistogramData, DEFAULT_HISTOGRAM_BUCKETS, DEFAULT_HISTOGRAM_MIN};
+use crate::metrics::HistogramData;
+
+/// Default histogram floor: 1 µs — per-phase latencies at the paper's
+/// smallest frames sit around tens of µs.
+pub const DEFAULT_HISTOGRAM_MIN: f64 = 1e-6;
+/// Default bucket count: 1 µs · 2^27 ≈ 134 s, covering whole-run totals.
+pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 28;
 
 /// Default number of per-thread shards (worker pools top out well below
 /// this, and excess shards only cost idle cache lines).
@@ -103,8 +108,7 @@ impl Shard {
 /// Allocation-free, lock-free log-bucketed histogram.
 ///
 /// Bucket upper bounds follow `min_bound · 2^i` for `i in 0..buckets`,
-/// matching the registry's `observe_log2` ladder, plus one overflow
-/// bucket. `observe` is wait-free apart from two short CAS loops on the
+/// plus one overflow bucket. `observe` is wait-free apart from two short CAS loops on the
 /// shard's sum/max cells; quantiles are estimated by linear interpolation
 /// inside the covering bucket.
 ///
@@ -153,8 +157,8 @@ impl LogHistogram {
         }
     }
 
-    /// Creates a histogram with the registry's default ladder
-    /// (1 µs · 2^i, 28 buckets) and [`DEFAULT_SHARDS`] shards.
+    /// Creates a histogram with the default ladder (1 µs · 2^i, 28
+    /// buckets) and [`DEFAULT_SHARDS`] shards.
     pub fn with_defaults() -> Self {
         LogHistogram::new(
             DEFAULT_SHARDS,
@@ -170,7 +174,6 @@ impl LogHistogram {
 
     /// Index of the bucket covering `value`: the first bucket whose upper
     /// bound is `>= value` (bounds are inclusive), or the overflow bucket.
-    /// Matches [`HistogramData`]'s linear-scan placement exactly.
     fn bucket_index(&self, value: f64) -> usize {
         if value.is_nan() || value <= self.min_bound {
             return 0;
@@ -270,8 +273,8 @@ impl LogHistogram {
     }
 
     /// Materializes the merged shard counters into a [`HistogramData`] for
-    /// registry publication and Prometheus export. This path allocates;
-    /// call it from export code, not from the frame loop.
+    /// Prometheus export. This path allocates; call it from export code,
+    /// not from the frame loop.
     pub fn snapshot(&self) -> HistogramData {
         let bounds: Vec<f64> = (0..self.buckets).map(|i| self.bound(i)).collect();
         let counts: Vec<u64> = (0..=self.buckets).map(|i| self.merged_bucket(i)).collect();
@@ -299,23 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_matches_registry_linear_scan() {
+    fn bucket_index_matches_a_linear_scan() {
         let h = LogHistogram::new(2, DEFAULT_HISTOGRAM_MIN, DEFAULT_HISTOGRAM_BUCKETS);
-        let oracle = HistogramData {
-            bounds: (0..DEFAULT_HISTOGRAM_BUCKETS)
-                .map(|i| DEFAULT_HISTOGRAM_MIN * f64::powi(2.0, i as i32))
-                .collect(),
-            counts: vec![0; DEFAULT_HISTOGRAM_BUCKETS + 1],
-            sum: 0.0,
-            count: 0,
-        };
-        let linear = |v: f64| {
-            oracle
-                .bounds
-                .iter()
-                .position(|&b| v <= b)
-                .unwrap_or(oracle.bounds.len())
-        };
+        let bounds: Vec<f64> = (0..DEFAULT_HISTOGRAM_BUCKETS)
+            .map(|i| DEFAULT_HISTOGRAM_MIN * f64::powi(2.0, i as i32))
+            .collect();
+        let linear = |v: f64| bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..10_000 {
             let r = xorshift(&mut state) as f64 / u64::MAX as f64;
@@ -323,7 +315,7 @@ mod tests {
             let v = 1e-8 * f64::powf(10.0, r * 12.0);
             assert_eq!(h.bucket_index(v), linear(v), "value {v}");
         }
-        // Exact bucket boundaries are inclusive, as in the registry.
+        // Exact bucket boundaries are inclusive.
         for i in 0..DEFAULT_HISTOGRAM_BUCKETS {
             let b = DEFAULT_HISTOGRAM_MIN * f64::powi(2.0, i as i32);
             assert_eq!(h.bucket_index(b), linear(b), "boundary {b}");

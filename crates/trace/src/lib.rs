@@ -4,46 +4,41 @@
 //! energy per backend (Figs. 8–10, Table I). This crate gives the rest of
 //! the workspace that same instrumentation discipline as a first-class
 //! subsystem, with no external dependencies (the build environment is
-//! offline):
+//! offline). It keeps one record of each kind:
 //!
-//! * [`tracer::Tracer`] — a structured span/event tracer with a bounded
-//!   ring buffer, span attributes, per-thread span nesting, and **two
-//!   clocks**: the host's monotonic wall clock and the *modeled* platform
-//!   clock that the cost models and the cycle-level ZYNQ simulator advance.
-//! * [`metrics::MetricsRegistry`] — counters, gauges and log2-bucketed
-//!   histograms with label support (backend, phase, frame size).
-//! * [`histogram::LogHistogram`] — an allocation-free, lock-free,
-//!   thread-sharded log-bucketed histogram for hot-path samples
-//!   (per-frame latency, per-phase durations, per-frame energy); its
-//!   snapshots publish into the registry for Prometheus export.
-//! * [`flight::FlightRecorder`] — a fixed-capacity per-frame flight
-//!   recorder ring ([`flight::FrameRecord`] per fused frame: dual-clock
-//!   timestamps, phase/energy splits, governor rationale, scheduler
-//!   counters) with JSONL and Chrome-trace export.
-//! * [`export`] — three exporters: Prometheus text exposition,
-//!   JSON Lines, and the Chrome trace-event format (loadable in Perfetto
-//!   or `chrome://tracing`).
+//! * [`flight::FlightRecorder`] — the per-frame timeline: a fixed-capacity
+//!   ring of [`flight::FrameRecord`]s (one per fused frame: dual-clock
+//!   timestamps, per-phase time and energy, the PS/PL split, the backend
+//!   decision and its prediction, scheduler counters) with Chrome-trace
+//!   (Perfetto / `chrome://tracing`) and JSON Lines export.
+//! * [`metrics::MetricsRegistry`] — counters, gauges and histograms with
+//!   label support (backend, phase, stream), rendered by
+//!   [`export::prometheus_text`].
+//! * [`histogram::LogHistogram`] — the one histogram type: allocation-free,
+//!   lock-free, thread-sharded and log-bucketed. Every registry histogram
+//!   series is one.
 //! * [`json`] — the hand-rolled JSON writer/parser the exporters (and the
 //!   bench harness) share.
 //!
-//! The [`Telemetry`] facade bundles a tracer and a registry behind one
-//! `Arc`-shareable handle that the pipeline, engine, scheduler, ZYNQ
-//! driver and power recorder all accept.
+//! Instrumented components (pipeline, engine, scheduler, ZYNQ driver,
+//! serving fleet) accept an `Arc<MetricsRegistry>` via `set_telemetry`.
 //!
 //! # Examples
 //!
 //! ```
-//! use wavefuse_trace::Telemetry;
+//! use wavefuse_trace::{export, FlightRecorder, FrameRecord, MetricsRegistry};
 //!
-//! let tel = Telemetry::shared();
-//! {
-//!     let _frame = tel.tracer().span("frame", "pipeline");
-//!     tel.tracer().advance_model(0.010); // the cost model says 10 ms
-//!     tel.metrics().counter_add("frames_total", &[("backend", "NEON")], 1.0);
-//! }
-//! let chrome = wavefuse_trace::export::chrome_trace(tel.tracer());
-//! assert!(chrome.contains("\"frame\""));
-//! let prom = wavefuse_trace::export::prometheus_text(tel.metrics());
+//! let mut flight = FlightRecorder::new(16);
+//! flight.record(FrameRecord {
+//!     backend: "NEON",
+//!     model_dur_s: 0.010, // the cost model says 10 ms
+//!     ..FrameRecord::default()
+//! });
+//! assert!(flight.chrome_trace().contains("\"frame 0 [NEON]\""));
+//!
+//! let metrics = MetricsRegistry::new();
+//! metrics.counter_add("frames_total", &[("backend", "NEON")], 1.0);
+//! let prom = export::prometheus_text(&metrics);
 //! assert!(prom.contains("frames_total{backend=\"NEON\"} 1"));
 //! ```
 
@@ -55,12 +50,8 @@ pub mod flight;
 pub mod histogram;
 pub mod json;
 pub mod metrics;
-mod telemetry;
-pub mod tracer;
 
 pub use flight::{FlightRecorder, FrameRecord};
 pub use histogram::LogHistogram;
 pub use json::{JsonValue, ToJson};
 pub use metrics::{MetricValue, MetricsRegistry, SeriesKey};
-pub use telemetry::Telemetry;
-pub use tracer::{AttrValue, EventKind, SpanGuard, TraceEvent, Tracer};

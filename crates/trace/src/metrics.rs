@@ -1,12 +1,16 @@
-//! Counters, gauges and log2-bucketed histograms with labels.
+//! Counters, gauges and histograms with labels.
 //!
 //! The registry is a flat map from `(name, sorted labels)` to a metric
-//! value, behind one mutex — the hot paths here are a few `HashMap`-free
+//! series, behind one mutex — the hot paths here are a few `HashMap`-free
 //! `BTreeMap` lookups per fused frame, far below the modeled work they
 //! measure. `BTreeMap` keeps the Prometheus exposition deterministic.
+//! Histogram series are [`LogHistogram`]s; [`HistogramData`] is their
+//! snapshot for export.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+
+use crate::histogram::LogHistogram;
 
 /// A metric series key: metric name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,42 +50,7 @@ pub struct HistogramData {
     pub count: u64,
 }
 
-impl HistogramData {
-    /// Log2-spaced upper bounds: `min_bound * 2^i` for `i in 0..buckets`.
-    pub fn log2_bounds(min_bound: f64, buckets: usize) -> Vec<f64> {
-        (0..buckets as i32)
-            .map(|i| min_bound * f64::powi(2.0, i))
-            .collect()
-    }
-
-    fn new(bounds: Vec<f64>) -> Self {
-        let n = bounds.len();
-        HistogramData {
-            bounds,
-            counts: vec![0; n + 1],
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Index of the bucket `value` lands in (the first bound `>= value`,
-    /// or the overflow bucket).
-    pub fn bucket_index(&self, value: f64) -> usize {
-        self.bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len())
-    }
-
-    fn observe(&mut self, value: f64) {
-        let i = self.bucket_index(value);
-        self.counts[i] += 1;
-        self.sum += value;
-        self.count += 1;
-    }
-}
-
-/// A metric value.
+/// Snapshot of one metric series.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// Monotonically increasing.
@@ -92,11 +61,23 @@ pub enum MetricValue {
     Histogram(HistogramData),
 }
 
-/// Default histogram floor: 1 µs — per-phase latencies at the paper's
-/// smallest frames sit around tens of µs.
-pub const DEFAULT_HISTOGRAM_MIN: f64 = 1e-6;
-/// Default bucket count: 1 µs · 2^27 ≈ 134 s, covering whole-run totals.
-pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 28;
+/// A live metric series.
+#[derive(Debug)]
+enum Series {
+    Counter(f64),
+    Gauge(f64),
+    Histogram(LogHistogram),
+}
+
+impl Series {
+    fn value(&self) -> MetricValue {
+        match self {
+            Series::Counter(c) => MetricValue::Counter(*c),
+            Series::Gauge(g) => MetricValue::Gauge(*g),
+            Series::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+        }
+    }
+}
 
 /// The metrics registry.
 ///
@@ -113,7 +94,7 @@ pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 28;
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    series: Mutex<BTreeMap<SeriesKey, MetricValue>>,
+    series: Mutex<BTreeMap<SeriesKey, Series>>,
     help: Mutex<BTreeMap<String, String>>,
 }
 
@@ -140,9 +121,9 @@ impl MetricsRegistry {
         let mut series = self.series.lock().expect("series map");
         let entry = series
             .entry(SeriesKey::new(name, labels))
-            .or_insert(MetricValue::Counter(0.0));
+            .or_insert(Series::Counter(0.0));
         match entry {
-            MetricValue::Counter(c) => *c += v,
+            Series::Counter(c) => *c += v,
             other => panic!("{name} is not a counter: {other:?}"),
         }
     }
@@ -156,61 +137,28 @@ impl MetricsRegistry {
         let mut series = self.series.lock().expect("series map");
         let entry = series
             .entry(SeriesKey::new(name, labels))
-            .or_insert(MetricValue::Gauge(0.0));
+            .or_insert(Series::Gauge(0.0));
         match entry {
-            MetricValue::Gauge(g) => *g = v,
+            Series::Gauge(g) => *g = v,
             other => panic!("{name} is not a gauge: {other:?}"),
         }
     }
 
-    /// Observes `v` into a histogram with the default log2 buckets
-    /// (1 µs · 2^i, 28 buckets).
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.observe_log2(
-            name,
-            labels,
-            v,
-            DEFAULT_HISTOGRAM_MIN,
-            DEFAULT_HISTOGRAM_BUCKETS,
-        );
-    }
-
-    /// Observes `v` into a histogram with log2 buckets starting at
-    /// `min_bound`. The bucket layout is fixed by the first observation
-    /// of each series.
+    /// Observes `v` into a histogram series, creating it as a
+    /// [`LogHistogram::with_defaults`] (1 µs · 2^i, 28 buckets) first.
     ///
     /// # Panics
     ///
     /// Panics if the series already exists with a different type.
-    pub fn observe_log2(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        v: f64,
-        min_bound: f64,
-        buckets: usize,
-    ) {
+    pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
         let mut series = self.series.lock().expect("series map");
         let entry = series
             .entry(SeriesKey::new(name, labels))
-            .or_insert_with(|| {
-                MetricValue::Histogram(HistogramData::new(HistogramData::log2_bounds(
-                    min_bound, buckets,
-                )))
-            });
+            .or_insert_with(|| Series::Histogram(LogHistogram::with_defaults()));
         match entry {
-            MetricValue::Histogram(h) => h.observe(v),
+            Series::Histogram(h) => h.observe(v),
             other => panic!("{name} is not a histogram: {other:?}"),
         }
-    }
-
-    /// Inserts or replaces a histogram series with an externally built
-    /// [`HistogramData`] — the publication path for
-    /// [`LogHistogram`](crate::LogHistogram) snapshots, which maintain
-    /// their counters outside the registry for allocation-free recording.
-    pub fn set_histogram(&self, name: &str, labels: &[(&str, &str)], data: HistogramData) {
-        let mut series = self.series.lock().expect("series map");
-        series.insert(SeriesKey::new(name, labels), MetricValue::Histogram(data));
     }
 
     /// Current value of a counter (0 if the series does not exist).
@@ -221,7 +169,7 @@ impl MetricsRegistry {
             .expect("series map")
             .get(&SeriesKey::new(name, labels))
         {
-            Some(MetricValue::Counter(c)) => *c,
+            Some(Series::Counter(c)) => *c,
             _ => 0.0,
         }
     }
@@ -234,7 +182,7 @@ impl MetricsRegistry {
             .expect("series map")
             .get(&SeriesKey::new(name, labels))
         {
-            Some(MetricValue::Gauge(g)) => Some(*g),
+            Some(Series::Gauge(g)) => Some(*g),
             _ => None,
         }
     }
@@ -247,7 +195,7 @@ impl MetricsRegistry {
             .expect("series map")
             .get(&SeriesKey::new(name, labels))
         {
-            Some(MetricValue::Histogram(h)) => Some(h.clone()),
+            Some(Series::Histogram(h)) => Some(h.snapshot()),
             _ => None,
         }
     }
@@ -258,7 +206,7 @@ impl MetricsRegistry {
             .lock()
             .expect("series map")
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.clone(), v.value()))
             .collect()
     }
 
@@ -292,26 +240,26 @@ mod tests {
     }
 
     #[test]
-    fn log2_bucket_boundaries() {
-        let bounds = HistogramData::log2_bounds(1e-6, 4);
-        assert_eq!(bounds, vec![1e-6, 2e-6, 4e-6, 8e-6]);
-        let h = HistogramData::new(bounds);
-        assert_eq!(h.bucket_index(1e-6), 0, "boundary value is inclusive");
-        assert_eq!(h.bucket_index(1.5e-6), 1);
-        assert_eq!(h.bucket_index(8e-6), 3);
-        assert_eq!(h.bucket_index(9e-6), 4, "overflow bucket");
-    }
-
-    #[test]
     fn histogram_observations_accumulate() {
         let m = MetricsRegistry::new();
         for v in [0.5e-6, 3e-6, 1e3] {
-            m.observe_log2("lat", &[], v, 1e-6, 4);
+            m.observe("lat", &[], v);
         }
         let h = m.histogram("lat", &[]).unwrap();
         assert_eq!(h.count, 3);
-        assert_eq!(h.counts, vec![1, 0, 1, 0, 1]);
+        assert_eq!(h.bounds.len(), 28);
+        assert_eq!(h.counts[0], 1, "at or below the 1 µs floor");
+        assert_eq!(h.counts[2], 1, "3 µs lands in (2, 4] µs");
+        assert_eq!(h.counts[28], 1, "overflow bucket");
         assert!((h.sum - (0.5e-6 + 3e-6 + 1e3)).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a histogram")]
+    fn observing_a_counter_panics() {
+        let m = MetricsRegistry::new();
+        m.counter_add("x", &[], 1.0);
+        m.observe("x", &[], 1.0);
     }
 
     #[test]

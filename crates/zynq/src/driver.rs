@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use wavefuse_trace::Telemetry;
+use wavefuse_trace::MetricsRegistry;
 
 use crate::config::ZynqConfig;
 use crate::ZynqError;
@@ -67,7 +67,7 @@ pub struct WaveletDriver {
     read_offset: usize,
     write_offset: usize,
     stats: DriverStats,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 impl WaveletDriver {
@@ -86,14 +86,14 @@ impl WaveletDriver {
         }
     }
 
-    /// Attaches a telemetry handle: `ioctl` round trips, user-copy word
+    /// Attaches a metrics registry: `ioctl` round trips, user-copy word
     /// volumes and ping-pong swaps feed counters from here on.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry.metrics().describe(
+    pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
+        telemetry.describe(
             "wavefuse_driver_ioctls_total",
             "ioctl requests served by the wavelet driver model",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_driver_copy_words_total",
             "Words memcpy'd between user space and the DMA areas",
         );
@@ -107,14 +107,13 @@ impl WaveletDriver {
     /// Returns [`ZynqError::InvalidIoctl`] for offsets beyond the DMA area.
     pub fn ioctl(&mut self, req: IoctlRequest) -> Result<(), ZynqError> {
         self.stats.ioctls += 1;
-        if let Some(tel) = &self.telemetry {
+        if let Some(m) = &self.telemetry {
             let request = match req {
                 IoctlRequest::SetReadOffset(_) => "set_read_offset",
                 IoctlRequest::SetWriteOffset(_) => "set_write_offset",
                 IoctlRequest::SwapBuffers => "swap_buffers",
             };
-            tel.metrics()
-                .counter_add("wavefuse_driver_ioctls_total", &[("request", request)], 1.0);
+            m.counter_add("wavefuse_driver_ioctls_total", &[("request", request)], 1.0);
         }
         let words = self.cfg.bram_words_per_buffer;
         match req {
@@ -161,8 +160,8 @@ impl WaveletDriver {
         }
         area[self.read_offset..end].copy_from_slice(data);
         self.stats.words_from_user += data.len() as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics().counter_add(
+        if let Some(m) = &self.telemetry {
+            m.counter_add(
                 "wavefuse_driver_copy_words_total",
                 &[("direction", "from_user")],
                 data.len() as f64,
@@ -230,8 +229,8 @@ impl WaveletDriver {
         }
         dst.copy_from_slice(&area[self.write_offset..end]);
         self.stats.words_to_user += dst.len() as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics().counter_add(
+        if let Some(m) = &self.telemetry {
+            m.counter_add(
                 "wavefuse_driver_copy_words_total",
                 &[("direction", "to_user")],
                 dst.len() as f64,

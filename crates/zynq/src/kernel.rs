@@ -23,7 +23,7 @@ use crate::engine::WaveletEngine;
 use crate::ledger::CycleLedger;
 use crate::ZynqError;
 use wavefuse_dtcwt::FilterKernel;
-use wavefuse_trace::Telemetry;
+use wavefuse_trace::MetricsRegistry;
 
 /// Double-buffered DMA timeline: the opt-in asynchronous overlap model.
 ///
@@ -90,7 +90,7 @@ pub struct FpgaKernel {
     engine: WaveletEngine,
     driver: WaveletDriver,
     ledger: CycleLedger,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
     /// Present when the async overlap model is enabled; tracks the
     /// overlapped schedule alongside the ledger's serial accounting.
     overlap: Option<DmaTimeline>,
@@ -152,28 +152,26 @@ impl FpgaKernel {
         }
     }
 
-    /// Attaches a telemetry handle (propagated to the driver model):
-    /// engine calls, DMA word volume and PS/PL cycles feed counters; with
-    /// [`Telemetry::set_detailed`] on, every row pass also emits a
-    /// `fpga_row` event on the modeled timeline.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        telemetry.metrics().describe(
+    /// Attaches a metrics registry (propagated to the driver model):
+    /// engine calls, DMA word volume and PS/PL cycles feed counters.
+    pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
+        telemetry.describe(
             "wavefuse_fpga_engine_calls_total",
             "Row passes executed by the PL wavelet engine",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_fpga_dma_words_total",
             "Words moved over the ACP by the engine's hardware memcpy",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_fpga_pl_cycles_total",
             "PL cycles spent in ACP bursts and the MAC pipeline",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_fpga_ps_cycles_total",
             "PS cycles spent in driver overhead and user copies",
         );
-        telemetry.metrics().describe(
+        telemetry.describe(
             "wavefuse_fpga_coeff_loads_total",
             "Filter-coefficient bank loads into the engine",
         );
@@ -225,8 +223,7 @@ impl FpgaKernel {
         if let Some(tl) = &mut self.overlap {
             tl.push_row(overhead_ps as f64 * self.cfg.ps_period(), copy_s, engine_s);
         }
-        if let Some(tel) = &self.telemetry {
-            let m = tel.metrics();
+        if let Some(m) = &self.telemetry {
             m.counter_add("wavefuse_fpga_engine_calls_total", &[], 1.0);
             m.counter_add("wavefuse_fpga_pl_cycles_total", &[], pl as f64);
             m.counter_add(
@@ -234,24 +231,6 @@ impl FpgaKernel {
                 &[],
                 (overhead_ps + copy_ps) as f64,
             );
-            if tel.detailed() {
-                // Rows tile the current transform: the tracer's model clock
-                // still points at the transform's start (the engine advances
-                // it only once per fused frame), so ledger elapsed-so-far is
-                // the row's offset within it.
-                let start = tel.tracer().model_now() + self.ledger.elapsed_seconds - row_s;
-                tel.tracer().complete_span(
-                    "fpga_row",
-                    "zynq",
-                    start,
-                    row_s,
-                    vec![
-                        ("pl_cycles".into(), pl.into()),
-                        ("copy_ps_cycles".into(), copy_ps.into()),
-                        ("overhead_ps_cycles".into(), overhead_ps.into()),
-                    ],
-                );
-            }
         }
     }
 
@@ -287,9 +266,8 @@ impl FpgaKernel {
             if let Some(tl) = &mut self.overlap {
                 tl.push_ps(ps as f64 * self.cfg.ps_period());
             }
-            if let Some(tel) = &self.telemetry {
-                tel.metrics()
-                    .counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
+            if let Some(m) = &self.telemetry {
+                m.counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
             }
         }
         // Driver round trip + command pokes.
@@ -318,8 +296,8 @@ impl FpgaKernel {
             lo[k] = self.row_scratch[2 * k + 1];
         }
         self.ledger.dma_words += (run.words_in + run.words_out) as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics().counter_add(
+        if let Some(m) = &self.telemetry {
+            m.counter_add(
                 "wavefuse_fpga_dma_words_total",
                 &[("direction", "forward")],
                 (run.words_in + run.words_out) as f64,
@@ -349,9 +327,8 @@ impl FpgaKernel {
             if let Some(tl) = &mut self.overlap {
                 tl.push_ps(ps as f64 * self.cfg.ps_period());
             }
-            if let Some(tel) = &self.telemetry {
-                tel.metrics()
-                    .counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
+            if let Some(m) = &self.telemetry {
+                m.counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
             }
         }
         let mut overhead = self.cfg.call_overhead_ps_cycles_inverse;
@@ -374,8 +351,8 @@ impl FpgaKernel {
         let run = self.engine.wait(ticket);
         copy_ps += self.driver.copy_to_user(out)?;
         self.ledger.dma_words += (run.words_in + run.words_out) as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics().counter_add(
+        if let Some(m) = &self.telemetry {
+            m.counter_add(
                 "wavefuse_fpga_dma_words_total",
                 &[("direction", "inverse")],
                 (run.words_in + run.words_out) as f64,

@@ -1,24 +1,25 @@
 //! End-to-end telemetry walkthrough: run the instrumented pipeline and
-//! export all three formats.
+//! export its flight record and metrics in all three formats.
 //!
 //! ```text
 //! cargo run --release --example telemetry
 //! ```
 //!
-//! Writes `telemetry.trace.json` (open in <https://ui.perfetto.dev> or
-//! `chrome://tracing`), `telemetry.prom` (Prometheus text exposition) and
-//! `telemetry.jsonl` (raw events, one JSON object per line) into the
-//! current directory, then prints the headline numbers the trace carries.
+//! Writes `telemetry.trace.json` (the flight record on the modeled clock;
+//! open in <https://ui.perfetto.dev> or `chrome://tracing`),
+//! `telemetry.prom` (Prometheus text exposition) and `telemetry.jsonl`
+//! (one flight record per frame) into the current directory, then prints
+//! the headline numbers the record carries.
 
 use std::sync::Arc;
 
 use wavefuse::core::adaptive::{AdaptiveScheduler, Objective, Policy};
 use wavefuse::core::pipeline::{BackendChoice, PipelineConfig, VideoFusionPipeline};
 use wavefuse::core::Backend;
-use wavefuse::trace::{export, Telemetry};
+use wavefuse::trace::{export, MetricsRegistry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let telemetry = Telemetry::shared();
+    let metrics = Arc::new(MetricsRegistry::new());
 
     // The paper's evaluation pipeline, online-adaptive, with a thermal
     // camera that occasionally runs a field ahead (so the frame gate drops).
@@ -33,22 +34,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads: 1,
         depth: 1,
     })?;
-    pipe.set_telemetry(Arc::clone(&telemetry));
+    pipe.set_telemetry(Arc::clone(&metrics));
 
     for i in 0..24 {
         pipe.step_with_burst(if i % 6 == 5 { 2 } else { 1 })?;
     }
     let stats = pipe.stats();
 
-    std::fs::write(
-        "telemetry.trace.json",
-        export::chrome_trace(telemetry.tracer()),
-    )?;
-    std::fs::write(
-        "telemetry.prom",
-        export::prometheus_text(telemetry.metrics()),
-    )?;
-    std::fs::write("telemetry.jsonl", export::jsonl(telemetry.tracer()))?;
+    let flight = pipe.flight_recorder();
+    std::fs::write("telemetry.trace.json", flight.chrome_trace())?;
+    std::fs::write("telemetry.prom", export::prometheus_text(&metrics))?;
+    std::fs::write("telemetry.jsonl", flight.jsonl())?;
 
     println!(
         "{} frames fused in {:.2} ms modeled time, {:.2} mJ",
@@ -65,13 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.gate_drops
     );
     println!(
-        "{} trace events buffered ({} dropped by the ring)",
-        telemetry.tracer().len(),
-        telemetry.tracer().dropped()
+        "{} frames in the flight record ({} dropped by the ring)",
+        flight.len(),
+        flight.total() - flight.len() as u64
     );
 
     // A taste of the Prometheus exposition.
-    let prom = export::prometheus_text(telemetry.metrics());
+    let prom = export::prometheus_text(&metrics);
     for line in prom
         .lines()
         .filter(|l| l.starts_with("wavefuse_frames_total"))

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Works on binary PGM (`P5`) images, the format the examples emit.
-//! `--trace` writes a Chrome trace of the run (open in Perfetto or
-//! `chrome://tracing`); `--metrics` writes a Prometheus text exposition.
+//! `--trace` writes the run's per-frame flight record as a Chrome trace on
+//! the modeled clock (open in Perfetto or `chrome://tracing`); `--metrics`
+//! writes a Prometheus text exposition.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use wavefuse::core::rules::{FusionRule, LowpassRule};
 use wavefuse::core::{Backend, FusionEngine};
 use wavefuse::dtcwt::denoise::denoise;
 use wavefuse::dtcwt::{Dtcwt, Dwt2d};
-use wavefuse::trace::{export, Telemetry};
+use wavefuse::trace::{export, FlightRecorder, FrameRecord, MetricsRegistry};
 use wavefuse::video::pgm;
 use wavefuse::video::scene::ScenePair;
 
@@ -99,25 +100,25 @@ fn parse_rule(s: &str) -> Result<FusionRule, String> {
     })
 }
 
-/// Builds a telemetry handle if `--trace` or `--metrics` was given.
-fn telemetry_for(args: &Args) -> Option<Arc<Telemetry>> {
-    if args.opt("trace").is_some() || args.opt("metrics").is_some() {
-        Some(Telemetry::shared())
-    } else {
-        None
-    }
+/// Builds a metrics registry if `--metrics` was given.
+fn metrics_for(args: &Args) -> Option<Arc<MetricsRegistry>> {
+    args.opt("metrics")
+        .map(|_| Arc::new(MetricsRegistry::new()))
 }
 
-/// Writes the exports requested by `--trace` / `--metrics`.
-fn write_telemetry(args: &Args, tel: &Arc<Telemetry>) -> Result<(), String> {
+/// Writes the exports requested by `--trace` (the flight record as a
+/// Chrome trace) and `--metrics` (the registry as Prometheus text).
+fn write_telemetry(
+    args: &Args,
+    flight: &FlightRecorder,
+    metrics: Option<&Arc<MetricsRegistry>>,
+) -> Result<(), String> {
     if let Some(path) = args.opt("trace") {
-        std::fs::write(path, export::chrome_trace(tel.tracer()))
-            .map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, flight.chrome_trace()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote Chrome trace to {path} (load in Perfetto)");
     }
-    if let Some(path) = args.opt("metrics") {
-        std::fs::write(path, export::prometheus_text(tel.metrics()))
-            .map_err(|e| format!("{path}: {e}"))?;
+    if let (Some(path), Some(m)) = (args.opt("metrics"), metrics) {
+        std::fs::write(path, export::prometheus_text(m)).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote Prometheus metrics to {path}");
     }
     Ok(())
@@ -182,14 +183,14 @@ fn cmd_fuse(args: &Args) -> Result<(), String> {
     let mut engine =
         FusionEngine::with_rules(levels, rule, LowpassRule::Average).map_err(|e| e.to_string())?;
     engine.set_threads(threads);
-    let telemetry = telemetry_for(args);
-    if let Some(tel) = &telemetry {
-        engine.set_telemetry(Arc::clone(tel));
+    let metrics = metrics_for(args);
+    if let Some(m) = &metrics {
+        engine.set_telemetry(Arc::clone(m));
     }
     let out = engine.fuse(&a, &b, backend).map_err(|e| e.to_string())?;
-    if let Some(tel) = &telemetry {
-        write_telemetry(args, tel)?;
-    }
+    let mut flight = FlightRecorder::new(1);
+    flight.record(engine.frame_record(&out));
+    write_telemetry(args, &flight, metrics.as_ref())?;
     pgm::write_pgm(&out.image, out_path).map_err(|e| format!("{out_path}: {e}"))?;
     eprintln!(
         "fused {}x{} on {} in {:.2} ms (modeled), {:.3} mJ -> {out_path}",
@@ -244,17 +245,25 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
     let mut engine = FusionEngine::new(3).map_err(|e| e.to_string())?;
     engine.set_threads(threads);
     let mut sched = AdaptiveScheduler::new(Policy::Model(Objective::Energy), 3);
-    let telemetry = telemetry_for(args);
-    if let Some(tel) = &telemetry {
-        engine.set_telemetry(Arc::clone(tel));
-        sched.set_telemetry(Arc::clone(tel));
+    let metrics = metrics_for(args);
+    if let Some(m) = &metrics {
+        engine.set_telemetry(Arc::clone(m));
+        sched.set_telemetry(Arc::clone(m));
     }
+    let mut flight = FlightRecorder::new(frames);
+    let mut model_start_s = 0.0;
     for i in 0..frames {
         let t = i as f64 / 10.0;
         let vis = scene.render_visible(w, h, t);
         let ir = scene.render_thermal(w, h, t);
         let backend = sched.choose(w, h).map_err(|e| e.to_string())?;
         let out = engine.fuse(&vis, &ir, backend).map_err(|e| e.to_string())?;
+        flight.record(FrameRecord {
+            frame: i as u64,
+            model_start_s,
+            ..engine.frame_record(&out)
+        });
+        model_start_s += out.timing.total_seconds();
         pgm::write_pgm(&vis, format!("{out_dir}/demo_{i:03}_visible.pgm"))
             .map_err(|e| e.to_string())?;
         pgm::write_pgm(&ir, format!("{out_dir}/demo_{i:03}_thermal.pgm"))
@@ -268,9 +277,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
             out.energy_mj
         );
     }
-    if let Some(tel) = &telemetry {
-        write_telemetry(args, tel)?;
-    }
+    write_telemetry(args, &flight, metrics.as_ref())?;
     eprintln!("wrote {frames} frame triples under {out_dir}/");
     Ok(())
 }

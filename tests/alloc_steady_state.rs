@@ -358,11 +358,12 @@ fn steady_state_serving_windows_allocate_independently_of_length() {
     );
 }
 
-// The flight recorder and the log-bucketed histograms ride along on every
-// pipeline step (they are always on), so the pipeline steady-state test
-// above already proves they stay off the allocator in situ. This test
-// pins the same guarantee on the primitives directly: once constructed,
-// observing, querying quantiles, and recording frames must never allocate.
+// The flight recorder rides along on every pipeline step (it is always
+// on) and serve keeps a log-bucketed latency histogram per stream, so the
+// pipeline and serving steady-state tests above already prove both stay
+// off the allocator in situ. This test pins the same guarantee on the
+// primitives directly: once constructed, observing, querying quantiles,
+// and recording frames must never allocate.
 #[test]
 fn observability_primitives_do_not_allocate_after_construction() {
     // Construction sizes the sharded counters and the record ring.

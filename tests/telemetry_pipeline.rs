@@ -1,17 +1,17 @@
-//! Cross-crate telemetry integration: the traces and metrics emitted by an
+//! Cross-crate telemetry integration: the flight record and metrics of an
 //! instrumented pipeline run must agree with the pipeline's own statistics.
 
 use std::sync::Arc;
 
 use wavefuse::core::adaptive::{AdaptiveScheduler, Objective, Policy};
 use wavefuse::core::engine::PHASE_NAMES;
-use wavefuse::core::pipeline::{BackendChoice, PipelineConfig, VideoFusionPipeline};
+use wavefuse::core::pipeline::{BackendChoice, PipelineConfig, PipelineStats, VideoFusionPipeline};
 use wavefuse::core::Backend;
 use wavefuse::trace::json::JsonValue;
-use wavefuse::trace::{export, MetricValue, Telemetry};
+use wavefuse::trace::{export, FlightRecorder, MetricValue, MetricsRegistry};
 
-fn instrumented_run(frames: usize) -> (Arc<Telemetry>, wavefuse::core::pipeline::PipelineStats) {
-    let telemetry = Telemetry::shared();
+fn instrumented_run(frames: usize) -> (Arc<MetricsRegistry>, FlightRecorder, PipelineStats) {
+    let metrics = Arc::new(MetricsRegistry::new());
     let mut pipe = VideoFusionPipeline::new(PipelineConfig {
         frame_size: (88, 72),
         levels: 3,
@@ -24,29 +24,40 @@ fn instrumented_run(frames: usize) -> (Arc<Telemetry>, wavefuse::core::pipeline:
         depth: 1,
     })
     .unwrap();
-    pipe.set_telemetry(Arc::clone(&telemetry));
+    pipe.set_telemetry(Arc::clone(&metrics));
     for i in 0..frames {
         // A bursty thermal field every third step exercises the gate.
         pipe.step_with_burst(if i % 3 == 2 { 2 } else { 1 })
             .unwrap();
     }
-    (telemetry, pipe.stats())
+    (metrics, pipe.flight_recorder().clone(), pipe.stats())
+}
+
+/// The `traceEvents` of a flight record's Chrome export, parsed back.
+fn chrome_events(flight: &FlightRecorder) -> Vec<JsonValue> {
+    let parsed = JsonValue::parse(&flight.chrome_trace()).expect("exporter emits valid JSON");
+    let Some(JsonValue::Arr(events)) = parsed.get("traceEvents") else {
+        panic!("traceEvents array missing")
+    };
+    events.clone()
+}
+
+/// `(ts, dur)` of a complete span, in modeled microseconds.
+fn span_extent(ev: &JsonValue) -> (f64, f64) {
+    let num = |k: &str| ev.get(k).and_then(JsonValue::as_f64).expect(k);
+    (num("ts"), num("dur"))
 }
 
 #[test]
 fn phase_spans_sum_to_pipeline_phase_timing() {
-    let (telemetry, stats) = instrumented_run(12);
-    let events = telemetry.tracer().events();
-    for (phase, stat_s) in stats.timing.phases() {
-        let trace_s: f64 = events
-            .iter()
-            .filter(|e| e.category == "phase" && e.name == phase)
-            .map(|e| e.model_dur_s)
-            .sum();
-        let err = (trace_s - stat_s).abs() / stat_s;
+    let (_, flight, stats) = instrumented_run(12);
+    assert_eq!(flight.len() as u64, stats.frames);
+    for (i, (phase, stat_s)) in stats.timing.phases().into_iter().enumerate() {
+        let flight_s: f64 = flight.iter().map(|r| r.phase_s[i]).sum();
+        let err = (flight_s - stat_s).abs() / stat_s;
         assert!(
             err < 0.01,
-            "{phase}: trace {trace_s:.9} vs stats {stat_s:.9} ({:.3}% off)",
+            "{phase}: flight record {flight_s:.9} vs stats {stat_s:.9} ({:.3}% off)",
             err * 100.0
         );
     }
@@ -54,39 +65,40 @@ fn phase_spans_sum_to_pipeline_phase_timing() {
 
 #[test]
 fn frame_spans_enclose_their_phase_spans() {
-    let (telemetry, stats) = instrumented_run(6);
-    let events = telemetry.tracer().events();
-    let frames: Vec<_> = events
+    let (_, flight, stats) = instrumented_run(6);
+    let events = chrome_events(&flight);
+    let cat = |e: &JsonValue| e.get("cat").and_then(JsonValue::as_str).map(str::to_owned);
+    let frames: Vec<&JsonValue> = events
         .iter()
-        .filter(|e| e.name == "frame" && e.category == "pipeline")
+        .filter(|e| {
+            e.get("name")
+                .and_then(JsonValue::as_str)
+                .is_some_and(|n| n.starts_with("frame "))
+        })
         .collect();
     assert_eq!(frames.len() as u64, stats.frames);
     for frame in &frames {
-        let children: Vec<_> = events
+        let (start, dur) = span_extent(frame);
+        let eps = 1e-6 * dur.max(1.0);
+        let children: Vec<(f64, f64)> = events
             .iter()
-            .filter(|e| e.parent == Some(frame.id) && e.category == "phase")
+            .filter(|e| cat(e).as_deref() == Some("phase"))
+            .map(span_extent)
+            .filter(|&(ts, d)| ts >= start - eps && ts + d <= start + dur + eps)
             .collect();
-        assert_eq!(children.len(), PHASE_NAMES.len(), "4 phases per frame");
-        let child_total: f64 = children.iter().map(|e| e.model_dur_s).sum();
+        assert_eq!(children.len(), PHASE_NAMES.len(), "5 phases per frame");
+        let child_total: f64 = children.iter().map(|&(_, d)| d).sum();
         assert!(
-            (child_total - frame.model_dur_s).abs() <= 1e-9 * child_total.max(1.0),
-            "phases sum {child_total} vs frame span {}",
-            frame.model_dur_s
+            (child_total - dur).abs() <= 1e-9 * child_total.max(1.0),
+            "phases sum {child_total} vs frame span {dur}"
         );
-        for child in children {
-            assert!(child.model_start_s >= frame.model_start_s - 1e-12);
-            assert!(
-                child.model_start_s + child.model_dur_s
-                    <= frame.model_start_s + frame.model_dur_s + 1e-9
-            );
-        }
     }
 }
 
 #[test]
 fn counters_match_pipeline_stats() {
-    let (telemetry, stats) = instrumented_run(9);
-    let series = telemetry.metrics().snapshot();
+    let (metrics, _, stats) = instrumented_run(9);
+    let series = metrics.snapshot();
     let counter = |name: &str, backend: Option<&str>| -> f64 {
         series
             .iter()
@@ -118,29 +130,14 @@ fn counters_match_pipeline_stats() {
 
 #[test]
 fn chrome_trace_of_a_run_parses_and_balances() {
-    let (telemetry, stats) = instrumented_run(5);
-    let text = export::chrome_trace(telemetry.tracer());
-    let parsed = JsonValue::parse(&text).expect("exporter emits valid JSON");
-    let JsonValue::Obj(top) = &parsed else {
-        panic!("top level must be an object")
-    };
-    let Some(JsonValue::Arr(events)) = top.iter().find(|(k, _)| k == "traceEvents").map(|(_, v)| v)
-    else {
-        panic!("traceEvents array missing")
-    };
+    let (_, flight, stats) = instrumented_run(5);
     // Sum the exported per-phase durations (µs) and compare with the
     // pipeline's accumulated modeled time.
-    let mut phase_us = 0.0;
-    for ev in events {
-        let JsonValue::Obj(fields) = ev else { continue };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        if get("cat") == Some(&JsonValue::Str("phase".into())) {
-            let Some(JsonValue::Num(dur)) = get("dur") else {
-                panic!("phase span without dur")
-            };
-            phase_us += dur;
-        }
-    }
+    let phase_us: f64 = chrome_events(&flight)
+        .iter()
+        .filter(|e| e.get("cat").and_then(JsonValue::as_str) == Some("phase"))
+        .map(|e| span_extent(e).1)
+        .sum();
     let stats_us = stats.timing.total_seconds() * 1e6;
     let err = (phase_us - stats_us).abs() / stats_us;
     assert!(
@@ -151,8 +148,8 @@ fn chrome_trace_of_a_run_parses_and_balances() {
 
 #[test]
 fn prometheus_export_carries_the_acceptance_series() {
-    let (telemetry, _) = instrumented_run(8);
-    let prom = export::prometheus_text(telemetry.metrics());
+    let (metrics, _, _) = instrumented_run(8);
+    let prom = export::prometheus_text(&metrics);
     assert!(
         prom.lines()
             .any(|l| l.starts_with("wavefuse_frames_total{")),
@@ -182,16 +179,30 @@ fn prometheus_export_carries_the_acceptance_series() {
 
 #[test]
 fn scheduler_decisions_appear_in_the_trace() {
-    let (telemetry, stats) = instrumented_run(7);
-    let events = telemetry.tracer().events();
-    let decisions = events
+    let (metrics, flight, stats) = instrumented_run(7);
+    // One decision and one prediction-error observation per frame.
+    let series = metrics.snapshot();
+    let decisions: f64 = series
         .iter()
-        .filter(|e| e.name == "scheduler_decision")
-        .count() as u64;
-    assert_eq!(decisions, stats.frames, "one decision event per frame");
-    let observations = events
+        .filter(|(k, _)| k.name == "wavefuse_scheduler_decisions_total")
+        .map(|(_, v)| match v {
+            MetricValue::Counter(c) => *c,
+            other => panic!("decisions should be a counter, got {other:?}"),
+        })
+        .sum();
+    assert_eq!(decisions as u64, stats.frames, "one decision per frame");
+    let observations: u64 = series
         .iter()
-        .filter(|e| e.name == "scheduler_observe")
-        .count() as u64;
+        .filter(|(k, _)| k.name == "wavefuse_scheduler_prediction_error")
+        .map(|(_, v)| match v {
+            MetricValue::Histogram(h) => h.count,
+            other => panic!("prediction error should be a histogram, got {other:?}"),
+        })
+        .sum();
     assert_eq!(observations, stats.frames, "one observation per frame");
+    // The flight record carries each frame's decision.
+    assert_eq!(flight.len() as u64, stats.frames);
+    for r in flight.iter() {
+        assert_eq!(r.decision, "online-time", "frame {}", r.frame);
+    }
 }

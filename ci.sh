@@ -42,6 +42,14 @@ echo "== benchmark harness (wavebench/, a package outside the workspace)"
 # of the next benchmark run.
 cargo test -q --release --offline --manifest-path wavebench/Cargo.toml
 
+echo "== examples smoke (energy_explorer, adaptive_fusion)"
+# Both examples print breaking points found by adaptive::crossover_edge,
+# the one NEON-vs-FPGA argmin shared with `repro crossover`.
+cargo run --release -q --example energy_explorer > target/energy_explorer.txt
+grep -q 'breaking point' target/energy_explorer.txt
+cargo run --release -q --example adaptive_fusion > target/adaptive_fusion.txt
+grep -q 'breaking point' target/adaptive_fusion.txt
+
 echo "== throughput bench smoke (repro bench --frames 16)"
 # Smoke only: must run to completion and emit the JSON report; the
 # numbers themselves are host-dependent and not asserted here.

@@ -7,7 +7,7 @@
 
 use wavefuse_trace::{JsonValue, ToJson};
 
-use wavefuse_core::adaptive::{AdaptiveScheduler, Objective, Policy};
+use wavefuse_core::adaptive::{crossover_edge, AdaptiveScheduler, Objective, Policy};
 use wavefuse_core::baseline::{average_fusion, dwt_fusion, laplacian_fusion, swt_fusion};
 use wavefuse_core::cost::{CostModel, Direction, TransformPlan};
 use wavefuse_core::engine::PhaseTiming;
@@ -207,7 +207,7 @@ pub struct CrossoverReport {
 /// Propagates model errors for unsupported geometries.
 pub fn crossover_report() -> Result<CrossoverReport, FusionError> {
     let model = CostModel::calibrated();
-    let sched = AdaptiveScheduler::new(Policy::Model(Objective::Time), LEVELS);
+    let power = wavefuse_power::PowerModel::zc702();
     let phase_edge = |dir: Direction| -> Option<usize> {
         (24..=96).find(|&e| {
             let plan = TransformPlan::dtcwt(e, e, LEVELS).expect("supported");
@@ -217,8 +217,8 @@ pub fn crossover_report() -> Result<CrossoverReport, FusionError> {
     Ok(CrossoverReport {
         forward_edge: phase_edge(Direction::Forward),
         inverse_edge: phase_edge(Direction::Inverse),
-        total_edge: sched.crossover_edge(Objective::Time, 24, 96)?,
-        energy_edge: sched.crossover_edge(Objective::Energy, 24, 96)?,
+        total_edge: crossover_edge(&model, &power, LEVELS, Objective::Time, 24, 96)?,
+        energy_edge: crossover_edge(&model, &power, LEVELS, Objective::Energy, 24, 96)?,
     })
 }
 

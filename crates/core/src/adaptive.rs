@@ -6,14 +6,17 @@
 //! per-row driver/command overhead is fixed while its computational
 //! advantage scales with the row length. §VIII proposes a system that
 //! "automatically chooses the resources (NEON or FPGA) to execute when
-//! fusing with different frame sizes and decomposition levels" — this
-//! module provides three such policies:
+//! fusing with different frame sizes and decomposition levels".
 //!
-//! * [`Policy::Threshold`] — the simple rule suggested by Fig. 9: pick the
-//!   FPGA when the frame has at least `min_pixels` pixels.
-//! * [`Policy::Model`] — evaluate the calibrated cost model for both
-//!   accelerators at the frame's geometry and pick the winner, optimizing
-//!   either time or energy.
+//! Every model-driven choice in the crate goes through one function,
+//! [`decide`]: the argmin of [`CostModel::predict`] (time, or energy via
+//! the [`PowerModel`]) over a candidate list on one plan, under an
+//! optional deadline. The scheduler's model policy, the "breaking point"
+//! search ([`crossover_edge`]) and serve's `Auto` admission all call it.
+//! The scheduler offers two policies:
+//!
+//! * [`Policy::Model`] — [`decide`] over NEON and FPGA at the frame's
+//!   geometry, optimizing either time or energy.
 //! * [`Policy::Online`] — measure: try each accelerator once per frame
 //!   geometry, then exploit the faster (or more frugal) one, continually
 //!   refreshed by an exponential moving average of observations.
@@ -41,15 +44,120 @@ pub enum Objective {
 /// Backend-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// FPGA at or above a pixel-count threshold, NEON below.
-    Threshold {
-        /// Minimum `width * height` for the FPGA to be selected.
-        min_pixels: usize,
-    },
-    /// Cost-model-driven argmin over {NEON, FPGA}.
+    /// Cost-model-driven argmin over {NEON, FPGA} ([`decide`]).
     Model(Objective),
     /// Measurement-driven argmin with explore-then-exploit.
     Online(Objective),
+}
+
+/// One candidate's predicted cost for one fused frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Prediction {
+    /// The candidate backend.
+    pub backend: Backend,
+    /// Predicted seconds per fused frame ([`CostModel::predict`]'s total).
+    pub seconds: f64,
+    /// Predicted energy per fused frame, millijoules.
+    pub energy_mj: f64,
+}
+
+impl Prediction {
+    fn new(
+        cost: &CostModel,
+        power: &PowerModel,
+        rule: FusionRule,
+        plan: &TransformPlan,
+        backend: Backend,
+    ) -> Self {
+        let seconds = cost.predict(plan, rule, backend).total_seconds();
+        Prediction {
+            backend,
+            seconds,
+            energy_mj: power.energy_mj(backend.execution_mode(), seconds),
+        }
+    }
+
+    fn value(&self, objective: Objective) -> f64 {
+        match objective {
+            Objective::Time => self.seconds,
+            Objective::Energy => self.energy_mj,
+        }
+    }
+}
+
+/// The argmin every backend decision uses: evaluates each candidate once on
+/// `plan`, drops those predicted slower than `deadline_s`, and returns the
+/// strict minimum under `objective` — ties go to the earlier candidate.
+/// `None` when no candidate meets the deadline (pass `f64::INFINITY` for
+/// none).
+///
+/// # Examples
+///
+/// ```
+/// use wavefuse_core::adaptive::{decide, Objective};
+/// use wavefuse_core::cost::{CostModel, TransformPlan};
+/// use wavefuse_core::{Backend, FusionRule};
+/// use wavefuse_power::PowerModel;
+///
+/// let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
+/// let rule = FusionRule::WindowEnergy { radius: 1 };
+/// let plan = TransformPlan::dtcwt(88, 72, 3)?;
+/// let pick = decide(&cost, &power, rule, &plan, &[Backend::Neon, Backend::Fpga],
+///                   Objective::Energy, f64::INFINITY).expect("no deadline");
+/// assert_eq!(pick.backend, Backend::Fpga);
+/// # Ok::<(), wavefuse_dtcwt::DtcwtError>(())
+/// ```
+pub fn decide(
+    cost: &CostModel,
+    power: &PowerModel,
+    rule: FusionRule,
+    plan: &TransformPlan,
+    candidates: &[Backend],
+    objective: Objective,
+    deadline_s: f64,
+) -> Option<Prediction> {
+    let mut best: Option<Prediction> = None;
+    for &backend in candidates {
+        let p = Prediction::new(cost, power, rule, plan, backend);
+        if p.seconds <= deadline_s && best.is_none_or(|b| p.value(objective) < b.value(objective)) {
+            best = Some(p);
+        }
+    }
+    best
+}
+
+/// Finds the square frame edge in `lo..=hi` at which the FPGA starts
+/// beating NEON under `objective` (the paper's "breaking point"): the first
+/// edge where [`decide`] over [`DEFAULT_CANDIDATES`] picks the FPGA, with
+/// the scheduler's fusion rule at `levels` decomposition levels.
+///
+/// # Errors
+///
+/// Returns [`FusionError::Transform`] if an edge cannot support `levels`.
+pub fn crossover_edge(
+    cost: &CostModel,
+    power: &PowerModel,
+    levels: usize,
+    objective: Objective,
+    lo: usize,
+    hi: usize,
+) -> Result<Option<usize>, FusionError> {
+    for edge in lo..=hi {
+        let plan = TransformPlan::dtcwt(edge, edge, levels)?;
+        let pick = decide(
+            cost,
+            power,
+            DEFAULT_RULE,
+            &plan,
+            &DEFAULT_CANDIDATES,
+            objective,
+            f64::INFINITY,
+        );
+        if pick.map(|p| p.backend) == Some(Backend::Fpga) {
+            return Ok(Some(edge));
+        }
+    }
+    Ok(None)
 }
 
 /// The adaptive scheduler.
@@ -70,7 +178,6 @@ pub enum Policy {
 pub struct AdaptiveScheduler {
     policy: Policy,
     levels: usize,
-    rule: FusionRule,
     cost: CostModel,
     power: PowerModel,
     /// EMA of observed per-frame cost (seconds or millijoules) per geometry
@@ -78,17 +185,19 @@ pub struct AdaptiveScheduler {
     observations: HashMap<(usize, usize), [Option<f64>; 4]>,
     /// Decisions made per backend (for reports).
     decisions: BackendCounts,
-    /// Backends the scheduler chooses among.
-    candidates: Vec<Backend>,
     telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 /// Smoothing factor of the online EMA (weight of the newest observation).
 const EMA_ALPHA: f64 = 0.3;
 
-/// The accelerators the scheduler considers by default, in exploration
-/// order (the ARM is never optimal, matching the paper's future-work
-/// framing of "NEON or FPGA").
+/// The fusion rule the scheduler and serve admission predict with (the
+/// engine's default).
+pub(crate) const DEFAULT_RULE: FusionRule = FusionRule::WindowEnergy { radius: 1 };
+
+/// The accelerators the scheduler considers, in exploration order (the
+/// ARM is never optimal, matching the paper's future-work framing of "NEON
+/// or FPGA").
 pub const DEFAULT_CANDIDATES: [Backend; 2] = [Backend::Neon, Backend::Fpga];
 
 impl AdaptiveScheduler {
@@ -98,12 +207,10 @@ impl AdaptiveScheduler {
         AdaptiveScheduler {
             policy,
             levels,
-            rule: FusionRule::WindowEnergy { radius: 1 },
             cost: CostModel::calibrated(),
             power: PowerModel::zc702(),
             observations: HashMap::new(),
             decisions: BackendCounts::new(),
-            candidates: DEFAULT_CANDIDATES.to_vec(),
             telemetry: None,
         }
     }
@@ -121,19 +228,6 @@ impl AdaptiveScheduler {
             "Relative error of the cost model vs observed frame cost",
         );
         self.telemetry = Some(metrics);
-    }
-
-    /// Restricts or extends the candidate set (e.g. include
-    /// [`Backend::Hybrid`] to let the scheduler pick the per-row-routed
-    /// backend).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty.
-    pub fn with_candidates(mut self, candidates: &[Backend]) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        self.candidates = candidates.to_vec();
-        self
     }
 
     /// The active policy.
@@ -154,39 +248,33 @@ impl AdaptiveScheduler {
     /// the configured decomposition depth.
     pub fn choose(&mut self, width: usize, height: usize) -> Result<Backend, FusionError> {
         let backend = match self.policy {
-            Policy::Threshold { min_pixels } => {
-                if width * height >= min_pixels {
-                    Backend::Fpga
-                } else {
-                    Backend::Neon
-                }
+            Policy::Model(objective) => {
+                let plan = TransformPlan::dtcwt(width, height, self.levels)?;
+                decide(
+                    &self.cost,
+                    &self.power,
+                    DEFAULT_RULE,
+                    &plan,
+                    &DEFAULT_CANDIDATES,
+                    objective,
+                    f64::INFINITY,
+                )
+                .expect("an unbounded deadline admits every candidate")
+                .backend
             }
-            Policy::Model(objective) => self.model_choice(width, height, objective)?,
-            Policy::Online(objective) => {
+            Policy::Online(_) => {
                 let obs = self
                     .observations
                     .entry((width, height))
                     .or_insert([None; 4]);
-                // Explore each candidate once, then exploit the best EMA.
-                match self
-                    .candidates
-                    .iter()
-                    .find(|b| obs[Self::index(**b)].is_none())
-                {
-                    Some(&unexplored) => unexplored,
-                    None => {
-                        let mut best = self.candidates[0];
-                        for &b in &self.candidates[1..] {
-                            let cur = obs[Self::index(b)].expect("explored");
-                            let best_v = obs[Self::index(best)].expect("explored");
-                            if cur < best_v {
-                                best = b;
-                            }
-                        }
-                        let _ = objective; // objective chooses what observe() records
-                        best
-                    }
-                }
+                // `None < Some(_)`, so each candidate is explored once, in
+                // order, before the lowest EMA is exploited (the objective
+                // chooses what observe() records).
+                let ema = |b: Backend| obs[b.index()];
+                DEFAULT_CANDIDATES
+                    .into_iter()
+                    .reduce(|best, b| if ema(b) < ema(best) { b } else { best })
+                    .expect("at least one candidate")
             }
         };
         self.decisions[backend] += 1;
@@ -237,7 +325,7 @@ impl AdaptiveScheduler {
         let slot = &mut self
             .observations
             .entry((width, height))
-            .or_insert([None; 4])[Self::index(backend)];
+            .or_insert([None; 4])[backend.index()];
         *slot = Some(match *slot {
             None => value,
             Some(prev) => prev * (1.0 - EMA_ALPHA) + value * EMA_ALPHA,
@@ -245,7 +333,8 @@ impl AdaptiveScheduler {
     }
 
     /// The cost-model prediction (per-frame seconds or millijoules) for a
-    /// geometry and backend.
+    /// geometry and backend: [`CostModel::predict`]'s total, bit for bit
+    /// the `predicted_s` the engine records for the same frame.
     ///
     /// # Errors
     ///
@@ -258,75 +347,13 @@ impl AdaptiveScheduler {
         objective: Objective,
     ) -> Result<f64, FusionError> {
         let plan = TransformPlan::dtcwt(width, height, self.levels)?;
-        let seconds = self.cost.frame_seconds(&plan, self.rule, backend);
-        Ok(match objective {
-            Objective::Time => seconds,
-            Objective::Energy => self.power.energy_mj(backend.execution_mode(), seconds),
-        })
-    }
-
-    fn model_choice(
-        &self,
-        width: usize,
-        height: usize,
-        objective: Objective,
-    ) -> Result<Backend, FusionError> {
-        let mut best = self.candidates[0];
-        let mut best_v = self.predicted_cost(width, height, best, objective)?;
-        for &b in &self.candidates[1..] {
-            let v = self.predicted_cost(width, height, b, objective)?;
-            if v < best_v {
-                best = b;
-                best_v = v;
-            }
-        }
-        Ok(best)
-    }
-
-    /// Finds the square frame edge at which the FPGA starts beating NEON
-    /// under the given objective (the paper's "breaking point"), scanning
-    /// `lo..=hi`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors for unsupported geometries.
-    pub fn crossover_edge(
-        &self,
-        objective: Objective,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Option<usize>, FusionError> {
-        for edge in lo..=hi {
-            let fpga = self.predicted_cost(edge, edge, Backend::Fpga, objective)?;
-            let neon = self.predicted_cost(edge, edge, Backend::Neon, objective)?;
-            if fpga < neon {
-                return Ok(Some(edge));
-            }
-        }
-        Ok(None)
-    }
-
-    fn index(b: Backend) -> usize {
-        b.index()
+        Ok(Prediction::new(&self.cost, &self.power, DEFAULT_RULE, &plan, backend).value(objective))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threshold_policy_is_a_step_function() {
-        let mut s = AdaptiveScheduler::new(
-            Policy::Threshold {
-                min_pixels: 40 * 40,
-            },
-            3,
-        );
-        assert_eq!(s.choose(35, 35).unwrap(), Backend::Neon);
-        assert_eq!(s.choose(40, 40).unwrap(), Backend::Fpga);
-        assert_eq!(s.decision_counts(), [0, 1, 1, 0]);
-    }
 
     #[test]
     fn model_policy_reproduces_paper_extremes() {
@@ -342,12 +369,10 @@ mod tests {
     fn energy_crossover_is_at_or_above_time_crossover() {
         // The FPGA must win on time before it can win on energy (it draws
         // strictly more power).
-        let s = AdaptiveScheduler::new(Policy::Model(Objective::Time), 3);
-        let t = s.crossover_edge(Objective::Time, 24, 96).unwrap().unwrap();
-        let e = s
-            .crossover_edge(Objective::Energy, 24, 96)
-            .unwrap()
-            .unwrap();
+        let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
+        let edge = |objective| crossover_edge(&cost, &power, 3, objective, 24, 96);
+        let t = edge(Objective::Time).unwrap().unwrap();
+        let e = edge(Objective::Energy).unwrap().unwrap();
         assert!(e >= t, "energy crossover {e} vs time crossover {t}");
     }
 
@@ -388,16 +413,64 @@ mod tests {
         assert!(s.observations.is_empty());
     }
 
+    fn decide_on(
+        cost: &CostModel,
+        (w, h): (usize, usize),
+        candidates: &[Backend],
+        objective: Objective,
+        deadline_s: f64,
+    ) -> Option<Prediction> {
+        let plan = TransformPlan::dtcwt(w, h, 3).unwrap();
+        let power = PowerModel::zc702();
+        decide(
+            cost,
+            &power,
+            DEFAULT_RULE,
+            &plan,
+            candidates,
+            objective,
+            deadline_s,
+        )
+    }
+
     #[test]
     fn hybrid_candidate_wins_everywhere_under_the_model() {
-        let mut s = AdaptiveScheduler::new(Policy::Model(Objective::Time), 3).with_candidates(&[
-            Backend::Neon,
-            Backend::Fpga,
-            Backend::Hybrid,
-        ]);
-        for (w, h) in [(32, 24), (40, 40), (88, 72)] {
-            assert_eq!(s.choose(w, h).unwrap(), Backend::Hybrid, "{w}x{h}");
+        let cost = CostModel::calibrated();
+        let candidates = [Backend::Neon, Backend::Fpga, Backend::Hybrid];
+        for dims in [(32, 24), (40, 40), (88, 72)] {
+            let pick = decide_on(&cost, dims, &candidates, Objective::Time, f64::INFINITY);
+            assert_eq!(pick.unwrap().backend, Backend::Hybrid, "{dims:?}");
         }
+    }
+
+    #[test]
+    fn decide_breaks_ties_toward_the_earlier_candidate() {
+        // With nothing vectorizable, NEON's Amdahl factor is exactly 1, so
+        // ARM and NEON predict the same seconds bit for bit.
+        let mut cost = CostModel::calibrated();
+        cost.neon_vectorizable_forward = 0.0;
+        cost.neon_vectorizable_inverse = 0.0;
+        let pick = |candidates: &[Backend]| {
+            decide_on(&cost, (64, 48), candidates, Objective::Time, f64::INFINITY).unwrap()
+        };
+        let arm_first = pick(&[Backend::Arm, Backend::Neon]);
+        let neon_first = pick(&[Backend::Neon, Backend::Arm]);
+        assert_eq!(arm_first.seconds.to_bits(), neon_first.seconds.to_bits());
+        assert_eq!(arm_first.backend, Backend::Arm);
+        assert_eq!(neon_first.backend, Backend::Neon);
+    }
+
+    #[test]
+    fn decide_drops_candidates_over_the_deadline() {
+        let cost = CostModel::calibrated();
+        let all = [Backend::Arm, Backend::Neon, Backend::Fpga, Backend::Hybrid];
+        let free = decide_on(&cost, (88, 72), &all, Objective::Time, f64::INFINITY).unwrap();
+        // A deadline below the fastest candidate admits nobody...
+        let none = decide_on(&cost, (88, 72), &all, Objective::Time, free.seconds * 0.5);
+        assert_eq!(none, None);
+        // ...and one exactly at it admits the fastest.
+        let at = decide_on(&cost, (88, 72), &all, Objective::Time, free.seconds);
+        assert_eq!(at, Some(free));
     }
 
     #[test]

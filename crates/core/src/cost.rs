@@ -29,6 +29,8 @@ use wavefuse_dtcwt::{Dtcwt, Dwt2d, FilterBank};
 use wavefuse_zynq::bus::acp_burst_pl_cycles;
 use wavefuse_zynq::ZynqConfig;
 
+use crate::backend::Backend;
+use crate::engine::PhaseTiming;
 use crate::rules::{rule_macs_per_coefficient, FusionRule};
 
 /// One aggregated batch of identical row operations.
@@ -555,15 +557,14 @@ impl CostModel {
             .unwrap_or(512)
     }
 
-    /// Total modeled seconds for one fused frame (two forward transforms,
-    /// fusion, one inverse, frame overhead) on a backend.
-    pub fn frame_seconds(
-        &self,
-        plan: &TransformPlan,
-        rule: FusionRule,
-        backend: crate::backend::Backend,
-    ) -> f64 {
-        use crate::backend::Backend;
+    /// Modeled per-phase time for one fused frame of a plan on a backend
+    /// (two forward transforms, fusion, one inverse, capture and frame
+    /// overhead), *without* executing the transforms. This is the only
+    /// per-backend cost prediction: the engine records its
+    /// [`PhaseTiming::total_seconds`] as each frame's `predicted_s`, and
+    /// [`crate::adaptive::decide`] ranks backends by the same sum. For the
+    /// FPGA it is the validated analytic approximation of the simulator.
+    pub fn predict(&self, plan: &TransformPlan, rule: FusionRule, backend: Backend) -> PhaseTiming {
         let (fwd, inv) = match backend {
             Backend::Arm => (
                 self.arm_seconds(plan, Direction::Forward),
@@ -585,11 +586,13 @@ impl CostModel {
                 )
             }
         };
-        2.0 * fwd
-            + inv
-            + self.fusion_seconds(plan, rule)
-            + self.capture_seconds(plan)
-            + self.frame_overhead_seconds(plan)
+        PhaseTiming {
+            capture_s: self.capture_seconds(plan),
+            forward_s: 2.0 * fwd,
+            fusion_s: self.fusion_seconds(plan, rule),
+            inverse_s: inv,
+            overhead_s: self.frame_overhead_seconds(plan),
+        }
     }
 }
 

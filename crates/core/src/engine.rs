@@ -68,8 +68,9 @@ pub struct FusionOutput {
     /// the flight recorder charges the power model's PL increment over it.
     pub pl_busy_s: f64,
     /// Cost model's predicted total frame seconds for this backend and
-    /// geometry — the governor rationale recorded next to the measured
-    /// `timing` so prediction error is visible per frame.
+    /// geometry ([`CostModel::predict`], the prediction every backend
+    /// decision ranks by), recorded next to the measured `timing` so
+    /// prediction error is visible per frame.
     pub predicted_s: f64,
     /// Row-strip fusion jobs this frame fanned out across the worker pool
     /// (0 when fusion ran serially on the dispatcher thread).
@@ -1065,7 +1066,7 @@ impl FusionEngine {
             inverse_s,
             overhead_s: self.cost.frame_overhead_seconds(plan),
         };
-        let predicted_s = self.predict_with_plan(plan, backend).total_seconds();
+        let predicted_s = self.cost.predict(plan, self.rule, backend).total_seconds();
         let energy_mj = self
             .power
             .energy_mj(backend.execution_mode(), timing.total_seconds());
@@ -1363,76 +1364,6 @@ impl FusionEngine {
         };
         self.kernels.restart_ledger(backend);
         cost
-    }
-
-    /// Modeled per-phase time for one fused frame of the given geometry on
-    /// a backend, *without* executing the transforms — the prediction the
-    /// adaptive scheduler uses. For the FPGA this is the validated analytic
-    /// approximation of the simulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError::Transform`] if the geometry cannot support
-    /// the configured depth.
-    pub fn predict(
-        &self,
-        width: usize,
-        height: usize,
-        backend: Backend,
-    ) -> Result<PhaseTiming, FusionError> {
-        let plan = TransformPlan::dtcwt(width, height, self.levels)?;
-        Ok(self.predict_with_plan(&plan, backend))
-    }
-
-    /// [`FusionEngine::predict`] against an already-built plan — pure cost
-    /// arithmetic, so the hot path can record the governor's predicted
-    /// frame cost without allocating.
-    fn predict_with_plan(&self, plan: &TransformPlan, backend: Backend) -> PhaseTiming {
-        let (fwd1, inv1) = match backend {
-            Backend::Arm => (
-                self.cost.arm_seconds(plan, Direction::Forward),
-                self.cost.arm_seconds(plan, Direction::Inverse),
-            ),
-            Backend::Neon => (
-                self.cost.neon_seconds(plan, Direction::Forward),
-                self.cost.neon_seconds(plan, Direction::Inverse),
-            ),
-            Backend::Fpga => (
-                self.cost.fpga_seconds(plan, Direction::Forward),
-                self.cost.fpga_seconds(plan, Direction::Inverse),
-            ),
-            Backend::Hybrid => {
-                let th = self.cost.hybrid_row_threshold();
-                (
-                    self.cost.hybrid_seconds(plan, Direction::Forward, th),
-                    self.cost.hybrid_seconds(plan, Direction::Inverse, th),
-                )
-            }
-        };
-        PhaseTiming {
-            capture_s: self.cost.capture_seconds(plan),
-            forward_s: 2.0 * fwd1,
-            fusion_s: self.cost.fusion_seconds(plan, self.rule),
-            inverse_s: inv1,
-            overhead_s: self.cost.frame_overhead_seconds(plan),
-        }
-    }
-
-    /// Modeled energy (millijoules) for one fused frame on a backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`FusionEngine::predict`].
-    pub fn predict_energy_mj(
-        &self,
-        width: usize,
-        height: usize,
-        backend: Backend,
-    ) -> Result<f64, FusionError> {
-        let t = self.predict(width, height, backend)?;
-        Ok(self
-            .power
-            .energy_mj(backend.execution_mode(), t.total_seconds()))
     }
 }
 
@@ -1928,7 +1859,8 @@ mod tests {
         let (a, b) = inputs(64, 48);
         let mut eng = FusionEngine::new(3).unwrap();
         let measured = eng.fuse(&a, &b, Backend::Fpga).unwrap().timing;
-        let predicted = eng.predict(64, 48, Backend::Fpga).unwrap();
+        let plan = TransformPlan::dtcwt(64, 48, 3).unwrap();
+        let predicted = eng.cost.predict(&plan, eng.rule, Backend::Fpga);
         let err = (measured.forward_s - predicted.forward_s).abs() / measured.forward_s;
         assert!(err < 0.05, "forward prediction off by {:.1}%", err * 100.0);
         let err_i = (measured.inverse_s - predicted.inverse_s).abs() / measured.inverse_s;

@@ -19,7 +19,7 @@ use wavefuse_dtcwt::FilterKernel;
 use wavefuse_simd::SimdKernel;
 use wavefuse_zynq::FpgaKernel;
 
-use crate::cost::{CostModel, Direction, RowOp};
+use crate::cost::{CostModel, Direction};
 
 /// A [`FilterKernel`] that routes each row to the NEON or FPGA engine by
 /// output-row length.
@@ -198,11 +198,6 @@ impl FilterKernel for HybridKernel {
             self.rows_fpga += 1;
         }
     }
-}
-
-/// Re-exported for the cost model's hybrid estimate (same routing rule).
-pub fn routes_to_simd(op: &RowOp, threshold: usize) -> bool {
-    op.words_out < threshold
 }
 
 #[cfg(test)]

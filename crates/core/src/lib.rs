@@ -14,8 +14,9 @@
 //! [`adaptive::AdaptiveScheduler`]: the FPGA wins only above a frame-size
 //! threshold (between 35x35 and 40x40 for time, between 40x40 and 64x48 for
 //! energy), so a run-time selector that switches between NEON and FPGA
-//! dominates both fixed choices. The calibrated timing model behind those
-//! numbers lives in [`cost`]; per-phase attribution (the paper's Fig. 2) in
+//! dominates both fixed choices. Every model-driven choice is one
+//! [`adaptive::decide`] over [`cost::CostModel::predict`], the calibrated
+//! timing model in [`cost`]; per-phase attribution (the paper's Fig. 2) in
 //! [`profile`]; comparison baselines (plain-DWT, Laplacian-pyramid, and
 //! averaging fusion) in [`baseline`].
 //!
@@ -42,7 +43,6 @@ pub mod backend;
 pub mod baseline;
 pub mod cost;
 pub mod engine;
-pub mod governor;
 pub mod hybrid;
 pub mod pipeline;
 pub mod profile;

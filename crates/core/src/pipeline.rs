@@ -398,7 +398,6 @@ impl VideoFusionPipeline {
         let decision = match &self.backend {
             BackendChoice::Fixed(_) => "fixed",
             BackendChoice::Adaptive(s) => match s.policy() {
-                Policy::Threshold { .. } => "threshold",
                 Policy::Model(Objective::Time) => "model-time",
                 Policy::Model(Objective::Energy) => "model-energy",
                 Policy::Online(Objective::Time) => "online-time",

@@ -22,9 +22,9 @@
 //!   keyed by `(geometry, levels)` (columnar is a fleet-wide setting), and
 //!   handed to same-shape engines via [`FusionEngine::adopt_plan`] — 64
 //!   identical streams build one plan, not 64.
-//! * **Fleet-level QoS.** The [`QosGovernor`] picks each `Auto` stream's
-//!   operating point (deepest feasible levels, minimum-energy CPU backend)
-//!   at admission, and the engine's oldest-frame retirement doubles as
+//! * **Fleet-level QoS.** Admission picks each `Auto` stream's operating
+//!   point (deepest feasible levels, then the minimum-energy CPU backend by
+//!   [`decide`]), and the engine's oldest-frame retirement doubles as
 //!   cross-stream backpressure: a fleet-wide in-flight cap drops the
 //!   globally oldest pending frame, charged to its own stream's counters.
 //!
@@ -37,16 +37,17 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wavefuse_dtcwt::{Image, WorkerPool, BATCH_SLOTS};
+use wavefuse_dtcwt::{Dwt2d, Image, WorkerPool, BATCH_SLOTS};
+use wavefuse_power::PowerModel;
 use wavefuse_trace::{LogHistogram, MetricsRegistry};
 use wavefuse_video::camera::{ThermalCamera, WebCamera};
 use wavefuse_video::scene::ScenePair;
 use wavefuse_video::Frame;
 
+use crate::adaptive::{decide, Objective, DEFAULT_RULE};
 use crate::backend::Backend;
-use crate::cost::TransformPlan;
+use crate::cost::{CostModel, TransformPlan};
 use crate::engine::{build_worker_pool, FusionEngine, PendingFusion};
-use crate::governor::QosGovernor;
 use crate::FusionError;
 
 /// Streams per packed round: 8 frame pairs x 8 forward jobs fills the
@@ -63,8 +64,8 @@ pub enum StreamBackend {
     /// [`Backend::Neon`]; the FPGA/hybrid paths are serial by
     /// construction and cannot be packed into the shared ring).
     Fixed(Backend),
-    /// Let the fleet's [`QosGovernor`] pick: deepest feasible levels, then
-    /// the minimum-energy CPU backend meeting `1 / target_fps`. Falls back
+    /// Let admission pick: deepest feasible levels, then the minimum-energy
+    /// CPU backend meeting `1 / target_fps` ([`decide`]). Falls back
     /// to NEON at the configured levels when no operating point is
     /// feasible (counted in [`ServeReport::qos_infeasible`]).
     Auto {
@@ -327,7 +328,7 @@ impl StreamManager {
     }
 
     /// Admits one stream into the fleet: resolves its operating point
-    /// (governor for `Auto`), builds its engine on the shared pool,
+    /// ([`decide`] for `Auto`), builds its engine on the shared pool,
     /// installs the fleet-cached plan, pre-sizes every steady-state
     /// buffer, and constructs its deterministic cameras. Returns the
     /// stream id.
@@ -336,6 +337,11 @@ impl StreamManager {
     ///
     /// Returns [`FusionError::Transform`] if the geometry cannot support
     /// even one decomposition level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Fixed` backend is not a pooled CPU backend, or if an
+    /// `Auto` target rate is not finite and positive.
     pub fn admit(&mut self, cfg: StreamConfig) -> Result<usize, FusionError> {
         let (w, h) = cfg.frame_size;
         let (backend, levels) = self.resolve_operating_point(&cfg)?;
@@ -382,36 +388,51 @@ impl StreamManager {
         Ok(id)
     }
 
-    /// Resolves a stream's `(backend, levels)` operating point — the
-    /// governor's pick for `Auto`, validated pass-through for `Fixed`.
+    /// Resolves a stream's `(backend, levels)` operating point — validated
+    /// pass-through for `Fixed`; for `Auto`, the deepest depth at which
+    /// [`decide`] finds a CPU backend (those are what the ring can pack)
+    /// meeting the frame period, minimum energy first.
     fn resolve_operating_point(
         &mut self,
         cfg: &StreamConfig,
     ) -> Result<(Backend, usize), FusionError> {
-        match cfg.backend {
+        let target_fps = match cfg.backend {
             StreamBackend::Fixed(b) => {
                 assert!(
                     matches!(b, Backend::Arm | Backend::Neon),
                     "serving packs streams onto the pooled CPU backends"
                 );
-                Ok((b, cfg.levels))
+                return Ok((b, cfg.levels));
             }
-            StreamBackend::Auto { target_fps } => {
-                let (w, h) = cfg.frame_size;
-                // Admission is off the hot path, so a per-stream governor
-                // (capped at the stream's requested levels, CPU candidates
-                // only — those are what the ring can pack) is fine.
-                let governor =
-                    QosGovernor::new(cfg.levels).with_candidates(&[Backend::Neon, Backend::Arm]);
-                match governor.decide(w, h, target_fps)? {
-                    Some(d) => Ok((d.backend, d.levels)),
-                    None => {
-                        self.qos_infeasible += 1;
-                        Ok((Backend::Neon, cfg.levels))
-                    }
-                }
+            StreamBackend::Auto { target_fps } => target_fps,
+        };
+        assert!(
+            target_fps.is_finite() && target_fps > 0.0,
+            "an Auto stream needs a finite, positive target rate"
+        );
+        let (w, h) = cfg.frame_size;
+        let deadline_s = 1.0 / target_fps;
+        let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
+        let candidates = [Backend::Neon, Backend::Arm];
+        // Deepest depth first. A geometry without even one level gets the
+        // one-level plan's `BadLevels` error.
+        let cap = cfg.levels.min(Dwt2d::max_levels(w, h)).max(1);
+        for levels in (1..=cap).rev() {
+            let plan = TransformPlan::dtcwt(w, h, levels)?;
+            if let Some(p) = decide(
+                &cost,
+                &power,
+                DEFAULT_RULE,
+                &plan,
+                &candidates,
+                Objective::Energy,
+                deadline_s,
+            ) {
+                return Ok((p.backend, levels));
             }
         }
+        self.qos_infeasible += 1;
+        Ok((Backend::Neon, cfg.levels))
     }
 
     /// Looks up (or builds and caches) the fleet-shared plan for a
@@ -654,16 +675,16 @@ impl StreamManager {
         let mut total_frames = 0u64;
         let mut total_drops = 0u64;
         let mut total_energy = 0.0;
-        let mut min_fps = f64::INFINITY;
-        let mut max_fps: f64 = 0.0;
+        let mut slowest_fps = f64::INFINITY;
+        let mut fastest_fps: f64 = 0.0;
         for (i, s) in self.streams.iter().enumerate() {
             let frames = s.frames - before[i].frames;
             let drops = s.drops - before[i].drops;
             let energy = s.energy_mj - before[i].energy_mj;
             let fps = frames as f64 / wall;
             if frames > 0 {
-                min_fps = min_fps.min(fps);
-                max_fps = max_fps.max(fps);
+                slowest_fps = slowest_fps.min(fps);
+                fastest_fps = fastest_fps.max(fps);
             }
             total_frames += frames;
             total_drops += drops;
@@ -691,8 +712,8 @@ impl StreamManager {
             total_frames,
             total_drops,
             aggregate_fps: total_frames as f64 / wall,
-            fairness: if max_fps > 0.0 && min_fps.is_finite() {
-                min_fps / max_fps
+            fairness: if fastest_fps > 0.0 && slowest_fps.is_finite() {
+                slowest_fps / fastest_fps
             } else {
                 0.0
             },
@@ -719,7 +740,7 @@ pub fn stream_label(stream: usize) -> &'static str {
 /// (no pool, depth 1) and returns the FNV-1a digest of the delivered pixel
 /// stream — the bit-identity reference the fleet path must reproduce.
 ///
-/// `Auto` backends resolve to NEON here (the governor's CPU candidates are
+/// `Auto` backends resolve to NEON here (admission's CPU candidates are
 /// bit-identical, so identity tests should pin the backend).
 ///
 /// # Errors
@@ -828,9 +849,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_streams_take_governor_operating_points() {
+    fn auto_streams_take_admission_operating_points() {
         let mut mgr = StreamManager::new(FleetConfig::default());
-        // Loose deadline: the governor picks a deep, feasible CPU point.
+        // Loose deadline: admission picks a deep, feasible CPU point.
         let relaxed = mgr
             .admit(StreamConfig {
                 backend: StreamBackend::Auto { target_fps: 1.0 },
@@ -852,6 +873,122 @@ mod tests {
         assert_eq!(mgr.stream_backend(strict), Backend::Neon);
         let report = mgr.run(2).unwrap();
         assert_eq!(report.qos_infeasible, 1);
+    }
+
+    /// Admits one `Auto` stream and returns `(backend, levels, infeasible)`.
+    fn admit_auto(
+        (w, h): (usize, usize),
+        levels: usize,
+        target_fps: f64,
+    ) -> Result<(Backend, usize, bool), FusionError> {
+        let mut mgr = StreamManager::new(FleetConfig {
+            threads: 1,
+            ..FleetConfig::default()
+        });
+        let id = mgr.admit(StreamConfig {
+            frame_size: (w, h),
+            levels,
+            backend: StreamBackend::Auto { target_fps },
+            ..StreamConfig::default()
+        })?;
+        Ok((
+            mgr.stream_backend(id),
+            mgr.stream_levels(id),
+            mgr.qos_infeasible == 1,
+        ))
+    }
+
+    /// `(seconds, millijoules)` of one CPU operating point under
+    /// [`CostModel::predict`].
+    fn cpu_point(dims: (usize, usize), levels: usize, backend: Backend) -> (f64, f64) {
+        let plan = TransformPlan::dtcwt(dims.0, dims.1, levels).unwrap();
+        let seconds = CostModel::calibrated()
+            .predict(&plan, DEFAULT_RULE, backend)
+            .total_seconds();
+        let energy = PowerModel::zc702().energy_mj(backend.execution_mode(), seconds);
+        (seconds, energy)
+    }
+
+    /// The fastest one-level CPU frame rate at a geometry.
+    fn one_level_ceiling(dims: (usize, usize)) -> f64 {
+        let fastest = cpu_point(dims, 1, Backend::Neon)
+            .0
+            .min(cpu_point(dims, 1, Backend::Arm).0);
+        1.0 / fastest
+    }
+
+    #[test]
+    fn relaxed_rate_buys_depth() {
+        let ceiling = one_level_ceiling((88, 72));
+        let (_, relaxed, infeasible) = admit_auto((88, 72), 5, ceiling / 10.0).unwrap();
+        assert!(!infeasible);
+        assert_eq!(relaxed, 5, "a relaxed rate affords the full depth");
+        let (_, tight, infeasible) = admit_auto((88, 72), 5, ceiling * 0.95).unwrap();
+        assert!(!infeasible);
+        assert!(relaxed > tight, "{relaxed} vs {tight}");
+    }
+
+    #[test]
+    fn admitted_points_meet_the_frame_period_at_minimum_energy() {
+        let dims = (64, 48);
+        let ceiling = one_level_ceiling(dims);
+        let mut feasible = 0;
+        for scale in [0.1, 0.3, 0.5, 0.7, 0.9, 1.1] {
+            let fps = ceiling * scale;
+            let (backend, levels, infeasible) = admit_auto(dims, 4, fps).unwrap();
+            if infeasible {
+                continue;
+            }
+            feasible += 1;
+            let (seconds, energy) = cpu_point(dims, levels, backend);
+            assert!(seconds <= 1.0 / fps, "{fps} fps: {backend:?} at {levels}");
+            for other in [Backend::Neon, Backend::Arm] {
+                let (s, e) = cpu_point(dims, levels, other);
+                if s <= 1.0 / fps {
+                    assert!(energy <= e, "{fps} fps: {backend:?} vs {other:?}");
+                }
+            }
+        }
+        assert_eq!(feasible, 5, "only the rate above the ceiling is infeasible");
+    }
+
+    #[test]
+    fn auto_admission_rejects_geometry_without_a_level() {
+        assert!(matches!(
+            admit_auto((1, 1), 3, 10.0),
+            Err(FusionError::Transform(
+                wavefuse_dtcwt::DtcwtError::BadLevels {
+                    requested: 1,
+                    max_supported: 0
+                }
+            ))
+        ));
+    }
+
+    #[test]
+    fn governor_tracks_the_platform_ceiling() {
+        let ceiling = one_level_ceiling((88, 72));
+        // Just below the ceiling is feasible, just above is not.
+        assert!(!admit_auto((88, 72), 3, ceiling * 0.95).unwrap().2);
+        assert!(admit_auto((88, 72), 3, ceiling * 1.10).unwrap().2);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, positive target rate")]
+    fn auto_admission_rejects_nan_rate() {
+        let _ = admit_auto((88, 72), 3, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, positive target rate")]
+    fn auto_admission_rejects_zero_rate() {
+        let _ = admit_auto((88, 72), 3, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, positive target rate")]
+    fn auto_admission_rejects_negative_rate() {
+        let _ = admit_auto((88, 72), 3, -30.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! safe inside the zero-allocation steady state.
 //!
 //! Records carry both clocks (host wall microseconds and the modeled
-//! platform clock), the per-phase time and energy split, the governor's
+//! platform clock), the per-phase time and energy split, the backend
 //! decision rationale (deadline, predicted vs measured cost), pool and
 //! scheduler counters, and the PS/PL energy split for FPGA-routed work.
 //! [`FlightRecorder::jsonl`] and [`FlightRecorder::chrome_trace`] are the
@@ -35,7 +35,7 @@ pub struct FrameRecord {
     pub backend: &'static str,
     /// Kernel name (e.g. `"neon-simd"`).
     pub kernel: &'static str,
-    /// Governor decision rationale: `"fixed"` for a pinned backend, or
+    /// Backend decision rationale: `"fixed"` for a pinned backend, or
     /// the adaptive policy label (e.g. `"online-energy"`).
     pub decision: &'static str,
     /// Whether the columnar (transpose-free) column passes were active.
@@ -75,7 +75,7 @@ pub struct FrameRecord {
     /// Row-strip fusion jobs fanned out across the worker pool for this
     /// frame (0 = fusion ran serially on the dispatcher thread).
     pub fusion_strips: u64,
-    /// Real-time budget the governor works against (camera frame period).
+    /// Real-time budget the frame is judged against (camera frame period).
     pub deadline_s: f64,
     /// Whether the output buffer came from the pool (vs a fresh allocation).
     pub pool_hit: bool,

@@ -9,8 +9,10 @@
 //! adaptive policies, and shows that the adaptive scheduler achieves "the
 //! most energy and performance efficient point" the paper predicts.
 
-use wavefuse::core::adaptive::{AdaptiveScheduler, Objective, Policy};
+use wavefuse::core::adaptive::{crossover_edge, AdaptiveScheduler, Objective, Policy};
+use wavefuse::core::cost::CostModel;
 use wavefuse::core::{Backend, FusionEngine};
+use wavefuse::power::PowerModel;
 use wavefuse::video::scene::ScenePair;
 
 const SIZES: [(usize, usize); 5] = [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)];
@@ -33,10 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pick.label()
         );
     }
+    let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
     println!(
         "\nbreaking points: time at {:?}, energy at {:?} (paper: between 40x40 and 64x48)",
-        sched.crossover_edge(Objective::Time, 24, 96)?,
-        sched.crossover_edge(Objective::Energy, 24, 96)?
+        crossover_edge(&cost, &power, 3, Objective::Time, 24, 96)?,
+        crossover_edge(&cost, &power, 3, Objective::Energy, 24, 96)?
     );
 
     // The mixed workload under four policies.

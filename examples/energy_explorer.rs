@@ -9,25 +9,15 @@
 //! "what-if" questions the paper's platform fixes: how does the crossover
 //! move if the PL clock is faster, or the driver overhead smaller?
 
+use wavefuse::core::adaptive::{crossover_edge, decide, Objective};
 use wavefuse::core::cost::{CostModel, TransformPlan};
 use wavefuse::core::rules::FusionRule;
 use wavefuse::core::Backend;
-use wavefuse::power::{ExecutionMode, PowerModel};
+use wavefuse::power::PowerModel;
 use wavefuse::zynq::ZynqConfig;
 
 const LEVELS: usize = 3;
 const RULE: FusionRule = FusionRule::WindowEnergy { radius: 1 };
-
-fn crossover_edge(model: &CostModel, power: &PowerModel) -> Option<usize> {
-    (24..=128).find(|&e| {
-        let plan = TransformPlan::dtcwt(e, e, LEVELS).expect("supported size");
-        let t_fpga = model.frame_seconds(&plan, RULE, Backend::Fpga);
-        let t_neon = model.frame_seconds(&plan, RULE, Backend::Neon);
-        let e_fpga = power.energy_mj(ExecutionMode::ArmFpga, t_fpga);
-        let e_neon = power.energy_mj(ExecutionMode::ArmNeon, t_neon);
-        e_fpga < e_neon
-    })
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = CostModel::calibrated();
@@ -40,22 +30,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for edge in (24..=96).step_by(8) {
         let plan = TransformPlan::dtcwt(edge, edge, LEVELS)?;
-        let e =
-            |b: Backend| power.energy_mj(b.execution_mode(), model.frame_seconds(&plan, RULE, b));
+        let e = |b: Backend| {
+            let seconds = model.predict(&plan, RULE, b).total_seconds();
+            power.energy_mj(b.execution_mode(), seconds)
+        };
         let (ea, en, ef) = (e(Backend::Arm), e(Backend::Neon), e(Backend::Fpga));
-        let winner = if ef < en && ef < ea {
-            "FPGA"
-        } else if en < ea {
-            "NEON"
-        } else {
-            "ARM"
+        let all = [Backend::Arm, Backend::Neon, Backend::Fpga];
+        let winner = match decide(
+            &model,
+            &power,
+            RULE,
+            &plan,
+            &all,
+            Objective::Energy,
+            f64::INFINITY,
+        )
+        .expect("no deadline")
+        .backend
+        {
+            Backend::Fpga => "FPGA",
+            Backend::Neon => "NEON",
+            _ => "ARM",
         };
         println!("{edge:>4}^2 | {ea:>9.3} {en:>9.3} {ef:>9.3} | {winner}");
     }
 
     println!(
         "\nbaseline energy breaking point: {:?} (paper: between 40x40 and 64x48)",
-        crossover_edge(&model, &power)
+        crossover_edge(&model, &power, LEVELS, Objective::Energy, 24, 128)?
     );
 
     // What-if: PL clock scaling. A faster engine shortens the pipeline
@@ -67,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.zynq.pl_clk_hz = mhz * 1e6;
         println!(
             "  PL @ {mhz:>5.0} MHz -> energy crossover {:?}",
-            crossover_edge(&m, &power)
+            crossover_edge(&m, &power, LEVELS, Objective::Energy, 24, 128)?
         );
     }
 
@@ -83,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (base.call_overhead_ps_cycles_inverse as f64 * scale) as u64;
         println!(
             "  {scale:>4.2}x overhead -> energy crossover {:?}",
-            crossover_edge(&m, &power)
+            crossover_edge(&m, &power, LEVELS, Objective::Energy, 24, 128)?
         );
     }
 
@@ -94,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let p = PowerModel::new(0.533, inc_mw / 1e3);
         println!(
             "  +{inc_mw:>5.1} mW -> energy crossover {:?}",
-            crossover_edge(&model, &p)
+            crossover_edge(&model, &p, LEVELS, Objective::Energy, 24, 128)?
         );
     }
     Ok(())

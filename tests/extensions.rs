@@ -1,12 +1,11 @@
 //! Cross-crate integration tests for the features this reproduction adds
-//! beyond the paper: the hybrid backend, the QoS governor,
+//! beyond the paper: the hybrid backend, the scheduler's cost prediction,
 //! registration-before-fusion, and denoising in the capture path.
 
 use std::sync::Arc;
 
-use wavefuse_core::adaptive::Objective;
+use wavefuse_core::adaptive::{AdaptiveScheduler, Objective, Policy};
 use wavefuse_core::engine::build_worker_pool;
-use wavefuse_core::governor::QosGovernor;
 use wavefuse_core::pipeline::{BackendChoice, PipelineConfig, VideoFusionPipeline};
 use wavefuse_core::{Backend, FusionEngine};
 use wavefuse_dtcwt::analysis::circular_shift;
@@ -14,6 +13,7 @@ use wavefuse_dtcwt::denoise::denoise;
 use wavefuse_dtcwt::swt::Swt2d;
 use wavefuse_dtcwt::{ComboStore, CwtPyramid, Dtcwt, FilterBank, Image};
 use wavefuse_metrics::{petrovic_qabf, psnr};
+use wavefuse_power::PowerModel;
 use wavefuse_simd::SimdKernel;
 use wavefuse_video::register::align_to;
 use wavefuse_video::scene::ScenePair;
@@ -54,30 +54,43 @@ fn hybrid_backend_runs_in_the_full_pipeline() {
 }
 
 #[test]
-fn governor_operating_point_is_achievable_by_the_engine() {
-    // The governor's prediction must match what the engine then actually
-    // charges for the chosen configuration.
-    let gov = QosGovernor::new(4);
-    let decision = gov.decide(64, 48, 12.0).unwrap().expect("feasible");
-    let (a, b) = scene_pair(64, 48);
-    let mut engine = FusionEngine::new(decision.levels).unwrap();
-    let out = engine.fuse(&a, &b, decision.backend).unwrap();
-    let measured = out.timing.total_seconds();
-    assert!(
-        (measured - decision.predicted_seconds).abs() < 0.05 * decision.predicted_seconds,
-        "predicted {} vs measured {measured}",
-        decision.predicted_seconds
-    );
-    assert!(measured <= 1.0 / 12.0 * 1.05, "deadline met");
-}
-
-#[test]
-fn governor_tracks_the_platform_ceiling() {
-    let gov = QosGovernor::new(3);
-    let ceiling = gov.max_fps(88, 72, Objective::Time).unwrap();
-    // Just below the ceiling is feasible, just above is not.
-    assert!(gov.decide(88, 72, ceiling * 0.95).unwrap().is_some());
-    assert!(gov.decide(88, 72, ceiling * 1.10).unwrap().is_none());
+fn scheduler_prediction_is_the_engines_prediction() {
+    // The scheduler ranks backends by exactly the cost the engine records
+    // as each frame's `predicted_s` (one `CostModel::predict`, one
+    // summation order), and that prediction tracks what the engine charges.
+    let sched = AdaptiveScheduler::new(Policy::Model(Objective::Time), 3);
+    let power = PowerModel::zc702();
+    let mut engine = FusionEngine::new(3).unwrap();
+    for (w, h) in [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)] {
+        let (a, b) = scene_pair(w, h);
+        for backend in [Backend::Arm, Backend::Neon, Backend::Fpga, Backend::Hybrid] {
+            let out = engine.fuse(&a, &b, backend).unwrap();
+            let predicted = out.predicted_s;
+            let time = sched
+                .predicted_cost(w, h, backend, Objective::Time)
+                .unwrap();
+            assert_eq!(
+                time.to_bits(),
+                predicted.to_bits(),
+                "{w}x{h} {backend:?} seconds"
+            );
+            let energy = sched
+                .predicted_cost(w, h, backend, Objective::Energy)
+                .unwrap();
+            let expected = power.energy_mj(backend.execution_mode(), predicted);
+            assert_eq!(
+                energy.to_bits(),
+                expected.to_bits(),
+                "{w}x{h} {backend:?} energy"
+            );
+            let measured = out.timing.total_seconds();
+            assert!(
+                (measured - predicted).abs() < 0.05 * predicted,
+                "{w}x{h} {backend:?}: predicted {predicted} vs measured {measured}"
+            );
+            engine.recycle(out);
+        }
+    }
 }
 
 #[test]

@@ -42,6 +42,16 @@ echo "== benchmark harness (wavebench/, a package outside the workspace)"
 # of the next benchmark run.
 cargo test -q --release --offline --manifest-path wavebench/Cargo.toml
 
+echo "== modeled paper outputs (repro fig2 ... timeline vs results/repro_modeled.txt)"
+# Every section below is computed from the ZC702 model, not measured, so
+# its stdout is deterministic and pinned byte for byte. A change to the
+# FPGA row cost, the cost model or the decision argmin that moves a
+# figure fails here; regenerate the file only for an intended change.
+cargo run --release -q -p wavefuse-bench --bin repro -- \
+    fig2 table1 fig9a fig9b fig9c fig10 crossover adaptive ablation \
+    quality hybrid levels throughput timeline > target/repro_modeled.txt
+diff -u results/repro_modeled.txt target/repro_modeled.txt
+
 echo "== examples smoke (energy_explorer, adaptive_fusion)"
 # Both examples print breaking points found by adaptive::crossover_edge,
 # the one NEON-vs-FPGA argmin shared with `repro crossover`.

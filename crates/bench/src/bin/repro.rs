@@ -186,12 +186,14 @@ fn main() -> ExitCode {
             println!("{}", report::render_throughput(&rows));
         }
         if wants("timeline") {
-            use wavefuse_zynq::{timeline, ZynqConfig};
+            use wavefuse_zynq::{timeline, Direction, RowCycles, ZynqConfig};
             let cfg = ZynqConfig::default();
             println!(
                 "## PS/PL activity, five 88-sample rows through the double-buffered path (Fig. 5)"
             );
-            let events = timeline::double_buffer_timeline(5, 88, &cfg);
+            // 88 words in and out, one pipeline clock per decimated output.
+            let row = RowCycles::of(88, 88, 44, Direction::Forward, &cfg);
+            let events = timeline::double_buffer_timeline(5, &row, &cfg);
             println!("{}", timeline::render_ascii(&events, 100));
         }
         if wants("quality") {

@@ -333,25 +333,19 @@ pub fn ablation_report() -> Result<Vec<AblationRow>, FusionError> {
     let full = 2.0 * frames * model.fpga_seconds(&plan, Direction::Forward);
 
     // (a) No double buffering: copy and engine run serialize.
-    let ps_t = 1.0 / model.zynq.ps_clk_hz;
-    let pl_t = 1.0 / model.zynq.pl_clk_hz;
+    let ps_t = model.zynq.ps_period();
+    let pl_t = model.zynq.pl_period();
     let mut no_overlap = 0.0;
     let mut gp_port = 0.0;
     for op in plan.forward_ops() {
-        let copy_words = op.words_in + op.words_out;
-        let copy_s = copy_words as f64 * model.zynq.user_memcpy_ps_cycles_per_word * ps_t;
-        let pl = wavefuse_zynq::bus::acp_burst_pl_cycles(op.words_in, &model.zynq)
-            + model.zynq.pipeline_flush_pl_cycles
-            + op.iterations as u64
-            + wavefuse_zynq::bus::acp_burst_pl_cycles(op.words_out, &model.zynq);
-        let fixed = (model.zynq.call_overhead_ps_cycles_forward
-            + 6 * model.zynq.axil_write_ps_cycles) as f64
-            * ps_t;
-        no_overlap += op.count as f64 * (fixed + copy_s + pl as f64 * pl_t);
+        let row = op.row_cycles(Direction::Forward, &model.zynq);
+        let fixed = row.ps_cycles as f64 * ps_t;
+        let copy_s = row.copy_cycles as f64 * ps_t;
+        no_overlap += op.count as f64 * (fixed + copy_s + row.pl_cycles() as f64 * pl_t);
         // (b) GP port: the CPU moves every word itself at ~25 cycles/word,
         // and the pipeline still runs, serially.
-        let gp_s = gp_port_ps_cycles(copy_words) as f64 * ps_t;
-        let pipe_only = (model.zynq.pipeline_flush_pl_cycles + op.iterations as u64) as f64 * pl_t;
+        let gp_s = gp_port_ps_cycles(op.words_in + op.words_out) as f64 * ps_t;
+        let pipe_only = row.pipeline_cycles as f64 * pl_t;
         gp_port += op.count as f64 * (fixed + gp_s + pipe_only);
     }
     no_overlap *= 2.0 * frames;

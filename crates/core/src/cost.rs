@@ -20,14 +20,13 @@
 //!   vectorizable fractions of ~13 % / ~21 % at the 4-lane ideal speedup.
 //! * **FPGA**: per row, a driver/command round-trip (PS cycles) plus
 //!   `max(user memcpy, DMA + II=1 pipeline)` under the paper's Fig. 5
-//!   double-buffer overlap — evaluated with the same `ZynqConfig` constants
-//!   the cycle-level simulator uses, and cross-checked against the
-//!   simulator's ledger in the tests.
+//!   double-buffer overlap — the simulator's own [`RowCycles`], so the
+//!   plan's row sums equal the simulator's ledger cycle for cycle (pinned
+//!   in the tests).
 
 use wavefuse_dtcwt::dwt1d::BankTaps;
 use wavefuse_dtcwt::{Dtcwt, Dwt2d, FilterBank};
-use wavefuse_zynq::bus::acp_burst_pl_cycles;
-use wavefuse_zynq::ZynqConfig;
+use wavefuse_zynq::{coeff_load_ps_cycles, RowCycles, ZynqConfig};
 
 use crate::backend::Backend;
 use crate::engine::PhaseTiming;
@@ -47,6 +46,13 @@ pub struct RowOp {
     pub iterations: usize,
     /// MACs per row in the software implementation.
     pub macs: u64,
+}
+
+impl RowOp {
+    /// The FPGA cost of one row of this batch in direction `dir`.
+    pub fn row_cycles(&self, dir: Direction, cfg: &ZynqConfig) -> RowCycles {
+        RowCycles::of(self.words_in, self.words_out, self.iterations, dir, cfg)
+    }
 }
 
 /// Exact work enumeration of one DT-CWT (forward + inverse) on one frame.
@@ -340,14 +346,7 @@ pub struct ColStripOp {
     pub macs: u64,
 }
 
-/// Transform direction, for model parameters that differ between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Forward (analysis) transform.
-    Forward,
-    /// Inverse (synthesis) transform.
-    Inverse,
-}
+pub use wavefuse_zynq::Direction;
 
 /// The calibrated cost model.
 #[derive(Debug, Clone, PartialEq)]
@@ -431,10 +430,12 @@ impl CostModel {
         for op in ops.iter() {
             total += op.count as f64 * self.fpga_row_seconds(op, dir);
         }
-        // Coefficient reloads: 2 x max_taps register writes each.
-        let load_ps = (2 * self.zynq.max_taps as u64 + 1) * self.zynq.axil_write_ps_cycles;
-        total += plan.coeff_loads as f64 * load_ps as f64 / self.zynq.ps_clk_hz;
-        total
+        total + self.coeff_load_seconds(plan)
+    }
+
+    /// Seconds of the plan's coefficient reloads, serial on the PS.
+    fn coeff_load_seconds(&self, plan: &TransformPlan) -> f64 {
+        plan.coeff_loads as f64 * coeff_load_ps_cycles(&self.zynq) as f64 / self.zynq.ps_clk_hz
     }
 
     /// Seconds to apply a fusion rule to one frame's coefficients (always
@@ -477,19 +478,7 @@ impl CostModel {
     /// Modeled FPGA seconds for one row operation (driver overhead plus
     /// the overlapped copy/engine critical path).
     pub fn fpga_row_seconds(&self, op: &RowOp, dir: Direction) -> f64 {
-        let overhead = match dir {
-            Direction::Forward => self.zynq.call_overhead_ps_cycles_forward,
-            Direction::Inverse => self.zynq.call_overhead_ps_cycles_inverse,
-        };
-        let ps_t = 1.0 / self.zynq.ps_clk_hz;
-        let pl_t = 1.0 / self.zynq.pl_clk_hz;
-        let copy_words = op.words_in + op.words_out;
-        let copy_s = copy_words as f64 * self.zynq.user_memcpy_ps_cycles_per_word * ps_t;
-        let pl = acp_burst_pl_cycles(op.words_in, &self.zynq)
-            + self.zynq.pipeline_flush_pl_cycles
-            + op.iterations as u64
-            + acp_burst_pl_cycles(op.words_out, &self.zynq);
-        (overhead + 6 * self.zynq.axil_write_ps_cycles) as f64 * ps_t + copy_s.max(pl as f64 * pl_t)
+        op.row_cycles(dir, &self.zynq).serial_seconds(&self.zynq)
     }
 
     /// Seconds for one transform on the hybrid backend: each row runs on
@@ -505,33 +494,24 @@ impl CostModel {
             Direction::Forward => &plan.forward_ops,
             Direction::Inverse => &plan.inverse_ops,
         };
-        let overhead = match dir {
-            Direction::Forward => self.zynq.call_overhead_ps_cycles_forward,
-            Direction::Inverse => self.zynq.call_overhead_ps_cycles_inverse,
-        };
-        let ps_t = 1.0 / self.zynq.ps_clk_hz;
-        let pl_t = 1.0 / self.zynq.pl_clk_hz;
+        let ps_t = self.zynq.ps_period();
+        let pl_t = self.zynq.pl_period();
         let mut ps = 0.0f64;
         let mut pl = 0.0f64;
         for op in ops.iter() {
             if op.words_out < threshold {
                 ps += op.count as f64 * self.neon_row_seconds(op.macs, dir);
             } else {
-                let copy_s = (op.words_in + op.words_out) as f64
-                    * self.zynq.user_memcpy_ps_cycles_per_word
-                    * ps_t;
-                ps += op.count as f64
-                    * ((overhead + 6 * self.zynq.axil_write_ps_cycles) as f64 * ps_t + copy_s);
-                let pl_cycles = acp_burst_pl_cycles(op.words_in, &self.zynq)
-                    + self.zynq.pipeline_flush_pl_cycles
-                    + op.iterations as u64
-                    + acp_burst_pl_cycles(op.words_out, &self.zynq);
-                pl += op.count as f64 * pl_cycles as f64 * pl_t;
+                let row = op.row_cycles(dir, &self.zynq);
+                // Two products, not one: summing the cycles first would
+                // round differently and move the pinned modeled outputs.
+                ps +=
+                    op.count as f64 * (row.ps_cycles as f64 * ps_t + row.copy_cycles as f64 * ps_t);
+                pl += op.count as f64 * row.pl_cycles() as f64 * pl_t;
             }
         }
         // Coefficient reloads run on the PS lane, as in `fpga_seconds`.
-        let load_ps = (2 * self.zynq.max_taps as u64 + 1) * self.zynq.axil_write_ps_cycles;
-        ps += plan.coeff_loads as f64 * load_ps as f64 / self.zynq.ps_clk_hz;
+        ps += self.coeff_load_seconds(plan);
         ps.max(pl)
     }
 
@@ -616,7 +596,7 @@ pub fn standard_dtcwt(levels: usize) -> Result<Dtcwt, wavefuse_dtcwt::DtcwtError
 mod tests {
     use super::*;
     use wavefuse_dtcwt::Image;
-    use wavefuse_zynq::FpgaKernel;
+    use wavefuse_zynq::{CycleLedger, FpgaKernel};
 
     #[test]
     fn plan_scales_with_area() {
@@ -668,23 +648,62 @@ mod tests {
 
     #[test]
     fn analytic_fpga_time_tracks_simulator_ledger() {
-        // The analytic model and the cycle-level simulator must agree:
-        // run a real forward transform through the FpgaKernel and compare.
+        // The plan and the cycle-level simulator charge every row through
+        // the same `RowCycles`, so a fresh kernel's ledger must equal the
+        // plan's row sums exactly, in both directions. The one residual is
+        // the plan's fixed coefficient-load count, which differs from the
+        // loads a fresh kernel performs (1/10/14/18 at depths 1-4 against
+        // the plan's 4/12/20/20). It moves the seconds by at most 0.62 %
+        // (8x8, depth 3, forward), so they must agree within 1 %. An 8x8
+        // frame supports only three levels.
         let m = CostModel::calibrated();
-        for (w, h) in [(32, 24), (64, 48)] {
-            let plan = TransformPlan::dtcwt(w, h, 3).unwrap();
-            let analytic = m.fpga_seconds(&plan, Direction::Forward);
-            let t = standard_dtcwt(3).unwrap();
+        let cfg = &m.zynq;
+        for (w, h) in [(8, 8), (32, 24), (41, 41), (64, 48), (90, 62)] {
             let img = Image::from_fn(w, h, |x, y| ((x + y) % 9) as f32);
-            let mut fpga = FpgaKernel::new();
-            let _ = t.forward_with(&mut fpga, &img).unwrap();
-            let measured = fpga.ledger().elapsed_seconds;
-            let err = (analytic - measured).abs() / measured;
-            assert!(
-                err < 0.05,
-                "{w}x{h}: analytic {analytic:.6} vs ledger {measured:.6} ({:.1} %)",
-                err * 100.0
-            );
+            for levels in (1..=4).filter(|&l| l <= Dwt2d::max_levels(w, h)) {
+                let plan = TransformPlan::dtcwt(w, h, levels).unwrap();
+                let t = standard_dtcwt(levels).unwrap();
+                let pyr = t.forward(&img).unwrap();
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let tag = format!("{w}x{h} L{levels} {dir:?}");
+                    let mut fpga = FpgaKernel::new();
+                    let ops = match dir {
+                        Direction::Forward => {
+                            t.forward_with(&mut fpga, &img).unwrap();
+                            plan.forward_ops()
+                        }
+                        Direction::Inverse => {
+                            t.inverse_with(&mut fpga, &pyr).unwrap();
+                            plan.inverse_ops()
+                        }
+                    };
+                    let mut want = CycleLedger::new();
+                    for op in ops {
+                        let row = op.row_cycles(dir, cfg);
+                        want.engine_calls += op.count;
+                        want.ps_overhead_cycles += op.count * row.ps_cycles;
+                        want.ps_copy_cycles += op.count * row.copy_cycles;
+                        want.pl_cycles += op.count * row.pl_cycles();
+                    }
+                    let got = fpga.ledger();
+                    assert_eq!(got.engine_calls, want.engine_calls, "{tag}");
+                    assert_eq!(got.pl_cycles, want.pl_cycles, "{tag}");
+                    assert_eq!(got.ps_copy_cycles, want.ps_copy_cycles, "{tag}");
+                    assert_eq!(
+                        got.ps_overhead_cycles,
+                        want.ps_overhead_cycles + got.coeff_loads * coeff_load_ps_cycles(cfg),
+                        "{tag}"
+                    );
+                    let analytic = m.fpga_seconds(&plan, dir);
+                    let measured = got.elapsed_seconds;
+                    let err = (analytic - measured).abs() / measured;
+                    assert!(
+                        err < 0.01,
+                        "{tag}: analytic {analytic:.6} vs ledger {measured:.6} ({:.2} %)",
+                        err * 100.0
+                    );
+                }
+            }
         }
     }
 

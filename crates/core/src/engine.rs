@@ -633,11 +633,6 @@ impl FusionEngine {
         self.rule
     }
 
-    /// The calibrated cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The platform power model in use.
     pub fn power_model(&self) -> &PowerModel {
         &self.power
@@ -1227,11 +1222,6 @@ impl FusionEngine {
             }
         }
         false
-    }
-
-    /// Frames currently in flight on this engine's ring.
-    pub fn frames_in_flight(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Abandons the oldest in-flight pooled frame (a [`PendingFusion`]

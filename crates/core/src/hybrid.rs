@@ -25,11 +25,11 @@ use crate::cost::{CostModel, Direction};
 /// output-row length.
 ///
 /// Time accounting: FPGA-routed rows accumulate in the wrapped
-/// [`FpgaKernel`]'s cycle ledger; SIMD-routed rows accumulate modeled NEON
-/// time from the calibrated cost model. The wrapped kernel runs with the
-/// async DMA overlap enabled, so [`HybridKernel::elapsed_seconds`] is the
-/// end of the combined PS/PL timeline — SIMD rows and driver work overlap
-/// in-flight PL engine runs instead of summing serially.
+/// [`FpgaKernel`]'s cycle ledger; SIMD-routed rows push modeled NEON time
+/// from the calibrated cost model onto the kernel's DMA timeline, so
+/// [`HybridKernel::elapsed_seconds`] is the end of the combined PS/PL
+/// timeline — SIMD rows and driver work overlap in-flight PL engine runs
+/// instead of summing serially.
 ///
 /// # Examples
 ///
@@ -53,7 +53,6 @@ pub struct HybridKernel {
     fpga: FpgaKernel,
     cost: CostModel,
     threshold: usize,
-    simd_seconds: f64,
     rows_simd: u64,
     rows_fpga: u64,
 }
@@ -70,17 +69,11 @@ impl HybridKernel {
     /// Creates a hybrid kernel routing rows shorter than `threshold`
     /// output samples to the SIMD engine.
     pub fn with_threshold(threshold: usize) -> Self {
-        let mut fpga = FpgaKernel::new();
-        // The hybrid schedule is exactly the async-overlap scenario: the PS
-        // runs SIMD rows (and driver/copy work) while the PL engine owns
-        // long rows in flight, so enable the double-buffered DMA timeline.
-        fpga.set_dma_overlap(true);
         HybridKernel {
             simd: SimdKernel::new(),
-            fpga,
+            fpga: FpgaKernel::new(),
             cost: CostModel::calibrated(),
             threshold,
-            simd_seconds: 0.0,
             rows_simd: 0,
             rows_fpga: 0,
         }
@@ -97,19 +90,12 @@ impl HybridKernel {
         self.fpga.set_telemetry(telemetry);
     }
 
-    /// Total modeled elapsed seconds since the last reset.
-    ///
-    /// With the async DMA overlap enabled (the default), this is the end of
-    /// the combined PS/PL timeline: SIMD rows, driver overhead and user
-    /// copies advance the PS lane while engine runs retire on the PL lane,
-    /// so host compute in flight with the engine is not double-charged.
-    /// Without overlap it degrades to the serial sum (FPGA ledger plus
-    /// modeled SIMD time).
+    /// Total modeled elapsed seconds since the last reset: the end of the
+    /// combined PS/PL timeline. SIMD rows, driver overhead and user copies
+    /// advance the PS lane while engine runs retire on the PL lane, so host
+    /// compute in flight with the engine is not double-charged.
     pub fn elapsed_seconds(&self) -> f64 {
-        match self.fpga.dma_timeline() {
-            Some(tl) => tl.elapsed_seconds(),
-            None => self.fpga.ledger().elapsed_seconds + self.simd_seconds,
-        }
+        self.fpga.dma_timeline().elapsed_seconds()
     }
 
     /// Seconds the PL engine spent busy since the last reset — the
@@ -133,7 +119,6 @@ impl HybridKernel {
     /// Resets all accounting.
     pub fn reset(&mut self) {
         self.fpga.reset_ledger();
-        self.simd_seconds = 0.0;
         self.rows_simd = 0;
         self.rows_fpga = 0;
     }
@@ -164,9 +149,8 @@ impl FilterKernel for HybridKernel {
         if row_len < self.threshold {
             self.simd.analyze_row(ext, left, h0, h1, phase, lo, hi);
             let macs = lo.len() as u64 * (h0.len() + h1.len()) as u64;
-            let s = self.cost.neon_row_seconds(macs, Direction::Forward);
-            self.simd_seconds += s;
-            self.fpga.push_host_seconds(s);
+            self.fpga
+                .push_host_seconds(self.cost.neon_row_seconds(macs, Direction::Forward));
             self.rows_simd += 1;
         } else {
             self.fpga.analyze_row(ext, left, h0, h1, phase, lo, hi);
@@ -188,9 +172,8 @@ impl FilterKernel for HybridKernel {
             self.simd
                 .synthesize_row(lo_ext, hi_ext, left, g0, g1, phase, out);
             let macs = (out.len() as u64 * (g0.len() + g1.len()) as u64).div_ceil(2);
-            let s = self.cost.neon_row_seconds(macs, Direction::Inverse);
-            self.simd_seconds += s;
-            self.fpga.push_host_seconds(s);
+            self.fpga
+                .push_host_seconds(self.cost.neon_row_seconds(macs, Direction::Inverse));
             self.rows_simd += 1;
         } else {
             self.fpga

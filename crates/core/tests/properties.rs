@@ -150,8 +150,9 @@ proptest! {
             let neon = m.neon_seconds(&plan, dir);
             let fpga = m.fpga_seconds(&plan, dir);
             // The hybrid routes each row to the per-row argmin, so it can
-            // be at most marginally above the better pure backend (the
-            // coefficient-load term is charged to the pure FPGA only).
+            // be at most marginally above the better pure backend: it
+            // charges the coefficient loads on its PS lane, as the pure
+            // FPGA does, even when every row runs on NEON.
             prop_assert!(hybrid <= neon * 1.001 + 1e-9, "{hybrid} vs neon {neon}");
             prop_assert!(hybrid <= fpga * 1.02 + 1e-9, "{hybrid} vs fpga {fpga}");
         }

@@ -218,8 +218,6 @@ const COMBOS: [(Tree, Tree); 4] = [
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dtcwt {
-    level1: FilterBank,
-    qshift: FilterBank,
     level1_taps: BankTaps,
     qshift_fwd_taps: BankTaps,
     qshift_rev_taps: BankTaps,
@@ -258,24 +256,11 @@ impl Dtcwt {
         let qshift_fwd_taps = BankTaps::new(&qshift);
         let qshift_rev_taps = BankTaps::new(&qshift.time_reverse());
         Ok(Dtcwt {
-            level1,
-            qshift,
             level1_taps,
             qshift_fwd_taps,
             qshift_rev_taps,
             levels,
         })
-    }
-
-    /// The level-1 filter bank.
-    pub fn level1_bank(&self) -> &FilterBank {
-        &self.level1
-    }
-
-    /// The quarter-shift bank used at levels ≥ 2 (tree A; tree B is its time
-    /// reverse).
-    pub fn qshift_bank(&self) -> &FilterBank {
-        &self.qshift
     }
 
     /// Number of decomposition levels.

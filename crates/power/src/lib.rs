@@ -17,8 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod battery;
 pub mod model;
 
-pub use battery::Battery;
 pub use model::{ExecutionMode, PowerModel};

@@ -174,19 +174,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a gauge (`None` if the series does not exist).
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self
-            .series
-            .lock()
-            .expect("series map")
-            .get(&SeriesKey::new(name, labels))
-        {
-            Some(Series::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
     /// Snapshot of a histogram series.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramData> {
         match self

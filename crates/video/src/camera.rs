@@ -61,25 +61,6 @@ impl WebCamera {
         self.fps
     }
 
-    /// The raw RGB frame as the USB stack would deliver it (the visible
-    /// scene is near-monochrome with a slight warm cast, as cheap webcam
-    /// sensors render indoor scenes).
-    pub fn next_raw_rgb(&mut self) -> RawFrame {
-        let t = self.seq as f64 / self.fps;
-        self.seq += 1;
-        self.scene.render_visible_scratch(
-            self.width,
-            self.height,
-            t,
-            &mut self.scratch,
-            &mut self.render,
-        );
-        let mut bytes = Vec::with_capacity(self.width * self.height * 3);
-        quantize_rgb(&self.render, &mut bytes);
-        RawFrame::new(PixelFormat::Rgb888, self.width, self.height, bytes)
-            .expect("sensor geometry is consistent")
-    }
-
     /// Captures the next frame: render → RGB sensor quantization → USB
     /// decode → grayscale conversion (the paper gray-scales the webcam
     /// stream before fusion).
@@ -171,11 +152,6 @@ impl ThermalCamera {
             up: BilinearPlan::new(sw, sh, fw, fh).expect("non-empty field geometry"),
             down: BilinearPlan::new(fw, fh, out_width, out_height).ok(),
         }
-    }
-
-    /// Fields per second on the wire.
-    pub fn field_rate(&self) -> f64 {
-        self.field_fps
     }
 
     /// The raw BT.656 byte stream of the next field — what the FMC pins

@@ -9,7 +9,6 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::Frame;
 use wavefuse_dtcwt::Image;
 
 /// Writes an image as an 8-bit binary PGM file, clamping pixel values to
@@ -45,15 +44,6 @@ pub fn write_pgm(img: &Image, path: impl AsRef<Path>) -> io::Result<()> {
             .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8),
     );
     fs::write(path, out)
-}
-
-/// Writes a frame (convenience wrapper over [`write_pgm`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_frame_pgm(frame: &Frame, path: impl AsRef<Path>) -> io::Result<()> {
-    write_pgm(frame.image(), path)
 }
 
 /// Reads an 8-bit binary PGM file back into an image with values in

@@ -167,7 +167,7 @@ impl WaveletDriver {
                 data.len() as f64,
             );
         }
-        Ok((data.len() as f64 * self.cfg.user_memcpy_ps_cycles_per_word).ceil() as u64)
+        Ok(user_copy_ps_cycles(data.len(), &self.cfg))
     }
 
     /// The accelerator-visible view of the active input area (`len` words at
@@ -236,7 +236,7 @@ impl WaveletDriver {
                 dst.len() as f64,
             );
         }
-        Ok((dst.len() as f64 * self.cfg.user_memcpy_ps_cycles_per_word).ceil() as u64)
+        Ok(user_copy_ps_cycles(dst.len(), &self.cfg))
     }
 
     /// Usage counters.
@@ -248,6 +248,12 @@ impl WaveletDriver {
     pub fn active_buffer(&self) -> usize {
         self.active
     }
+}
+
+/// PS cycles of one user-space `memcpy` of `words` words to or from the
+/// kernel DMA area.
+pub(crate) fn user_copy_ps_cycles(words: usize, cfg: &ZynqConfig) -> u64 {
+    (words as f64 * cfg.user_memcpy_ps_cycles_per_word).ceil() as u64
 }
 
 #[cfg(test)]

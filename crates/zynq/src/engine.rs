@@ -9,14 +9,16 @@
 //! forward, inverse). VIVADO_HLS pipelines the sample loop to an initiation
 //! interval of one clock; the `memcpy`s do not overlap the loop ("current
 //! VIVADO_HLS tools do not pipeline the memcpy's"), so a row costs
-//! `dma_in + fill + iterations + dma_out` PL cycles — the model used here.
+//! `dma_in + fill + iterations + dma_out` PL cycles — the PL half of
+//! [`RowCycles`].
 //!
 //! The datapath *really computes* the filter outputs by shifting samples
 //! through the register exactly as the HLS code does, so engine results are
 //! verified against the scalar software kernel in the tests below.
 
-use crate::bus::{acp_burst_pl_cycles, AxiLiteRegisterFile, EngineMode, EngineReg};
+use crate::bus::{AxiLiteRegisterFile, EngineMode, EngineReg};
 use crate::config::ZynqConfig;
+use crate::ledger::{coeff_load_ps_cycles, Direction, RowCycles};
 use crate::ZynqError;
 
 /// Engine status values visible in the [`EngineReg::Status`] register.
@@ -32,8 +34,10 @@ pub mod status {
 /// Cost and traffic of one engine invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineRun {
-    /// PL cycles consumed (DMA + pipeline).
-    pub pl_cycles: u64,
+    /// The row's cost from [`RowCycles::of`]. Its PL half (DMA + pipeline)
+    /// is what the engine consumed; the caller that drives the engine
+    /// supplies the PS half it actually spent.
+    pub cycles: RowCycles,
     /// Words streamed into the engine.
     pub words_in: usize,
     /// Words streamed out of the engine.
@@ -151,26 +155,11 @@ impl WaveletEngine {
     /// Returns [`ZynqError::FilterTooLong`] if either filter exceeds the
     /// hardware register depth.
     pub fn load_analysis_filters(&mut self, h0: &[f32], h1: &[f32]) -> Result<u64, ZynqError> {
-        let t = self.cfg.max_taps;
-        for f in [h0, h1] {
-            if f.len() > t {
-                return Err(ZynqError::FilterTooLong {
-                    taps: f.len(),
-                    max_taps: t,
-                });
-            }
-        }
+        self.begin_coeff_load(h0, h1)?;
         fill_reversed_front_padded(&mut self.c_lp, h0);
         fill_reversed_front_padded(&mut self.c_hp, h1);
         store_shadow(&mut self.loaded_analysis, h0, h1);
-        let mut ps = self.regs.write(
-            EngineReg::Mode,
-            EngineMode::LoadCoefficients.encode(),
-            &self.cfg,
-        );
-        // One register write per coefficient slot of both banks.
-        ps += 2 * t as u64 * self.cfg.axil_write_ps_cycles;
-        Ok(ps)
+        Ok(coeff_load_ps_cycles(&self.cfg))
     }
 
     /// Loads the synthesis filter pair (mode 1), returning PS cycles.
@@ -180,8 +169,18 @@ impl WaveletEngine {
     /// Returns [`ZynqError::FilterTooLong`] if either filter exceeds the
     /// hardware register depth.
     pub fn load_synthesis_filters(&mut self, g0: &[f32], g1: &[f32]) -> Result<u64, ZynqError> {
+        self.begin_coeff_load(g0, g1)?;
+        fill_polyphase(&mut self.s_lp_even, &mut self.s_lp_odd, g0);
+        fill_polyphase(&mut self.s_hp_even, &mut self.s_hp_odd, g1);
+        store_shadow(&mut self.loaded_synthesis, g0, g1);
+        Ok(coeff_load_ps_cycles(&self.cfg))
+    }
+
+    /// Checks a filter pair against the register depth and selects the
+    /// coefficient-load mode (mode 1).
+    fn begin_coeff_load(&mut self, a: &[f32], b: &[f32]) -> Result<(), ZynqError> {
         let t = self.cfg.max_taps;
-        for f in [g0, g1] {
+        for f in [a, b] {
             if f.len() > t {
                 return Err(ZynqError::FilterTooLong {
                     taps: f.len(),
@@ -189,16 +188,12 @@ impl WaveletEngine {
                 });
             }
         }
-        fill_polyphase(&mut self.s_lp_even, &mut self.s_lp_odd, g0);
-        fill_polyphase(&mut self.s_hp_even, &mut self.s_hp_odd, g1);
-        store_shadow(&mut self.loaded_synthesis, g0, g1);
-        let mut ps = self.regs.write(
+        self.regs.write(
             EngineReg::Mode,
             EngineMode::LoadCoefficients.encode(),
             &self.cfg,
         );
-        ps += 2 * t as u64 * self.cfg.axil_write_ps_cycles;
-        Ok(ps)
+        Ok(())
     }
 
     /// Runs one forward (decimating) row through the datapath (mode 2),
@@ -288,13 +283,9 @@ impl WaveletEngine {
 
         let words_in = ext.len();
         let words_out = 2 * n_out;
-        let pl_cycles = acp_burst_pl_cycles(words_in, &self.cfg)
-            + self.cfg.pipeline_flush_pl_cycles
-            + n_out as u64
-            + acp_burst_pl_cycles(words_out, &self.cfg);
         Ok(RowTicket {
             run: EngineRun {
-                pl_cycles,
+                cycles: RowCycles::of(words_in, words_out, n_out, Direction::Forward, &self.cfg),
                 words_in,
                 words_out,
             },
@@ -374,13 +365,15 @@ impl WaveletEngine {
         }
 
         let words_out = out.len();
-        let pl_cycles = acp_burst_pl_cycles(words_in, &self.cfg)
-            + self.cfg.pipeline_flush_pl_cycles
-            + words_out as u64
-            + acp_burst_pl_cycles(words_out, &self.cfg);
         Ok(RowTicket {
             run: EngineRun {
-                pl_cycles,
+                cycles: RowCycles::of(
+                    words_in,
+                    words_out,
+                    words_out,
+                    Direction::Inverse,
+                    &self.cfg,
+                ),
                 words_in,
                 words_out,
             },
@@ -477,6 +470,7 @@ fn fill_polyphase(even: &mut [f32], odd: &mut [f32], taps: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::acp_burst_pl_cycles;
     use wavefuse_dtcwt::dwt1d::{analyze, synthesize, BankTaps, Phase};
     use wavefuse_dtcwt::{FilterBank, FilterKernel, ScalarKernel};
 
@@ -623,7 +617,7 @@ mod tests {
             + cfg.pipeline_flush_pl_cycles
             + 44
             + acp_burst_pl_cycles(88, &cfg);
-        assert_eq!(run.pl_cycles, expect);
+        assert_eq!(run.cycles.pl_cycles(), expect);
         assert_eq!(run.words_in, 100);
         assert_eq!(run.words_out, 88);
     }

@@ -12,7 +12,7 @@
 //!
 //! Per Fig. 5, step 2 of row *n+1* overlaps steps 3 of row *n*; the ledger's
 //! elapsed time therefore charges `max(copy, engine)` per row plus the fixed
-//! overheads.
+//! overheads ([`RowCycles::serial_seconds`]).
 
 use std::sync::Arc;
 
@@ -20,12 +20,12 @@ use crate::bus::{EngineMode, EngineReg};
 use crate::config::ZynqConfig;
 use crate::driver::{IoctlRequest, WaveletDriver};
 use crate::engine::WaveletEngine;
-use crate::ledger::CycleLedger;
+use crate::ledger::{CycleLedger, Direction, RowCycles};
 use crate::ZynqError;
 use wavefuse_dtcwt::FilterKernel;
 use wavefuse_trace::MetricsRegistry;
 
-/// Double-buffered DMA timeline: the opt-in asynchronous overlap model.
+/// Double-buffered DMA timeline: the asynchronous overlap model.
 ///
 /// The serial ledger charges every row `overhead + max(copy, engine)` — the
 /// PS is assumed to block on each engine run. The real ACP engine does not
@@ -91,9 +91,9 @@ pub struct FpgaKernel {
     driver: WaveletDriver,
     ledger: CycleLedger,
     telemetry: Option<Arc<MetricsRegistry>>,
-    /// Present when the async overlap model is enabled; tracks the
-    /// overlapped schedule alongside the ledger's serial accounting.
-    overlap: Option<DmaTimeline>,
+    /// The overlapped schedule, tracked alongside the ledger's serial
+    /// accounting.
+    overlap: DmaTimeline,
     /// Row staging scratch (interleaved outputs / combined channels),
     /// persistent so steady-state rows never allocate.
     row_scratch: Vec<f32>,
@@ -119,37 +119,23 @@ impl FpgaKernel {
             ledger: CycleLedger::new(),
             cfg,
             telemetry: None,
-            overlap: None,
+            overlap: DmaTimeline::default(),
             row_scratch: Vec::new(),
         }
     }
 
-    /// Enables (or disables) the asynchronous double-buffered DMA overlap
-    /// model. Off by default: the ledger then charges the paper's serial
-    /// Fig. 5 schedule. When on, [`Self::dma_timeline`] tracks the
-    /// overlapped schedule the split submit/wait interface permits; results
-    /// are bit-identical either way — only time accounting differs.
-    pub fn set_dma_overlap(&mut self, enabled: bool) {
-        self.overlap = if enabled {
-            Some(DmaTimeline::default())
-        } else {
-            None
-        };
-    }
-
-    /// The async overlap timeline, when enabled via
-    /// [`Self::set_dma_overlap`].
-    pub fn dma_timeline(&self) -> Option<&DmaTimeline> {
-        self.overlap.as_ref()
+    /// The overlapped schedule the split submit/wait interface permits.
+    /// The ledger keeps charging the paper's serial Fig. 5 schedule; this
+    /// timeline is the same rows with the PS free to run ahead of the PL.
+    pub fn dma_timeline(&self) -> &DmaTimeline {
+        &self.overlap
     }
 
     /// Charges `s` seconds of host-side compute onto the PS timeline of the
-    /// overlap model (no-op when overlap is disabled). The hybrid kernel
-    /// uses this for SIMD-routed rows that run while the PL engine is busy.
+    /// overlap model. The hybrid kernel uses this for SIMD-routed rows that
+    /// run while the PL engine is busy.
     pub fn push_host_seconds(&mut self, s: f64) {
-        if let Some(tl) = &mut self.overlap {
-            tl.push_ps(s);
-        }
+        self.overlap.push_ps(s);
     }
 
     /// Attaches a metrics registry (propagated to the driver model):
@@ -190,12 +176,10 @@ impl FpgaKernel {
     }
 
     /// Resets the accounting to zero (e.g. between benchmark phases),
-    /// including the overlap timeline when enabled.
+    /// including the overlap timeline.
     pub fn reset_ledger(&mut self) {
         self.ledger.reset();
-        if let Some(tl) = &mut self.overlap {
-            *tl = DmaTimeline::default();
-        }
+        self.overlap = DmaTimeline::default();
     }
 
     /// The underlying engine (for inspection).
@@ -208,29 +192,35 @@ impl FpgaKernel {
         &self.driver
     }
 
-    fn charge_row(&mut self, overhead_ps: u64, copy_ps: u64, pl: u64) {
-        self.ledger.engine_calls += 1;
-        self.ledger.ps_overhead_cycles += overhead_ps;
-        self.ledger.ps_copy_cycles += copy_ps;
-        self.ledger.pl_cycles += pl;
-        // Fig. 5 overlap: the user copy of the next row hides behind the
-        // engine run of this one, so the critical path per row is the
-        // slower of the two, plus the serial driver overhead.
-        let copy_s = copy_ps as f64 * self.cfg.ps_period();
-        let engine_s = pl as f64 * self.cfg.pl_period();
-        let row_s = overhead_ps as f64 * self.cfg.ps_period() + copy_s.max(engine_s);
-        self.ledger.elapsed_seconds += row_s;
-        if let Some(tl) = &mut self.overlap {
-            tl.push_row(overhead_ps as f64 * self.cfg.ps_period(), copy_s, engine_s);
-        }
+    /// Charges one row to the ledger and the overlap timeline. The PL half
+    /// is the engine's report; the PS half is what the simulated register
+    /// writes and driver copies charged.
+    fn charge_row(&mut self, row: &RowCycles) {
+        self.ledger.charge_row(row, &self.cfg);
+        self.overlap.push_row(
+            row.ps_cycles as f64 * self.cfg.ps_period(),
+            row.copy_cycles as f64 * self.cfg.ps_period(),
+            row.pl_cycles() as f64 * self.cfg.pl_period(),
+        );
         if let Some(m) = &self.telemetry {
             m.counter_add("wavefuse_fpga_engine_calls_total", &[], 1.0);
-            m.counter_add("wavefuse_fpga_pl_cycles_total", &[], pl as f64);
+            m.counter_add("wavefuse_fpga_pl_cycles_total", &[], row.pl_cycles() as f64);
             m.counter_add(
                 "wavefuse_fpga_ps_cycles_total",
                 &[],
-                (overhead_ps + copy_ps) as f64,
+                (row.ps_cycles + row.copy_cycles) as f64,
             );
+        }
+    }
+
+    /// Charges one coefficient load of `ps` PS cycles, serial on the PS.
+    fn charge_coeff_load(&mut self, ps: u64) {
+        self.ledger.coeff_loads += 1;
+        self.ledger.ps_overhead_cycles += ps;
+        self.ledger.elapsed_seconds += ps as f64 * self.cfg.ps_period();
+        self.overlap.push_ps(ps as f64 * self.cfg.ps_period());
+        if let Some(m) = &self.telemetry {
+            m.counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
         }
     }
 
@@ -260,19 +250,11 @@ impl FpgaKernel {
     ) -> Result<(), ZynqError> {
         if !self.engine.analysis_filters_match(h0, h1) {
             let ps = self.engine.load_analysis_filters(h0, h1)?;
-            self.ledger.coeff_loads += 1;
-            self.ledger.ps_overhead_cycles += ps;
-            self.ledger.elapsed_seconds += ps as f64 * self.cfg.ps_period();
-            if let Some(tl) = &mut self.overlap {
-                tl.push_ps(ps as f64 * self.cfg.ps_period());
-            }
-            if let Some(m) = &self.telemetry {
-                m.counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
-            }
+            self.charge_coeff_load(ps);
         }
         // Driver round trip + command pokes.
-        let mut overhead = self.cfg.call_overhead_ps_cycles_forward;
-        overhead += self.command_sequence(EngineMode::Forward, lo.len() * 2, phase);
+        let overhead = RowCycles::call_overhead_ps_cycles(Direction::Forward, &self.cfg)
+            + self.command_sequence(EngineMode::Forward, lo.len() * 2, phase);
         self.driver.ioctl(IoctlRequest::SetReadOffset(0))?;
         self.driver.ioctl(IoctlRequest::SetWriteOffset(0))?;
 
@@ -304,7 +286,11 @@ impl FpgaKernel {
             );
         }
         self.driver.ioctl(IoctlRequest::SwapBuffers)?;
-        self.charge_row(overhead, copy_ps, run.pl_cycles);
+        self.charge_row(&RowCycles {
+            ps_cycles: overhead,
+            copy_cycles: copy_ps,
+            ..run.cycles
+        });
         Ok(())
     }
 
@@ -321,18 +307,10 @@ impl FpgaKernel {
     ) -> Result<(), ZynqError> {
         if !self.engine.synthesis_filters_match(g0, g1) {
             let ps = self.engine.load_synthesis_filters(g0, g1)?;
-            self.ledger.coeff_loads += 1;
-            self.ledger.ps_overhead_cycles += ps;
-            self.ledger.elapsed_seconds += ps as f64 * self.cfg.ps_period();
-            if let Some(tl) = &mut self.overlap {
-                tl.push_ps(ps as f64 * self.cfg.ps_period());
-            }
-            if let Some(m) = &self.telemetry {
-                m.counter_add("wavefuse_fpga_coeff_loads_total", &[], 1.0);
-            }
+            self.charge_coeff_load(ps);
         }
-        let mut overhead = self.cfg.call_overhead_ps_cycles_inverse;
-        overhead += self.command_sequence(EngineMode::Inverse, out.len(), phase);
+        let overhead = RowCycles::call_overhead_ps_cycles(Direction::Inverse, &self.cfg)
+            + self.command_sequence(EngineMode::Inverse, out.len(), phase);
         self.driver.ioctl(IoctlRequest::SetReadOffset(0))?;
         self.driver.ioctl(IoctlRequest::SetWriteOffset(0))?;
 
@@ -359,7 +337,11 @@ impl FpgaKernel {
             );
         }
         self.driver.ioctl(IoctlRequest::SwapBuffers)?;
-        self.charge_row(overhead, copy_ps, run.pl_cycles);
+        self.charge_row(&RowCycles {
+            ps_cycles: overhead,
+            copy_cycles: copy_ps,
+            ..run.cycles
+        });
         Ok(())
     }
 }
@@ -480,39 +462,17 @@ mod tests {
     }
 
     #[test]
-    fn dma_overlap_is_faster_than_serial_and_bit_identical() {
+    fn dma_timeline_is_bounded_by_the_serial_charge() {
         let img = test_image(64, 48);
         let t = Dtcwt::new(3).unwrap();
-        let mut serial = FpgaKernel::new();
-        let p_serial = t.forward_with(&mut serial, &img).unwrap();
-        let mut overlapped = FpgaKernel::new();
-        overlapped.set_dma_overlap(true);
-        let p_overlap = t.forward_with(&mut overlapped, &img).unwrap();
-        // Bit-identical results: only the time accounting differs.
-        for level in 0..3 {
-            for (a, b) in p_serial
-                .subbands(level)
-                .iter()
-                .zip(p_overlap.subbands(level))
-            {
-                assert_eq!(a.re.max_abs_diff(&b.re), 0.0);
-                assert_eq!(a.im.max_abs_diff(&b.im), 0.0);
-            }
-        }
-        let tl = *overlapped.dma_timeline().unwrap();
-        let serial_s = overlapped.ledger().elapsed_seconds;
-        assert_eq!(serial.ledger().elapsed_seconds, serial_s);
+        let mut k = FpgaKernel::new();
+        let _ = t.forward_with(&mut k, &img).unwrap();
+        let tl = *k.dma_timeline();
         // The overlapped schedule can never beat the PS's serial work nor
-        // the PL critical path, and must beat the fully serial charge.
-        assert!(tl.elapsed_seconds() <= serial_s);
+        // the PL critical path, and must not exceed the serial charge.
+        assert!(tl.elapsed_seconds() <= k.ledger().elapsed_seconds);
         assert!(tl.elapsed_seconds() >= tl.ps_seconds());
-        assert!(tl.elapsed_seconds() >= overlapped.ledger().pl_busy_seconds(overlapped.config()));
-        // Ledger counters are schedule-independent.
-        assert_eq!(
-            serial.ledger().engine_calls,
-            overlapped.ledger().engine_calls
-        );
-        assert_eq!(serial.ledger().pl_cycles, overlapped.ledger().pl_cycles);
+        assert!(tl.elapsed_seconds() >= k.ledger().pl_busy_seconds(k.config()));
     }
 
     #[test]
@@ -535,12 +495,11 @@ mod tests {
     #[test]
     fn reset_clears_overlap_timeline() {
         let mut k = FpgaKernel::new();
-        k.set_dma_overlap(true);
         let t = Dtcwt::new(2).unwrap();
         let _ = t.forward_with(&mut k, &test_image(16, 16)).unwrap();
-        assert!(k.dma_timeline().unwrap().elapsed_seconds() > 0.0);
+        assert!(k.dma_timeline().elapsed_seconds() > 0.0);
         k.reset_ledger();
-        assert_eq!(k.dma_timeline().unwrap().elapsed_seconds(), 0.0);
+        assert_eq!(k.dma_timeline().elapsed_seconds(), 0.0);
     }
 
     #[test]

@@ -1,6 +1,102 @@
 //! Cycle accounting for the simulated platform.
+//!
+//! [`RowCycles`] is the one cost of a row pass through the FPGA path: the
+//! engine, the kernel's ledger, the analytic cost model and the Fig. 5
+//! timeline all charge a row through it.
 
+use crate::bus::acp_burst_pl_cycles;
 use crate::config::ZynqConfig;
+use crate::driver::user_copy_ps_cycles;
+
+/// Transform direction of a row pass. The two directions differ in the
+/// driver's per-call overhead (see [`ZynqConfig`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Forward (analysis) transform.
+    Forward,
+    /// Inverse (synthesis) transform.
+    Inverse,
+}
+
+/// The cost of one row pass through the FPGA path, in integer cycles.
+///
+/// A row is a driver round trip plus the six AXI4-Lite writes that arm the
+/// engine (PS), a user-space copy in and out of the DMA area (PS), an ACP
+/// burst in and out (PL), and the II=1 pipeline (PL). Under the paper's
+/// Fig. 5 double buffering the copy of one row overlaps the engine run of
+/// the previous one, so a row's serial time is
+/// `ps + max(copy, dma + pipeline)`.
+///
+/// # Examples
+///
+/// ```
+/// use wavefuse_zynq::{Direction, RowCycles, ZynqConfig};
+///
+/// let cfg = ZynqConfig::default();
+/// let row = RowCycles::of(88, 88, 44, Direction::Forward, &cfg);
+/// assert_eq!(row.copy_cycles, 264); // 176 words at 1.5 cycles each
+/// assert_eq!(row.pl_cycles(), row.dma_cycles + row.pipeline_cycles);
+/// assert!(row.serial_seconds(&cfg) > 0.0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowCycles {
+    /// PS cycles of the driver round trip for the direction plus the six
+    /// AXI4-Lite command writes.
+    pub ps_cycles: u64,
+    /// PS cycles of the two user copies (row in, results out).
+    pub copy_cycles: u64,
+    /// PL cycles of the two ACP bursts.
+    pub dma_cycles: u64,
+    /// PL cycles of the pipeline: flush plus one iteration per clock.
+    pub pipeline_cycles: u64,
+}
+
+impl RowCycles {
+    /// The cost of a row moving `words_in` words into the engine and
+    /// `words_out` words back, over `iterations` pipeline clocks.
+    pub fn of(
+        words_in: usize,
+        words_out: usize,
+        iterations: usize,
+        dir: Direction,
+        cfg: &ZynqConfig,
+    ) -> Self {
+        RowCycles {
+            ps_cycles: Self::call_overhead_ps_cycles(dir, cfg) + 6 * cfg.axil_write_ps_cycles,
+            copy_cycles: user_copy_ps_cycles(words_in, cfg) + user_copy_ps_cycles(words_out, cfg),
+            dma_cycles: acp_burst_pl_cycles(words_in, cfg) + acp_burst_pl_cycles(words_out, cfg),
+            pipeline_cycles: cfg.pipeline_flush_pl_cycles + iterations as u64,
+        }
+    }
+
+    /// PS cycles of one driver (`ioctl`) round trip in direction `dir`,
+    /// before the command writes.
+    pub(crate) fn call_overhead_ps_cycles(dir: Direction, cfg: &ZynqConfig) -> u64 {
+        match dir {
+            Direction::Forward => cfg.call_overhead_ps_cycles_forward,
+            Direction::Inverse => cfg.call_overhead_ps_cycles_inverse,
+        }
+    }
+
+    /// PL cycles of the row: both bursts plus the pipeline.
+    pub fn pl_cycles(&self) -> u64 {
+        self.dma_cycles + self.pipeline_cycles
+    }
+
+    /// Seconds of the row under the Fig. 5 schedule: the PS overhead, then
+    /// the slower of the user copy and the engine run.
+    pub fn serial_seconds(&self, cfg: &ZynqConfig) -> f64 {
+        let copy_s = self.copy_cycles as f64 * cfg.ps_period();
+        let engine_s = self.pl_cycles() as f64 * cfg.pl_period();
+        self.ps_cycles as f64 * cfg.ps_period() + copy_s.max(engine_s)
+    }
+}
+
+/// PS cycles of one filter-coefficient load: the mode write plus one
+/// AXI4-Lite write per coefficient slot of both banks.
+pub fn coeff_load_ps_cycles(cfg: &ZynqConfig) -> u64 {
+    (2 * cfg.max_taps as u64 + 1) * cfg.axil_write_ps_cycles
+}
 
 /// Accumulated cost of work routed through the FPGA path.
 ///
@@ -52,6 +148,15 @@ impl CycleLedger {
         self.pl_cycles += other.pl_cycles;
         self.dma_words += other.dma_words;
         self.elapsed_seconds += other.elapsed_seconds;
+    }
+
+    /// Charges one row pass: its counters and its Fig. 5 serial time.
+    pub fn charge_row(&mut self, row: &RowCycles, cfg: &ZynqConfig) {
+        self.engine_calls += 1;
+        self.ps_overhead_cycles += row.ps_cycles;
+        self.ps_copy_cycles += row.copy_cycles;
+        self.pl_cycles += row.pl_cycles();
+        self.elapsed_seconds += row.serial_seconds(cfg);
     }
 
     /// Resets all counters to zero.

@@ -23,6 +23,8 @@
 //! * [`kernel::FpgaKernel`] — a [`wavefuse_dtcwt::FilterKernel`] backend
 //!   routing every row through driver + engine while accumulating a
 //!   [`ledger::CycleLedger`] of PS and PL cycles.
+//! * [`ledger::RowCycles`] — the one cost of a row pass, shared by the
+//!   engine, the ledger, the analytic cost model and the Fig. 5 timeline.
 //! * [`resources`] — an analytic HLS resource estimator reproducing
 //!   Table I's utilization on the xc7z020.
 //!
@@ -61,4 +63,4 @@ mod error;
 pub use config::ZynqConfig;
 pub use error::ZynqError;
 pub use kernel::{DmaTimeline, FpgaKernel};
-pub use ledger::CycleLedger;
+pub use ledger::{coeff_load_ps_cycles, CycleLedger, Direction, RowCycles};

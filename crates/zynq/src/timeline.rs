@@ -5,8 +5,8 @@
 //! streaming and filtering, and how the ping-pong buffering overlaps the
 //! two. The `repro -- timeline` subcommand prints the ASCII Gantt.
 
-use crate::bus::acp_burst_pl_cycles;
 use crate::config::ZynqConfig;
+use crate::ledger::RowCycles;
 
 /// Which unit an event occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,20 +32,19 @@ pub struct TimelineEvent {
     pub row: usize,
 }
 
-/// Builds the steady-state schedule of `rows` forward rows of `words`
-/// samples each, under the Fig. 5 double-buffering discipline: the user
-/// copy of row *n* overlaps the engine run of row *n−1*.
-pub fn double_buffer_timeline(rows: usize, words: usize, cfg: &ZynqConfig) -> Vec<TimelineEvent> {
+/// Builds the steady-state schedule of `rows` identical rows costing `row`
+/// each, under the Fig. 5 double-buffering discipline: the user copy of
+/// row *n* overlaps the engine run of row *n−1*.
+pub fn double_buffer_timeline(
+    rows: usize,
+    row: &RowCycles,
+    cfg: &ZynqConfig,
+) -> Vec<TimelineEvent> {
     let ps_us = 1e6 / cfg.ps_clk_hz;
     let pl_us = 1e6 / cfg.pl_clk_hz;
-    let overhead_us =
-        (cfg.call_overhead_ps_cycles_forward + 6 * cfg.axil_write_ps_cycles) as f64 * ps_us;
-    let copy_us = (2 * words) as f64 * cfg.user_memcpy_ps_cycles_per_word * ps_us;
-    let engine_pl = acp_burst_pl_cycles(words, cfg)
-        + cfg.pipeline_flush_pl_cycles
-        + (words / 2) as u64
-        + acp_burst_pl_cycles(words, cfg);
-    let engine_us = engine_pl as f64 * pl_us;
+    let overhead_us = row.ps_cycles as f64 * ps_us;
+    let copy_us = row.copy_cycles as f64 * ps_us;
+    let engine_us = row.pl_cycles() as f64 * pl_us;
 
     let mut events = Vec::with_capacity(rows * 3);
     let mut t = 0.0f64;
@@ -114,11 +113,16 @@ pub fn render_ascii(events: &[TimelineEvent], columns: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::{CycleLedger, Direction};
+
+    fn row(words: usize, cfg: &ZynqConfig) -> RowCycles {
+        RowCycles::of(words, words, words / 2, Direction::Forward, cfg)
+    }
 
     #[test]
     fn events_are_ordered_and_nonoverlapping_per_lane() {
         let cfg = ZynqConfig::default();
-        let events = double_buffer_timeline(6, 88, &cfg);
+        let events = double_buffer_timeline(6, &row(88, &cfg), &cfg);
         assert_eq!(events.len(), 18);
         for lane in [Lane::Ps, Lane::Pl] {
             let mut last_end = 0.0f64;
@@ -132,30 +136,23 @@ mod tests {
 
     #[test]
     fn span_matches_ledger_style_accounting() {
-        // The timeline's span must reproduce the per-row
-        // `overhead + max(copy, engine)` elapsed model.
+        // The timeline's span must equal the serial time a ledger charges
+        // for the same rows.
         let cfg = ZynqConfig::default();
         let rows = 10;
-        let words = 88;
-        let events = double_buffer_timeline(rows, words, &cfg);
-        let ps_us = 1e6 / cfg.ps_clk_hz;
-        let overhead =
-            (cfg.call_overhead_ps_cycles_forward + 6 * cfg.axil_write_ps_cycles) as f64 * ps_us;
-        let copy = (2 * words) as f64 * cfg.user_memcpy_ps_cycles_per_word * ps_us;
-        let engine = (acp_burst_pl_cycles(words, &cfg)
-            + cfg.pipeline_flush_pl_cycles
-            + (words / 2) as u64
-            + acp_burst_pl_cycles(words, &cfg)) as f64
-            * 1e6
-            / cfg.pl_clk_hz;
-        let expect = rows as f64 * (overhead + copy.max(engine));
-        assert!((span_us(&events) - expect).abs() < 1e-6);
+        let row = row(88, &cfg);
+        let events = double_buffer_timeline(rows, &row, &cfg);
+        let mut ledger = CycleLedger::new();
+        for _ in 0..rows {
+            ledger.charge_row(&row, &cfg);
+        }
+        assert!((span_us(&events) - ledger.elapsed_seconds * 1e6).abs() < 1e-6);
     }
 
     #[test]
     fn ascii_render_shows_both_lanes() {
         let cfg = ZynqConfig::default();
-        let events = double_buffer_timeline(4, 64, &cfg);
+        let events = double_buffer_timeline(4, &row(64, &cfg), &cfg);
         let s = render_ascii(&events, 80);
         assert!(s.contains("PS |"));
         assert!(s.contains("PL |"));

@@ -71,7 +71,7 @@ proptest! {
             let ext = vec![0.5f32; n + 4];
             let mut lo = vec![0.0f32; n / 2];
             let mut hi = vec![0.0f32; n / 2];
-            eng.forward_row(&ext, 2, 0, &mut lo, &mut hi).unwrap().pl_cycles
+            eng.forward_row(&ext, 2, 0, &mut lo, &mut hi).unwrap().cycles.pl_cycles()
         };
         let (small, large) = (a.min(b) & !1, a.max(b) & !1);
         prop_assume!(small >= 4 && small < large);

@@ -23,6 +23,12 @@ echo "== wavefuse-simd unit tests in release (lane exactness, columnar, strip fu
 # lane loops only in release, so the identities are checked here too.
 cargo test -q --release -p wavefuse-simd
 
+echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"
+# The simulated wavelet engine evaluates outputs lane-parallel; its tests
+# sweep that datapath against the one-output-per-clock shift-register
+# reference bit for bit. The lane loops vectorize only in release.
+cargo test -q --release -p wavefuse-zynq
+
 echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"
 # Depth {1,2,3} x threads {1,2,4} x frame sizes must reproduce the serial
 # pixel stream exactly; the 640x480 matrix is debug-ignored and runs here.

@@ -12,14 +12,29 @@
 //! `dma_in + fill + iterations + dma_out` PL cycles — the PL half of
 //! [`RowCycles`].
 //!
-//! The datapath *really computes* the filter outputs by shifting samples
-//! through the register exactly as the HLS code does, so engine results are
-//! verified against the scalar software kernel in the tests below.
+//! The datapath *really computes* the filter outputs, and the register
+//! fixes each output's arithmetic: output `k` is the sum over register
+//! slots `j = 0..max_taps`, in slot order, of `c[j] · x`, where `x` is the
+//! sample slot `j` holds once the row has been shifted up to that output.
+//! Every slot takes part, the zero-padded ones too, so a zero coefficient
+//! times a NaN or infinite sample poisons the output just as the hardware
+//! MAC would. The simulator keeps that per-output order but evaluates
+//! outputs *lane-parallel*: the forward pass splits the row into its even
+//! and odd samples once, so each slot of a block of outputs reads one
+//! contiguous run, and the inverse pass evaluates consecutive windows of
+//! one polyphase parity together. Finite results are bit-identical to the
+//! one-output-per-clock shift-register loop (the tests below keep that loop
+//! as the reference); LLVM may commute the operands of an `fadd`, so a NaN
+//! result may carry a different NaN payload or sign bit.
 
 use crate::bus::{AxiLiteRegisterFile, EngineMode, EngineReg};
 use crate::config::ZynqConfig;
 use crate::ledger::{coeff_load_ps_cycles, Direction, RowCycles};
 use crate::ZynqError;
+
+/// Outputs one lane-parallel block of the simulated datapath evaluates at
+/// once.
+const LANES: usize = 8;
 
 /// Engine status values visible in the [`EngineReg::Status`] register.
 pub mod status {
@@ -98,9 +113,12 @@ pub struct WaveletEngine {
     // Shadow copies of the loaded taps for cache checks.
     loaded_analysis: Option<(Vec<f32>, Vec<f32>)>,
     loaded_synthesis: Option<(Vec<f32>, Vec<f32>)>,
-    // The datapath's input shift register, persistent so steady-state row
-    // passes never touch the allocator.
-    sr: Vec<f32>,
+    // The forward row's register contents split by sample parity
+    // (zero-padded around `ext`, as the hardware's virtual zeros), so slot
+    // `j` of output `k` reads `even[k + j / 2]` or `odd[k + j / 2]`.
+    // Persistent, so steady-state row passes never touch the allocator.
+    even: Vec<f32>,
+    odd: Vec<f32>,
 }
 
 impl WaveletEngine {
@@ -118,7 +136,8 @@ impl WaveletEngine {
             s_hp_odd: vec![0.0; t / 2 + 1],
             loaded_analysis: None,
             loaded_synthesis: None,
-            sr: vec![0.0; t],
+            even: Vec::new(),
+            odd: Vec::new(),
         }
     }
 
@@ -207,6 +226,8 @@ impl WaveletEngine {
     /// # Errors
     ///
     /// * [`ZynqError::CoefficientsNotLoaded`] before a coefficient load.
+    /// * [`ZynqError::RowShape`] if `lo` and `hi` differ in length or are
+    ///   empty.
     /// * [`ZynqError::BufferOverrun`] if the row exceeds a BRAM area.
     pub fn forward_row(
         &mut self,
@@ -239,6 +260,13 @@ impl WaveletEngine {
         if self.loaded_analysis.is_none() {
             return Err(ZynqError::CoefficientsNotLoaded);
         }
+        let n_out = lo.len();
+        if n_out == 0 || hi.len() != n_out {
+            return Err(ZynqError::RowShape {
+                lo: n_out,
+                hi: hi.len(),
+            });
+        }
         let bram = self.cfg.bram_words_per_buffer;
         if ext.len() > bram {
             return Err(ZynqError::BufferOverrun {
@@ -247,7 +275,6 @@ impl WaveletEngine {
                 capacity: bram,
             });
         }
-        let n_out = lo.len();
         if 2 * n_out > bram {
             return Err(ZynqError::BufferOverrun {
                 what: "output bram",
@@ -257,28 +284,15 @@ impl WaveletEngine {
         }
 
         self.regs.hw_set(EngineReg::Status, status::BUSY);
-        let t = self.cfg.max_taps;
-        self.sr.fill(0.0);
-        let at = |p: isize| -> f32 {
-            if p >= 0 && (p as usize) < ext.len() {
-                ext[p as usize]
-            } else {
-                // Virtual zeros under the zero-padded coefficient slots.
-                0.0
-            }
-        };
-
-        // Warm the shift register up to the first output's window.
-        let c0 = (left + phase) as isize;
-        for p in (c0 - t as isize + 1)..=c0 {
-            shift_in(&mut self.sr, at(p));
-        }
-        emit(&self.sr, &self.c_lp, &self.c_hp, &mut lo[0], &mut hi[0]);
-        for k in 1..n_out {
-            let c = c0 + 2 * k as isize;
-            shift_in(&mut self.sr, at(c - 1));
-            shift_in(&mut self.sr, at(c));
-            emit(&self.sr, &self.c_lp, &self.c_hp, &mut lo[k], &mut hi[k]);
+        // Output 0's window ends at `left + phase`; each later output shifts
+        // two samples further.
+        let first = (left + phase) as isize - (self.cfg.max_taps as isize - 1);
+        self.split_by_parity(ext, first, n_out);
+        let blocks = lo.chunks_mut(LANES).zip(hi.chunks_mut(LANES));
+        for (b, (lo, hi)) in blocks.enumerate() {
+            let (l, h) = forward_block(&self.even, &self.odd, b * LANES, &self.c_lp, &self.c_hp);
+            lo.copy_from_slice(&l[..lo.len()]);
+            hi.copy_from_slice(&h[..hi.len()]);
         }
 
         let words_in = ext.len();
@@ -349,19 +363,46 @@ impl WaveletEngine {
         }
 
         self.regs.hw_set(EngineReg::Status, status::BUSY);
-        // One output per clock: each cycle the two polyphase MAC banks of
-        // the active parity fire over the channel windows.
-        for (m, o) in out.iter_mut().enumerate() {
-            let mp = m as isize - phase as isize;
-            let parity = (mp & 1) as usize;
+        // Each clock the two polyphase MAC banks of the output's parity fire
+        // over the channel windows. Outputs of one parity have windows that
+        // slide by one channel sample, so interior ones go lane-parallel;
+        // windows overhanging a channel end keep the bounds-checked dot.
+        let taps = self.s_lp_even.len();
+        let channel = lo_ext.len().min(hi_ext.len());
+        for parity in 0..2 {
             let (t_lp, t_hp) = if parity == 0 {
                 (&self.s_lp_even, &self.s_hp_even)
             } else {
                 (&self.s_lp_odd, &self.s_hp_odd)
             };
-            let k_top = (mp - parity as isize) / 2;
-            *o = window_dot(lo_ext, left as isize + k_top, t_lp)
-                + window_dot(hi_ext, left as isize + k_top, t_hp);
+            // Output `m0 + 2i` has the window ending at `top0 + i`.
+            let m0 = (phase + parity) % 2;
+            let top0 = left as isize + (m0 as isize - (phase + parity) as isize) / 2;
+            let count = out.len().saturating_sub(m0).div_ceil(2);
+            let top = |i: usize| top0 + i as isize;
+            let dot = |i| window_dot(lo_ext, top(i), t_lp) + window_dot(hi_ext, top(i), t_hp);
+            // Windows `from..to` lie inside both channels; fewer than one
+            // block of them all go one by one.
+            let from = (taps as isize - 1 - top0).clamp(0, count as isize) as usize;
+            let to = (channel as isize - top0).clamp(from as isize, count as isize) as usize;
+            let (from, to) = if to - from < LANES {
+                (count, count)
+            } else {
+                (from, to)
+            };
+            for i in (0..from).chain(to..count) {
+                out[m0 + 2 * i] = dot(i);
+            }
+            // The last block is pulled back to end at `to`, recomputing a
+            // few outputs identically.
+            for i in (from..to).step_by(LANES).map(|i| i.min(to - LANES)) {
+                let start = (top(i) - (taps as isize - 1)) as usize;
+                let l = inverse_block(lo_ext, start, t_lp);
+                let h = inverse_block(hi_ext, start, t_hp);
+                for (lane, (l, h)) in l.iter().zip(&h).enumerate() {
+                    out[m0 + 2 * (i + lane)] = l + h;
+                }
+            }
         }
 
         let words_out = out.len();
@@ -378,6 +419,27 @@ impl WaveletEngine {
                 words_out,
             },
         })
+    }
+
+    /// Splits the samples the forward register sees into `even`/`odd`:
+    /// `v[i] = ext[first + i]`, or a virtual zero outside `ext`, for `i` up
+    /// to the last slot of the last lane of the last block.
+    fn split_by_parity(&mut self, ext: &[f32], first: isize, n_out: usize) {
+        let half = n_out.div_ceil(LANES) * LANES + self.cfg.max_taps.saturating_sub(1) / 2;
+        for v in [&mut self.even, &mut self.odd] {
+            v.clear();
+            v.resize(half, 0.0);
+        }
+        let end = (first + 2 * half as isize).min(ext.len() as isize);
+        for p in first.max(0)..end {
+            let i = (p - first) as usize;
+            let dst = if i.is_multiple_of(2) {
+                &mut self.even
+            } else {
+                &mut self.odd
+            };
+            dst[i / 2] = ext[p as usize];
+        }
     }
 
     /// Retires an in-flight row: flips the status register to
@@ -404,27 +466,43 @@ fn store_shadow(slot: &mut Option<(Vec<f32>, Vec<f32>)>, a: &[f32], b: &[f32]) {
     }
 }
 
-/// Shifts one sample into the register (oldest at index 0), as the HLS
-/// code's `shift_register[j - 1] = shift_register[j + 1]` cascade does.
+/// The MAC pair of `LANES` consecutive forward outputs from `k0`: each lane
+/// accumulates `c[j] · x` over every register slot `j` in order, exactly as
+/// the one-output-per-clock datapath does.
 #[inline]
-fn shift_in(sr: &mut [f32], v: f32) {
-    sr.copy_within(1.., 0);
-    let last = sr.len() - 1;
-    sr[last] = v;
+fn forward_block(
+    even: &[f32],
+    odd: &[f32],
+    k0: usize,
+    c_lp: &[f32],
+    c_hp: &[f32],
+) -> ([f32; LANES], [f32; LANES]) {
+    let mut lo = [0.0f32; LANES];
+    let mut hi = [0.0f32; LANES];
+    for (j, (&cl, &ch)) in c_lp.iter().zip(c_hp).enumerate() {
+        let src = if j.is_multiple_of(2) { even } else { odd };
+        let x = &src[k0 + j / 2..k0 + j / 2 + LANES];
+        for ((lo, hi), &x) in lo.iter_mut().zip(&mut hi).zip(x) {
+            *lo += cl * x;
+            *hi += ch * x;
+        }
+    }
+    (lo, hi)
 }
 
-/// The per-clock MAC pair: both coefficient banks against the shared
-/// shift register.
+/// [`window_dot`] for `LANES` consecutive windows whose first starts at
+/// `ch[start]`, all inside `ch`: same tap order, same zero-tap skip.
 #[inline]
-fn emit(sr: &[f32], c_lp: &[f32], c_hp: &[f32], lo: &mut f32, hi: &mut f32) {
-    let mut lp_acc = 0.0f32;
-    let mut hp_acc = 0.0f32;
-    for j in 0..sr.len() {
-        lp_acc += c_lp[j] * sr[j];
-        hp_acc += c_hp[j] * sr[j];
+fn inverse_block(ch: &[f32], start: usize, taps: &[f32]) -> [f32; LANES] {
+    let mut acc = [0.0f32; LANES];
+    for (i, &c) in taps.iter().enumerate() {
+        if c != 0.0 {
+            for (a, &x) in acc.iter_mut().zip(&ch[start + i..start + i + LANES]) {
+                *a += c * x;
+            }
+        }
     }
-    *lo = lp_acc;
-    *hi = hp_acc;
+    acc
 }
 
 /// Dot product of a front-padded reversed coefficient bank against the
@@ -478,6 +556,249 @@ mod tests {
         (0..n)
             .map(|i| ((i * i + 3) % 17) as f32 * 0.5 - 4.0)
             .collect()
+    }
+
+    /// The forward datapath one output per clock, as the HLS code runs it:
+    /// warm the shift register up to the first window, then shift two
+    /// samples in and fire the MAC pair per output.
+    fn reference_forward_row(
+        eng: &WaveletEngine,
+        ext: &[f32],
+        left: usize,
+        phase: usize,
+        lo: &mut [f32],
+        hi: &mut [f32],
+    ) {
+        let t = eng.cfg.max_taps;
+        let mut sr = vec![0.0f32; t];
+        let at = |p: isize| -> f32 {
+            if p >= 0 && (p as usize) < ext.len() {
+                ext[p as usize]
+            } else {
+                0.0
+            }
+        };
+        let c0 = (left + phase) as isize;
+        for p in (c0 - t as isize + 1)..=c0 {
+            shift_in(&mut sr, at(p));
+        }
+        emit(&sr, &eng.c_lp, &eng.c_hp, &mut lo[0], &mut hi[0]);
+        for k in 1..lo.len() {
+            let c = c0 + 2 * k as isize;
+            shift_in(&mut sr, at(c - 1));
+            shift_in(&mut sr, at(c));
+            emit(&sr, &eng.c_lp, &eng.c_hp, &mut lo[k], &mut hi[k]);
+        }
+    }
+
+    /// Shifts one sample into the register (oldest at index 0), as the HLS
+    /// code's `shift_register[j - 1] = shift_register[j + 1]` cascade does.
+    fn shift_in(sr: &mut [f32], v: f32) {
+        sr.copy_within(1.., 0);
+        let last = sr.len() - 1;
+        sr[last] = v;
+    }
+
+    /// The per-clock MAC pair: both coefficient banks against the shared
+    /// shift register.
+    fn emit(sr: &[f32], c_lp: &[f32], c_hp: &[f32], lo: &mut f32, hi: &mut f32) {
+        let mut lp_acc = 0.0f32;
+        let mut hp_acc = 0.0f32;
+        for j in 0..sr.len() {
+            lp_acc += c_lp[j] * sr[j];
+            hp_acc += c_hp[j] * sr[j];
+        }
+        *lo = lp_acc;
+        *hi = hp_acc;
+    }
+
+    /// The inverse datapath one output per clock: both polyphase banks of
+    /// the output's parity against the channel windows.
+    fn reference_inverse_row(
+        eng: &WaveletEngine,
+        lo_ext: &[f32],
+        hi_ext: &[f32],
+        left: usize,
+        phase: usize,
+        out: &mut [f32],
+    ) {
+        for (m, o) in out.iter_mut().enumerate() {
+            let mp = m as isize - phase as isize;
+            let parity = (mp & 1) as usize;
+            let (t_lp, t_hp) = if parity == 0 {
+                (&eng.s_lp_even, &eng.s_hp_even)
+            } else {
+                (&eng.s_lp_odd, &eng.s_hp_odd)
+            };
+            let k_top = (mp - parity as isize) / 2;
+            *o = window_dot(lo_ext, left as isize + k_top, t_lp)
+                + window_dot(hi_ext, left as isize + k_top, t_hp);
+        }
+    }
+
+    /// Bit pattern with every NaN mapped to one canonical NaN: the lane
+    /// loops may commute `fadd` operands, which moves only NaN payloads.
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// Rows to sweep: a finite signal, and the same with NaN and ±inf
+    /// seeded at both ends and in the middle.
+    fn sweep_rows(n: usize) -> [Vec<f32>; 2] {
+        let finite = signal(n);
+        let mut poisoned = finite.clone();
+        for (i, v) in [
+            (0, f32::NAN),
+            (n / 2, f32::INFINITY),
+            (n - 1, f32::NEG_INFINITY),
+        ] {
+            poisoned[i] = v;
+        }
+        [finite, poisoned]
+    }
+
+    fn sweep_banks() -> Vec<FilterBank> {
+        vec![
+            FilterBank::haar().unwrap(),
+            FilterBank::legall_5_3().unwrap(),
+            FilterBank::cdf_9_7().unwrap(),
+            FilterBank::near_sym_b().unwrap(),
+            FilterBank::qshift_b().unwrap(),
+        ]
+    }
+
+    fn assert_rows_match(got: &[f32], want: &[f32], finite: bool, what: &str) {
+        if finite {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "{what}");
+        } else {
+            assert_eq!(canonical_bits(got), canonical_bits(want), "{what}");
+        }
+    }
+
+    #[test]
+    fn lane_parallel_forward_is_bit_identical_to_the_shift_register() {
+        for bank in sweep_banks() {
+            let taps = BankTaps::new(&bank);
+            let left = taps.h0.len().max(taps.h1.len());
+            let mut eng = WaveletEngine::new(ZynqConfig::default());
+            eng.load_analysis_filters(&taps.h0, &taps.h1).unwrap();
+            for width in 1..=70 {
+                for (r, x) in sweep_rows(2 * width).iter().enumerate() {
+                    let mut ext = Vec::new();
+                    wavefuse_dtcwt::dwt1d::extend_circular_into(x, left, left, &mut ext);
+                    for phase in [0, 1] {
+                        let (mut lo, mut hi) = (vec![0.0f32; width], vec![0.0f32; width]);
+                        eng.forward_row(&ext, left, phase, &mut lo, &mut hi)
+                            .unwrap();
+                        let (mut lo_ref, mut hi_ref) = (vec![0.0f32; width], vec![0.0f32; width]);
+                        reference_forward_row(&eng, &ext, left, phase, &mut lo_ref, &mut hi_ref);
+                        let what = format!("{} width {width} phase {phase} row {r}", bank.name());
+                        assert_rows_match(&lo, &lo_ref, r == 0, &what);
+                        assert_rows_match(&hi, &hi_ref, r == 0, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_parallel_inverse_is_bit_identical_to_the_window_dots() {
+        for bank in sweep_banks() {
+            let taps = BankTaps::new(&bank);
+            let left = taps.g0.len().max(taps.g1.len()) / 2 + 5;
+            let mut eng = WaveletEngine::new(ZynqConfig::default());
+            eng.load_synthesis_filters(&taps.g0, &taps.g1).unwrap();
+            for width in 1..=70usize {
+                let half = width.div_ceil(2);
+                let [lo_fin, lo_bad] = sweep_rows(half);
+                let hi_fin: Vec<f32> = lo_fin.iter().rev().map(|v| v * 0.75).collect();
+                let hi_bad: Vec<f32> = lo_bad.iter().rev().copied().collect();
+                for (r, (lo, hi)) in [(lo_fin, hi_fin), (lo_bad, hi_bad)].iter().enumerate() {
+                    let (mut lo_ext, mut hi_ext) = (Vec::new(), Vec::new());
+                    wavefuse_dtcwt::dwt1d::extend_circular_into(lo, left, 0, &mut lo_ext);
+                    wavefuse_dtcwt::dwt1d::extend_circular_into(hi, left, 0, &mut hi_ext);
+                    for phase in [0, 1] {
+                        let mut out = vec![0.0f32; width];
+                        eng.inverse_row(&lo_ext, &hi_ext, left, phase, &mut out)
+                            .unwrap();
+                        let mut out_ref = vec![0.0f32; width];
+                        reference_inverse_row(&eng, &lo_ext, &hi_ext, left, phase, &mut out_ref);
+                        let what = format!("{} width {width} phase {phase} row {r}", bank.name());
+                        assert_rows_match(&out, &out_ref, r == 0, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_parallel_paths_match_at_every_left_margin() {
+        // Margins below, at and above `max_taps - 1`: windows that overhang
+        // either end of the row take the virtual zeros or the edge dots.
+        let bank = FilterBank::near_sym_b().unwrap();
+        let taps = BankTaps::new(&bank);
+        let mut eng = WaveletEngine::new(ZynqConfig::default());
+        eng.load_analysis_filters(&taps.h0, &taps.h1).unwrap();
+        eng.load_synthesis_filters(&taps.g0, &taps.g1).unwrap();
+        let x = signal(61);
+        for left in 0..=24 {
+            for phase in [0, 1] {
+                for width in [1, 9, 24, 40] {
+                    let (mut lo, mut hi) = (vec![0.0f32; width], vec![0.0f32; width]);
+                    eng.forward_row(&x, left, phase, &mut lo, &mut hi).unwrap();
+                    let (mut lo_ref, mut hi_ref) = (vec![0.0f32; width], vec![0.0f32; width]);
+                    reference_forward_row(&eng, &x, left, phase, &mut lo_ref, &mut hi_ref);
+                    let what = format!("forward left {left} phase {phase} width {width}");
+                    assert_rows_match(&lo, &lo_ref, true, &what);
+                    assert_rows_match(&hi, &hi_ref, true, &what);
+
+                    let mut out = vec![0.0f32; 2 * width];
+                    eng.inverse_row(&x, &x[..40], left, phase, &mut out)
+                        .unwrap();
+                    let mut out_ref = vec![0.0f32; 2 * width];
+                    reference_inverse_row(&eng, &x, &x[..40], left, phase, &mut out_ref);
+                    let what = format!("inverse left {left} phase {phase} width {width}");
+                    assert_rows_match(&out, &out_ref, true, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_rejects_mismatched_outputs() {
+        let mut eng = WaveletEngine::new(ZynqConfig::default());
+        let h = std::f32::consts::FRAC_1_SQRT_2;
+        eng.load_analysis_filters(&[h, h], &[h, -h]).unwrap();
+        let (mut lo, mut hi) = (vec![0.0f32; 4], vec![0.0f32; 3]);
+        assert_eq!(
+            eng.forward_row(&[1.0; 12], 2, 0, &mut lo, &mut hi),
+            Err(ZynqError::RowShape { lo: 4, hi: 3 })
+        );
+        assert_eq!(
+            eng.registers().read(crate::bus::EngineReg::Status),
+            status::IDLE
+        );
+    }
+
+    #[test]
+    fn forward_rejects_an_empty_row() {
+        let mut eng = WaveletEngine::new(ZynqConfig::default());
+        let h = std::f32::consts::FRAC_1_SQRT_2;
+        eng.load_analysis_filters(&[h, h], &[h, -h]).unwrap();
+        assert_eq!(
+            eng.submit_forward_row(&[1.0; 12], 2, 0, &mut [], &mut [])
+                .map(|t| t.run()),
+            Err(ZynqError::RowShape { lo: 0, hi: 0 })
+        );
     }
 
     #[test]

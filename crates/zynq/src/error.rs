@@ -23,6 +23,14 @@ pub enum ZynqError {
         /// Hardware register depth.
         max_taps: usize,
     },
+    /// A forward row's lowpass and highpass outputs differ in length, or
+    /// are empty.
+    RowShape {
+        /// Lowpass output words.
+        lo: usize,
+        /// Highpass output words.
+        hi: usize,
+    },
     /// An `ioctl`-style driver request was malformed.
     InvalidIoctl(String),
     /// An access through a user mapping fell outside the mapped window.
@@ -53,6 +61,10 @@ impl fmt::Display for ZynqError {
             ZynqError::FilterTooLong { taps, max_taps } => write!(
                 f,
                 "filter of {taps} taps exceeds engine register depth {max_taps}"
+            ),
+            ZynqError::RowShape { lo, hi } => write!(
+                f,
+                "forward row needs equal, non-empty outputs: lo {lo} words, hi {hi} words"
             ),
             ZynqError::InvalidIoctl(why) => write!(f, "invalid ioctl request: {why}"),
             ZynqError::MappingOutOfRange {

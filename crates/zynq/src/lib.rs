@@ -16,7 +16,11 @@
 //!   clock at initiation interval 1, with BRAM line buffers and three
 //!   command modes (coefficient load / forward / inverse). The datapath
 //!   *functionally computes* the transform — its outputs are verified
-//!   against the scalar software reference.
+//!   against the scalar software reference. The register fixes each
+//!   output's tap order; the simulator evaluates many outputs at once,
+//!   lane-parallel, in that order, so finite results are bit-identical to
+//!   a one-output-per-clock run (a NaN result may differ in payload or
+//!   sign bit only, as the lane loops may commute `fadd` operands).
 //! * [`driver::WaveletDriver`] — the kernel-driver model: kmalloc'd DMA
 //!   areas, `mmap`-style user mappings, `ioctl` offset control, ping-pong
 //!   double buffering.

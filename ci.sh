@@ -14,13 +14,14 @@ cargo test --workspace -q
 echo "== allocation regression (steady-state hot path)"
 cargo test -q --release --test alloc_steady_state
 
-echo "== columnar bit-identity (transpose-free column passes)"
+echo "== column-pass bit-identity (NEON column passes vs the transpose staging)"
 cargo test -q --release --test columnar_identity
 
-echo "== wavefuse-simd unit tests in release (lane exactness, columnar, strip fusion)"
-# The crate's lane-exactness, columnar-versus-fallback and strip-fusion
-# bit-identity tests also run in debug above, but LLVM vectorizes the
-# lane loops only in release, so the identities are checked here too.
+echo "== wavefuse-simd unit tests in release (lane exactness, strip fusion)"
+# The crate's lane-exactness and strip-fusion bit-identity tests also run
+# in debug above, but LLVM vectorizes the lane loops only in release, so
+# the identities are checked here too (the column-pass identity runs in
+# the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
 echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"
@@ -83,10 +84,11 @@ test -s target/BENCH_smoke_t2.json
 echo "== bench regression gate (repro bench --check, serial rows, ±25%)"
 # Gates a fresh serial measurement against the committed baseline: fps
 # must not drop — and energy/p99 must not climb — beyond ±25% per
-# (backend, threads, columnar) row, else the gate exits non-zero and
-# fails CI. `--threads 1` restricts the run to the serial rows: the
-# pooled rows oversubscribe single-vCPU CI hosts and their wall-clock is
-# too noisy to gate (the baseline's threads=2 rows are simply skipped).
+# (backend, threads, frame_size, depth, rule) row, else the gate exits
+# non-zero and fails CI. `--threads 1` restricts the run to the serial
+# rows: the pooled rows oversubscribe single-vCPU CI hosts and their
+# wall-clock is too noisy to gate (the baseline's threads=2 rows are
+# simply skipped).
 cargo run --release -q -p wavefuse-bench --bin repro -- \
     bench --frames 16 --threads 1 --bench-out target/BENCH_gate.json \
     --check BENCH_pipeline.json --tolerance 25
@@ -140,13 +142,6 @@ cargo run --release -q --bin wavefuse -- \
     demo -o target/demo --frames 3 --trace target/demo.trace.json
 grep -q '"traceEvents"' target/demo.trace.json
 grep -q '"forward"' target/demo.trace.json
-
-echo "== fallback bench smoke (repro bench --frames 16 --no-columnar)"
-# The staged-transpose fallback must stay runnable end to end; the report
-# rows record columnar=false so regressions in the flag plumbing surface.
-cargo run --release -q -p wavefuse-bench --bin repro -- \
-    bench --frames 16 --no-columnar --bench-out target/BENCH_smoke_fallback.json
-grep -q '"columnar":false' target/BENCH_smoke_fallback.json
 
 echo "== multi-stream serving smoke (repro serve --streams 8 --frames 32)"
 # The shared-fleet serving path must drive 8 concurrent streams end to

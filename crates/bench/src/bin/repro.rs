@@ -22,9 +22,7 @@
 //! threaded rows (serial rows always run at depth 1). `--matrix`
 //! additionally records the NEON scaling curve — 1/2/4/8 threads x
 //! {88x72, 640x480, 1920x1080} x depth {1,2,3} — as extra report rows.
-//! `--no-columnar` disables the transpose-free columnar column passes so
-//! the staged-transpose fallback can be measured; each report row records
-//! the kernel name and the effective `columnar` setting. `--rule
+//! Each report row records the kernel name. `--rule
 //! choose-max|window-energy|weighted|activity-guided` selects the detail
 //! fusion rule (default `window-energy`, the paper's 3x3 neighborhood
 //! energy rule); the rule label is part of each row's identity key, so
@@ -70,7 +68,7 @@ use wavefuse_trace::{export, JsonValue, ToJson};
 const USAGE: &str = "usage: repro [fig2|table1|fig9a|fig9b|fig9c|fig10|crossover|adaptive|ablation|quality|hybrid|levels|throughput|timeline|bench|serve|eval|all]... \
 [--metrics <path>] [--flight-record <path>] [--frames <n>] [--threads <n>] [--frame-size <WxH>] [--depth <k>] [--matrix] \
 [--rule choose-max|window-energy|weighted|activity-guided] \
-[--streams <n>] [--bench-out <path>] [--serve-out <path>] [--no-columnar] [--check <baseline.json>] [--tolerance <pct>]";
+[--streams <n>] [--bench-out <path>] [--serve-out <path>] [--check <baseline.json>] [--tolerance <pct>]";
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -85,7 +83,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
             // Valueless flags.
-            if name == "no-columnar" || name == "matrix" {
+            if name == "matrix" {
                 options.push((name.to_string(), "true".to_string()));
                 continue;
             }
@@ -210,7 +208,6 @@ fn main() -> ExitCode {
                 Some(v) => Some(v.parse().map_err(|_| format!("bad --threads '{v}'"))?),
                 None => None,
             };
-            let columnar = opt("no-columnar").is_none();
             let frame_size: (usize, usize) = match opt("frame-size").as_deref() {
                 Some(v) => {
                     let parse = || -> Option<(usize, usize)> {
@@ -239,9 +236,9 @@ fn main() -> ExitCode {
                 eprintln!(
                     "recording NEON scaling matrix (threads x frame sizes x pipeline depths)..."
                 );
-                experiments::pipeline_bench_with_matrix(frames, threads, columnar, rule)?
+                experiments::pipeline_bench_with_matrix(frames, threads, rule)?
             } else {
-                experiments::pipeline_bench(frames, threads, columnar, frame_size, depth, rule)?
+                experiments::pipeline_bench(frames, threads, frame_size, depth, rule)?
             };
             println!("{}", report::render_bench(&bench));
             let path = opt("bench-out").unwrap_or_else(|| "BENCH_pipeline.json".to_string());
@@ -264,11 +261,10 @@ fn main() -> ExitCode {
                 Some(v) => Some(v.parse().map_err(|_| format!("bad --threads '{v}'"))?),
                 None => None,
             };
-            let columnar = opt("no-columnar").is_none();
             eprintln!(
                 "serving {streams} streams ({frames} timed frames each) on a shared fleet..."
             );
-            let serve = experiments::serve_bench(streams, frames, threads, columnar)?;
+            let serve = experiments::serve_bench(streams, frames, threads)?;
             println!("{}", report::render_serve(&serve));
             if let Some(path) = opt("serve-out") {
                 std::fs::write(
@@ -382,8 +378,8 @@ fn gate_report(
 }
 
 /// Replaces (or appends) the `SERVE-<streams>` row matching this run's
-/// `(backend, threads, columnar)` identity in the bench report at
-/// `path`, preserving every other row. A missing or unreadable report
+/// `(backend, threads)` identity in the bench report at `path`,
+/// preserving every other row. A missing or unreadable report
 /// starts from an empty `{"rows": []}` document. The file is always
 /// written back newline-terminated.
 fn upsert_serve_row(
@@ -407,10 +403,7 @@ fn upsert_serve_row(
         if let JsonValue::Arr(rows) = value {
             rows.retain(|r| {
                 !(r.get("backend").and_then(JsonValue::as_str) == Some(label.as_str())
-                    && r.get("threads").and_then(JsonValue::as_f64) == Some(serve.threads as f64)
-                    && r.get("columnar")
-                        .map(|c| matches!(c, JsonValue::Bool(b) if *b == serve.columnar))
-                        == Some(true))
+                    && r.get("threads").and_then(JsonValue::as_f64) == Some(serve.threads as f64))
             });
             rows.push(row.clone());
         } else {

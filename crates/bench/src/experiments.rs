@@ -705,8 +705,6 @@ pub struct BenchRow {
     /// part of the row identity so rows for different rules gate
     /// independently.
     pub rule: String,
-    /// Whether the transpose-free columnar column passes were enabled.
-    pub columnar: bool,
     /// Wall-clock seconds of the fastest timed window.
     pub wall_s: f64,
     /// Throughput of the fastest window, fused frames per second.
@@ -808,7 +806,7 @@ pub fn parse_rule(name: &str) -> Option<FusionRule> {
 
 /// Measures one configuration: warm-up, [`BENCH_REPS`] timed windows,
 /// per-step latency quantiles, measured phase split and pool counters.
-fn bench_case(case: BenchCase, columnar: bool) -> Result<BenchRow, FusionError> {
+fn bench_case(case: BenchCase) -> Result<BenchRow, FusionError> {
     let frames = case.frames.max(1);
     let mut pipe = VideoFusionPipeline::new(PipelineConfig {
         frame_size: case.frame_size,
@@ -818,7 +816,6 @@ fn bench_case(case: BenchCase, columnar: bool) -> Result<BenchRow, FusionError> 
         threads: case.threads,
         depth: case.depth,
     })?;
-    pipe.engine_mut().set_columnar(columnar);
     pipe.engine_mut().set_rule(case.rule);
     pipe.run(case.warmup)?;
     let warm_wall = pipe.engine().wall_phase_totals();
@@ -883,7 +880,6 @@ fn bench_case(case: BenchCase, columnar: bool) -> Result<BenchRow, FusionError> 
         frames,
         kernel: pipe.engine().kernel_name(case.backend).to_string(),
         rule: rule_label(case.rule),
-        columnar: pipe.engine().columnar(),
         wall_s: best_s,
         frames_per_second,
         ns_per_frame: best_s * 1e9 / frames as f64,
@@ -919,7 +915,6 @@ fn bench_case(case: BenchCase, columnar: bool) -> Result<BenchRow, FusionError> 
 pub fn pipeline_bench(
     frames: usize,
     threads: Option<usize>,
-    columnar: bool,
     frame_size: (usize, usize),
     depth: usize,
     rule: FusionRule,
@@ -939,18 +934,15 @@ pub fn pipeline_bench(
 
     let mut rows = Vec::new();
     for (backend, threads) in configs {
-        rows.push(bench_case(
-            BenchCase {
-                backend,
-                threads,
-                depth,
-                frame_size,
-                frames,
-                warmup: BENCH_WARMUP_FRAMES.max(depth + 1),
-                rule,
-            },
-            columnar,
-        )?);
+        rows.push(bench_case(BenchCase {
+            backend,
+            threads,
+            depth,
+            frame_size,
+            frames,
+            warmup: BENCH_WARMUP_FRAMES.max(depth + 1),
+            rule,
+        })?);
     }
     Ok(BenchReport {
         frame_size,
@@ -991,11 +983,7 @@ fn scaling_frames(frames: usize, (w, h): (usize, usize)) -> usize {
 /// # Errors
 ///
 /// Propagates pipeline errors (none occur for supported geometries).
-pub fn scaling_matrix(
-    frames: usize,
-    columnar: bool,
-    rule: FusionRule,
-) -> Result<Vec<BenchRow>, FusionError> {
+pub fn scaling_matrix(frames: usize, rule: FusionRule) -> Result<Vec<BenchRow>, FusionError> {
     let mut rows = Vec::new();
     for frame_size in SCALING_SIZES {
         let cell_frames = scaling_frames(frames.max(1), frame_size);
@@ -1004,18 +992,15 @@ pub fn scaling_matrix(
                 if threads == 1 && depth > 1 {
                     continue;
                 }
-                rows.push(bench_case(
-                    BenchCase {
-                        backend: Backend::Neon,
-                        threads,
-                        depth,
-                        frame_size,
-                        frames: cell_frames,
-                        warmup: BENCH_WARMUP_FRAMES.max(depth + 1),
-                        rule,
-                    },
-                    columnar,
-                )?);
+                rows.push(bench_case(BenchCase {
+                    backend: Backend::Neon,
+                    threads,
+                    depth,
+                    frame_size,
+                    frames: cell_frames,
+                    warmup: BENCH_WARMUP_FRAMES.max(depth + 1),
+                    rule,
+                })?);
             }
         }
     }
@@ -1023,8 +1008,8 @@ pub fn scaling_matrix(
 }
 
 /// [`pipeline_bench`] plus the [`scaling_matrix`] rows, deduplicated by
-/// the six-tuple row identity `(backend, threads, columnar, frame_size,
-/// depth, rule)` so the default rows are never measured twice.
+/// the five-tuple row identity `(backend, threads, frame_size, depth,
+/// rule)` so the default rows are never measured twice.
 ///
 /// # Errors
 ///
@@ -1032,15 +1017,13 @@ pub fn scaling_matrix(
 pub fn pipeline_bench_with_matrix(
     frames: usize,
     threads: Option<usize>,
-    columnar: bool,
     rule: FusionRule,
 ) -> Result<BenchReport, FusionError> {
-    let mut bench = pipeline_bench(frames, threads, columnar, (88, 72), 1, rule)?;
-    for row in scaling_matrix(frames, columnar, rule)? {
+    let mut bench = pipeline_bench(frames, threads, (88, 72), 1, rule)?;
+    for row in scaling_matrix(frames, rule)? {
         let dup = bench.rows.iter().any(|r| {
             r.backend == row.backend
                 && r.threads == row.threads
-                && r.columnar == row.columnar
                 && r.frame_size == row.frame_size
                 && r.depth == row.depth
                 && r.rule == row.rule
@@ -1064,8 +1047,6 @@ pub struct ServeBench {
     pub frames_per_stream: usize,
     /// Worker threads of the shared pool.
     pub threads: usize,
-    /// Whether the fleet ran the columnar column passes.
-    pub columnar: bool,
     /// The fleet window's measurements.
     pub report: ServeReport,
     /// Wall-clock seconds of the sequential baseline.
@@ -1091,7 +1072,6 @@ pub fn serve_bench(
     streams: usize,
     frames: usize,
     threads: Option<usize>,
-    columnar: bool,
 ) -> Result<ServeBench, FusionError> {
     let streams = streams.max(1);
     let frames = frames.max(1);
@@ -1104,8 +1084,7 @@ pub fn serve_bench(
         .max(1);
     let mut mgr = StreamManager::new(FleetConfig {
         threads,
-        columnar,
-        max_in_flight: None,
+        ..FleetConfig::default()
     });
     for s in 0..streams {
         mgr.admit(StreamConfig {
@@ -1119,7 +1098,6 @@ pub fn serve_bench(
         let t0 = std::time::Instant::now();
         for s in 0..streams {
             let mut engine = FusionEngine::new(LEVELS)?;
-            engine.set_columnar(columnar);
             engine.set_threads(threads);
             let scene = ScenePair::new(SCENE_SEED + s as u64);
             let mut web = WebCamera::new(scene.clone(), 88, 72);
@@ -1167,7 +1145,6 @@ pub fn serve_bench(
         streams,
         frames_per_stream: frames,
         threads,
-        columnar,
         speedup: report.aggregate_fps / sequential_fps.max(1e-12),
         report,
         sequential_wall_s,
@@ -1176,8 +1153,8 @@ pub fn serve_bench(
 }
 
 /// Maps a serve window onto a [`BenchRow`] so the regression gate's
-/// six-tuple row identity `(backend, threads, columnar, frame_size,
-/// depth, rule)` covers serving: the backend label is `SERVE-<streams>` and the
+/// five-tuple row identity `(backend, threads, frame_size, depth, rule)`
+/// covers serving: the backend label is `SERVE-<streams>` and the
 /// kernel `fleet-shared-pool`, so serve rows never collide with
 /// single-stream rows. Latency quantiles are the **worst stream's**
 /// (gating fairness as well as tail latency); `frames` is per stream.
@@ -1202,7 +1179,6 @@ pub fn serve_row(bench: &ServeBench) -> BenchRow {
         frames: bench.frames_per_stream,
         kernel: "fleet-shared-pool".to_string(),
         rule: rule_label(FusionRule::WindowEnergy { radius: 1 }),
-        columnar: bench.columnar,
         wall_s: r.wall_s,
         frames_per_second: r.aggregate_fps,
         ns_per_frame: r.wall_s * 1e9 / (r.total_frames.max(1) as f64),
@@ -1245,7 +1221,6 @@ pub fn serve_json(bench: &ServeBench) -> JsonValue {
     obj(vec![
         ("streams", r.streams.to_json()),
         ("threads", r.threads.to_json()),
-        ("columnar", r.columnar.to_json()),
         ("frames_per_stream", bench.frames_per_stream.to_json()),
         ("wall_s", r.wall_s.to_json()),
         ("total_frames", r.total_frames.to_json()),
@@ -1405,7 +1380,6 @@ impl ToJson for BenchRow {
             ("frames", self.frames.to_json()),
             ("kernel", self.kernel.to_json()),
             ("rule", self.rule.to_json()),
-            ("columnar", self.columnar.to_json()),
             ("wall_s", self.wall_s.to_json()),
             ("frames_per_second", self.frames_per_second.to_json()),
             ("ns_per_frame", self.ns_per_frame.to_json()),

@@ -10,12 +10,13 @@
 //!   current value climbs above `baseline * (1 + tolerance)` — more
 //!   energy or a fatter tail is bad, less is fine.
 //!
-//! Rows are matched by the `(backend, threads, columnar, frame_size,
-//! depth, rule)` six-tuple so a baseline captured with a different
-//! thread count, geometry, fusion rule or kernel matrix degrades to
-//! warnings, never false failures. Baseline rows predating the
-//! `frame_size`/`depth`/`rule` columns are read as the historical
-//! defaults (88x72, depth 1, `window-energy`). Missing rows or missing
+//! Rows are matched by the `(backend, threads, frame_size, depth, rule)`
+//! five-tuple so a baseline captured with a different thread count,
+//! geometry, fusion rule or kernel matrix degrades to warnings, never
+//! false failures. Baseline rows predating the `frame_size`/`depth`/`rule`
+//! columns are read as the historical defaults (88x72, depth 1,
+//! `window-energy`). Other keys, such as the `columnar` flag the committed
+//! baseline's rows still carry, are ignored. Missing rows or missing
 //! metrics (e.g. a baseline predating the energy columns) are skipped
 //! with a warning rather than treated as regressions, so the gate can be
 //! adopted against historical baselines.
@@ -30,8 +31,6 @@ pub struct GateCheck {
     pub backend: String,
     /// Worker threads of the row.
     pub threads: usize,
-    /// Whether the columnar column passes were enabled for the row.
-    pub columnar: bool,
     /// Frame geometry of the row.
     pub frame_size: (usize, usize),
     /// Pipelining depth of the row.
@@ -105,14 +104,11 @@ fn baseline_rule(row: &JsonValue) -> &str {
         .unwrap_or("window-energy")
 }
 
-/// Finds the baseline row matching a current row's identity six-tuple.
+/// Finds the baseline row matching a current row's identity five-tuple.
 fn find_baseline_row<'a>(rows: &'a [JsonValue], cur: &BenchRow) -> Option<&'a JsonValue> {
     rows.iter().find(|r| {
         r.get("backend").and_then(JsonValue::as_str) == Some(cur.backend.as_str())
             && r.get("threads").and_then(JsonValue::as_f64) == Some(cur.threads as f64)
-            && r.get("columnar")
-                .map(|v| matches!(v, JsonValue::Bool(b) if *b == cur.columnar))
-                == Some(true)
             && baseline_frame_size(r) == cur.frame_size
             && baseline_depth(r) == cur.depth
             && baseline_rule(r) == cur.rule
@@ -186,14 +182,8 @@ pub fn check_against_baseline(
     };
     for cur in &current.rows {
         let ident = format!(
-            "{} threads={} columnar={} size={}x{} depth={} rule={}",
-            cur.backend,
-            cur.threads,
-            cur.columnar,
-            cur.frame_size.0,
-            cur.frame_size.1,
-            cur.depth,
-            cur.rule
+            "{} threads={} size={}x{} depth={} rule={}",
+            cur.backend, cur.threads, cur.frame_size.0, cur.frame_size.1, cur.depth, cur.rule
         );
         let Some(base) = find_baseline_row(base_rows, cur) else {
             if !base_rows.is_empty() {
@@ -239,7 +229,6 @@ pub fn check_against_baseline(
             outcome.checks.push(GateCheck {
                 backend: cur.backend.clone(),
                 threads: cur.threads,
-                columnar: cur.columnar,
                 frame_size: cur.frame_size,
                 depth: cur.depth,
                 rule: cur.rule.clone(),
@@ -266,26 +255,16 @@ pub fn render_gate(outcome: &GateOutcome) -> String {
         outcome.tolerance * 100.0
     ));
     out.push_str(&format!(
-        "{:>8} {:>7} {:>8} {:>10} {:>5} {:>15} | {:>20} | {:>12} {:>12} | {}\n",
-        "backend",
-        "threads",
-        "columnar",
-        "size",
-        "depth",
-        "rule",
-        "metric",
-        "baseline",
-        "current",
-        "verdict"
+        "{:>8} {:>7} {:>10} {:>5} {:>15} | {:>20} | {:>12} {:>12} | {}\n",
+        "backend", "threads", "size", "depth", "rule", "metric", "baseline", "current", "verdict"
     ));
-    out.push_str(&"-".repeat(124));
+    out.push_str(&"-".repeat(115));
     out.push('\n');
     for c in &outcome.checks {
         out.push_str(&format!(
-            "{:>8} {:>7} {:>8} {:>10} {:>5} {:>15} | {:>20} | {:>12.3} {:>12.3} | {}\n",
+            "{:>8} {:>7} {:>10} {:>5} {:>15} | {:>20} | {:>12.3} {:>12.3} | {}\n",
             c.backend,
             c.threads,
-            c.columnar,
             format!("{}x{}", c.frame_size.0, c.frame_size.1),
             c.depth,
             c.rule,
@@ -329,7 +308,6 @@ mod tests {
                 frames: 8,
                 kernel: "zynq-sim".into(),
                 rule: "window-energy".into(),
-                columnar: true,
                 wall_s: 0.1,
                 frames_per_second: 80.0,
                 ns_per_frame: 1.25e7,
@@ -526,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_rows_are_gated_by_the_same_six_tuple() {
+    fn serve_rows_are_gated_by_the_same_five_tuple() {
         let mut cur = report();
         cur.rows[0].backend = "SERVE-64".into();
         cur.rows[0].kernel = "fleet-shared-pool".into();

@@ -290,11 +290,7 @@ pub fn render_bench(bench: &BenchReport) -> String {
         out.push_str(&format!(
             "{:>8} | {:>16} | {:>13} | {:>9} {:>7} {:>5} | {:>10.1} {:>10.1} {:>12.0} {:>12.0} | {:>9.3} {:>8.1} | {:>8}/{}\n",
             r.backend,
-            if r.columnar {
-                r.kernel.clone()
-            } else {
-                format!("{}*", r.kernel)
-            },
+            r.kernel,
             r.rule,
             format!("{}x{}", r.frame_size.0, r.frame_size.1),
             r.threads,
@@ -309,9 +305,6 @@ pub fn render_bench(bench: &BenchReport) -> String {
             r.pool_misses
         ));
     }
-    if bench.rows.iter().any(|r| !r.columnar) {
-        out.push_str("* columnar column passes disabled (staged-transpose fallback)\n");
-    }
     out
 }
 
@@ -321,11 +314,8 @@ pub fn render_serve(bench: &ServeBench) -> String {
     let r = &bench.report;
     let mut out = String::new();
     out.push_str(&format!(
-        "## Multi-stream serving: {} streams x {} frames on a shared {}-thread fleet{}\n",
-        r.streams,
-        bench.frames_per_stream,
-        r.threads,
-        if r.columnar { "" } else { " (columnar off)" }
+        "## Multi-stream serving: {} streams x {} frames on a shared {}-thread fleet\n",
+        r.streams, bench.frames_per_stream, r.threads
     ));
     out.push_str(&format!(
         "aggregate {:.1} fps over {:.3} s wall | sequential baseline {:.1} fps over {:.3} s | speedup {:.2}x\n",

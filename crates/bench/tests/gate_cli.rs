@@ -32,6 +32,20 @@ fn run_bench(out_path: &std::path::Path, extra: &[&str]) -> std::process::Output
     cmd.output().expect("spawn repro bench")
 }
 
+/// Applies `edit` to every row object of a bench report document.
+fn edit_rows(doc: &mut JsonValue, mut edit: impl FnMut(&mut Vec<(String, JsonValue)>)) {
+    if let JsonValue::Obj(pairs) = doc {
+        let rows = pairs.iter_mut().find(|(k, _)| k == "rows").unwrap();
+        if let JsonValue::Arr(rows) = &mut rows.1 {
+            for row in rows {
+                if let JsonValue::Obj(fields) = row {
+                    edit(fields);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn bench_rows_carry_energy_and_quantile_columns() {
     let dir = tmp_dir("columns");
@@ -97,23 +111,45 @@ fn check_passes_against_own_baseline_and_fails_inflated_one() {
     assert!(stdout.contains("Bench regression gate"), "{stdout}");
     assert!(stdout.contains("gate: PASS"), "{stdout}");
 
+    // A baseline whose rows still carry the retired `"columnar": true`
+    // key (as the committed BENCH_pipeline.json does) must keep gating:
+    // every row is compared, none degrades to a warning.
+    let mut doc = JsonValue::parse(&std::fs::read_to_string(&baseline).unwrap()).unwrap();
+    edit_rows(&mut doc, |fields| {
+        fields.push(("columnar".to_string(), JsonValue::Bool(true)));
+    });
+    let legacy = dir.join("legacy.json");
+    std::fs::write(&legacy, doc.render()).unwrap();
+    let out = run_bench(
+        &dir.join("rerun_legacy.json"),
+        &["--check", legacy.to_str().unwrap(), "--tolerance", "10000"],
+    );
+    assert!(
+        out.status.success(),
+        "legacy-keyed self-check failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("gate: PASS"), "{stdout}");
+    assert!(
+        !stdout.contains("(0 checks"),
+        "legacy rows produced no comparisons:\n{stdout}"
+    );
+    assert!(
+        stdout.contains(", 0 warnings)"),
+        "legacy rows degraded to warnings:\n{stdout}"
+    );
+
     // Inflate the baseline's fps 100x: the fresh run must now regress.
     let mut doc = JsonValue::parse(&std::fs::read_to_string(&baseline).unwrap()).unwrap();
-    if let JsonValue::Obj(pairs) = &mut doc {
-        let rows = pairs.iter_mut().find(|(k, _)| k == "rows").unwrap();
-        if let JsonValue::Arr(rows) = &mut rows.1 {
-            for row in rows {
-                if let JsonValue::Obj(fields) = row {
-                    let fps = fields
-                        .iter_mut()
-                        .find(|(k, _)| k == "frames_per_second")
-                        .unwrap();
-                    let inflated = fps.1.as_f64().unwrap() * 100.0;
-                    fps.1 = JsonValue::Num(inflated);
-                }
-            }
-        }
-    }
+    edit_rows(&mut doc, |fields| {
+        let fps = fields
+            .iter_mut()
+            .find(|(k, _)| k == "frames_per_second")
+            .unwrap();
+        let inflated = fps.1.as_f64().unwrap() * 100.0;
+        fps.1 = JsonValue::Num(inflated);
+    });
     let inflated = dir.join("inflated.json");
     std::fs::write(&inflated, doc.render()).unwrap();
     let out = run_bench(
@@ -128,6 +164,65 @@ fn check_passes_against_own_baseline_and_fails_inflated_one() {
     assert!(stderr.contains("regression gate failed"), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("REGRESSED"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_upsert_replaces_a_legacy_keyed_row() {
+    // A SERVE-2/threads-2 row written while rows still carried the
+    // `columnar` key must be replaced, not duplicated, and every other
+    // row must survive the upsert.
+    let dir = tmp_dir("upsert");
+    let path = dir.join("bench.json");
+    std::fs::write(
+        &path,
+        "{\"rows\":[\
+         {\"backend\":\"SERVE-2\",\"threads\":2,\"columnar\":true,\"frames_per_second\":1.0},\
+         {\"backend\":\"NEON\",\"threads\":1,\"columnar\":true,\"frames_per_second\":2.0}]}\n",
+    )
+    .unwrap();
+    let out = repro()
+        .args([
+            "serve",
+            "--streams",
+            "2",
+            "--frames",
+            "2",
+            "--threads",
+            "2",
+            "--bench-out",
+            path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn repro serve");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid json");
+    let rows = doc.get("rows").and_then(JsonValue::as_arr).expect("rows");
+    let key = |r: &JsonValue| {
+        (
+            r.get("backend")
+                .and_then(JsonValue::as_str)
+                .map(str::to_owned),
+            r.get("threads").and_then(JsonValue::as_f64),
+        )
+    };
+    let serve: Vec<&JsonValue> = rows
+        .iter()
+        .filter(|r| key(r) == (Some("SERVE-2".into()), Some(2.0)))
+        .collect();
+    assert_eq!(serve.len(), 1, "{}", doc.render());
+    assert!(serve[0].get("columnar").is_none(), "legacy row survived");
+    assert!(
+        rows.iter()
+            .any(|r| key(r) == (Some("NEON".into()), Some(1.0))),
+        "unrelated row dropped: {}",
+        doc.render()
+    );
+    assert_eq!(rows.len(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -242,15 +242,13 @@ pub struct FusionEngine {
     /// Per-worker scheduler counters already reported to telemetry (delta
     /// tracking; sized to the pool's thread count).
     reported_sched: Vec<WorkerSchedStats>,
-    /// Whether the CPU kernels run the transpose-free columnar column
-    /// passes (the default) or the transpose-staged fallback.
-    columnar: bool,
     /// Persistent transform workers; `None` runs the serial in-place path.
     /// Shared (`Arc`) so a fleet of engines can multiplex one pool — see
     /// [`FusionEngine::set_shared_pool`].
     pool: Option<Arc<WorkerPool>>,
-    /// Whether `pool` is a fleet-shared pool this engine must not rebuild
-    /// (reconfigures like [`FusionEngine::set_columnar`] leave it alone).
+    /// Whether `pool` is a fleet-shared pool: its ring carries other
+    /// engines' jobs, so fusion runs on the dispatcher instead of as strip
+    /// jobs (see [`FusionEngine::set_shared_pool`]).
     pool_shared: bool,
     /// In-progress packed forward parked between
     /// [`FusionEngine::packed_forward_submit`] and
@@ -388,7 +386,6 @@ impl FusionEngine {
             reported_pool: PoolStats::default(),
             reported_transpose: wavefuse_dtcwt::transpose_bytes_total(),
             reported_sched: Vec::new(),
-            columnar: true,
             pool: None,
             pool_shared: false,
             packed: None,
@@ -409,7 +406,7 @@ impl FusionEngine {
             self.pool = None;
             self.reported_sched.clear();
         } else {
-            self.pool = Some(Arc::new(build_worker_pool(threads, self.columnar)));
+            self.pool = Some(Arc::new(build_worker_pool(threads, true)));
             // A fresh pool starts its counters at zero.
             self.reported_sched.clear();
             self.reported_sched
@@ -428,10 +425,8 @@ impl FusionEngine {
 
     /// Attaches a fleet-shared [`WorkerPool`] (see [`build_worker_pool`])
     /// instead of spawning a private one. The engine multiplexes its
-    /// transform batches onto the shared ring; reconfigures that would
-    /// rebuild a private pool ([`FusionEngine::set_columnar`]) leave a
-    /// shared pool untouched — the fleet owner picks the workers' kernel
-    /// flags at pool construction.
+    /// transform batches onto the shared ring and fuses on the dispatcher,
+    /// since strip jobs would drain other engines' jobs from that ring.
     ///
     /// Call this before any frames are in flight (at stream admission);
     /// attaching mid-flight abandons in-flight frames like
@@ -515,35 +510,6 @@ impl FusionEngine {
         self.combos_b.reserve(width, height, self.levels);
         self.out_pool.preallocate(width, height, self.depth + 1);
         Ok(())
-    }
-
-    /// Enables or disables the transpose-free columnar column passes on the
-    /// SIMD kernels (enabled by default), including the pool workers'
-    /// kernels. Disabling routes every column pass through the
-    /// transpose-staged fallback — useful for A/B benchmarking, since the
-    /// two paths are bit-identical by construction. The scalar, FPGA, and
-    /// hybrid kernels always use the fallback either way.
-    pub fn set_columnar(&mut self, enabled: bool) {
-        self.columnar = enabled;
-        for backend in Backend::ALL_EXTENDED {
-            self.kernels.get(backend).set_columnar(enabled);
-        }
-        if self.pool_shared {
-            // A fleet-shared pool's worker kernels are configured once by
-            // the fleet owner; rebuilding it here would orphan the other
-            // engines multiplexed onto it.
-            return;
-        }
-        if let Some(pool) = &self.pool {
-            // Rebuild the pool so worker-owned kernels pick up the flag.
-            let threads = pool.threads();
-            self.set_threads(threads);
-        }
-    }
-
-    /// Whether the SIMD kernels run the columnar column passes.
-    pub fn columnar(&self) -> bool {
-        self.columnar
     }
 
     /// Name of the filter kernel a backend executes with.
@@ -1150,9 +1116,9 @@ impl FusionEngine {
     }
 
     /// The engine-known part of a finished frame's flight record: backend,
-    /// kernel, columnar mode, threads, the modeled per-phase time and
-    /// energy, the PS/PL energy split, PL busy time, the cost model's
-    /// prediction and the fusion strip count. Callers fill the schedule
+    /// kernel, threads, the modeled per-phase time and energy, the PS/PL
+    /// energy split, PL busy time, the cost model's prediction and the
+    /// fusion strip count. Callers fill the schedule
     /// fields (frame index, clocks, decision, counters) with struct update
     /// syntax. Allocation-free.
     pub fn frame_record(&self, out: &FusionOutput) -> FrameRecord {
@@ -1171,7 +1137,6 @@ impl FusionEngine {
         FrameRecord {
             backend: out.backend.label(),
             kernel: self.kernel_name(out.backend),
-            columnar: self.columnar,
             threads: self.threads() as u64,
             model_dur_s: out.timing.total_seconds(),
             phase_s,
@@ -1359,17 +1324,18 @@ impl FusionEngine {
 
 /// Builds the standard transform [`WorkerPool`]: `threads` workers, each
 /// owning a scalar (ARM) kernel in slot 0 and a SIMD (NEON) kernel in slot
-/// 1 with the given columnar setting — the pool layout every
-/// [`FusionEngine`] expects. [`FusionEngine::set_threads`] builds one
-/// privately; a fleet owner builds one here and attaches it to many
-/// engines via [`FusionEngine::set_shared_pool`].
-pub fn build_worker_pool(threads: usize, columnar: bool) -> WorkerPool {
+/// 1 — the pool layout every [`FusionEngine`] expects.
+/// [`FusionEngine::set_threads`] builds one privately; a fleet owner builds
+/// one here and attaches it to many engines via
+/// [`FusionEngine::set_shared_pool`].
+///
+/// `_columnar` is ignored; drop with the next benchmark PR (the benchmark
+/// harness pins this signature).
+pub fn build_worker_pool(threads: usize, _columnar: bool) -> WorkerPool {
     WorkerPool::new(threads, &mut |_| {
-        let mut simd = SimdKernel::new();
-        simd.set_columnar(columnar);
         vec![
             Box::new(ScalarKernel::new()) as Box<dyn FilterKernel + Send>,
-            Box::new(simd) as Box<dyn FilterKernel + Send>,
+            Box::new(SimdKernel::new()) as Box<dyn FilterKernel + Send>,
         ]
     })
 }
@@ -1752,28 +1718,6 @@ mod tests {
         // Re-reserving the same geometry is idempotent.
         eng.reserve_frame_buffers(1920, 1080).unwrap();
         assert_eq!(eng.buffer_pool().free_buffers(), 4);
-    }
-
-    #[test]
-    fn columnar_toggle_is_bit_identical_and_propagates() {
-        let (a, b) = inputs(40, 40);
-        let mut on = FusionEngine::new(3).unwrap();
-        let mut off = FusionEngine::new(3).unwrap();
-        off.set_columnar(false);
-        assert!(on.columnar() && !off.columnar());
-        for backend in [Backend::Neon, Backend::Arm] {
-            let x = on.fuse(&a, &b, backend).unwrap();
-            let y = off.fuse(&a, &b, backend).unwrap();
-            assert_eq!(x.image, y.image, "{backend:?}");
-        }
-        // Pool workers pick the flag up through the rebuilt kernel factory.
-        off.set_threads(2);
-        let pooled_off = off.fuse(&a, &b, Backend::Neon).unwrap();
-        off.set_columnar(true);
-        let pooled_on = off.fuse(&a, &b, Backend::Neon).unwrap();
-        let serial_on = on.fuse(&a, &b, Backend::Neon).unwrap();
-        assert_eq!(pooled_off.image, serial_on.image);
-        assert_eq!(pooled_on.image, serial_on.image);
     }
 
     #[test]

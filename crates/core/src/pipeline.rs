@@ -405,8 +405,8 @@ impl VideoFusionPipeline {
             },
         };
         // Per-frame deltas of cumulative engine counters. `saturating_sub`
-        // because an `engine_mut()` reconfiguration (set_threads /
-        // set_columnar) swaps in a fresh pool with zeroed counters mid-run.
+        // because an `engine_mut()` reconfiguration (set_threads) swaps in
+        // a fresh pool with zeroed counters mid-run.
         let sched = self.engine.sched_totals();
         let steals = sched.steals.saturating_sub(self.last_sched.steals);
         let batches_claimed = sched
@@ -511,8 +511,8 @@ impl VideoFusionPipeline {
         &self.engine
     }
 
-    /// Mutable engine access (e.g. to toggle the columnar column passes
-    /// or reconfigure telemetry between runs).
+    /// Mutable engine access (e.g. to change the fusion rule or
+    /// reconfigure telemetry between runs).
     pub fn engine_mut(&mut self) -> &mut FusionEngine {
         &mut self.engine
     }

@@ -19,9 +19,9 @@
 //!   time. Harvests run in submission order (the ring's `drain_partial`
 //!   contract), coordinated by the manager's global FIFO.
 //! * **Shared plan cache.** [`TransformPlan`]s are cached fleet-wide,
-//!   keyed by `(geometry, levels)` (columnar is a fleet-wide setting), and
-//!   handed to same-shape engines via [`FusionEngine::adopt_plan`] — 64
-//!   identical streams build one plan, not 64.
+//!   keyed by `(geometry, levels)`, and handed to same-shape engines via
+//!   [`FusionEngine::adopt_plan`] — 64 identical streams build one plan,
+//!   not 64.
 //! * **Fleet-level QoS.** Admission picks each `Auto` stream's operating
 //!   point (deepest feasible levels, then the minimum-energy CPU backend by
 //!   [`decide`]), and the engine's oldest-frame retirement doubles as
@@ -112,9 +112,8 @@ impl Default for StreamConfig {
 pub struct FleetConfig {
     /// Worker threads of the shared pool (>= 1).
     pub threads: usize,
-    /// Whether the fleet's SIMD kernels run the transpose-free columnar
-    /// column passes. Fleet-wide: the shared workers' kernels are built
-    /// once.
+    /// Ignored; drop with the next benchmark PR (the benchmark harness
+    /// pins this field). The NEON kernels have one column path.
     pub columnar: bool,
     /// Cap on frames pending retirement across the whole fleet. Admitting
     /// a frame past the cap **drops** the globally oldest pending frame
@@ -215,8 +214,6 @@ pub struct ServeReport {
     pub streams: usize,
     /// Worker threads of the shared pool.
     pub threads: usize,
-    /// Whether the fleet ran the columnar column passes.
-    pub columnar: bool,
     /// Wall-clock seconds of the window.
     pub wall_s: f64,
     /// Frames delivered across all streams.
@@ -257,7 +254,6 @@ struct StreamSnapshot {
 pub struct StreamManager {
     pool: Arc<WorkerPool>,
     threads: usize,
-    columnar: bool,
     max_in_flight: Option<usize>,
     streams: Vec<Stream>,
     /// Fleet plan cache: `(levels, plan)`, matched on `frame_dims()` too.
@@ -281,9 +277,8 @@ impl StreamManager {
     pub fn new(fleet: FleetConfig) -> Self {
         let threads = fleet.threads.max(1);
         StreamManager {
-            pool: Arc::new(build_worker_pool(threads, fleet.columnar)),
+            pool: Arc::new(build_worker_pool(threads, true)),
             threads,
-            columnar: fleet.columnar,
             max_in_flight: fleet.max_in_flight,
             streams: Vec::new(),
             plans: Vec::new(),
@@ -344,11 +339,13 @@ impl StreamManager {
     /// `Auto` target rate is not finite and positive.
     pub fn admit(&mut self, cfg: StreamConfig) -> Result<usize, FusionError> {
         let (w, h) = cfg.frame_size;
-        let (backend, levels) = self.resolve_operating_point(&cfg)?;
+        let (backend, levels, feasible) = operating_point(&cfg)?;
+        if !feasible {
+            self.qos_infeasible += 1;
+        }
         let depth = cfg.depth.max(1);
         let mut engine = FusionEngine::new(levels)?;
         engine.set_shared_pool(Arc::clone(&self.pool));
-        engine.set_columnar(self.columnar);
         engine.set_pipeline_depth(depth);
         engine.adopt_plan(self.fleet_plan(w, h, levels)?);
         engine.reserve_frame_buffers(w, h)?;
@@ -386,53 +383,6 @@ impl StreamManager {
         self.retire_fifo.reserve(depth);
         self.unstashed.reserve(depth);
         Ok(id)
-    }
-
-    /// Resolves a stream's `(backend, levels)` operating point — validated
-    /// pass-through for `Fixed`; for `Auto`, the deepest depth at which
-    /// [`decide`] finds a CPU backend (those are what the ring can pack)
-    /// meeting the frame period, minimum energy first.
-    fn resolve_operating_point(
-        &mut self,
-        cfg: &StreamConfig,
-    ) -> Result<(Backend, usize), FusionError> {
-        let target_fps = match cfg.backend {
-            StreamBackend::Fixed(b) => {
-                assert!(
-                    matches!(b, Backend::Arm | Backend::Neon),
-                    "serving packs streams onto the pooled CPU backends"
-                );
-                return Ok((b, cfg.levels));
-            }
-            StreamBackend::Auto { target_fps } => target_fps,
-        };
-        assert!(
-            target_fps.is_finite() && target_fps > 0.0,
-            "an Auto stream needs a finite, positive target rate"
-        );
-        let (w, h) = cfg.frame_size;
-        let deadline_s = 1.0 / target_fps;
-        let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
-        let candidates = [Backend::Neon, Backend::Arm];
-        // Deepest depth first. A geometry without even one level gets the
-        // one-level plan's `BadLevels` error.
-        let cap = cfg.levels.min(Dwt2d::max_levels(w, h)).max(1);
-        for levels in (1..=cap).rev() {
-            let plan = TransformPlan::dtcwt(w, h, levels)?;
-            if let Some(p) = decide(
-                &cost,
-                &power,
-                DEFAULT_RULE,
-                &plan,
-                &candidates,
-                Objective::Energy,
-                deadline_s,
-            ) {
-                return Ok((p.backend, levels));
-            }
-        }
-        self.qos_infeasible += 1;
-        Ok((Backend::Neon, cfg.levels))
     }
 
     /// Looks up (or builds and caches) the fleet-shared plan for a
@@ -707,7 +657,6 @@ impl StreamManager {
         ServeReport {
             streams: self.streams.len(),
             threads: self.threads,
-            columnar: self.columnar,
             wall_s,
             total_frames,
             total_drops,
@@ -736,24 +685,77 @@ pub fn stream_label(stream: usize) -> &'static str {
     LABELS.get(stream).copied().unwrap_or("overflow")
 }
 
+/// Resolves a stream's `(backend, levels, feasible)` operating point —
+/// validated pass-through for `Fixed`; for `Auto`, the deepest depth at
+/// which [`decide`] finds a CPU backend (those are what the ring can pack)
+/// meeting the frame period, minimum energy first. When none does,
+/// `feasible` is `false` and the stream falls back to NEON at the
+/// requested levels. Admission and [`solo_digest`] both resolve here, so
+/// the solo reference fuses at the operating point the fleet admitted.
+///
+/// # Errors
+///
+/// Returns [`FusionError::Transform`] if the geometry cannot support even
+/// one decomposition level.
+///
+/// # Panics
+///
+/// Panics if a `Fixed` backend is not a pooled CPU backend, or if an
+/// `Auto` target rate is not finite and positive.
+fn operating_point(cfg: &StreamConfig) -> Result<(Backend, usize, bool), FusionError> {
+    let target_fps = match cfg.backend {
+        StreamBackend::Fixed(b) => {
+            assert!(
+                matches!(b, Backend::Arm | Backend::Neon),
+                "serving packs streams onto the pooled CPU backends"
+            );
+            return Ok((b, cfg.levels, true));
+        }
+        StreamBackend::Auto { target_fps } => target_fps,
+    };
+    assert!(
+        target_fps.is_finite() && target_fps > 0.0,
+        "an Auto stream needs a finite, positive target rate"
+    );
+    let (w, h) = cfg.frame_size;
+    let deadline_s = 1.0 / target_fps;
+    let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
+    let candidates = [Backend::Neon, Backend::Arm];
+    // Deepest depth first. A geometry without even one level gets the
+    // one-level plan's `BadLevels` error.
+    let cap = cfg.levels.min(Dwt2d::max_levels(w, h)).max(1);
+    for levels in (1..=cap).rev() {
+        let plan = TransformPlan::dtcwt(w, h, levels)?;
+        if let Some(p) = decide(
+            &cost,
+            &power,
+            DEFAULT_RULE,
+            &plan,
+            &candidates,
+            Objective::Energy,
+            deadline_s,
+        ) {
+            return Ok((p.backend, levels, true));
+        }
+    }
+    Ok((Backend::Neon, cfg.levels, false))
+}
+
 /// Fuses `frames` frames of a stream's deterministic source **serially**
 /// (no pool, depth 1) and returns the FNV-1a digest of the delivered pixel
-/// stream — the bit-identity reference the fleet path must reproduce.
+/// stream — the bit-identity reference the fleet path must reproduce. The
+/// stream runs at the operating point [`StreamManager::admit`] resolves.
 ///
-/// `Auto` backends resolve to NEON here (admission's CPU candidates are
-/// bit-identical, so identity tests should pin the backend).
+/// `_columnar` is ignored; drop with the next benchmark PR (the benchmark
+/// harness pins this signature).
 ///
 /// # Errors
 ///
 /// Same as [`StreamManager::admit`].
-pub fn solo_digest(cfg: &StreamConfig, columnar: bool, frames: usize) -> Result<u64, FusionError> {
+pub fn solo_digest(cfg: &StreamConfig, _columnar: bool, frames: usize) -> Result<u64, FusionError> {
     let (w, h) = cfg.frame_size;
-    let backend = match cfg.backend {
-        StreamBackend::Fixed(b) => b,
-        StreamBackend::Auto { .. } => Backend::Neon,
-    };
-    let mut engine = FusionEngine::new(cfg.levels)?;
-    engine.set_columnar(columnar);
+    let (backend, levels, _) = operating_point(cfg)?;
+    let mut engine = FusionEngine::new(levels)?;
     let scene = ScenePair::new(cfg.scene_seed);
     let mut web = WebCamera::new(scene.clone(), w, h);
     let mut thermal = ThermalCamera::new(scene, w, h);

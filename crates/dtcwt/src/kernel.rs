@@ -32,10 +32,11 @@
 //! The separable 2-D transforms also route their **vertical** pass through
 //! the kernel ([`FilterKernel::analyze_cols`] /
 //! [`FilterKernel::synthesize_cols`]). The default implementations transpose
-//! the image and reuse the row primitives — exactly the pre-columnar
-//! behavior, so scalar and FPGA kernels work unchanged — while SIMD kernels
-//! override them with a transpose-free path that filters adjacent columns in
-//! vector lanes.
+//! the image and reuse the row primitives, so scalar and FPGA kernels work
+//! unchanged, while the NEON kernels override them with a transpose-free
+//! path that filters adjacent columns in vector lanes. That override must be
+//! bit-identical to the transpose staging ([`fallback_analyze_cols`],
+//! [`fallback_synthesize_cols`]), which the tests use as its oracle.
 
 use crate::dwt1d::{analyze_into, synthesize_into, BankTaps, Phase};
 use crate::image::Image;
@@ -99,19 +100,6 @@ pub trait FilterKernel {
         phase: usize,
         out: &mut [f32],
     );
-
-    /// Whether this kernel's column passes run transpose-free.
-    ///
-    /// `false` (the default) means [`FilterKernel::analyze_cols`] and
-    /// [`FilterKernel::synthesize_cols`] stage the image through transposes
-    /// and the row primitives.
-    fn columnar(&self) -> bool {
-        false
-    }
-
-    /// Enables or disables the transpose-free column path. A no-op for
-    /// kernels without one; kernels that have one must default to enabled.
-    fn set_columnar(&mut self, _enabled: bool) {}
 
     /// Decimating analysis of every **column** of `img` (the vertical pass
     /// of one separable 2-D analysis level).
@@ -195,9 +183,9 @@ pub trait FilterKernel {
     }
 }
 
-/// Transpose-based column analysis: the behavior every kernel had before the
-/// columnar path existed, kept as the [`FilterKernel::analyze_cols`] default
-/// and as the explicit fallback columnar kernels delegate to when disabled.
+/// Transpose-based column analysis: the [`FilterKernel::analyze_cols`]
+/// default the scalar, FPGA and hybrid kernels run, and the oracle the
+/// NEON kernels' transpose-free column pass is tested against bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn fallback_analyze_cols<K: FilterKernel + ?Sized>(
     kernel: &mut K,

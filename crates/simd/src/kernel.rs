@@ -35,7 +35,7 @@
 
 use crate::vector::{F32x4, Lanes};
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
-use wavefuse_dtcwt::kernel::{fallback_analyze_cols, fallback_synthesize_cols, taps_changed};
+use wavefuse_dtcwt::kernel::taps_changed;
 use wavefuse_dtcwt::scratch::{ColScratch, Scratch1d};
 use wavefuse_dtcwt::{ComplexImage, DtcwtError, FilterKernel, FuseOp, FuseScratch, Image};
 
@@ -302,7 +302,7 @@ fn synth_cols(
 /// Columnar analysis. Tap caches are the kernel's `reversed_padded`
 /// vectors.
 #[allow(clippy::too_many_arguments)]
-fn columnar_analyze(
+fn lane_analyze_cols(
     rev0: &[f32],
     rev1: &[f32],
     l0: usize,
@@ -342,7 +342,7 @@ fn columnar_analyze(
 /// Columnar polyphase synthesis; the final
 /// delay-compensating rotation is fused into the destination row index.
 #[allow(clippy::too_many_arguments)]
-fn columnar_synthesize(
+fn lane_synthesize_cols(
     g0_even: &[f32],
     g0_odd: &[f32],
     g1_even: &[f32],
@@ -406,7 +406,6 @@ pub struct NeonKernel<const MANUAL: bool> {
     a_key1: Vec<f32>,
     s_key0: Vec<f32>,
     s_key1: Vec<f32>,
-    columnar: bool,
 }
 
 /// Manual 4-lane vectorized kernel (the paper's NEON-intrinsics flavor).
@@ -450,13 +449,12 @@ impl<const MANUAL: bool> Default for NeonKernel<MANUAL> {
             a_key1: Vec::new(),
             s_key0: Vec::new(),
             s_key1: Vec::new(),
-            columnar: true,
         }
     }
 }
 
 impl<const MANUAL: bool> NeonKernel<MANUAL> {
-    /// Creates a new kernel (columnar column passes enabled).
+    /// Creates a new kernel.
     pub fn new() -> Self {
         Self::default()
     }
@@ -573,20 +571,12 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
         }
     }
 
-    fn columnar(&self) -> bool {
-        self.columnar
-    }
-
-    fn set_columnar(&mut self, enabled: bool) {
-        self.columnar = enabled;
-    }
-
     // Note on summation order: the *row* path differs from the scalar kernel
     // (4-lane partials vs a single running sum), which is why row results are
     // compared against scalar with a small tolerance. The *column* path below
-    // replicates the row path's own order per column, so columnar output is
-    // bit-identical to this kernel's transpose-staged fallback — not merely
-    // close to it.
+    // replicates the row path's own order per column, so its output is
+    // bit-identical to staging this kernel's rows through transposes (the
+    // `fallback_*_cols` functions, its test oracle) — not merely close to it.
     fn analyze_cols(
         &mut self,
         taps: &BankTaps,
@@ -595,11 +585,8 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
         lo: &mut Image,
         hi: &mut Image,
         cs: &mut ColScratch,
-        s1: &mut Scratch1d,
+        _s1: &mut Scratch1d,
     ) -> Result<(), DtcwtError> {
-        if !self.columnar {
-            return fallback_analyze_cols(self, taps, phase, img, lo, hi, cs, s1);
-        }
         let (w, h) = img.dims();
         if w == 0 || h == 0 || !h.is_multiple_of(2) {
             return Err(DtcwtError::BadDimensions {
@@ -609,7 +596,7 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
             });
         }
         self.analysis_taps(&taps.h0, &taps.h1);
-        columnar_analyze(
+        lane_analyze_cols(
             &self.rev0,
             &self.rev1,
             taps.h0.len(),
@@ -631,11 +618,8 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
         hi: &Image,
         out: &mut Image,
         cs: &mut ColScratch,
-        s1: &mut Scratch1d,
+        _s1: &mut Scratch1d,
     ) -> Result<(), DtcwtError> {
-        if !self.columnar {
-            return fallback_synthesize_cols(self, taps, phase, lo, hi, out, cs, s1);
-        }
         if lo.is_empty() || lo.dims() != hi.dims() {
             return Err(DtcwtError::BadDimensions {
                 width: hi.width(),
@@ -644,7 +628,7 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
             });
         }
         self.synthesis_taps(&taps.g0, &taps.g1);
-        columnar_synthesize(
+        lane_synthesize_cols(
             &self.g0_even,
             &self.g0_odd,
             &self.g1_even,
@@ -805,83 +789,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Runs one kernel's column analysis + synthesis round trip.
-    fn cols_round_trip(
-        k: &mut dyn FilterKernel,
-        taps: &BankTaps,
-        phase: Phase,
-        img: &Image,
-    ) -> (Image, Image, Image) {
-        let mut lo = Image::zeros(0, 0);
-        let mut hi = Image::zeros(0, 0);
-        let mut rec = Image::zeros(0, 0);
-        let mut cs = ColScratch::new();
-        let mut s1 = Scratch1d::new();
-        k.analyze_cols(taps, phase, img, &mut lo, &mut hi, &mut cs, &mut s1)
-            .unwrap();
-        k.synthesize_cols(taps, phase, &lo, &hi, &mut rec, &mut cs, &mut s1)
-            .unwrap();
-        (lo, hi, rec)
-    }
-
-    #[test]
-    fn columnar_bit_identical_to_fallback() {
-        // The columnar path must reproduce the transpose-staged fallback
-        // bit-for-bit: same kernel type, columnar on vs off, exact equality.
-        // Widths below the 4-lane group force the scalar tail; width 13
-        // exercises the 8-, 4-, and 1-lane groups together.
-        for bank in banks() {
-            let taps = BankTaps::new(&bank);
-            for phase in [Phase::A, Phase::B] {
-                for (w, h) in [(2usize, 8usize), (3, 12), (13, 10), (16, 22), (40, 36)] {
-                    let img =
-                        Image::from_fn(w, h, |x, y| ((x * 13 + y * 7) % 29) as f32 * 0.31 - 4.0);
-                    let what = format!("{} {phase:?} {w}x{h}", bank.name());
-                    let mut on = SimdKernel::new();
-                    let mut off = SimdKernel::new();
-                    off.set_columnar(false);
-                    assert!(on.columnar() && !off.columnar());
-                    let (lo_c, hi_c, rec_c) = cols_round_trip(&mut on, &taps, phase, &img);
-                    let (lo_f, hi_f, rec_f) = cols_round_trip(&mut off, &taps, phase, &img);
-                    assert_eq!(lo_c.as_slice(), lo_f.as_slice(), "simd lo {what}");
-                    assert_eq!(hi_c.as_slice(), hi_f.as_slice(), "simd hi {what}");
-                    assert_eq!(rec_c.as_slice(), rec_f.as_slice(), "simd rec {what}");
-
-                    let mut av_on = AutoVecKernel::new();
-                    let mut av_off = AutoVecKernel::new();
-                    av_off.set_columnar(false);
-                    let (alo_c, ahi_c, arec_c) = cols_round_trip(&mut av_on, &taps, phase, &img);
-                    let (alo_f, ahi_f, arec_f) = cols_round_trip(&mut av_off, &taps, phase, &img);
-                    assert_eq!(alo_c.as_slice(), alo_f.as_slice(), "autovec lo {what}");
-                    assert_eq!(ahi_c.as_slice(), ahi_f.as_slice(), "autovec hi {what}");
-                    assert_eq!(arec_c.as_slice(), arec_f.as_slice(), "autovec rec {what}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_full_pyramids_bit_identical() {
-        // End to end: the whole DT-CWT forward + inverse must not change by
-        // a single bit when the columnar path replaces the transpose path.
-        let img = Image::from_fn(88, 72, |x, y| ((x * 3 + y * 7) % 23) as f32 * 0.5);
-        let t = Dtcwt::new(3).unwrap();
-        let mut on = SimdKernel::new();
-        let mut off = SimdKernel::new();
-        off.set_columnar(false);
-        let p_on = t.forward_with(&mut on, &img).unwrap();
-        let p_off = t.forward_with(&mut off, &img).unwrap();
-        for level in 0..3 {
-            for (a, b) in p_on.subbands(level).iter().zip(p_off.subbands(level)) {
-                assert_eq!(a.re.as_slice(), b.re.as_slice(), "re level {level}");
-                assert_eq!(a.im.as_slice(), b.im.as_slice(), "im level {level}");
-            }
-        }
-        let r_on = t.inverse_with(&mut on, &p_on).unwrap();
-        let r_off = t.inverse_with(&mut off, &p_off).unwrap();
-        assert_eq!(r_on.as_slice(), r_off.as_slice());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   mirroring the paper's `__restrict` + masked-length C code.
 //!
 //! Both flavors are verified bit-for-bit-close against the scalar reference
-//! in the tests, and their columnar column passes are bit-identical to the
-//! transpose-staged fallback — see [`kernel`].
+//! in the tests, and their columnar column passes are bit-identical to
+//! staging the row path through transposes — see [`kernel`].
 //!
 //! # Examples
 //!

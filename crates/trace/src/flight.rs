@@ -38,8 +38,6 @@ pub struct FrameRecord {
     /// Backend decision rationale: `"fixed"` for a pinned backend, or
     /// the adaptive policy label (e.g. `"online-energy"`).
     pub decision: &'static str,
-    /// Whether the columnar (transpose-free) column passes were active.
-    pub columnar: bool,
     /// Worker threads configured on the engine (1 = serial).
     pub threads: u64,
     /// Pipeline depth: frames the in-flight ring may hold (1 = no
@@ -97,7 +95,6 @@ impl Default for FrameRecord {
             backend: "",
             kernel: "",
             decision: "",
-            columnar: false,
             threads: 1,
             depth: 1,
             slot: -1,
@@ -132,7 +129,6 @@ impl FrameRecord {
             ("backend".into(), JsonValue::Str(self.backend.into())),
             ("kernel".into(), JsonValue::Str(self.kernel.into())),
             ("decision".into(), JsonValue::Str(self.decision.into())),
-            ("columnar".into(), JsonValue::Bool(self.columnar)),
             ("threads".into(), JsonValue::Num(self.threads as f64)),
             ("depth".into(), JsonValue::Num(self.depth as f64)),
             ("slot".into(), JsonValue::Num(self.slot as f64)),

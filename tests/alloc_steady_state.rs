@@ -333,8 +333,7 @@ fn steady_state_serving_windows_allocate_independently_of_length() {
     let _gate = transpose_gate();
     let mut mgr = StreamManager::new(FleetConfig {
         threads: 2,
-        columnar: true,
-        max_in_flight: None,
+        ..FleetConfig::default()
     });
     for s in 0..3u64 {
         mgr.admit(StreamConfig {

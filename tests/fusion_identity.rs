@@ -248,8 +248,7 @@ fn serve_fleet_fusion_is_bit_identical_to_solo() {
         .collect();
     let mut mgr = StreamManager::new(FleetConfig {
         threads: 2,
-        columnar: true,
-        max_in_flight: None,
+        ..FleetConfig::default()
     });
     mgr.set_digests(true);
     for cfg in &configs {

@@ -15,8 +15,8 @@ fn oversubscribed_fleet_never_deadlocks_and_accounts_every_frame() {
     for threads in [1, 2, 4] {
         let mut mgr = StreamManager::new(FleetConfig {
             threads,
-            columnar: true,
             max_in_flight: Some(4),
+            ..FleetConfig::default()
         });
         for s in 0..12 {
             mgr.admit(StreamConfig {
@@ -62,8 +62,8 @@ fn drops_land_on_the_stream_holding_the_oldest_frames() {
     for threads in [1, 2, 4] {
         let mut mgr = StreamManager::new(FleetConfig {
             threads,
-            columnar: true,
             max_in_flight: Some(3),
+            ..FleetConfig::default()
         });
         mgr.set_digests(true);
         let deep = mgr
@@ -109,8 +109,7 @@ fn uncapped_fleet_reports_no_drops() {
     // nothing is ever dropped, whatever the oversubscription.
     let mut mgr = StreamManager::new(FleetConfig {
         threads: 2,
-        columnar: true,
-        max_in_flight: None,
+        ..FleetConfig::default()
     });
     for s in 0..8 {
         mgr.admit(StreamConfig {

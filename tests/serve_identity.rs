@@ -8,18 +8,19 @@
 //! fleet thread count, for mixed geometries, and regardless of which other
 //! streams share the ring.
 
-use wavefuse_core::serve::{solo_digest, FleetConfig, StreamBackend, StreamConfig, StreamManager};
+use wavefuse_core::serve::{
+    solo_digest, FleetConfig, ServeReport, StreamBackend, StreamConfig, StreamManager,
+};
 use wavefuse_core::Backend;
 
 const FRAMES: usize = 6;
 
 /// Runs a fleet over `configs` and asserts every stream's digest equals
 /// its solo (serial, pool-free) reference.
-fn assert_fleet_matches_solo(threads: usize, columnar: bool, configs: &[StreamConfig]) {
+fn assert_fleet_matches_solo(threads: usize, configs: &[StreamConfig]) -> ServeReport {
     let mut mgr = StreamManager::new(FleetConfig {
         threads,
-        columnar,
-        max_in_flight: None,
+        ..FleetConfig::default()
     });
     mgr.set_digests(true);
     for cfg in configs {
@@ -29,7 +30,7 @@ fn assert_fleet_matches_solo(threads: usize, columnar: bool, configs: &[StreamCo
     assert_eq!(report.total_drops, 0, "identity runs must not drop");
     for (i, cfg) in configs.iter().enumerate() {
         assert_eq!(mgr.stream_frames(i), FRAMES as u64, "stream {i} delivered");
-        let solo = solo_digest(cfg, columnar, FRAMES).unwrap();
+        let solo = solo_digest(cfg, true, FRAMES).unwrap();
         assert_eq!(
             mgr.stream_digest(i),
             solo,
@@ -40,6 +41,7 @@ fn assert_fleet_matches_solo(threads: usize, columnar: bool, configs: &[StreamCo
             cfg.scene_seed
         );
     }
+    report
 }
 
 /// Four same-shape NEON streams with distinct content.
@@ -82,22 +84,47 @@ fn mixed_fleet() -> Vec<StreamConfig> {
 #[test]
 fn shared_fleet_is_bit_identical_to_solo_runs() {
     for threads in [1, 2, 4] {
-        assert_fleet_matches_solo(threads, true, &uniform_fleet());
+        assert_fleet_matches_solo(threads, &uniform_fleet());
     }
 }
 
 #[test]
 fn mixed_size_fleet_is_bit_identical_to_solo_runs() {
     for threads in [1, 2, 4] {
-        assert_fleet_matches_solo(threads, true, &mixed_fleet());
+        assert_fleet_matches_solo(threads, &mixed_fleet());
     }
 }
 
 #[test]
-fn staged_transpose_fallback_fleet_is_bit_identical() {
-    // The non-columnar kernels take a different column-pass path; the
-    // fleet must reproduce the matching solo reference there too.
-    assert_fleet_matches_solo(2, false, &mixed_fleet());
+fn auto_streams_match_solo_at_their_admitted_operating_point() {
+    // Admission fuses a tight-rate `Auto` stream at fewer levels than it
+    // asked for; the solo reference must fuse at that same operating
+    // point. At 88x72 the 6.5-8.5 fps band is where admission steps the
+    // depth down; slower rates keep every level, and faster ones fit no
+    // depth and fall back to NEON at the requested levels.
+    const LEVELS: usize = 5;
+    let rates = [3.0, 5.0, 6.5, 6.75, 7.0, 7.5, 8.0, 8.25, 8.5, 15.0, 30.0];
+    let configs: Vec<StreamConfig> = rates
+        .iter()
+        .enumerate()
+        .map(|(i, &target_fps)| StreamConfig {
+            frame_size: (88, 72),
+            levels: LEVELS,
+            scene_seed: 300 + i as u64,
+            backend: StreamBackend::Auto { target_fps },
+            ..StreamConfig::default()
+        })
+        .collect();
+    let report = assert_fleet_matches_solo(2, &configs);
+    assert!(
+        report.per_stream.iter().any(|s| s.levels < LEVELS),
+        "no swept rate was admitted below {LEVELS} levels: {:?}",
+        report
+            .per_stream
+            .iter()
+            .map(|s| (rates[s.stream], s.levels))
+            .collect::<Vec<_>>()
+    );
 }
 
 #[test]

@@ -21,8 +21,7 @@ fn per_stream_series_are_exported_with_capped_cardinality() {
     // their own label, 16 and 17 fold into the overflow bucket.
     let mut mgr = StreamManager::new(FleetConfig {
         threads: 2,
-        columnar: true,
-        max_in_flight: None,
+        ..FleetConfig::default()
     });
     mgr.set_telemetry(Arc::clone(&telemetry));
     for s in 0..18 {
@@ -40,8 +39,8 @@ fn per_stream_series_are_exported_with_capped_cardinality() {
     // the labeled drop counter exports too.
     let mut capped = StreamManager::new(FleetConfig {
         threads: 2,
-        columnar: true,
         max_in_flight: Some(2),
+        ..FleetConfig::default()
     });
     capped.set_telemetry(Arc::clone(&telemetry));
     for s in 0..4 {

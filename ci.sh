@@ -17,11 +17,11 @@ cargo test -q --release --test alloc_steady_state
 echo "== column-pass bit-identity (NEON column passes vs the transpose staging)"
 cargo test -q --release --test columnar_identity
 
-echo "== wavefuse-simd unit tests in release (lane exactness, strip fusion)"
-# The crate's lane-exactness and strip-fusion bit-identity tests also run
-# in debug above, but LLVM vectorizes the lane loops only in release, so
-# the identities are checked here too (the column-pass identity runs in
-# the columnar_identity step above).
+echo "== wavefuse-simd unit tests in release (lane exactness, kernel fusion)"
+# The crate's lane-exactness tests and the kernel fuse_strip bit-identity
+# tests on row ranges also run in debug above, but LLVM vectorizes the
+# lane loops only in release, so the identities are checked here too (the
+# column-pass identity runs in the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
 echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"
@@ -35,10 +35,11 @@ echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"
 # pixel stream exactly; the 640x480 matrix is debug-ignored and runs here.
 cargo test -q --release --test depth_identity -- --include-ignored
 
-echo "== strip-parallel fusion bit-identity (rules x radii x threads x strips)"
-# The strip-parallel SIMD fusion path must reproduce the scalar reference
-# bit for bit at every layer: raw ring jobs, the pooled engine, depth-k
-# pipelining, and the shared serve fleet.
+echo "== fusion bit-identity (kernels x rules x radii x geometries, engine, depth-k, fleet)"
+# Dispatcher-side fusion through the SIMD and scalar kernels must
+# reproduce the scalar reference bit for bit at every layer: the kernels
+# on even and odd geometries, the pooled engine, depth-k pipelining, and
+# the shared serve fleet.
 cargo test -q --release --test fusion_identity
 
 echo "== benchmark harness (wavebench/, a package outside the workspace)"

@@ -207,143 +207,6 @@ impl TransformPlan {
     pub fn inverse_ops(&self) -> &[RowOp] {
         &self.inverse_ops
     }
-
-    /// Enumerates the columnar scheduling of the column passes: per level
-    /// and channel image, vertical strips of `lanes` whole columns (plus
-    /// one ragged remainder strip per image when the width doesn't divide).
-    /// This is the job shape `Job::ColumnStrip` parallelizes over.
-    ///
-    /// Purely additive over the row-op enumeration: the strips of a level
-    /// cover exactly the columns of its column-pass [`RowOp`] batch (the
-    /// transposed-row entries), so total MACs are identical — pinned by a
-    /// test. The row-op batches themselves are unchanged and remain the
-    /// FPGA/hybrid models' input.
-    pub fn column_strips(&self, lanes: usize, dir: Direction) -> Vec<ColStripOp> {
-        let lanes = lanes.max(1);
-        (0..self.levels)
-            .flat_map(|level| self.level_column_strips(level, lanes, dir))
-            .collect()
-    }
-
-    /// The column-pass [`RowOp`] of one level (the odd entries: each level
-    /// pushes a row pass then a column pass), with the derived per-image
-    /// column count and per-column row geometry.
-    fn column_pass(&self, level: usize, dir: Direction) -> (&RowOp, usize, usize, usize) {
-        let ops = match dir {
-            Direction::Forward => &self.forward_ops,
-            Direction::Inverse => &self.inverse_ops,
-        };
-        // Each batch spans 8 channel images (4 tree combinations x 2
-        // row-filtered channels) of equal width.
-        let op = &ops[2 * level + 1];
-        let cols_per_image = (op.count / 8) as usize;
-        let (rows_in, rows_out) = match dir {
-            Direction::Forward => (op.words_out, op.iterations),
-            Direction::Inverse => (op.words_out / 2, op.words_out),
-        };
-        (op, cols_per_image, rows_in, rows_out)
-    }
-
-    /// Strip enumeration of one level at an explicit strip width.
-    fn level_column_strips(&self, level: usize, lanes: usize, dir: Direction) -> Vec<ColStripOp> {
-        let (op, cols_per_image, rows_in, rows_out) = self.column_pass(level, dir);
-        let mut strips = Vec::new();
-        let full = cols_per_image / lanes;
-        let rem = cols_per_image % lanes;
-        if full > 0 {
-            strips.push(ColStripOp {
-                count: 8 * full as u64,
-                cols: lanes,
-                rows_in,
-                rows_out,
-                macs: lanes as u64 * op.macs,
-            });
-        }
-        if rem > 0 {
-            strips.push(ColStripOp {
-                count: 8,
-                cols: rem,
-                rows_in,
-                rows_out,
-                macs: rem as u64 * op.macs,
-            });
-        }
-        strips
-    }
-
-    /// Cache-blocked strip width (columns) for one level's column pass:
-    /// the widest strip whose working set — every input row the strip
-    /// convolves over plus the output rows it produces, f32 each — fits
-    /// the [`STRIP_CACHE_BUDGET_BYTES`] budget. Rounded down to a multiple
-    /// of 8 (a whole number of 8-lane SIMD groups), floored at 8, and
-    /// capped at the level's per-image column count, so small frames keep
-    /// full-width strips while tall frames (1080p level 1) narrow to the
-    /// lane-group minimum. Derived from the plan geometry, never
-    /// hardcoded per frame size.
-    pub fn strip_width(&self, level: usize, dir: Direction) -> usize {
-        let (_, cols_per_image, rows_in, rows_out) = self.column_pass(level, dir);
-        let bytes_per_col = 4 * (rows_in + rows_out).max(1);
-        let fitting = STRIP_CACHE_BUDGET_BYTES / bytes_per_col;
-        let lanes = (fitting / 8 * 8).max(8);
-        lanes.min(cols_per_image.max(1))
-    }
-
-    /// The columnar schedule the plan recommends: every level split at its
-    /// own cache-blocked [`strip_width`](Self::strip_width). A pure
-    /// re-tiling of the column passes — total MACs and columns are
-    /// conserved exactly (pinned by the strip-conservation test).
-    pub fn column_strips_planned(&self, dir: Direction) -> Vec<ColStripOp> {
-        (0..self.levels)
-            .flat_map(|level| self.level_column_strips(level, self.strip_width(level, dir), dir))
-            .collect()
-    }
-
-    /// Subband geometry `(width, height)` at one decomposition level,
-    /// following the same pad-then-halve recurrence as the plan's row-op
-    /// enumeration (and as the transform itself).
-    pub fn subband_dims(&self, level: usize) -> (usize, usize) {
-        let (mut w, mut h) = (self.width, self.height);
-        for _ in 0..level {
-            w = (w + w % 2) / 2;
-            h = (h + h % 2) / 2;
-        }
-        ((w + w % 2) / 2, (h + h % 2) / 2)
-    }
-
-    /// Cache-blocked strip height (rows) for one level's fusion pass: the
-    /// tallest row strip whose working set — six f32 rows per output row
-    /// (two complex sources plus the complex output) — fits the
-    /// [`STRIP_CACHE_BUDGET_BYTES`] budget. Floored at 8 rows so strips
-    /// amortize job dispatch, and capped at the subband height so shallow
-    /// levels stay single-strip. Mirrors
-    /// [`strip_width`](Self::strip_width) for the transform passes.
-    pub fn fuse_strip_rows(&self, level: usize) -> usize {
-        let (sub_w, sub_h) = self.subband_dims(level);
-        let bytes_per_row = 4 * 6 * sub_w.max(1);
-        let fitting = STRIP_CACHE_BUDGET_BYTES / bytes_per_row;
-        fitting.max(8).min(sub_h.max(1))
-    }
-}
-
-/// Cache budget for one column strip's working set (input window plus
-/// produced rows): half a typical 64 KiB L1d, leaving room for taps,
-/// scratch indices and the stack.
-pub const STRIP_CACHE_BUDGET_BYTES: usize = 32 * 1024;
-
-/// One batch of identical column-strip operations of the columnar path
-/// (see [`TransformPlan::column_strips`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColStripOp {
-    /// Number of identical strips in this batch.
-    pub count: u64,
-    /// Columns per strip (one SIMD lane group, or the ragged remainder).
-    pub cols: usize,
-    /// Input rows each column convolves over.
-    pub rows_in: usize,
-    /// Output rows each column produces.
-    pub rows_out: usize,
-    /// MACs per strip.
-    pub macs: u64,
 }
 
 pub use wavefuse_zynq::Direction;
@@ -727,30 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn fuse_strip_rows_track_subband_geometry() {
-        // subband_dims must match the real transform's pyramid, and the
-        // strip height must respect the cache budget (unless floored).
-        let plan = TransformPlan::dtcwt(90, 62, 3).unwrap();
-        let t = standard_dtcwt(3).unwrap();
-        let img = Image::from_fn(90, 62, |x, y| (x * 7 + y) as f32);
-        let pyr = t.forward(&img).unwrap();
-        for level in 0..3 {
-            let (w, h) = plan.subband_dims(level);
-            let sb = &pyr.subbands(level)[0];
-            assert_eq!((sb.re.width(), sb.re.height()), (w, h), "level {level}");
-            let rows = plan.fuse_strip_rows(level);
-            assert!(rows >= 1 && rows <= h.max(8), "level {level}: {rows}");
-            if rows > 8 {
-                assert!(rows * 6 * 4 * w <= STRIP_CACHE_BUDGET_BYTES);
-            }
-        }
-        // A wide frame's level-0 subband exceeds the per-row budget and
-        // floors at the 8-row dispatch minimum.
-        let wide = TransformPlan::dtcwt(1920, 1080, 3).unwrap();
-        assert_eq!(wide.fuse_strip_rows(0), 8);
-    }
-
-    #[test]
     fn capture_and_overhead_split_preserves_combined_cost() {
         // The capture/overhead split must keep the original 1000
         // cycles/pixel combined non-transform cost that the Fig. 9b
@@ -761,96 +600,6 @@ mod tests {
         let want = (88.0 * 72.0) * 1000.0 / m.ps_clk_hz;
         assert!((combined - want).abs() < 1e-12);
         assert!(m.capture_seconds(&plan) > m.frame_overhead_seconds(&plan));
-    }
-
-    #[test]
-    fn column_strips_conserve_column_pass_macs() {
-        // The strip enumeration is a re-tiling of the column-pass row ops:
-        // strip MACs must sum to exactly the column-pass MAC total, and
-        // strip columns to the column count, for dividing and non-dividing
-        // widths and both lane widths.
-        for (w, h) in [(88usize, 72usize), (40, 36), (34, 28)] {
-            let plan = TransformPlan::dtcwt(w, h, 3).unwrap();
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let ops = match dir {
-                    Direction::Forward => plan.forward_ops(),
-                    Direction::Inverse => plan.inverse_ops(),
-                };
-                let col_macs: u64 = ops
-                    .iter()
-                    .skip(1)
-                    .step_by(2)
-                    .map(|op| op.count * op.macs)
-                    .sum();
-                let col_cols: u64 = ops.iter().skip(1).step_by(2).map(|op| op.count).sum();
-                for lanes in [4usize, 8] {
-                    let strips = plan.column_strips(lanes, dir);
-                    let strip_macs: u64 = strips.iter().map(|s| s.count * s.macs).sum();
-                    let strip_cols: u64 = strips.iter().map(|s| s.count * s.cols as u64).sum();
-                    assert_eq!(strip_macs, col_macs, "{w}x{h} {dir:?} lanes={lanes}");
-                    assert_eq!(strip_cols, col_cols, "{w}x{h} {dir:?} lanes={lanes}");
-                    assert!(strips.iter().all(|s| s.cols <= lanes && s.cols > 0));
-                    assert!(strips.iter().all(|s| s.rows_out > 0 && s.rows_in > 0));
-                }
-                // The cache-blocked schedule is the same re-tiling at
-                // per-level widths: conservation must hold there too.
-                let planned = plan.column_strips_planned(dir);
-                let planned_macs: u64 = planned.iter().map(|s| s.count * s.macs).sum();
-                let planned_cols: u64 = planned.iter().map(|s| s.count * s.cols as u64).sum();
-                assert_eq!(planned_macs, col_macs, "{w}x{h} {dir:?} planned");
-                assert_eq!(planned_cols, col_cols, "{w}x{h} {dir:?} planned");
-            }
-        }
-    }
-
-    #[test]
-    fn strip_width_narrows_with_frame_height_and_widens_per_level() {
-        // Tall frames must narrow to the 8-lane minimum at the full-height
-        // levels; small frames keep full-width strips; and because each
-        // level halves the rows, the budgeted width never shrinks as the
-        // level index grows (until the image itself runs out of columns).
-        let hd = TransformPlan::dtcwt(1920, 1080, 3).unwrap();
-        assert_eq!(hd.strip_width(0, Direction::Forward), 8);
-        assert_eq!(hd.strip_width(0, Direction::Inverse), 8);
-
-        let small = TransformPlan::dtcwt(88, 72, 3).unwrap();
-        let cols0 = small.forward_ops()[1].count as usize / 8;
-        assert_eq!(small.strip_width(0, Direction::Forward), cols0);
-
-        for (w, h) in [(640usize, 480usize), (1920, 1080), (88, 72)] {
-            let plan = TransformPlan::dtcwt(w, h, 3).unwrap();
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let mut prev_unclamped = 0usize;
-                for level in 0..3 {
-                    let ops = match dir {
-                        Direction::Forward => plan.forward_ops(),
-                        Direction::Inverse => plan.inverse_ops(),
-                    };
-                    let cols = ops[2 * level + 1].count as usize / 8;
-                    let width = plan.strip_width(level, dir);
-                    assert!(width >= 8.min(cols.max(1)), "{w}x{h} L{level}");
-                    assert!(width <= cols.max(1), "{w}x{h} L{level}");
-                    assert!(
-                        width.is_multiple_of(8) || width == cols,
-                        "{w}x{h} {dir:?} L{level}: width {width} is neither a lane \
-                         multiple nor the full image width {cols}"
-                    );
-                    // Re-derive the pre-clamp width to check monotonicity
-                    // independent of the per-level column clamp.
-                    let rows = match dir {
-                        Direction::Forward => {
-                            ops[2 * level + 1].words_out + ops[2 * level + 1].iterations
-                        }
-                        Direction::Inverse => {
-                            ops[2 * level + 1].words_out / 2 + ops[2 * level + 1].words_out
-                        }
-                    };
-                    let unclamped = (STRIP_CACHE_BUDGET_BYTES / (4 * rows) / 8 * 8).max(8);
-                    assert!(unclamped >= prev_unclamped, "{w}x{h} {dir:?} L{level}");
-                    prev_unclamped = unclamped;
-                }
-            }
-        }
     }
 
     #[test]

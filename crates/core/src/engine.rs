@@ -4,8 +4,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use wavefuse_dtcwt::{
-    ComboStore, CwtPyramid, Dtcwt, FilterKernel, FuseOp, Image, Job, JobOutcome, JobPayload,
-    PoolHandle, PoolStats, ScalarKernel, Scratch, WorkerPool, WorkerSchedStats, BATCH_SLOTS,
+    ComboStore, CwtPyramid, Dtcwt, FilterKernel, Image, JobOutcome, PoolHandle, PoolStats,
+    ScalarKernel, Scratch, WorkerPool, WorkerSchedStats,
 };
 use wavefuse_power::PowerModel;
 use wavefuse_simd::SimdKernel;
@@ -15,9 +15,7 @@ use wavefuse_zynq::FpgaKernel;
 use crate::backend::Backend;
 use crate::cost::{CostModel, Direction, TransformPlan};
 use crate::hybrid::HybridKernel;
-use crate::rules::{
-    fuse_lowpass_into, fuse_pyramids_with_kernel, FusionRule, FusionScratch, LowpassRule,
-};
+use crate::rules::{fuse_pyramids_with_kernel, FusionRule, FusionScratch, LowpassRule};
 use crate::FusionError;
 
 /// Modeled time of one fused frame, split into the paper's Fig. 2 phases.
@@ -72,9 +70,6 @@ pub struct FusionOutput {
     /// decision ranks by), recorded next to the measured `timing` so
     /// prediction error is visible per frame.
     pub predicted_s: f64,
-    /// Row-strip fusion jobs this frame fanned out across the worker pool
-    /// (0 when fusion ran serially on the dispatcher thread).
-    pub fusion_strips: usize,
 }
 
 /// An in-flight fusion started by [`FusionEngine::fuse_submit`].
@@ -105,8 +100,6 @@ pub struct PendingFusion {
     wall_inverse_s: f64,
     /// PL-busy seconds accumulated across the frame's transforms.
     pl_busy_s: f64,
-    /// Strip fusion jobs fanned out for this frame (0 = serial fusion).
-    fusion_strips: usize,
 }
 
 impl PendingFusion {
@@ -196,12 +189,9 @@ pub struct FusionEngine {
     /// Second combo store so both inputs' forwards can be in flight at once
     /// on the pool (input `b`).
     combos_b: ComboStore,
-    /// Forward pyramids of the two inputs, `Arc`-shared with the workers
-    /// while a frame's fusion strip jobs are in flight (exclusive again at
-    /// the next frame's forward — strips are always drained within the
-    /// submit that spawned them).
-    pyr_a: Arc<CwtPyramid>,
-    pyr_b: Arc<CwtPyramid>,
+    /// Forward pyramids of the two inputs (the dispatcher fuses them).
+    pyr_a: CwtPyramid,
+    pyr_b: CwtPyramid,
     /// Depth-k in-flight frame ring: one slot per frame whose inverse may
     /// be outstanding on the pool (a single slot at the default depth 1,
     /// reproducing the classic submit/finish overlap).
@@ -222,13 +212,6 @@ pub struct FusionEngine {
     img_b: Arc<Image>,
     /// Fusion-rule energy-map scratch.
     fusion_scratch: FusionScratch,
-    /// Pooled output-row buffers of the strip-parallel fusion path: one
-    /// `(re, im)` pair per in-flight strip job, recycled every wave so the
-    /// steady state never allocates.
-    fuse_bufs: Vec<(Image, Image)>,
-    /// Per-wave strip-id → `(level, band)` placement map of the
-    /// strip-parallel fusion path (reused across frames).
-    fuse_map: Vec<(u32, u32)>,
     /// Worker outcome staging (drained and reused every dispatch).
     outcomes: Vec<JobOutcome>,
     /// Pool the fused output images are drawn from; callers recycle via
@@ -246,10 +229,6 @@ pub struct FusionEngine {
     /// Shared (`Arc`) so a fleet of engines can multiplex one pool — see
     /// [`FusionEngine::set_shared_pool`].
     pool: Option<Arc<WorkerPool>>,
-    /// Whether `pool` is a fleet-shared pool: its ring carries other
-    /// engines' jobs, so fusion runs on the dispatcher instead of as strip
-    /// jobs (see [`FusionEngine::set_shared_pool`]).
-    pool_shared: bool,
     /// In-progress packed forward parked between
     /// [`FusionEngine::packed_forward_submit`] and
     /// [`FusionEngine::packed_forward_finish`].
@@ -369,8 +348,8 @@ impl FusionEngine {
             scratch: Scratch::new(),
             combos: ComboStore::new(),
             combos_b: ComboStore::new(),
-            pyr_a: Arc::new(CwtPyramid::empty()),
-            pyr_b: Arc::new(CwtPyramid::empty()),
+            pyr_a: CwtPyramid::empty(),
+            pyr_b: CwtPyramid::empty(),
             slots: vec![FrameSlot::new()],
             inflight: VecDeque::with_capacity(1),
             next_slot: 0,
@@ -379,15 +358,12 @@ impl FusionEngine {
             img_a: Arc::new(Image::zeros(0, 0)),
             img_b: Arc::new(Image::zeros(0, 0)),
             fusion_scratch: FusionScratch::new(),
-            fuse_bufs: Vec::new(),
-            fuse_map: Vec::new(),
             outcomes: Vec::with_capacity(8),
             out_pool: PoolHandle::new(),
             reported_pool: PoolStats::default(),
             reported_transpose: wavefuse_dtcwt::transpose_bytes_total(),
             reported_sched: Vec::new(),
             pool: None,
-            pool_shared: false,
             packed: None,
             wall: PhaseTiming::default(),
         })
@@ -395,22 +371,19 @@ impl FusionEngine {
 
     /// Sets the number of transform worker threads. `threads <= 1` runs the
     /// transforms serially on the caller's thread (the default); larger
-    /// values spawn a persistent [`WorkerPool`] once and reuse it for every
-    /// subsequent CPU-backend [`FusionEngine::fuse`], fanning the four tree
-    /// combinations out across workers. The FPGA and hybrid backends always
-    /// run serially (the modeled device is a single engine).
+    /// values build a private [`WorkerPool`] (see [`build_worker_pool`])
+    /// and attach it like [`FusionEngine::set_shared_pool`], fanning the
+    /// four tree combinations of every CPU-backend transform out across
+    /// workers. Fusion always runs on the dispatcher. The FPGA and hybrid
+    /// backends always run serially (the modeled device is a single
+    /// engine).
     pub fn set_threads(&mut self, threads: usize) {
-        self.recover_in_flight();
-        self.pool_shared = false;
         if threads <= 1 {
+            self.recover_in_flight();
             self.pool = None;
             self.reported_sched.clear();
         } else {
-            self.pool = Some(Arc::new(build_worker_pool(threads, true)));
-            // A fresh pool starts its counters at zero.
-            self.reported_sched.clear();
-            self.reported_sched
-                .resize(threads, WorkerSchedStats::default());
+            self.set_shared_pool(Arc::new(build_worker_pool(threads, true)));
         }
     }
 
@@ -423,10 +396,11 @@ impl FusionEngine {
         self.rule = rule;
     }
 
-    /// Attaches a fleet-shared [`WorkerPool`] (see [`build_worker_pool`])
-    /// instead of spawning a private one. The engine multiplexes its
-    /// transform batches onto the shared ring and fuses on the dispatcher,
-    /// since strip jobs would drain other engines' jobs from that ring.
+    /// Attaches a [`WorkerPool`] (see [`build_worker_pool`]), which may be
+    /// shared by a fleet of engines. The engine multiplexes its forward and
+    /// inverse combo batches onto the pool's ring; fusion runs on the
+    /// dispatcher between them, so the ring only ever carries transform
+    /// jobs and a shared ring behaves exactly like a private one.
     ///
     /// Call this before any frames are in flight (at stream admission);
     /// attaching mid-flight abandons in-flight frames like
@@ -439,7 +413,6 @@ impl FusionEngine {
         self.reported_sched
             .resize(pool.threads(), WorkerSchedStats::default());
         self.pool = Some(pool);
-        self.pool_shared = true;
     }
 
     /// Number of transform threads (1 when running serially).
@@ -649,18 +622,6 @@ impl FusionEngine {
             .as_ref()
     }
 
-    /// [`FusionEngine::cached_plan`] as a cheap `Arc` clone, so the strip
-    /// dispatch can hold the plan across mutable borrows of other engine
-    /// fields.
-    fn cached_plan_arc(&self, w: usize, h: usize) -> Arc<TransformPlan> {
-        Arc::clone(
-            self.plans
-                .iter()
-                .find(|p| p.frame_dims() == (w, h))
-                .expect("ensure_plan caches before use"),
-        )
-    }
-
     /// Fuses one frame pair on the given backend.
     ///
     /// Functionally, all backends produce the same fused image (within
@@ -685,11 +646,13 @@ impl FusionEngine {
     }
 
     /// Starts fusing one frame pair, returning once all work that needs the
-    /// input images is done. On the pooled CPU backends the inverse
-    /// transform of the fused pyramid is still running on the workers when
-    /// this returns — the caller may overlap independent work (capturing
-    /// the next frame pair, rendering) before [`FusionEngine::fuse_finish`].
-    /// Exactly one `fuse_finish` must follow each successful `fuse_submit`.
+    /// input images is done. Every frame fuses on this (the dispatcher)
+    /// thread with the backend's kernel, between the forward and the
+    /// inverse. On the pooled CPU backends the inverse transform of the
+    /// fused pyramid is still running on the workers when this returns —
+    /// the caller may overlap independent work (capturing the next frame
+    /// pair, rendering) before [`FusionEngine::fuse_finish`]. Exactly one
+    /// `fuse_finish` must follow each successful `fuse_submit`.
     ///
     /// # Errors
     ///
@@ -741,7 +704,6 @@ impl FusionEngine {
             wall_fusion_s: 0.0,
             wall_inverse_s: 0.0,
             pl_busy_s: 0.0,
-            fusion_strips: 0,
         };
         match self.run_serial(a, b, &mut pending) {
             Ok(()) => Ok(pending),
@@ -829,9 +791,11 @@ impl FusionEngine {
     /// Harvests the packed forwards staged by
     /// [`FusionEngine::packed_forward_submit`] (which must be the oldest
     /// jobs left in the ring — collects run in submit order across the
-    /// fleet), fuses the pyramids, and leaves the inverse batch in flight.
-    /// This is the pooled path of [`FusionEngine::fuse_submit`] too.
-    /// Retire with [`FusionEngine::fuse_finish`].
+    /// fleet), fuses the pyramids on the dispatcher with the backend's
+    /// kernel, and leaves the inverse batch in flight. This is the pooled
+    /// path of [`FusionEngine::fuse_submit`] too, so a private pool and a
+    /// fleet-shared one fuse identically. Retire with
+    /// [`FusionEngine::fuse_finish`].
     ///
     /// # Errors
     ///
@@ -858,9 +822,9 @@ impl FusionEngine {
             &pool,
             (w, h),
             &mut self.combos,
-            exclusive_pyramid(&mut self.pyr_a),
+            &mut self.pyr_a,
             &mut self.combos_b,
-            exclusive_pyramid(&mut self.pyr_b),
+            &mut self.pyr_b,
             &mut self.outcomes,
         ) {
             self.out_pool.release(image);
@@ -868,51 +832,17 @@ impl FusionEngine {
         }
         let t1 = std::time::Instant::now();
         let si = self.next_slot;
-        let plan = self.cached_plan_arc(w, h);
-        let fusion_strips = if self.pool_shared {
-            // Strip jobs would drain other streams' jobs on a fleet-shared
-            // ring; fuse on the dispatcher with the backend's vectorized
-            // kernel instead (bit-identical by the fold-order contract).
-            let fslot = &mut self.slots[si];
-            let fused = exclusive_pyramid(&mut fslot.fused);
-            fuse_pyramids_with_kernel(
-                self.kernels.get(backend),
-                &self.pyr_a,
-                &self.pyr_b,
-                self.rule,
-                self.lowpass_rule,
-                &mut self.fusion_scratch,
-                fused,
-            );
-            0
-        } else {
-            // Private pool: the stash/collect protocol left the ring
-            // empty, so fan the fusion out as row-strip jobs.
-            let fslot = &mut self.slots[si];
-            let fused = exclusive_pyramid(&mut fslot.fused);
-            match fuse_strips_pooled(
-                &pool,
-                kslot,
-                si as u32,
-                &self.pyr_a,
-                &self.pyr_b,
-                self.rule.to_op(),
-                self.lowpass_rule,
-                &plan,
-                &mut self.fuse_map,
-                &mut self.fuse_bufs,
-                &mut self.outcomes,
-                fused,
-            ) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.out_pool.release(image);
-                    return Err(e.into());
-                }
-            }
-        };
-        let t2 = std::time::Instant::now();
         let fslot = &mut self.slots[si];
+        fuse_pyramids_with_kernel(
+            self.kernels.get(backend),
+            &self.pyr_a,
+            &self.pyr_b,
+            self.rule,
+            self.lowpass_rule,
+            &mut self.fusion_scratch,
+            exclusive_pyramid(&mut fslot.fused),
+        );
+        let t2 = std::time::Instant::now();
         if let Err(e) = self.dtcwt.inverse_pooled_submit(
             &pool,
             kslot,
@@ -941,7 +871,6 @@ impl FusionEngine {
             wall_fusion_s: (t2 - t1).as_secs_f64(),
             wall_inverse_s: 0.0,
             pl_busy_s: 0.0,
-            fusion_strips,
         })
     }
 
@@ -965,7 +894,6 @@ impl FusionEngine {
             wall_fusion_s,
             mut wall_inverse_s,
             pl_busy_s,
-            fusion_strips,
         } = pending;
         if inverse_in_flight {
             let si = slot.expect("pooled frames carry their ring slot");
@@ -1111,16 +1039,14 @@ impl FusionEngine {
             energy_mj,
             pl_busy_s,
             predicted_s,
-            fusion_strips,
         })
     }
 
     /// The engine-known part of a finished frame's flight record: backend,
     /// kernel, threads, the modeled per-phase time and energy, the PS/PL
-    /// energy split, PL busy time, the cost model's prediction and the
-    /// fusion strip count. Callers fill the schedule
-    /// fields (frame index, clocks, decision, counters) with struct update
-    /// syntax. Allocation-free.
+    /// energy split, PL busy time and the cost model's prediction. Callers
+    /// fill the schedule fields (frame index, clocks, decision, counters)
+    /// with struct update syntax. Allocation-free.
     pub fn frame_record(&self, out: &FusionOutput) -> FrameRecord {
         let power_w = self.power.power_w(out.backend.execution_mode());
         let mut phase_s = [0.0; 5];
@@ -1146,7 +1072,6 @@ impl FusionEngine {
             pl_mj,
             pl_busy_s: out.pl_busy_s,
             predicted_s: out.predicted_s,
-            fusion_strips: out.fusion_strips as u64,
             ..FrameRecord::default()
         }
     }
@@ -1252,14 +1177,14 @@ impl FusionEngine {
             a,
             &mut self.combos,
             &mut self.scratch,
-            exclusive_pyramid(&mut self.pyr_a),
+            &mut self.pyr_a,
         )?;
         self.dtcwt.forward_into(
             kernel,
             b,
             &mut self.combos,
             &mut self.scratch,
-            exclusive_pyramid(&mut self.pyr_b),
+            &mut self.pyr_b,
         )?;
         let t1 = std::time::Instant::now();
         let (forward_s, forward_pl_s) = self.take_phase_cost(backend, p.dims, Direction::Forward);
@@ -1375,141 +1300,6 @@ fn exclusive_pyramid(slot: &mut Arc<CwtPyramid>) -> &mut CwtPyramid {
         *slot = Arc::new(CwtPyramid::empty());
     }
     Arc::get_mut(slot).expect("freshly created Arc is unique")
-}
-
-/// Fans one frame's coefficient fusion out across the worker pool as
-/// row-strip [`Job::FuseStrip`] jobs, reassembling the fused subbands into
-/// `fused`. Strips are sized by the plan's cache-budget heuristic
-/// ([`TransformPlan::fuse_strip_rows`]) and submitted in waves of at most
-/// [`BATCH_SLOTS`]; the lowpass residual fuses serially on this thread
-/// while the first wave runs, so the dispatcher is never idle. Requires an
-/// empty ring (a private pool's packed finish guarantees it) and is
-/// bit-identical to the serial reference by the fold-order contract — each
-/// strip job reads the shared source pyramids and computes exactly the
-/// scalar expression tree for its rows.
-///
-/// Returns the number of strip jobs dispatched. On a worker error the
-/// earliest error is returned after the whole wave has been harvested
-/// (buffers recycled), leaving the ring empty.
-#[allow(clippy::too_many_arguments)]
-fn fuse_strips_pooled(
-    pool: &WorkerPool,
-    kslot: usize,
-    tag: u32,
-    a: &Arc<CwtPyramid>,
-    b: &Arc<CwtPyramid>,
-    op: FuseOp,
-    lowpass_rule: LowpassRule,
-    plan: &TransformPlan,
-    map: &mut Vec<(u32, u32)>,
-    bufs: &mut Vec<(Image, Image)>,
-    outcomes: &mut Vec<JobOutcome>,
-    fused: &mut CwtPyramid,
-) -> Result<usize, wavefuse_dtcwt::DtcwtError> {
-    fused.reshape_like(a);
-    let mut total = 0usize;
-    let mut inflight = 0usize;
-    let mut lowpass_done = false;
-    map.clear();
-    for level in 0..a.levels() {
-        let rows = plan.fuse_strip_rows(level);
-        for band in 0..a.subbands(level).len() {
-            let h = a.subbands(level)[band].re.height();
-            let mut y0 = 0;
-            while y0 < h {
-                let y1 = (y0 + rows).min(h);
-                if inflight == BATCH_SLOTS {
-                    // Ring full: overlap the serial lowpass with the wave
-                    // in flight, then harvest it to free the slots.
-                    if !lowpass_done {
-                        for (o, (la, lb)) in fused
-                            .lowpass_mut()
-                            .iter_mut()
-                            .zip(a.lowpass().iter().zip(b.lowpass()))
-                        {
-                            fuse_lowpass_into(la, lb, lowpass_rule, o);
-                        }
-                        lowpass_done = true;
-                    }
-                    harvest_fuse_wave(pool, inflight, outcomes, map, fused, bufs)?;
-                    inflight = 0;
-                    map.clear();
-                }
-                let (re, im) = bufs
-                    .pop()
-                    .unwrap_or_else(|| (Image::zeros(0, 0), Image::zeros(0, 0)));
-                pool.submit(Job::FuseStrip {
-                    a: Arc::clone(a),
-                    b: Arc::clone(b),
-                    tag,
-                    strip: map.len(),
-                    level,
-                    band,
-                    kernel: kslot,
-                    y0,
-                    y1,
-                    op,
-                    re,
-                    im,
-                });
-                map.push((level as u32, band as u32));
-                inflight += 1;
-                total += 1;
-                y0 = y1;
-            }
-        }
-    }
-    if !lowpass_done {
-        for (o, (la, lb)) in fused
-            .lowpass_mut()
-            .iter_mut()
-            .zip(a.lowpass().iter().zip(b.lowpass()))
-        {
-            fuse_lowpass_into(la, lb, lowpass_rule, o);
-        }
-    }
-    if inflight > 0 {
-        harvest_fuse_wave(pool, inflight, outcomes, map, fused, bufs)?;
-    }
-    Ok(total)
-}
-
-/// Drains one wave of strip fusion jobs, copies each strip's rows into its
-/// subband slot in `fused`, and recycles the output buffers. Failed jobs'
-/// buffers are recycled without copying; the earliest error (in submission
-/// order, as reported by [`WorkerPool::drain`]) is returned after the
-/// whole wave is accounted for.
-fn harvest_fuse_wave(
-    pool: &WorkerPool,
-    n: usize,
-    outcomes: &mut Vec<JobOutcome>,
-    map: &[(u32, u32)],
-    fused: &mut CwtPyramid,
-    bufs: &mut Vec<(Image, Image)>,
-) -> Result<(), wavefuse_dtcwt::DtcwtError> {
-    outcomes.clear();
-    let err_at = pool.drain(n, outcomes);
-    let mut first_err = err_at.and_then(|i| outcomes[i].error.take());
-    for (j, o) in outcomes.drain(..).enumerate() {
-        let JobPayload::FuseStrip { y0, re, im } = o.payload else {
-            continue;
-        };
-        if o.error.is_none() && err_at != Some(j) {
-            let (level, band) = map[o.combo];
-            let sb = &mut fused.subbands_mut(level as usize)[band as usize];
-            for yy in 0..re.height() {
-                sb.re.row_mut(y0 + yy).copy_from_slice(re.row(yy));
-                sb.im.row_mut(y0 + yy).copy_from_slice(im.row(yy));
-            }
-        } else if first_err.is_none() {
-            first_err = o.error;
-        }
-        bufs.push((re, im));
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]

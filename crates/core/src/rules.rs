@@ -17,13 +17,15 @@
 //! The lowpass residuals are fused separately ([`LowpassRule`]), averaging
 //! by default as is standard for DT-CWT fusion.
 //!
-//! Since the fusion phase became a first-class parallel stage, the actual
-//! per-coefficient arithmetic lives in [`wavefuse_dtcwt::fuse`] (the scalar
-//! strip reference with its separable O(r) window sums and fold-order
-//! contract); this module maps [`FusionRule`] onto [`FuseOp`] and fuses
-//! whole pyramids — serially here, or vectorized via
-//! [`fuse_pyramids_with_kernel`], or strip-parallel through the worker ring
-//! in the engine. All paths are bit-identical.
+//! The per-coefficient arithmetic lives in [`wavefuse_dtcwt::fuse`] (the
+//! scalar strip reference with its separable O(r) window sums and
+//! fold-order contract); this module maps [`FusionRule`] onto [`FuseOp`]
+//! and fuses whole pyramids — with the scalar reference
+//! ([`fuse_pyramids_into`]) or through a backend kernel
+//! ([`fuse_pyramids_with_kernel`], vectorized on NEON), which is how the
+//! engine fuses every frame on its dispatcher thread, between the forward
+//! and inverse transforms, as the paper runs fusion on the PS. Both paths
+//! are bit-identical.
 
 use wavefuse_dtcwt::fuse::{fuse_strip_scalar, FuseOp, FuseScratch};
 use wavefuse_dtcwt::{ComplexImage, CwtPyramid, FilterKernel, Image};
@@ -58,7 +60,7 @@ pub enum FusionRule {
 
 impl FusionRule {
     /// The plain-data operator this rule maps to in the dtcwt fusion layer
-    /// (what worker strip jobs carry by value).
+    /// (what the kernels' `fuse_strip` takes).
     pub fn to_op(self) -> FuseOp {
         match self {
             FusionRule::MaxMagnitude => FuseOp::MaxMagnitude,
@@ -91,8 +93,7 @@ pub enum LowpassRule {
 
 /// Reusable window-energy intermediates for [`fuse_subband_into`]. One
 /// instance per engine; its buffers retain capacity across frames so
-/// steady-state fusion performs no heap allocation. (Worker strip jobs use
-/// the [`FuseScratch`] inside each worker's transform scratch instead.)
+/// steady-state fusion performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct FusionScratch {
     pub(crate) fuse: FuseScratch,
@@ -200,8 +201,9 @@ pub fn fuse_subband_into(
 
 /// As [`fuse_pyramids_into`], but routing every subband through a
 /// [`FilterKernel`]'s [`FilterKernel::fuse_strip`] at full height — the
-/// dispatcher-side vectorized path (SIMD kernels override `fuse_strip`;
-/// the scalar kernel's default is exactly [`fuse_pyramids_into`]). Bit-
+/// engine's fusion path on every backend (SIMD kernels override
+/// `fuse_strip`; the scalar kernel's default is exactly
+/// [`fuse_pyramids_into`]). Bit-
 /// identical to the scalar reference by the dtcwt fold-order contract.
 ///
 /// # Panics

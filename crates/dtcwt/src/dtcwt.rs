@@ -294,13 +294,6 @@ impl Dtcwt {
         }
     }
 
-    /// Column-axis spec of `level` for tree A (`false`) or tree B (`true`);
-    /// used by worker column-strip jobs, which carry the tree as a plain
-    /// bool because [`Tree`] is private.
-    pub(crate) fn col_axis(&self, level: usize, tree_b: bool) -> AxisSpec<'_> {
-        self.axis_spec(level, if tree_b { Tree::B } else { Tree::A })
-    }
-
     /// Forward transform with the default scalar kernel.
     ///
     /// # Errors

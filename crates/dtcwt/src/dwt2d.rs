@@ -283,88 +283,6 @@ pub fn synthesize_level_into(
     Ok(())
 }
 
-/// Vertical-pass analysis of the column strip `x0..x1` of `img`, writing the
-/// strip's decimated halves into `lo`/`hi` (reshaped to `x1 - x0` x
-/// `height / 2`).
-///
-/// Because every column is filtered independently of its neighbors — lane
-/// grouping only batches columns, it never mixes them — a strip's output
-/// columns are bit-identical to the corresponding columns of a full-width
-/// [`FilterKernel::analyze_cols`], for *any* kernel (the transpose fallback
-/// filters the same per-column samples). This is what lets the worker pool
-/// split one column pass into parallel strip jobs.
-///
-/// # Errors
-///
-/// Returns [`DtcwtError::BadDimensions`] for an empty or out-of-range strip,
-/// or any error of the underlying column analysis.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_cols_strip(
-    kernel: &mut dyn FilterKernel,
-    spec: &AxisSpec<'_>,
-    img: &Image,
-    x0: usize,
-    x1: usize,
-    lo: &mut Image,
-    hi: &mut Image,
-    stage: &mut Image,
-    cs: &mut ColScratch,
-    s1: &mut Scratch1d,
-) -> Result<(), DtcwtError> {
-    if x0 >= x1 || x1 > img.width() {
-        return Err(DtcwtError::BadDimensions {
-            width: x0,
-            height: x1,
-            reason: "column strip bounds must be non-empty and within the image",
-        });
-    }
-    img.crop_into(x0, 0, x1 - x0, img.height(), stage);
-    kernel.analyze_cols(spec.taps, spec.phase, stage, lo, hi, cs, s1)
-}
-
-/// Vertical-pass synthesis of the column strip `x0..x1`: reconstructs the
-/// strip's columns from the decimated channel images into `out` (reshaped to
-/// `x1 - x0` x `2 * height`). Bit-identical to the corresponding columns of
-/// a full-width [`FilterKernel::synthesize_cols`] — see
-/// [`analyze_cols_strip`] for why.
-///
-/// # Errors
-///
-/// Returns [`DtcwtError::BadDimensions`] if the channels disagree in size or
-/// the strip is empty or out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn synthesize_cols_strip(
-    kernel: &mut dyn FilterKernel,
-    spec: &AxisSpec<'_>,
-    lo: &Image,
-    hi: &Image,
-    x0: usize,
-    x1: usize,
-    out: &mut Image,
-    stage_lo: &mut Image,
-    stage_hi: &mut Image,
-    cs: &mut ColScratch,
-    s1: &mut Scratch1d,
-) -> Result<(), DtcwtError> {
-    if lo.dims() != hi.dims() {
-        return Err(DtcwtError::BadDimensions {
-            width: hi.width(),
-            height: hi.height(),
-            reason: "column strip channels disagree in size",
-        });
-    }
-    if x0 >= x1 || x1 > lo.width() {
-        return Err(DtcwtError::BadDimensions {
-            width: x0,
-            height: x1,
-            reason: "column strip bounds must be non-empty and within the image",
-        });
-    }
-    lo.crop_into(x0, 0, x1 - x0, lo.height(), stage_lo);
-    hi.crop_into(x0, 0, x1 - x0, hi.height(), stage_hi);
-    kernel.synthesize_cols(spec.taps, spec.phase, stage_lo, stage_hi, out, cs, s1)
-}
-
 /// A multi-level real DWT pyramid.
 ///
 /// Level 0 is the finest scale. `pre_pad_dims[l]` records the image size

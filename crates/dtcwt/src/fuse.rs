@@ -4,9 +4,8 @@
 //! by pixel. This module defines the **numerical contract** for that phase:
 //! [`fuse_strip_scalar`] fuses one horizontal row strip `[y0, y1)` of a
 //! subband pair, and every other implementation — the SIMD kernels in
-//! `wavefuse-simd`, the [`crate::workers::Job::FuseStrip`] worker jobs, the
-//! full-height serial path in `wavefuse-core` — must reproduce it bit for
-//! bit.
+//! `wavefuse-simd`, the dispatcher's full-height fusion pass in
+//! `wavefuse-core` — must reproduce it bit for bit.
 //!
 //! # Fold-order contract
 //!
@@ -41,8 +40,7 @@ use crate::error::DtcwtError;
 use crate::image::{ComplexImage, Image};
 
 /// A plain-data fusion operator, mirror of `wavefuse-core`'s `FusionRule`
-/// without the crate dependency (dtcwt must not depend on core). Jobs carry
-/// it by value into the work-stealing ring.
+/// without the crate dependency (dtcwt must not depend on core).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FuseOp {
     /// Keep the coefficient of larger (squared) magnitude.

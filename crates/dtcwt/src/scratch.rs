@@ -243,8 +243,6 @@ pub struct Scratch {
     pub(crate) qlh: Image,
     pub(crate) qhl: Image,
     pub(crate) qhh: Image,
-    /// Window-energy staging for fusion strip jobs.
-    pub(crate) fuse: crate::fuse::FuseScratch,
 }
 
 impl Scratch {
@@ -260,7 +258,6 @@ impl Scratch {
             qlh: Image::zeros(0, 0),
             qhl: Image::zeros(0, 0),
             qhh: Image::zeros(0, 0),
-            fuse: crate::fuse::FuseScratch::new(),
         }
     }
 }

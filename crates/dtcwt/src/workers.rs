@@ -85,92 +85,6 @@ pub enum Job {
         /// Reconstruction output buffer (moved back via the outcome).
         out: Image,
     },
-    /// Run the columnar analysis of one vertical strip `[x0, x1)` of `img`
-    /// (one level's column pass, split across workers in strips of whole
-    /// SIMD lane groups). Because every column is filtered independently,
-    /// reassembled strips are bit-identical to the full-width column pass.
-    ColumnStrip {
-        /// The transform (shared, immutable) — supplies the level's column
-        /// filter taps and phase.
-        transform: Arc<Dtcwt>,
-        /// Row-filtered level input (shared, immutable).
-        img: Arc<Image>,
-        /// Caller-chosen batch tag.
-        tag: u32,
-        /// Strip index within the batch (reported as the outcome `combo`).
-        strip: usize,
-        /// Pyramid level the column taps belong to.
-        level: usize,
-        /// Whether the column axis uses tree B's filters.
-        tree_b: bool,
-        /// Index into the worker's kernel slots.
-        kernel: usize,
-        /// First column of the strip (inclusive).
-        x0: usize,
-        /// One past the last column of the strip.
-        x1: usize,
-        /// Lowpass strip output buffer (moved back via the outcome).
-        lo: Image,
-        /// Highpass strip output buffer (moved back via the outcome).
-        hi: Image,
-    },
-    /// Run the columnar synthesis of one vertical strip `[x0, x1)` of the
-    /// decimated channel pair (the inverse column pass, strip-parallel).
-    InverseColumnStrip {
-        /// The transform (shared, immutable).
-        transform: Arc<Dtcwt>,
-        /// Lowpass channel (shared, immutable).
-        lo: Arc<Image>,
-        /// Highpass channel (shared, immutable).
-        hi: Arc<Image>,
-        /// Caller-chosen batch tag.
-        tag: u32,
-        /// Strip index within the batch (reported as the outcome `combo`).
-        strip: usize,
-        /// Pyramid level the column taps belong to.
-        level: usize,
-        /// Whether the column axis uses tree B's filters.
-        tree_b: bool,
-        /// Index into the worker's kernel slots.
-        kernel: usize,
-        /// First column of the strip (inclusive).
-        x0: usize,
-        /// One past the last column of the strip.
-        x1: usize,
-        /// Reconstruction strip output buffer (moved back via the outcome).
-        out: Image,
-    },
-    /// Fuse one horizontal row strip `[y0, y1)` of one oriented subband
-    /// pair of two pyramids. Each output pixel depends only on its own
-    /// clamped window of the *shared* source pyramids, so reassembled
-    /// strips are bit-identical to a full-height fusion pass (see
-    /// [`crate::fuse`] for the fold-order contract).
-    FuseStrip {
-        /// First source pyramid (shared, immutable).
-        a: Arc<CwtPyramid>,
-        /// Second source pyramid (shared, immutable).
-        b: Arc<CwtPyramid>,
-        /// Caller-chosen batch tag.
-        tag: u32,
-        /// Strip index within the batch (reported as the outcome `combo`).
-        strip: usize,
-        /// Pyramid level of the subband.
-        level: usize,
-        /// Oriented-subband index within the level (0..6).
-        band: usize,
-        /// Index into the worker's kernel slots.
-        kernel: usize,
-        /// First row of the strip (inclusive).
-        y0: usize,
-        /// One past the last row of the strip.
-        y1: usize,
-        /// Fusion operator applied to the coefficients.
-        op: crate::fuse::FuseOp,
-        /// Fused real-part strip output buffer (moved back via the outcome).
-        re: Image,
-        /// Fused imaginary-part strip output buffer (moved back).
-        im: Image,
-    },
 }
 
 impl Job {
@@ -179,9 +93,6 @@ impl Job {
             Job::ForwardCombo { tag, combo, .. } | Job::InverseCombo { tag, combo, .. } => {
                 (*tag, *combo)
             }
-            Job::ColumnStrip { tag, strip, .. }
-            | Job::InverseColumnStrip { tag, strip, .. }
-            | Job::FuseStrip { tag, strip, .. } => (*tag, *strip),
         }
     }
 }
@@ -201,31 +112,6 @@ pub enum JobPayload {
         /// This combination's reconstruction.
         out: Image,
     },
-    /// Output of a [`Job::ColumnStrip`].
-    ColumnStrip {
-        /// First column of the strip in the full image.
-        x0: usize,
-        /// Lowpass columns `[x0, x0 + lo.width())`.
-        lo: Image,
-        /// Highpass columns of the same range.
-        hi: Image,
-    },
-    /// Output of a [`Job::InverseColumnStrip`].
-    InverseColumnStrip {
-        /// First column of the strip in the full image.
-        x0: usize,
-        /// Reconstructed columns `[x0, x0 + out.width())`.
-        out: Image,
-    },
-    /// Output of a [`Job::FuseStrip`].
-    FuseStrip {
-        /// First row of the strip in the full subband.
-        y0: usize,
-        /// Fused real parts of rows `[y0, y0 + re.height())`.
-        re: Image,
-        /// Fused imaginary parts of the same rows.
-        im: Image,
-    },
     /// The job panicked and its buffers could not be recovered.
     Lost,
 }
@@ -235,7 +121,7 @@ pub enum JobPayload {
 pub struct JobOutcome {
     /// The job's batch tag.
     pub tag: u32,
-    /// The job's tree-combination index (strip index for column-strip jobs).
+    /// The job's tree-combination index.
     pub combo: usize,
     /// Returned buffers (valid only when `error` is `None`).
     pub payload: JobPayload,
@@ -806,131 +692,6 @@ fn execute(
                 error,
             }
         }
-        Job::ColumnStrip {
-            transform,
-            img,
-            tag,
-            strip,
-            level,
-            tree_b,
-            kernel,
-            x0,
-            x1,
-            mut lo,
-            mut hi,
-        } => {
-            let error = match kernels.get_mut(kernel) {
-                Some(k) => crate::dwt2d::analyze_cols_strip(
-                    k.as_mut(),
-                    &transform.col_axis(level, tree_b),
-                    &img,
-                    x0,
-                    x1,
-                    &mut lo,
-                    &mut hi,
-                    &mut scratch.s2.low,
-                    &mut scratch.s2.col,
-                    &mut scratch.s1,
-                )
-                .err(),
-                None => Some(DtcwtError::MalformedPyramid(format!(
-                    "worker has no kernel slot {kernel}"
-                ))),
-            };
-            JobOutcome {
-                tag,
-                combo: strip,
-                payload: JobPayload::ColumnStrip { x0, lo, hi },
-                error,
-            }
-        }
-        Job::InverseColumnStrip {
-            transform,
-            lo,
-            hi,
-            tag,
-            strip,
-            level,
-            tree_b,
-            kernel,
-            x0,
-            x1,
-            mut out,
-        } => {
-            let error = match kernels.get_mut(kernel) {
-                Some(k) => crate::dwt2d::synthesize_cols_strip(
-                    k.as_mut(),
-                    &transform.col_axis(level, tree_b),
-                    &lo,
-                    &hi,
-                    x0,
-                    x1,
-                    &mut out,
-                    &mut scratch.s2.low,
-                    &mut scratch.s2.high,
-                    &mut scratch.s2.col,
-                    &mut scratch.s1,
-                )
-                .err(),
-                None => Some(DtcwtError::MalformedPyramid(format!(
-                    "worker has no kernel slot {kernel}"
-                ))),
-            };
-            JobOutcome {
-                tag,
-                combo: strip,
-                payload: JobPayload::InverseColumnStrip { x0, out },
-                error,
-            }
-        }
-        Job::FuseStrip {
-            a,
-            b,
-            tag,
-            strip,
-            level,
-            band,
-            kernel,
-            y0,
-            y1,
-            op,
-            mut re,
-            mut im,
-        } => {
-            let subband = |p: &CwtPyramid| -> Result<(), DtcwtError> {
-                if level >= p.levels() || band >= p.subbands(level).len() {
-                    return Err(DtcwtError::MalformedPyramid(format!(
-                        "fusion strip addresses subband ({level}, {band}) \
-                         beyond pyramid extents"
-                    )));
-                }
-                Ok(())
-            };
-            let error = match kernels.get_mut(kernel) {
-                Some(k) => subband(&a).and(subband(&b)).and_then(|()| {
-                    k.fuse_strip(
-                        &a.subbands(level)[band],
-                        &b.subbands(level)[band],
-                        y0,
-                        y1,
-                        op,
-                        &mut scratch.fuse,
-                        &mut re,
-                        &mut im,
-                    )
-                }),
-                None => Err(DtcwtError::MalformedPyramid(format!(
-                    "worker has no kernel slot {kernel}"
-                ))),
-            }
-            .err();
-            JobOutcome {
-                tag,
-                combo: strip,
-                payload: JobPayload::FuseStrip { y0, re, im },
-                error,
-            }
-        }
     }
 }
 
@@ -1089,245 +850,6 @@ mod tests {
             assert_eq!(oc.tag, i as u32);
             assert_eq!(oc.error.is_some(), i % 3 == 2);
         }
-    }
-
-    #[test]
-    fn column_strip_jobs_reassemble_bit_identical() {
-        // Splitting a level's column pass into strips of whole lane groups
-        // and reassembling the outcomes must reproduce the full-width column
-        // pass bit-for-bit, at every pool width. Strip bounds deliberately
-        // mix 8-, 4-, and ragged-width strips.
-        use crate::scratch::{ColScratch, Scratch1d};
-        let t = Arc::new(Dtcwt::new(2).unwrap());
-        let img = Arc::new(Image::from_fn(44, 24, |x, y| {
-            ((x * 11 + y * 5) % 37) as f32 * 0.23 - 2.0
-        }));
-        let bounds = [(0usize, 8usize), (8, 16), (16, 32), (32, 44)];
-        for tree_b in [false, true] {
-            // Full-width reference on a serial kernel.
-            let mut k = ScalarKernel::new();
-            let spec = t.col_axis(0, tree_b);
-            let mut ref_lo = Image::zeros(0, 0);
-            let mut ref_hi = Image::zeros(0, 0);
-            let mut cs = ColScratch::new();
-            let mut s1 = Scratch1d::new();
-            k.analyze_cols(
-                spec.taps,
-                spec.phase,
-                &img,
-                &mut ref_lo,
-                &mut ref_hi,
-                &mut cs,
-                &mut s1,
-            )
-            .unwrap();
-            let mut ref_out = Image::zeros(0, 0);
-            k.synthesize_cols(
-                spec.taps,
-                spec.phase,
-                &ref_lo,
-                &ref_hi,
-                &mut ref_out,
-                &mut cs,
-                &mut s1,
-            )
-            .unwrap();
-            let ref_lo = Arc::new(ref_lo);
-            let ref_hi = Arc::new(ref_hi);
-            for threads in [1usize, 2, 4] {
-                let pool = WorkerPool::new(threads, &mut boxed_scalar);
-                for (si, &(x0, x1)) in bounds.iter().enumerate() {
-                    pool.submit(Job::ColumnStrip {
-                        transform: Arc::clone(&t),
-                        img: Arc::clone(&img),
-                        tag: 1,
-                        strip: si,
-                        level: 0,
-                        tree_b,
-                        kernel: 0,
-                        x0,
-                        x1,
-                        lo: Image::zeros(0, 0),
-                        hi: Image::zeros(0, 0),
-                    });
-                }
-                let mut outcomes = Vec::new();
-                assert_eq!(pool.drain(bounds.len(), &mut outcomes), None);
-                let mut got_lo = Image::zeros(44, 12);
-                let mut got_hi = Image::zeros(44, 12);
-                for oc in outcomes.drain(..) {
-                    let JobPayload::ColumnStrip { x0, lo, hi } = oc.payload else {
-                        panic!("wrong payload kind");
-                    };
-                    for y in 0..lo.height() {
-                        got_lo.row_mut(y)[x0..x0 + lo.width()].copy_from_slice(lo.row(y));
-                        got_hi.row_mut(y)[x0..x0 + hi.width()].copy_from_slice(hi.row(y));
-                    }
-                }
-                assert_eq!(got_lo, *ref_lo, "lo tree_b={tree_b} threads={threads}");
-                assert_eq!(got_hi, *ref_hi, "hi tree_b={tree_b} threads={threads}");
-
-                for (si, &(x0, x1)) in bounds.iter().enumerate() {
-                    pool.submit(Job::InverseColumnStrip {
-                        transform: Arc::clone(&t),
-                        lo: Arc::clone(&ref_lo),
-                        hi: Arc::clone(&ref_hi),
-                        tag: 2,
-                        strip: si,
-                        level: 0,
-                        tree_b,
-                        kernel: 0,
-                        x0,
-                        x1,
-                        out: Image::zeros(0, 0),
-                    });
-                }
-                assert_eq!(pool.drain(bounds.len(), &mut outcomes), None);
-                let mut got_out = Image::zeros(44, 24);
-                for oc in outcomes.drain(..) {
-                    let JobPayload::InverseColumnStrip { x0, out } = oc.payload else {
-                        panic!("wrong payload kind");
-                    };
-                    for y in 0..out.height() {
-                        got_out.row_mut(y)[x0..x0 + out.width()].copy_from_slice(out.row(y));
-                    }
-                }
-                assert_eq!(got_out, ref_out, "out tree_b={tree_b} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fuse_strip_jobs_reassemble_bit_identical() {
-        // Fusing every subband in row strips through the ring and
-        // reassembling the outcomes must reproduce the full-height scalar
-        // reference bit-for-bit, at every pool width — including the
-        // windowed rule, whose strips read clamped rows beyond their own
-        // bounds from the shared pyramids.
-        use crate::fuse::{fuse_strip_scalar, FuseOp, FuseScratch};
-        let t = Dtcwt::new(2).unwrap();
-        let a_img = Image::from_fn(40, 32, |x, y| ((x * 7 + y * 3) % 29) as f32 * 0.17 - 2.0);
-        let b_img = Image::from_fn(40, 32, |x, y| ((x * 5 + y * 11) % 31) as f32 * 0.13 - 1.5);
-        let pa = Arc::new(t.forward(&a_img).unwrap());
-        let pb = Arc::new(t.forward(&b_img).unwrap());
-        for op in [
-            FuseOp::MaxMagnitude,
-            FuseOp::WindowEnergy { radius: 2 },
-            FuseOp::ActivityGuided {
-                radius: 1,
-                match_threshold: 0.75,
-            },
-        ] {
-            for threads in [1usize, 2, 4] {
-                let pool = WorkerPool::new(threads, &mut boxed_scalar);
-                let mut fs = FuseScratch::new();
-                let mut outcomes = Vec::new();
-                for level in 0..pa.levels() {
-                    for band in 0..pa.subbands(level).len() {
-                        let sa = &pa.subbands(level)[band];
-                        let sb = &pb.subbands(level)[band];
-                        let (w, h) = sa.dims();
-                        let mut strips = Vec::new();
-                        let mut y0 = 0;
-                        while y0 < h {
-                            strips.push((y0, (y0 + 3).min(h)));
-                            y0 += 3;
-                        }
-                        for (si, &(y0, y1)) in strips.iter().enumerate() {
-                            pool.submit(Job::FuseStrip {
-                                a: Arc::clone(&pa),
-                                b: Arc::clone(&pb),
-                                tag: (level * 6 + band) as u32,
-                                strip: si,
-                                level,
-                                band,
-                                kernel: 0,
-                                y0,
-                                y1,
-                                op,
-                                re: Image::zeros(0, 0),
-                                im: Image::zeros(0, 0),
-                            });
-                        }
-                        assert_eq!(pool.drain(strips.len(), &mut outcomes), None);
-                        let mut want_re = Image::zeros(0, 0);
-                        let mut want_im = Image::zeros(0, 0);
-                        fuse_strip_scalar(sa, sb, 0, h, op, &mut fs, &mut want_re, &mut want_im)
-                            .unwrap();
-                        let mut got_re = Image::zeros(w, h);
-                        let mut got_im = Image::zeros(w, h);
-                        for oc in outcomes.drain(..) {
-                            assert!(oc.error.is_none(), "{:?}", oc.error);
-                            let JobPayload::FuseStrip { y0, re, im } = oc.payload else {
-                                panic!("wrong payload kind");
-                            };
-                            for yy in 0..re.height() {
-                                got_re.row_mut(y0 + yy).copy_from_slice(re.row(yy));
-                                got_im.row_mut(y0 + yy).copy_from_slice(im.row(yy));
-                            }
-                        }
-                        assert_eq!(got_re, want_re, "{op:?} threads={threads} L{level}B{band}");
-                        assert_eq!(got_im, want_im, "{op:?} threads={threads} L{level}B{band}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fuse_strip_rejects_bad_addresses() {
-        // Out-of-range strip rows and subband coordinates must come back as
-        // job errors, not panics, with the buffers returned.
-        use crate::fuse::FuseOp;
-        let t = Dtcwt::new(1).unwrap();
-        let img = Image::from_fn(16, 16, |x, y| (x + y) as f32);
-        let p = Arc::new(t.forward(&img).unwrap());
-        let pool = WorkerPool::new(1, &mut boxed_scalar);
-        let h = p.subbands(0)[0].dims().1;
-        for (level, band, y0, y1) in [(0usize, 0usize, 0usize, h + 1), (0, 9, 0, h), (5, 0, 0, h)] {
-            pool.submit(Job::FuseStrip {
-                a: Arc::clone(&p),
-                b: Arc::clone(&p),
-                tag: 0,
-                strip: 0,
-                level,
-                band,
-                kernel: 0,
-                y0,
-                y1,
-                op: FuseOp::MaxMagnitude,
-                re: Image::zeros(0, 0),
-                im: Image::zeros(0, 0),
-            });
-            let mut outcomes = Vec::new();
-            assert_eq!(pool.drain(1, &mut outcomes), Some(0));
-            let oc = outcomes.pop().unwrap();
-            assert!(matches!(oc.error, Some(DtcwtError::MalformedPyramid(_))));
-            assert!(matches!(oc.payload, JobPayload::FuseStrip { .. }));
-        }
-    }
-
-    #[test]
-    fn column_strip_rejects_bad_bounds() {
-        let pool = WorkerPool::new(1, &mut boxed_scalar);
-        let t = Arc::new(Dtcwt::new(1).unwrap());
-        let img = Arc::new(Image::filled(16, 8, 1.0));
-        pool.submit(Job::ColumnStrip {
-            transform: Arc::clone(&t),
-            img: Arc::clone(&img),
-            tag: 0,
-            strip: 0,
-            level: 0,
-            tree_b: false,
-            kernel: 0,
-            x0: 12,
-            x1: 20, // past the right edge
-            lo: Image::zeros(0, 0),
-            hi: Image::zeros(0, 0),
-        });
-        let mut outcomes = Vec::new();
-        assert_eq!(pool.drain(1, &mut outcomes), Some(0));
-        assert!(outcomes[0].error.is_some());
     }
 
     #[test]

@@ -70,9 +70,6 @@ pub struct FrameRecord {
     pub pl_busy_s: f64,
     /// Cost model's predicted frame seconds for this backend/geometry.
     pub predicted_s: f64,
-    /// Row-strip fusion jobs fanned out across the worker pool for this
-    /// frame (0 = fusion ran serially on the dispatcher thread).
-    pub fusion_strips: u64,
     /// Real-time budget the frame is judged against (camera frame period).
     pub deadline_s: f64,
     /// Whether the output buffer came from the pool (vs a fresh allocation).
@@ -109,7 +106,6 @@ impl Default for FrameRecord {
             pl_mj: 0.0,
             pl_busy_s: 0.0,
             predicted_s: 0.0,
-            fusion_strips: 0,
             deadline_s: 0.0,
             pool_hit: false,
             gate_drops: 0,
@@ -149,10 +145,6 @@ impl FrameRecord {
             ("pl_mj".into(), JsonValue::Num(self.pl_mj)),
             ("pl_busy_s".into(), JsonValue::Num(self.pl_busy_s)),
             ("predicted_s".into(), JsonValue::Num(self.predicted_s)),
-            (
-                "fusion_strips".into(),
-                JsonValue::Num(self.fusion_strips as f64),
-            ),
             ("deadline_s".into(), JsonValue::Num(self.deadline_s)),
             ("pool_hit".into(), JsonValue::Bool(self.pool_hit)),
             ("gate_drops".into(), JsonValue::Num(self.gate_drops as f64)),

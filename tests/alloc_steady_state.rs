@@ -134,12 +134,12 @@ fn steady_state_pipeline_steps_do_not_allocate() {
     }
 }
 
-// Strip-parallel fusion pops pooled `(re, im)` strip buffers on submit and
-// pushes them back on harvest, and the strip map is a reused Vec, so once a
-// warm-up frame has sized one buffer pair per ring wave the pooled fusion
-// path must stay off the allocator on the dispatcher thread — while still
-// actually fanning fusion out as strips (`fusion_strips > 0` in the flight
-// recorder proves the fast path ran, not the serial fallback).
+// A pooled pipeline runs the transforms on the worker pool and fuses on
+// the dispatcher into a reused fused pyramid, so once warm-up frames have
+// sized the per-slot combo store, fused pyramid and inverse staging buffer
+// the depth-1 pooled path must stay off the allocator on the dispatcher
+// thread — while still actually running on the pool (every flight record
+// carries a ring slot, proving the pooled path ran, not the serial one).
 #[test]
 fn steady_state_strip_fusion_does_not_allocate_on_the_dispatcher() {
     let _gate = transpose_gate();
@@ -162,7 +162,7 @@ fn steady_state_strip_fusion_does_not_allocate_on_the_dispatcher() {
         assert_eq!(
             (allocs, bytes),
             (0, 0),
-            "frame {frame}: strip-fused step() allocated {allocs} times ({bytes} bytes)"
+            "frame {frame}: pooled step() allocated {allocs} times ({bytes} bytes)"
         );
         assert_eq!(
             (rallocs, rbytes),
@@ -170,24 +170,24 @@ fn steady_state_strip_fusion_does_not_allocate_on_the_dispatcher() {
             "frame {frame}: recycle() allocated {rallocs} times ({rbytes} bytes)"
         );
     }
-    let strip_frames = pipe
+    let pooled_frames = pipe
         .flight_recorder()
         .iter()
-        .filter(|r| r.fusion_strips > 0)
+        .filter(|r| r.slot >= 0)
         .count();
     assert_eq!(
-        strip_frames,
+        pooled_frames,
         pipe.stats().frames as usize,
-        "every pooled frame should fuse via row strips"
+        "every frame should run in the pooled slot ring"
     );
 }
 
 // Depth-k software pipelining keeps several frames in flight across the
 // worker pool; the dispatcher thread (the one calling `step()`) must stay
 // allocation-free once the prologue has filled the ring and sized every
-// per-slot combo store, inverse staging buffer and stash vector. Worker
-// threads are not the measuring thread, so the counters pin exactly the
-// dispatcher-side guarantee the in-flight ring makes.
+// per-slot combo store, fused pyramid, inverse staging buffer and stash
+// vector. Worker threads are not the measuring thread, so the counters pin
+// exactly the dispatcher-side guarantee the in-flight ring makes.
 #[test]
 fn steady_state_depth_k_pipeline_does_not_allocate_on_the_dispatcher() {
     let _gate = transpose_gate();

@@ -15,7 +15,7 @@
 //! raw column passes for every named filter bank (odd/even widths and
 //! heights, widths below the 4-lane group forcing the scalar tail), full
 //! DT-CWT pyramids and round trips, and the threaded engine at 1/2/4
-//! workers where the column pass runs as parallel per-strip jobs.
+//! workers, where each tree combination's column passes run on a worker.
 
 use wavefuse_core::{Backend, FusionEngine};
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
@@ -224,9 +224,8 @@ fn pyramids_and_round_trips_bit_identical() {
 
 #[test]
 fn threaded_engine_matches_serial_at_every_width() {
-    // The engine splits the column pass into per-strip worker jobs; at
-    // 1, 2, and 4 threads the fused frame must equal the serial result
-    // exactly.
+    // The engine fans the tree combinations out as worker jobs; at 1, 2,
+    // and 4 threads the fused frame must equal the serial result exactly.
     let a = Image::from_fn(88, 72, |x, y| ((x * 5 + y * 3) % 37) as f32 * 0.4);
     let b = Image::from_fn(88, 72, |x, y| ((x * 11 + y * 2) % 43) as f32 * 0.3);
 
@@ -243,7 +242,7 @@ fn threaded_engine_matches_serial_at_every_width() {
         assert_eq!(
             reference.as_slice(),
             out.image.as_slice(),
-            "column strip jobs at {threads} threads"
+            "threaded engine at {threads} threads"
         );
     }
 }

@@ -17,11 +17,14 @@ cargo test -q --release --test alloc_steady_state
 echo "== column-pass bit-identity (NEON column passes vs the transpose staging)"
 cargo test -q --release --test columnar_identity
 
-echo "== wavefuse-simd unit tests in release (lane exactness, kernel fusion)"
-# The crate's lane-exactness tests and the kernel fuse_strip bit-identity
-# tests on row ranges also run in debug above, but LLVM vectorizes the
-# lane loops only in release, so the identities are checked here too (the
-# column-pass identity runs in the columnar_identity step above).
+echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, kernel fusion)"
+# The crate's lane-exactness tests, the row-oracle sweep (each flavour's
+# lane-parallel row passes vs its per-output dots, bit for bit, over ten
+# banks x output widths 1..=80 x both phases, analysis and synthesis, on
+# finite and NaN/inf rows) and the kernel fuse_strip bit-identity tests on
+# row ranges also run in debug above, but LLVM vectorizes the lane loops
+# only in release, so the identities are checked here too (the column-pass
+# identity runs in the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
 echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"

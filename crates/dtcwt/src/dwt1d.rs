@@ -235,11 +235,10 @@ pub fn synthesize_into<K: FilterKernel + ?Sized>(
         &mut scratch.raw,
     );
     // The analysis/synthesis cascade delays the signal by `delay` samples
-    // (circularly); rotate left to compensate.
+    // (circularly); rotate left to compensate: out[m] = raw[(m + d) mod n].
     let d = taps.delay % n;
-    for (m, o) in out.iter_mut().enumerate() {
-        *o = scratch.raw[(m + d) % n];
-    }
+    out[..n - d].copy_from_slice(&scratch.raw[d..]);
+    out[n - d..].copy_from_slice(&scratch.raw[..d]);
     Ok(())
 }
 

@@ -1,39 +1,51 @@
-//! The NEON engine's [`FilterKernel`]: one kernel body, two row-dot flavours.
+//! The NEON engine's [`FilterKernel`]: one lane body for rows and columns.
 //!
-//! [`NeonKernel`] owns the tap caches, the row loops, the columnar column
-//! passes and strip fusion. Its `MANUAL` parameter picks only the inner row
-//! dot product, the one place the paper's two NEON builds differ:
+//! [`NeonKernel`] owns the tap caches, the lane-parallel row and column
+//! passes and strip fusion. Its `MANUAL` parameter selects only the kernel
+//! name and, in the tests, the per-output row dot the lane passes are checked
+//! against — the one place the paper's two NEON builds differ:
 //!
-//! * [`SimdKernel`] (`MANUAL = true`) mirrors the *manual* intrinsics
-//!   (Fig. 3): the filter is reversed once so each output becomes a
-//!   contiguous dot product, accumulated four lanes at a time in an
-//!   [`F32x4`] quad register and folded with [`F32x4::horizontal_sum`].
-//! * [`AutoVecKernel`] (`MANUAL = false`) mirrors the *compiler
-//!   auto-vectorized* build (`-mfpu=neon -ftree-vectorize`): plain
-//!   `[f32; 4]` arithmetic with four independent accumulators and fixed
-//!   trip counts, the shape LLVM (like GCC in the paper) vectorizes without
-//!   intrinsics.
+//! * [`SimdKernel`] (`MANUAL = true`, `"neon-simd"`) stands for the *manual*
+//!   intrinsics (Fig. 3): the filter is reversed once so each output becomes
+//!   a contiguous dot product, accumulated four lanes at a time in an
+//!   [`F32x4`](crate::F32x4) quad register and folded with
+//!   [`F32x4::horizontal_sum`](crate::F32x4::horizontal_sum).
+//! * [`AutoVecKernel`] (`MANUAL = false`, `"neon-autovec"`) stands for the
+//!   *compiler auto-vectorized* build (`-mfpu=neon -ftree-vectorize`): plain
+//!   `[f32; 4]` arithmetic with four independent accumulators.
 //!
-//! Tap vectors are zero-padded to a multiple of four so neither dot has a
-//! scalar remainder — the paper makes the same "iteration count is a
-//! multiple of the lane count" argument. Both dots fold their four partials
-//! as `(p0 + p2) + (p1 + p3)`, so the two flavours produce identical bits.
+//! Tap vectors are zero-padded to a multiple of four so no dot has a scalar
+//! remainder — the paper makes the same "iteration count is a multiple of
+//! the lane count" argument. Both dots fold their four partials as
+//! `(p0 + p2) + (p1 + p3)`, so the two flavours produce identical bits, and
+//! since the lane passes replay that order both kernels now run one body.
 //!
-//! # Columnar column passes
+//! # Lane-parallel passes
 //!
-//! The kernel overrides the [`FilterKernel`] column-pass methods with a
-//! **transpose-free columnar path**: a [`Lanes<N>`] vector holds `N`
-//! *adjacent columns* — 8, then 4, then 1 at the right image edge — rows
-//! are loaded stride-1, and each lane accumulates its own column's
-//! convolution, with no transposes and no horizontal sums. Bit-identity with
-//! the transpose-staged row path is preserved by replicating the row dot
-//! product's exact summation structure per column: four partial
-//! accumulators indexed by `tap_index % 4` (the four lanes of the row
-//! path's accumulator register) folded as `(p0 + p2) + (p1 + p3)`. Since
-//! every column is independent, lane width and strip splitting never change
-//! any column's value.
+//! Every pass runs on one lane-generic body, `col_dot` over [`Lanes<N>`]:
+//! lane `x` computes output `x`, 8 outputs at a time, then 4, then 1 at the
+//! end, with no horizontal sums. An offset table `offs` names the source of
+//! each padded tap for output 0, and output `x` reads `data[offs[i] + x]`,
+//! so each tap is one contiguous `N`-wide load.
+//!
+//! * **Column passes** hold `N` *adjacent columns* of one output row: rows
+//!   are loaded stride-1 straight from the image, with no transposes.
+//! * **Row analysis** splits the extended row once into `[even | odd]`
+//!   samples; consecutive outputs step the input by two, so tap `i` of every
+//!   output reads one contiguous run of one half.
+//! * **Row synthesis** runs the two output parities separately: within a
+//!   parity the channel window slides by one sample per output, so each
+//!   parity is one contiguous lane pass, stored at stride 2.
+//!
+//! Bit-identity with the per-output dot product (the test oracle, and the
+//! transpose staging of it that the column passes are checked against) comes
+//! from replaying its exact summation structure per lane: four partial
+//! accumulators indexed by `tap_index % 4` (the four lanes of the dot's
+//! accumulator register) folded as `(p0 + p2) + (p1 + p3)`, each update an
+//! unfused `acc + sample * tap`. Since every output is independent, lane width
+//! never changes any output's value.
 
-use crate::vector::{F32x4, Lanes};
+use crate::vector::Lanes;
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
 use wavefuse_dtcwt::kernel::taps_changed;
 use wavefuse_dtcwt::scratch::{ColScratch, Scratch1d};
@@ -72,97 +84,27 @@ fn polyphase_reversed(taps: &[f32], even: &mut Vec<f32>, odd: &mut Vec<f32>) {
     }
 }
 
-/// Manual-intrinsics row dot: [`F32x4`] multiply-accumulate, then the
-/// pairwise horizontal add.
-fn simd_dot(window: &[f32], taps4: &[f32]) -> f32 {
-    debug_assert!(taps4.len().is_multiple_of(4));
-    debug_assert!(window.len() >= taps4.len());
-    let mut acc = F32x4::ZERO;
-    for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
-        acc = acc.mul_add(F32x4::load(w), F32x4::load(t));
-    }
-    acc.horizontal_sum()
-}
-
-/// Two dot products over one shared window (equal-length padded taps): each
-/// window vector is loaded once and fed to both accumulators. Per filter the
-/// accumulation sequence is exactly [`simd_dot`]'s, so the pairing changes
-/// load traffic only, never a result bit.
-fn simd_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(taps0.len(), taps1.len());
-    debug_assert!(taps0.len().is_multiple_of(4));
-    debug_assert!(window.len() >= taps0.len());
-    let mut acc0 = F32x4::ZERO;
-    let mut acc1 = F32x4::ZERO;
-    for ((w, t0), t1) in window
-        .chunks_exact(4)
-        .zip(taps0.chunks_exact(4))
-        .zip(taps1.chunks_exact(4))
-    {
-        let wv = F32x4::load(w);
-        acc0 = acc0.mul_add(wv, F32x4::load(t0));
-        acc1 = acc1.mul_add(wv, F32x4::load(t1));
-    }
-    (acc0.horizontal_sum(), acc1.horizontal_sum())
-}
-
-/// Auto-vectorization row dot: plain `[f32; 4]` accumulators the compiler
-/// vectorizes on its own, folded in [`F32x4::horizontal_sum`]'s order.
-#[inline(always)]
-fn unrolled_dot(window: &[f32], taps4: &[f32]) -> f32 {
-    debug_assert!(taps4.len().is_multiple_of(4));
-    let mut acc = [0.0f32; 4];
-    for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
-        acc[0] += w[0] * t[0];
-        acc[1] += w[1] * t[1];
-        acc[2] += w[2] * t[2];
-        acc[3] += w[3] * t[3];
-    }
-    (acc[0] + acc[2]) + (acc[1] + acc[3])
-}
-
-/// Shared-window pair of [`unrolled_dot`]s — same load-sharing trick as
-/// [`simd_dot2`], same bit-identity argument: each filter's per-lane
-/// accumulation order is unchanged.
-#[inline(always)]
-fn unrolled_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(taps0.len(), taps1.len());
-    debug_assert!(taps0.len().is_multiple_of(4));
-    let mut a = [0.0f32; 4];
-    let mut b = [0.0f32; 4];
-    for ((w, t0), t1) in window
-        .chunks_exact(4)
-        .zip(taps0.chunks_exact(4))
-        .zip(taps1.chunks_exact(4))
-    {
-        for l in 0..4 {
-            a[l] += w[l] * t0[l];
-            b[l] += w[l] * t1[l];
-        }
-    }
-    ((a[0] + a[2]) + (a[1] + a[3]), (b[0] + b[2]) + (b[1] + b[3]))
-}
-
-/// Per-column vertical dot product over `N` columns starting at column
-/// `x0`: `offs[i]` is the flat offset (`wrapped_row * stride`) of padded
-/// tap `i`'s source row in the image's backing slice, and the four
-/// partial accumulators indexed by `i % 4` replicate the lanes of the row
-/// path's accumulator register, folded in [`F32x4::horizontal_sum`]'s
-/// `(p0 + p2) + (p1 + p3)` order — this is what makes the columnar result
-/// bit-identical to both row dots per column.
+/// Lane-parallel dot product of the `N` outputs starting at output `x0`:
+/// `offs[i]` is the offset in `data` of padded tap `i`'s source sample for
+/// output 0, and output `x` reads `data[offs[i] + x]` (a wrapped image row
+/// in the column passes, the split row in the row passes). The four partial
+/// accumulators indexed by `i % 4` replicate the lanes of the per-output
+/// dot's accumulator register, folded in
+/// [`F32x4::horizontal_sum`](crate::F32x4::horizontal_sum)'s
+/// `(p0 + p2) + (p1 + p3)` order — this is what makes every lane
+/// bit-identical to both flavours' per-output dots.
 #[inline(always)]
 fn col_dot<const N: usize>(data: &[f32], offs: &[usize], taps: &[f32], x0: usize) -> Lanes<N> {
     debug_assert!(taps.len().is_multiple_of(4));
     debug_assert_eq!(offs.len(), taps.len());
-    let load = |i: usize| Lanes::<N>::load(&data[offs[i] + x0..]);
+    let data = &data[x0..];
+    let load = |o: usize| Lanes::<N>::load(&data[o..]);
     let (mut p0, mut p1, mut p2, mut p3) = (Lanes::ZERO, Lanes::ZERO, Lanes::ZERO, Lanes::ZERO);
-    let mut i = 0;
-    while i < taps.len() {
-        p0 = p0.mul_add(load(i), Lanes::splat(taps[i]));
-        p1 = p1.mul_add(load(i + 1), Lanes::splat(taps[i + 1]));
-        p2 = p2.mul_add(load(i + 2), Lanes::splat(taps[i + 2]));
-        p3 = p3.mul_add(load(i + 3), Lanes::splat(taps[i + 3]));
-        i += 4;
+    for (o, t) in offs.chunks_exact(4).zip(taps.chunks_exact(4)) {
+        p0 = p0.mul_add(load(o[0]), Lanes::splat(t[0]));
+        p1 = p1.mul_add(load(o[1]), Lanes::splat(t[1]));
+        p2 = p2.mul_add(load(o[2]), Lanes::splat(t[2]));
+        p3 = p3.mul_add(load(o[3]), Lanes::splat(t[3]));
     }
     (p0 + p2) + (p1 + p3)
 }
@@ -182,10 +124,10 @@ fn fill_wrapped(idx: &mut Vec<usize>, base: isize, len: usize, n: usize, stride:
     }
 }
 
-/// Fused lowpass + highpass vertical dot product for filters sharing one
+/// Fused lowpass + highpass lane dot product for filters sharing one
 /// offset window (equal tap counts, e.g. the q-shift banks): every source
-/// row vector is loaded once and feeds both filters' partial accumulators.
-/// Each filter's per-column accumulation sequence is exactly [`col_dot`]'s,
+/// vector is loaded once and feeds both filters' partial accumulators.
+/// Each filter's per-output accumulation sequence is exactly [`col_dot`]'s,
 /// so the fusion changes memory traffic, not one bit of output.
 #[inline(always)]
 fn col_dot2<const N: usize>(
@@ -198,30 +140,33 @@ fn col_dot2<const N: usize>(
     debug_assert!(t0.len().is_multiple_of(4));
     debug_assert_eq!(t0.len(), t1.len());
     debug_assert_eq!(offs.len(), t0.len());
-    let load = |i: usize| Lanes::<N>::load(&data[offs[i] + x0..]);
+    let data = &data[x0..];
+    let load = |o: usize| Lanes::<N>::load(&data[o..]);
     let (mut a0, mut a1, mut a2, mut a3) = (Lanes::ZERO, Lanes::ZERO, Lanes::ZERO, Lanes::ZERO);
     let (mut b0, mut b1, mut b2, mut b3) = (Lanes::ZERO, Lanes::ZERO, Lanes::ZERO, Lanes::ZERO);
-    let mut i = 0;
-    while i < t0.len() {
-        let r0 = load(i);
-        a0 = a0.mul_add(r0, Lanes::splat(t0[i]));
-        b0 = b0.mul_add(r0, Lanes::splat(t1[i]));
-        let r1 = load(i + 1);
-        a1 = a1.mul_add(r1, Lanes::splat(t0[i + 1]));
-        b1 = b1.mul_add(r1, Lanes::splat(t1[i + 1]));
-        let r2 = load(i + 2);
-        a2 = a2.mul_add(r2, Lanes::splat(t0[i + 2]));
-        b2 = b2.mul_add(r2, Lanes::splat(t1[i + 2]));
-        let r3 = load(i + 3);
-        a3 = a3.mul_add(r3, Lanes::splat(t0[i + 3]));
-        b3 = b3.mul_add(r3, Lanes::splat(t1[i + 3]));
-        i += 4;
+    for ((o, ta), tb) in offs
+        .chunks_exact(4)
+        .zip(t0.chunks_exact(4))
+        .zip(t1.chunks_exact(4))
+    {
+        let r0 = load(o[0]);
+        a0 = a0.mul_add(r0, Lanes::splat(ta[0]));
+        b0 = b0.mul_add(r0, Lanes::splat(tb[0]));
+        let r1 = load(o[1]);
+        a1 = a1.mul_add(r1, Lanes::splat(ta[1]));
+        b1 = b1.mul_add(r1, Lanes::splat(tb[1]));
+        let r2 = load(o[2]);
+        a2 = a2.mul_add(r2, Lanes::splat(ta[2]));
+        b2 = b2.mul_add(r2, Lanes::splat(tb[2]));
+        let r3 = load(o[3]);
+        a3 = a3.mul_add(r3, Lanes::splat(ta[3]));
+        b3 = b3.mul_add(r3, Lanes::splat(tb[3]));
     }
     ((a0 + a2) + (a1 + a3), (b0 + b2) + (b1 + b3))
 }
 
-/// Filters one output row of both analysis channels in a single pass over
-/// the shared offset window (see [`col_dot2`]).
+/// Filters `lo.len()` outputs of both analysis channels in a single pass
+/// over the shared offset window (see [`col_dot2`]).
 fn filter_cols2(
     data: &[f32],
     idx: &[usize],
@@ -252,7 +197,8 @@ fn filter_cols2(
     }
 }
 
-/// Filters one output row of the columnar analysis across all column groups.
+/// Filters `out.len()` outputs of one analysis channel: a whole output row
+/// of a column pass, or a whole channel of a row pass.
 fn filter_cols(data: &[f32], idx: &[usize], taps: &[f32], out: &mut [f32]) {
     let w = out.len();
     let mut x = 0;
@@ -270,9 +216,8 @@ fn filter_cols(data: &[f32], idx: &[usize], taps: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Reconstructs one output row of the columnar synthesis (the lane-wise sum
-/// of the two channel dot products, matching the row path's
-/// `dot(lo) + dot(hi)` per column).
+/// Reconstructs `out.len()` synthesis outputs: the lane-wise sum of the
+/// two channel dot products, matching the per-output `dot(lo) + dot(hi)`.
 #[allow(clippy::too_many_arguments)]
 fn synth_cols(
     lo: &[f32],
@@ -391,10 +336,36 @@ fn lane_synthesize_cols(
     }
 }
 
-/// The NEON engine's filter kernel; `MANUAL` selects the row dot flavour
+/// Splits `ext` into its even samples followed by its odd samples in
+/// `split`, and returns the even count: `ext[p]` lands at `split[p / 2]`
+/// for even `p` and at `split[even + p / 2]` for odd `p`.
+fn split_even_odd(ext: &[f32], split: &mut Vec<f32>) -> usize {
+    let even = ext.len().div_ceil(2);
+    split.resize(ext.len(), 0.0);
+    let (e, o) = split.split_at_mut(even);
+    for ((pair, e), o) in ext.chunks_exact(2).zip(e.iter_mut()).zip(o.iter_mut()) {
+        *e = pair[0];
+        *o = pair[1];
+    }
+    if let Some(&last) = ext.chunks_exact(2).remainder().first() {
+        e[even - 1] = last;
+    }
+    even
+}
+
+/// Fills `offs` with the split-row offsets of `len` taps whose window for
+/// output 0 starts at extended-row index `start`. Output `k` reads
+/// `ext[start + i + 2k]`, which is `split[offs[i] + k]`: stepping two
+/// samples in `ext` is one step within the same half.
+fn fill_split(offs: &mut Vec<usize>, start: usize, len: usize, even: usize) {
+    offs.clear();
+    offs.extend((start..start + len).map(|p| p / 2 + (p & 1) * even));
+}
+
+/// The NEON engine's filter kernel; `MANUAL` selects the flavour's name
 /// (see the [module docs](self)). Use it through [`SimdKernel`] or
 /// [`AutoVecKernel`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NeonKernel<const MANUAL: bool> {
     rev0: Vec<f32>,
     rev1: Vec<f32>,
@@ -406,6 +377,12 @@ pub struct NeonKernel<const MANUAL: bool> {
     a_key1: Vec<f32>,
     s_key0: Vec<f32>,
     s_key1: Vec<f32>,
+    /// Row passes: the split extended row (analysis) or the outputs of
+    /// each parity (synthesis).
+    row: Vec<f32>,
+    /// Row passes: the lowpass and highpass tap offset tables.
+    offs0: Vec<usize>,
+    offs1: Vec<usize>,
 }
 
 /// Manual 4-lane vectorized kernel (the paper's NEON-intrinsics flavor).
@@ -436,47 +413,10 @@ pub type SimdKernel = NeonKernel<true>;
 /// exploits in the paper's auto-vectorized build.
 pub type AutoVecKernel = NeonKernel<false>;
 
-impl<const MANUAL: bool> Default for NeonKernel<MANUAL> {
-    fn default() -> Self {
-        NeonKernel {
-            rev0: Vec::new(),
-            rev1: Vec::new(),
-            g0_even: Vec::new(),
-            g0_odd: Vec::new(),
-            g1_even: Vec::new(),
-            g1_odd: Vec::new(),
-            a_key0: Vec::new(),
-            a_key1: Vec::new(),
-            s_key0: Vec::new(),
-            s_key1: Vec::new(),
-        }
-    }
-}
-
 impl<const MANUAL: bool> NeonKernel<MANUAL> {
     /// Creates a new kernel.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// This flavour's row dot product.
-    #[inline(always)]
-    fn dot(window: &[f32], taps4: &[f32]) -> f32 {
-        if MANUAL {
-            simd_dot(window, taps4)
-        } else {
-            unrolled_dot(window, taps4)
-        }
-    }
-
-    /// This flavour's shared-window dot pair.
-    #[inline(always)]
-    fn dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
-        if MANUAL {
-            simd_dot2(window, taps0, taps1)
-        } else {
-            unrolled_dot2(window, taps0, taps1)
-        }
     }
 
     /// Rebuilds the reversed analysis taps, only when the filter actually
@@ -523,21 +463,19 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
     ) {
         self.analysis_taps(h0, h1);
         let (l0, l1) = (h0.len(), h1.len());
+        // Output k's window starts at ext[left + 2k + phase + 1 - l]; trailing
+        // zero-pad taps read into the caller's right extension margin.
+        let start = left + phase + 1;
+        let even = split_even_odd(ext, &mut self.row);
+        fill_split(&mut self.offs0, start - l0, self.rev0.len(), even);
         if l0 == l1 && self.rev0.len() == self.rev1.len() {
             // Equal-length pair (the q-shift orthonormal banks): both filters
             // read the same window, so share its loads across the two dots.
-            for k in 0..lo.len() {
-                let center = left + 2 * k + phase;
-                let (a, b) = Self::dot2(&ext[center + 1 - l0..], &self.rev0, &self.rev1);
-                lo[k] = a;
-                hi[k] = b;
-            }
+            filter_cols2(&self.row, &self.offs0, &self.rev0, &self.rev1, lo, hi);
         } else {
-            for k in 0..lo.len() {
-                let center = left + 2 * k + phase;
-                lo[k] = Self::dot(&ext[center + 1 - l0..], &self.rev0);
-                hi[k] = Self::dot(&ext[center + 1 - l1..], &self.rev1);
-            }
+            fill_split(&mut self.offs1, start - l1, self.rev1.len(), even);
+            filter_cols(&self.row, &self.offs0, &self.rev0, lo);
+            filter_cols(&self.row, &self.offs1, &self.rev1, hi);
         }
     }
 
@@ -551,23 +489,38 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
         phase: usize,
         out: &mut [f32],
     ) {
-        // Polyphase split: outputs of each parity use every other tap, and
-        // the channel window is contiguous — so each output is again a
-        // lane-aligned dot product (front-padded taps read below the window,
-        // covered by the caller's left extension margin).
+        // Polyphase split: outputs of one parity use every other tap, and
+        // the next output of that parity slides the channel window by one
+        // sample — so each parity is one lane pass over contiguous windows
+        // (front-padded taps read below the window, covered by the caller's
+        // left extension margin), staged in one half of `row`.
         self.synthesis_taps(g0, g1);
-        for (m, o) in out.iter_mut().enumerate() {
-            let mp = m as isize - phase as isize;
-            let parity = (mp & 1) as usize;
+        debug_assert!(out.len().is_multiple_of(2));
+        let half = out.len() / 2;
+        self.row.resize(out.len(), 0.0);
+        let (even_run, odd_run) = self.row.split_at_mut(half);
+        for (parity, run) in [(0, &mut *even_run), (1, &mut *odd_run)] {
             let (t0, t1) = if parity == 0 {
                 (&self.g0_even, &self.g1_even)
             } else {
                 (&self.g0_odd, &self.g1_odd)
             };
-            let k_top = (mp - parity as isize) / 2; // highest contributing k
-            let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
-            let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
-            *o = Self::dot(&lo_ext[start0..], t0) + Self::dot(&hi_ext[start1..], t1);
+            // The first output of this parity, m = (phase + parity) mod 2,
+            // has its highest contributing channel sample at
+            // k_top = (m - phase - parity) / 2: -1 for phase 1's odd parity,
+            // else 0. Its window ends at channel index left + k_top.
+            let top = left + 1 - phase * parity;
+            self.offs0.clear();
+            self.offs0.extend(top - t0.len()..top);
+            self.offs1.clear();
+            self.offs1.extend(top - t1.len()..top);
+            synth_cols(lo_ext, hi_ext, &self.offs0, &self.offs1, t0, t1, run);
+        }
+        // Even-parity outputs sit at m = phase (mod 2), odd-parity ones at
+        // the other slot of each output pair.
+        for ((pair, &e), &o) in out.chunks_exact_mut(2).zip(&*even_run).zip(&*odd_run) {
+            pair[phase] = e;
+            pair[1 - phase] = o;
         }
     }
 
@@ -661,8 +614,237 @@ impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::F32x4;
     use wavefuse_dtcwt::dwt1d::{analyze, synthesize, BankTaps, Phase};
     use wavefuse_dtcwt::{Dtcwt, FilterBank, Image, ScalarKernel};
+
+    /// Manual-intrinsics per-output dot: [`F32x4`] multiply-accumulate, then the
+    /// pairwise horizontal add.
+    fn simd_dot(window: &[f32], taps4: &[f32]) -> f32 {
+        debug_assert!(taps4.len().is_multiple_of(4));
+        debug_assert!(window.len() >= taps4.len());
+        let mut acc = F32x4::ZERO;
+        for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
+            acc = acc.mul_add(F32x4::load(w), F32x4::load(t));
+        }
+        acc.horizontal_sum()
+    }
+
+    /// Two dot products over one shared window (equal-length padded taps): each
+    /// window vector is loaded once and fed to both accumulators. Per filter the
+    /// accumulation sequence is exactly [`simd_dot`]'s, so the pairing changes
+    /// load traffic only, never a result bit.
+    fn simd_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
+        debug_assert_eq!(taps0.len(), taps1.len());
+        debug_assert!(taps0.len().is_multiple_of(4));
+        debug_assert!(window.len() >= taps0.len());
+        let mut acc0 = F32x4::ZERO;
+        let mut acc1 = F32x4::ZERO;
+        for ((w, t0), t1) in window
+            .chunks_exact(4)
+            .zip(taps0.chunks_exact(4))
+            .zip(taps1.chunks_exact(4))
+        {
+            let wv = F32x4::load(w);
+            acc0 = acc0.mul_add(wv, F32x4::load(t0));
+            acc1 = acc1.mul_add(wv, F32x4::load(t1));
+        }
+        (acc0.horizontal_sum(), acc1.horizontal_sum())
+    }
+
+    /// Auto-vectorization per-output dot: plain `[f32; 4]` accumulators the compiler
+    /// vectorizes on its own, folded in [`F32x4::horizontal_sum`]'s order.
+    #[inline(always)]
+    fn unrolled_dot(window: &[f32], taps4: &[f32]) -> f32 {
+        debug_assert!(taps4.len().is_multiple_of(4));
+        let mut acc = [0.0f32; 4];
+        for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
+            acc[0] += w[0] * t[0];
+            acc[1] += w[1] * t[1];
+            acc[2] += w[2] * t[2];
+            acc[3] += w[3] * t[3];
+        }
+        (acc[0] + acc[2]) + (acc[1] + acc[3])
+    }
+
+    /// Shared-window pair of [`unrolled_dot`]s — same load-sharing trick as
+    /// [`simd_dot2`], same bit-identity argument: each filter's per-lane
+    /// accumulation order is unchanged.
+    #[inline(always)]
+    fn unrolled_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
+        debug_assert_eq!(taps0.len(), taps1.len());
+        debug_assert!(taps0.len().is_multiple_of(4));
+        let mut a = [0.0f32; 4];
+        let mut b = [0.0f32; 4];
+        for ((w, t0), t1) in window
+            .chunks_exact(4)
+            .zip(taps0.chunks_exact(4))
+            .zip(taps1.chunks_exact(4))
+        {
+            for l in 0..4 {
+                a[l] += w[l] * t0[l];
+                b[l] += w[l] * t1[l];
+            }
+        }
+        ((a[0] + a[2]) + (a[1] + a[3]), (b[0] + b[2]) + (b[1] + b[3]))
+    }
+
+    /// The per-output row passes: each output is its own short dot on the
+    /// flavour's `MANUAL` dot, over the kernel's own tap caches. This is the
+    /// bit-exact oracle of the lane-parallel `analyze_row`/`synthesize_row`.
+    struct PerOutput<const MANUAL: bool>(NeonKernel<MANUAL>);
+
+    impl<const MANUAL: bool> PerOutput<MANUAL> {
+        fn dot(window: &[f32], taps4: &[f32]) -> f32 {
+            if MANUAL {
+                simd_dot(window, taps4)
+            } else {
+                unrolled_dot(window, taps4)
+            }
+        }
+
+        fn dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
+            if MANUAL {
+                simd_dot2(window, taps0, taps1)
+            } else {
+                unrolled_dot2(window, taps0, taps1)
+            }
+        }
+    }
+
+    impl<const MANUAL: bool> FilterKernel for PerOutput<MANUAL> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn analyze_row(
+            &mut self,
+            ext: &[f32],
+            left: usize,
+            h0: &[f32],
+            h1: &[f32],
+            phase: usize,
+            lo: &mut [f32],
+            hi: &mut [f32],
+        ) {
+            let k = &mut self.0;
+            k.analysis_taps(h0, h1);
+            let (l0, l1) = (h0.len(), h1.len());
+            for j in 0..lo.len() {
+                let center = left + 2 * j + phase;
+                if l0 == l1 && k.rev0.len() == k.rev1.len() {
+                    (lo[j], hi[j]) = Self::dot2(&ext[center + 1 - l0..], &k.rev0, &k.rev1);
+                } else {
+                    lo[j] = Self::dot(&ext[center + 1 - l0..], &k.rev0);
+                    hi[j] = Self::dot(&ext[center + 1 - l1..], &k.rev1);
+                }
+            }
+        }
+
+        fn synthesize_row(
+            &mut self,
+            lo_ext: &[f32],
+            hi_ext: &[f32],
+            left: usize,
+            g0: &[f32],
+            g1: &[f32],
+            phase: usize,
+            out: &mut [f32],
+        ) {
+            let k = &mut self.0;
+            k.synthesis_taps(g0, g1);
+            for (m, o) in out.iter_mut().enumerate() {
+                let mp = m as isize - phase as isize;
+                let parity = (mp & 1) as usize;
+                let (t0, t1) = if parity == 0 {
+                    (&k.g0_even, &k.g1_even)
+                } else {
+                    (&k.g0_odd, &k.g1_odd)
+                };
+                let k_top = (mp - parity as isize) / 2;
+                let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
+                let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
+                *o = Self::dot(&lo_ext[start0..], t0) + Self::dot(&hi_ext[start1..], t1);
+            }
+        }
+    }
+
+    /// The ten banks of the workspace's column-pass identity suite.
+    fn sweep_banks() -> Vec<FilterBank> {
+        vec![
+            FilterBank::haar().unwrap(),
+            FilterBank::daubechies(2).unwrap(),
+            FilterBank::daubechies(3).unwrap(),
+            FilterBank::daubechies(4).unwrap(),
+            FilterBank::legall_5_3().unwrap(),
+            FilterBank::cdf_9_7().unwrap(),
+            FilterBank::near_sym_a().unwrap(),
+            FilterBank::near_sym_b().unwrap(),
+            FilterBank::qshift_b().unwrap(),
+            FilterBank::qshift_b().unwrap().time_reverse(),
+        ]
+    }
+
+    /// Bit pattern with every NaN mapped to one canonical NaN: the lane
+    /// loops may commute `fadd` operands, which moves only NaN payloads.
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    fn assert_rows_match(got: &[f32], want: &[f32], finite: bool, what: &str) {
+        if finite {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "{what}");
+        } else {
+            assert_eq!(canonical_bits(got), canonical_bits(want), "{what}");
+        }
+    }
+
+    /// Sweeps one flavour's lane-parallel rows against its per-output dots:
+    /// every sweep bank, output widths 1..=80, both phases, analysis and
+    /// synthesis, on a finite row and on the same row seeded with NaN and
+    /// ±inf at both ends and in the middle. One kernel of each kind serves
+    /// the whole sweep, so tap caches and row scratch are reused across
+    /// banks and widths.
+    fn sweep_rows_against_per_output<const MANUAL: bool>() {
+        let mut lanes = NeonKernel::<MANUAL>::new();
+        let mut oracle = PerOutput(NeonKernel::<MANUAL>::new());
+        for bank in sweep_banks() {
+            let taps = BankTaps::new(&bank);
+            for width in 1..=80 {
+                let finite = signal(2 * width);
+                let mut poisoned = finite.clone();
+                poisoned[0] = f32::NAN;
+                poisoned[width] = f32::INFINITY;
+                poisoned[2 * width - 1] = f32::NEG_INFINITY;
+                for (x, is_finite) in [(finite, true), (poisoned, false)] {
+                    for phase in [Phase::A, Phase::B] {
+                        let what = format!(
+                            "{} {} width {width} {phase:?} finite={is_finite}",
+                            lanes.name(),
+                            bank.name()
+                        );
+                        let (lo, hi) = analyze(&mut lanes, &taps, &x, phase).unwrap();
+                        let (lo_o, hi_o) = analyze(&mut oracle, &taps, &x, phase).unwrap();
+                        assert_rows_match(&lo, &lo_o, is_finite, &format!("lo {what}"));
+                        assert_rows_match(&hi, &hi_o, is_finite, &format!("hi {what}"));
+                        let (c_lo, c_hi) = x.split_at(width);
+                        let out = synthesize(&mut lanes, &taps, c_lo, c_hi, phase).unwrap();
+                        let out_o = synthesize(&mut oracle, &taps, c_lo, c_hi, phase).unwrap();
+                        assert_rows_match(&out, &out_o, is_finite, &format!("syn {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_rows_match_the_per_output_dots_bit_for_bit() {
+        sweep_rows_against_per_output::<true>();
+        sweep_rows_against_per_output::<false>();
+    }
 
     fn banks() -> Vec<FilterBank> {
         vec![

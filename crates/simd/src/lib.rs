@@ -8,21 +8,26 @@
 //!
 //! * [`Lanes<N>`](Lanes) — `N` `f32` lanes with elementwise ops and no FMA
 //!   contraction, so each lane is bit-identical to the scalar expression on
-//!   every target. [`F32x4`] (`N = 4`) is the quad register; the columnar
-//!   column passes and strip fusion batch eight columns in [`F32x8`] and
-//!   finish the right edge at four and one lanes. LLVM lowers the lane
-//!   loops to native SIMD (SSE/NEON) on release builds.
-//! * [`NeonKernel`] — the [`wavefuse_dtcwt::FilterKernel`]: tap caches, row
-//!   loops, transpose-free columnar column passes and strip fusion, written
-//!   once. Its two instantiations differ only in the row dot product:
-//!   [`SimdKernel`] accumulates in an [`F32x4`] and folds with a horizontal
-//!   add, exactly the structure of the paper's intrinsics listing;
-//!   [`AutoVecKernel`] uses plain `[f32; 4]` loops with fixed trip counts,
-//!   mirroring the paper's `__restrict` + masked-length C code.
+//!   every target. [`F32x4`] (`N = 4`) is the quad register; the row and
+//!   column passes and strip fusion batch eight outputs in [`F32x8`] and
+//!   finish at four and one lanes. LLVM lowers the lane loops to native SIMD
+//!   (SSE/NEON) on release builds.
+//! * [`NeonKernel`] — the [`wavefuse_dtcwt::FilterKernel`]: tap caches,
+//!   lane-parallel row and column passes and strip fusion, written once.
+//!   Rows and columns share one lane body: each lane computes one output,
+//!   with the four `tap % 4` partial sums and the pairwise fold of the
+//!   paper's quad-register dot. The two instantiations differ only in their
+//!   name and in the per-output dot their tests check that body against:
+//!   [`SimdKernel`] (`"neon-simd"`) an [`F32x4`] accumulator folded with a
+//!   horizontal add, exactly the structure of the paper's intrinsics
+//!   listing; [`AutoVecKernel`] (`"neon-autovec"`) plain `[f32; 4]` loops
+//!   with fixed trip counts, mirroring the paper's `__restrict` +
+//!   masked-length C code.
 //!
-//! Both flavors are verified bit-for-bit-close against the scalar reference
-//! in the tests, and their columnar column passes are bit-identical to
-//! staging the row path through transposes — see [`kernel`].
+//! Both flavors are verified close to the scalar reference in the tests;
+//! their row passes are bit-identical to the per-output dots, and their
+//! column passes to staging the row path through transposes — see
+//! [`kernel`].
 //!
 //! # Examples
 //!
@@ -52,6 +57,6 @@ pub use vector::{F32x4, F32x8, Lanes, Mask, Mask8};
 /// Number of `f32` lanes in the modeled NEON quad register.
 ///
 /// The cost model's vector speedup divides by this: it is the width of the
-/// row dot product ([`F32x4`]), not of the wider lane groups the column
-/// passes and strip fusion use.
+/// modeled quad-register dot product ([`F32x4`]), not of the wider lane
+/// groups the row and column passes and strip fusion use.
 pub const LANES: usize = 4;

@@ -111,10 +111,10 @@ impl F32x4 {
     /// implementation detail: for lanes `[a, b, c, d]` the result is exactly
     /// `(a + c) + (b + d)` — lane 0 plus lane 2 first, then lane 1 plus
     /// lane 3, then the two partial sums. Every consumer that must be
-    /// bit-identical to the manual row dot product (the auto-vectorized
-    /// unrolled fold and the columnar kernels' per-column partial-accumulator
-    /// fold) replicates this exact association instead of a left-to-right
-    /// sum. It is defined for four lanes only because that association is
+    /// bit-identical to the manual per-output dot product (the
+    /// auto-vectorized unrolled fold and the lane passes' per-output
+    /// partial-accumulator fold) replicates this exact association instead
+    /// of a left-to-right sum. It is defined for four lanes only because that association is
     /// the quad register's.
     #[inline(always)]
     pub fn horizontal_sum(self) -> f32 {

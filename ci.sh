@@ -14,7 +14,7 @@ cargo test --workspace -q
 echo "== allocation regression (steady-state hot path)"
 cargo test -q --release --test alloc_steady_state
 
-echo "== column-pass bit-identity (NEON column passes vs the transpose staging)"
+echo "== column-pass bit-identity (NEON and FPGA column passes vs the transpose staging)"
 cargo test -q --release --test columnar_identity
 
 echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, kernel fusion)"
@@ -30,7 +30,12 @@ cargo test -q --release -p wavefuse-simd
 echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"
 # The simulated wavelet engine evaluates outputs lane-parallel; its tests
 # sweep that datapath against the one-output-per-clock shift-register
-# reference bit for bit. The lane loops vectorize only in release.
+# reference bit for bit, and
+# column_passes_match_the_transpose_staging_with_identical_accounting
+# checks FpgaKernel's own column passes against the transpose staging of
+# its rows: output bits plus == on the cycle ledger, DMA timeline, driver
+# stats, register writes and telemetry. The lane loops vectorize only in
+# release.
 cargo test -q --release -p wavefuse-zynq
 
 echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"

@@ -183,6 +183,10 @@ pub struct AdaptiveScheduler {
     /// EMA of observed per-frame cost (seconds or millijoules) per geometry
     /// and backend, for the online policy.
     observations: HashMap<(usize, usize), [Option<f64>; 4]>,
+    /// The model policy's decision per geometry. `cost` and `power` are
+    /// fixed once [`AdaptiveScheduler::new`] returns, so a geometry's
+    /// argmin never changes and is planned once.
+    decided: HashMap<(usize, usize), Backend>,
     /// Decisions made per backend (for reports).
     decisions: BackendCounts,
     telemetry: Option<Arc<MetricsRegistry>>,
@@ -210,6 +214,7 @@ impl AdaptiveScheduler {
             cost: CostModel::calibrated(),
             power: PowerModel::zc702(),
             observations: HashMap::new(),
+            decided: HashMap::new(),
             decisions: BackendCounts::new(),
             telemetry: None,
         }
@@ -248,20 +253,25 @@ impl AdaptiveScheduler {
     /// the configured decomposition depth.
     pub fn choose(&mut self, width: usize, height: usize) -> Result<Backend, FusionError> {
         let backend = match self.policy {
-            Policy::Model(objective) => {
-                let plan = TransformPlan::dtcwt(width, height, self.levels)?;
-                decide(
-                    &self.cost,
-                    &self.power,
-                    DEFAULT_RULE,
-                    &plan,
-                    &DEFAULT_CANDIDATES,
-                    objective,
-                    f64::INFINITY,
-                )
-                .expect("an unbounded deadline admits every candidate")
-                .backend
-            }
+            Policy::Model(objective) => match self.decided.get(&(width, height)) {
+                Some(&backend) => backend,
+                None => {
+                    let plan = TransformPlan::dtcwt(width, height, self.levels)?;
+                    let backend = decide(
+                        &self.cost,
+                        &self.power,
+                        DEFAULT_RULE,
+                        &plan,
+                        &DEFAULT_CANDIDATES,
+                        objective,
+                        f64::INFINITY,
+                    )
+                    .expect("an unbounded deadline admits every candidate")
+                    .backend;
+                    self.decided.insert((width, height), backend);
+                    backend
+                }
+            },
             Policy::Online(_) => {
                 let obs = self
                     .observations
@@ -363,6 +373,38 @@ mod tests {
         let mut e = AdaptiveScheduler::new(Policy::Model(Objective::Energy), 3);
         assert_eq!(e.choose(32, 24).unwrap(), Backend::Neon);
         assert_eq!(e.choose(88, 72).unwrap(), Backend::Fpga);
+    }
+
+    #[test]
+    fn memoized_model_choices_equal_a_fresh_decide() {
+        // Repeated choices at the paper sizes come from the memo; each must
+        // equal a fresh plan-and-decide, and each still counts once.
+        let (cost, power) = (CostModel::calibrated(), PowerModel::zc702());
+        let sizes = [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)];
+        for objective in [Objective::Time, Objective::Energy] {
+            let mut s = AdaptiveScheduler::new(Policy::Model(objective), 3);
+            let mut want = BackendCounts::new();
+            for round in 0..3 {
+                for (w, h) in sizes {
+                    let plan = TransformPlan::dtcwt(w, h, 3).unwrap();
+                    let fresh = decide(
+                        &cost,
+                        &power,
+                        DEFAULT_RULE,
+                        &plan,
+                        &DEFAULT_CANDIDATES,
+                        objective,
+                        f64::INFINITY,
+                    )
+                    .unwrap()
+                    .backend;
+                    let got = s.choose(w, h).unwrap();
+                    assert_eq!(got, fresh, "{objective:?} {w}x{h} round {round}");
+                    want[fresh] += 1;
+                }
+            }
+            assert_eq!(s.decision_counts(), want, "{objective:?}");
+        }
     }
 
     #[test]

@@ -647,7 +647,7 @@ impl FusionEngine {
 
     /// Starts fusing one frame pair, returning once all work that needs the
     /// input images is done. Every frame fuses on this (the dispatcher)
-    /// thread with the backend's kernel, between the forward and the
+    /// thread through the SIMD `fuse_strip`, between the forward and the
     /// inverse. On the pooled CPU backends the inverse transform of the
     /// fused pyramid is still running on the workers when this returns —
     /// the caller may overlap independent work (capturing the next frame
@@ -791,8 +791,8 @@ impl FusionEngine {
     /// Harvests the packed forwards staged by
     /// [`FusionEngine::packed_forward_submit`] (which must be the oldest
     /// jobs left in the ring — collects run in submit order across the
-    /// fleet), fuses the pyramids on the dispatcher with the backend's
-    /// kernel, and leaves the inverse batch in flight. This is the pooled
+    /// fleet), fuses the pyramids on the dispatcher through the SIMD
+    /// `fuse_strip`, and leaves the inverse batch in flight. This is the pooled
     /// path of [`FusionEngine::fuse_submit`] too, so a private pool and a
     /// fleet-shared one fuse identically. Retire with
     /// [`FusionEngine::fuse_finish`].
@@ -834,7 +834,7 @@ impl FusionEngine {
         let si = self.next_slot;
         let fslot = &mut self.slots[si];
         fuse_pyramids_with_kernel(
-            self.kernels.get(backend),
+            &mut self.kernels.simd,
             &self.pyr_a,
             &self.pyr_b,
             self.rule,
@@ -1158,10 +1158,12 @@ impl FusionEngine {
 
     /// Runs forward x2 → fuse → inverse serially on the backend's own
     /// kernel, writing the fused frame into `p.image` and the modeled and
-    /// measured phase times into `p`. Fusion goes through the kernel's
-    /// `fuse_strip`: vectorized on NEON, the scalar reference on the other
-    /// backends — so on the FPGA and hybrid backends it stays on the PS, as
-    /// in the paper, and charges nothing to the cycle ledger.
+    /// measured phase times into `p`. Fusion runs on the SIMD `fuse_strip`,
+    /// as on every path: by the fold-order contract of
+    /// [`wavefuse_dtcwt::fuse`] it is bit-identical to the scalar reference,
+    /// and the model prices fusion at the ARM rate on every backend, so on
+    /// the FPGA and hybrid backends it stays on the PS, as in the paper,
+    /// and charges nothing to the cycle ledger.
     fn run_serial(
         &mut self,
         a: &Image,
@@ -1188,9 +1190,8 @@ impl FusionEngine {
         )?;
         let t1 = std::time::Instant::now();
         let (forward_s, forward_pl_s) = self.take_phase_cost(backend, p.dims, Direction::Forward);
-        let kernel = self.kernels.get(backend);
         fuse_pyramids_with_kernel(
-            kernel,
+            &mut self.kernels.simd,
             &self.pyr_a,
             &self.pyr_b,
             self.rule,
@@ -1199,6 +1200,7 @@ impl FusionEngine {
             &mut self.fused_serial,
         );
         let t2 = std::time::Instant::now();
+        let kernel = self.kernels.get(backend);
         self.dtcwt
             .inverse_into(kernel, &self.fused_serial, &mut self.scratch, &mut p.image)?;
         p.wall_inverse_s = t2.elapsed().as_secs_f64();

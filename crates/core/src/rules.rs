@@ -21,11 +21,11 @@
 //! scalar strip reference with its separable O(r) window sums and
 //! fold-order contract); this module maps [`FusionRule`] onto [`FuseOp`]
 //! and fuses whole pyramids — with the scalar reference
-//! ([`fuse_pyramids_into`]) or through a backend kernel
-//! ([`fuse_pyramids_with_kernel`], vectorized on NEON), which is how the
-//! engine fuses every frame on its dispatcher thread, between the forward
-//! and inverse transforms, as the paper runs fusion on the PS. Both paths
-//! are bit-identical.
+//! ([`fuse_pyramids_into`]) or through a kernel
+//! ([`fuse_pyramids_with_kernel`]). The engine fuses every frame through
+//! the latter with the SIMD kernel, on its dispatcher thread between the
+//! forward and inverse transforms, as the paper runs fusion on the PS.
+//! Both paths are bit-identical.
 
 use wavefuse_dtcwt::fuse::{fuse_strip_scalar, FuseOp, FuseScratch};
 use wavefuse_dtcwt::{ComplexImage, CwtPyramid, FilterKernel, Image};
@@ -201,7 +201,8 @@ pub fn fuse_subband_into(
 
 /// As [`fuse_pyramids_into`], but routing every subband through a
 /// [`FilterKernel`]'s [`FilterKernel::fuse_strip`] at full height — the
-/// engine's fusion path on every backend (SIMD kernels override
+/// engine's fusion path, which it runs on the SIMD kernel for every
+/// backend (SIMD kernels override
 /// `fuse_strip`; the scalar kernel's default is exactly
 /// [`fuse_pyramids_into`]). Bit-
 /// identical to the scalar reference by the dtcwt fold-order contract.

@@ -81,6 +81,19 @@ impl BankTaps {
     pub fn delay(&self) -> usize {
         self.delay
     }
+
+    /// Circular extension margin [`analyze_into`] puts on each side of a
+    /// row before handing it to [`FilterKernel::analyze_row`].
+    pub fn analysis_left(&self) -> usize {
+        self.analysis_left
+    }
+
+    /// Circular left extension [`synthesize_into`] puts before each
+    /// decimated channel before handing it to
+    /// [`FilterKernel::synthesize_row`].
+    pub fn synthesis_left(&self) -> usize {
+        self.synthesis_left
+    }
 }
 
 /// Circularly extends `x` with `left` wrapped samples before and `right`

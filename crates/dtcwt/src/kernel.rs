@@ -32,9 +32,10 @@
 //! The separable 2-D transforms also route their **vertical** pass through
 //! the kernel ([`FilterKernel::analyze_cols`] /
 //! [`FilterKernel::synthesize_cols`]). The default implementations transpose
-//! the image and reuse the row primitives, so scalar and FPGA kernels work
-//! unchanged, while the NEON kernels override them with a transpose-free
-//! path that filters adjacent columns in vector lanes. That override must be
+//! the image and reuse the row primitives, so the scalar and hybrid kernels
+//! work unchanged. The NEON kernels and the FPGA kernel override them with
+//! a transpose-free path that filters adjacent columns in lanes (the FPGA
+//! kernel still charges each column as one row call). An override must be
 //! bit-identical to the transpose staging ([`fallback_analyze_cols`],
 //! [`fallback_synthesize_cols`]), which the tests use as its oracle.
 
@@ -184,8 +185,9 @@ pub trait FilterKernel {
 }
 
 /// Transpose-based column analysis: the [`FilterKernel::analyze_cols`]
-/// default the scalar, FPGA and hybrid kernels run, and the oracle the
-/// NEON kernels' transpose-free column pass is tested against bit for bit.
+/// default the scalar and hybrid kernels run, and the oracle the NEON and
+/// FPGA kernels' transpose-free column passes are tested against bit for
+/// bit.
 #[allow(clippy::too_many_arguments)]
 pub fn fallback_analyze_cols<K: FilterKernel + ?Sized>(
     kernel: &mut K,

@@ -160,10 +160,12 @@ impl Scratch1d {
 /// Column-pass scratch shared by every [`crate::kernel::FilterKernel`]
 /// implementation of the vertical pass.
 ///
-/// Columnar kernels use only the wrapped row-index windows (`idx0`/`idx1`),
-/// leaving the staging images empty; the transpose-based fallback uses the
-/// staging images and never touches the index windows. Both sets live here
-/// so one warmed scratch serves either path without reallocation.
+/// The NEON kernels use only the wrapped row-index windows (`idx0`/`idx1`),
+/// leaving the staging images empty; the FPGA kernel keeps its column
+/// scratch in its engine and uses neither; the transpose-based fallback
+/// uses the staging images and never touches the index windows. Both sets
+/// live here so one warmed scratch serves either path without
+/// reallocation.
 #[derive(Debug)]
 pub struct ColScratch {
     /// Fallback transposed staging A (input of the column pass).

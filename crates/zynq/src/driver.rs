@@ -149,25 +149,48 @@ impl WaveletDriver {
     /// Returns [`ZynqError::MappingOutOfRange`] if the data exceeds the
     /// mapped window.
     pub fn copy_from_user(&mut self, data: &[f32]) -> Result<u64, ZynqError> {
+        self.copy_pair_from_user(data, &[])
+    }
+
+    /// One user-space `memcpy` request carrying two channels back to back
+    /// (`a`, then `b`) into the active input area at the current read
+    /// offset, returning the PS cycles of the whole request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ZynqError::MappingOutOfRange`] if the channels exceed the
+    /// mapped window.
+    pub fn copy_pair_from_user(&mut self, a: &[f32], b: &[f32]) -> Result<u64, ZynqError> {
         let area = &mut self.in_areas[self.active];
-        let end = self.read_offset + data.len();
+        let len = a.len() + b.len();
+        let end = self.read_offset + len;
         if end > area.len() {
             return Err(ZynqError::MappingOutOfRange {
                 offset: self.read_offset,
-                len: data.len(),
+                len,
                 mapped: area.len(),
             });
         }
-        area[self.read_offset..end].copy_from_slice(data);
-        self.stats.words_from_user += data.len() as u64;
+        let (dst_a, dst_b) = area[self.read_offset..end].split_at_mut(a.len());
+        dst_a.copy_from_slice(a);
+        dst_b.copy_from_slice(b);
+        Ok(self.charge_copy_from_user(len))
+    }
+
+    /// Accounts a user-space `memcpy` of `words` words into the DMA area —
+    /// the counters and PS cycles [`Self::copy_from_user`] charges — for
+    /// callers that hand the engine its data directly, as the column passes
+    /// do.
+    pub fn charge_copy_from_user(&mut self, words: usize) -> u64 {
+        self.stats.words_from_user += words as u64;
         if let Some(m) = &self.telemetry {
             m.counter_add(
                 "wavefuse_driver_copy_words_total",
                 &[("direction", "from_user")],
-                data.len() as f64,
+                words as f64,
             );
         }
-        Ok(user_copy_ps_cycles(data.len(), &self.cfg))
+        user_copy_ps_cycles(words, &self.cfg)
     }
 
     /// The accelerator-visible view of the active input area (`len` words at
@@ -228,15 +251,23 @@ impl WaveletDriver {
             });
         }
         dst.copy_from_slice(&area[self.write_offset..end]);
-        self.stats.words_to_user += dst.len() as u64;
+        Ok(self.charge_copy_to_user(dst.len()))
+    }
+
+    /// Accounts a user-space `memcpy` of `words` result words out of the DMA
+    /// area — the counters and PS cycles [`Self::copy_to_user`] charges —
+    /// for callers whose engine wrote the results straight into user
+    /// memory: the kernel's one copy-out per row.
+    pub fn charge_copy_to_user(&mut self, words: usize) -> u64 {
+        self.stats.words_to_user += words as u64;
         if let Some(m) = &self.telemetry {
             m.counter_add(
                 "wavefuse_driver_copy_words_total",
                 &[("direction", "to_user")],
-                dst.len() as f64,
+                words as f64,
             );
         }
-        Ok(user_copy_ps_cycles(dst.len(), &self.cfg))
+        user_copy_ps_cycles(words, &self.cfg)
     }
 
     /// Usage counters.
@@ -272,6 +303,31 @@ mod tests {
         let s = drv.stats();
         assert_eq!(s.words_from_user, 4);
         assert_eq!(s.words_to_user, 2);
+    }
+
+    #[test]
+    fn channel_pair_is_one_request_and_charges_match_the_copies() {
+        let cfg = ZynqConfig::default();
+        let mut drv = WaveletDriver::open(cfg.clone());
+        // 3 + 5 words in one request: one rounded charge for 8 words (12
+        // cycles at 1.5 per word), not one per channel (5 + 8).
+        let c = drv
+            .copy_pair_from_user(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0, 7.0, 8.0])
+            .unwrap();
+        assert_eq!(c, user_copy_ps_cycles(8, &cfg));
+        assert!(c < user_copy_ps_cycles(3, &cfg) + user_copy_ps_cycles(5, &cfg));
+        assert_eq!(
+            drv.accelerator_input(8).unwrap(),
+            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        );
+        let mut charged = WaveletDriver::open(cfg);
+        assert_eq!(charged.charge_copy_from_user(8), c);
+        let mut out = [0.0f32; 5];
+        assert_eq!(
+            charged.charge_copy_to_user(5),
+            drv.copy_to_user(&mut out).unwrap()
+        );
+        assert_eq!(charged.stats(), drv.stats());
     }
 
     #[test]

@@ -19,13 +19,22 @@
 //! Every slot takes part, the zero-padded ones too, so a zero coefficient
 //! times a NaN or infinite sample poisons the output just as the hardware
 //! MAC would. The simulator keeps that per-output order but evaluates
-//! outputs *lane-parallel*: the forward pass splits the row into its even
-//! and odd samples once, so each slot of a block of outputs reads one
-//! contiguous run, and the inverse pass evaluates consecutive windows of
-//! one polyphase parity together. Finite results are bit-identical to the
-//! one-output-per-clock shift-register loop (the tests below keep that loop
-//! as the reference); LLVM may commute the operands of an `fadd`, so a NaN
-//! result may carry a different NaN payload or sign bit.
+//! outputs *lane-parallel*, on one lane body that reads slot `j` of output
+//! `x` at `data[offset(j) + x]`:
+//!
+//! * the forward row pass splits the row into its even and odd samples
+//!   once, so each slot of a block of outputs reads one contiguous run;
+//! * the inverse row pass evaluates consecutive windows of one polyphase
+//!   parity together;
+//! * the column passes ([`WaveletEngine::forward_cols`],
+//!   [`WaveletEngine::inverse_cols`]) evaluate one output row of every
+//!   column at once, lanes holding adjacent columns, so each slot reads one
+//!   image row stride-1 and nothing is transposed.
+//!
+//! Finite results are bit-identical to the one-output-per-clock
+//! shift-register loop (the tests below keep that loop as the reference);
+//! LLVM may commute the operands of an `fadd`, so a NaN result may carry a
+//! different NaN payload or sign bit.
 
 use crate::bus::{AxiLiteRegisterFile, EngineMode, EngineReg};
 use crate::config::ZynqConfig;
@@ -113,12 +122,19 @@ pub struct WaveletEngine {
     // Shadow copies of the loaded taps for cache checks.
     loaded_analysis: Option<(Vec<f32>, Vec<f32>)>,
     loaded_synthesis: Option<(Vec<f32>, Vec<f32>)>,
-    // The forward row's register contents split by sample parity
-    // (zero-padded around `ext`, as the hardware's virtual zeros), so slot
-    // `j` of output `k` reads `even[k + j / 2]` or `odd[k + j / 2]`.
-    // Persistent, so steady-state row passes never touch the allocator.
-    even: Vec<f32>,
-    odd: Vec<f32>,
+    // The forward row's register contents split by sample parity into
+    // `[even | odd]` (zero-padded around `ext`, as the hardware's virtual
+    // zeros), so slot `j` of output `k` reads `split[offset(j) + k]`.
+    split: Vec<f32>,
+    // The register slots of one lane pass, as `(lowpass coefficient,
+    // highpass coefficient, offset)` for the forward MAC pair and
+    // `(coefficient, offset)` per channel bank for the inverse: output `x`
+    // of the pass reads `data[offset + x]` for each slot, in slot order.
+    // Persistent, like `split`, so steady-state passes never touch the
+    // allocator.
+    pair_slots: Vec<(f32, f32, usize)>,
+    lp_slots: Vec<(f32, usize)>,
+    hp_slots: Vec<(f32, usize)>,
 }
 
 impl WaveletEngine {
@@ -136,8 +152,10 @@ impl WaveletEngine {
             s_hp_odd: vec![0.0; t / 2 + 1],
             loaded_analysis: None,
             loaded_synthesis: None,
-            even: Vec::new(),
-            odd: Vec::new(),
+            split: Vec::new(),
+            pair_slots: Vec::new(),
+            lp_slots: Vec::new(),
+            hp_slots: Vec::new(),
         }
     }
 
@@ -267,33 +285,20 @@ impl WaveletEngine {
                 hi: hi.len(),
             });
         }
-        let bram = self.cfg.bram_words_per_buffer;
-        if ext.len() > bram {
-            return Err(ZynqError::BufferOverrun {
-                what: "input bram",
-                requested: ext.len(),
-                capacity: bram,
-            });
-        }
-        if 2 * n_out > bram {
-            return Err(ZynqError::BufferOverrun {
-                what: "output bram",
-                requested: 2 * n_out,
-                capacity: bram,
-            });
-        }
+        self.check_bram(ext.len(), 2 * n_out)?;
 
         self.regs.hw_set(EngineReg::Status, status::BUSY);
         // Output 0's window ends at `left + phase`; each later output shifts
-        // two samples further.
-        let first = (left + phase) as isize - (self.cfg.max_taps as isize - 1);
-        self.split_by_parity(ext, first, n_out);
-        let blocks = lo.chunks_mut(LANES).zip(hi.chunks_mut(LANES));
-        for (b, (lo, hi)) in blocks.enumerate() {
-            let (l, h) = forward_block(&self.even, &self.odd, b * LANES, &self.c_lp, &self.c_hp);
-            lo.copy_from_slice(&l[..lo.len()]);
-            hi.copy_from_slice(&h[..hi.len()]);
-        }
+        // two samples further, which is one step within each parity half.
+        let t = self.cfg.max_taps;
+        let first = (left + phase) as isize - (t as isize - 1);
+        let half = n_out + (t - 1) / 2;
+        self.split_by_parity(ext, first, half);
+        self.pair_slots.clear();
+        let slots = self.c_lp.iter().zip(&self.c_hp).enumerate();
+        self.pair_slots
+            .extend(slots.map(|(j, (&cl, &ch))| (cl, ch, (j % 2) * half + j / 2)));
+        mac_pair_pass(&self.split, &self.pair_slots, lo, hi);
 
         let words_in = ext.len();
         let words_out = 2 * n_out;
@@ -345,22 +350,8 @@ impl WaveletEngine {
         if self.loaded_synthesis.is_none() {
             return Err(ZynqError::CoefficientsNotLoaded);
         }
-        let bram = self.cfg.bram_words_per_buffer;
         let words_in = lo_ext.len() + hi_ext.len();
-        if words_in > bram {
-            return Err(ZynqError::BufferOverrun {
-                what: "input bram",
-                requested: words_in,
-                capacity: bram,
-            });
-        }
-        if out.len() > bram {
-            return Err(ZynqError::BufferOverrun {
-                what: "output bram",
-                requested: out.len(),
-                capacity: bram,
-            });
-        }
+        self.check_bram(words_in, out.len())?;
 
         self.regs.hw_set(EngineReg::Status, status::BUSY);
         // Each clock the two polyphase MAC banks of the output's parity fire
@@ -393,12 +384,16 @@ impl WaveletEngine {
             for i in (0..from).chain(to..count) {
                 out[m0 + 2 * i] = dot(i);
             }
-            // The last block is pulled back to end at `to`, recomputing a
-            // few outputs identically.
+            // Inside the channels, slot `i` of the window starting at
+            // `start` reads `ch[start + i]`; zero taps are skipped as in
+            // `window_dot`. The last block is pulled back to end at `to`,
+            // recomputing a few outputs identically.
+            fill_tap_slots(&mut self.lp_slots, t_lp, Some);
+            fill_tap_slots(&mut self.hp_slots, t_hp, Some);
             for i in (from..to).step_by(LANES).map(|i| i.min(to - LANES)) {
                 let start = (top(i) - (taps as isize - 1)) as usize;
-                let l = inverse_block(lo_ext, start, t_lp);
-                let h = inverse_block(hi_ext, start, t_hp);
+                let l = mac_lanes::<LANES>(lo_ext, &self.lp_slots, start);
+                let h = mac_lanes::<LANES>(hi_ext, &self.hp_slots, start);
                 for (lane, (l, h)) in l.iter().zip(&h).enumerate() {
                     out[m0 + 2 * (i + lane)] = l + h;
                 }
@@ -421,25 +416,197 @@ impl WaveletEngine {
         })
     }
 
-    /// Splits the samples the forward register sees into `even`/`odd`:
-    /// `v[i] = ext[first + i]`, or a virtual zero outside `ext`, for `i` up
-    /// to the last slot of the last lane of the last block.
-    fn split_by_parity(&mut self, ext: &[f32], first: isize, n_out: usize) {
-        let half = n_out.div_ceil(LANES) * LANES + self.cfg.max_taps.saturating_sub(1) / 2;
-        for v in [&mut self.even, &mut self.odd] {
-            v.clear();
-            v.resize(half, 0.0);
+    /// Splits the samples the forward register sees into `split = [even |
+    /// odd]`, `half` of each: `even[i] = ext[first + 2i]` and `odd[i] =
+    /// ext[first + 2i + 1]`, or a virtual zero outside `ext`. Each half is
+    /// one strided copy.
+    fn split_by_parity(&mut self, ext: &[f32], first: isize, half: usize) {
+        self.split.clear();
+        self.split.resize(2 * half, 0.0);
+        for (parity, dst) in self.split.chunks_exact_mut(half).enumerate() {
+            // `dst[i]` holds `ext[start + 2i]`; the first `skip` lie left of
+            // `ext[0]` and stay zero.
+            let start = first + parity as isize;
+            let skip = ((-start).max(0) as usize).div_ceil(2);
+            let from = (start + 2 * skip as isize) as usize;
+            let src = ext.get(from..).unwrap_or_default().iter().step_by(2);
+            for (d, &x) in dst.iter_mut().skip(skip).zip(src) {
+                *d = x;
+            }
         }
-        let end = (first + 2 * half as isize).min(ext.len() as isize);
-        for p in first.max(0)..end {
-            let i = (p - first) as usize;
-            let dst = if i.is_multiple_of(2) {
-                &mut self.even
+    }
+
+    /// Runs the forward pass over every column of the row-major image `img`
+    /// (`width` columns of even height `h`) at once: column `x` of `lo`/`hi`
+    /// (each `width` x `h / 2`) is exactly what [`Self::forward_row`] writes
+    /// for that column circularly extended by `left` samples on both sides,
+    /// as [`wavefuse_dtcwt::dwt1d::analyze_into`] extends a row. Output rows
+    /// are evaluated lane-parallel across adjacent columns, each output
+    /// summing the register slots in slot order from `+0`. Slots whose
+    /// sample lies outside the extended column hold the hardware's virtual
+    /// zero; they are left out, which is exact because `c · 0` is `±0` and
+    /// an accumulator that starts at `+0` is never `-0`. Zero-coefficient
+    /// slots over real samples all take part.
+    ///
+    /// Returns what one column's row call costs; every column costs the
+    /// same, and the caller charges one call per column.
+    ///
+    /// The caller checks the shapes (as `FpgaKernel::analyze_cols` does
+    /// against the `FilterKernel` contract): `width` is non-zero, `h` is
+    /// even and non-zero, and `lo`/`hi` are `width` x `h / 2`. Other
+    /// shapes are a caller bug and may panic or leave `lo`/`hi` partly
+    /// written.
+    ///
+    /// # Errors
+    ///
+    /// * [`ZynqError::CoefficientsNotLoaded`] before a coefficient load.
+    /// * [`ZynqError::BufferOverrun`] if an extended column exceeds a BRAM
+    ///   area.
+    pub fn forward_cols(
+        &mut self,
+        img: &[f32],
+        width: usize,
+        left: usize,
+        phase: usize,
+        lo: &mut [f32],
+        hi: &mut [f32],
+    ) -> Result<EngineRun, ZynqError> {
+        if self.loaded_analysis.is_none() {
+            return Err(ZynqError::CoefficientsNotLoaded);
+        }
+        let height = img.len() / width;
+        let n_out = height / 2;
+        debug_assert!(n_out > 0 && lo.len() == n_out * width && hi.len() == lo.len());
+        let words_in = height + 2 * left;
+        let words_out = 2 * n_out;
+        self.check_bram(words_in, words_out)?;
+
+        self.regs.hw_set(EngineReg::Status, status::BUSY);
+        let t = self.cfg.max_taps as isize;
+        let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+        for (k, (lo, hi)) in rows.enumerate() {
+            // Slot `j` of output `k` holds `ext[p]` with `p = first + j`,
+            // which is image row `(p - left) mod height`.
+            let first = (left + phase + 2 * k) as isize - (t - 1);
+            self.pair_slots.clear();
+            for (j, (&cl, &ch)) in self.c_lp.iter().zip(&self.c_hp).enumerate() {
+                let p = first + j as isize;
+                if (0..words_in as isize).contains(&p) {
+                    let row = (p - left as isize).rem_euclid(height as isize) as usize;
+                    self.pair_slots.push((cl, ch, row * width));
+                }
+            }
+            mac_pair_pass(img, &self.pair_slots, lo, hi);
+        }
+        Ok(self.finish_cols(words_in, words_out, n_out, Direction::Forward))
+    }
+
+    /// Runs the inverse pass over every column of the row-major channel
+    /// images `lo`/`hi` (`width` columns of height `nh`) at once, writing
+    /// the `width` x `2 nh` image `out`: column `x` is exactly what
+    /// [`Self::inverse_row`] produces for that column's channels, each
+    /// circularly left-extended by `left` samples, followed by the
+    /// delay-compensating rotation of
+    /// [`wavefuse_dtcwt::dwt1d::synthesize_into`] — raw output `m` lands in
+    /// row `(m - delay) mod 2 nh`. Each output is the two polyphase dots,
+    /// in tap order with their zero-tap skip, then `lo + hi`, evaluated
+    /// lane-parallel across adjacent columns; taps whose sample lies
+    /// outside the extended channel are skipped as in the row pass.
+    ///
+    /// Returns what one column's row call costs, as
+    /// [`Self::forward_cols`] does.
+    ///
+    /// The caller checks the shapes (as `FpgaKernel::synthesize_cols`
+    /// does): the channels are non-empty and equal-sized and `out` is
+    /// `width` x `2 nh`. Other shapes are a caller bug and may panic or
+    /// leave `out` partly written.
+    ///
+    /// # Errors
+    ///
+    /// * [`ZynqError::CoefficientsNotLoaded`] before a coefficient load.
+    /// * [`ZynqError::BufferOverrun`] if the channels exceed a BRAM area.
+    #[allow(clippy::too_many_arguments)]
+    pub fn inverse_cols(
+        &mut self,
+        lo: &[f32],
+        hi: &[f32],
+        width: usize,
+        left: usize,
+        phase: usize,
+        delay: usize,
+        out: &mut [f32],
+    ) -> Result<EngineRun, ZynqError> {
+        if self.loaded_synthesis.is_none() {
+            return Err(ZynqError::CoefficientsNotLoaded);
+        }
+        let nh = lo.len() / width;
+        debug_assert!(nh > 0 && hi.len() == lo.len() && out.len() == 2 * lo.len());
+        let n = 2 * nh;
+        let words_in = 2 * (left + nh);
+        self.check_bram(words_in, n)?;
+
+        self.regs.hw_set(EngineReg::Status, status::BUSY);
+        let taps = self.s_lp_even.len() as isize;
+        let channel = (left + nh) as isize;
+        let d = delay % n;
+        for m in 0..n {
+            // Output `m` fires the polyphase banks of its parity over the
+            // extended-channel window that starts at `start`, as
+            // `window_dot` does.
+            let mp = m as isize - phase as isize;
+            let parity = mp & 1;
+            let (t_lp, t_hp) = if parity == 0 {
+                (&self.s_lp_even, &self.s_hp_even)
             } else {
-                &mut self.odd
+                (&self.s_lp_odd, &self.s_hp_odd)
             };
-            dst[i / 2] = ext[p as usize];
+            let start = left as isize + (mp - parity) / 2 - (taps - 1);
+            let row = |i: usize| {
+                let p = start + i as isize;
+                ((0..channel).contains(&p))
+                    .then(|| (p - left as isize).rem_euclid(nh as isize) as usize * width)
+            };
+            fill_tap_slots(&mut self.lp_slots, t_lp, row);
+            fill_tap_slots(&mut self.hp_slots, t_hp, row);
+            let dst = (m + n - d) % n;
+            let out = &mut out[dst * width..(dst + 1) * width];
+            synth_pass(lo, hi, &self.lp_slots, &self.hp_slots, out);
         }
+        Ok(self.finish_cols(words_in, n, n, Direction::Inverse))
+    }
+
+    /// Rejects a pass whose input or output exceeds a BRAM area.
+    fn check_bram(&self, words_in: usize, words_out: usize) -> Result<(), ZynqError> {
+        let bram = self.cfg.bram_words_per_buffer;
+        for (what, requested) in [("input bram", words_in), ("output bram", words_out)] {
+            if requested > bram {
+                return Err(ZynqError::BufferOverrun {
+                    what,
+                    requested,
+                    capacity: bram,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Completes a column pass as [`Self::wait`] completes a row, and
+    /// returns the cost of one column's row call.
+    fn finish_cols(
+        &mut self,
+        words_in: usize,
+        words_out: usize,
+        iterations: usize,
+        dir: Direction,
+    ) -> EngineRun {
+        let cycles = RowCycles::of(words_in, words_out, iterations, dir, &self.cfg);
+        self.wait(RowTicket {
+            run: EngineRun {
+                cycles,
+                words_in,
+                words_out,
+            },
+        })
     }
 
     /// Retires an in-flight row: flips the status register to
@@ -466,22 +633,20 @@ fn store_shadow(slot: &mut Option<(Vec<f32>, Vec<f32>)>, a: &[f32], b: &[f32]) {
     }
 }
 
-/// The MAC pair of `LANES` consecutive forward outputs from `k0`: each lane
-/// accumulates `c[j] · x` over every register slot `j` in order, exactly as
-/// the one-output-per-clock datapath does.
-#[inline]
-fn forward_block(
-    even: &[f32],
-    odd: &[f32],
-    k0: usize,
-    c_lp: &[f32],
-    c_hp: &[f32],
-) -> ([f32; LANES], [f32; LANES]) {
-    let mut lo = [0.0f32; LANES];
-    let mut hi = [0.0f32; LANES];
-    for (j, (&cl, &ch)) in c_lp.iter().zip(c_hp).enumerate() {
-        let src = if j.is_multiple_of(2) { even } else { odd };
-        let x = &src[k0 + j / 2..k0 + j / 2 + LANES];
+/// The MAC pair of `N` consecutive outputs from `x0`: output `x` accumulates
+/// `c · data[offset + x]` over every slot, in slot order, into a lowpass
+/// and a highpass sum that both start at `+0`, exactly as the
+/// one-output-per-clock datapath does.
+#[inline(always)]
+fn mac_pair_lanes<const N: usize>(
+    data: &[f32],
+    slots: &[(f32, f32, usize)],
+    x0: usize,
+) -> ([f32; N], [f32; N]) {
+    let mut lo = [0.0f32; N];
+    let mut hi = [0.0f32; N];
+    for &(cl, ch, off) in slots {
+        let x = &data[off + x0..off + x0 + N];
         for ((lo, hi), &x) in lo.iter_mut().zip(&mut hi).zip(x) {
             *lo += cl * x;
             *hi += ch * x;
@@ -490,19 +655,66 @@ fn forward_block(
     (lo, hi)
 }
 
-/// [`window_dot`] for `LANES` consecutive windows whose first starts at
-/// `ch[start]`, all inside `ch`: same tap order, same zero-tap skip.
-#[inline]
-fn inverse_block(ch: &[f32], start: usize, taps: &[f32]) -> [f32; LANES] {
-    let mut acc = [0.0f32; LANES];
-    for (i, &c) in taps.iter().enumerate() {
-        if c != 0.0 {
-            for (a, &x) in acc.iter_mut().zip(&ch[start + i..start + i + LANES]) {
-                *a += c * x;
-            }
+/// One bank's dot for `N` consecutive outputs from `x0` (see
+/// [`mac_pair_lanes`]).
+#[inline(always)]
+fn mac_lanes<const N: usize>(data: &[f32], slots: &[(f32, usize)], x0: usize) -> [f32; N] {
+    let mut acc = [0.0f32; N];
+    for &(c, off) in slots {
+        for (a, &x) in acc.iter_mut().zip(&data[off + x0..off + x0 + N]) {
+            *a += c * x;
         }
     }
     acc
+}
+
+/// Writes `lo.len()` consecutive forward outputs: `LANES` at a time, then
+/// one by one.
+fn mac_pair_pass(data: &[f32], slots: &[(f32, f32, usize)], lo: &mut [f32], hi: &mut [f32]) {
+    let blocks = lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES));
+    let full = blocks.len() * LANES;
+    for (b, (lo, hi)) in blocks.enumerate() {
+        let (l, h) = mac_pair_lanes::<LANES>(data, slots, b * LANES);
+        lo.copy_from_slice(&l);
+        hi.copy_from_slice(&h);
+    }
+    for x in full..lo.len() {
+        let ([l], [h]) = mac_pair_lanes::<1>(data, slots, x);
+        lo[x] = l;
+        hi[x] = h;
+    }
+}
+
+/// Writes `out.len()` consecutive inverse outputs, each the lowpass dot
+/// plus the highpass dot: `LANES` at a time, then one by one.
+fn synth_pass(lo: &[f32], hi: &[f32], lp: &[(f32, usize)], hp: &[(f32, usize)], out: &mut [f32]) {
+    let full = out.len() / LANES * LANES;
+    for (b, out) in out.chunks_exact_mut(LANES).enumerate() {
+        let (l, h) = (
+            mac_lanes::<LANES>(lo, lp, b * LANES),
+            mac_lanes::<LANES>(hi, hp, b * LANES),
+        );
+        for (o, (l, h)) in out.iter_mut().zip(l.iter().zip(&h)) {
+            *o = l + h;
+        }
+    }
+    for (x, o) in out.iter_mut().enumerate().skip(full) {
+        let ([l], [h]) = (mac_lanes::<1>(lo, lp, x), mac_lanes::<1>(hi, hp, x));
+        *o = l + h;
+    }
+}
+
+/// Lists the nonzero taps of a front-padded reversed bank whose sample
+/// exists as `(tap, offset)` slots, in tap order: `offset(i)` is where tap
+/// `i`'s sample lies for output 0, or `None` outside the channel.
+fn fill_tap_slots(
+    slots: &mut Vec<(f32, usize)>,
+    taps: &[f32],
+    offset: impl Fn(usize) -> Option<usize>,
+) {
+    slots.clear();
+    let live = taps.iter().enumerate().filter(|(_, &c)| c != 0.0);
+    slots.extend(live.filter_map(|(i, &c)| offset(i).map(|o| (c, o))));
 }
 
 /// Dot product of a front-padded reversed coefficient bank against the

@@ -13,16 +13,30 @@
 //! Per Fig. 5, step 2 of row *n+1* overlaps steps 3 of row *n*; the ledger's
 //! elapsed time therefore charges `max(copy, engine)` per row plus the fixed
 //! overheads ([`RowCycles::serial_seconds`]).
+//!
+//! The simulation does less host work than it charges. A row is copied
+//! into the DMA area once; the engine then writes its results straight
+//! into the caller's buffers, which is step 4, charged through
+//! [`WaveletDriver::charge_copy_to_user`](crate::driver::WaveletDriver::charge_copy_to_user).
+//! The vertical pass of a 2-D level has its own
+//! [`FilterKernel::analyze_cols`]/[`FilterKernel::synthesize_cols`]: the
+//! engine filters every column at once, lane-parallel across adjacent
+//! columns and with no transposes, and the kernel charges each column as
+//! one row call, in column order. The outputs, the ledger, the overlap
+//! timeline and the driver counters are those of staging the columns
+//! through the row path, bit for bit.
 
 use std::sync::Arc;
 
 use crate::bus::{EngineMode, EngineReg};
 use crate::config::ZynqConfig;
 use crate::driver::{IoctlRequest, WaveletDriver};
-use crate::engine::WaveletEngine;
+use crate::engine::{EngineRun, WaveletEngine};
 use crate::ledger::{CycleLedger, Direction, RowCycles};
 use crate::ZynqError;
-use wavefuse_dtcwt::FilterKernel;
+use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
+use wavefuse_dtcwt::scratch::{ColScratch, Scratch1d};
+use wavefuse_dtcwt::{DtcwtError, FilterKernel, Image};
 use wavefuse_trace::MetricsRegistry;
 
 /// Double-buffered DMA timeline: the asynchronous overlap model.
@@ -94,9 +108,6 @@ pub struct FpgaKernel {
     /// The overlapped schedule, tracked alongside the ledger's serial
     /// accounting.
     overlap: DmaTimeline,
-    /// Row staging scratch (interleaved outputs / combined channels),
-    /// persistent so steady-state rows never allocate.
-    row_scratch: Vec<f32>,
 }
 
 impl Default for FpgaKernel {
@@ -120,7 +131,6 @@ impl FpgaKernel {
             cfg,
             telemetry: None,
             overlap: DmaTimeline::default(),
-            row_scratch: Vec::new(),
         }
     }
 
@@ -237,6 +247,124 @@ impl FpgaKernel {
         ps
     }
 
+    /// Loads the analysis pair unless it is already in the registers.
+    fn ensure_analysis_filters(&mut self, h0: &[f32], h1: &[f32]) -> Result<(), ZynqError> {
+        if !self.engine.analysis_filters_match(h0, h1) {
+            let ps = self.engine.load_analysis_filters(h0, h1)?;
+            self.charge_coeff_load(ps);
+        }
+        Ok(())
+    }
+
+    /// Loads the synthesis pair unless it is already in the registers.
+    fn ensure_synthesis_filters(&mut self, g0: &[f32], g1: &[f32]) -> Result<(), ZynqError> {
+        if !self.engine.synthesis_filters_match(g0, g1) {
+            let ps = self.engine.load_synthesis_filters(g0, g1)?;
+            self.charge_coeff_load(ps);
+        }
+        Ok(())
+    }
+
+    /// Opens one row call: the driver round trip for `dir`, the command
+    /// pokes and the two offset `ioctl`s. Returns the call's PS overhead.
+    fn open_call(&mut self, dir: Direction, width: usize, phase: usize) -> Result<u64, ZynqError> {
+        let mode = match dir {
+            Direction::Forward => EngineMode::Forward,
+            Direction::Inverse => EngineMode::Inverse,
+        };
+        let overhead = RowCycles::call_overhead_ps_cycles(dir, &self.cfg)
+            + self.command_sequence(mode, width, phase);
+        self.driver.ioctl(IoctlRequest::SetReadOffset(0))?;
+        self.driver.ioctl(IoctlRequest::SetWriteOffset(0))?;
+        Ok(overhead)
+    }
+
+    /// Closes one row call: the one copy-out of its results, the ACP
+    /// words, the ping-pong swap and the row's charge.
+    fn close_call(
+        &mut self,
+        overhead: u64,
+        copy_in_ps: u64,
+        run: &EngineRun,
+        dir: Direction,
+    ) -> Result<(), ZynqError> {
+        let copy_ps = copy_in_ps + self.driver.charge_copy_to_user(run.words_out);
+        let direction = match dir {
+            Direction::Forward => "forward",
+            Direction::Inverse => "inverse",
+        };
+        self.ledger.dma_words += (run.words_in + run.words_out) as u64;
+        if let Some(m) = &self.telemetry {
+            m.counter_add(
+                "wavefuse_fpga_dma_words_total",
+                &[("direction", direction)],
+                (run.words_in + run.words_out) as f64,
+            );
+        }
+        self.driver.ioctl(IoctlRequest::SwapBuffers)?;
+        self.charge_row(&RowCycles {
+            ps_cycles: overhead,
+            copy_cycles: copy_ps,
+            ..run.cycles
+        });
+        Ok(())
+    }
+
+    /// One call per column of a column pass, in column order: each is
+    /// accounted exactly as a row call of the column's extended data.
+    fn charge_column_calls(
+        &mut self,
+        columns: usize,
+        dir: Direction,
+        width: usize,
+        phase: usize,
+        run: &EngineRun,
+    ) -> Result<(), ZynqError> {
+        for _ in 0..columns {
+            let overhead = self.open_call(dir, width, phase)?;
+            let copy_in_ps = self.driver.charge_copy_from_user(run.words_in);
+            self.close_call(overhead, copy_in_ps, run, dir)?;
+        }
+        Ok(())
+    }
+
+    /// The forward column pass into `lo`/`hi`, already shaped `w` x `h / 2`.
+    fn run_forward_cols(
+        &mut self,
+        taps: &BankTaps,
+        phase: usize,
+        img: &Image,
+        lo: &mut Image,
+        hi: &mut Image,
+    ) -> Result<(), ZynqError> {
+        self.ensure_analysis_filters(&taps.h0, &taps.h1)?;
+        let (w, h) = img.dims();
+        let (left, lo, hi) = (taps.analysis_left(), lo.as_mut_slice(), hi.as_mut_slice());
+        let run = self
+            .engine
+            .forward_cols(img.as_slice(), w, left, phase, lo, hi)?;
+        self.charge_column_calls(w, Direction::Forward, h, phase, &run)
+    }
+
+    /// The inverse column pass into `out`, already shaped `w` x `2 nh`.
+    fn run_inverse_cols(
+        &mut self,
+        taps: &BankTaps,
+        phase: usize,
+        lo: &Image,
+        hi: &Image,
+        out: &mut Image,
+    ) -> Result<(), ZynqError> {
+        self.ensure_synthesis_filters(&taps.g0, &taps.g1)?;
+        let (w, n) = out.dims();
+        let (left, delay) = (taps.synthesis_left(), taps.delay());
+        let (lo, hi) = (lo.as_slice(), hi.as_slice());
+        let run = self
+            .engine
+            .inverse_cols(lo, hi, w, left, phase, delay, out.as_mut_slice())?;
+        self.charge_column_calls(w, Direction::Inverse, n, phase, &run)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn run_forward(
         &mut self,
@@ -248,50 +376,15 @@ impl FpgaKernel {
         lo: &mut [f32],
         hi: &mut [f32],
     ) -> Result<(), ZynqError> {
-        if !self.engine.analysis_filters_match(h0, h1) {
-            let ps = self.engine.load_analysis_filters(h0, h1)?;
-            self.charge_coeff_load(ps);
-        }
-        // Driver round trip + command pokes.
-        let overhead = RowCycles::call_overhead_ps_cycles(Direction::Forward, &self.cfg)
-            + self.command_sequence(EngineMode::Forward, lo.len() * 2, phase);
-        self.driver.ioctl(IoctlRequest::SetReadOffset(0))?;
-        self.driver.ioctl(IoctlRequest::SetWriteOffset(0))?;
-
-        // User copy in, submit on the accelerator's view (borrowed in
-        // place), stage results while the run is in flight, then wait and
-        // copy out. Staging reuses the persistent scratch so steady-state
-        // rows never allocate.
-        let mut copy_ps = self.driver.copy_from_user(ext)?;
+        self.ensure_analysis_filters(h0, h1)?;
+        let overhead = self.open_call(Direction::Forward, lo.len() * 2, phase)?;
+        // User copy in, then the engine reads the accelerator's view of it
+        // and writes the results straight into `lo`/`hi`: that write is the
+        // row's one copy-out.
+        let copy_in_ps = self.driver.copy_from_user(ext)?;
         let input = self.driver.accelerator_input(ext.len())?;
-        let ticket = self.engine.submit_forward_row(input, left, phase, lo, hi)?;
-        self.row_scratch.resize(lo.len() * 2, 0.0);
-        for k in 0..lo.len() {
-            self.row_scratch[2 * k] = hi[k];
-            self.row_scratch[2 * k + 1] = lo[k];
-        }
-        self.driver.accelerator_write(&self.row_scratch)?;
-        let run = self.engine.wait(ticket);
-        copy_ps += self.driver.copy_to_user(&mut self.row_scratch)?;
-        for k in 0..lo.len() {
-            hi[k] = self.row_scratch[2 * k];
-            lo[k] = self.row_scratch[2 * k + 1];
-        }
-        self.ledger.dma_words += (run.words_in + run.words_out) as u64;
-        if let Some(m) = &self.telemetry {
-            m.counter_add(
-                "wavefuse_fpga_dma_words_total",
-                &[("direction", "forward")],
-                (run.words_in + run.words_out) as f64,
-            );
-        }
-        self.driver.ioctl(IoctlRequest::SwapBuffers)?;
-        self.charge_row(&RowCycles {
-            ps_cycles: overhead,
-            copy_cycles: copy_ps,
-            ..run.cycles
-        });
-        Ok(())
+        let run = self.engine.forward_row(input, left, phase, lo, hi)?;
+        self.close_call(overhead, copy_in_ps, &run, Direction::Forward)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -305,44 +398,17 @@ impl FpgaKernel {
         phase: usize,
         out: &mut [f32],
     ) -> Result<(), ZynqError> {
-        if !self.engine.synthesis_filters_match(g0, g1) {
-            let ps = self.engine.load_synthesis_filters(g0, g1)?;
-            self.charge_coeff_load(ps);
-        }
-        let overhead = RowCycles::call_overhead_ps_cycles(Direction::Inverse, &self.cfg)
-            + self.command_sequence(EngineMode::Inverse, out.len(), phase);
-        self.driver.ioctl(IoctlRequest::SetReadOffset(0))?;
-        self.driver.ioctl(IoctlRequest::SetWriteOffset(0))?;
-
-        // Both channels arrive in one driver request (interleaved), which is
-        // why the inverse's per-call overhead is lower.
-        self.row_scratch.clear();
-        self.row_scratch.extend_from_slice(lo_ext);
-        self.row_scratch.extend_from_slice(hi_ext);
-        let mut copy_ps = self.driver.copy_from_user(&self.row_scratch)?;
+        self.ensure_synthesis_filters(g0, g1)?;
+        let overhead = self.open_call(Direction::Inverse, out.len(), phase)?;
+        // Both channels arrive in one driver request, which is why the
+        // inverse's per-call overhead is lower.
+        let copy_in_ps = self.driver.copy_pair_from_user(lo_ext, hi_ext)?;
         let input = self.driver.accelerator_input(lo_ext.len() + hi_ext.len())?;
         let (lo_view, hi_view) = input.split_at(lo_ext.len());
-        let ticket = self
+        let run = self
             .engine
-            .submit_inverse_row(lo_view, hi_view, left, phase, out)?;
-        self.driver.accelerator_write(out)?;
-        let run = self.engine.wait(ticket);
-        copy_ps += self.driver.copy_to_user(out)?;
-        self.ledger.dma_words += (run.words_in + run.words_out) as u64;
-        if let Some(m) = &self.telemetry {
-            m.counter_add(
-                "wavefuse_fpga_dma_words_total",
-                &[("direction", "inverse")],
-                (run.words_in + run.words_out) as f64,
-            );
-        }
-        self.driver.ioctl(IoctlRequest::SwapBuffers)?;
-        self.charge_row(&RowCycles {
-            ps_cycles: overhead,
-            copy_cycles: copy_ps,
-            ..run.cycles
-        });
-        Ok(())
+            .inverse_row(lo_view, hi_view, left, phase, out)?;
+        self.close_call(overhead, copy_in_ps, &run, Direction::Inverse)
     }
 }
 
@@ -386,12 +452,76 @@ impl FilterKernel for FpgaKernel {
         self.run_inverse(lo_ext, hi_ext, left, g0, g1, phase, out)
             .expect("row transform within hardware limits");
     }
+
+    /// The engine filters every column at once, lane-parallel across
+    /// adjacent columns, with no transposes; each column is still charged
+    /// as one row call, in column order, so the ledger, the overlap
+    /// timeline and the driver counters equal the transpose staging's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an extended column exceeds the engine's BRAM area, as
+    /// [`FilterKernel::analyze_row`] does for a row.
+    fn analyze_cols(
+        &mut self,
+        taps: &BankTaps,
+        phase: Phase,
+        img: &Image,
+        lo: &mut Image,
+        hi: &mut Image,
+        _cs: &mut ColScratch,
+        _s1: &mut Scratch1d,
+    ) -> Result<(), DtcwtError> {
+        let (w, h) = img.dims();
+        if w == 0 || h == 0 || !h.is_multiple_of(2) {
+            return Err(DtcwtError::BadDimensions {
+                width: w,
+                height: h,
+                reason: "column analysis requires even non-zero height",
+            });
+        }
+        lo.reshape(w, h / 2);
+        hi.reshape(w, h / 2);
+        self.run_forward_cols(taps, phase.offset(), img, lo, hi)
+            .expect("column transform within hardware limits");
+        Ok(())
+    }
+
+    /// The inverse counterpart of [`FpgaKernel::analyze_cols`], with the
+    /// delay-compensating rotation folded into the destination row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column's channels exceed the engine's BRAM area.
+    fn synthesize_cols(
+        &mut self,
+        taps: &BankTaps,
+        phase: Phase,
+        lo: &Image,
+        hi: &Image,
+        out: &mut Image,
+        _cs: &mut ColScratch,
+        _s1: &mut Scratch1d,
+    ) -> Result<(), DtcwtError> {
+        if lo.is_empty() || lo.dims() != hi.dims() {
+            return Err(DtcwtError::BadDimensions {
+                width: hi.width(),
+                height: hi.height(),
+                reason: "column synthesis channels must be non-empty and equal-sized",
+            });
+        }
+        out.reshape(lo.width(), 2 * lo.height());
+        self.run_inverse_cols(taps, phase.offset(), lo, hi, out)
+            .expect("column transform within hardware limits");
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavefuse_dtcwt::{Dtcwt, Dwt2d, FilterBank, Image, ScalarKernel};
+    use wavefuse_dtcwt::kernel::{fallback_analyze_cols, fallback_synthesize_cols};
+    use wavefuse_dtcwt::{Dtcwt, Dwt2d, FilterBank, ScalarKernel};
 
     fn test_image(w: usize, h: usize) -> Image {
         Image::from_fn(w, h, |x, y| ((x * 7 + y * 3) % 19) as f32 * 0.7 - 5.0)
@@ -421,6 +551,148 @@ mod tests {
         }
         for (a, b) in p_ref.lowpass().iter().zip(p_fpga.lowpass()) {
             assert!(a.max_abs_diff(b) < 1e-3);
+        }
+    }
+
+    /// The ten banks of the workspace's column-pass identity suite.
+    fn identity_banks() -> Vec<FilterBank> {
+        vec![
+            FilterBank::haar().unwrap(),
+            FilterBank::daubechies(2).unwrap(),
+            FilterBank::daubechies(3).unwrap(),
+            FilterBank::daubechies(4).unwrap(),
+            FilterBank::legall_5_3().unwrap(),
+            FilterBank::cdf_9_7().unwrap(),
+            FilterBank::near_sym_a().unwrap(),
+            FilterBank::near_sym_b().unwrap(),
+            FilterBank::qshift_b().unwrap(),
+            FilterBank::qshift_b().unwrap().time_reverse(),
+        ]
+    }
+
+    /// An image with `-0.0` samples and an all-zero column 1; `poisoned`
+    /// seeds NaN and ±inf in the first, middle and last columns.
+    fn column_image(w: usize, h: usize, poisoned: bool) -> Image {
+        let mut img = Image::from_fn(w, h, |x, y| match (x * 17 + y * 11) % 31 {
+            _ if x == 1 => 0.0,
+            0 | 7 => -0.0,
+            v => v as f32 * 0.27 - 3.5,
+        });
+        if poisoned {
+            img.set(0, h / 2, f32::NAN);
+            img.set(w / 2, 0, f32::INFINITY);
+            img.set(w - 1, h - 1, f32::NEG_INFINITY);
+        }
+        img
+    }
+
+    /// Bit patterns, with every NaN mapped to one canonical NaN when
+    /// `canonical` (the lane loops may commute `fadd` operands, which moves
+    /// only NaN payloads and signs).
+    fn bits(img: &Image, canonical: bool) -> Vec<u32> {
+        let nan = |x: f32| canonical && x.is_nan();
+        let canon = |x: f32| if nan(x) { f32::NAN } else { x };
+        img.as_slice().iter().map(|&x| canon(x).to_bits()).collect()
+    }
+
+    /// Everything a column pass charges, compared field by field.
+    fn assert_same_accounting(own: &FpgaKernel, staged: &FpgaKernel, what: &str) {
+        assert_eq!(own.ledger(), staged.ledger(), "ledger {what}");
+        assert_eq!(own.dma_timeline(), staged.dma_timeline(), "timeline {what}");
+        assert_eq!(
+            own.driver().stats(),
+            staged.driver().stats(),
+            "driver {what}"
+        );
+        let regs = |k: &FpgaKernel| k.engine().registers().clone();
+        assert_eq!(
+            regs(own).write_count(),
+            regs(staged).write_count(),
+            "register writes {what}"
+        );
+        assert_eq!(regs(own), regs(staged), "registers {what}");
+    }
+
+    #[test]
+    fn column_passes_match_the_transpose_staging_with_identical_accounting() {
+        // The column-pass identity suite's geometries, plus heights below
+        // every bank's tap count, where the circular wrap repeats.
+        let dims = [
+            (2, 8),
+            (3, 12),
+            (4, 6),
+            (13, 10),
+            (16, 22),
+            (40, 36),
+            (5, 2),
+            (9, 4),
+        ];
+        let telemetry = || Arc::new(MetricsRegistry::new());
+        for bank in identity_banks() {
+            let taps = BankTaps::new(&bank);
+            for phase in [Phase::A, Phase::B] {
+                for (w, h) in dims {
+                    for poisoned in [false, true] {
+                        let what = format!("{} {phase:?} {w}x{h} poisoned {poisoned}", bank.name());
+                        let img = column_image(w, h, poisoned);
+                        let (mut own, mut staged) = (FpgaKernel::new(), FpgaKernel::new());
+                        let (m_own, m_staged) = (telemetry(), telemetry());
+                        own.set_telemetry(Arc::clone(&m_own));
+                        staged.set_telemetry(Arc::clone(&m_staged));
+                        let mut cs = ColScratch::new();
+                        let mut s1 = Scratch1d::new();
+                        let mut out = [Image::zeros(0, 0), Image::zeros(0, 0)];
+                        let mut want = [Image::zeros(0, 0), Image::zeros(0, 0)];
+                        let [lo, hi] = &mut out;
+                        own.analyze_cols(&taps, phase, &img, lo, hi, &mut cs, &mut s1)
+                            .unwrap();
+                        let [lo, hi] = &mut want;
+                        fallback_analyze_cols(
+                            &mut staged,
+                            &taps,
+                            phase,
+                            &img,
+                            lo,
+                            hi,
+                            &mut cs,
+                            &mut s1,
+                        )
+                        .unwrap();
+                        for (o, w) in out.iter().zip(&want) {
+                            assert_eq!(o.dims(), w.dims(), "analysis {what}");
+                            assert_eq!(bits(o, poisoned), bits(w, poisoned), "analysis {what}");
+                        }
+                        assert_same_accounting(&own, &staged, &format!("analysis {what}"));
+
+                        // Both synthesize the staged channels, so their
+                        // inputs agree bit for bit even when poisoned.
+                        let [lo, hi] = &want;
+                        let mut rec = Image::zeros(0, 0);
+                        let mut rec_want = Image::zeros(0, 0);
+                        own.synthesize_cols(&taps, phase, lo, hi, &mut rec, &mut cs, &mut s1)
+                            .unwrap();
+                        fallback_synthesize_cols(
+                            &mut staged,
+                            &taps,
+                            phase,
+                            lo,
+                            hi,
+                            &mut rec_want,
+                            &mut cs,
+                            &mut s1,
+                        )
+                        .unwrap();
+                        assert_eq!(rec.dims(), rec_want.dims(), "synthesis {what}");
+                        assert_eq!(
+                            bits(&rec, poisoned),
+                            bits(&rec_want, poisoned),
+                            "synthesis {what}"
+                        );
+                        assert_same_accounting(&own, &staged, &format!("synthesis {what}"));
+                        assert_eq!(m_own.snapshot(), m_staged.snapshot(), "telemetry {what}");
+                    }
+                }
+            }
         }
     }
 

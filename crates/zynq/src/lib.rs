@@ -26,7 +26,8 @@
 //!   double buffering.
 //! * [`kernel::FpgaKernel`] — a [`wavefuse_dtcwt::FilterKernel`] backend
 //!   routing every row through driver + engine while accumulating a
-//!   [`ledger::CycleLedger`] of PS and PL cycles.
+//!   [`ledger::CycleLedger`] of PS and PL cycles. Its column passes run in
+//!   the engine without transposes, each column charged as one row call.
 //! * [`ledger::RowCycles`] — the one cost of a row pass, shared by the
 //!   engine, the ledger, the analytic cost model and the Fig. 5 timeline.
 //! * [`resources`] — an analytic HLS resource estimator reproducing

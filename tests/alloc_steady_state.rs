@@ -284,10 +284,12 @@ fn steady_state_transform_paths_do_not_allocate() {
     }
 }
 
-// The simulated FPGA path stages rows through the driver's DMA areas and
-// the engine's shift register; all of that scratch is persistent, so after
-// one warm-up transform (which also sizes the coefficient-shadow copies)
-// repeated transforms must stay off the allocator too.
+// The simulated FPGA path copies each row into the driver's DMA area and
+// splits it for the engine's register; column passes run in the engine
+// lane-parallel across columns, with no transposes. All of that scratch is
+// persistent, so after one warm-up transform (which also sizes the
+// coefficient-shadow copies and the engine's slot lists) repeated
+// transforms must stay off the allocator and off the transpose staging.
 #[test]
 fn steady_state_fpga_transform_path_does_not_allocate() {
     let _gate = transpose_gate();
@@ -305,6 +307,7 @@ fn steady_state_fpga_transform_path_does_not_allocate() {
     t.inverse_into(&mut fpga, &pyr, &mut scratch, &mut rec)
         .expect("warm-up inverse");
 
+    let transposed0 = transpose_bytes_total();
     let (allocs, bytes, ()) = counted(|| {
         for _ in 0..2 {
             t.forward_into(&mut fpga, &img, &mut combos, &mut scratch, &mut pyr)
@@ -317,6 +320,11 @@ fn steady_state_fpga_transform_path_does_not_allocate() {
         (allocs, bytes),
         (0, 0),
         "fpga: transform allocated {allocs} times ({bytes} bytes)"
+    );
+    let transposed = transpose_bytes_total() - transposed0;
+    assert_eq!(
+        transposed, 0,
+        "fpga: steady transforms transposed {transposed} bytes"
     );
 }
 

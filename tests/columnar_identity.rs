@@ -1,28 +1,37 @@
-//! Bit-identity of the NEON kernels' transpose-free column passes.
+//! Bit-identity of the NEON and FPGA kernels' transpose-free column passes.
 //!
 //! The NEON kernels (`SimdKernel`, `AutoVecKernel`) filter the vertical
 //! pass in place — SIMD lanes hold adjacent columns, rows are loaded
 //! stride-1, and each lane accumulates one column's convolution. The
-//! contract is *exact* equality with staging the same kernel's row path
-//! through transposes (`fallback_analyze_cols` /
-//! `fallback_synthesize_cols`, the `FilterKernel` default the scalar and
-//! FPGA kernels run): the per-row accumulation splits into four partial
+//! simulated FPGA kernel (`FpgaKernel`) does the same in its wavelet
+//! engine, lane-parallel across adjacent columns, while still charging
+//! each column as one row call. The contract is *exact* equality with
+//! staging the same kernel's row path through transposes
+//! (`fallback_analyze_cols` / `fallback_synthesize_cols`, the
+//! `FilterKernel` default the scalar and hybrid kernels run): each output
+//! keeps its row path's float sequence — for NEON, four partial
 //! accumulators folded as `(p0 + p2) + (p1 + p3)`, replicating the row
-//! path's pairwise `horizontal_sum` order, so no float is added in a
-//! different order.
+//! path's pairwise `horizontal_sum` order; for the FPGA, the register's
+//! slot-order sum — so no float is added in a different order. Results
+//! are compared as bit patterns, so a `+0`/`-0` flip fails.
 //!
 //! This suite pins that contract at every layer visible from the workspace:
 //! raw column passes for every named filter bank (odd/even widths and
 //! heights, widths below the 4-lane group forcing the scalar tail), full
-//! DT-CWT pyramids and round trips, and the threaded engine at 1/2/4
-//! workers, where each tree combination's column passes run on a worker.
+//! DT-CWT pyramids and round trips, the threaded engine at 1/2/4
+//! workers, where each tree combination's column passes run on a worker,
+//! and whole FPGA frames at the paper's five sizes.
 
-use wavefuse_core::{Backend, FusionEngine};
+use wavefuse_core::rules::fuse_pyramids_with_kernel;
+use wavefuse_core::{Backend, FusionEngine, FusionRule, FusionScratch, LowpassRule};
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
 use wavefuse_dtcwt::kernel::{fallback_analyze_cols, fallback_synthesize_cols};
 use wavefuse_dtcwt::scratch::Scratch1d;
-use wavefuse_dtcwt::{ColScratch, Dtcwt, FilterBank, FilterKernel, Image};
+use wavefuse_dtcwt::{
+    ColScratch, CwtPyramid, Dtcwt, FilterBank, FilterKernel, Image, ScalarKernel,
+};
 use wavefuse_simd::{AutoVecKernel, SimdKernel};
+use wavefuse_zynq::FpgaKernel;
 
 /// Every named bank the crate ships, plus a time-reversed q-shift tree
 /// (the dual tree's second filter set).
@@ -110,13 +119,20 @@ fn cols_round_trip(
 /// Builds a fresh kernel instance.
 type MakeKernel = fn() -> Box<dyn FilterKernel>;
 
-/// The NEON kernels under test, as constructors so a test can build a
-/// fresh instance for the staged oracle.
+/// The kernels with their own column passes, as constructors so a test
+/// can build a fresh instance for the staged oracle.
 fn kernels() -> Vec<(&'static str, MakeKernel)> {
     vec![
         ("simd", || Box::new(SimdKernel::new())),
         ("autovec", || Box::new(AutoVecKernel::new())),
+        ("fpga", || Box::new(FpgaKernel::new())),
     ]
+}
+
+/// An image's pixels as bit patterns: `assert_eq!` on `f32`s compares by
+/// value, which passes a `+0`/`-0` flip.
+fn bits(img: &Image) -> Vec<u32> {
+    img.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 // Widths 2 and 3 sit below the 4-lane group, so every column takes the
@@ -138,9 +154,9 @@ fn column_passes_bit_identical_for_every_bank() {
                     let (lo_c, hi_c, rec_c) =
                         cols_round_trip(k.as_mut(), false, &taps, phase, &img);
                     let (lo_f, hi_f, rec_f) = cols_round_trip(k.as_mut(), true, &taps, phase, &img);
-                    assert_eq!(lo_c.as_slice(), lo_f.as_slice(), "lo {what}");
-                    assert_eq!(hi_c.as_slice(), hi_f.as_slice(), "hi {what}");
-                    assert_eq!(rec_c.as_slice(), rec_f.as_slice(), "round trip {what}");
+                    assert_eq!(bits(&lo_c), bits(&lo_f), "lo {what}");
+                    assert_eq!(bits(&hi_c), bits(&hi_f), "hi {what}");
+                    assert_eq!(bits(&rec_c), bits(&rec_f), "round trip {what}");
                 }
             }
         }
@@ -149,8 +165,8 @@ fn column_passes_bit_identical_for_every_bank() {
 
 #[test]
 fn odd_heights_rejected_identically() {
-    // The decimating column pass needs an even height; the NEON column
-    // pass and the transpose staging must both refuse odd ones.
+    // The decimating column pass needs an even height; a kernel's own
+    // column pass and the transpose staging must both refuse odd ones.
     let taps = BankTaps::new(&FilterBank::near_sym_b().unwrap());
     let img = Image::from_fn(9, 7, |x, y| (x + y) as f32);
     let mut lo = Image::zeros(0, 0);
@@ -189,35 +205,24 @@ fn pyramids_and_round_trips_bit_identical() {
     for (t, w, h) in cases {
         let img = Image::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 41) as f32 * 0.19);
         for (name, make) in kernels() {
-            let mut neon = make();
+            let mut own = make();
             let mut staged = Staged(make());
-            let p_neon = t.forward_with(neon.as_mut(), &img).expect("NEON forward");
+            let p_own = t.forward_with(own.as_mut(), &img).expect("own forward");
             let p_staged = t.forward_with(&mut staged, &img).expect("staged forward");
             for level in 0..t.levels() {
-                for (a, b) in p_neon.subbands(level).iter().zip(p_staged.subbands(level)) {
-                    assert_eq!(
-                        a.re.as_slice(),
-                        b.re.as_slice(),
-                        "{name} re {w}x{h} L{level}"
-                    );
-                    assert_eq!(
-                        a.im.as_slice(),
-                        b.im.as_slice(),
-                        "{name} im {w}x{h} L{level}"
-                    );
+                for (a, b) in p_own.subbands(level).iter().zip(p_staged.subbands(level)) {
+                    assert_eq!(bits(&a.re), bits(&b.re), "{name} re {w}x{h} L{level}");
+                    assert_eq!(bits(&a.im), bits(&b.im), "{name} im {w}x{h} L{level}");
                 }
             }
-            let r_neon = t
-                .inverse_with(neon.as_mut(), &p_neon)
-                .expect("NEON inverse");
+            for (a, b) in p_own.lowpass().iter().zip(p_staged.lowpass()) {
+                assert_eq!(bits(a), bits(b), "{name} lowpass {w}x{h}");
+            }
+            let r_own = t.inverse_with(own.as_mut(), &p_own).expect("own inverse");
             let r_staged = t
                 .inverse_with(&mut staged, &p_staged)
                 .expect("staged inverse");
-            assert_eq!(
-                r_neon.as_slice(),
-                r_staged.as_slice(),
-                "{name} inverse {w}x{h}"
-            );
+            assert_eq!(bits(&r_own), bits(&r_staged), "{name} inverse {w}x{h}");
         }
     }
 }
@@ -240,9 +245,45 @@ fn threaded_engine_matches_serial_at_every_width() {
         engine.set_threads(threads);
         let out = engine.fuse(&a, &b, Backend::Neon).expect("threaded fuse");
         assert_eq!(
-            reference.as_slice(),
-            out.image.as_slice(),
+            bits(&reference),
+            bits(&out.image),
             "threaded engine at {threads} threads"
         );
+    }
+}
+
+#[test]
+fn fpga_frames_equal_staged_transforms_and_scalar_fusion() {
+    // An FPGA frame runs the kernel's own column passes and fuses on the
+    // SIMD kernel. At each of the paper's five sizes it must equal the
+    // transpose staging of the FPGA kernel's rows followed by the scalar
+    // fusion reference, bit for bit.
+    let (levels, rule, lowpass) = (
+        3,
+        FusionRule::WindowEnergy { radius: 1 },
+        LowpassRule::Average,
+    );
+    let t = Dtcwt::new(levels).expect("three levels");
+    let mut engine = FusionEngine::with_rules(levels, rule, lowpass).expect("engine");
+    for (w, h) in [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)] {
+        let a = Image::from_fn(w, h, |x, y| ((x * 5 + y * 3) % 37) as f32 * 0.4 - 2.0);
+        let b = Image::from_fn(w, h, |x, y| ((x * 11 + y * 2) % 43) as f32 * 0.3);
+        let got = engine.fuse(&a, &b, Backend::Fpga).expect("FPGA frame");
+
+        let mut staged = Staged(Box::new(FpgaKernel::new()));
+        let p_a = t.forward_with(&mut staged, &a).expect("staged forward");
+        let p_b = t.forward_with(&mut staged, &b).expect("staged forward");
+        let mut fused = CwtPyramid::empty();
+        fuse_pyramids_with_kernel(
+            &mut ScalarKernel::new(),
+            &p_a,
+            &p_b,
+            rule,
+            lowpass,
+            &mut FusionScratch::new(),
+            &mut fused,
+        );
+        let want = t.inverse_with(&mut staged, &fused).expect("staged inverse");
+        assert_eq!(bits(&got.image), bits(&want), "FPGA frame {w}x{h}");
     }
 }

@@ -38,6 +38,15 @@ echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)
 # release.
 cargo test -q --release -p wavefuse-zynq
 
+echo "== capture lanes vs scalar oracles, exhaustive rounding sweep"
+# The capture chain's lane loops (paired thermal render, cached-row
+# bilinear resample, lane-chunk YUV/RGB byte packing, table luma) must
+# reproduce their per-pixel expressions bit for bit; the frame pins hold
+# both cameras' output digests. The ignored test sweeps the packers'
+# rounding helper over all 2^32 f32 bit patterns. The lane loops
+# vectorize only in release.
+cargo test -q --release -p wavefuse-video -- --include-ignored
+
 echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"
 # Depth {1,2,3} x threads {1,2,4} x frame sizes must reproduce the serial
 # pixel stream exactly; the 640x480 matrix is debug-ignored and runs here.

@@ -187,6 +187,10 @@ pub struct AdaptiveScheduler {
     /// fixed once [`AdaptiveScheduler::new`] returns, so a geometry's
     /// argmin never changes and is planned once.
     decided: HashMap<(usize, usize), Backend>,
+    /// The cost model's per-frame seconds per geometry and backend, which
+    /// [`AdaptiveScheduler::observe`] compares each measurement with. Fixed
+    /// for the same reason as `decided`, so each is planned once.
+    predicted_s: HashMap<(usize, usize), [Option<f64>; 4]>,
     /// Decisions made per backend (for reports).
     decisions: BackendCounts,
     telemetry: Option<Arc<MetricsRegistry>>,
@@ -215,6 +219,7 @@ impl AdaptiveScheduler {
             power: PowerModel::zc702(),
             observations: HashMap::new(),
             decided: HashMap::new(),
+            predicted_s: HashMap::new(),
             decisions: BackendCounts::new(),
             telemetry: None,
         }
@@ -309,10 +314,10 @@ impl AdaptiveScheduler {
         seconds: f64,
         energy_mj: f64,
     ) {
-        if let Some(m) = &self.telemetry {
-            // Predicted-vs-observed: useful feedback under every policy, so
-            // record it before the online-only bookkeeping below.
-            if let Ok(pred_s) = self.predicted_cost(width, height, backend, Objective::Time) {
+        // Predicted-vs-observed: useful feedback under every policy, so
+        // record it before the online-only bookkeeping below.
+        if let Some(m) = self.telemetry.clone() {
+            if let Ok(pred_s) = self.memoized_predicted_s(width, height, backend) {
                 let err = if seconds > 0.0 {
                     (pred_s - seconds).abs() / seconds
                 } else {
@@ -358,6 +363,23 @@ impl AdaptiveScheduler {
     ) -> Result<f64, FusionError> {
         let plan = TransformPlan::dtcwt(width, height, self.levels)?;
         Ok(Prediction::new(&self.cost, &self.power, DEFAULT_RULE, &plan, backend).value(objective))
+    }
+
+    /// [`AdaptiveScheduler::predicted_cost`] in seconds, planned once per
+    /// geometry and backend.
+    fn memoized_predicted_s(
+        &mut self,
+        width: usize,
+        height: usize,
+        backend: Backend,
+    ) -> Result<f64, FusionError> {
+        let memo = self.predicted_s.get(&(width, height));
+        if let Some(&Some(s)) = memo.map(|m| &m[backend.index()]) {
+            return Ok(s);
+        }
+        let s = self.predicted_cost(width, height, backend, Objective::Time)?;
+        self.predicted_s.entry((width, height)).or_insert([None; 4])[backend.index()] = Some(s);
+        Ok(s)
     }
 }
 
@@ -405,6 +427,29 @@ mod tests {
             }
             assert_eq!(s.decision_counts(), want, "{objective:?}");
         }
+    }
+
+    #[test]
+    fn memoized_predictions_equal_a_fresh_predicted_cost() {
+        // observe() compares every measurement with a memoized prediction;
+        // each must equal a fresh plan-and-predict, bit for bit, on the
+        // first call and the repeats.
+        let sizes = [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)];
+        let mut s = AdaptiveScheduler::new(Policy::Model(Objective::Time), 3);
+        for round in 0..2 {
+            for (w, h) in sizes {
+                for backend in DEFAULT_CANDIDATES {
+                    let fresh = s.predicted_cost(w, h, backend, Objective::Time).unwrap();
+                    let memo = s.memoized_predicted_s(w, h, backend).unwrap();
+                    assert_eq!(
+                        memo.to_bits(),
+                        fresh.to_bits(),
+                        "{w}x{h} {backend:?} round {round}"
+                    );
+                }
+            }
+        }
+        assert!(s.memoized_predicted_s(2, 2, Backend::Neon).is_err());
     }
 
     #[test]

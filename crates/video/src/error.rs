@@ -30,6 +30,13 @@ pub enum VideoError {
     },
     /// A scaler was asked to produce or consume an empty image.
     EmptyImage,
+    /// A prepared resample was handed a source of another geometry.
+    GeometryMismatch {
+        /// `(width, height)` the plan was prepared for.
+        expected: (usize, usize),
+        /// `(width, height)` of the source provided.
+        actual: (usize, usize),
+    },
     /// A frame FIFO refused a frame (back-pressure); the frame was dropped.
     FifoFull,
 }
@@ -50,6 +57,11 @@ impl fmt::Display for VideoError {
                 )
             }
             VideoError::EmptyImage => write!(f, "empty image in video path"),
+            VideoError::GeometryMismatch { expected, actual } => write!(
+                f,
+                "source of {}x{} pixels, plan expects {}x{}",
+                actual.0, actual.1, expected.0, expected.1
+            ),
             VideoError::FifoFull => write!(f, "frame fifo full, frame dropped"),
         }
     }

@@ -86,6 +86,24 @@ impl RawFrame {
         bytes
     }
 
+    /// Sets this frame's format and geometry and returns its payload for
+    /// the caller to overwrite in full. The storage is resized only when
+    /// the byte length changes, so a steady-state frame keeps its bytes
+    /// (stale until overwritten) instead of being refilled every call.
+    pub(crate) fn reshape(
+        &mut self,
+        format: PixelFormat,
+        width: usize,
+        height: usize,
+    ) -> &mut [u8] {
+        self.format = format;
+        self.width = width;
+        self.height = height;
+        self.bytes
+            .resize(width * height * format.bytes_per_pixel(), 0);
+        &mut self.bytes
+    }
+
     /// Adopts `bytes` as this frame's payload, validating the length like
     /// [`RawFrame::new`].
     pub(crate) fn assign(
@@ -143,33 +161,46 @@ impl RawFrame {
         match self.format {
             PixelFormat::Gray8 => {
                 for (dst, &b) in img.as_mut_slice().iter_mut().zip(&self.bytes) {
-                    *dst = b as f32 / 255.0;
+                    *dst = UNIT_BYTE[usize::from(b)];
                 }
             }
             PixelFormat::Yuv422 => {
                 // Packed Cb Y0 Cr Y1: luma sits at odd byte positions.
-                // Paired iteration keeps the loop free of bounds checks.
                 for (dst, pair) in img
                     .as_mut_slice()
                     .iter_mut()
                     .zip(self.bytes.chunks_exact(2))
                 {
-                    *dst = pair[1] as f32 / 255.0;
+                    *dst = UNIT_BYTE[usize::from(pair[1])];
                 }
             }
             PixelFormat::Rgb888 => {
                 // ITU-R BT.601 luma weights, as OpenCV's grayscale
                 // conversion (the paper's display path) uses.
-                for (i, dst) in img.as_mut_slice().iter_mut().enumerate() {
-                    let r = self.bytes[3 * i] as f32;
-                    let g = self.bytes[3 * i + 1] as f32;
-                    let b = self.bytes[3 * i + 2] as f32;
+                for (dst, rgb) in img
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(self.bytes.chunks_exact(3))
+                {
+                    let [r, g, b] = [rgb[0], rgb[1], rgb[2]].map(f32::from);
                     *dst = (0.299 * r + 0.587 * g + 0.114 * b) / 255.0;
                 }
             }
         }
     }
 }
+
+/// `b as f32 / 255.0` for every byte value `b`: the Gray8 and YUV luma
+/// normalization as one table load per pixel instead of a divide.
+static UNIT_BYTE: [f32; 256] = {
+    let mut table = [0.0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f32 / 255.0;
+        b += 1;
+    }
+    table
+};
 
 /// A decoded single-channel `f32` frame with a sequence number.
 ///
@@ -264,6 +295,26 @@ mod tests {
         assert_eq!(f.seq(), 3);
         assert_eq!(f.image().get(0, 0), 0.0);
         assert_eq!(f.image().get(1, 0), 1.0);
+        // Every byte value, Gray8 and YUV luma alike, normalizes to the
+        // bits of the runtime division.
+        let bytes: Vec<u8> = (0..=255).collect();
+        let want: Vec<u32> = bytes
+            .iter()
+            .map(|&b| (f32::from(b) / std::hint::black_box(255.0f32)).to_bits())
+            .collect();
+        let gray = RawFrame::new(PixelFormat::Gray8, 16, 16, bytes.clone()).unwrap();
+        let yuv_bytes = bytes.iter().flat_map(|&b| [0x80, b]).collect();
+        let yuv = RawFrame::new(PixelFormat::Yuv422, 16, 16, yuv_bytes).unwrap();
+        for raw in [gray, yuv] {
+            let got: Vec<u32> = raw
+                .to_gray(0)
+                .image()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "{:?}", raw.format());
+        }
     }
 
     #[test]

@@ -70,16 +70,31 @@ fn tap(i: usize, scale: f32, src_len: usize) -> (usize, usize, f32) {
 ///
 /// Precomputes the per-column and per-row source taps and weights so
 /// repeated resamples (the capture path runs two per thermal frame) skip
-/// the per-pixel coordinate math and bounds checks. [`BilinearPlan::apply`]
-/// produces bit-identical pixels to [`resize_bilinear_into`].
+/// the per-pixel coordinate math. [`BilinearPlan::apply`] runs the
+/// horizontal pass once per referenced source row into a two-row cache
+/// the plan owns, then blends each output row from the cached pair in one
+/// contiguous lane loop; every output keeps the per-pixel expression
+/// `top * (1 - wy) + bot * wy` with `top`/`bot` = `a * (1 - wx) + b * wx`,
+/// so the pixels are bit-identical to the direct evaluation.
 #[derive(Debug, Clone)]
 pub struct BilinearPlan {
     src: (usize, usize),
     dst: (usize, usize),
-    /// `(x0, x1, wx)` per destination column.
-    xmap: Vec<(usize, usize, f32)>,
+    /// Left source column per destination column.
+    x0: Vec<u32>,
+    /// Right source column per destination column.
+    x1: Vec<u32>,
+    /// `1 - wx` per destination column.
+    wl: Vec<f32>,
+    /// `wx` per destination column.
+    wr: Vec<f32>,
     /// `(y0, y1, wy)` per destination row.
     ymap: Vec<(usize, usize, f32)>,
+    /// Horizontally resampled source rows, `dst_w` each; slot `y & 1`
+    /// holds source row `y`.
+    rows: [Vec<f32>; 2],
+    /// Source row held by each cache slot (`usize::MAX` = none).
+    held: [usize; 2],
 }
 
 impl BilinearPlan {
@@ -94,11 +109,18 @@ impl BilinearPlan {
         }
         let sx = src_w as f32 / dst_w as f32;
         let sy = src_h as f32 / dst_h as f32;
+        let xmap: Vec<_> = (0..dst_w).map(|x| tap(x, sx, src_w)).collect();
+        let col = |i0: usize| u32::try_from(i0).expect("source width fits in u32");
         Ok(BilinearPlan {
             src: (src_w, src_h),
             dst: (dst_w, dst_h),
-            xmap: (0..dst_w).map(|x| tap(x, sx, src_w)).collect(),
+            x0: xmap.iter().map(|t| col(t.0)).collect(),
+            x1: xmap.iter().map(|t| col(t.1)).collect(),
+            wl: xmap.iter().map(|t| 1.0 - t.2).collect(),
+            wr: xmap.iter().map(|t| t.2).collect(),
             ymap: (0..dst_h).map(|y| tap(y, sy, src_h)).collect(),
+            rows: [vec![0.0; dst_w], vec![0.0; dst_w]],
+            held: [usize::MAX; 2],
         })
     }
 
@@ -117,33 +139,57 @@ impl BilinearPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`VideoError::EmptyImage`] if `src` does not match the
+    /// Returns [`VideoError::GeometryMismatch`] if `src` does not match the
     /// planned source geometry.
-    pub fn apply(&self, src: &Image, out: &mut Image) -> Result<(), VideoError> {
+    pub fn apply(&mut self, src: &Image, out: &mut Image) -> Result<(), VideoError> {
         if src.dims() != self.src {
-            return Err(VideoError::EmptyImage);
+            return Err(VideoError::GeometryMismatch {
+                expected: self.src,
+                actual: src.dims(),
+            });
         }
         if self.src == self.dst {
             out.copy_from(src);
             return Ok(());
         }
-        let (sw, _) = self.src;
         let (dst_w, dst_h) = self.dst;
         out.reshape(dst_w, dst_h);
         let data = src.as_slice();
-        let dst = out.as_mut_slice();
-        for y in 0..dst_h {
+        // Cached rows belong to whatever source the last call resampled.
+        self.held = [usize::MAX; 2];
+        for (y, out_row) in out.as_mut_slice().chunks_exact_mut(dst_w).enumerate() {
             let (y0, y1, wy) = self.ymap[y];
-            let top_row = &data[y0 * sw..y0 * sw + sw];
-            let bot_row = &data[y1 * sw..y1 * sw + sw];
-            let out_row = &mut dst[y * dst_w..(y + 1) * dst_w];
-            for (o, &(x0, x1, wx)) in out_row.iter_mut().zip(&self.xmap) {
-                let top = top_row[x0] * (1.0 - wx) + top_row[x1] * wx;
-                let bot = bot_row[x0] * (1.0 - wx) + bot_row[x1] * wx;
-                *o = top * (1.0 - wy) + bot * wy;
+            self.resample_row(data, y0);
+            self.resample_row(data, y1);
+            let (top, bot) = (&self.rows[y0 & 1], &self.rows[y1 & 1]);
+            let wt = 1.0 - wy;
+            for ((o, &t), &b) in out_row.iter_mut().zip(top).zip(bot) {
+                *o = t * wt + b * wy;
             }
         }
         Ok(())
+    }
+
+    /// Makes cache slot `y & 1` hold source row `y` of `data` resampled
+    /// horizontally. An output row reads source rows `y0` and `y0 + 1` (or
+    /// `y0` twice at the clamped edge), which never share a slot, and `y0`
+    /// never decreases, so each referenced source row is resampled once.
+    fn resample_row(&mut self, data: &[f32], y: usize) {
+        let slot = y & 1;
+        if self.held[slot] == y {
+            return;
+        }
+        self.held[slot] = y;
+        let sw = self.src.0;
+        let row = &data[y * sw..(y + 1) * sw];
+        let taps = self
+            .x0
+            .iter()
+            .zip(&self.x1)
+            .zip(self.wl.iter().zip(&self.wr));
+        for (h, ((&x0, &x1), (&wl, &wr))) in self.rows[slot].iter_mut().zip(taps) {
+            *h = row[x0 as usize] * wl + row[x1 as usize] * wr;
+        }
     }
 }
 
@@ -198,44 +244,84 @@ mod tests {
         assert!((out.get(0, 0) - 0.5).abs() < 1e-6);
     }
 
+    /// The direct per-pixel bilinear evaluation.
+    fn reference(src: &Image, dw: usize, dh: usize) -> Image {
+        let (sw, sh) = src.dims();
+        let sx = sw as f32 / dw as f32;
+        let sy = sh as f32 / dh as f32;
+        Image::from_fn(dw, dh, |x, y| {
+            let fy = ((y as f32 + 0.5) * sy - 0.5).clamp(0.0, (sh - 1) as f32);
+            let y0 = fy.floor() as usize;
+            let y1 = (y0 + 1).min(sh - 1);
+            let wy = fy - y0 as f32;
+            let fx = ((x as f32 + 0.5) * sx - 0.5).clamp(0.0, (sw - 1) as f32);
+            let x0 = fx.floor() as usize;
+            let x1 = (x0 + 1).min(sw - 1);
+            let wx = fx - x0 as f32;
+            let top = src.get(x0, y0) * (1.0 - wx) + src.get(x1, y0) * wx;
+            let bot = src.get(x0, y1) * (1.0 - wx) + src.get(x1, y1) * wx;
+            top * (1.0 - wy) + bot * wy
+        })
+    }
+
+    fn bits(img: &Image) -> Vec<u32> {
+        img.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn plan_matches_per_pixel_reference_exactly() {
         // The prepared-tap resample must be bit-identical to the direct
-        // per-pixel bilinear evaluation.
-        let src = Image::from_fn(53, 37, |x, y| ((x * 31 + y * 17) % 101) as f32 * 0.01);
-        for (dw, dh) in [(88, 72), (17, 90), (120, 11)] {
-            let (sw, sh) = src.dims();
-            let sx = sw as f32 / dw as f32;
-            let sy = sh as f32 / dh as f32;
-            let reference = Image::from_fn(dw, dh, |x, y| {
-                let fy = ((y as f32 + 0.5) * sy - 0.5).clamp(0.0, (sh - 1) as f32);
-                let y0 = fy.floor() as usize;
-                let y1 = (y0 + 1).min(sh - 1);
-                let wy = fy - y0 as f32;
-                let fx = ((x as f32 + 0.5) * sx - 0.5).clamp(0.0, (sw - 1) as f32);
-                let x0 = fx.floor() as usize;
-                let x1 = (x0 + 1).min(sw - 1);
-                let wx = fx - x0 as f32;
-                let top = src.get(x0, y0) * (1.0 - wx) + src.get(x1, y0) * wx;
-                let bot = src.get(x0, y1) * (1.0 - wx) + src.get(x1, y1) * wx;
-                top * (1.0 - wy) + bot * wy
-            });
-            let plan = BilinearPlan::new(sw, sh, dw, dh).unwrap();
+        // per-pixel bilinear evaluation: the capture path's two geometries
+        // at every output size, odd widths for the lane tails, and one
+        // plan applied to two sources in turn so a stale row cache shows.
+        let cases = [
+            ((53, 37), (88, 72)),
+            ((53, 37), (17, 90)),
+            ((53, 37), (120, 11)),
+            ((384, 288), (720, 243)),
+            ((720, 243), (32, 24)),
+            ((720, 243), (88, 72)),
+            ((720, 243), (320, 240)),
+            ((720, 243), (640, 480)),
+            ((53, 37), (1, 5)),
+            ((53, 37), (7, 13)),
+            ((53, 37), (9, 40)),
+            ((53, 37), (15, 3)),
+            ((1, 9), (7, 5)),
+            ((15, 2), (9, 1)),
+        ];
+        for ((sw, sh), (dw, dh)) in cases {
+            let mut plan = BilinearPlan::new(sw, sh, dw, dh).unwrap();
             let mut out = Image::zeros(0, 0);
-            plan.apply(&src, &mut out).unwrap();
-            assert_eq!(out, reference);
-            assert_eq!(resize_bilinear(&src, dw, dh).unwrap(), reference);
+            for k in 0..2 {
+                let src = Image::from_fn(sw, sh, |x, y| {
+                    ((x * 31 + y * 17 + k * 59) % 101) as f32 * 0.0137
+                });
+                let want = bits(&reference(&src, dw, dh));
+                plan.apply(&src, &mut out).unwrap();
+                assert_eq!(out.dims(), (dw, dh));
+                assert!(bits(&out) == want, "{sw}x{sh} -> {dw}x{dh}, source {k}");
+                let direct = resize_bilinear(&src, dw, dh).unwrap();
+                assert_eq!(direct.dims(), (dw, dh));
+                assert!(bits(&direct) == want, "{sw}x{sh} -> {dw}x{dh} one-shot");
+            }
         }
     }
 
     #[test]
     fn plan_rejects_mismatched_source() {
-        let plan = BilinearPlan::new(8, 6, 4, 3).unwrap();
+        let mut plan = BilinearPlan::new(8, 6, 4, 3).unwrap();
         assert_eq!(plan.src_dims(), (8, 6));
         assert_eq!(plan.dst_dims(), (4, 3));
         let wrong = Image::zeros(9, 6);
         let mut out = Image::zeros(0, 0);
-        assert_eq!(plan.apply(&wrong, &mut out), Err(VideoError::EmptyImage));
+        assert_eq!(
+            plan.apply(&wrong, &mut out),
+            Err(VideoError::GeometryMismatch {
+                expected: (8, 6),
+                actual: (9, 6),
+            })
+        );
     }
 
     #[test]

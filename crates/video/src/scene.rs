@@ -238,17 +238,37 @@ impl ScenePair {
                 }
             }
             let row = &mut data[py * w..(py + 1) * w];
-            for (px, o) in row.iter_mut().enumerate() {
-                // Ambient temperature field: smooth, no visible-band
-                // texture — the visible occluder is transparent at LWIR.
-                let mut v = 0.25 + 0.05 * (scratch.tex[px] + cosy);
-                // Warm body: bright ellipse with a soft falloff.
-                v += 0.55 * (scratch.body[px] * body_y);
-                // Hot lamp spot.
-                v += 0.7 * (scratch.lamp[px] * lamp_y);
-                // Microbolometer NETD noise: coarser spatial grain.
-                v += 0.02 * scratch.noise_row[px / 2];
-                *o = (v.clamp(0.0, 1.0)) as f32;
+            // Ambient temperature field: smooth, no visible-band texture —
+            // the visible occluder is transparent at LWIR. Then the warm
+            // body (bright ellipse, soft falloff), the hot lamp spot and
+            // the microbolometer's coarse-grained NETD noise.
+            let pixel = |tex: f64, body: f64, lamp: f64, noise: f64| {
+                let mut v = 0.25 + 0.05 * (tex + cosy);
+                v += 0.55 * (body * body_y);
+                v += 0.7 * (lamp * lamp_y);
+                v += 0.02 * noise;
+                (v.clamp(0.0, 1.0)) as f32
+            };
+            // Column pairs share one noise value, so each pair runs as one
+            // two-wide step; an odd width leaves one column for the tail.
+            let pairs = w / 2;
+            let terms = scratch.tex[..2 * pairs]
+                .chunks_exact(2)
+                .zip(scratch.body[..2 * pairs].chunks_exact(2))
+                .zip(scratch.lamp[..2 * pairs].chunks_exact(2))
+                .zip(&scratch.noise_row);
+            for (o, (((tex, body), lamp), &n)) in row.chunks_exact_mut(2).zip(terms) {
+                o[0] = pixel(tex[0], body[0], lamp[0], n);
+                o[1] = pixel(tex[1], body[1], lamp[1], n);
+            }
+            if w % 2 == 1 {
+                let px = w - 1;
+                row[px] = pixel(
+                    scratch.tex[px],
+                    scratch.body[px],
+                    scratch.lamp[px],
+                    scratch.noise_row[pairs],
+                );
             }
         }
     }
@@ -282,10 +302,14 @@ mod tests {
     #[test]
     fn hoisted_renders_match_per_pixel_reference_exactly() {
         // The column-table renders must be bit-identical to the direct
-        // per-pixel evaluation of the scene formulas.
+        // per-pixel evaluation of the scene formulas: odd and even widths
+        // (the thermal row runs column pairs plus an odd tail), a single
+        // column, and the thermal sensor raster.
         let scene = ScenePair::new(11);
-        let (w, h) = (97, 61);
-        for t in [0.0, 0.73, 4.2] {
+        for ((w, h), t) in [(97, 61), (1, 9), (64, 18), (384, 288)]
+            .into_iter()
+            .flat_map(|dims| [0.0, 0.73, 4.2].map(|t| (dims, t)))
+        {
             let tn = (t * 1000.0) as u64;
             let (bx, by) = scene.body_center(t);
             let vis_ref = Image::from_fn(w, h, |px, py| {
@@ -321,8 +345,17 @@ mod tests {
                 v += 0.02 * scene.noise(px as u64 / 2, py as u64 / 2, tn, 2);
                 (v.clamp(0.0, 1.0)) as f32
             });
-            assert_eq!(scene.render_visible(w, h, t), vis_ref);
-            assert_eq!(scene.render_thermal(w, h, t), ir_ref);
+            let bits = |img: &Image| {
+                img.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let vis = scene.render_visible(w, h, t);
+            let ir = scene.render_thermal(w, h, t);
+            assert_eq!((vis.dims(), ir.dims()), ((w, h), (w, h)));
+            assert!(bits(&vis) == bits(&vis_ref), "visible {w}x{h} t={t}");
+            assert!(bits(&ir) == bits(&ir_ref), "thermal {w}x{h} t={t}");
         }
     }
 

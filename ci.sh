@@ -74,7 +74,7 @@ echo "== modeled paper outputs (repro fig2 ... timeline vs results/repro_modeled
 # figure fails here; regenerate the file only for an intended change.
 cargo run --release -q -p wavefuse-bench --bin repro -- \
     fig2 table1 fig9a fig9b fig9c fig10 crossover adaptive ablation \
-    quality hybrid levels throughput timeline > target/repro_modeled.txt
+    quality levels throughput timeline > target/repro_modeled.txt
 diff -u results/repro_modeled.txt target/repro_modeled.txt
 
 echo "== examples smoke (energy_explorer, adaptive_fusion)"

@@ -24,12 +24,11 @@ fn bench_full_frame(c: &mut Criterion) {
     for (w, h) in SIZES {
         let (a, b) = inputs(w, h);
         let label = format!("{w}x{h}");
-        for backend in [Backend::Arm, Backend::Neon, Backend::Fpga, Backend::Hybrid] {
+        for backend in Backend::ALL {
             let name = match backend {
                 Backend::Arm => "arm",
                 Backend::Neon => "neon",
                 Backend::Fpga => "fpga_sim",
-                Backend::Hybrid => "hybrid",
             };
             group.bench_with_input(
                 BenchmarkId::new(name, &label),

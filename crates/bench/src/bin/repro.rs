@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Subcommands: `fig2`, `table1`, `fig9a`, `fig9b`, `fig9c`, `fig10`,
-//! `crossover`, `adaptive`, `ablation`, `quality`, `hybrid`, `levels`,
-//! `throughput`, `timeline`, `bench`, `serve`, `eval`, `all`.
+//! `crossover`, `adaptive`, `ablation`, `quality`, `levels`, `throughput`,
+//! `timeline`, `bench`, `serve`, `eval`, `all`.
 //!
 //! The `bench` subcommand measures real wall-clock pipeline throughput
 //! (frames/sec and ns/frame per backend, serial and on the worker pool,
@@ -65,7 +65,7 @@ use wavefuse_bench::experiments::{self, Quantity};
 use wavefuse_bench::{gate, report};
 use wavefuse_trace::{export, JsonValue, ToJson};
 
-const USAGE: &str = "usage: repro [fig2|table1|fig9a|fig9b|fig9c|fig10|crossover|adaptive|ablation|quality|hybrid|levels|throughput|timeline|bench|serve|eval|all]... \
+const USAGE: &str = "usage: repro [fig2|table1|fig9a|fig9b|fig9c|fig10|crossover|adaptive|ablation|quality|levels|throughput|timeline|bench|serve|eval|all]... \
 [--metrics <path>] [--flight-record <path>] [--frames <n>] [--threads <n>] [--frame-size <WxH>] [--depth <k>] [--matrix] \
 [--rule choose-max|window-energy|weighted|activity-guided] \
 [--streams <n>] [--bench-out <path>] [--serve-out <path>] [--check <baseline.json>] [--tolerance <pct>]";
@@ -167,11 +167,6 @@ fn main() -> ExitCode {
         if wants("ablation") {
             let rows = experiments::ablation_report()?;
             println!("{}", report::render_ablation(&rows));
-        }
-        if wants("hybrid") {
-            eprintln!("running hybrid routing study...");
-            let rows = experiments::hybrid_comparison()?;
-            println!("{}", report::render_hybrid(&rows));
         }
         if wants("levels") {
             eprintln!("running decomposition-level sweep...");

@@ -381,8 +381,6 @@ pub struct LevelsRow {
     pub neon_s: f64,
     /// FPGA per-frame seconds.
     pub fpga_s: f64,
-    /// Hybrid per-frame seconds.
-    pub hybrid_s: f64,
     /// Coarsest-level LL dimensions.
     pub ll_dims: (usize, usize),
 }
@@ -390,8 +388,8 @@ pub struct LevelsRow {
 /// Varies the decomposition depth at the paper's full 88x72 frame size
 /// ("the decomposition level of the DT-CWT was varied", §VII). Deeper
 /// levels add geometrically less work, but their rows shrink below the
-/// FPGA's profitability threshold — which is why the hybrid backend's
-/// advantage grows with depth.
+/// FPGA's profitability threshold, so each added level costs the FPGA more
+/// relative to NEON.
 ///
 /// # Errors
 ///
@@ -409,7 +407,6 @@ pub fn levels_sweep() -> Result<Vec<LevelsRow>, FusionError> {
         let arm_s = time(&mut engine, Backend::Arm)?;
         let neon_s = time(&mut engine, Backend::Neon)?;
         let fpga_s = time(&mut engine, Backend::Fpga)?;
-        let hybrid_s = time(&mut engine, Backend::Hybrid)?;
         let pyr = wavefuse_dtcwt::Dtcwt::new(levels)?.forward(&a)?;
         let ll_dims = pyr.lowpass()[0].dims();
         rows.push(LevelsRow {
@@ -417,59 +414,7 @@ pub fn levels_sweep() -> Result<Vec<LevelsRow>, FusionError> {
             arm_s,
             neon_s,
             fpga_s,
-            hybrid_s,
             ll_dims,
-        });
-    }
-    Ok(rows)
-}
-
-/// One row of the hybrid-backend study: per-frame time at a size, for the
-/// two pure accelerators and the per-row-routed hybrid.
-#[derive(Debug, Clone)]
-pub struct HybridRow {
-    /// Frame geometry.
-    pub size: (usize, usize),
-    /// NEON per-frame seconds.
-    pub neon_s: f64,
-    /// FPGA per-frame seconds.
-    pub fpga_s: f64,
-    /// Hybrid per-frame seconds.
-    pub hybrid_s: f64,
-    /// Rows routed to SIMD inside one hybrid forward transform.
-    pub rows_simd: u64,
-    /// Rows routed to the FPGA.
-    pub rows_fpga: u64,
-}
-
-/// The hybrid per-row routing study (extension of the paper's §VIII): at
-/// every size, fuse one captured frame pair on pure NEON, pure FPGA and
-/// the hybrid backend.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn hybrid_comparison() -> Result<Vec<HybridRow>, FusionError> {
-    let scene = ScenePair::new(SCENE_SEED);
-    let mut engine = FusionEngine::new(LEVELS)?;
-    let mut rows = Vec::new();
-    for &(w, h) in &PAPER_SIZES {
-        let a = scene.render_visible(w, h, 0.0);
-        let b = scene.render_thermal(w, h, 0.0);
-        let neon_s = engine.fuse(&a, &b, Backend::Neon)?.timing.total_seconds();
-        let fpga_s = engine.fuse(&a, &b, Backend::Fpga)?.timing.total_seconds();
-        let hybrid_s = engine.fuse(&a, &b, Backend::Hybrid)?.timing.total_seconds();
-        // Row-routing census via a fresh kernel on one forward transform.
-        let mut k = wavefuse_core::hybrid::HybridKernel::new();
-        let t = wavefuse_dtcwt::Dtcwt::new(LEVELS)?;
-        let _ = t.forward_with(&mut k, &a)?;
-        rows.push(HybridRow {
-            size: (w, h),
-            neon_s,
-            fpga_s,
-            hybrid_s,
-            rows_simd: k.rows_on_simd(),
-            rows_fpga: k.rows_on_fpga(),
         });
     }
     Ok(rows)
@@ -480,9 +425,9 @@ pub fn hybrid_comparison() -> Result<Vec<HybridRow>, FusionError> {
 pub struct ThroughputRow {
     /// Frame geometry.
     pub size: (usize, usize),
-    /// Achieved frames/second per backend `[ARM, NEON, FPGA, Hybrid]`
-    /// under the modeled platform.
-    pub fps: [f64; 4],
+    /// Achieved frames/second per backend `[ARM, NEON, FPGA]` under the
+    /// modeled platform.
+    pub fps: [f64; 3],
 }
 
 /// Modeled fusion throughput (frames per second) per backend and size —
@@ -499,8 +444,8 @@ pub fn throughput_report() -> Result<Vec<ThroughputRow>, FusionError> {
     for &(w, h) in &PAPER_SIZES {
         let a = scene.render_visible(w, h, 0.0);
         let b = scene.render_thermal(w, h, 0.0);
-        let mut fps = [0.0f64; 4];
-        for backend in Backend::ALL_EXTENDED {
+        let mut fps = [0.0f64; 3];
+        for backend in Backend::ALL {
             let t = engine.fuse(&a, &b, backend)?.timing.total_seconds();
             fps[backend.index()] = 1.0 / t;
         }
@@ -1330,21 +1275,7 @@ impl ToJson for LevelsRow {
             ("arm_s", self.arm_s.to_json()),
             ("neon_s", self.neon_s.to_json()),
             ("fpga_s", self.fpga_s.to_json()),
-            ("hybrid_s", self.hybrid_s.to_json()),
             ("ll_dims", self.ll_dims.to_json()),
-        ])
-    }
-}
-
-impl ToJson for HybridRow {
-    fn to_json(&self) -> JsonValue {
-        obj(vec![
-            ("size", self.size.to_json()),
-            ("neon_s", self.neon_s.to_json()),
-            ("fpga_s", self.fpga_s.to_json()),
-            ("hybrid_s", self.hybrid_s.to_json()),
-            ("rows_simd", self.rows_simd.to_json()),
-            ("rows_fpga", self.rows_fpga.to_json()),
         ])
     }
 }
@@ -1506,8 +1437,8 @@ mod tests {
     #[test]
     fn throughput_ordering_and_scale() {
         let rows = throughput_report().unwrap();
-        // At the paper's 88x72 full frames, the FPGA sustains ~11 fps and
-        // the hybrid slightly more; ARM manages ~6.
+        // At the paper's 88x72 full frames, the FPGA sustains ~11 fps;
+        // ARM manages ~6.
         let full = rows.last().unwrap();
         assert!(
             full.fps[0] > 3.0 && full.fps[0] < 10.0,
@@ -1515,24 +1446,8 @@ mod tests {
             full.fps[0]
         );
         assert!(full.fps[2] > full.fps[1], "FPGA beats NEON at 88x72");
-        assert!(full.fps[3] >= full.fps[2], "hybrid at least matches FPGA");
         // Small frames run far faster than large ones everywhere.
         assert!(rows[0].fps[1] > 2.0 * full.fps[1]);
-    }
-
-    #[test]
-    fn hybrid_dominates_both_pure_accelerators() {
-        for row in hybrid_comparison().unwrap() {
-            assert!(
-                row.hybrid_s <= row.neon_s + 1e-9 && row.hybrid_s <= row.fpga_s + 1e-9,
-                "{:?}: hybrid {} vs neon {} fpga {}",
-                row.size,
-                row.hybrid_s,
-                row.neon_s,
-                row.fpga_s
-            );
-            assert!(row.rows_simd > 0, "{:?}: no SIMD rows", row.size);
-        }
     }
 
     #[test]

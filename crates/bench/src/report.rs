@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the `repro` binary.
 
 use crate::experiments::{
-    AblationRow, BenchReport, CrossoverReport, HybridRow, LevelsRow, PolicyOutcome, QualityRow,
-    ResourceRow, SeriesRow, ServeBench, ThroughputRow,
+    AblationRow, BenchReport, CrossoverReport, LevelsRow, PolicyOutcome, QualityRow, ResourceRow,
+    SeriesRow, ServeBench, ThroughputRow,
 };
 use wavefuse_core::Backend;
 
@@ -141,12 +141,11 @@ pub fn render_telemetry(eval: &crate::experiments::TelemetryEval) -> String {
     }
     let s = &eval.stats;
     out.push_str(&format!(
-        "frames {} | backend use ARM/NEON/FPGA/hybrid {}/{}/{}/{} | gate drops {}\n",
+        "frames {} | backend use ARM/NEON/FPGA {}/{}/{} | gate drops {}\n",
         s.frames,
         s.backend_usage[Backend::Arm],
         s.backend_usage[Backend::Neon],
         s.backend_usage[Backend::Fpga],
-        s.backend_usage[Backend::Hybrid],
         s.gate_drops,
     ));
     out.push_str(&format!(
@@ -186,53 +185,19 @@ pub fn render_levels(rows: &[LevelsRow]) -> String {
     let mut out = String::new();
     out.push_str("## Decomposition-level sweep at 88x72 (seconds per fused frame)\n");
     out.push_str(&format!(
-        "{:>6} | {:>9} {:>9} {:>9} {:>9} | {:>8}\n",
-        "levels", "ARM", "NEON", "FPGA", "hybrid", "LL size"
+        "{:>6} | {:>9} {:>9} {:>9} | {:>8}\n",
+        "levels", "ARM", "NEON", "FPGA", "LL size"
     ));
-    out.push_str(&"-".repeat(70));
+    out.push_str(&"-".repeat(60));
     out.push('\n');
     for r in rows {
         out.push_str(&format!(
-            "{:>6} | {:>9.5} {:>9.5} {:>9.5} {:>9.5} | {:>8}\n",
+            "{:>6} | {:>9.5} {:>9.5} {:>9.5} | {:>8}\n",
             r.levels,
             r.arm_s,
             r.neon_s,
             r.fpga_s,
-            r.hybrid_s,
             format!("{}x{}", r.ll_dims.0, r.ll_dims.1)
-        ));
-    }
-    out
-}
-
-/// Renders the hybrid per-row routing study.
-pub fn render_hybrid(rows: &[HybridRow]) -> String {
-    let mut out = String::new();
-    out.push_str("## Hybrid per-row NEON/FPGA routing (extension; seconds per fused frame)\n");
-    out.push_str(&format!(
-        "{:>8} | {:>9} {:>9} {:>9} | {:>7} | rows simd/fpga\n",
-        "size", "NEON", "FPGA", "hybrid", "winner"
-    ));
-    out.push_str(&"-".repeat(72));
-    out.push('\n');
-    for r in rows {
-        let best = r.neon_s.min(r.fpga_s).min(r.hybrid_s);
-        let winner = if best == r.hybrid_s {
-            "hybrid"
-        } else if best == r.fpga_s {
-            "FPGA"
-        } else {
-            "NEON"
-        };
-        out.push_str(&format!(
-            "{:>8} | {:>9.5} {:>9.5} {:>9.5} | {:>7} | {}/{}\n",
-            format!("{}x{}", r.size.0, r.size.1),
-            r.neon_s,
-            r.fpga_s,
-            r.hybrid_s,
-            winner,
-            r.rows_simd,
-            r.rows_fpga
         ));
     }
     out
@@ -243,19 +208,18 @@ pub fn render_throughput(rows: &[ThroughputRow]) -> String {
     let mut out = String::new();
     out.push_str("## Modeled fusion throughput (frames/second)\n");
     out.push_str(&format!(
-        "{:>8} | {:>8} {:>8} {:>8} {:>8}\n",
-        "size", "ARM", "NEON", "FPGA", "hybrid"
+        "{:>8} | {:>8} {:>8} {:>8}\n",
+        "size", "ARM", "NEON", "FPGA"
     ));
-    out.push_str(&"-".repeat(48));
+    out.push_str(&"-".repeat(39));
     out.push('\n');
     for r in rows {
         out.push_str(&format!(
-            "{:>8} | {:>8.1} {:>8.1} {:>8.1} {:>8.1}\n",
+            "{:>8} | {:>8.1} {:>8.1} {:>8.1}\n",
             format!("{}x{}", r.size.0, r.size.1),
             r.fps[0],
             r.fps[1],
-            r.fps[2],
-            r.fps[3]
+            r.fps[2]
         ));
     }
     out

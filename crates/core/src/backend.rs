@@ -5,11 +5,8 @@ use wavefuse_power::ExecutionMode;
 /// The compute engines the transforms can run on.
 ///
 /// [`Backend::Arm`], [`Backend::Neon`] and [`Backend::Fpga`] are the
-/// paper's §VII configurations; [`Backend::Hybrid`] is this reproduction's
-/// extension of the paper's §VIII insight — within one transform, short
-/// rows (deep pyramid levels) run on the NEON engine and long rows on the
-/// FPGA, per-row, so the fixed driver overhead is only ever paid where the
-/// FPGA's throughput advantage covers it.
+/// paper's §VII configurations; the adaptive scheduler picks one of them
+/// per frame (§VIII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Plain scalar execution on the ARM Cortex-A9 model.
@@ -18,41 +15,28 @@ pub enum Backend {
     Neon,
     /// The PL wavelet engine over the ACP.
     Fpga,
-    /// Per-row NEON/FPGA routing (extension; see [`crate::hybrid`]).
-    Hybrid,
 }
 
 impl Backend {
-    /// Number of backends ([`Backend::ALL_EXTENDED`]'s length) — the size
-    /// of per-backend accounting arrays.
-    pub const COUNT: usize = 4;
+    /// Number of backends ([`Backend::ALL`]'s length) — the size of
+    /// per-backend accounting arrays.
+    pub const COUNT: usize = 3;
 
     /// The paper's three reporting configurations (Figs. 9–10).
     pub const ALL: [Backend; 3] = [Backend::Arm, Backend::Neon, Backend::Fpga];
 
-    /// All backends including the hybrid extension.
-    pub const ALL_EXTENDED: [Backend; 4] =
-        [Backend::Arm, Backend::Neon, Backend::Fpga, Backend::Hybrid];
-
     /// The platform power-model mode this backend runs in.
-    ///
-    /// The hybrid keeps the PL engine configured and active, so it draws
-    /// the ARM+FPGA power (the NEON unit adds nothing measurable, per the
-    /// paper).
     pub fn execution_mode(self) -> ExecutionMode {
         match self {
             Backend::Arm => ExecutionMode::ArmOnly,
             Backend::Neon => ExecutionMode::ArmNeon,
-            Backend::Fpga | Backend::Hybrid => ExecutionMode::ArmFpga,
+            Backend::Fpga => ExecutionMode::ArmFpga,
         }
     }
 
     /// Display label (the paper's naming for its three modes).
     pub fn label(self) -> &'static str {
-        match self {
-            Backend::Hybrid => "Hybrid",
-            other => other.execution_mode().label(),
-        }
+        self.execution_mode().label()
     }
 
     /// Dense index for per-backend accounting arrays.
@@ -61,7 +45,6 @@ impl Backend {
             Backend::Arm => 0,
             Backend::Neon => 1,
             Backend::Fpga => 2,
-            Backend::Hybrid => 3,
         }
     }
 }
@@ -73,7 +56,7 @@ impl std::fmt::Display for Backend {
 }
 
 /// A per-backend tally, indexed by [`Backend`] instead of by position, so
-/// the `[ARM, NEON, FPGA, Hybrid]` ordering cannot silently drift from
+/// the `[ARM, NEON, FPGA]` ordering cannot silently drift from
 /// [`Backend::index`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendCounts([u64; Backend::COUNT]);
@@ -84,11 +67,9 @@ impl BackendCounts {
         BackendCounts::default()
     }
 
-    /// `(backend, count)` pairs in [`Backend::ALL_EXTENDED`] order.
+    /// `(backend, count)` pairs in [`Backend::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (Backend, u64)> + '_ {
-        Backend::ALL_EXTENDED
-            .into_iter()
-            .map(|b| (b, self.0[b.index()]))
+        Backend::ALL.into_iter().map(|b| (b, self.0[b.index()]))
     }
 
     /// Sum over all backends.
@@ -96,7 +77,7 @@ impl BackendCounts {
         self.0.iter().sum()
     }
 
-    /// The raw array, in [`Backend::ALL_EXTENDED`] order.
+    /// The raw array, in [`Backend::ALL`] order.
     pub fn as_array(&self) -> [u64; Backend::COUNT] {
         self.0
     }
@@ -137,17 +118,14 @@ mod tests {
         assert_eq!(Backend::Arm.execution_mode(), ExecutionMode::ArmOnly);
         assert_eq!(Backend::Neon.execution_mode(), ExecutionMode::ArmNeon);
         assert_eq!(Backend::Fpga.execution_mode(), ExecutionMode::ArmFpga);
-        assert_eq!(Backend::Hybrid.execution_mode(), ExecutionMode::ArmFpga);
         assert_eq!(Backend::ALL.len(), 3);
-        assert_eq!(Backend::ALL_EXTENDED.len(), 4);
         assert_eq!(Backend::Fpga.to_string(), "ARM+FPGA");
-        assert_eq!(Backend::Hybrid.to_string(), "Hybrid");
     }
 
     #[test]
     fn indices_are_dense_and_distinct() {
         let mut seen = [false; Backend::COUNT];
-        for b in Backend::ALL_EXTENDED {
+        for b in Backend::ALL {
             assert!(!seen[b.index()]);
             seen[b.index()] = true;
         }
@@ -160,9 +138,9 @@ mod tests {
         c[Backend::Neon] += 2;
         c[Backend::Fpga] += 1;
         assert_eq!(c[Backend::Neon], 2);
-        assert_eq!(c, [0, 2, 1, 0]);
+        assert_eq!(c, [0, 2, 1]);
         assert_eq!(c.total(), 3);
-        assert_eq!(c.as_array(), [0, 2, 1, 0]);
+        assert_eq!(c.as_array(), [0, 2, 1]);
         let pairs: Vec<_> = c.iter().collect();
         assert_eq!(pairs[1], (Backend::Neon, 2));
     }

@@ -323,81 +323,10 @@ impl CostModel {
         (w * h) as f64 * self.frame_overhead_cycles_per_pixel / self.ps_clk_hz
     }
 
-    /// Modeled NEON seconds for one row operation with the given MAC count
-    /// (used by the hybrid kernel to account its SIMD-routed rows).
-    pub fn neon_row_seconds(&self, macs: u64, dir: Direction) -> f64 {
-        let f = match dir {
-            Direction::Forward => self.neon_vectorizable_forward,
-            Direction::Inverse => self.neon_vectorizable_inverse,
-        };
-        let factor = match dir {
-            Direction::Forward => 1.0,
-            Direction::Inverse => self.arm_inverse_mac_factor,
-        };
-        macs as f64 * self.arm_cycles_per_mac * factor / self.ps_clk_hz
-            * (1.0 - f + f / wavefuse_simd::LANES as f64)
-    }
-
     /// Modeled FPGA seconds for one row operation (driver overhead plus
     /// the overlapped copy/engine critical path).
     pub fn fpga_row_seconds(&self, op: &RowOp, dir: Direction) -> f64 {
         op.row_cycles(dir, &self.zynq).serial_seconds(&self.zynq)
-    }
-
-    /// Seconds for one transform on the hybrid backend: each row runs on
-    /// whichever engine the row-length threshold selects (short rows on the
-    /// NEON engine, long rows on the FPGA), as the [`crate::hybrid`] kernel
-    /// executes it — under the async DMA overlap model. The PS timeline
-    /// carries the SIMD rows plus the FPGA path's driver overhead and user
-    /// copies; the PL timeline carries the engine runs; elapsed time is the
-    /// longer of the two (double buffering keeps the PL fed whenever it is
-    /// the bottleneck).
-    pub fn hybrid_seconds(&self, plan: &TransformPlan, dir: Direction, threshold: usize) -> f64 {
-        let ops = match dir {
-            Direction::Forward => &plan.forward_ops,
-            Direction::Inverse => &plan.inverse_ops,
-        };
-        let ps_t = self.zynq.ps_period();
-        let pl_t = self.zynq.pl_period();
-        let mut ps = 0.0f64;
-        let mut pl = 0.0f64;
-        for op in ops.iter() {
-            if op.words_out < threshold {
-                ps += op.count as f64 * self.neon_row_seconds(op.macs, dir);
-            } else {
-                let row = op.row_cycles(dir, &self.zynq);
-                // Two products, not one: summing the cycles first would
-                // round differently and move the pinned modeled outputs.
-                ps +=
-                    op.count as f64 * (row.ps_cycles as f64 * ps_t + row.copy_cycles as f64 * ps_t);
-                pl += op.count as f64 * row.pl_cycles() as f64 * pl_t;
-            }
-        }
-        // Coefficient reloads run on the PS lane, as in `fpga_seconds`.
-        ps += self.coeff_load_seconds(plan);
-        ps.max(pl)
-    }
-
-    /// The smallest output row length (samples) at which the FPGA beats the
-    /// NEON engine *per row* — the hybrid kernel's default routing
-    /// threshold, derived from the same calibrated constants.
-    pub fn hybrid_row_threshold(&self) -> usize {
-        // Representative level-1 analysis geometry: 32 taps total, extended
-        // input of len + 38.
-        (8..512)
-            .step_by(2)
-            .find(|&len| {
-                let op = RowOp {
-                    count: 1,
-                    words_in: len + 38,
-                    words_out: len,
-                    iterations: len / 2,
-                    macs: (len as u64 / 2) * 32,
-                };
-                self.fpga_row_seconds(&op, Direction::Forward)
-                    < self.neon_row_seconds(op.macs, Direction::Forward)
-            })
-            .unwrap_or(512)
     }
 
     /// Modeled per-phase time for one fused frame of a plan on a backend
@@ -421,13 +350,6 @@ impl CostModel {
                 self.fpga_seconds(plan, Direction::Forward),
                 self.fpga_seconds(plan, Direction::Inverse),
             ),
-            Backend::Hybrid => {
-                let th = self.hybrid_row_threshold();
-                (
-                    self.hybrid_seconds(plan, Direction::Forward, th),
-                    self.hybrid_seconds(plan, Direction::Inverse, th),
-                )
-            }
         };
         PhaseTiming {
             capture_s: self.capture_seconds(plan),

@@ -14,7 +14,6 @@ use wavefuse_zynq::FpgaKernel;
 
 use crate::backend::Backend;
 use crate::cost::{CostModel, Direction, TransformPlan};
-use crate::hybrid::HybridKernel;
 use crate::rules::{fuse_pyramids_with_kernel, FusionRule, FusionScratch, LowpassRule};
 use crate::FusionError;
 
@@ -77,8 +76,8 @@ pub struct FusionOutput {
 /// On the pooled CPU backends the inverse transform is still running on the
 /// workers while the caller holds this — overlap capture/render of the next
 /// frame with it, then call [`FusionEngine::fuse_finish`] to collect the
-/// result. On the serial, FPGA, and hybrid backends everything already
-/// completed inside `fuse_submit` and `fuse_finish` only does accounting.
+/// result. On the serial and FPGA backends everything already completed
+/// inside `fuse_submit` and `fuse_finish` only does accounting.
 #[derive(Debug)]
 pub struct PendingFusion {
     /// Output buffer (the fused image once the inverse lands).
@@ -115,7 +114,7 @@ impl PendingFusion {
     }
 
     /// The engine ring slot this frame's in-flight state lives in (`None`
-    /// on the serial, FPGA, and hybrid paths, which complete inside
+    /// on the serial and FPGA paths, which complete inside
     /// [`FusionEngine::fuse_submit`]).
     pub fn slot(&self) -> Option<usize> {
         self.slot
@@ -203,9 +202,9 @@ pub struct FusionEngine {
     next_slot: usize,
     /// Configured pipelining depth = ring size, `>= 1`.
     depth: usize,
-    /// Fused-pyramid staging of the serial CPU, FPGA, and hybrid paths,
-    /// which complete inside `fuse_submit` (pooled frames stage in their
-    /// ring slot's pyramid instead).
+    /// Fused-pyramid staging of the serial CPU and FPGA paths, which
+    /// complete inside `fuse_submit` (pooled frames stage in their ring
+    /// slot's pyramid instead).
     fused_serial: CwtPyramid,
     /// Input image slots for the pooled forward (same `Arc` discipline).
     img_a: Arc<Image>,
@@ -248,14 +247,13 @@ struct PackedForward {
     submitted: std::time::Instant,
 }
 
-/// The engine's four backend kernels, grouped so the one a frame runs on
+/// The engine's three backend kernels, grouped so the one a frame runs on
 /// can be borrowed by [`Backend`] while other engine fields stay free.
 #[derive(Debug)]
 struct Kernels {
     scalar: ScalarKernel,
     simd: SimdKernel,
     fpga: FpgaKernel,
-    hybrid: HybridKernel,
 }
 
 impl Kernels {
@@ -264,17 +262,14 @@ impl Kernels {
             Backend::Arm => &mut self.scalar,
             Backend::Neon => &mut self.simd,
             Backend::Fpga => &mut self.fpga,
-            Backend::Hybrid => &mut self.hybrid,
         }
     }
 
     /// Zeroes the cycle ledger `backend` reads its modeled time from (the
-    /// FPGA and hybrid kernels; the CPU backends are priced by the plan).
+    /// FPGA kernel; the CPU backends are priced by the plan).
     fn restart_ledger(&mut self, backend: Backend) {
-        match backend {
-            Backend::Fpga => self.fpga.reset_ledger(),
-            Backend::Hybrid => self.hybrid.reset(),
-            Backend::Arm | Backend::Neon => {}
+        if backend == Backend::Fpga {
+            self.fpga.reset_ledger();
         }
     }
 }
@@ -341,7 +336,6 @@ impl FusionEngine {
                 scalar: ScalarKernel::new(),
                 simd: SimdKernel::new(),
                 fpga: FpgaKernel::new(),
-                hybrid: HybridKernel::new(),
             },
             telemetry: None,
             plans: Vec::new(),
@@ -374,9 +368,8 @@ impl FusionEngine {
     /// values build a private [`WorkerPool`] (see [`build_worker_pool`])
     /// and attach it like [`FusionEngine::set_shared_pool`], fanning the
     /// four tree combinations of every CPU-backend transform out across
-    /// workers. Fusion always runs on the dispatcher. The FPGA and hybrid
-    /// backends always run serially (the modeled device is a single
-    /// engine).
+    /// workers. Fusion always runs on the dispatcher. The FPGA backend
+    /// always runs serially (the modeled device is a single engine).
     pub fn set_threads(&mut self, threads: usize) {
         if threads <= 1 {
             self.recover_in_flight();
@@ -428,8 +421,8 @@ impl FusionEngine {
     /// N+k-1 runs while frames N..N+k-2 are still synthesizing. Pooled
     /// frames must retire in submission order; submitting onto a full ring
     /// abandons the oldest unfinished frame (backpressure a well-behaved
-    /// caller never triggers). Serial, FPGA, and hybrid frames complete
-    /// inside `fuse_submit` regardless of depth. Results are bit-identical
+    /// caller never triggers). Serial and FPGA frames complete inside
+    /// `fuse_submit` regardless of depth. Results are bit-identical
     /// at every depth — combos are still accumulated in combo order at
     /// each frame's own `fuse_finish`.
     ///
@@ -491,7 +484,6 @@ impl FusionEngine {
             Backend::Arm => self.kernels.scalar.name(),
             Backend::Neon => self.kernels.simd.name(),
             Backend::Fpga => self.kernels.fpga.name(),
-            Backend::Hybrid => self.kernels.hybrid.name(),
         }
     }
 
@@ -511,8 +503,8 @@ impl FusionEngine {
 
     /// Attaches a metrics registry: every subsequent [`FusionEngine::fuse`]
     /// records phase-latency histograms and energy, pool and scheduler
-    /// counters. The registry is propagated to the FPGA kernels (pure and
-    /// hybrid) for DMA/cycle accounting.
+    /// counters. The registry is propagated to the FPGA kernel for
+    /// DMA/cycle accounting.
     pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
         telemetry.describe(
             "wavefuse_phase_seconds",
@@ -553,7 +545,6 @@ impl FusionEngine {
             "Seconds workers spent parked on the idle condvar, per worker",
         );
         self.kernels.fpga.set_telemetry(Arc::clone(&telemetry));
-        self.kernels.hybrid.set_telemetry(Arc::clone(&telemetry));
         self.telemetry = Some(telemetry);
     }
 
@@ -1162,8 +1153,8 @@ impl FusionEngine {
     /// as on every path: by the fold-order contract of
     /// [`wavefuse_dtcwt::fuse`] it is bit-identical to the scalar reference,
     /// and the model prices fusion at the ARM rate on every backend, so on
-    /// the FPGA and hybrid backends it stays on the PS, as in the paper,
-    /// and charges nothing to the cycle ledger.
+    /// the FPGA backend it stays on the PS, as in the paper, and charges
+    /// nothing to the cycle ledger.
     fn run_serial(
         &mut self,
         a: &Image,
@@ -1215,9 +1206,9 @@ impl FusionEngine {
 
     /// Modeled `(seconds, PL-busy seconds)` of one frame's transform phase
     /// on `backend`: both forwards, or the inverse. The CPU backends are
-    /// priced by the cached plan. The FPGA and hybrid backends read the
-    /// cycle ledger their kernel filled since the last restart, which is
-    /// then restarted for the next phase.
+    /// priced by the cached plan. The FPGA backend reads the cycle ledger
+    /// its kernel filled since the last restart, which is then restarted
+    /// for the next phase.
     fn take_phase_cost(
         &mut self,
         backend: Backend,
@@ -1239,10 +1230,6 @@ impl FusionEngine {
                     fpga.ledger().pl_busy_seconds(fpga.config()),
                 )
             }
-            Backend::Hybrid => (
-                self.kernels.hybrid.elapsed_seconds(),
-                self.kernels.hybrid.pl_busy_seconds(),
-            ),
         };
         self.kernels.restart_ledger(backend);
         cost
@@ -1518,7 +1505,6 @@ mod tests {
         assert_eq!(eng.kernel_name(Backend::Arm), "arm-scalar");
         assert_eq!(eng.kernel_name(Backend::Neon), "neon-simd");
         assert_eq!(eng.kernel_name(Backend::Fpga), "zynq-fpga");
-        assert_eq!(eng.kernel_name(Backend::Hybrid), "hybrid-neon-fpga");
     }
 
     #[test]
@@ -1597,21 +1583,19 @@ mod tests {
         );
     }
 
-    /// One FPGA/hybrid frame run by hand on `kernel`: its ledger is read
-    /// around two `forward_into` calls and one `inverse_into` of the
-    /// scalar-fused pyramid, restarted before each phase. Returns the
-    /// image, forward seconds, inverse seconds and PL-busy seconds.
-    fn ledger_reference<K: FilterKernel>(
-        kernel: &mut K,
-        read: fn(&K) -> (f64, f64),
-        reset: fn(&mut K),
-        a: &Image,
-        b: &Image,
-    ) -> (Image, f64, f64, f64) {
+    /// One FPGA frame run by hand on `kernel`: its ledger is read around
+    /// two `forward_into` calls and one `inverse_into` of the scalar-fused
+    /// pyramid, restarted before each phase. Returns the image, forward
+    /// seconds, inverse seconds and PL-busy seconds.
+    fn ledger_reference(kernel: &mut FpgaKernel, a: &Image, b: &Image) -> (Image, f64, f64, f64) {
+        let read = |k: &FpgaKernel| {
+            let l = k.ledger();
+            (l.elapsed_seconds, l.pl_busy_seconds(k.config()))
+        };
         let t = Dtcwt::new(3).unwrap();
         let (mut combos, mut scratch) = (ComboStore::new(), Scratch::new());
         let (mut pa, mut pb) = (CwtPyramid::empty(), CwtPyramid::empty());
-        reset(kernel);
+        kernel.reset_ledger();
         t.forward_into(kernel, a, &mut combos, &mut scratch, &mut pa)
             .unwrap();
         t.forward_into(kernel, b, &mut combos, &mut scratch, &mut pb)
@@ -1626,7 +1610,7 @@ mod tests {
             &mut FusionScratch::new(),
             &mut fused,
         );
-        reset(kernel);
+        kernel.reset_ledger();
         let mut out = Image::zeros(0, 0);
         t.inverse_into(kernel, &fused, &mut scratch, &mut out)
             .unwrap();
@@ -1635,47 +1619,24 @@ mod tests {
     }
 
     #[test]
-    fn fpga_and_hybrid_frames_match_their_kernel_ledgers_exactly() {
+    fn fpga_frames_match_their_kernel_ledgers_exactly() {
         // Fusion on the PS must charge nothing to the ledger, and each
         // phase must be read between its own resets: the engine's modeled
         // times are then bit-equal to a hand-run kernel's, frame after
-        // frame, with the two backends interleaved on one engine.
+        // frame.
         for (w, h) in [(64, 48), (88, 72)] {
             let (a, b) = inputs(w, h);
             let mut eng = FusionEngine::new(3).unwrap();
             let mut fpga = FpgaKernel::new();
-            let mut hybrid = HybridKernel::new();
             for (x, y) in [(&a, &b), (&b, &a)] {
-                let want = [
-                    ledger_reference(
-                        &mut fpga,
-                        |k| {
-                            let l = k.ledger();
-                            (l.elapsed_seconds, l.pl_busy_seconds(k.config()))
-                        },
-                        FpgaKernel::reset_ledger,
-                        x,
-                        y,
-                    ),
-                    ledger_reference(
-                        &mut hybrid,
-                        |k| (k.elapsed_seconds(), k.pl_busy_seconds()),
-                        HybridKernel::reset,
-                        x,
-                        y,
-                    ),
-                ];
-                for (backend, (image, forward_s, inverse_s, pl_busy_s)) in
-                    [Backend::Fpga, Backend::Hybrid].into_iter().zip(want)
-                {
-                    let got = eng.fuse(x, y, backend).unwrap();
-                    let tag = format!("{w}x{h} {backend:?}");
-                    assert_eq!(got.image, image, "{tag}");
-                    assert_eq!(got.timing.forward_s.to_bits(), forward_s.to_bits(), "{tag}");
-                    assert_eq!(got.timing.inverse_s.to_bits(), inverse_s.to_bits(), "{tag}");
-                    assert_eq!(got.pl_busy_s.to_bits(), pl_busy_s.to_bits(), "{tag}");
-                    assert!(pl_busy_s > 0.0, "{tag}");
-                }
+                let (image, forward_s, inverse_s, pl_busy_s) = ledger_reference(&mut fpga, x, y);
+                let got = eng.fuse(x, y, Backend::Fpga).unwrap();
+                let tag = format!("{w}x{h}");
+                assert_eq!(got.image, image, "{tag}");
+                assert_eq!(got.timing.forward_s.to_bits(), forward_s.to_bits(), "{tag}");
+                assert_eq!(got.timing.inverse_s.to_bits(), inverse_s.to_bits(), "{tag}");
+                assert_eq!(got.pl_busy_s.to_bits(), pl_busy_s.to_bits(), "{tag}");
+                assert!(pl_busy_s > 0.0, "{tag}");
             }
         }
     }

@@ -43,7 +43,6 @@ pub mod backend;
 pub mod baseline;
 pub mod cost;
 pub mod engine;
-pub mod hybrid;
 pub mod pipeline;
 pub mod profile;
 pub mod rules;

@@ -551,7 +551,7 @@ mod tests {
         .unwrap();
         let stats = pipe.run(10).unwrap();
         assert_eq!(stats.frames, 10);
-        assert_eq!(stats.backend_usage, [0, 10, 0, 0]);
+        assert_eq!(stats.backend_usage, [0, 10, 0]);
         assert!(stats.timing.total_seconds() > 0.0);
         assert!(stats.energy_mj > 0.0);
         assert_eq!(stats.gate_drops, 0);
@@ -734,7 +734,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_reconciles_with_stats() {
-        for backend in Backend::ALL_EXTENDED {
+        for backend in Backend::ALL {
             let mut pipe = VideoFusionPipeline::new(PipelineConfig {
                 frame_size: (48, 40),
                 levels: 3,
@@ -766,7 +766,7 @@ mod tests {
                 assert!((r.deadline_s - 1.0 / 30.0).abs() < 1e-12);
                 match backend {
                     // The accelerator backends must charge PL-busy time...
-                    Backend::Fpga | Backend::Hybrid => {
+                    Backend::Fpga => {
                         assert!(r.pl_busy_s > 0.0, "{backend:?}: no PL busy time");
                         assert!(r.pl_mj > 0.0);
                     }

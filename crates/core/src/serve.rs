@@ -61,8 +61,8 @@ pub const PACK_STREAMS: usize = BATCH_SLOTS / 8;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamBackend {
     /// Pin the stream to one pooled CPU backend ([`Backend::Arm`] or
-    /// [`Backend::Neon`]; the FPGA/hybrid paths are serial by
-    /// construction and cannot be packed into the shared ring).
+    /// [`Backend::Neon`]; the FPGA path is serial by construction and
+    /// cannot be packed into the shared ring).
     Fixed(Backend),
     /// Let admission pick: deepest feasible levels, then the minimum-energy
     /// CPU backend meeting `1 / target_fps` ([`decide`]). Falls back

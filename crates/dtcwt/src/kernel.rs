@@ -32,8 +32,8 @@
 //! The separable 2-D transforms also route their **vertical** pass through
 //! the kernel ([`FilterKernel::analyze_cols`] /
 //! [`FilterKernel::synthesize_cols`]). The default implementations transpose
-//! the image and reuse the row primitives, so the scalar and hybrid kernels
-//! work unchanged. The NEON kernels and the FPGA kernel override them with
+//! the image and reuse the row primitives, so the scalar kernel works
+//! unchanged. The NEON kernels and the FPGA kernel override them with
 //! a transpose-free path that filters adjacent columns in lanes (the FPGA
 //! kernel still charges each column as one row call). An override must be
 //! bit-identical to the transpose staging ([`fallback_analyze_cols`],
@@ -185,7 +185,7 @@ pub trait FilterKernel {
 }
 
 /// Transpose-based column analysis: the [`FilterKernel::analyze_cols`]
-/// default the scalar and hybrid kernels run, and the oracle the NEON and
+/// default the scalar kernel runs, and the oracle the NEON and
 /// FPGA kernels' transpose-free column passes are tested against bit for
 /// bit.
 #[allow(clippy::too_many_arguments)]

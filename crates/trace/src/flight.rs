@@ -44,7 +44,7 @@ pub struct FrameRecord {
     /// software pipelining beyond the single-frame capture overlap).
     pub depth: u64,
     /// Engine ring slot this frame's inverse ran in, or -1 when the
-    /// frame completed outside the slot ring (serial/FPGA/hybrid paths).
+    /// frame completed outside the slot ring (serial and FPGA paths).
     pub slot: i64,
     /// Host wall-clock start of the step, µs since pipeline construction.
     pub wall_start_us: f64,

@@ -23,6 +23,8 @@ pub enum IoctlRequest {
     /// from the input area.
     SetReadOffset(usize),
     /// Set the word offset at which the accelerator writes the output area.
+    /// Range-checked and counted; the model keeps no output area, since
+    /// the engine writes results straight into the caller's buffers.
     SetWriteOffset(usize),
     /// Flip both ping-pong buffers.
     SwapBuffers,
@@ -61,26 +63,24 @@ pub struct WaveletDriver {
     cfg: ZynqConfig,
     /// Two ping-pong input areas (the paper: 4096 words split in two).
     in_areas: [Vec<f32>; 2],
-    /// Two ping-pong output areas.
-    out_areas: [Vec<f32>; 2],
     active: usize,
     read_offset: usize,
-    write_offset: usize,
     stats: DriverStats,
     telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 impl WaveletDriver {
-    /// Opens the device, `kmalloc`-ing both DMA areas.
+    /// Opens the device, `kmalloc`-ing both input DMA areas. The engine
+    /// writes its results straight into the caller's buffers, so the
+    /// output side is accounted ([`Self::charge_copy_to_user`]) but holds
+    /// no data.
     pub fn open(cfg: ZynqConfig) -> Self {
         let words = cfg.bram_words_per_buffer;
         WaveletDriver {
             cfg,
             in_areas: [vec![0.0; words], vec![0.0; words]],
-            out_areas: [vec![0.0; words], vec![0.0; words]],
             active: 0,
             read_offset: 0,
-            write_offset: 0,
             stats: DriverStats::default(),
             telemetry: None,
         }
@@ -131,7 +131,6 @@ impl WaveletDriver {
                         "write offset {o} beyond {words}-word area"
                     )));
                 }
-                self.write_offset = o;
             }
             IoctlRequest::SwapBuffers => {
                 self.active ^= 1;
@@ -213,51 +212,9 @@ impl WaveletDriver {
         Ok(&area[self.read_offset..end])
     }
 
-    /// The accelerator writes `data` to the active output area at the write
-    /// offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZynqError::MappingOutOfRange`] on overflow.
-    pub fn accelerator_write(&mut self, data: &[f32]) -> Result<(), ZynqError> {
-        let area = &mut self.out_areas[self.active];
-        let end = self.write_offset + data.len();
-        if end > area.len() {
-            return Err(ZynqError::MappingOutOfRange {
-                offset: self.write_offset,
-                len: data.len(),
-                mapped: area.len(),
-            });
-        }
-        area[self.write_offset..end].copy_from_slice(data);
-        Ok(())
-    }
-
-    /// User-space `memcpy` out of the active output area into `dst`,
-    /// returning PS cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZynqError::MappingOutOfRange`] if the window exceeds the
-    /// area.
-    pub fn copy_to_user(&mut self, dst: &mut [f32]) -> Result<u64, ZynqError> {
-        let area = &self.out_areas[self.active];
-        let end = self.write_offset + dst.len();
-        if end > area.len() {
-            return Err(ZynqError::MappingOutOfRange {
-                offset: self.write_offset,
-                len: dst.len(),
-                mapped: area.len(),
-            });
-        }
-        dst.copy_from_slice(&area[self.write_offset..end]);
-        Ok(self.charge_copy_to_user(dst.len()))
-    }
-
     /// Accounts a user-space `memcpy` of `words` result words out of the DMA
-    /// area — the counters and PS cycles [`Self::copy_to_user`] charges —
-    /// for callers whose engine wrote the results straight into user
-    /// memory: the kernel's one copy-out per row.
+    /// area, returning its PS cycles: the kernel's one copy-out per row,
+    /// whose results the engine wrote straight into user memory.
     pub fn charge_copy_to_user(&mut self, words: usize) -> u64 {
         self.stats.words_to_user += words as u64;
         if let Some(m) = &self.telemetry {
@@ -296,10 +253,7 @@ mod tests {
         let mut drv = WaveletDriver::open(ZynqConfig::default());
         drv.copy_from_user(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(drv.accelerator_input(4).unwrap(), &[1.0, 2.0, 3.0, 4.0]);
-        drv.accelerator_write(&[9.0, 8.0]).unwrap();
-        let mut out = [0.0f32; 2];
-        drv.copy_to_user(&mut out).unwrap();
-        assert_eq!(out, [9.0, 8.0]);
+        drv.charge_copy_to_user(2);
         let s = drv.stats();
         assert_eq!(s.words_from_user, 4);
         assert_eq!(s.words_to_user, 2);
@@ -322,11 +276,6 @@ mod tests {
         );
         let mut charged = WaveletDriver::open(cfg);
         assert_eq!(charged.charge_copy_from_user(8), c);
-        let mut out = [0.0f32; 5];
-        assert_eq!(
-            charged.charge_copy_to_user(5),
-            drv.copy_to_user(&mut out).unwrap()
-        );
         assert_eq!(charged.stats(), drv.stats());
     }
 
@@ -361,10 +310,8 @@ mod tests {
         drv.ioctl(IoctlRequest::SetReadOffset(words - 1)).unwrap();
         assert!(drv.copy_from_user(&[1.0, 2.0]).is_err());
         assert!(drv.accelerator_input(2).is_err());
-        let mut big = vec![0.0f32; words + 1];
-        drv.ioctl(IoctlRequest::SetWriteOffset(0)).unwrap();
-        assert!(drv.copy_to_user(&mut big).is_err());
-        assert!(drv.accelerator_write(&big).is_err());
+        assert!(drv.ioctl(IoctlRequest::SetWriteOffset(words)).is_err());
+        drv.ioctl(IoctlRequest::SetWriteOffset(words - 1)).unwrap();
     }
 
     #[test]

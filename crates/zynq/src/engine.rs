@@ -68,25 +68,6 @@ pub struct EngineRun {
     pub words_out: usize,
 }
 
-/// A row pass in flight, returned by the `submit_*` half of the split
-/// interface. The engine stays [`status::BUSY`] until the ticket is redeemed
-/// with [`WaveletEngine::wait`], which retires the run and flips the status
-/// register to [`status::DONE`] — the handshake the PS uses to overlap its
-/// own work with the PL engine.
-#[derive(Debug)]
-#[must_use = "a submitted row stays BUSY until waited on"]
-pub struct RowTicket {
-    run: EngineRun,
-}
-
-impl RowTicket {
-    /// Cycle cost and traffic of the in-flight run (known at submit time in
-    /// the model; the real engine exposes it once DONE).
-    pub fn run(&self) -> EngineRun {
-        self.run
-    }
-}
-
 /// The simulated PL wavelet engine.
 ///
 /// # Examples
@@ -233,9 +214,9 @@ impl WaveletEngine {
         Ok(())
     }
 
-    /// Runs one forward (decimating) row through the datapath (mode 2),
-    /// blocking until DONE: equivalent to [`Self::submit_forward_row`]
-    /// immediately followed by [`Self::wait`].
+    /// Runs one forward (decimating) row through the datapath (mode 2).
+    /// The status register reads [`status::BUSY`] while the row runs and
+    /// [`status::DONE`] once the PS's completion poll returns.
     ///
     /// Semantics match [`wavefuse_dtcwt::FilterKernel::analyze_row`]: `ext`
     /// is the extended row, outputs `k` use the window ending at
@@ -255,26 +236,6 @@ impl WaveletEngine {
         lo: &mut [f32],
         hi: &mut [f32],
     ) -> Result<EngineRun, ZynqError> {
-        let ticket = self.submit_forward_row(ext, left, phase, lo, hi)?;
-        Ok(self.wait(ticket))
-    }
-
-    /// Arms one forward row and returns without the completion handshake:
-    /// the status register reads [`status::BUSY`] until the returned ticket
-    /// is redeemed with [`Self::wait`], letting the PS overlap other work
-    /// with the in-flight run.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::forward_row`].
-    pub fn submit_forward_row(
-        &mut self,
-        ext: &[f32],
-        left: usize,
-        phase: usize,
-        lo: &mut [f32],
-        hi: &mut [f32],
-    ) -> Result<RowTicket, ZynqError> {
         if self.loaded_analysis.is_none() {
             return Err(ZynqError::CoefficientsNotLoaded);
         }
@@ -299,21 +260,11 @@ impl WaveletEngine {
         self.pair_slots
             .extend(slots.map(|(j, (&cl, &ch))| (cl, ch, (j % 2) * half + j / 2)));
         mac_pair_pass(&self.split, &self.pair_slots, lo, hi);
-
-        let words_in = ext.len();
-        let words_out = 2 * n_out;
-        Ok(RowTicket {
-            run: EngineRun {
-                cycles: RowCycles::of(words_in, words_out, n_out, Direction::Forward, &self.cfg),
-                words_in,
-                words_out,
-            },
-        })
+        Ok(self.finish(ext.len(), 2 * n_out, n_out, Direction::Forward))
     }
 
     /// Runs one inverse (interpolating) row through the datapath (mode 3),
-    /// blocking until DONE: equivalent to [`Self::submit_inverse_row`]
-    /// immediately followed by [`Self::wait`].
+    /// with the same status handshake as [`Self::forward_row`].
     ///
     /// Semantics match [`wavefuse_dtcwt::FilterKernel::synthesize_row`].
     ///
@@ -329,24 +280,6 @@ impl WaveletEngine {
         phase: usize,
         out: &mut [f32],
     ) -> Result<EngineRun, ZynqError> {
-        let ticket = self.submit_inverse_row(lo_ext, hi_ext, left, phase, out)?;
-        Ok(self.wait(ticket))
-    }
-
-    /// Arms one inverse row without the completion handshake; see
-    /// [`Self::submit_forward_row`] for the split-interface contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::inverse_row`].
-    pub fn submit_inverse_row(
-        &mut self,
-        lo_ext: &[f32],
-        hi_ext: &[f32],
-        left: usize,
-        phase: usize,
-        out: &mut [f32],
-    ) -> Result<RowTicket, ZynqError> {
         if self.loaded_synthesis.is_none() {
             return Err(ZynqError::CoefficientsNotLoaded);
         }
@@ -400,20 +333,7 @@ impl WaveletEngine {
             }
         }
 
-        let words_out = out.len();
-        Ok(RowTicket {
-            run: EngineRun {
-                cycles: RowCycles::of(
-                    words_in,
-                    words_out,
-                    words_out,
-                    Direction::Inverse,
-                    &self.cfg,
-                ),
-                words_in,
-                words_out,
-            },
-        })
+        Ok(self.finish(words_in, out.len(), out.len(), Direction::Inverse))
     }
 
     /// Splits the samples the forward register sees into `split = [even |
@@ -498,7 +418,7 @@ impl WaveletEngine {
             }
             mac_pair_pass(img, &self.pair_slots, lo, hi);
         }
-        Ok(self.finish_cols(words_in, words_out, n_out, Direction::Forward))
+        Ok(self.finish(words_in, words_out, n_out, Direction::Forward))
     }
 
     /// Runs the inverse pass over every column of the row-major channel
@@ -572,7 +492,7 @@ impl WaveletEngine {
             let out = &mut out[dst * width..(dst + 1) * width];
             synth_pass(lo, hi, &self.lp_slots, &self.hp_slots, out);
         }
-        Ok(self.finish_cols(words_in, n, n, Direction::Inverse))
+        Ok(self.finish(words_in, n, n, Direction::Inverse))
     }
 
     /// Rejects a pass whose input or output exceeds a BRAM area.
@@ -590,32 +510,23 @@ impl WaveletEngine {
         Ok(())
     }
 
-    /// Completes a column pass as [`Self::wait`] completes a row, and
-    /// returns the cost of one column's row call.
-    fn finish_cols(
+    /// Retires a pass: flips the status register to [`status::DONE`],
+    /// performs the PS's completion poll, and returns the cost of one row
+    /// call (for a column pass, of one column's).
+    fn finish(
         &mut self,
         words_in: usize,
         words_out: usize,
         iterations: usize,
         dir: Direction,
     ) -> EngineRun {
-        let cycles = RowCycles::of(words_in, words_out, iterations, dir, &self.cfg);
-        self.wait(RowTicket {
-            run: EngineRun {
-                cycles,
-                words_in,
-                words_out,
-            },
-        })
-    }
-
-    /// Retires an in-flight row: flips the status register to
-    /// [`status::DONE`], performs the PS's completion poll, and returns the
-    /// run's cycle accounting.
-    pub fn wait(&mut self, ticket: RowTicket) -> EngineRun {
         self.regs.hw_set(EngineReg::Status, status::DONE);
         self.regs.read(EngineReg::Status); // completion poll
-        ticket.run
+        EngineRun {
+            cycles: RowCycles::of(words_in, words_out, iterations, dir, &self.cfg),
+            words_in,
+            words_out,
+        }
     }
 }
 
@@ -1007,8 +918,7 @@ mod tests {
         let h = std::f32::consts::FRAC_1_SQRT_2;
         eng.load_analysis_filters(&[h, h], &[h, -h]).unwrap();
         assert_eq!(
-            eng.submit_forward_row(&[1.0; 12], 2, 0, &mut [], &mut [])
-                .map(|t| t.run()),
+            eng.forward_row(&[1.0; 12], 2, 0, &mut [], &mut []),
             Err(ZynqError::RowShape { lo: 0, hi: 0 })
         );
     }
@@ -1166,27 +1076,6 @@ mod tests {
         let (mut lo, mut hi) = (vec![0.0f32; 4], vec![0.0f32; 4]);
         eng.forward_row(&ext, 2, 0, &mut lo, &mut hi).unwrap();
         assert_eq!(eng.registers().read(EngineReg::Status), status::DONE);
-    }
-
-    #[test]
-    fn split_submit_wait_reports_busy_until_waited() {
-        let mut eng = WaveletEngine::new(ZynqConfig::default());
-        use crate::bus::EngineReg;
-        let h = std::f32::consts::FRAC_1_SQRT_2;
-        eng.load_analysis_filters(&[h, h], &[h, -h]).unwrap();
-        let ext = vec![1.0f32; 12];
-        let (mut lo, mut hi) = (vec![0.0f32; 4], vec![0.0f32; 4]);
-        let ticket = eng
-            .submit_forward_row(&ext, 2, 0, &mut lo, &mut hi)
-            .unwrap();
-        assert_eq!(eng.registers().read(EngineReg::Status), status::BUSY);
-        let run = eng.wait(ticket);
-        assert_eq!(eng.registers().read(EngineReg::Status), status::DONE);
-        assert_eq!(run.words_in, 12);
-        assert_eq!(run.words_out, 8);
-        // Split and blocking paths charge identical cycles.
-        let blocking = eng.forward_row(&ext, 2, 0, &mut lo, &mut hi).unwrap();
-        assert_eq!(blocking, run);
     }
 
     #[test]

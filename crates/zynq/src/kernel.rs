@@ -42,13 +42,12 @@ use wavefuse_trace::MetricsRegistry;
 /// Double-buffered DMA timeline: the asynchronous overlap model.
 ///
 /// The serial ledger charges every row `overhead + max(copy, engine)` — the
-/// PS is assumed to block on each engine run. The real ACP engine does not
-/// require that: with the split submit/wait interface the PS can keep
-/// issuing driver work (or, for the hybrid backend, run short rows on the
-/// SIMD unit) while the PL engine owns an in-flight row, bounded only by
-/// the two ping-pong DMA buffers. This struct tracks that schedule: a
-/// PS timeline advancing serially through overheads, user copies and host
-/// compute, and per-buffer PL completion times; elapsed time is the longer
+/// PS is assumed to block on each engine run. The ACP engine does not
+/// require that: with two ping-pong DMA buffers the PS can issue the next
+/// row's driver work and copy while the PL engine still owns the previous
+/// row, bounded only by which buffer frees first. This struct tracks that
+/// schedule: a PS timeline advancing serially through overheads and user
+/// copies, and per-buffer PL completion times; elapsed time is the longer
 /// of the two timelines.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DmaTimeline {
@@ -134,18 +133,12 @@ impl FpgaKernel {
         }
     }
 
-    /// The overlapped schedule the split submit/wait interface permits.
-    /// The ledger keeps charging the paper's serial Fig. 5 schedule; this
-    /// timeline is the same rows with the PS free to run ahead of the PL.
+    /// The overlapped schedule the two ping-pong DMA buffers allow. The
+    /// ledger keeps charging the paper's serial Fig. 5 schedule; this
+    /// timeline is the same rows with the PS free to run ahead of the PL
+    /// by one buffer.
     pub fn dma_timeline(&self) -> &DmaTimeline {
         &self.overlap
-    }
-
-    /// Charges `s` seconds of host-side compute onto the PS timeline of the
-    /// overlap model. The hybrid kernel uses this for SIMD-routed rows that
-    /// run while the PL engine is busy.
-    pub fn push_host_seconds(&mut self, s: f64) {
-        self.overlap.push_ps(s);
     }
 
     /// Attaches a metrics registry (propagated to the driver model):

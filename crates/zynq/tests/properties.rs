@@ -91,25 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn driver_round_trips_any_payload(
-        payload in proptest::collection::vec(-1e6f32..1e6, 1..=512),
-        offset in 0usize..1024,
-    ) {
-        let mut drv = WaveletDriver::open(ZynqConfig::default());
-        prop_assume!(offset + payload.len() <= 2048);
-        drv.ioctl(IoctlRequest::SetReadOffset(offset)).unwrap();
-        drv.copy_from_user(&payload).unwrap();
-        let seen = drv.accelerator_input(payload.len()).unwrap();
-        prop_assert_eq!(seen, &payload[..]);
-        // Writes on the output side round-trip too.
-        drv.ioctl(IoctlRequest::SetWriteOffset(offset)).unwrap();
-        drv.accelerator_write(&payload).unwrap();
-        let mut out = vec![0.0f32; payload.len()];
-        drv.copy_to_user(&mut out).unwrap();
-        prop_assert_eq!(out, payload);
-    }
-
-    #[test]
     fn driver_swaps_are_involutive(
         payload in proptest::collection::vec(-10.0f32..10.0, 1..=64),
         swaps in 0usize..8,

@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Fuse, and compare against fusing the raw damaged stream.
     let mut engine = FusionEngine::new(3)?;
-    let robust = engine.fuse(&visible, &cleaned, Backend::Hybrid)?.image;
-    let naive = engine.fuse(&visible, &misaligned, Backend::Hybrid)?.image;
+    let robust = engine.fuse(&visible, &cleaned, Backend::Fpga)?.image;
+    let naive = engine.fuse(&visible, &misaligned, Backend::Fpga)?.image;
     let q = |img: &Image| petrovic_qabf(&visible, &reference, img);
     println!(
         "edge preservation Q^AB/F: naive {:.3} -> robust {:.3}",

@@ -53,11 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.energy_mj
     );
     println!(
-        "backend use ARM/NEON/FPGA/hybrid: {}/{}/{}/{}, gate drops: {}",
+        "backend use ARM/NEON/FPGA: {}/{}/{}, gate drops: {}",
         stats.backend_usage[Backend::Arm],
         stats.backend_usage[Backend::Neon],
         stats.backend_usage[Backend::Fpga],
-        stats.backend_usage[Backend::Hybrid],
         stats.gate_drops
     );
     println!(

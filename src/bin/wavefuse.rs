@@ -73,13 +73,8 @@ fn parse_backend(s: &str) -> Result<Option<Backend>, String> {
         "arm" => Backend::Arm,
         "neon" => Backend::Neon,
         "fpga" => Backend::Fpga,
-        "hybrid" => Backend::Hybrid,
         "auto" => return Ok(None),
-        other => {
-            return Err(format!(
-                "unknown backend '{other}' (arm|neon|fpga|hybrid|auto)"
-            ))
-        }
+        other => return Err(format!("unknown backend '{other}' (arm|neon|fpga|auto)")),
     }))
 }
 
@@ -285,7 +280,7 @@ fn cmd_demo(args: &Args) -> Result<(), String> {
 fn usage() -> &'static str {
     "usage:\n  \
      wavefuse fuse <visible.pgm> <thermal.pgm> -o <fused.pgm> \
-     [--backend arm|neon|fpga|hybrid|auto] [--levels N] [--rule window|maxmag|average|activity] \
+     [--backend arm|neon|fpga|auto] [--levels N] [--rule window|maxmag|average|activity] \
      [--threads N] [--trace <t.json>] [--metrics <m.prom>]\n  \
      wavefuse denoise <in.pgm> -o <out.pgm> [--strength S] [--levels N]\n  \
      wavefuse demo [-o <dir>] [--frames N] [--size WxH] [--seed S] \

@@ -8,7 +8,7 @@
 //! each column as one row call. The contract is *exact* equality with
 //! staging the same kernel's row path through transposes
 //! (`fallback_analyze_cols` / `fallback_synthesize_cols`, the
-//! `FilterKernel` default the scalar and hybrid kernels run): each output
+//! `FilterKernel` default the scalar kernel runs): each output
 //! keeps its row path's float sequence — for NEON, four partial
 //! accumulators folded as `(p0 + p2) + (p1 + p3)`, replicating the row
 //! path's pairwise `horizontal_sum` order; for the FPGA, the register's

@@ -23,7 +23,7 @@ fn full_capture_path_produces_fused_video() {
     .unwrap();
     let stats = pipe.run(5).unwrap();
     assert_eq!(stats.frames, 5);
-    assert_eq!(stats.backend_usage, [0, 0, 5, 0]);
+    assert_eq!(stats.backend_usage, [0, 0, 5]);
     // Energy accounting is consistent with the FPGA power mode.
     let p_fpga = pipe
         .engine()

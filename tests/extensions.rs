@@ -1,12 +1,11 @@
 //! Cross-crate integration tests for the features this reproduction adds
-//! beyond the paper: the hybrid backend, the scheduler's cost prediction,
+//! beyond the paper: the scheduler's cost prediction,
 //! registration-before-fusion, and denoising in the capture path.
 
 use std::sync::Arc;
 
 use wavefuse_core::adaptive::{AdaptiveScheduler, Objective, Policy};
 use wavefuse_core::engine::build_worker_pool;
-use wavefuse_core::pipeline::{BackendChoice, PipelineConfig, VideoFusionPipeline};
 use wavefuse_core::{Backend, FusionEngine};
 use wavefuse_dtcwt::analysis::circular_shift;
 use wavefuse_dtcwt::denoise::denoise;
@@ -27,33 +26,6 @@ fn scene_pair(w: usize, h: usize) -> (Image, Image) {
 }
 
 #[test]
-fn hybrid_backend_runs_in_the_full_pipeline() {
-    let mut pipe = VideoFusionPipeline::new(PipelineConfig {
-        frame_size: (88, 72),
-        levels: 3,
-        backend: BackendChoice::Fixed(Backend::Hybrid),
-        scene_seed: 4,
-        threads: 1,
-        depth: 1,
-    })
-    .unwrap();
-    let stats = pipe.run(3).unwrap();
-    assert_eq!(stats.backend_usage, [0, 0, 0, 3]);
-    // Hybrid timing sits at or below the pure FPGA's for the same workload.
-    let mut fpga = VideoFusionPipeline::new(PipelineConfig {
-        frame_size: (88, 72),
-        levels: 3,
-        backend: BackendChoice::Fixed(Backend::Fpga),
-        scene_seed: 4,
-        threads: 1,
-        depth: 1,
-    })
-    .unwrap();
-    let fpga_stats = fpga.run(3).unwrap();
-    assert!(stats.timing.total_seconds() < fpga_stats.timing.total_seconds());
-}
-
-#[test]
 fn scheduler_prediction_is_the_engines_prediction() {
     // The scheduler ranks backends by exactly the cost the engine records
     // as each frame's `predicted_s` (one `CostModel::predict`, one
@@ -63,7 +35,7 @@ fn scheduler_prediction_is_the_engines_prediction() {
     let mut engine = FusionEngine::new(3).unwrap();
     for (w, h) in [(32, 24), (35, 35), (40, 40), (64, 48), (88, 72)] {
         let (a, b) = scene_pair(w, h);
-        for backend in [Backend::Arm, Backend::Neon, Backend::Fpga, Backend::Hybrid] {
+        for backend in Backend::ALL {
             let out = engine.fuse(&a, &b, backend).unwrap();
             let predicted = out.predicted_s;
             let time = sched

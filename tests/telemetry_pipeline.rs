@@ -114,7 +114,7 @@ fn counters_match_pipeline_stats() {
             .sum()
     };
     assert_eq!(counter("wavefuse_frames_total", None) as u64, stats.frames);
-    for backend in [Backend::Arm, Backend::Neon, Backend::Fpga, Backend::Hybrid] {
+    for backend in Backend::ALL {
         assert_eq!(
             counter("wavefuse_frames_total", Some(backend.label())) as u64,
             stats.backend_usage[backend],

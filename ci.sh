@@ -27,6 +27,17 @@ echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, 
 # identity runs in the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
+echo "== wavefuse-dtcwt tests + lowpass fusion sweep in release (slice passes vs per-pixel oracles)"
+# The DT-CWT's inter-stage glue (q2c after each forward, c2q before each
+# inverse level) runs as flat slice passes; their tests sweep them against
+# the per-pixel accessor loops bit for bit over degenerate and odd
+# geometries and NaN/inf/signed-zero/subnormal samples, for all four tree
+# combinations; the lowpass fusion pass's sweep (all three rules) lives
+# in wavefuse-core's rules module. LLVM vectorizes the passes only in
+# release.
+cargo test -q --release -p wavefuse-dtcwt
+cargo test -q --release -p wavefuse-core --lib rules::tests
+
 echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"
 # The simulated wavelet engine evaluates outputs lane-parallel; its tests
 # sweep that datapath against the one-output-per-clock shift-register
@@ -173,6 +184,9 @@ cargo run --release -q -p wavefuse-bench --bin repro -- \
     --serve-out target/SERVE_smoke.json
 grep -q '"backend":"SERVE-8"' target/BENCH_serve_smoke.json
 grep -q '"per_stream"' target/SERVE_smoke.json
+
+echo "== cargo doc -D warnings (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== cargo fmt --check"
 cargo fmt --all --check

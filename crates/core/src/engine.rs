@@ -587,8 +587,8 @@ impl FusionEngine {
     /// Installs an externally built (typically fleet-shared) cost plan into
     /// the engine's plan cache, so same-geometry engines in a fleet share
     /// one plan instead of each rebuilding it. A plan for the same geometry
-    /// already in the cache is kept (first wins); the bounded-cache
-    /// eviction of [`FusionEngine::ensure_plan`] applies.
+    /// already in the cache is kept (first wins); the cache is bounded,
+    /// evicting its oldest plan when full, as for plans the engine builds.
     pub fn adopt_plan(&mut self, plan: Arc<TransformPlan>) {
         if self
             .plans

@@ -263,27 +263,39 @@ pub fn fuse_lowpass(a: &Image, b: &Image, rule: LowpassRule) -> Image {
 }
 
 /// Allocation-free variant of [`fuse_lowpass`]: writes into `out`
-/// (reshaped).
+/// (reshaped). The rule is matched once, outside a flat pass over the
+/// row-major planes that LLVM vectorizes; each element keeps its per-pixel
+/// expression, so the result is bit for bit a pixel-by-pixel loop's.
 pub fn fuse_lowpass_into(a: &Image, b: &Image, rule: LowpassRule, out: &mut Image) {
     assert_eq!(a.dims(), b.dims(), "lowpass shapes differ");
     let (w, h) = a.dims();
     out.reshape(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let (va, vb) = (a.get(x, y), b.get(x, y));
-            let v = match rule {
-                LowpassRule::Average => 0.5 * (va + vb),
-                LowpassRule::MaxAbs => {
-                    if va.abs() >= vb.abs() {
-                        va
-                    } else {
-                        vb
-                    }
+    let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    match rule {
+        LowpassRule::Average => zip_into(out, a, b, |va, vb| 0.5 * (va + vb)),
+        LowpassRule::MaxAbs => zip_into(
+            out,
+            a,
+            b,
+            |va, vb| {
+                if va.abs() >= vb.abs() {
+                    va
+                } else {
+                    vb
                 }
-                LowpassRule::Weighted { alpha } => alpha * va + (1.0 - alpha) * vb,
-            };
-            out.set(x, y, v);
+            },
+        ),
+        LowpassRule::Weighted { alpha } => {
+            zip_into(out, a, b, |va, vb| alpha * va + (1.0 - alpha) * vb)
         }
+    }
+}
+
+/// `out[k] = f(a[k], b[k])` over equal-length slices.
+#[inline(always)]
+fn zip_into(out: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for (o, (&va, &vb)) in out.iter_mut().zip(a.iter().zip(b)) {
+        *o = f(va, vb);
     }
 }
 
@@ -526,6 +538,111 @@ mod tests {
             fuse_lowpass(&a, &b, LowpassRule::Weighted { alpha: 0.75 }).get(0, 0),
             0.75 - 0.75
         );
+    }
+
+    /// The per-pixel accessor lowpass fusion with its in-loop `match`: the
+    /// bit-for-bit oracle of [`fuse_lowpass_into`].
+    fn lowpass_oracle(a: &Image, b: &Image, rule: LowpassRule) -> Image {
+        let (w, h) = a.dims();
+        let mut out = Image::zeros(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let (va, vb) = (a.get(x, y), b.get(x, y));
+                let v = match rule {
+                    LowpassRule::Average => 0.5 * (va + vb),
+                    LowpassRule::MaxAbs => {
+                        if va.abs() >= vb.abs() {
+                            va
+                        } else {
+                            vb
+                        }
+                    }
+                    LowpassRule::Weighted { alpha } => alpha * va + (1.0 - alpha) * vb,
+                };
+                out.set(x, y, v);
+            }
+        }
+        out
+    }
+
+    /// A plane that mixes ordinary values with signed zeros, NaNs of
+    /// several payloads and signs, infinities, subnormals and the extremes.
+    fn special_plane(w: usize, h: usize, seed: u32) -> Image {
+        const SPECIALS: [f32; 13] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::from_bits(0xffc0_1234), // negative quiet NaN, payload
+            f32::from_bits(0x7f80_0001), // signaling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x807f_ffff), // largest negative subnormal
+            f32::MAX,
+            -f32::MAX,
+            f32::MIN_POSITIVE,
+            1.0,
+        ];
+        let mut state = seed.wrapping_mul(0x9e37_79b9) | 1;
+        Image::from_fn(w, h, |_, _| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let r = state >> 8;
+            if r.is_multiple_of(3) {
+                SPECIALS[(r / 3) as usize % SPECIALS.len()]
+            } else {
+                (r % 20_001) as f32 * 0.01 - 100.0
+            }
+        })
+    }
+
+    #[test]
+    fn lowpass_slice_pass_matches_the_per_pixel_oracle_bit_for_bit() {
+        // Single pixels, single rows and columns, odd widths that are no
+        // multiple of any lane count, and frame-sized planes; one output
+        // reused throughout, so small geometries follow larger ones.
+        let dims = [
+            (1, 1),
+            (1, 37),
+            (37, 1),
+            (160, 120),
+            (7, 3),
+            (13, 5),
+            (17, 2),
+            (44, 36),
+            (1, 9),
+            (9, 1),
+        ];
+        let mut out = Image::zeros(0, 0);
+        for (i, &(w, h)) in dims.iter().enumerate() {
+            let a = special_plane(w, h, 2 * i as u32);
+            let b = special_plane(w, h, 2 * i as u32 + 1);
+            for rule in [
+                LowpassRule::Average,
+                LowpassRule::MaxAbs,
+                LowpassRule::Weighted { alpha: 0.3 },
+            ] {
+                fuse_lowpass_into(&a, &b, rule, &mut out);
+                let want = lowpass_oracle(&a, &b, rule);
+                assert_eq!(out.dims(), (w, h));
+                // The blends add, and a commutative `+` may swap operands,
+                // which picks the other payload when both are NaN: map NaNs
+                // to one canonical NaN there. MaxAbs only selects: exact.
+                let canonical = rule != LowpassRule::MaxAbs;
+                let bits = |img: &Image| -> Vec<u32> {
+                    img.as_slice()
+                        .iter()
+                        .map(|&v| {
+                            if canonical && v.is_nan() {
+                                f32::NAN.to_bits()
+                            } else {
+                                v.to_bits()
+                            }
+                        })
+                        .collect()
+                };
+                assert_eq!(bits(&out), bits(&want), "{w}x{h} {rule:?}");
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,7 @@
 use std::sync::Arc;
 
 use crate::dwt1d::{BankTaps, Phase};
-use crate::dwt2d::{
-    analyze_level, analyze_level_into, synthesize_level, synthesize_level_into, AxisSpec, Dwt2d,
-    OneLevel, Subbands,
-};
+use crate::dwt2d::{analyze_level_into, synthesize_level_into, AxisSpec, Dwt2d, Subbands};
 use crate::filters::FilterBank;
 use crate::image::{ComplexImage, Image};
 use crate::kernel::{FilterKernel, ScalarKernel};
@@ -303,7 +300,8 @@ impl Dtcwt {
         self.forward_with(&mut ScalarKernel::new(), img)
     }
 
-    /// Forward transform through a caller-supplied kernel.
+    /// Forward transform through a caller-supplied kernel: a thin wrapper
+    /// over [`Dtcwt::forward_into`] with fresh staging buffers.
     ///
     /// # Errors
     ///
@@ -314,19 +312,21 @@ impl Dtcwt {
         kernel: &mut dyn FilterKernel,
         img: &Image,
     ) -> Result<CwtPyramid, DtcwtError> {
-        self.check_levels(img)?;
-        // Run the four tree combinations.
-        let mut per_combo: Vec<(Vec<Subbands>, Image)> = Vec::with_capacity(4);
-        for &(rt, ct) in COMBOS.iter() {
-            per_combo.push(self.analyze_combo(kernel, img, rt, ct)?);
-        }
-        self.assemble_pyramid(img, per_combo)
+        let mut out = CwtPyramid::empty();
+        self.forward_into(
+            kernel,
+            img,
+            &mut ComboStore::new(),
+            &mut Scratch::new(),
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     /// Allocation-free forward transform: writes the pyramid into `out`,
     /// staging per-combo results in `combos` and intermediates in `scratch`.
-    /// Bit-identical to [`Dtcwt::forward_with`]; after a warm-up call of the
-    /// same geometry it performs zero heap allocation.
+    /// After a warm-up call of the same geometry it performs zero heap
+    /// allocation; the result does not depend on what the buffers held.
     ///
     /// # Errors
     ///
@@ -493,31 +493,9 @@ impl Dtcwt {
         Ok(())
     }
 
-    /// Runs one tree combination's full multi-level analysis.
-    fn analyze_combo(
-        &self,
-        kernel: &mut dyn FilterKernel,
-        img: &Image,
-        rt: Tree,
-        ct: Tree,
-    ) -> Result<(Vec<Subbands>, Image), DtcwtError> {
-        let mut detail = Vec::with_capacity(self.levels);
-        let mut cur = img.clone();
-        for level in 0..self.levels {
-            let padded = cur.pad_to_even();
-            let rows = self.axis_spec(level, rt);
-            let cols = self.axis_spec(level, ct);
-            let one = analyze_level(kernel, &rows, &cols, &padded)?;
-            detail.push(one.detail);
-            cur = one.ll;
-        }
-        Ok((detail, cur))
-    }
-
-    /// Allocation-free variant of [`Dtcwt::analyze_combo`] for combination
-    /// index `ci` (0..4): writes the per-level detail into `detail` and the
-    /// lowpass residual into `ll`, ping-ponging level images through
-    /// `scratch`.
+    /// Runs the full multi-level analysis of tree combination `ci` (0..4):
+    /// writes the per-level detail into `detail` and the lowpass residual
+    /// into `ll`, ping-ponging level images through `scratch`.
     pub(crate) fn analyze_combo_into(
         &self,
         kernel: &mut dyn FilterKernel,
@@ -560,63 +538,9 @@ impl Dtcwt {
         Ok(())
     }
 
-    fn assemble_pyramid(
-        &self,
-        img: &Image,
-        per_combo: Vec<(Vec<Subbands>, Image)>,
-    ) -> Result<CwtPyramid, DtcwtError> {
-        // Reconstruct the per-level pre-padding dimensions.
-        let mut pre_pad_dims = Vec::with_capacity(self.levels);
-        let (mut w, mut h) = img.dims();
-        for _ in 0..self.levels {
-            pre_pad_dims.push((w, h));
-            w = (w + w % 2) / 2;
-            h = (h + h % 2) / 2;
-        }
-
-        // Combine the four real detail quadruples into complex subbands.
-        let mut subbands = Vec::with_capacity(self.levels);
-        for level in 0..self.levels {
-            let quad = |f: &dyn Fn(&Subbands) -> &Image| -> [&Image; 4] {
-                [
-                    f(&per_combo[0].0[level]),
-                    f(&per_combo[1].0[level]),
-                    f(&per_combo[2].0[level]),
-                    f(&per_combo[3].0[level]),
-                ]
-            };
-            let hl = quad_to_complex(quad(&|s| &s.hl));
-            let lh = quad_to_complex(quad(&|s| &s.lh));
-            let hh = quad_to_complex(quad(&|s| &s.hh));
-            // Orientation assignment: HL bands carry near-horizontal spatial
-            // frequencies (±15°), LH near-vertical (±75°), HH diagonals
-            // (±45°); the z1/z2 split separates the sign of the angle.
-            subbands.push([
-                hl.0, // +15
-                hh.0, // +45
-                lh.0, // +75
-                lh.1, // -75
-                hh.1, // -45
-                hl.1, // -15
-            ]);
-        }
-
-        let mut it = per_combo.into_iter().map(|(_, ll)| ll);
-        let lowpass = [
-            it.next().expect("four combos"),
-            it.next().expect("four combos"),
-            it.next().expect("four combos"),
-            it.next().expect("four combos"),
-        ];
-        Ok(CwtPyramid {
-            subbands,
-            lowpass,
-            pre_pad_dims,
-        })
-    }
-
-    /// Allocation-free variant of [`Dtcwt::assemble_pyramid`]: combines the
-    /// four combo slots into `out`, reusing all of its buffers.
+    /// Combines the four combo slots into `out`, reusing all of its buffers.
+    /// This is the q2c glue step: it runs on the dispatcher after each pooled
+    /// forward pair, and per frame in [`Dtcwt::forward_into`].
     fn assemble_pyramid_into(
         &self,
         dims: (usize, usize),
@@ -648,7 +572,9 @@ impl Dtcwt {
                 ]
             };
             let bands = &mut out.subbands[level];
-            // Same orientation layout as `assemble_pyramid`:
+            // Orientation assignment: HL bands carry near-horizontal spatial
+            // frequencies (±15°), LH near-vertical (±75°), HH diagonals
+            // (±45°); the z1/z2 split separates the sign of the angle:
             // hl -> (+15, -15), hh -> (+45, -45), lh -> (+75, -75).
             let (z1, z2) = pair_mut(bands, 0, 5);
             quad_to_complex_into(quad(|s| &s.hl), z1, z2);
@@ -672,7 +598,8 @@ impl Dtcwt {
         self.inverse_with(&mut ScalarKernel::new(), pyr)
     }
 
-    /// Inverse transform through a caller-supplied kernel.
+    /// Inverse transform through a caller-supplied kernel: a thin wrapper
+    /// over [`Dtcwt::inverse_into`] with a fresh scratch.
     ///
     /// Each of the four tree combinations is inverted independently and the
     /// results averaged; for an unmodified pyramid this reproduces the input
@@ -687,24 +614,14 @@ impl Dtcwt {
         kernel: &mut dyn FilterKernel,
         pyr: &CwtPyramid,
     ) -> Result<Image, DtcwtError> {
-        self.check_pyramid(pyr)?;
-        let mut sum: Option<Image> = None;
-        for (ci, &(rt, ct)) in COMBOS.iter().enumerate() {
-            let cur = self.synthesize_combo(kernel, pyr, ci, rt, ct)?;
-            match &mut sum {
-                None => sum = Some(cur),
-                Some(acc) => acc.add_scaled(&cur, 1.0),
-            }
-        }
-        let mut out = sum.expect("at least one combo");
-        out.scale_in_place(0.25);
+        let mut out = Image::zeros(0, 0);
+        self.inverse_into(kernel, pyr, &mut Scratch::new(), &mut out)?;
         Ok(out)
     }
 
     /// Allocation-free inverse transform: writes the reconstruction into
-    /// `out`, staging per-combo syntheses in `scratch`. Bit-identical to
-    /// [`Dtcwt::inverse_with`]; after a warm-up call of the same geometry it
-    /// performs zero heap allocation.
+    /// `out`, staging per-combo syntheses in `scratch`. After a warm-up call
+    /// of the same geometry it performs zero heap allocation.
     ///
     /// # Errors
     ///
@@ -836,51 +753,9 @@ impl Dtcwt {
         Ok(())
     }
 
-    /// Inverts one tree combination of the pyramid.
-    fn synthesize_combo(
-        &self,
-        kernel: &mut dyn FilterKernel,
-        pyr: &CwtPyramid,
-        ci: usize,
-        rt: Tree,
-        ct: Tree,
-    ) -> Result<Image, DtcwtError> {
-        let mut cur = pyr.lowpass[ci].clone();
-        for level in (0..self.levels).rev() {
-            let s = &pyr.subbands[level];
-            let detail = Subbands {
-                hl: complex_to_quad_member(
-                    &s[Orientation::Pos15.index()],
-                    &s[Orientation::Neg15.index()],
-                    ci,
-                ),
-                hh: complex_to_quad_member(
-                    &s[Orientation::Pos45.index()],
-                    &s[Orientation::Neg45.index()],
-                    ci,
-                ),
-                lh: complex_to_quad_member(
-                    &s[Orientation::Pos75.index()],
-                    &s[Orientation::Neg75.index()],
-                    ci,
-                ),
-            };
-            let rows = self.axis_spec(level, rt);
-            let cols = self.axis_spec(level, ct);
-            let one = OneLevel { ll: cur, detail };
-            let padded = synthesize_level(kernel, &rows, &cols, &one)?;
-            let (ow, oh) = pyr.pre_pad_dims[level];
-            cur = if padded.dims() == (ow, oh) {
-                padded
-            } else {
-                padded.crop(0, 0, ow, oh)
-            };
-        }
-        Ok(cur)
-    }
-
-    /// Allocation-free variant of [`Dtcwt::synthesize_combo`]: leaves the
-    /// combination's reconstruction in `scratch.cur`.
+    /// Inverts tree combination `ci` of the pyramid, leaving its
+    /// reconstruction in `scratch.cur`. Each level starts with the c2q glue
+    /// step; every inverse combo job and [`Dtcwt::inverse_into`] run it.
     pub(crate) fn synthesize_combo_into(
         &self,
         kernel: &mut dyn FilterKernel,
@@ -946,63 +821,59 @@ fn pair_mut(
 }
 
 /// Combines the four per-tree real subbands `[aa, ab, ba, bb]` into the two
-/// oppositely-oriented complex subbands:
+/// oppositely-oriented complex subbands, writing into reshaped outputs:
 /// `z1 = ((aa − bb) + i(ab + ba)) / 2`, `z2 = ((aa + bb) + i(ab − ba)) / 2`.
-fn quad_to_complex(q: [&Image; 4]) -> (ComplexImage, ComplexImage) {
-    let mut z1 = ComplexImage::zeros(0, 0);
-    let mut z2 = ComplexImage::zeros(0, 0);
-    quad_to_complex_into(q, &mut z1, &mut z2);
-    (z1, z2)
-}
-
-/// Allocation-free form of [`quad_to_complex`], writing into reshaped
-/// outputs.
+///
+/// One flat pass over the row-major planes. Every slice is cut to the same
+/// length, so the loop carries no bounds checks and LLVM vectorizes it; each
+/// element keeps its per-pixel expression, so the result is bit for bit the
+/// same as a pixel-by-pixel loop.
 fn quad_to_complex_into(q: [&Image; 4], z1: &mut ComplexImage, z2: &mut ComplexImage) {
     let (w, h) = q[0].dims();
     z1.reshape(w, h);
     z2.reshape(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let (a, b, c, d) = (
-                q[0].get(x, y),
-                q[1].get(x, y),
-                q[2].get(x, y),
-                q[3].get(x, y),
-            );
-            z1.re.set(x, y, 0.5 * (a - d));
-            z1.im.set(x, y, 0.5 * (b + c));
-            z2.re.set(x, y, 0.5 * (a + d));
-            z2.im.set(x, y, 0.5 * (b - c));
-        }
+    let n = w * h;
+    let [aa, ab, ba, bb] = q.map(|img| &img.as_slice()[..n]);
+    let (r1, i1) = (
+        &mut z1.re.as_mut_slice()[..n],
+        &mut z1.im.as_mut_slice()[..n],
+    );
+    let (r2, i2) = (
+        &mut z2.re.as_mut_slice()[..n],
+        &mut z2.im.as_mut_slice()[..n],
+    );
+    for k in 0..n {
+        let (a, b, c, d) = (aa[k], ab[k], ba[k], bb[k]);
+        r1[k] = 0.5 * (a - d);
+        i1[k] = 0.5 * (b + c);
+        r2[k] = 0.5 * (a + d);
+        i2[k] = 0.5 * (b - c);
     }
 }
 
-/// Inverse of [`quad_to_complex`] for one tree combination `ci`
-/// (`aa = 0, ab = 1, ba = 2, bb = 3`).
-fn complex_to_quad_member(z1: &ComplexImage, z2: &ComplexImage, ci: usize) -> Image {
-    let mut out = Image::zeros(0, 0);
-    complex_to_quad_member_into(z1, z2, ci, &mut out);
-    out
-}
-
-/// Allocation-free form of [`complex_to_quad_member`], writing into a
-/// reshaped output.
+/// Inverse of [`quad_to_complex_into`] for one tree combination `ci`
+/// (`aa = 0, ab = 1, ba = 2, bb = 3`), writing into a reshaped output. The
+/// combination is matched once, outside a flat vectorizable pass.
 fn complex_to_quad_member_into(z1: &ComplexImage, z2: &ComplexImage, ci: usize, out: &mut Image) {
     let (w, h) = z1.dims();
     out.reshape(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let (r1, i1) = (z1.re.get(x, y), z1.im.get(x, y));
-            let (r2, i2) = (z2.re.get(x, y), z2.im.get(x, y));
-            let v = match ci {
-                0 => r1 + r2, // aa
-                1 => i1 + i2, // ab
-                2 => i1 - i2, // ba
-                3 => r2 - r1, // bb
-                _ => unreachable!("tree combination index is 0..4"),
-            };
-            out.set(x, y, v);
-        }
+    let n = w * h;
+    let [r1, i1, r2, i2] = [&z1.re, &z1.im, &z2.re, &z2.im].map(|img| &img.as_slice()[..n]);
+    let out = out.as_mut_slice();
+    match ci {
+        0 => zip_into(out, r1, r2, |r1, r2| r1 + r2), // aa
+        1 => zip_into(out, i1, i2, |i1, i2| i1 + i2), // ab
+        2 => zip_into(out, i1, i2, |i1, i2| i1 - i2), // ba
+        3 => zip_into(out, r2, r1, |r2, r1| r2 - r1), // bb
+        _ => unreachable!("tree combination index is 0..4"),
+    }
+}
+
+/// `out[k] = f(x[k], y[k])` over equal-length slices.
+#[inline(always)]
+fn zip_into(out: &mut [f32], x: &[f32], y: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for (o, (&a, &b)) in out.iter_mut().zip(x.iter().zip(y)) {
+        *o = f(a, b);
     }
 }
 
@@ -1022,10 +893,164 @@ mod tests {
         let imgs: Vec<Image> = (0..4)
             .map(|s| Image::from_fn(6, 4, |x, y| (s * 100 + y * 6 + x) as f32 * 0.1))
             .collect();
-        let (z1, z2) = quad_to_complex([&imgs[0], &imgs[1], &imgs[2], &imgs[3]]);
+        let (mut z1, mut z2) = (ComplexImage::zeros(0, 0), ComplexImage::zeros(0, 0));
+        quad_to_complex_into([&imgs[0], &imgs[1], &imgs[2], &imgs[3]], &mut z1, &mut z2);
+        let mut back = Image::zeros(0, 0);
         for (ci, img) in imgs.iter().enumerate() {
-            let back = complex_to_quad_member(&z1, &z2, ci);
+            complex_to_quad_member_into(&z1, &z2, ci, &mut back);
             assert!(back.max_abs_diff(img) < 1e-5, "combo {ci} not recovered");
+        }
+    }
+
+    /// The per-pixel accessor q2c the slice pass replaced: the bit-for-bit
+    /// oracle.
+    fn q2c_oracle(q: [&Image; 4]) -> (ComplexImage, ComplexImage) {
+        let (w, h) = q[0].dims();
+        let (mut z1, mut z2) = (ComplexImage::zeros(w, h), ComplexImage::zeros(w, h));
+        for y in 0..h {
+            for x in 0..w {
+                let (a, b, c, d) = (
+                    q[0].get(x, y),
+                    q[1].get(x, y),
+                    q[2].get(x, y),
+                    q[3].get(x, y),
+                );
+                z1.re.set(x, y, 0.5 * (a - d));
+                z1.im.set(x, y, 0.5 * (b + c));
+                z2.re.set(x, y, 0.5 * (a + d));
+                z2.im.set(x, y, 0.5 * (b - c));
+            }
+        }
+        (z1, z2)
+    }
+
+    /// The per-pixel accessor c2q with its in-loop `match`: the bit-for-bit
+    /// oracle.
+    fn c2q_oracle(z1: &ComplexImage, z2: &ComplexImage, ci: usize) -> Image {
+        let (w, h) = z1.dims();
+        let mut out = Image::zeros(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let (r1, i1) = (z1.re.get(x, y), z1.im.get(x, y));
+                let (r2, i2) = (z2.re.get(x, y), z2.im.get(x, y));
+                let v = match ci {
+                    0 => r1 + r2,
+                    1 => i1 + i2,
+                    2 => i1 - i2,
+                    3 => r2 - r1,
+                    _ => unreachable!(),
+                };
+                out.set(x, y, v);
+            }
+        }
+        out
+    }
+
+    /// Geometries of the glue sweeps: single pixels, single rows and
+    /// columns, odd widths that are no multiple of any lane count, and the
+    /// serve and bench frame subbands. A large one sits mid-list so later
+    /// small ones reuse stale, larger output buffers.
+    const GLUE_DIMS: [(usize, usize); 10] = [
+        (1, 1),
+        (1, 37),
+        (37, 1),
+        (160, 120),
+        (7, 3),
+        (13, 5),
+        (17, 2),
+        (44, 36),
+        (1, 9),
+        (9, 1),
+    ];
+
+    /// A plane that mixes ordinary values with signed zeros, NaNs of
+    /// several payloads and signs, infinities, subnormals and the extremes,
+    /// so every special meets every other across the planes of a sweep.
+    fn special_plane(w: usize, h: usize, seed: u32) -> Image {
+        const SPECIALS: [f32; 13] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::from_bits(0xffc0_1234), // negative quiet NaN, payload
+            f32::from_bits(0x7f80_0001), // signaling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x807f_ffff), // largest negative subnormal
+            f32::MAX,
+            -f32::MAX,
+            f32::MIN_POSITIVE,
+            1.0,
+        ];
+        let mut state = seed.wrapping_mul(0x9e37_79b9) | 1;
+        Image::from_fn(w, h, |_, _| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let r = state >> 8;
+            if r.is_multiple_of(3) {
+                SPECIALS[(r / 3) as usize % SPECIALS.len()]
+            } else {
+                (r % 20_001) as f32 * 0.01 - 100.0
+            }
+        })
+    }
+
+    /// Bit patterns, with every NaN mapped to one canonical NaN when
+    /// `canonical` (a commutative `+` may swap its operands, which picks the
+    /// other NaN's payload when both are NaN).
+    fn bits(img: &Image, canonical: bool) -> Vec<u32> {
+        img.as_slice()
+            .iter()
+            .map(|&v| {
+                if canonical && v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn q2c_slice_pass_matches_the_per_pixel_oracle_bit_for_bit() {
+        let (mut z1, mut z2) = (ComplexImage::zeros(0, 0), ComplexImage::zeros(0, 0));
+        for (i, &(w, h)) in GLUE_DIMS.iter().enumerate() {
+            let q: Vec<Image> = (0..4)
+                .map(|p| special_plane(w, h, 4 * i as u32 + p))
+                .collect();
+            let q = [&q[0], &q[1], &q[2], &q[3]];
+            quad_to_complex_into(q, &mut z1, &mut z2);
+            let (w1, w2) = q2c_oracle(q);
+            assert_eq!(z1.dims(), (w, h));
+            assert_eq!(z2.dims(), (w, h));
+            // `a - d` and `b - c` keep their operand order: exact bits.
+            assert_eq!(bits(&z1.re, false), bits(&w1.re, false), "{w}x{h} z1.re");
+            assert_eq!(bits(&z2.im, false), bits(&w2.im, false), "{w}x{h} z2.im");
+            assert_eq!(bits(&z1.im, true), bits(&w1.im, true), "{w}x{h} z1.im");
+            assert_eq!(bits(&z2.re, true), bits(&w2.re, true), "{w}x{h} z2.re");
+        }
+    }
+
+    #[test]
+    fn c2q_slice_pass_matches_the_per_pixel_oracle_bit_for_bit() {
+        let mut out = Image::zeros(0, 0);
+        for (i, &(w, h)) in GLUE_DIMS.iter().enumerate() {
+            let planes: Vec<Image> = (0..4)
+                .map(|p| special_plane(w, h, 97 + 4 * i as u32 + p))
+                .collect();
+            let z1 = ComplexImage::new(planes[0].clone(), planes[1].clone()).unwrap();
+            let z2 = ComplexImage::new(planes[2].clone(), planes[3].clone()).unwrap();
+            for ci in 0..4 {
+                complex_to_quad_member_into(&z1, &z2, ci, &mut out);
+                let want = c2q_oracle(&z1, &z2, ci);
+                assert_eq!(out.dims(), (w, h));
+                // Combinations 0 and 1 add; 2 and 3 subtract.
+                let canonical = ci < 2;
+                assert_eq!(
+                    bits(&out, canonical),
+                    bits(&want, canonical),
+                    "{w}x{h} ci {ci}"
+                );
+            }
         }
     }
 
@@ -1116,10 +1141,9 @@ mod tests {
 
     #[test]
     fn pooled_forward_and_inverse_match_serial_exactly() {
-        // Pooled paths must be *bit-identical* to the allocating paths: the
-        // arithmetic and its order are shared, only buffer ownership moved.
-        // One scratch/combo-store reused across all sizes, including odd
-        // 35x35, to prove stale state cannot leak between geometries.
+        // Reused buffers must reproduce fresh ones bit for bit: one
+        // scratch/combo-store reused across all sizes, including odd 35x35,
+        // proves stale state cannot leak between geometries.
         let mut scratch = Scratch::new();
         let mut combos = ComboStore::new();
         let mut pyr_out = CwtPyramid::empty();

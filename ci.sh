@@ -18,8 +18,8 @@ echo "== column-pass bit-identity (NEON and FPGA column passes vs the transpose 
 cargo test -q --release --test columnar_identity
 
 echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, kernel fusion)"
-# The crate's lane-exactness tests, the row-oracle sweep (each flavour's
-# lane-parallel row passes vs its per-output dots, bit for bit, over ten
+# The crate's lane-exactness tests, the row-oracle sweep (the kernel's
+# lane-parallel row passes vs both per-output dots, bit for bit, over ten
 # banks x output widths 1..=80 x both phases, analysis and synthesis, on
 # finite and NaN/inf rows) and the kernel fuse_strip bit-identity tests on
 # row ranges also run in debug above, but LLVM vectorizes the lane loops
@@ -88,13 +88,19 @@ cargo run --release -q -p wavefuse-bench --bin repro -- \
     quality levels throughput timeline > target/repro_modeled.txt
 diff -u results/repro_modeled.txt target/repro_modeled.txt
 
-echo "== examples smoke (energy_explorer, adaptive_fusion)"
+echo "== examples smoke (energy_explorer, adaptive_fusion, robust_capture, subband_gallery)"
 # Both examples print breaking points found by adaptive::crossover_edge,
 # the one NEON-vs-FPGA argmin shared with `repro crossover`.
 cargo run --release -q --example energy_explorer > target/energy_explorer.txt
 grep -q 'breaking point' target/energy_explorer.txt
 cargo run --release -q --example adaptive_fusion > target/adaptive_fusion.txt
 grep -q 'breaking point' target/adaptive_fusion.txt
+# The glitched-link decode and the oriented subbands must run end to end;
+# both examples write their images under the git-ignored out/.
+cargo run --release -q --example robust_capture > target/robust_capture.txt
+grep -q 'resilient decoder:' target/robust_capture.txt
+cargo run --release -q --example subband_gallery > target/subband_gallery.txt
+grep -q 'level-1 subband energies' target/subband_gallery.txt
 
 echo "== throughput bench smoke (repro bench --frames 16)"
 # Smoke only: must run to completion and emit the JSON report; the

@@ -1,13 +1,11 @@
 //! Criterion benches for the substrates the system is built on: the BT.656
-//! codec and scaler of the capture path (Fig. 7), the filter designers, the
-//! FFT, and the quality metrics.
+//! codec and scaler of the capture path (Fig. 7), the filter designers and
+//! the quality metrics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wavefuse_dtcwt::design::{daubechies, design_dual_lowpass};
 use wavefuse_dtcwt::{FilterBank, Image};
-use wavefuse_numerics::complex::Complex64;
-use wavefuse_numerics::fft::{fft, Direction};
 use wavefuse_video::scaler::resize_bilinear;
 use wavefuse_video::scene::ScenePair;
 use wavefuse_video::{bt656, PixelFormat, RawFrame};
@@ -54,23 +52,6 @@ fn bench_design(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fft(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft");
-    for n in [256usize, 720] {
-        let data: Vec<Complex64> = (0..n)
-            .map(|k| Complex64::new((k as f64 * 0.1).sin(), 0.0))
-            .collect();
-        group.bench_function(format!("fft_{n}"), |b| {
-            b.iter(|| {
-                let mut d = data.clone();
-                fft(&mut d, Direction::Forward).unwrap();
-                black_box(d[0])
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_metrics(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics");
     let scene = ScenePair::new(7);
@@ -93,7 +74,6 @@ criterion_group!(
     bench_bt656,
     bench_scaler,
     bench_design,
-    bench_fft,
     bench_metrics
 );
 criterion_main!(benches);

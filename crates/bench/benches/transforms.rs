@@ -11,7 +11,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use wavefuse_core::engine::build_worker_pool;
 use wavefuse_dtcwt::{ComboStore, CwtPyramid, Dtcwt, FilterKernel, Image, ScalarKernel};
-use wavefuse_simd::{AutoVecKernel, SimdKernel};
+use wavefuse_simd::SimdKernel;
 use wavefuse_zynq::FpgaKernel;
 
 /// Worker kernel slot of the SIMD kernel in [`build_worker_pool`].
@@ -35,10 +35,6 @@ fn bench_forward(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("neon_simd", &label), &img, |b, img| {
             let mut k = SimdKernel::new();
-            b.iter(|| black_box(t.forward_with(&mut k, black_box(img)).unwrap()));
-        });
-        group.bench_with_input(BenchmarkId::new("neon_autovec", &label), &img, |b, img| {
-            let mut k = AutoVecKernel::new();
             b.iter(|| black_box(t.forward_with(&mut k, black_box(img)).unwrap()));
         });
         group.bench_with_input(BenchmarkId::new("fpga_sim", &label), &img, |b, img| {
@@ -89,15 +85,8 @@ fn bench_row_kernels(c: &mut Criterion) {
             black_box(lo[0])
         });
     });
-    group.bench_function("simd_manual", |b| {
+    group.bench_function("neon_simd", |b| {
         let mut k = SimdKernel::new();
-        b.iter(|| {
-            k.analyze_row(black_box(&ext), 19, &taps.h0, &taps.h1, 0, &mut lo, &mut hi);
-            black_box(lo[0])
-        });
-    });
-    group.bench_function("simd_autovec", |b| {
-        let mut k = AutoVecKernel::new();
         b.iter(|| {
             k.analyze_row(black_box(&ext), 19, &taps.h0, &taps.h1, 0, &mut lo, &mut hi);
             black_box(lo[0])

@@ -362,12 +362,12 @@ mod tests {
 
     #[test]
     fn kernel_fusion_matches_scalar_reference_exactly() {
-        // The dispatcher-side kernel path — scalar default and both SIMD
-        // overrides — must reproduce fuse_pyramids_into bit for bit for
+        // The dispatcher-side kernel path — scalar default and the SIMD
+        // override — must reproduce fuse_pyramids_into bit for bit for
         // every rule (the fold-order contract, exercised at the pyramid
         // level).
         use wavefuse_dtcwt::ScalarKernel;
-        use wavefuse_simd::{AutoVecKernel, SimdKernel};
+        use wavefuse_simd::SimdKernel;
         let (pa, pb) = pyramids();
         let mut scratch = FusionScratch::new();
         let mut want = CwtPyramid::empty();
@@ -390,11 +390,8 @@ mod tests {
                 &mut scratch,
                 &mut want,
             );
-            let mut kernels: [&mut dyn FilterKernel; 3] = [
-                &mut ScalarKernel::new(),
-                &mut SimdKernel::new(),
-                &mut AutoVecKernel::new(),
-            ];
+            let mut kernels: [&mut dyn FilterKernel; 2] =
+                [&mut ScalarKernel::new(), &mut SimdKernel::new()];
             for k in kernels.iter_mut() {
                 fuse_pyramids_with_kernel(
                     *k,

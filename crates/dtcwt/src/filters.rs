@@ -322,7 +322,22 @@ impl FilterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavefuse_numerics::fft::magnitude_response;
+    use wavefuse_numerics::complex::Complex64;
+
+    /// `|H(e^{jw})|` of an FIR filter at `points` uniformly spaced
+    /// frequencies in `[0, pi]`, as a direct sum over the taps.
+    fn magnitude_response(taps: &[f64], points: usize) -> Vec<f64> {
+        (0..points)
+            .map(|k| {
+                let w = std::f64::consts::PI * k as f64 / (points - 1) as f64;
+                taps.iter()
+                    .enumerate()
+                    .map(|(n, &h)| Complex64::cis(-w * n as f64) * h)
+                    .sum::<Complex64>()
+                    .abs()
+            })
+            .collect()
+    }
 
     #[test]
     fn all_named_banks_construct() {
@@ -379,8 +394,8 @@ mod tests {
             FilterBank::near_sym_b().unwrap(),
             FilterBank::qshift_b().unwrap(),
         ] {
-            let lo = magnitude_response(bank.h0(), 64).unwrap();
-            let hi = magnitude_response(bank.h1(), 64).unwrap();
+            let lo = magnitude_response(bank.h0(), 64);
+            let hi = magnitude_response(bank.h1(), 64);
             assert!(
                 lo[0] > 1.3 && lo[63] < 0.1,
                 "{} h0 not lowpass",

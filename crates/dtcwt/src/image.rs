@@ -65,9 +65,10 @@ impl Image {
     ///
     /// # Errors
     ///
-    /// Returns [`DtcwtError::BadDimensions`] if `data.len() != width * height`.
+    /// Returns [`DtcwtError::BadDimensions`] if `data.len() != width * height`
+    /// or the product overflows `usize`.
     pub fn from_vec(width: usize, height: usize, data: Vec<f32>) -> Result<Self, DtcwtError> {
-        if data.len() != width * height {
+        if width.checked_mul(height) != Some(data.len()) {
             return Err(DtcwtError::BadDimensions {
                 width,
                 height,
@@ -428,6 +429,13 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Image::from_vec(2, 2, vec![0.0; 3]).is_err());
         assert!(Image::from_vec(2, 2, vec![0.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_dimensions_whose_product_overflows() {
+        // The product wraps to 0, the length of the empty buffer.
+        let half = 1usize << (usize::BITS / 2);
+        assert!(Image::from_vec(half, half, vec![]).is_err());
     }
 
     #[test]

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod denoise;
 pub mod design;
 pub mod dtcwt;
 pub mod dwt1d;

@@ -1,8 +1,9 @@
 //! Minimal complex-number arithmetic.
 //!
 //! The workspace deliberately avoids external numerics crates, so this module
-//! supplies the small complex type used by the FFT, the polynomial root
-//! finder and the DT-CWT's oriented subbands.
+//! supplies the small complex type used by the polynomial root finder and
+//! the Daubechies spectral factorization in `wavefuse-dtcwt`'s filter
+//! designer.
 
 use std::fmt;
 use std::iter::Sum;
@@ -63,15 +64,6 @@ impl Complex64 {
         }
     }
 
-    /// Returns the complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex64 {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Returns the squared magnitude `re^2 + im^2`.
     #[inline]
     pub fn norm_sqr(self) -> f64 {
@@ -101,20 +93,6 @@ impl Complex64 {
             re: self.re / d,
             im: -self.im / d,
         }
-    }
-
-    /// Raises `self` to a non-negative integer power by repeated squaring.
-    pub fn powu(self, mut n: u32) -> Self {
-        let mut base = self;
-        let mut acc = Complex64::ONE;
-        while n > 0 {
-            if n & 1 == 1 {
-                acc *= base;
-            }
-            base *= base;
-            n >>= 1;
-        }
-        acc
     }
 
     /// Returns `true` if either component is NaN.
@@ -263,9 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_norm() {
+    fn norm_and_abs() {
         let a = Complex64::new(3.0, 4.0);
-        assert_eq!(a.conj(), Complex64::new(3.0, -4.0));
         assert_eq!(a.norm_sqr(), 25.0);
         assert_eq!(a.abs(), 5.0);
     }
@@ -277,16 +254,6 @@ mod tests {
             let z = Complex64::cis(th);
             assert!((z.abs() - 1.0).abs() < 1e-15);
             assert!((z.arg() - th).rem_euclid(std::f64::consts::TAU) < 1e-12);
-        }
-    }
-
-    #[test]
-    fn powu_matches_repeated_multiplication() {
-        let z = Complex64::new(0.9, 0.3);
-        let mut acc = Complex64::ONE;
-        for n in 0..12u32 {
-            assert!(close(z.powu(n), acc, 1e-12), "n = {n}");
-            acc *= z;
         }
     }
 

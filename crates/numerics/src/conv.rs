@@ -1,4 +1,4 @@
-//! Direct convolution and correlation primitives.
+//! Direct convolution primitives.
 //!
 //! These are the reference (textbook) implementations that the wavelet
 //! filter banks and the SIMD/FPGA engines are validated against.
@@ -28,13 +28,6 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Cross-correlation `sum_n a[n] * b[n + lag]` for `lag` in
-/// `-(b.len()-1) ..= a.len()-1`, i.e. `convolve(a, reverse(b))`.
-pub fn correlate(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let rev: Vec<f64> = b.iter().rev().copied().collect();
-    convolve(a, &rev)
 }
 
 /// Autocorrelation of `x` at even lags only:
@@ -89,12 +82,6 @@ mod tests {
     fn convolve_empty() {
         assert!(convolve(&[], &[1.0]).is_empty());
         assert!(convolve(&[1.0], &[]).is_empty());
-    }
-
-    #[test]
-    fn correlate_matches_manual() {
-        // a = [1,2], b = [3,4]; correlate = convolve(a, [4,3]) = [4, 11, 6]
-        assert_eq!(correlate(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 11.0, 6.0]);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   Daubechies spectral-factorization filter designer.
 //! * [`linalg`] — dense matrices, partial-pivot Gaussian elimination and
 //!   least-squares solves, used by the biorthogonal dual-filter designer.
-//! * [`fft`] — radix-2 and Bluestein FFTs, used for frequency-response and
-//!   shift-invariance analysis.
-//! * [`conv`] — direct convolution/correlation primitives.
+//! * [`conv`] — direct convolution, even-lag autocorrelation and
+//!   upsampling, used by the filter designer and its validation.
 //! * [`stats`] — summary statistics and histogram/entropy helpers shared by
 //!   the fusion-quality metrics.
 //!
@@ -34,7 +33,6 @@
 
 pub mod complex;
 pub mod conv;
-pub mod fft;
 pub mod linalg;
 pub mod poly;
 pub mod stats;

@@ -27,30 +27,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Population covariance of two equal-length slices. Returns `0.0` if the
-/// slices are empty or of unequal length.
-pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
-    if xs.is_empty() || xs.len() != ys.len() {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    xs.iter()
-        .zip(ys)
-        .map(|(x, y)| (x - mx) * (y - my))
-        .sum::<f64>()
-        / xs.len() as f64
-}
-
-/// Minimum and maximum of a slice, ignoring NaNs.
-///
-/// Returns `None` for an empty slice or a slice of only NaNs.
-pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
-    let mut it = xs.iter().copied().filter(|x| !x.is_nan());
-    let first = it.next()?;
-    Some(it.fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x))))
-}
-
 /// A fixed-bin histogram over a closed value range.
 ///
 /// # Examples
@@ -163,20 +139,6 @@ mod tests {
     fn empty_slices_are_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
-        assert_eq!(covariance(&[], &[]), 0.0);
-        assert_eq!(min_max(&[]), None);
-    }
-
-    #[test]
-    fn covariance_of_identical_is_variance() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((covariance(&xs, &xs) - variance(&xs)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn min_max_skips_nan() {
-        assert_eq!(min_max(&[f64::NAN, 1.0, -2.0]), Some((-2.0, 1.0)));
-        assert_eq!(min_max(&[f64::NAN]), None);
     }
 
     #[test]

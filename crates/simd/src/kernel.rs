@@ -1,24 +1,22 @@
 //! The NEON engine's [`FilterKernel`]: one lane body for rows and columns.
 //!
-//! [`NeonKernel`] owns the tap caches, the lane-parallel row and column
-//! passes and strip fusion. Its `MANUAL` parameter selects only the kernel
-//! name and, in the tests, the per-output row dot the lane passes are checked
-//! against — the one place the paper's two NEON builds differ:
+//! [`SimdKernel`] owns the tap caches, the lane-parallel row and column
+//! passes and strip fusion. The paper builds its NEON transform two ways,
+//! and the tests check the lane passes against a per-output row dot in each
+//! style:
 //!
-//! * [`SimdKernel`] (`MANUAL = true`, `"neon-simd"`) stands for the *manual*
-//!   intrinsics (Fig. 3): the filter is reversed once so each output becomes
-//!   a contiguous dot product, accumulated four lanes at a time in an
-//!   [`F32x4`](crate::F32x4) quad register and folded with
-//!   [`F32x4::horizontal_sum`](crate::F32x4::horizontal_sum).
-//! * [`AutoVecKernel`] (`MANUAL = false`, `"neon-autovec"`) stands for the
-//!   *compiler auto-vectorized* build (`-mfpu=neon -ftree-vectorize`): plain
-//!   `[f32; 4]` arithmetic with four independent accumulators.
+//! * the *manual* intrinsics (Fig. 3): the filter is reversed once so each
+//!   output becomes a contiguous dot product, accumulated four lanes at a
+//!   time in an [`F32x4`](crate::F32x4) quad register and folded with
+//!   [`F32x4::horizontal_sum`](crate::F32x4::horizontal_sum);
+//! * the *compiler auto-vectorized* build (`-mfpu=neon -ftree-vectorize`):
+//!   plain `[f32; 4]` arithmetic with four independent accumulators.
 //!
 //! Tap vectors are zero-padded to a multiple of four so no dot has a scalar
 //! remainder — the paper makes the same "iteration count is a multiple of
 //! the lane count" argument. Both dots fold their four partials as
-//! `(p0 + p2) + (p1 + p3)`, so the two flavours produce identical bits, and
-//! since the lane passes replay that order both kernels now run one body.
+//! `(p0 + p2) + (p1 + p3)`, so the two builds produce identical bits, and
+//! the lane passes replay that order, so one kernel stands for both.
 //!
 //! # Lane-parallel passes
 //!
@@ -92,7 +90,7 @@ fn polyphase_reversed(taps: &[f32], even: &mut Vec<f32>, odd: &mut Vec<f32>) {
 /// dot's accumulator register, folded in
 /// [`F32x4::horizontal_sum`](crate::F32x4::horizontal_sum)'s
 /// `(p0 + p2) + (p1 + p3)` order — this is what makes every lane
-/// bit-identical to both flavours' per-output dots.
+/// bit-identical to both per-output dots.
 #[inline(always)]
 fn col_dot<const N: usize>(data: &[f32], offs: &[usize], taps: &[f32], x0: usize) -> Lanes<N> {
     debug_assert!(taps.len().is_multiple_of(4));
@@ -362,30 +360,8 @@ fn fill_split(offs: &mut Vec<usize>, start: usize, len: usize, even: usize) {
     offs.extend((start..start + len).map(|p| p / 2 + (p & 1) * even));
 }
 
-/// The NEON engine's filter kernel; `MANUAL` selects the flavour's name
-/// (see the [module docs](self)). Use it through [`SimdKernel`] or
-/// [`AutoVecKernel`].
-#[derive(Debug, Clone, Default)]
-pub struct NeonKernel<const MANUAL: bool> {
-    rev0: Vec<f32>,
-    rev1: Vec<f32>,
-    g0_even: Vec<f32>,
-    g0_odd: Vec<f32>,
-    g1_even: Vec<f32>,
-    g1_odd: Vec<f32>,
-    a_key0: Vec<f32>,
-    a_key1: Vec<f32>,
-    s_key0: Vec<f32>,
-    s_key1: Vec<f32>,
-    /// Row passes: the split extended row (analysis) or the outputs of
-    /// each parity (synthesis).
-    row: Vec<f32>,
-    /// Row passes: the lowpass and highpass tap offset tables.
-    offs0: Vec<usize>,
-    offs1: Vec<usize>,
-}
-
-/// Manual 4-lane vectorized kernel (the paper's NEON-intrinsics flavor).
+/// The NEON engine's filter kernel (see the [module docs](self)), named
+/// `"neon-simd"`.
 ///
 /// # Examples
 ///
@@ -406,14 +382,27 @@ pub struct NeonKernel<const MANUAL: bool> {
 /// }
 /// # Ok::<(), wavefuse_dtcwt::DtcwtError>(())
 /// ```
-pub type SimdKernel = NeonKernel<true>;
+#[derive(Debug, Clone, Default)]
+pub struct SimdKernel {
+    rev0: Vec<f32>,
+    rev1: Vec<f32>,
+    g0_even: Vec<f32>,
+    g0_odd: Vec<f32>,
+    g1_even: Vec<f32>,
+    g1_odd: Vec<f32>,
+    a_key0: Vec<f32>,
+    a_key1: Vec<f32>,
+    s_key0: Vec<f32>,
+    s_key1: Vec<f32>,
+    /// Row passes: the split extended row (analysis) or the outputs of
+    /// each parity (synthesis).
+    row: Vec<f32>,
+    /// Row passes: the lowpass and highpass tap offset tables.
+    offs0: Vec<usize>,
+    offs1: Vec<usize>,
+}
 
-/// Compiler-auto-vectorization flavor: plain loops with four independent
-/// accumulators and no lane intrinsics, the shape `-ftree-vectorize`
-/// exploits in the paper's auto-vectorized build.
-pub type AutoVecKernel = NeonKernel<false>;
-
-impl<const MANUAL: bool> NeonKernel<MANUAL> {
+impl SimdKernel {
     /// Creates a new kernel.
     pub fn new() -> Self {
         Self::default()
@@ -442,13 +431,9 @@ impl<const MANUAL: bool> NeonKernel<MANUAL> {
     }
 }
 
-impl<const MANUAL: bool> FilterKernel for NeonKernel<MANUAL> {
+impl FilterKernel for SimdKernel {
     fn name(&self) -> &'static str {
-        if MANUAL {
-            "neon-simd"
-        } else {
-            "neon-autovec"
-        }
+        "neon-simd"
     }
 
     fn analyze_row(
@@ -689,32 +674,45 @@ mod tests {
         ((a[0] + a[2]) + (a[1] + a[3]), (b[0] + b[2]) + (b[1] + b[3]))
     }
 
-    /// The per-output row passes: each output is its own short dot on the
-    /// flavour's `MANUAL` dot, over the kernel's own tap caches. This is the
-    /// bit-exact oracle of the lane-parallel `analyze_row`/`synthesize_row`.
-    struct PerOutput<const MANUAL: bool>(NeonKernel<MANUAL>);
+    /// The per-output row passes: each output is its own short dot, over
+    /// the kernel's own tap caches. With [`simd_dot`] it mirrors the paper's
+    /// intrinsics build, with [`unrolled_dot`] its auto-vectorized build;
+    /// both are bit-exact oracles of the lane-parallel
+    /// `analyze_row`/`synthesize_row`.
+    struct PerOutput {
+        k: SimdKernel,
+        name: &'static str,
+        dot: Dot,
+        dot2: Dot2,
+    }
 
-    impl<const MANUAL: bool> PerOutput<MANUAL> {
-        fn dot(window: &[f32], taps4: &[f32]) -> f32 {
-            if MANUAL {
-                simd_dot(window, taps4)
-            } else {
-                unrolled_dot(window, taps4)
+    /// A per-output dot over one window, and its shared-window pair.
+    type Dot = fn(&[f32], &[f32]) -> f32;
+    type Dot2 = fn(&[f32], &[f32], &[f32]) -> (f32, f32);
+
+    impl PerOutput {
+        fn simd() -> Self {
+            PerOutput {
+                k: SimdKernel::new(),
+                name: "simd_dot",
+                dot: simd_dot,
+                dot2: simd_dot2,
             }
         }
 
-        fn dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
-            if MANUAL {
-                simd_dot2(window, taps0, taps1)
-            } else {
-                unrolled_dot2(window, taps0, taps1)
+        fn unrolled() -> Self {
+            PerOutput {
+                k: SimdKernel::new(),
+                name: "unrolled_dot",
+                dot: unrolled_dot,
+                dot2: unrolled_dot2,
             }
         }
     }
 
-    impl<const MANUAL: bool> FilterKernel for PerOutput<MANUAL> {
+    impl FilterKernel for PerOutput {
         fn name(&self) -> &'static str {
-            self.0.name()
+            self.name
         }
 
         fn analyze_row(
@@ -727,16 +725,16 @@ mod tests {
             lo: &mut [f32],
             hi: &mut [f32],
         ) {
-            let k = &mut self.0;
+            let (k, dot, dot2) = (&mut self.k, self.dot, self.dot2);
             k.analysis_taps(h0, h1);
             let (l0, l1) = (h0.len(), h1.len());
             for j in 0..lo.len() {
                 let center = left + 2 * j + phase;
                 if l0 == l1 && k.rev0.len() == k.rev1.len() {
-                    (lo[j], hi[j]) = Self::dot2(&ext[center + 1 - l0..], &k.rev0, &k.rev1);
+                    (lo[j], hi[j]) = dot2(&ext[center + 1 - l0..], &k.rev0, &k.rev1);
                 } else {
-                    lo[j] = Self::dot(&ext[center + 1 - l0..], &k.rev0);
-                    hi[j] = Self::dot(&ext[center + 1 - l1..], &k.rev1);
+                    lo[j] = dot(&ext[center + 1 - l0..], &k.rev0);
+                    hi[j] = dot(&ext[center + 1 - l1..], &k.rev1);
                 }
             }
         }
@@ -751,7 +749,7 @@ mod tests {
             phase: usize,
             out: &mut [f32],
         ) {
-            let k = &mut self.0;
+            let (k, dot) = (&mut self.k, self.dot);
             k.synthesis_taps(g0, g1);
             for (m, o) in out.iter_mut().enumerate() {
                 let mp = m as isize - phase as isize;
@@ -764,7 +762,7 @@ mod tests {
                 let k_top = (mp - parity as isize) / 2;
                 let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
                 let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
-                *o = Self::dot(&lo_ext[start0..], t0) + Self::dot(&hi_ext[start1..], t1);
+                *o = dot(&lo_ext[start0..], t0) + dot(&hi_ext[start1..], t1);
             }
         }
     }
@@ -802,15 +800,16 @@ mod tests {
         }
     }
 
-    /// Sweeps one flavour's lane-parallel rows against its per-output dots:
-    /// every sweep bank, output widths 1..=80, both phases, analysis and
+    /// Sweeps the lane-parallel rows against both per-output dots: every
+    /// sweep bank, output widths 1..=80, both phases, analysis and
     /// synthesis, on a finite row and on the same row seeded with NaN and
-    /// ±inf at both ends and in the middle. One kernel of each kind serves
-    /// the whole sweep, so tap caches and row scratch are reused across
-    /// banks and widths.
-    fn sweep_rows_against_per_output<const MANUAL: bool>() {
-        let mut lanes = NeonKernel::<MANUAL>::new();
-        let mut oracle = PerOutput(NeonKernel::<MANUAL>::new());
+    /// ±inf at both ends and in the middle. One kernel and one oracle of
+    /// each dot serve the whole sweep, so tap caches and row scratch are
+    /// reused across banks and widths.
+    #[test]
+    fn lane_rows_match_the_per_output_dots_bit_for_bit() {
+        let mut lanes = SimdKernel::new();
+        let mut oracles = [PerOutput::simd(), PerOutput::unrolled()];
         for bank in sweep_banks() {
             let taps = BankTaps::new(&bank);
             for width in 1..=80 {
@@ -821,29 +820,26 @@ mod tests {
                 poisoned[2 * width - 1] = f32::NEG_INFINITY;
                 for (x, is_finite) in [(finite, true), (poisoned, false)] {
                     for phase in [Phase::A, Phase::B] {
-                        let what = format!(
-                            "{} {} width {width} {phase:?} finite={is_finite}",
-                            lanes.name(),
-                            bank.name()
-                        );
                         let (lo, hi) = analyze(&mut lanes, &taps, &x, phase).unwrap();
-                        let (lo_o, hi_o) = analyze(&mut oracle, &taps, &x, phase).unwrap();
-                        assert_rows_match(&lo, &lo_o, is_finite, &format!("lo {what}"));
-                        assert_rows_match(&hi, &hi_o, is_finite, &format!("hi {what}"));
                         let (c_lo, c_hi) = x.split_at(width);
                         let out = synthesize(&mut lanes, &taps, c_lo, c_hi, phase).unwrap();
-                        let out_o = synthesize(&mut oracle, &taps, c_lo, c_hi, phase).unwrap();
-                        assert_rows_match(&out, &out_o, is_finite, &format!("syn {what}"));
+                        for oracle in &mut oracles {
+                            let what = format!(
+                                "{} vs {} {} width {width} {phase:?} finite={is_finite}",
+                                lanes.name(),
+                                oracle.name(),
+                                bank.name()
+                            );
+                            let (lo_o, hi_o) = analyze(oracle, &taps, &x, phase).unwrap();
+                            assert_rows_match(&lo, &lo_o, is_finite, &format!("lo {what}"));
+                            assert_rows_match(&hi, &hi_o, is_finite, &format!("hi {what}"));
+                            let out_o = synthesize(oracle, &taps, c_lo, c_hi, phase).unwrap();
+                            assert_rows_match(&out, &out_o, is_finite, &format!("syn {what}"));
+                        }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn lane_rows_match_the_per_output_dots_bit_for_bit() {
-        sweep_rows_against_per_output::<true>();
-        sweep_rows_against_per_output::<false>();
     }
 
     fn banks() -> Vec<FilterBank> {
@@ -880,15 +876,11 @@ mod tests {
                     let x = signal(n);
                     let mut sc = ScalarKernel::new();
                     let mut si = SimdKernel::new();
-                    let mut av = AutoVecKernel::new();
                     let (lo_s, hi_s) = analyze(&mut sc, &taps, &x, phase).unwrap();
                     let (lo_v, hi_v) = analyze(&mut si, &taps, &x, phase).unwrap();
-                    let (lo_a, hi_a) = analyze(&mut av, &taps, &x, phase).unwrap();
                     let what = format!("{} n={n} {phase:?}", bank.name());
                     assert_close(&lo_s, &lo_v, 1e-4, &format!("simd lo {what}"));
                     assert_close(&hi_s, &hi_v, 1e-4, &format!("simd hi {what}"));
-                    assert_close(&lo_s, &lo_a, 1e-4, &format!("autovec lo {what}"));
-                    assert_close(&hi_s, &hi_a, 1e-4, &format!("autovec hi {what}"));
                 }
             }
         }
@@ -905,11 +897,8 @@ mod tests {
                 let ref_out = synthesize(&mut sc, &taps, &lo, &hi, phase).unwrap();
                 let mut si = SimdKernel::new();
                 let simd_out = synthesize(&mut si, &taps, &lo, &hi, phase).unwrap();
-                let mut av = AutoVecKernel::new();
-                let auto_out = synthesize(&mut av, &taps, &lo, &hi, phase).unwrap();
                 let what = format!("{} {phase:?}", bank.name());
                 assert_close(&ref_out, &simd_out, 1e-4, &format!("simd {what}"));
-                assert_close(&ref_out, &auto_out, 1e-4, &format!("autovec {what}"));
             }
         }
     }
@@ -940,7 +929,6 @@ mod tests {
     #[test]
     fn kernel_names() {
         assert_eq!(SimdKernel::new().name(), "neon-simd");
-        assert_eq!(AutoVecKernel::new().name(), "neon-autovec");
     }
 
     #[test]
@@ -949,7 +937,6 @@ mod tests {
         // (the worker-pool usage pattern) must match fresh per-bank kernels.
         let x = signal(40);
         let mut si = SimdKernel::new();
-        let mut av = AutoVecKernel::new();
         for round in 0..2 {
             for bank in banks() {
                 let taps = BankTaps::new(&bank);
@@ -959,15 +946,10 @@ mod tests {
                     let ref_out = synthesize(&mut sc, &taps, &lo, &hi, phase).unwrap();
                     let what = format!("{} {phase:?} round {round}", bank.name());
                     let (lo_v, hi_v) = analyze(&mut si, &taps, &x, phase).unwrap();
-                    let (lo_a, hi_a) = analyze(&mut av, &taps, &x, phase).unwrap();
                     assert_close(&lo, &lo_v, 1e-4, &format!("simd lo {what}"));
                     assert_close(&hi, &hi_v, 1e-4, &format!("simd hi {what}"));
-                    assert_close(&lo, &lo_a, 1e-4, &format!("autovec lo {what}"));
-                    assert_close(&hi, &hi_a, 1e-4, &format!("autovec hi {what}"));
                     let out_v = synthesize(&mut si, &taps, &lo, &hi, phase).unwrap();
-                    let out_a = synthesize(&mut av, &taps, &lo, &hi, phase).unwrap();
                     assert_close(&ref_out, &out_v, 1e-4, &format!("simd syn {what}"));
-                    assert_close(&ref_out, &out_a, 1e-4, &format!("autovec syn {what}"));
                 }
             }
         }

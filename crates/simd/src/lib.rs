@@ -3,8 +3,9 @@
 //! The paper vectorizes the forward and inverse DT-CWT for the ARM
 //! Cortex-A9's NEON unit — 128-bit quad registers holding four `f32` lanes,
 //! driven both by manual intrinsics (`float32x4_t`, Fig. 3) and by compiler
-//! auto-vectorization (`-mfpu=neon -ftree-vectorize`). This crate reproduces
-//! both flavors with one vector type and one kernel body:
+//! auto-vectorization (`-mfpu=neon -ftree-vectorize`). Both builds sum each
+//! output in the same order, so this crate reproduces them with one vector
+//! type and one kernel:
 //!
 //! * [`Lanes<N>`](Lanes) — `N` `f32` lanes with elementwise ops and no FMA
 //!   contraction, so each lane is bit-identical to the scalar expression on
@@ -12,22 +13,17 @@
 //!   column passes and strip fusion batch eight outputs in [`F32x8`] and
 //!   finish at four and one lanes. LLVM lowers the lane loops to native SIMD
 //!   (SSE/NEON) on release builds.
-//! * [`NeonKernel`] — the [`wavefuse_dtcwt::FilterKernel`]: tap caches,
-//!   lane-parallel row and column passes and strip fusion, written once.
+//! * [`SimdKernel`] (`"neon-simd"`) — the [`wavefuse_dtcwt::FilterKernel`]:
+//!   tap caches, lane-parallel row and column passes and strip fusion.
 //!   Rows and columns share one lane body: each lane computes one output,
 //!   with the four `tap % 4` partial sums and the pairwise fold of the
-//!   paper's quad-register dot. The two instantiations differ only in their
-//!   name and in the per-output dot their tests check that body against:
-//!   [`SimdKernel`] (`"neon-simd"`) an [`F32x4`] accumulator folded with a
-//!   horizontal add, exactly the structure of the paper's intrinsics
-//!   listing; [`AutoVecKernel`] (`"neon-autovec"`) plain `[f32; 4]` loops
-//!   with fixed trip counts, mirroring the paper's `__restrict` +
-//!   masked-length C code.
+//!   paper's quad-register dot.
 //!
-//! Both flavors are verified close to the scalar reference in the tests;
-//! their row passes are bit-identical to the per-output dots, and their
-//! column passes to staging the row path through transposes — see
-//! [`kernel`].
+//! The kernel is verified close to the scalar reference in the tests; its
+//! row passes are bit-identical to two per-output dots, one per NEON build
+//! of the paper (an [`F32x4`] accumulator folded with a horizontal add, and
+//! plain `[f32; 4]` loops with fixed trip counts), and its column passes to
+//! staging the row path through transposes — see [`kernel`].
 //!
 //! # Examples
 //!
@@ -51,7 +47,7 @@ pub mod kernel;
 pub mod vector;
 
 pub use fuse::fuse_strip_simd;
-pub use kernel::{AutoVecKernel, NeonKernel, SimdKernel};
+pub use kernel::SimdKernel;
 pub use vector::{F32x4, F32x8, Lanes, Mask, Mask8};
 
 /// Number of `f32` lanes in the modeled NEON quad register.

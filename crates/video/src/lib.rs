@@ -35,7 +35,6 @@ pub mod camera;
 pub mod fifo;
 pub mod frame;
 pub mod pgm;
-pub mod register;
 pub mod scaler;
 pub mod scene;
 

@@ -103,7 +103,8 @@ fn parse_pgm(bytes: &[u8]) -> io::Result<Image> {
     }
     pos += 1;
     let raster = &bytes[pos..];
-    if raster.len() != w * h {
+    let pixels = w.checked_mul(h).ok_or_else(|| bad("dimensions overflow"))?;
+    if raster.len() != pixels {
         return Err(bad("raster length mismatch"));
     }
     let data: Vec<f32> = raster.iter().map(|&b| b as f32 / maxval as f32).collect();
@@ -150,6 +151,13 @@ mod tests {
         assert!(parse_pgm(b"P5\n2 2\n255\n\0\0\0").is_err()); // short raster
         assert!(parse_pgm(b"P5\n2").is_err());
         assert!(parse_pgm(b"P5\n1 1\n0\n\0").is_err());
+    }
+
+    #[test]
+    fn rejects_dimensions_whose_product_overflows() {
+        // 2^32 x 2^32 wraps to 0 on 64-bit hosts, matching the empty raster.
+        let err = parse_pgm(b"P5\n4294967296 4294967296\n255\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Robust capture: what a deployed fusion camera needs beyond the paper's
-//! lab prototype — glitched wires, misaligned mounts and sensor noise —
-//! handled by the resilient BT.656 decoder, phase-correlation registration
-//! and DT-CWT denoising, end to end.
+//! lab prototype — a glitched BT.656 link — handled by the resilient
+//! decoder, then fused on the FPGA end to end.
 //!
 //! ```text
 //! cargo run --release --example robust_capture
 //! ```
 
 use wavefuse::core::{Backend, FusionEngine};
-use wavefuse::dtcwt::analysis::circular_shift;
-use wavefuse::dtcwt::denoise::denoise;
-use wavefuse::dtcwt::{Dtcwt, Image};
+use wavefuse::dtcwt::Image;
 use wavefuse::metrics::{petrovic_qabf, psnr};
 use wavefuse::video::camera::{ThermalCamera, THERMAL_FIELD_DIMS};
-use wavefuse::video::register::align_to;
 use wavefuse::video::scaler::resize_bilinear;
 use wavefuse::video::scene::ScenePair;
-use wavefuse::video::{bt656, pgm};
+use wavefuse::video::{bt656, pgm, RawFrame};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scene = ScenePair::new(2016);
@@ -27,6 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    a marginal FMC link would.
     let mut camera = ThermalCamera::new(scene.clone(), w, h);
     let mut stream = camera.next_field_stream();
+    let (fw, fh) = THERMAL_FIELD_DIMS;
+    let gray = |raw: &RawFrame| resize_bilinear(raw.to_gray(0).image(), w, h);
+    let reference = gray(&bt656::decode(&stream, fw, fh)?)?;
     let sav_active = bt656::xy_byte(false, false, false);
     let sav_positions: Vec<usize> = stream
         .windows(4)
@@ -37,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in [10usize, 60, 120] {
         stream[sav_positions[k] + 3] = 0x81; // invalid protection bits
     }
-    let (fw, fh) = THERMAL_FIELD_DIMS;
     let strict = bt656::decode(&stream, fw, fh);
     println!(
         "strict decoder on the glitched stream: {}",
@@ -51,41 +49,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "resilient decoder: {} good lines, {} concealed, {} resync bytes",
         report.good_lines, report.concealed_lines, report.resync_bytes
     );
-    let thermal_full = raw.to_gray(0);
-    let thermal = resize_bilinear(thermal_full.image(), w, h)?;
-
-    // 2. A misaligned mount: the thermal camera is bolted 5 px right,
-    //    3 px down of the webcam. Register before fusing.
-    let misaligned = circular_shift(&thermal, 5, 3);
-    let reference = scene.render_thermal(w, h, 0.0);
-    let (registered, t) = align_to(&reference, &misaligned)?;
+    let thermal = gray(&raw)?;
     println!(
-        "registration: estimated shift ({}, {}) with confidence {:.3}",
-        t.dx, t.dy, t.confidence
+        "concealed thermal frame: {:.1} dB against the undamaged field",
+        psnr(&reference, &thermal)
     );
 
-    // 3. Sensor noise: soft-threshold the registered thermal frame.
-    let transform = Dtcwt::new(3)?;
-    let cleaned = denoise(&transform, &registered, 0.8)?;
-    println!(
-        "denoise: {:.1} dB -> {:.1} dB against the clean render",
-        psnr(&reference, &registered),
-        psnr(&reference, &cleaned)
-    );
-
-    // 4. Fuse, and compare against fusing the raw damaged stream.
+    // 2. Fuse the concealed frame on the FPGA, and compare against fusing
+    //    the frame an undamaged link would have delivered.
     let mut engine = FusionEngine::new(3)?;
-    let robust = engine.fuse(&visible, &cleaned, Backend::Fpga)?.image;
-    let naive = engine.fuse(&visible, &misaligned, Backend::Fpga)?.image;
+    let clean = engine.fuse(&visible, &reference, Backend::Fpga)?.image;
+    let robust = engine.fuse(&visible, &thermal, Backend::Fpga)?.image;
     let q = |img: &Image| petrovic_qabf(&visible, &reference, img);
     println!(
-        "edge preservation Q^AB/F: naive {:.3} -> robust {:.3}",
-        q(&naive),
+        "edge preservation Q^AB/F: clean link {:.3}, glitched link {:.3}",
+        q(&clean),
         q(&robust)
     );
 
-    pgm::write_pgm(&naive, "out/robust_naive.pgm")?;
+    pgm::write_pgm(&clean, "out/robust_clean.pgm")?;
     pgm::write_pgm(&robust, "out/robust_pipeline.pgm")?;
-    println!("wrote out/robust_{{naive,pipeline}}.pgm");
+    println!("wrote out/robust_{{clean,pipeline}}.pgm");
     Ok(())
 }

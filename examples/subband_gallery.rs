@@ -1,20 +1,16 @@
 //! Visualizes the DT-CWT's six orientation-selective subbands (the
-//! property behind the fusion quality the paper builds on) and the
-//! denoising extension.
+//! property behind the fusion quality the paper builds on).
 //!
 //! ```text
 //! cargo run --release --example subband_gallery
 //! ```
 //!
-//! Writes, under `out/gallery/`:
-//! * the magnitude of each oriented subband for a star-like test pattern
-//!   (each band lights up only for edges near its angle);
-//! * a noisy thermal capture before and after DT-CWT soft-thresholding.
+//! Writes, under `out/gallery/`, the magnitude of each oriented subband
+//! for a star-like test pattern (each band lights up only for edges near
+//! its angle).
 
-use wavefuse::dtcwt::denoise::{denoise, estimate_noise_sigma};
 use wavefuse::dtcwt::{Dtcwt, Image, Orientation};
 use wavefuse::video::pgm;
-use wavefuse::video::scene::ScenePair;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A radial "siemens star" excites every orientation somewhere.
@@ -52,23 +48,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pgm::write_pgm(&vis, &name)?;
         println!("  {o:>7}: energy {:>10.1} -> {name}", band.energy());
     }
-
-    // Denoising demo on a noisy thermal capture.
-    let scene = ScenePair::new(3);
-    let clean_ish = scene.render_thermal(n, n, 0.0);
-    let noisy = Image::from_fn(n, n, |x, y| {
-        // Amplify the sensor's own grain with an extra deterministic layer.
-        let v = clean_ish.get(x, y);
-        let h = (x as u32)
-            .wrapping_mul(0x9e3779b9)
-            .wrapping_add((y as u32).wrapping_mul(0x85ebca6b));
-        v + ((h >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 0.15
-    });
-    let t3 = Dtcwt::new(3)?;
-    let sigma = estimate_noise_sigma(&t3.forward(&noisy)?);
-    let cleaned = denoise(&t3, &noisy, 1.0)?;
-    pgm::write_pgm(&noisy, "out/gallery/thermal_noisy.pgm")?;
-    pgm::write_pgm(&cleaned, "out/gallery/thermal_denoised.pgm")?;
-    println!("\ndenoise: estimated sigma {sigma:.4}; wrote thermal_{{noisy,denoised}}.pgm");
     Ok(())
 }

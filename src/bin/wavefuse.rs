@@ -4,7 +4,6 @@
 //! wavefuse fuse <visible.pgm> <thermal.pgm> -o fused.pgm [--backend neon]
 //!          [--levels 3] [--rule window|maxmag|average|activity]
 //!          [--threads 1] [--trace t.json] [--metrics m.prom]
-//! wavefuse denoise <in.pgm> -o out.pgm [--strength 1.0] [--levels 3]
 //! wavefuse demo -o out/ [--frames 5] [--size 88x72] [--seed 42]
 //!          [--threads 1] [--trace t.json] [--metrics m.prom]
 //! ```
@@ -20,8 +19,7 @@ use std::sync::Arc;
 use wavefuse::core::adaptive::{AdaptiveScheduler, Objective, Policy};
 use wavefuse::core::rules::{FusionRule, LowpassRule};
 use wavefuse::core::{Backend, FusionEngine};
-use wavefuse::dtcwt::denoise::denoise;
-use wavefuse::dtcwt::{Dtcwt, Dwt2d};
+use wavefuse::dtcwt::Dwt2d;
 use wavefuse::trace::{export, FlightRecorder, FrameRecord, MetricsRegistry};
 use wavefuse::video::pgm;
 use wavefuse::video::scene::ScenePair;
@@ -198,31 +196,6 @@ fn cmd_fuse(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_denoise(args: &Args) -> Result<(), String> {
-    let [in_path] = &args.positional[..] else {
-        return Err("denoise needs exactly one input image".into());
-    };
-    let out_path = args.opt("output").ok_or("denoise needs -o <output.pgm>")?;
-    let levels: usize = args
-        .opt_or("levels", "3")
-        .parse()
-        .map_err(|_| "bad --levels")?;
-    let strength: f32 = args
-        .opt_or("strength", "1.0")
-        .parse()
-        .map_err(|_| "bad --strength")?;
-    let img = pgm::read_pgm(in_path).map_err(|e| format!("{in_path}: {e}"))?;
-    let t = Dtcwt::new(levels).map_err(|e| e.to_string())?;
-    let out = denoise(&t, &img, strength).map_err(|e| e.to_string())?;
-    pgm::write_pgm(&out, out_path).map_err(|e| format!("{out_path}: {e}"))?;
-    eprintln!(
-        "denoised {}x{} (strength {strength}) -> {out_path}",
-        img.width(),
-        img.height()
-    );
-    Ok(())
-}
-
 fn cmd_demo(args: &Args) -> Result<(), String> {
     let out_dir = args.opt_or("output", "out");
     let frames: usize = args
@@ -282,7 +255,6 @@ fn usage() -> &'static str {
      wavefuse fuse <visible.pgm> <thermal.pgm> -o <fused.pgm> \
      [--backend arm|neon|fpga|auto] [--levels N] [--rule window|maxmag|average|activity] \
      [--threads N] [--trace <t.json>] [--metrics <m.prom>]\n  \
-     wavefuse denoise <in.pgm> -o <out.pgm> [--strength S] [--levels N]\n  \
      wavefuse demo [-o <dir>] [--frames N] [--size WxH] [--seed S] \
      [--threads N] [--trace <t.json>] [--metrics <m.prom>]"
 }
@@ -295,7 +267,6 @@ fn main() -> ExitCode {
     };
     let result = Args::parse(rest).and_then(|args| match cmd.as_str() {
         "fuse" => cmd_fuse(&args),
-        "denoise" => cmd_denoise(&args),
         "demo" => cmd_demo(&args),
         "--help" | "-h" | "help" => {
             eprintln!("{}", usage());

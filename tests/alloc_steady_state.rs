@@ -20,7 +20,7 @@ use wavefuse_core::Backend;
 use wavefuse_dtcwt::{
     transpose_bytes_total, ComboStore, CwtPyramid, Dtcwt, Image, ScalarKernel, Scratch,
 };
-use wavefuse_simd::AutoVecKernel;
+use wavefuse_simd::SimdKernel;
 use wavefuse_trace::{FlightRecorder, FrameRecord, LogHistogram};
 use wavefuse_zynq::FpgaKernel;
 
@@ -227,9 +227,9 @@ fn steady_state_depth_k_pipeline_does_not_allocate_on_the_dispatcher() {
     }
 }
 
-// `AutoVec` is a kernel, not a pipeline backend, so it is exercised at the
-// transform layer: the pooled `_into` analyze/synthesize paths must also be
-// allocation-free after one warm-up pass of the same geometry.
+// At the transform layer, driven straight through a kernel, the pooled
+// `_into` analyze/synthesize paths must also be allocation-free after one
+// warm-up pass of the same geometry.
 #[test]
 fn steady_state_transform_paths_do_not_allocate() {
     let _gate = transpose_gate();
@@ -237,9 +237,9 @@ fn steady_state_transform_paths_do_not_allocate() {
     let t = Dtcwt::new(3).expect("three levels");
 
     let mut scalar = ScalarKernel::new();
-    let mut autovec = AutoVecKernel::new();
+    let mut simd = SimdKernel::new();
     let kernels: [(&str, &mut dyn wavefuse_dtcwt::FilterKernel); 2] =
-        [("scalar", &mut scalar), ("autovec", &mut autovec)];
+        [("scalar", &mut scalar), ("simd", &mut simd)];
 
     for (name, kernel) in kernels {
         let mut combos = ComboStore::new();
@@ -267,10 +267,10 @@ fn steady_state_transform_paths_do_not_allocate() {
             (0, 0),
             "{name}: pooled transform allocated {allocs} times ({bytes} bytes)"
         );
-        // AutoVec rides the columnar column passes and must never touch
-        // the transpose staging; the scalar reference keeps using it.
+        // The SIMD kernel rides the columnar column passes and must never
+        // touch the transpose staging; the scalar reference keeps using it.
         let transposed = transpose_bytes_total() - transposed0;
-        if name == "autovec" {
+        if name == "simd" {
             assert_eq!(
                 transposed, 0,
                 "{name}: steady transforms transposed {transposed} bytes"

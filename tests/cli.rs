@@ -15,7 +15,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 #[test]
-fn demo_fuse_denoise_round_trip() {
+fn demo_fuse_round_trip() {
     let dir = tmp_dir("roundtrip");
     // 1. demo produces frame triples.
     let out = wavefuse()
@@ -66,26 +66,8 @@ fn demo_fuse_denoise_round_trip() {
         assert!(fused.exists());
     }
 
-    // 3. denoise one of the frames.
-    let den = dir.join("denoised.pgm");
-    let out = wavefuse()
-        .args([
-            "denoise",
-            ir.to_str().unwrap(),
-            "-o",
-            den.to_str().unwrap(),
-            "--strength",
-            "0.8",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The denoised PGM parses and matches the source geometry.
-    let img = wavefuse_video::pgm::read_pgm(&den).expect("valid pgm");
+    // The fused PGM parses and matches the source geometry.
+    let img = wavefuse_video::pgm::read_pgm(dir.join("fused_auto.pgm")).expect("valid pgm");
     assert_eq!(img.dims(), (48, 40));
 
     std::fs::remove_dir_all(&dir).ok();
@@ -98,9 +80,16 @@ fn cli_rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
-    // Unknown command.
+    // Unknown commands, including the removed `denoise`.
     let out = wavefuse().arg("explode").output().expect("spawn");
     assert_eq!(out.status.code(), Some(1));
+    let out = wavefuse()
+        .args(["denoise", "x.pgm", "-o", "y.pgm"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command"), "{stderr}");
 
     // Missing input file.
     let out = wavefuse()
@@ -139,6 +128,23 @@ fn cli_rejects_bad_usage() {
         assert!(stderr.contains("unknown backend"), "{backend}: {stderr}");
         assert!(stderr.contains("arm|neon|fpga|auto"), "{backend}: {stderr}");
     }
+
+    // A header whose width * height overflows: an error, not a panic.
+    let huge = dir.join("huge.pgm");
+    std::fs::write(&huge, b"P5\n4294967296 4294967296\n255\n").unwrap();
+    let out = wavefuse()
+        .args([
+            "fuse",
+            huge.to_str().unwrap(),
+            huge.to_str().unwrap(),
+            "-o",
+            dir.join("o.pgm").to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("pgm:"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,6 +1,6 @@
 //! Bit-identity of the NEON and FPGA kernels' transpose-free column passes.
 //!
-//! The NEON kernels (`SimdKernel`, `AutoVecKernel`) filter the vertical
+//! The NEON kernel (`SimdKernel`) filters the vertical
 //! pass in place — SIMD lanes hold adjacent columns, rows are loaded
 //! stride-1, and each lane accumulates one column's convolution. The
 //! simulated FPGA kernel (`FpgaKernel`) does the same in its wavelet
@@ -30,7 +30,7 @@ use wavefuse_dtcwt::scratch::Scratch1d;
 use wavefuse_dtcwt::{
     ColScratch, CwtPyramid, Dtcwt, FilterBank, FilterKernel, Image, ScalarKernel,
 };
-use wavefuse_simd::{AutoVecKernel, SimdKernel};
+use wavefuse_simd::SimdKernel;
 use wavefuse_zynq::FpgaKernel;
 
 /// Every named bank the crate ships, plus a time-reversed q-shift tree
@@ -124,7 +124,6 @@ type MakeKernel = fn() -> Box<dyn FilterKernel>;
 fn kernels() -> Vec<(&'static str, MakeKernel)> {
     vec![
         ("simd", || Box::new(SimdKernel::new())),
-        ("autovec", || Box::new(AutoVecKernel::new())),
         ("fpga", || Box::new(FpgaKernel::new())),
     ]
 }

@@ -1,20 +1,17 @@
 //! Cross-crate integration tests for the features this reproduction adds
-//! beyond the paper: the scheduler's cost prediction,
-//! registration-before-fusion, and denoising in the capture path.
+//! beyond the paper: the scheduler's cost prediction, the stationary
+//! wavelet baseline and the pooled transform.
 
 use std::sync::Arc;
 
 use wavefuse_core::adaptive::{AdaptiveScheduler, Objective, Policy};
 use wavefuse_core::engine::build_worker_pool;
 use wavefuse_core::{Backend, FusionEngine};
-use wavefuse_dtcwt::analysis::circular_shift;
-use wavefuse_dtcwt::denoise::denoise;
 use wavefuse_dtcwt::swt::Swt2d;
 use wavefuse_dtcwt::{ComboStore, CwtPyramid, Dtcwt, FilterBank, Image};
-use wavefuse_metrics::{petrovic_qabf, psnr};
+use wavefuse_metrics::petrovic_qabf;
 use wavefuse_power::PowerModel;
 use wavefuse_simd::SimdKernel;
-use wavefuse_video::register::align_to;
 use wavefuse_video::scene::ScenePair;
 
 fn scene_pair(w: usize, h: usize) -> (Image, Image) {
@@ -63,63 +60,6 @@ fn scheduler_prediction_is_the_engines_prediction() {
             engine.recycle(out);
         }
     }
-}
-
-#[test]
-fn registration_before_fusion_recovers_misalignment() {
-    // Misaligned sensors: fusing directly ghosts the edges; registering
-    // the thermal frame first restores the aligned fusion result.
-    let (vis, ir) = scene_pair(64, 64);
-    let mut engine = FusionEngine::new(3).unwrap();
-    let aligned_ref = engine.fuse(&vis, &ir, Backend::Neon).unwrap().image;
-
-    let ir_misaligned = circular_shift(&ir, 6, -4);
-    let naive = engine
-        .fuse(&vis, &ir_misaligned, Backend::Neon)
-        .unwrap()
-        .image;
-
-    let (ir_registered, t) = align_to(&ir, &ir_misaligned).unwrap();
-    assert_eq!((t.dx, t.dy), (6, -4));
-    let registered = engine
-        .fuse(&vis, &ir_registered, Backend::Neon)
-        .unwrap()
-        .image;
-
-    let q_naive = petrovic_qabf(&vis, &ir, &naive);
-    let q_registered = petrovic_qabf(&vis, &ir, &registered);
-    assert!(
-        q_registered > q_naive + 0.02,
-        "registered {q_registered:.3} vs naive {q_naive:.3}"
-    );
-    assert!(registered.max_abs_diff(&aligned_ref) < 1e-3);
-}
-
-#[test]
-fn denoising_the_thermal_stream_before_fusion_helps() {
-    let (vis, ir) = scene_pair(64, 64);
-    // Heavy extra sensor noise on the thermal channel.
-    let noisy_ir = Image::from_fn(64, 64, |x, y| {
-        let h = (x as u32)
-            .wrapping_mul(0x9e3779b9)
-            .wrapping_add((y as u32).wrapping_mul(0x85ebca6b));
-        ir.get(x, y) + ((h >> 9) as f32 / (1u32 << 23) as f32 - 0.5) * 0.25
-    });
-    let t = Dtcwt::new(3).unwrap();
-    let cleaned = denoise(&t, &noisy_ir, 1.0).unwrap();
-    assert!(
-        psnr(&ir, &cleaned) > psnr(&ir, &noisy_ir) + 2.0,
-        "denoise gains >2 dB"
-    );
-
-    let mut engine = FusionEngine::new(3).unwrap();
-    let fused_noisy = engine.fuse(&vis, &noisy_ir, Backend::Neon).unwrap().image;
-    let fused_clean = engine.fuse(&vis, &cleaned, Backend::Neon).unwrap().image;
-    let reference = engine.fuse(&vis, &ir, Backend::Neon).unwrap().image;
-    assert!(
-        psnr(&reference, &fused_clean) > psnr(&reference, &fused_noisy) + 2.0,
-        "denoised-stream fusion is closer to the clean fusion"
-    );
 }
 
 #[test]

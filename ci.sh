@@ -27,14 +27,18 @@ echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, 
 # identity runs in the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
-echo "== wavefuse-dtcwt tests + lowpass fusion sweep in release (slice passes vs per-pixel oracles)"
+echo "== wavefuse-dtcwt tests + lowpass fusion sweep in release (slice passes vs per-pixel oracles, per-tree forward vs per-combo oracle)"
 # The DT-CWT's inter-stage glue (q2c after each forward, c2q before each
 # inverse level) runs as flat slice passes; their tests sweep them against
 # the per-pixel accessor loops bit for bit over degenerate and odd
 # geometries and NaN/inf/signed-zero/subnormal samples, for all four tree
 # combinations; the lowpass fusion pass's sweep (all three rules) lives
 # in wavefuse-core's rules module. LLVM vectorizes the passes only in
-# release.
+# release. per_tree_forward_matches_the_per_combo_oracle_bit_for_bit
+# checks the forward's one level-1 row pass per row tree against the
+# per-combo analysis it replaced (to_bits, every depth of 2x2 to
+# 320x240, finite and NaN/inf/-0 planes); the NEON and FPGA kernels get
+# the same sweep in the forward_identity step below.
 cargo test -q --release -p wavefuse-dtcwt
 cargo test -q --release -p wavefuse-core --lib rules::tests
 
@@ -46,8 +50,19 @@ echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)
 # checks FpgaKernel's own column passes against the transpose staging of
 # its rows: output bits plus == on the cycle ledger, DMA timeline, driver
 # stats, register writes and telemetry. The lane loops vectorize only in
-# release.
+# release. The same == on the FPGA's accounting for the level-1 rows the
+# per-tree forward shares (charge_shared_rows) is
+# fpga_per_tree_forward_charges_what_the_per_combo_forward_charges, in
+# the forward_identity step below.
 cargo test -q --release -p wavefuse-zynq
+
+echo "== per-tree forward bit-identity (scalar, NEON, FPGA, pooled) and FPGA accounting"
+# The forward shares one level-1 row pass between the two combos of a
+# row tree. Every combo must equal the per-combo analysis bit for bit on
+# every kernel, serially and on the pool, and the FPGA kernel must charge
+# exactly the per-combo schedule's calls. The 320x240 sweep is
+# debug-ignored and runs here.
+cargo test -q --release --test forward_identity -- --include-ignored
 
 echo "== capture lanes vs scalar oracles, exhaustive rounding sweep"
 # The capture chain's lane loops (paired thermal render, cached-row
@@ -62,6 +77,12 @@ echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"
 # Depth {1,2,3} x threads {1,2,4} x frame sizes must reproduce the serial
 # pixel stream exactly; the 640x480 matrix is debug-ignored and runs here.
 cargo test -q --release --test depth_identity -- --include-ignored
+
+echo "== fleet and pool schedules (serve identity, thread scaling)"
+# A forward job is one row tree and a 16-stream fleet round is one ring
+# fill; the fleet's digests must equal solo runs and the pooled engine
+# must match serial at every thread count.
+cargo test -q --release --test serve_identity --test thread_scaling
 
 echo "== fusion bit-identity (kernels x rules x radii x geometries, engine, depth-k, fleet)"
 # Dispatcher-side fusion through the SIMD and scalar kernels must

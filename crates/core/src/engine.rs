@@ -238,7 +238,7 @@ pub struct FusionEngine {
 }
 
 /// Per-frame state parked between [`FusionEngine::packed_forward_submit`]
-/// and [`FusionEngine::packed_forward_finish`] while the eight forward
+/// and [`FusionEngine::packed_forward_finish`] while the four forward
 /// jobs are in flight on the shared pool.
 #[derive(Debug)]
 struct PackedForward {
@@ -664,7 +664,7 @@ impl FusionEngine {
         if self.pool.is_some() && matches!(backend, Backend::Arm | Backend::Neon) {
             // Harvest older frames' in-flight inverse outcomes into their
             // slots first (oldest first), so the forward collect only waits
-            // on this frame's eight jobs. Workers run the ring in submission
+            // on this frame's four jobs. Workers run the ring in submission
             // order either way, so stashing early costs no overlap — the
             // combo-order accumulation still happens at each frame's own
             // `fuse_finish`.
@@ -705,12 +705,13 @@ impl FusionEngine {
         }
     }
 
-    /// Stages one frame pair's eight forward DT-CWT jobs into the worker
-    /// pool **without draining them** — the packing half of cross-stream
-    /// batch coalescing. A fleet owner calls this for several engines in a
-    /// row so every stream's forwards land in the shared ring together,
-    /// then calls [`FusionEngine::packed_forward_finish`] on each engine in
-    /// the same order.
+    /// Stages one frame pair's four forward DT-CWT jobs (one per row tree
+    /// of each image) into the worker pool **without draining them** — the
+    /// packing half of cross-stream batch coalescing. A fleet owner calls
+    /// this for several engines in a row so every stream's forwards land in
+    /// the shared ring together, then calls
+    /// [`FusionEngine::packed_forward_finish`] on each engine in the same
+    /// order.
     ///
     /// Unlike [`FusionEngine::fuse_submit`] this never abandons frames as
     /// ring backpressure (an abandon drains the *globally* oldest jobs,
@@ -760,7 +761,7 @@ impl FusionEngine {
             .pool
             .as_ref()
             .expect("packed forwards need a worker pool");
-        // Stamped before the submit so the eight job publishes count as
+        // Stamped before the submit so the four job publishes count as
         // forward wall time.
         let submitted = std::time::Instant::now();
         self.dtcwt.forward_pooled_pair_submit(

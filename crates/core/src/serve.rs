@@ -14,9 +14,9 @@
 //! * **Cross-stream batch packing.** Up to [`PACK_STREAMS`] streams'
 //!   forward DT-CWTs are staged into the work-stealing ring *together*
 //!   ([`FusionEngine::packed_forward_submit`]) before any are drained —
-//!   8 frame pairs x 8 jobs fills the ring's 64 slots exactly — so
-//!   workers always see a deep queue instead of draining one stream at a
-//!   time. Harvests run in submission order (the ring's `drain_partial`
+//!   16 frame pairs x 4 row-tree jobs fills the ring's 64 slots exactly —
+//!   so workers always see a deep queue instead of draining one stream at
+//!   a time. Harvests run in submission order (the ring's `drain_partial`
 //!   contract), coordinated by the manager's global FIFO.
 //! * **Shared plan cache.** [`TransformPlan`]s are cached fleet-wide,
 //!   keyed by `(geometry, levels)`, and handed to same-shape engines via
@@ -37,7 +37,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wavefuse_dtcwt::{Dwt2d, Image, WorkerPool, BATCH_SLOTS};
+use wavefuse_dtcwt::{Dwt2d, Image, WorkerPool, BATCH_SLOTS, FORWARD_JOBS_PER_PAIR};
 use wavefuse_power::PowerModel;
 use wavefuse_trace::{LogHistogram, MetricsRegistry};
 use wavefuse_video::camera::{ThermalCamera, WebCamera};
@@ -50,11 +50,13 @@ use crate::cost::{CostModel, TransformPlan};
 use crate::engine::{build_worker_pool, FusionEngine, PendingFusion};
 use crate::FusionError;
 
-/// Streams per packed round: 8 frame pairs x 8 forward jobs fills the
-/// pool's [`BATCH_SLOTS`]-slot ring exactly (the submit-side capacity
-/// check admits the 64th job at 63 outstanding). Larger fleets are packed
-/// in chunks of this size, with the ring drained between chunks.
-pub const PACK_STREAMS: usize = BATCH_SLOTS / 8;
+/// Streams per packed round: one frame pair per stream, each
+/// [`FORWARD_JOBS_PER_PAIR`] forward jobs, fills the pool's
+/// [`BATCH_SLOTS`]-slot ring exactly (16 x 4 = 64; the submit-side
+/// capacity check admits the 64th job at 63 outstanding). A fleet of up
+/// to this many streams runs a round as one ring fill; larger fleets are
+/// packed in chunks of this size, with the ring drained between chunks.
+pub const PACK_STREAMS: usize = BATCH_SLOTS / FORWARD_JOBS_PER_PAIR;
 
 /// How a stream's backend (and decomposition depth) is chosen at
 /// admission.
@@ -503,7 +505,7 @@ impl StreamManager {
             // walking the global FIFO so `drain_partial`'s oldest-first
             // harvests land in the right engines' slots.
             self.stash_all();
-            // Phase A — pack the chunk: one capture + eight forward jobs
+            // Phase A — pack the chunk: one capture + four forward jobs
             // per stream, no drains, so the ring fills with up to 64
             // cross-stream jobs. Backpressure retires/drops first.
             for i in start..end {

@@ -16,7 +16,10 @@
 use std::sync::Arc;
 
 use crate::dwt1d::{BankTaps, Phase};
-use crate::dwt2d::{analyze_level_into, synthesize_level_into, AxisSpec, Dwt2d, Subbands};
+use crate::dwt2d::{
+    analyze_cols_into, analyze_level_into, analyze_rows_into, synthesize_level_into, AxisSpec,
+    Dwt2d, Subbands,
+};
 use crate::filters::FilterBank;
 use crate::image::{ComplexImage, Image};
 use crate::kernel::{FilterKernel, ScalarKernel};
@@ -190,12 +193,20 @@ enum Tree {
     B,
 }
 
+/// The two trees, in order. Row tree `rt` owns combos `(rt, A)` and
+/// `(rt, B)`: slots `2 rt` and `2 rt + 1` of a [`ComboStore`].
+const TREES: [Tree; 2] = [Tree::A, Tree::B];
+
 const COMBOS: [(Tree, Tree); 4] = [
     (Tree::A, Tree::A),
     (Tree::A, Tree::B),
     (Tree::B, Tree::A),
     (Tree::B, Tree::B),
 ];
+
+/// Pool jobs of one [`Dtcwt::forward_pooled_pair`]: one per row tree of
+/// each of the two images. Each job returns both combo slots of its tree.
+pub const FORWARD_JOBS_PER_PAIR: usize = 2 * TREES.len();
 
 /// The Dual-Tree Complex Wavelet Transform.
 ///
@@ -340,16 +351,16 @@ impl Dtcwt {
         out: &mut CwtPyramid,
     ) -> Result<(), DtcwtError> {
         self.check_levels(img)?;
-        for ci in 0..COMBOS.len() {
-            let slot = &mut combos.slots[ci];
-            self.analyze_combo_into(kernel, img, ci, &mut slot.detail, &mut slot.ll, scratch)?;
+        for (rt, pair) in combos.slots.chunks_exact_mut(2).enumerate() {
+            self.analyze_tree_into(kernel, img, rt, pair, scratch)?;
         }
         self.assemble_pyramid_into(img.dims(), combos, out);
         Ok(())
     }
 
     /// Forward transforms of **two** images dispatched onto the pool as one
-    /// eight-job batch, so both streams' tree combinations fill every worker
+    /// [`FORWARD_JOBS_PER_PAIR`]-job batch (one job per row tree of each
+    /// image), so both streams' tree combinations fill every worker
     /// concurrently (the visible/thermal forwards of a fusion frame are data
     /// independent — running them serially leaves half the pool idle).
     ///
@@ -391,9 +402,9 @@ impl Dtcwt {
     }
 
     /// Submit half of [`Dtcwt::forward_pooled_pair`]: stages both images'
-    /// eight tree-combination jobs into the pool **without draining**, so a
-    /// caller multiplexing several streams over one pool can pack many
-    /// frames' forwards into the ring before harvesting any of them.
+    /// row-tree jobs into the pool **without draining**, so a caller
+    /// multiplexing several streams over one pool can pack many frames'
+    /// forwards into the ring before harvesting any of them.
     ///
     /// Pair with [`Dtcwt::forward_pooled_pair_collect`], calling collects in
     /// the same order as submits (the pool harvests oldest-first).
@@ -417,15 +428,14 @@ impl Dtcwt {
             .into_iter()
             .enumerate()
         {
-            for (ci, slot) in combos.slots.iter_mut().enumerate() {
-                pool.submit(Job::ForwardCombo {
+            for (rt, pair) in combos.slots.chunks_exact_mut(2).enumerate() {
+                pool.submit(Job::ForwardTree {
                     transform: Arc::clone(self),
                     img: Arc::clone(img),
                     tag: tag as u32,
-                    combo: ci,
+                    tree: rt,
                     kernel,
-                    detail: std::mem::take(&mut slot.detail),
-                    ll: std::mem::take(&mut slot.ll),
+                    slots: [std::mem::take(&mut pair[0]), std::mem::take(&mut pair[1])],
                 });
             }
         }
@@ -433,9 +443,10 @@ impl Dtcwt {
     }
 
     /// Collect half of [`Dtcwt::forward_pooled_pair`]: harvests the
-    /// **oldest** `2 * COMBOS` outcomes from the pool (which must be this
-    /// pair's forward jobs — collects must run in submit order), places them
-    /// by tag, and assembles both pyramids. Later jobs from other frames or
+    /// **oldest** [`FORWARD_JOBS_PER_PAIR`] outcomes from the pool (which
+    /// must be this pair's forward jobs — collects must run in submit
+    /// order), places them by tag and row tree, and assembles both
+    /// pyramids. Later jobs from other frames or
     /// streams stay in flight. Both images of a fusion pair share `dims`.
     ///
     /// # Errors
@@ -454,7 +465,7 @@ impl Dtcwt {
         outcomes: &mut Vec<JobOutcome>,
     ) -> Result<(), DtcwtError> {
         outcomes.clear();
-        pool.drain_partial(2 * COMBOS.len(), outcomes);
+        pool.drain_partial(FORWARD_JOBS_PER_PAIR, outcomes);
         // Outcomes arrive in submission order (tag-major), so the first
         // error seen while placing is the deterministic one to report.
         let mut first_err = None;
@@ -469,8 +480,9 @@ impl Dtcwt {
                     first_err = Some(e);
                 }
             }
-            if let JobPayload::Forward { detail, ll } = oc.payload {
-                combos.slots[oc.combo] = ComboSlot { detail, ll };
+            if let JobPayload::Forward { slots: [a, b] } = oc.payload {
+                combos.slots[2 * oc.combo] = a;
+                combos.slots[2 * oc.combo + 1] = b;
             }
         }
         if let Some(e) = first_err {
@@ -493,10 +505,93 @@ impl Dtcwt {
         Ok(())
     }
 
-    /// Runs the full multi-level analysis of tree combination `ci` (0..4):
-    /// writes the per-level detail into `detail` and the lowpass residual
-    /// into `ll`, ping-ponging level images through `scratch`.
-    pub(crate) fn analyze_combo_into(
+    /// Runs the full multi-level analysis of both combos of row tree `rt`
+    /// (0 = A, 1 = B) into `pair`: combo `(rt, A)`, then `(rt, B)`, as
+    /// slots `2 rt` and `2 rt + 1` of a [`ComboStore`].
+    ///
+    /// Both combos filter the level-1 rows with the same bank and phase, so
+    /// that pass runs once, on the input padded once, into the scratch's
+    /// dedicated row halves; each combo then runs its level-1 column pass
+    /// from those halves and its deeper levels through the `cur`/`next`
+    /// ping-pong. Where combo `(rt, B)`'s own row pass used to run, the
+    /// kernel gets [`FilterKernel::charge_shared_rows`], so a platform
+    /// model still charges every call the paper's PS makes. Each output is
+    /// bit for bit what a separate per-combo analysis computes.
+    pub(crate) fn analyze_tree_into(
+        &self,
+        kernel: &mut dyn FilterKernel,
+        img: &Image,
+        rt: usize,
+        pair: &mut [ComboSlot],
+        scratch: &mut Scratch,
+    ) -> Result<(), DtcwtError> {
+        let rtree = TREES[rt];
+        let Scratch {
+            s1,
+            s2,
+            cur,
+            next,
+            padded,
+            rows_low,
+            rows_high,
+            ..
+        } = scratch;
+        let (w, h) = img.dims();
+        let src: &Image = if w % 2 == 0 && h % 2 == 0 {
+            img
+        } else {
+            img.pad_to_even_into(padded);
+            padded
+        };
+        let (pw, ph) = src.dims();
+        let rows = self.axis_spec(0, rtree);
+        analyze_rows_into(kernel, &rows, src, rows_low, rows_high, s1)?;
+        for (k, (slot, ctree)) in pair.iter_mut().zip(TREES).enumerate() {
+            if k == 1 {
+                kernel.charge_shared_rows(rows.taps, rows.phase, pw, ph);
+            }
+            let detail = &mut slot.detail;
+            // `Subbands::empty()` holds no pixels, so growing the vector
+            // only allocates on the very first frame.
+            while detail.len() < self.levels {
+                detail.push(Subbands::empty());
+            }
+            detail.truncate(self.levels);
+            let (first, deeper) = detail.split_first_mut().expect("levels >= 1");
+            let cols = self.axis_spec(0, ctree);
+            analyze_cols_into(
+                kernel,
+                &cols,
+                rows_low,
+                rows_high,
+                cur,
+                first,
+                &mut s2.col,
+                s1,
+            )?;
+            for (level, det) in (1..).zip(deeper) {
+                let rows = self.axis_spec(level, rtree);
+                let cols = self.axis_spec(level, ctree);
+                let (w, h) = cur.dims();
+                let src: &Image = if w % 2 == 0 && h % 2 == 0 {
+                    cur
+                } else {
+                    cur.pad_to_even_into(padded);
+                    padded
+                };
+                analyze_level_into(kernel, &rows, &cols, src, next, det, s2, s1)?;
+                std::mem::swap(cur, next);
+            }
+            slot.ll.copy_from(cur);
+        }
+        Ok(())
+    }
+
+    /// The per-combo analysis the per-tree body replaced: tree combination
+    /// `ci` (0..4) on its own, level-1 row pass included. The bit-for-bit
+    /// oracle of [`Dtcwt::analyze_tree_into`].
+    #[cfg(test)]
+    fn analyze_combo_into(
         &self,
         kernel: &mut dyn FilterKernel,
         img: &Image,
@@ -506,8 +601,6 @@ impl Dtcwt {
         scratch: &mut Scratch,
     ) -> Result<(), DtcwtError> {
         let (rt, ct) = COMBOS[ci];
-        // `Subbands::empty()` holds no pixels, so growing the vector only
-        // allocates on the very first frame.
         while detail.len() < self.levels {
             detail.push(Subbands::empty());
         }
@@ -1050,6 +1143,68 @@ mod tests {
                     bits(&want, canonical),
                     "{w}x{h} ci {ci}"
                 );
+            }
+        }
+    }
+
+    /// Geometries of the per-tree forward sweep: the smallest frame, odd
+    /// frames that pad at level 1 and again deeper down, the paper's odd
+    /// extraction and bench sizes, and a large frame.
+    const TREE_DIMS: [(usize, usize); 5] = [(2, 2), (7, 5), (35, 35), (64, 48), (320, 240)];
+
+    /// Every combo's detail bands and lowpass residual, as bit patterns.
+    fn combo_bits(combos: &ComboStore) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        for slot in &combos.slots {
+            for det in &slot.detail {
+                for band in [&det.lh, &det.hl, &det.hh] {
+                    out.push(bits(band, false));
+                }
+            }
+            out.push(bits(&slot.ll, false));
+        }
+        out
+    }
+
+    /// The four combos of `img` from the per-combo oracle, fresh buffers.
+    fn oracle_combos(t: &Dtcwt, kernel: &mut dyn FilterKernel, img: &Image) -> ComboStore {
+        let mut combos = ComboStore::new();
+        let mut scratch = Scratch::new();
+        for (ci, slot) in combos.slots.iter_mut().enumerate() {
+            t.analyze_combo_into(
+                kernel,
+                img,
+                ci,
+                &mut slot.detail,
+                &mut slot.ll,
+                &mut scratch,
+            )
+            .unwrap();
+        }
+        combos
+    }
+
+    #[test]
+    fn per_tree_forward_matches_the_per_combo_oracle_bit_for_bit() {
+        // One store and scratch reused across every geometry and depth, so
+        // stale level buffers and row halves cannot leak into a result.
+        let mut combos = ComboStore::new();
+        let mut scratch = Scratch::new();
+        let mut out = CwtPyramid::empty();
+        let mut k = ScalarKernel::new();
+        for (i, &(w, h)) in TREE_DIMS.iter().enumerate() {
+            let inputs = [test_image(w, h), special_plane(w, h, 31 + i as u32)];
+            for levels in 1..=Dwt2d::max_levels(w, h) {
+                let t = Dtcwt::new(levels).unwrap();
+                for (j, img) in inputs.iter().enumerate() {
+                    t.forward_into(&mut k, img, &mut combos, &mut scratch, &mut out)
+                        .unwrap();
+                    let want = oracle_combos(&t, &mut k, img);
+                    assert!(
+                        combo_bits(&combos) == combo_bits(&want),
+                        "{w}x{h} levels {levels} input {j}"
+                    );
+                }
             }
         }
     }

@@ -118,6 +118,9 @@ fn analyze_columns(
 /// in the scratch arenas. Produces bit-identical results to the allocating
 /// path (the cache-blocked transposes are pure copies).
 ///
+/// This is [`analyze_rows_into`] into the scratch halves followed by
+/// [`analyze_cols_into`].
+///
 /// # Errors
 ///
 /// Returns [`DtcwtError::BadDimensions`] for empty or odd-sized inputs.
@@ -132,6 +135,26 @@ pub fn analyze_level_into(
     s2: &mut Scratch2d,
     s1: &mut Scratch1d,
 ) -> Result<(), DtcwtError> {
+    let Scratch2d { low, high, col } = s2;
+    analyze_rows_into(kernel, rows, img, low, high, s1)?;
+    analyze_cols_into(kernel, cols, low, high, ll, detail, col, s1)
+}
+
+/// The row half of [`analyze_level_into`]: filters every row of `img`
+/// along x, straight into the half-width images `low` and `high`
+/// (reshaped to `width / 2` x `height`).
+///
+/// # Errors
+///
+/// Returns [`DtcwtError::BadDimensions`] for empty or odd-sized inputs.
+pub fn analyze_rows_into(
+    kernel: &mut dyn FilterKernel,
+    rows: &AxisSpec<'_>,
+    img: &Image,
+    low: &mut Image,
+    high: &mut Image,
+    s1: &mut Scratch1d,
+) -> Result<(), DtcwtError> {
     let (w, h) = img.dims();
     if w == 0 || h == 0 || w % 2 != 0 || h % 2 != 0 {
         return Err(DtcwtError::BadDimensions {
@@ -140,8 +163,6 @@ pub fn analyze_level_into(
             reason: "2-d analysis requires even non-zero dimensions",
         });
     }
-    let Scratch2d { low, high, col } = s2;
-    // Row pass: filter along x, straight into the half-width staging images.
     low.reshape(w / 2, h);
     high.reshape(w / 2, h);
     for y in 0..h {
@@ -155,7 +176,27 @@ pub fn analyze_level_into(
             s1,
         )?;
     }
-    // Column pass: routed through the kernel (columnar or transpose-based).
+    Ok(())
+}
+
+/// The column half of [`analyze_level_into`]: filters the row-pass halves
+/// `low` and `high` along y, routed through the kernel (columnar or
+/// transpose-based), into `ll` and the three detail bands.
+///
+/// # Errors
+///
+/// Returns [`DtcwtError::BadDimensions`] for empty halves or odd heights.
+#[allow(clippy::too_many_arguments)]
+pub fn analyze_cols_into(
+    kernel: &mut dyn FilterKernel,
+    cols: &AxisSpec<'_>,
+    low: &Image,
+    high: &Image,
+    ll: &mut Image,
+    detail: &mut Subbands,
+    col: &mut ColScratch,
+    s1: &mut Scratch1d,
+) -> Result<(), DtcwtError> {
     kernel.analyze_cols(cols.taps, cols.phase, low, ll, &mut detail.lh, col, s1)?;
     kernel.analyze_cols(
         cols.taps,
@@ -165,8 +206,7 @@ pub fn analyze_level_into(
         &mut detail.hh,
         col,
         s1,
-    )?;
-    Ok(())
+    )
 }
 
 /// One level of separable 2-D synthesis; exact inverse of [`analyze_level`].

@@ -155,6 +155,20 @@ pub trait FilterKernel {
         fallback_synthesize_cols(self, taps, phase, lo, hi, out, cs, s1)
     }
 
+    /// Accounts a row pass the caller did not run because it already holds
+    /// the result: `rows` rows of `width` samples, filtered through `taps`
+    /// at `phase` exactly as [`crate::dwt2d::analyze_rows_into`] would.
+    ///
+    /// The DT-CWT's two combos of one row tree share their level-1 row
+    /// pass (same bank, same phase, same image); it runs once and this hook
+    /// is called where the second combo's own pass used to run. The
+    /// default does nothing: a compute kernel has nothing to account. A
+    /// kernel that models a platform overrides it to charge the calls that
+    /// platform makes, in the order the skipped pass would have made them.
+    fn charge_shared_rows(&mut self, taps: &BankTaps, phase: Phase, width: usize, rows: usize) {
+        let _ = (taps, phase, width, rows);
+    }
+
     /// Fuses rows `[y0, y1)` of one oriented complex subband pair into
     /// `out_re`/`out_im` (reshaped to `w × (y1 − y0)`; output row `t` is
     /// source row `y0 + t`).

@@ -45,7 +45,7 @@ pub mod workers;
 
 mod error;
 
-pub use dtcwt::{CwtPyramid, Dtcwt, Orientation};
+pub use dtcwt::{CwtPyramid, Dtcwt, Orientation, FORWARD_JOBS_PER_PAIR};
 pub use dwt2d::{Dwt2d, DwtPyramid};
 pub use error::DtcwtError;
 pub use filters::FilterBank;

@@ -229,8 +229,9 @@ impl Default for Scratch2d {
 }
 
 /// Everything one multi-level DT-CWT worker needs to run without allocating:
-/// the 1-D and 2-D scratch plus the per-combo level ping-pong images and the
-/// quad-extraction staging of the inverse.
+/// the 1-D and 2-D scratch, the level-1 row halves a row tree's two combos
+/// share, the per-combo level ping-pong images and the quad-extraction
+/// staging of the inverse.
 #[derive(Debug)]
 pub struct Scratch {
     pub(crate) s1: Scratch1d,
@@ -239,8 +240,12 @@ pub struct Scratch {
     pub(crate) cur: Image,
     /// Next level input / level output (pong).
     pub(crate) next: Image,
-    /// Even-padded copy of `cur` for odd-sized levels.
+    /// Even-padded copy of `cur` for odd-sized levels (of the input, at
+    /// level 1).
     pub(crate) padded: Image,
+    /// Level-1 row-pass halves of one row tree, shared by its two combos.
+    pub(crate) rows_low: Image,
+    pub(crate) rows_high: Image,
     /// Per-level real detail extracted from the complex subbands (inverse).
     pub(crate) qlh: Image,
     pub(crate) qhl: Image,
@@ -257,6 +262,8 @@ impl Scratch {
             cur: Image::zeros(0, 0),
             next: Image::zeros(0, 0),
             padded: Image::zeros(0, 0),
+            rows_low: Image::zeros(0, 0),
+            rows_high: Image::zeros(0, 0),
             qlh: Image::zeros(0, 0),
             qhl: Image::zeros(0, 0),
             qhh: Image::zeros(0, 0),

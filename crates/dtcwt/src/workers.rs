@@ -14,7 +14,8 @@
 //!   via a compare-and-swap loop on one shared atomic cursor (the
 //!   range-splitting scheme: the chunk size adapts to the work remaining so
 //!   large batches split across workers while small batches stay
-//!   fine-grained for load balance). A job itself stays combo-granular —
+//!   fine-grained for load balance). A job itself stays tree-granular (a
+//!   forward row tree or an inverse combo) —
 //!   this crate forbids `unsafe`, so a mutable output buffer cannot be
 //!   row-banded across threads; the cursor splits the *batch*, not a row.
 //! * Completion is a single atomic counter plus a per-slot outcome cell;
@@ -42,33 +43,33 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::dtcwt::{CwtPyramid, Dtcwt};
-use crate::dwt2d::Subbands;
 use crate::image::Image;
 use crate::kernel::FilterKernel;
-use crate::scratch::Scratch;
+use crate::scratch::{ComboSlot, Scratch};
 use crate::DtcwtError;
 
-/// One unit of work: a single tree combination of a forward or inverse
-/// DT-CWT. Output buffers are moved in empty (or pre-sized from a previous
-/// frame) and handed back through [`JobOutcome`].
+/// One unit of work: one row tree (both of its tree combinations) of a
+/// forward DT-CWT, or one tree combination of an inverse. Output buffers
+/// are moved in empty (or pre-sized from a previous frame) and handed back
+/// through [`JobOutcome`].
 #[derive(Debug)]
 pub enum Job {
-    /// Analyze one tree combination of `img`.
-    ForwardCombo {
+    /// Analyze both tree combinations of row tree `tree` of `img`, sharing
+    /// their level-1 row pass.
+    ForwardTree {
         /// The transform (shared, immutable).
         transform: Arc<Dtcwt>,
         /// Input image (shared, immutable).
         img: Arc<Image>,
         /// Caller-chosen batch tag (e.g. which of several inputs).
         tag: u32,
-        /// Tree-combination index 0..4 (AA, AB, BA, BB).
-        combo: usize,
+        /// Row-tree index 0..2 (A, B): combos `2 tree` and `2 tree + 1`.
+        tree: usize,
         /// Index into the worker's kernel slots.
         kernel: usize,
-        /// Detail output buffer (moved back via the outcome).
-        detail: Vec<Subbands>,
-        /// Lowpass output buffer (moved back via the outcome).
-        ll: Image,
+        /// The two combos' output buffers, in combo order (moved back via
+        /// the outcome).
+        slots: [ComboSlot; 2],
     },
     /// Synthesize one tree combination of `pyr`.
     InverseCombo {
@@ -90,9 +91,8 @@ pub enum Job {
 impl Job {
     fn ids(&self) -> (u32, usize) {
         match self {
-            Job::ForwardCombo { tag, combo, .. } | Job::InverseCombo { tag, combo, .. } => {
-                (*tag, *combo)
-            }
+            Job::ForwardTree { tag, tree, .. } => (*tag, *tree),
+            Job::InverseCombo { tag, combo, .. } => (*tag, *combo),
         }
     }
 }
@@ -100,12 +100,11 @@ impl Job {
 /// The buffers a completed [`Job`] hands back.
 #[derive(Debug)]
 pub enum JobPayload {
-    /// Output of a [`Job::ForwardCombo`].
+    /// Output of a [`Job::ForwardTree`].
     Forward {
-        /// Per-level detail subbands of this combination.
-        detail: Vec<Subbands>,
-        /// Lowpass residual of this combination.
-        ll: Image,
+        /// The row tree's two combos (detail pyramid and lowpass residual
+        /// each), in combo order.
+        slots: [ComboSlot; 2],
     },
     /// Output of a [`Job::InverseCombo`].
     Inverse {
@@ -121,7 +120,8 @@ pub enum JobPayload {
 pub struct JobOutcome {
     /// The job's batch tag.
     pub tag: u32,
-    /// The job's tree-combination index.
+    /// The job's tree-combination index (an inverse job) or row-tree
+    /// index (a forward job).
     pub combo: usize,
     /// Returned buffers (valid only when `error` is `None`).
     pub payload: JobPayload,
@@ -130,15 +130,17 @@ pub struct JobOutcome {
 }
 
 /// Capacity of the slot ring: the largest batch that may be in flight
-/// between two drains. The fusion engine submits at most eight jobs (two
-/// concurrent four-combo forwards); the rest is headroom for stress tests
-/// and future batches. Fixed so steady-state dispatch never reallocates.
+/// between two drains. One fusion engine submits at most
+/// [`crate::FORWARD_JOBS_PER_PAIR`] forward jobs (two row trees of each
+/// image) or four inverse combo jobs per frame; a serving fleet packs many
+/// streams' forwards up to this bound. Fixed so steady-state dispatch never
+/// reallocates.
 pub const BATCH_SLOTS: usize = 64;
 
 /// Claim-chunk divisor: a claim takes `max(1, remaining / (threads * 4))`
 /// jobs, so large batches split into a few chunks per worker (amortizing
-/// the CAS) while the frame path's 4-8 heavy combo jobs stay job-granular
-/// for load balance.
+/// the CAS) while the frame path's four heavy tree or combo jobs stay
+/// job-granular for load balance.
 const CLAIM_SPLIT: usize = 4;
 
 /// Spin iterations before an idle worker parks on the condvar.
@@ -637,18 +639,17 @@ fn execute(
     scratch: &mut Scratch,
 ) -> JobOutcome {
     match job {
-        Job::ForwardCombo {
+        Job::ForwardTree {
             transform,
             img,
             tag,
-            combo,
+            tree,
             kernel,
-            mut detail,
-            mut ll,
+            mut slots,
         } => {
             let error = match kernels.get_mut(kernel) {
                 Some(k) => transform
-                    .analyze_combo_into(k.as_mut(), &img, combo, &mut detail, &mut ll, scratch)
+                    .analyze_tree_into(k.as_mut(), &img, tree, &mut slots, scratch)
                     .err(),
                 None => Some(DtcwtError::MalformedPyramid(format!(
                     "worker has no kernel slot {kernel}"
@@ -656,8 +657,8 @@ fn execute(
             };
             JobOutcome {
                 tag,
-                combo,
-                payload: JobPayload::Forward { detail, ll },
+                combo: tree,
+                payload: JobPayload::Forward { slots },
                 error,
             }
         }
@@ -705,7 +706,7 @@ mod tests {
         vec![Box::new(ScalarKernel::new())]
     }
 
-    /// Runs both forwards of `img` paired with itself as one eight-job
+    /// Runs both forwards of `img` paired with itself as one four-job
     /// batch on kernel slot `kernel`, returning the two pyramids.
     fn forward_pair(
         pool: &WorkerPool,
@@ -772,8 +773,8 @@ mod tests {
         }
         let totals = pool.sched_totals();
         // Every executed job was claimed through the shared cursor; each
-        // pair-forward batch submits eight combo jobs.
-        assert_eq!(totals.jobs, 32, "totals: {totals:?}");
+        // pair-forward batch submits four row-tree jobs.
+        assert_eq!(totals.jobs, 16, "totals: {totals:?}");
         assert!(totals.batches_claimed >= 1 && totals.batches_claimed <= totals.jobs);
         // A steal is a kind of claim, never more than all of them. (Steal
         // and park counts depend on scheduling luck, so no lower bound.)
@@ -792,7 +793,7 @@ mod tests {
         }
         let stats = pool.sched_stats(0);
         assert_eq!(stats.steals, 0);
-        assert_eq!(stats.jobs, 24);
+        assert_eq!(stats.jobs, 12);
     }
 
     #[test]
@@ -800,24 +801,27 @@ mod tests {
         let pool = WorkerPool::new(3, &mut boxed_scalar);
         let t = Arc::new(Dtcwt::new(1).unwrap());
         let img = Arc::new(Image::from_fn(16, 16, |x, y| (x + 2 * y) as f32));
-        for round in 0..8 {
-            let mut combos = ComboStore::new();
-            for (ci, slot) in combos.slots.iter_mut().enumerate() {
-                pool.submit(Job::ForwardCombo {
-                    transform: Arc::clone(&t),
-                    img: Arc::clone(&img),
-                    tag: round,
-                    combo: ci,
-                    kernel: 0,
-                    detail: std::mem::take(&mut slot.detail),
-                    ll: std::mem::take(&mut slot.ll),
-                });
+        for round in 0..8u32 {
+            // Both row trees of two tagged images: four jobs per round.
+            let mut want = Vec::new();
+            for tag in [2 * round, 2 * round + 1] {
+                let mut combos = ComboStore::new();
+                for (rt, pair) in combos.slots.chunks_exact_mut(2).enumerate() {
+                    pool.submit(Job::ForwardTree {
+                        transform: Arc::clone(&t),
+                        img: Arc::clone(&img),
+                        tag,
+                        tree: rt,
+                        kernel: 0,
+                        slots: [std::mem::take(&mut pair[0]), std::mem::take(&mut pair[1])],
+                    });
+                    want.push((tag, rt));
+                }
             }
             let mut outcomes = Vec::new();
             assert_eq!(pool.drain(4, &mut outcomes), None);
-            let order: Vec<usize> = outcomes.iter().map(|o| o.combo).collect();
-            assert_eq!(order, vec![0, 1, 2, 3], "round {round}");
-            assert!(outcomes.iter().all(|o| o.tag == round));
+            let order: Vec<(u32, usize)> = outcomes.iter().map(|o| (o.tag, o.combo)).collect();
+            assert_eq!(order, want, "round {round}");
         }
     }
 
@@ -832,15 +836,14 @@ mod tests {
         let mut outcomes = Vec::new();
         let n = BATCH_SLOTS;
         for i in 0..n {
-            pool.submit(Job::ForwardCombo {
+            pool.submit(Job::ForwardTree {
                 transform: Arc::clone(&t),
                 img: Arc::clone(&img),
                 tag: i as u32,
                 // Every third job asks for a missing kernel slot.
-                combo: i % 4,
+                tree: i % 2,
                 kernel: if i % 3 == 2 { 7 } else { 0 },
-                detail: Vec::new(),
-                ll: Image::zeros(0, 0),
+                slots: Default::default(),
             });
         }
         let first_err = pool.drain(n, &mut outcomes);
@@ -871,14 +874,13 @@ mod tests {
                 let fail_mod = 2 + batch % 5;
                 let fail_offset = batch % fail_mod;
                 for i in 0..n {
-                    pool.submit(Job::ForwardCombo {
+                    pool.submit(Job::ForwardTree {
                         transform: Arc::clone(&t),
                         img: Arc::clone(&img),
                         tag: (batch * n + i) as u32,
-                        combo: i % 4,
+                        tree: i % 2,
                         kernel: if i % fail_mod == fail_offset { 9 } else { 0 },
-                        detail: Vec::new(),
-                        ll: Image::zeros(0, 0),
+                        slots: Default::default(),
                     });
                 }
                 let first_err = pool.drain(n, &mut outcomes);
@@ -900,14 +902,13 @@ mod tests {
             }
             // Leave a full batch in flight and drop: must join, not hang.
             for i in 0..BATCH_SLOTS {
-                pool.submit(Job::ForwardCombo {
+                pool.submit(Job::ForwardTree {
                     transform: Arc::clone(&t),
                     img: Arc::clone(&img),
                     tag: i as u32,
-                    combo: i % 4,
+                    tree: i % 2,
                     kernel: 0,
-                    detail: Vec::new(),
-                    ll: Image::zeros(0, 0),
+                    slots: Default::default(),
                 });
             }
             drop(pool);
@@ -957,26 +958,26 @@ mod tests {
             // Harvest the two oldest batches; the third stays in flight.
             assert_eq!(pool.drain_partial(8, &mut outcomes), None);
             assert_eq!(pool.outstanding(), 4);
-            // Stack a forward batch on top and full-drain it together with
-            // the leftover inverse batch.
+            // Stack a forward batch (both row trees of one image) on top
+            // and full-drain it together with the leftover inverse batch.
             let mut combos = ComboStore::new();
-            for (ci, slot) in combos.slots.iter_mut().enumerate() {
-                pool.submit(Job::ForwardCombo {
+            for (rt, pair) in combos.slots.chunks_exact_mut(2).enumerate() {
+                pool.submit(Job::ForwardTree {
                     transform: Arc::clone(&t),
                     img: Arc::clone(&img),
                     tag: 7,
-                    combo: ci,
+                    tree: rt,
                     kernel: 0,
-                    detail: std::mem::take(&mut slot.detail),
-                    ll: std::mem::take(&mut slot.ll),
+                    slots: [std::mem::take(&mut pair[0]), std::mem::take(&mut pair[1])],
                 });
             }
-            assert_eq!(pool.drain(8, &mut outcomes), None);
+            assert_eq!(pool.drain(6, &mut outcomes), None);
             assert_eq!(pool.outstanding(), 0);
             let ids: Vec<(u32, usize)> = outcomes.iter().map(|o| (o.tag, o.combo)).collect();
-            let want: Vec<(u32, usize)> = [0u32, 1, 2, 7]
+            let want: Vec<(u32, usize)> = [0u32, 1, 2]
                 .into_iter()
                 .flat_map(|tag| (0..4).map(move |ci| (tag, ci)))
+                .chain([(7, 0), (7, 1)])
                 .collect();
             assert_eq!(ids, want, "threads {threads}");
         }

@@ -263,6 +263,22 @@ impl WaveletEngine {
         Ok(self.finish(ext.len(), 2 * n_out, n_out, Direction::Forward))
     }
 
+    /// What one [`Self::forward_row`] call on an `ext_len`-word extended
+    /// row with `n_out` outputs per channel costs, without running it: the
+    /// same checks and the same [`EngineRun`].
+    ///
+    /// # Errors
+    ///
+    /// * [`ZynqError::CoefficientsNotLoaded`] before a coefficient load.
+    /// * [`ZynqError::BufferOverrun`] if the row exceeds a BRAM area.
+    pub fn forward_row_cost(&self, ext_len: usize, n_out: usize) -> Result<EngineRun, ZynqError> {
+        if self.loaded_analysis.is_none() {
+            return Err(ZynqError::CoefficientsNotLoaded);
+        }
+        self.check_bram(ext_len, 2 * n_out)?;
+        Ok(self.run_cost(ext_len, 2 * n_out, n_out, Direction::Forward))
+    }
+
     /// Runs one inverse (interpolating) row through the datapath (mode 3),
     /// with the same status handshake as [`Self::forward_row`].
     ///
@@ -522,6 +538,18 @@ impl WaveletEngine {
     ) -> EngineRun {
         self.regs.hw_set(EngineReg::Status, status::DONE);
         self.regs.read(EngineReg::Status); // completion poll
+        self.run_cost(words_in, words_out, iterations, dir)
+    }
+
+    /// The cost of one row call moving `words_in`/`words_out` words over
+    /// `iterations` pipeline iterations.
+    fn run_cost(
+        &self,
+        words_in: usize,
+        words_out: usize,
+        iterations: usize,
+        dir: Direction,
+    ) -> EngineRun {
         EngineRun {
             cycles: RowCycles::of(words_in, words_out, iterations, dir, &self.cfg),
             words_in,

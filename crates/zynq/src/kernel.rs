@@ -24,7 +24,10 @@
 //! columns and with no transposes, and the kernel charges each column as
 //! one row call, in column order. The outputs, the ledger, the overlap
 //! timeline and the driver counters are those of staging the columns
-//! through the row path, bit for bit.
+//! through the row path, bit for bit. Likewise, the level-1 rows the
+//! DT-CWT computes once for the two combos of a row tree are charged a
+//! second time ([`FilterKernel::charge_shared_rows`]), as the paper's PS
+//! runs them for each combo.
 
 use std::sync::Arc;
 
@@ -303,17 +306,18 @@ impl FpgaKernel {
         Ok(())
     }
 
-    /// One call per column of a column pass, in column order: each is
-    /// accounted exactly as a row call of the column's extended data.
-    fn charge_column_calls(
+    /// `lines` row calls of one `width`-sample shape in a row, each
+    /// accounted exactly as a row call of its extended data: the columns of
+    /// a column pass, in column order, or the rows of a shared row pass.
+    fn charge_line_calls(
         &mut self,
-        columns: usize,
+        lines: usize,
         dir: Direction,
         width: usize,
         phase: usize,
         run: &EngineRun,
     ) -> Result<(), ZynqError> {
-        for _ in 0..columns {
+        for _ in 0..lines {
             let overhead = self.open_call(dir, width, phase)?;
             let copy_in_ps = self.driver.charge_copy_from_user(run.words_in);
             self.close_call(overhead, copy_in_ps, run, dir)?;
@@ -336,7 +340,24 @@ impl FpgaKernel {
         let run = self
             .engine
             .forward_cols(img.as_slice(), w, left, phase, lo, hi)?;
-        self.charge_column_calls(w, Direction::Forward, h, phase, &run)
+        self.charge_line_calls(w, Direction::Forward, h, phase, &run)
+    }
+
+    /// Charges the forward row calls of a row pass another combo already
+    /// computed, as [`Self::run_forward`] charges each of them: the filter
+    /// check, then per row the call's overhead, its copy in, its copy out
+    /// and its engine run.
+    fn charge_shared_forward_rows(
+        &mut self,
+        taps: &BankTaps,
+        phase: usize,
+        width: usize,
+        rows: usize,
+    ) -> Result<(), ZynqError> {
+        self.ensure_analysis_filters(&taps.h0, &taps.h1)?;
+        let ext_len = width + 2 * taps.analysis_left();
+        let run = self.engine.forward_row_cost(ext_len, width / 2)?;
+        self.charge_line_calls(rows, Direction::Forward, width, phase, &run)
     }
 
     /// The inverse column pass into `out`, already shaped `w` x `2 nh`.
@@ -355,7 +376,7 @@ impl FpgaKernel {
         let run = self
             .engine
             .inverse_cols(lo, hi, w, left, phase, delay, out.as_mut_slice())?;
-        self.charge_column_calls(w, Direction::Inverse, n, phase, &run)
+        self.charge_line_calls(w, Direction::Inverse, n, phase, &run)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -443,6 +464,21 @@ impl FilterKernel for FpgaKernel {
         out: &mut [f32],
     ) {
         self.run_inverse(lo_ext, hi_ext, left, g0, g1, phase, out)
+            .expect("row transform within hardware limits");
+    }
+
+    /// The transform skipped these rows because the other combo of the row
+    /// tree already filtered them; the paper's PS runs them again, so each
+    /// is charged as [`FilterKernel::analyze_row`] would charge it, in row
+    /// order: the ledger, the overlap timeline, the driver counters, the
+    /// register writes and the telemetry equal a real pass's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an extended row exceeds the engine's BRAM area, as
+    /// [`FilterKernel::analyze_row`] does.
+    fn charge_shared_rows(&mut self, taps: &BankTaps, phase: Phase, width: usize, rows: usize) {
+        self.charge_shared_forward_rows(taps, phase.offset(), width, rows)
             .expect("row transform within hardware limits");
     }
 

@@ -78,11 +78,15 @@ echo "== depth-k pipelining bit-identity (incl. the release-only VGA matrix)"
 # pixel stream exactly; the 640x480 matrix is debug-ignored and runs here.
 cargo test -q --release --test depth_identity -- --include-ignored
 
-echo "== fleet and pool schedules (serve identity, thread scaling)"
+echo "== fleet and pool schedules (serve identity, thread scaling, backpressure, telemetry, pipeline)"
 # A forward job is one row tree and a 16-stream fleet round is one ring
 # fill; the fleet's digests must equal solo runs and the pooled engine
-# must match serial at every thread count.
-cargo test -q --release --test serve_identity --test thread_scaling
+# must match serial at every thread count. The pipeline is a fleet of one
+# on the same frame driver, so its telemetry and end-to-end suites run
+# here too, and release timing is where capped fleets drop differently.
+cargo test -q --release --test serve_identity --test thread_scaling \
+    --test serve_backpressure --test serve_telemetry \
+    --test telemetry_pipeline --test end_to_end
 
 echo "== fusion bit-identity (kernels x rules x radii x geometries, engine, depth-k, fleet)"
 # Dispatcher-side fusion through the SIMD and scalar kernels must

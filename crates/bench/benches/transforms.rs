@@ -142,7 +142,7 @@ fn bench_parallel(c: &mut Criterion) {
             t.inverse_pooled_submit(&pool, WORKER_SLOT_SIMD, black_box(&pyr), &mut bufs, 0)
                 .unwrap();
             outcomes.clear();
-            pool.drain(4, &mut outcomes);
+            pool.drain_partial(4, &mut outcomes);
             t.inverse_collect_outcomes(&mut outcomes, &mut bufs, &mut out)
                 .unwrap();
             black_box(out.get(0, 0))

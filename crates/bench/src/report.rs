@@ -294,6 +294,9 @@ pub fn render_serve(bench: &ServeBench) -> String {
         r.plan_cache_hits,
         r.qos_infeasible
     ));
+    out.push_str(
+        "p50/p99: capture to retire, including the round a captured frame waits before submit | missed: submit to retire over the stream deadline\n",
+    );
     out.push_str(&format!(
         "{:>6} | {:>8} | {:>9} {:>6} {:>5} | {:>8} {:>5} {:>6} | {:>8} {:>10} {:>10} | {:>9}\n",
         "stream",

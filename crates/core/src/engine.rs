@@ -84,11 +84,12 @@ pub struct PendingFusion {
     image: Image,
     backend: Backend,
     dims: (usize, usize),
-    /// Whether four inverse combo jobs are still in flight on the pool.
-    inverse_in_flight: bool,
-    /// Ring slot owning this frame's fused pyramid and inverse buffers
-    /// (pooled CPU path only — see [`FusionEngine::set_pipeline_depth`]).
-    slot: Option<usize>,
+    /// Ring slot and fused pyramid of a pooled frame whose four inverse
+    /// combo jobs went to the pool (see [`FusionEngine::set_pipeline_depth`]).
+    /// The token shares the pyramid, so it can still be finished serially
+    /// after a reconfigure abandoned its batch or handed its slot to a
+    /// later frame.
+    inflight: Option<(usize, Arc<CwtPyramid>)>,
     /// Modeled forward seconds (both inputs).
     forward_s: f64,
     /// Modeled inverse seconds.
@@ -105,7 +106,7 @@ impl PendingFusion {
     /// Whether the inverse transform is still running on the worker pool —
     /// i.e. whether there is real work to overlap with.
     pub fn inverse_in_flight(&self) -> bool {
-        self.inverse_in_flight
+        self.inflight.is_some()
     }
 
     /// The backend executing this frame.
@@ -117,7 +118,7 @@ impl PendingFusion {
     /// on the serial and FPGA paths, which complete inside
     /// [`FusionEngine::fuse_submit`]).
     pub fn slot(&self) -> Option<usize> {
-        self.slot
+        self.inflight.as_ref().map(|(si, _)| *si)
     }
 }
 
@@ -413,6 +414,14 @@ impl FusionEngine {
         self.pool.as_ref().map_or(1, |p| p.threads())
     }
 
+    /// Whether a frame on `backend` runs on the worker pool: a CPU backend
+    /// with a pool attached. Such frames go through
+    /// [`FusionEngine::packed_forward_submit`]; every other frame completes
+    /// inside [`FusionEngine::fuse_submit`].
+    pub(crate) fn packs(&self, backend: Backend) -> bool {
+        self.pool.is_some() && matches!(backend, Backend::Arm | Backend::Neon)
+    }
+
     /// Sets the frame-pipelining depth: how many frames may have their
     /// inverse transform outstanding on the worker pool at once. Depth 1
     /// (the default) is the classic single-frame submit/finish overlap;
@@ -661,7 +670,7 @@ impl FusionEngine {
         while self.inflight.len() >= self.depth {
             self.abandon_oldest_in_flight();
         }
-        if self.pool.is_some() && matches!(backend, Backend::Arm | Backend::Neon) {
+        if self.packs(backend) {
             // Harvest older frames' in-flight inverse outcomes into their
             // slots first (oldest first), so the forward collect only waits
             // on this frame's four jobs. Workers run the ring in submission
@@ -687,8 +696,7 @@ impl FusionEngine {
             image: self.out_pool.acquire(w, h),
             backend,
             dims: (w, h),
-            inverse_in_flight: false,
-            slot: None,
+            inflight: None,
             forward_s: 0.0,
             inverse_s: 0.0,
             wall_forward_s: 0.0,
@@ -847,6 +855,7 @@ impl FusionEngine {
         }
         fslot.busy = true;
         fslot.stashed = false;
+        let fused = Arc::clone(&fslot.fused);
         self.inflight.push_back(si);
         self.next_slot = (si + 1) % self.depth;
         let (forward_s, _) = self.take_phase_cost(backend, (w, h), Direction::Forward);
@@ -855,8 +864,7 @@ impl FusionEngine {
             image,
             backend,
             dims: (w, h),
-            inverse_in_flight: true,
-            slot: Some(si),
+            inflight: Some((si, fused)),
             forward_s,
             inverse_s,
             wall_forward_s: (t1 - submitted).as_secs_f64(),
@@ -878,8 +886,7 @@ impl FusionEngine {
             mut image,
             backend,
             dims: (w, h),
-            inverse_in_flight,
-            slot,
+            inflight,
             forward_s,
             inverse_s,
             wall_forward_s,
@@ -887,12 +894,18 @@ impl FusionEngine {
             mut wall_inverse_s,
             pl_busy_s,
         } = pending;
-        if inverse_in_flight {
-            let si = slot.expect("pooled frames carry their ring slot");
+        if let Some((si, fused)) = inflight {
             let t0 = std::time::Instant::now();
-            let result = if self.slots[si].busy {
+            // The slot still holds this frame's batch unless a reconfigure
+            // abandoned it, shrank the ring, or gave the slot (and a fresh
+            // pyramid) to a later frame.
+            let owned = self
+                .slots
+                .get(si)
+                .is_some_and(|s| s.busy && Arc::ptr_eq(&s.fused, &fused));
+            let result = if owned {
                 // In-order retirement: pooled frames finish in submission
-                // order (the pipeline's own ring guarantees this).
+                // order (the frame driver in `serve` guarantees this).
                 let front = self.inflight.front().copied();
                 assert_eq!(
                     front,
@@ -917,11 +930,9 @@ impl FusionEngine {
                     &mut image,
                 )
             } else {
-                // The pool vanished (or was rebuilt) under the pending
-                // frame — the reconfigure already abandoned its batch —
-                // but the fused pyramid is still staged in the slot, so
-                // recover with a serial inverse on the backend's kernel.
-                let fused = Arc::clone(&self.slots[si].fused);
+                // A reconfigure already abandoned this frame's batch, but
+                // the token shares its fused pyramid, so recover with a
+                // serial inverse on the backend's kernel.
                 self.dtcwt.inverse_into(
                     self.kernels.get(backend),
                     &fused,
@@ -1283,8 +1294,9 @@ fn stage_image(slot: &mut Arc<Image>, src: &Image) {
 }
 
 /// Regains exclusive access to the shared fused-pyramid slot, replacing it
-/// with a fresh one in the (steady-state impossible) case that a worker
-/// still holds a reference.
+/// with a fresh one when another holder remains: a token whose batch a
+/// reconfigure abandoned (it recovers from its own copy), or a worker (in
+/// the steady state, impossible).
 fn exclusive_pyramid(slot: &mut Arc<CwtPyramid>) -> &mut CwtPyramid {
     if Arc::get_mut(slot).is_none() {
         *slot = Arc::new(CwtPyramid::empty());
@@ -1455,6 +1467,70 @@ mod tests {
         let out1 = eng.fuse_finish(p1).unwrap();
         assert_eq!(out0.image, want.image);
         assert_eq!(out1.image, want.image);
+    }
+
+    /// `n` distinct 40x40 frame pairs and their serial NEON fusions.
+    fn distinct_frames(n: usize) -> (Vec<(Image, Image)>, Vec<Image>) {
+        let frames: Vec<(Image, Image)> = (0..n)
+            .map(|i| {
+                (
+                    Image::from_fn(40, 40, move |x, y| {
+                        ((x * 5 + y * 2 + 7 * i) % 17) as f32 / 16.0
+                    }),
+                    Image::from_fn(40, 40, move |x, y| ((x + y * y + 3 * i) % 23) as f32 / 22.0),
+                )
+            })
+            .collect();
+        let mut serial = FusionEngine::new(3).unwrap();
+        let want = frames
+            .iter()
+            .map(|(a, b)| serial.fuse(a, b, Backend::Neon).unwrap().image)
+            .collect();
+        (frames, want)
+    }
+
+    #[test]
+    fn shrinking_the_ring_mid_flight_finishes_each_token_on_its_own_frame() {
+        let (frames, want) = distinct_frames(2);
+        assert_ne!(want[0], want[1]);
+        let mut eng = FusionEngine::new(3).unwrap();
+        eng.set_threads(2);
+        eng.set_pipeline_depth(3);
+        let p0 = eng
+            .fuse_submit(&frames[0].0, &frames[0].1, Backend::Neon)
+            .unwrap();
+        let p1 = eng
+            .fuse_submit(&frames[1].0, &frames[1].1, Backend::Neon)
+            .unwrap();
+        // The ring shrinks to one slot: p1's slot is gone, and both
+        // batches were abandoned; each token still finishes its own frame.
+        eng.set_pipeline_depth(1);
+        assert_eq!(eng.fuse_finish(p1).unwrap().image, want[1]);
+        assert_eq!(eng.fuse_finish(p0).unwrap().image, want[0]);
+    }
+
+    #[test]
+    fn a_reused_slot_never_hands_an_abandoned_token_the_new_frame() {
+        let (frames, want) = distinct_frames(3);
+        let mut eng = FusionEngine::new(3).unwrap();
+        eng.set_threads(2);
+        eng.set_pipeline_depth(2);
+        let p0 = eng
+            .fuse_submit(&frames[0].0, &frames[0].1, Backend::Neon)
+            .unwrap();
+        let p1 = eng
+            .fuse_submit(&frames[1].0, &frames[1].1, Backend::Neon)
+            .unwrap();
+        // A new pool abandons both batches; the next submit reuses p0's
+        // slot for a different frame.
+        eng.set_threads(2);
+        let p2 = eng
+            .fuse_submit(&frames[2].0, &frames[2].1, Backend::Neon)
+            .unwrap();
+        assert_eq!(p0.slot(), p2.slot());
+        assert_eq!(eng.fuse_finish(p0).unwrap().image, want[0]);
+        assert_eq!(eng.fuse_finish(p1).unwrap().image, want[1]);
+        assert_eq!(eng.fuse_finish(p2).unwrap().image, want[2]);
     }
 
     #[test]

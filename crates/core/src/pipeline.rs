@@ -5,21 +5,19 @@
 //! decode → scale path, both gated through the depth-1 frame gate (the
 //! paper's output FIFO), then fused frame by frame on a fixed or
 //! adaptively chosen backend, accumulating modeled time and energy.
+//!
+//! A pipeline is a [`StreamManager`] fleet of one stream: the frame
+//! driver, its capture-ahead schedule and the flight recorder live in
+//! [`crate::serve`], and the methods here delegate to it.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use wavefuse_dtcwt::{Image, PoolStats, WorkerSchedStats};
-use wavefuse_trace::{FlightRecorder, FrameRecord, MetricsRegistry};
-use wavefuse_video::camera::{ThermalCamera, WebCamera};
-use wavefuse_video::fifo::FrameGate;
-use wavefuse_video::scene::ScenePair;
-use wavefuse_video::Frame;
+use wavefuse_trace::{FlightRecorder, MetricsRegistry};
 
 use crate::adaptive::{AdaptiveScheduler, Objective, Policy};
 use crate::backend::{Backend, BackendCounts};
-use crate::engine::{FusionEngine, FusionOutput, PendingFusion, PhaseTiming};
+use crate::engine::{FusionEngine, FusionOutput, PhaseTiming};
+use crate::serve::StreamManager;
 use crate::FusionError;
 
 /// Frames the always-on flight recorder retains (the paper profiles runs
@@ -37,6 +35,29 @@ pub enum BackendChoice {
     Adaptive(Box<AdaptiveScheduler>),
 }
 
+impl BackendChoice {
+    /// The backend for the next `width` x `height` frame.
+    pub(crate) fn choose(&mut self, width: usize, height: usize) -> Result<Backend, FusionError> {
+        match self {
+            BackendChoice::Fixed(b) => Ok(*b),
+            BackendChoice::Adaptive(s) => s.choose(width, height),
+        }
+    }
+
+    /// The flight record's decision label.
+    pub(crate) fn decision(&self) -> &'static str {
+        match self {
+            BackendChoice::Fixed(_) => "fixed",
+            BackendChoice::Adaptive(s) => match s.policy() {
+                Policy::Model(Objective::Time) => "model-time",
+                Policy::Model(Objective::Energy) => "model-energy",
+                Policy::Online(Objective::Time) => "online-time",
+                Policy::Online(Objective::Energy) => "online-energy",
+            },
+        }
+    }
+}
+
 /// Pipeline configuration.
 #[derive(Debug)]
 pub struct PipelineConfig {
@@ -49,8 +70,8 @@ pub struct PipelineConfig {
     /// Scene seed (reproducibility).
     pub scene_seed: u64,
     /// Transform worker threads (1 = serial on the caller's thread). Values
-    /// above 1 spawn a persistent [`wavefuse_dtcwt::WorkerPool`] in the
-    /// engine, reused for every frame.
+    /// above 1 spawn a persistent [`wavefuse_dtcwt::WorkerPool`] for the
+    /// pipeline, reused for every frame.
     pub threads: usize,
     /// Software-pipelining depth: how many frames may be in flight at
     /// once (1 = the classic schedule with single-frame capture overlap).
@@ -76,16 +97,7 @@ impl Default for PipelineConfig {
     }
 }
 
-/// One frame submitted to the engine but not yet retired: everything the
-/// retirement step needs to finish it and write its flight record.
-#[derive(Debug)]
-struct InFlightFrame {
-    pending: PendingFusion,
-    backend: Backend,
-    wall_start: Duration,
-}
-
-/// Accumulated statistics of a pipeline run.
+/// Accumulated statistics of a pipeline run (or of one serving stream).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
     /// Fused frames produced.
@@ -115,88 +127,20 @@ pub struct PipelineStats {
 /// ```
 #[derive(Debug)]
 pub struct VideoFusionPipeline {
-    engine: FusionEngine,
-    web: WebCamera,
-    thermal: ThermalCamera,
-    gate: FrameGate<Frame>,
-    backend: BackendChoice,
-    stats: PipelineStats,
-    telemetry: Option<Arc<MetricsRegistry>>,
-    /// Reusable visible-capture slot (the webcam writes into it in place).
-    visible: Frame,
-    /// Free list of thermal frame buffers ping-ponged through the gate, so
-    /// the double-buffered steady state captures without allocating.
-    thermal_free: Vec<Frame>,
-    /// Whether the next frame's captures already ran, overlapped with the
-    /// previous frame's in-flight inverse transform (software pipelining;
-    /// only set when the engine runs a worker pool at depth 1).
-    prefetched: bool,
-    /// Effective pipelining depth (after the degrade rule in
-    /// [`PipelineConfig::depth`]); 1 = the classic schedule.
-    depth: usize,
-    /// Frames submitted but not yet retired, oldest first (depth > 1).
-    /// In-order retirement: `step` always finishes the front.
-    in_flight: VecDeque<InFlightFrame>,
-    /// Always-on per-frame flight recorder (ring of the last
-    /// [`FLIGHT_CAPACITY`] frames; recording is allocation-free).
-    flight: FlightRecorder,
-    /// Host wall-clock origin for flight-record timestamps.
-    wall_origin: Instant,
-    /// Cumulative wall-clock seconds spent capturing/scaling frame pairs
-    /// (webcam + thermal capture and gating), across all steps — the
-    /// capture-side companion of the engine's `wall_phase_totals`; the
-    /// bench harness reports per-run deltas.
-    wall_capture_s: f64,
-    /// Engine scheduler totals already charged to flight records.
-    last_sched: WorkerSchedStats,
-    /// Buffer-pool counters already charged to flight records.
-    last_pool: PoolStats,
+    fleet: StreamManager,
 }
 
 impl VideoFusionPipeline {
-    /// Builds the pipeline: scene, cameras, engine.
+    /// Builds the pipeline: scene, cameras, engine, and the first captured
+    /// frame pair.
     ///
     /// # Errors
     ///
     /// Returns [`FusionError::Transform`] if the configured geometry cannot
-    /// support the decomposition depth.
+    /// support the decomposition depth, and capture errors.
     pub fn new(config: PipelineConfig) -> Result<Self, FusionError> {
-        let (w, h) = config.frame_size;
-        let scene = ScenePair::new(config.scene_seed);
-        let mut engine = FusionEngine::new(config.levels)?;
-        engine.set_threads(config.threads);
-        // Depth > 1 needs the worker-pool submit/finish split and a fixed
-        // CPU backend; everything else degrades to the depth-1 schedule.
-        let depth = match &config.backend {
-            BackendChoice::Fixed(Backend::Arm | Backend::Neon) if config.threads > 1 => {
-                config.depth.max(1)
-            }
-            _ => 1,
-        };
-        engine.set_pipeline_depth(depth);
-        if depth > 1 {
-            // Pre-reserve per-slot combo stores and the output pool from
-            // the plan, so first frames at large sizes don't miss-spike.
-            engine.reserve_frame_buffers(w, h)?;
-        }
         Ok(VideoFusionPipeline {
-            engine,
-            web: WebCamera::new(scene.clone(), w, h),
-            thermal: ThermalCamera::new(scene, w, h),
-            gate: FrameGate::new(),
-            backend: config.backend,
-            stats: PipelineStats::default(),
-            telemetry: None,
-            visible: Frame::new(Image::zeros(0, 0), 0),
-            thermal_free: Vec::with_capacity(4 + depth),
-            prefetched: false,
-            depth,
-            in_flight: VecDeque::with_capacity(depth),
-            flight: FlightRecorder::new(FLIGHT_CAPACITY),
-            wall_origin: Instant::now(),
-            wall_capture_s: 0.0,
-            last_sched: WorkerSchedStats::default(),
-            last_pool: PoolStats::default(),
+            fleet: StreamManager::pipeline(config)?,
         })
     }
 
@@ -204,40 +148,18 @@ impl VideoFusionPipeline {
     /// beneath it (engine, accelerator kernels, adaptive scheduler).
     ///
     /// Each [`step`](Self::step) then records per-backend frame counters,
-    /// frame-latency and frame-energy histograms, gate-drop counters, and
-    /// energy totals. The per-frame timeline is the
+    /// frame-latency and frame-energy histograms, gate-drop counters,
+    /// energy totals and the stream's series (see
+    /// [`StreamManager::set_telemetry`]). The per-frame timeline is the
     /// [flight recorder](Self::flight_recorder), which is always on.
     pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
-        telemetry.describe(
-            "wavefuse_frames_total",
-            "Fused frames produced, by executing backend",
-        );
-        telemetry.describe(
-            "wavefuse_gate_drops_total",
-            "Thermal fields dropped at the depth-1 frame gate",
-        );
-        telemetry.describe(
-            "wavefuse_frame_seconds",
-            "Modeled end-to-end latency per fused frame, seconds",
-        );
-        telemetry.describe(
-            "wavefuse_pipeline_energy_millijoules",
-            "Accumulated modeled energy over the pipeline run",
-        );
-        telemetry.describe(
-            "wavefuse_frame_energy_millijoules",
-            "Modeled per-frame energy, millijoules",
-        );
-        self.engine.set_telemetry(Arc::clone(&telemetry));
-        if let BackendChoice::Adaptive(s) = &mut self.backend {
-            s.set_telemetry(Arc::clone(&telemetry));
-        }
-        self.telemetry = Some(telemetry);
+        self.fleet.instrument_streams(&telemetry);
+        self.fleet.set_telemetry(telemetry);
     }
 
     /// The attached metrics registry, if any.
     pub fn telemetry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.telemetry.as_ref()
+        self.fleet.telemetry()
     }
 
     /// Captures one frame pair and fuses it.
@@ -255,207 +177,26 @@ impl VideoFusionPipeline {
     }
 
     /// Like [`step`](Self::step), but the thermal camera produces `burst`
-    /// fields while only one is consumed — excess fields drop at the gate
-    /// exactly as in the paper's hardware FIFO.
+    /// fields per frame while only one is consumed — excess fields drop at
+    /// the gate exactly as in the paper's hardware FIFO.
     ///
-    /// When the engine runs a worker pool, the step is software-pipelined:
-    /// after the frame's transforms are submitted, the *next* frame's
-    /// captures run while the inverse transform is still in flight on the
-    /// workers, and the following step skips the captures it already has.
-    /// The capture sequence (and hence every fused frame and statistic) is
-    /// identical to the serial schedule — only the wall-clock overlap
-    /// differs.
-    ///
-    /// At depth > 1 (see [`PipelineConfig::depth`]) the step runs the
-    /// depth-k schedule instead: the first call fills the ring by
-    /// capturing and submitting k frames, and every call thereafter
-    /// captures + submits frame `i+k-1` and retires frame `i` — so the
-    /// capture of a new frame overlaps the in-flight transforms of the
-    /// k-1 frames ahead of it. Captures keep their serial order, so the
-    /// fused frames and statistics are bit-identical to depth 1; `burst`
-    /// applies to each capture performed during the call (capture-time
-    /// semantics). Dropping or reconfiguring the pipeline abandons the
-    /// k-1 captured-but-unretired frames.
+    /// A step runs the frame driver's rounds (see [`crate::serve`]): submit
+    /// the held frame, capture the next frame while its transforms run on
+    /// the worker pool (if any), fuse, and retire down to `depth - 1`
+    /// pending frames; it returns the frame that retires. The first step
+    /// at depth k runs k rounds. A frame's first field is offered when it
+    /// is captured and its other `burst - 1` at the submit, so the capture
+    /// sequence (and hence every fused frame and statistic) is the serial
+    /// schedule's — only the wall-clock overlap differs. Dropping or
+    /// reconfiguring the pipeline abandons the held frame and the k-1
+    /// pending ones; a reconfigure finishes those serially, and later
+    /// steps hand them out in order.
     ///
     /// # Errors
     ///
     /// Propagates capture and transform errors.
     pub fn step_with_burst(&mut self, burst: usize) -> Result<FusionOutput, FusionError> {
-        if self.depth > 1 {
-            return self.step_pipelined(burst);
-        }
-        let wall_start = self.wall_origin.elapsed();
-        // One thermal field and the visible frame may already be captured,
-        // overlapped with the previous step's in-flight inverse.
-        let t_cap = Instant::now();
-        let prefetched = std::mem::take(&mut self.prefetched);
-        for _ in 0..burst.max(1) - usize::from(prefetched) {
-            self.capture_thermal_field()?;
-        }
-        let thermal = self.gate.take().expect("gate holds at least one field");
-        if !prefetched {
-            self.web.capture_into(&mut self.visible);
-        }
-        self.wall_capture_s += t_cap.elapsed().as_secs_f64();
-
-        let (w, h) = self.visible.image().dims();
-        let backend = match &mut self.backend {
-            BackendChoice::Fixed(b) => *b,
-            BackendChoice::Adaptive(s) => s.choose(w, h)?,
-        };
-        let pending = self
-            .engine
-            .fuse_submit(self.visible.image(), thermal.image(), backend)?;
-        if pending.inverse_in_flight() {
-            // Software pipelining: the inverse of this frame runs on the
-            // workers while we capture the next frame pair here. (A capture
-            // error abandons the pending frame; the engine recovers the
-            // stray batch on its next submission.)
-            let t_cap = Instant::now();
-            self.capture_thermal_field()?;
-            self.web.capture_into(&mut self.visible);
-            self.prefetched = true;
-            self.wall_capture_s += t_cap.elapsed().as_secs_f64();
-        }
-        let slot = pending.slot();
-        let out = self.engine.fuse_finish(pending)?;
-        // The consumed thermal frame's buffer goes back to the free list
-        // for the next capture.
-        self.thermal_free.push(thermal);
-        if let BackendChoice::Adaptive(s) = &mut self.backend {
-            s.observe(w, h, backend, out.timing.total_seconds(), out.energy_mj);
-        }
-        self.record_frame(&out, backend, wall_start, slot);
-        Ok(out)
-    }
-
-    /// Runs one depth-k schedule step: fill the in-flight ring to k
-    /// frames (one capture+submit in steady state, k of them on the first
-    /// call), then retire the oldest. See
-    /// [`step_with_burst`](Self::step_with_burst).
-    fn step_pipelined(&mut self, burst: usize) -> Result<FusionOutput, FusionError> {
-        while self.in_flight.len() < self.depth {
-            self.capture_and_submit(burst)?;
-        }
-        let frame = self.in_flight.pop_front().expect("ring was just filled");
-        let slot = frame.pending.slot();
-        let out = self.engine.fuse_finish(frame.pending)?;
-        self.record_frame(&out, frame.backend, frame.wall_start, slot);
-        Ok(out)
-    }
-
-    /// Captures one frame pair (thermal through the gate, `burst` fields
-    /// offered) and submits it to the engine, pushing the pending frame
-    /// onto the in-flight ring. Depth-k path only.
-    fn capture_and_submit(&mut self, burst: usize) -> Result<(), FusionError> {
-        let wall_start = self.wall_origin.elapsed();
-        let t_cap = Instant::now();
-        for _ in 0..burst.max(1) {
-            self.capture_thermal_field()?;
-        }
-        let thermal = self.gate.take().expect("gate holds at least one field");
-        self.web.capture_into(&mut self.visible);
-        self.wall_capture_s += t_cap.elapsed().as_secs_f64();
-        let backend = match &self.backend {
-            BackendChoice::Fixed(b) => *b,
-            // The constructor degrades adaptive configurations to depth 1.
-            BackendChoice::Adaptive(_) => unreachable!("depth > 1 requires a fixed backend"),
-        };
-        let pending = self
-            .engine
-            .fuse_submit(self.visible.image(), thermal.image(), backend)?;
-        // The forward + fuse phases ran inside the submit; only the
-        // inverse is still in flight, so both capture buffers are free.
-        self.thermal_free.push(thermal);
-        self.in_flight.push_back(InFlightFrame {
-            pending,
-            backend,
-            wall_start,
-        });
-        Ok(())
-    }
-
-    /// Accumulates statistics, the flight record and telemetry for one
-    /// retired frame (shared by the serial and depth-k paths).
-    fn record_frame(
-        &mut self,
-        out: &FusionOutput,
-        backend: Backend,
-        wall_start: Duration,
-        slot: Option<usize>,
-    ) {
-        let drops_before = self.stats.gate_drops;
-        let frame_index = self.stats.frames;
-        // Modeled clock position of this frame = everything fused so far.
-        let model_start_s = self.stats.timing.total_seconds();
-        self.stats.frames += 1;
-        self.stats.timing.accumulate(&out.timing);
-        self.stats.energy_mj += out.energy_mj;
-        self.stats.backend_usage[backend] += 1;
-        self.stats.gate_drops = self.gate.dropped();
-        let gate_drops = self.stats.gate_drops - drops_before;
-
-        let decision = match &self.backend {
-            BackendChoice::Fixed(_) => "fixed",
-            BackendChoice::Adaptive(s) => match s.policy() {
-                Policy::Model(Objective::Time) => "model-time",
-                Policy::Model(Objective::Energy) => "model-energy",
-                Policy::Online(Objective::Time) => "online-time",
-                Policy::Online(Objective::Energy) => "online-energy",
-            },
-        };
-        // Per-frame deltas of cumulative engine counters. `saturating_sub`
-        // because an `engine_mut()` reconfiguration (set_threads) swaps in
-        // a fresh pool with zeroed counters mid-run.
-        let sched = self.engine.sched_totals();
-        let steals = sched.steals.saturating_sub(self.last_sched.steals);
-        let batches_claimed = sched
-            .batches_claimed
-            .saturating_sub(self.last_sched.batches_claimed);
-        let parked_ns = sched.parked_ns.saturating_sub(self.last_sched.parked_ns);
-        self.last_sched = sched;
-        let pool_stats = self.engine.buffer_pool().stats();
-        let pool_hit = pool_stats.hits > self.last_pool.hits;
-        self.last_pool = pool_stats;
-        let wall_end = self.wall_origin.elapsed();
-        self.flight.record(FrameRecord {
-            frame: frame_index,
-            decision,
-            depth: self.depth as u64,
-            slot: slot.map_or(-1, |s| s as i64),
-            wall_start_us: wall_start.as_secs_f64() * 1e6,
-            wall_dur_us: (wall_end - wall_start).as_secs_f64() * 1e6,
-            model_start_s,
-            deadline_s: 1.0 / self.web.fps(),
-            pool_hit,
-            gate_drops,
-            batches_claimed,
-            steals,
-            parked_ns,
-            ..self.engine.frame_record(out)
-        });
-
-        if let Some(m) = &self.telemetry {
-            m.counter_add(
-                "wavefuse_frames_total",
-                &[("backend", backend.label())],
-                1.0,
-            );
-            m.observe(
-                "wavefuse_frame_seconds",
-                &[("backend", backend.label())],
-                out.timing.total_seconds(),
-            );
-            m.observe("wavefuse_frame_energy_millijoules", &[], out.energy_mj);
-            m.gauge_set(
-                "wavefuse_pipeline_energy_millijoules",
-                &[],
-                self.stats.energy_mj,
-            );
-            if gate_drops > 0 {
-                m.counter_add("wavefuse_gate_drops_total", &[], gate_drops as f64);
-            }
-        }
+        self.fleet.step(burst)
     }
 
     /// Runs `n` fused frames (the paper profiles runs of 10), recycling
@@ -468,20 +209,20 @@ impl VideoFusionPipeline {
     pub fn run(&mut self, n: usize) -> Result<PipelineStats, FusionError> {
         for _ in 0..n {
             let out = self.step()?;
-            self.engine.recycle(out);
+            self.recycle(out);
         }
-        Ok(self.stats)
+        Ok(self.stats())
     }
 
     /// Returns a stepped-out fused frame's buffer to the engine's pool so
     /// the next [`step`](Self::step) reuses it instead of allocating.
     pub fn recycle(&self, output: FusionOutput) {
-        self.engine.recycle(output);
+        self.engine().recycle(output);
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> PipelineStats {
-        self.stats
+        self.fleet.stream_stats(0)
     }
 
     /// Cumulative measured wall-clock seconds spent capturing/scaling
@@ -490,46 +231,31 @@ impl VideoFusionPipeline {
     /// [`FusionEngine::wall_phase_totals`]; the bench harness reports
     /// per-run deltas.
     pub fn wall_capture_seconds(&self) -> f64 {
-        self.wall_capture_s
+        self.fleet.wall_capture_seconds(0)
     }
 
     /// Effective pipelining depth: the configured
     /// [`PipelineConfig::depth`] after the degrade rule (1 unless a fixed
     /// CPU backend runs on a worker pool).
     pub fn depth(&self) -> usize {
-        self.depth
+        self.engine().pipeline_depth()
     }
 
     /// The always-on per-frame flight recorder (the last
-    /// [`FLIGHT_CAPACITY`] frames, oldest overwritten first).
+    /// [`FLIGHT_CAPACITY`] frames, oldest overwritten first; stream -1).
     pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.flight
+        self.fleet.flight_recorder()
     }
 
     /// The engine (e.g. for prediction queries).
     pub fn engine(&self) -> &FusionEngine {
-        &self.engine
+        self.fleet.engine(0)
     }
 
     /// Mutable engine access (e.g. to change the fusion rule or
     /// reconfigure telemetry between runs).
     pub fn engine_mut(&mut self) -> &mut FusionEngine {
-        &mut self.engine
-    }
-
-    /// Captures one thermal field into a free-list buffer and offers it to
-    /// the gate, reclaiming the buffer immediately if the occupied gate
-    /// rejects it (the paper's depth-1 FIFO drop).
-    fn capture_thermal_field(&mut self) -> Result<(), FusionError> {
-        let mut field = self
-            .thermal_free
-            .pop()
-            .unwrap_or_else(|| Frame::new(Image::zeros(0, 0), 0));
-        self.thermal.capture_into(&mut field)?;
-        if let Some(rejected) = self.gate.offer_reclaiming(field) {
-            self.thermal_free.push(rejected);
-        }
-        Ok(())
+        self.fleet.engine_mut(0)
     }
 }
 
@@ -625,6 +351,36 @@ mod tests {
             assert_eq!(serial.stats(), piped.stats(), "depth {depth}");
             serial = VideoFusionPipeline::new(config(1, 1)).unwrap();
         }
+    }
+
+    #[test]
+    fn shrinking_the_ring_mid_run_keeps_the_serial_frame_sequence() {
+        // After its first step a depth-3 pooled pipeline holds two pending
+        // frames; shrinking the engine's ring abandons their batches. Each
+        // must still retire as its own frame, in order, and the frames
+        // after them must follow.
+        let config = |threads, depth| PipelineConfig {
+            frame_size: (48, 40),
+            levels: 3,
+            backend: BackendChoice::Fixed(Backend::Neon),
+            scene_seed: 17,
+            threads,
+            depth,
+        };
+        let mut serial = VideoFusionPipeline::new(config(1, 1)).unwrap();
+        let mut piped = VideoFusionPipeline::new(config(2, 3)).unwrap();
+        for i in 0..6 {
+            if i == 1 {
+                piped.engine_mut().set_pipeline_depth(1);
+            }
+            let a = serial.step().unwrap();
+            let b = piped.step().unwrap();
+            assert_eq!(a.image, b.image, "frame {i}");
+            serial.recycle(a);
+            piped.recycle(b);
+        }
+        assert_eq!(piped.depth(), 1);
+        assert_eq!(serial.stats(), piped.stats());
     }
 
     #[test]

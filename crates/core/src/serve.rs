@@ -1,53 +1,83 @@
-//! Multi-stream fusion serving: N independent streams over one shared
-//! worker fleet.
+//! The frame driver: N streams over one optional shared worker pool.
 //!
-//! The paper's platform fuses one visible+thermal pair per device; a
-//! production deployment serves many concurrent streams. This module adds
-//! that layer on top of [`FusionEngine`]: a [`StreamManager`] owns N
-//! streams — each with its own geometry, decomposition depth, scene seed,
-//! pipelining depth, and deadline — all multiplexed onto **one** shared
-//! [`WorkerPool`], so the fleet scales with host cores instead of
-//! spawning a pool (and paying its warm-up) per stream.
+//! Each device in the paper runs one loop — capture, forward DT-CWT x2,
+//! fuse, inverse (§VI, Fig. 7) — and its driver double-buffers (Fig. 5), so
+//! the PS prepares the next input while the accelerator works. This module
+//! is that loop, for one stream or many. A [`StreamManager`] owns the
+//! streams, the shared [`WorkerPool`] (absent for the serial pipeline), the
+//! fleet plan cache, the packing order, the fleet cap and one
+//! [`FlightRecorder`]; [`VideoFusionPipeline`] is a fleet of one stream.
 //!
-//! Three mechanics make the sharing pay:
+//! A stream owns its engine, its cameras, its thermal [`FrameGate`] and
+//! buffer free list, its backend choice (fixed, or a pipeline's
+//! [`AdaptiveScheduler`]), its pending frames and its statistics. It holds
+//! one captured frame between rounds. A round runs, per chunk of up to
+//! [`PACK_STREAMS`] streams:
 //!
-//! * **Cross-stream batch packing.** Up to [`PACK_STREAMS`] streams'
-//!   forward DT-CWTs are staged into the work-stealing ring *together*
-//!   ([`FusionEngine::packed_forward_submit`]) before any are drained —
-//!   16 frame pairs x 4 row-tree jobs fills the ring's 64 slots exactly —
-//!   so workers always see a deep queue instead of draining one stream at
-//!   a time. Harvests run in submission order (the ring's `drain_partial`
-//!   contract), coordinated by the manager's global FIFO.
-//! * **Shared plan cache.** [`TransformPlan`]s are cached fleet-wide,
-//!   keyed by `(geometry, levels)`, and handed to same-shape engines via
-//!   [`FusionEngine::adopt_plan`] — 64 identical streams build one plan,
-//!   not 64.
-//! * **Fleet-level QoS.** Admission picks each `Auto` stream's operating
-//!   point (deepest feasible levels, then the minimum-energy CPU backend by
-//!   [`decide`]), and the engine's oldest-frame retirement doubles as
-//!   cross-stream backpressure: a fleet-wide in-flight cap drops the
-//!   globally oldest pending frame, charged to its own stream's counters.
+//! 1. **Empty the ring**: stash every inverse batch still in flight, in
+//!    global submission order, so the chunk's forwards fill a free ring.
+//! 2. **Submit** every stream's held frame. A pooled CPU frame stages its
+//!    four forward jobs into the shared ring without draining them
+//!    ([`FusionEngine::packed_forward_submit`]), so 16 streams x 4 row-tree
+//!    jobs fill the ring's 64 slots and the workers see a deep queue; any
+//!    other frame runs whole through [`FusionEngine::fuse_submit`]. A fleet
+//!    cap first drops the globally oldest pending frame, charged to its own
+//!    stream (cross-stream backpressure).
+//! 3. **Capture ahead**: right after its submit (which copied the inputs),
+//!    the stream captures its next frame while the workers run the
+//!    forwards, so the ring is busy from the first submit of the round.
+//! 4. **Fuse**, in the same order: each stream harvests its own
+//!    (oldest-remaining) forwards, fuses on the dispatcher and leaves its
+//!    inverse batch in flight.
+//! 5. **Retire** every stream down to `depth - 1` pending frames. A
+//!    retirement stashes inverse batches in global submission order (the
+//!    ring's `drain_partial` harvests oldest first) only up to its own
+//!    frame, so a depth-k stream's newest inverse keeps running through
+//!    the retirements and into the next round's step 1.
+//!
+//! Latency runs from a frame's capture, so it includes the round its
+//! frame waits at the stream before submit; deadline misses and flight
+//! records run from submit.
+//!
+//! Each delivered frame updates its stream's statistics, writes one
+//! [`FrameRecord`] tagged with its stream into the fleet's recorder, and
+//! emits both the pipeline metrics and the per-stream metrics, so a fleet
+//! frame is explained exactly like a pipeline frame. The pool's scheduler
+//! counters are fleet-wide; the one recorder charges their deltas once.
+//!
+//! Two more mechanics make sharing a pool pay: [`TransformPlan`]s are
+//! cached fleet-wide by `(geometry, levels)` and handed to same-shape
+//! engines ([`FusionEngine::adopt_plan`]), and admission picks each `Auto`
+//! stream's operating point (deepest feasible levels, then the
+//! minimum-energy CPU backend by [`decide`]).
 //!
 //! Results are bit-identical to running each stream alone: packing changes
 //! only job interleaving in the ring, and every stream's combo-order
-//! accumulation still happens at its own retirement (see
-//! [`solo_digest`] and `tests/serve_identity.rs`).
+//! accumulation still happens at its own retirement (see [`solo_digest`]
+//! and `tests/serve_identity.rs`).
+//!
+//! [`VideoFusionPipeline`]: crate::pipeline::VideoFusionPipeline
+//! [`AdaptiveScheduler`]: crate::adaptive::AdaptiveScheduler
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wavefuse_dtcwt::{Dwt2d, Image, WorkerPool, BATCH_SLOTS, FORWARD_JOBS_PER_PAIR};
+use wavefuse_dtcwt::{
+    Dwt2d, Image, PoolStats, WorkerPool, WorkerSchedStats, BATCH_SLOTS, FORWARD_JOBS_PER_PAIR,
+};
 use wavefuse_power::PowerModel;
-use wavefuse_trace::{LogHistogram, MetricsRegistry};
+use wavefuse_trace::{FlightRecorder, FrameRecord, LogHistogram, MetricsRegistry};
 use wavefuse_video::camera::{ThermalCamera, WebCamera};
+use wavefuse_video::fifo::FrameGate;
 use wavefuse_video::scene::ScenePair;
 use wavefuse_video::Frame;
 
 use crate::adaptive::{decide, Objective, DEFAULT_RULE};
 use crate::backend::Backend;
 use crate::cost::{CostModel, TransformPlan};
-use crate::engine::{build_worker_pool, FusionEngine, PendingFusion};
+use crate::engine::{build_worker_pool, FusionEngine, FusionOutput, PendingFusion};
+use crate::pipeline::{BackendChoice, PipelineConfig, PipelineStats, FLIGHT_CAPACITY};
 use crate::FusionError;
 
 /// Streams per packed round: one frame pair per stream, each
@@ -87,12 +117,17 @@ pub struct StreamConfig {
     /// Scene seed — streams with different seeds carry different content.
     pub scene_seed: u64,
     /// Frame-pipelining depth: how many of this stream's frames may be
-    /// pending retirement at once (1 = retire before the next capture).
+    /// pending retirement at once. Each round retires the stream down to
+    /// `depth - 1` pending frames, so depth 1 retires every frame within
+    /// its own round, and depth k lets a frame's inverse run through
+    /// k - 1 later retirements.
     pub depth: usize,
     /// Backend selection policy.
     pub backend: StreamBackend,
-    /// Per-frame latency budget in seconds; slower retirements count as
-    /// deadline misses. The default is the 30 fps camera period.
+    /// Per-frame budget in seconds from submit to retirement; slower
+    /// frames count as deadline misses. It excludes the round a captured
+    /// frame waits before submit, which the latency quantiles include.
+    /// The default is the 30 fps camera period.
     pub deadline_s: f64,
 }
 
@@ -135,45 +170,79 @@ impl Default for FleetConfig {
     }
 }
 
-/// A frame pending retirement: the engine token plus its capture time
-/// (the latency clock).
+/// A frame pending retirement: the engine token, its fleet-wide
+/// submission number, its latency clock (capture end) and its deadline
+/// and flight-record start (submit).
 #[derive(Debug)]
 struct PendingFrame {
     pending: PendingFusion,
+    seq: u64,
     captured: Instant,
+    submitted: Instant,
 }
 
-/// One admitted stream: its engine (sharing the fleet pool), deterministic
-/// cameras, pending-frame queue, and per-stream accounting.
+/// One stream: the per-stream half of the frame driver (see the module
+/// docs).
 #[derive(Debug)]
 struct Stream {
     engine: FusionEngine,
-    backend: Backend,
-    levels: usize,
-    depth: usize,
+    backend: BackendChoice,
+    /// Flight-record stream tag: the admission index, or -1 for a
+    /// pipeline's stream.
+    tag: i64,
     deadline_s: f64,
     frame_size: (usize, usize),
     web: WebCamera,
     thermal: ThermalCamera,
+    /// The paper's depth-1 thermal FIFO; the held frame's field waits here.
+    gate: FrameGate<Frame>,
+    /// Thermal buffers ping-ponged through the gate, so the steady state
+    /// captures without allocating.
+    thermal_free: Vec<Frame>,
+    /// The held frame's visible image.
     visible: Frame,
-    field: Frame,
+    /// When the held frame's capture finished: its latency clock.
     captured: Instant,
+    /// Capture end and submit time of this round's frame, from its submit
+    /// to its fuse.
+    staged: (Instant, Instant),
+    /// This round's frame, when it ran whole inside `fuse_submit`.
+    ready: Option<PendingFusion>,
     pending: VecDeque<PendingFrame>,
+    /// Delivered frames not yet handed out (a pipeline) or recycled.
+    retired: VecDeque<FusionOutput>,
+    stats: PipelineStats,
     latency: LogHistogram,
-    frames: u64,
     drops: u64,
     deadline_misses: u64,
-    energy_mj: f64,
     digest: u64,
+    /// Wall-clock seconds spent capturing (both cameras and the gate).
+    wall_capture_s: f64,
+    /// Buffer-pool counters already charged to flight records.
+    last_pool: PoolStats,
 }
 
 impl Stream {
-    /// Captures the next visible/thermal pair into the reusable frame
-    /// slots and starts the frame's latency clock.
-    fn capture(&mut self) -> Result<(), FusionError> {
-        self.thermal.capture_into(&mut self.field)?;
-        self.web.capture_into(&mut self.visible);
-        self.captured = Instant::now();
+    /// Offers `fields` thermal fields to the gate (a full gate drops the
+    /// newcomer, as the paper's FIFO does) and, with `visible`, captures
+    /// the visible frame and restarts the latency clock.
+    fn capture(&mut self, fields: usize, visible: bool) -> Result<(), FusionError> {
+        let t0 = Instant::now();
+        for _ in 0..fields {
+            let mut field = self
+                .thermal_free
+                .pop()
+                .unwrap_or_else(|| Frame::new(Image::zeros(0, 0), 0));
+            self.thermal.capture_into(&mut field)?;
+            if let Some(rejected) = self.gate.offer_reclaiming(field) {
+                self.thermal_free.push(rejected);
+            }
+        }
+        if visible {
+            self.web.capture_into(&mut self.visible);
+            self.captured = Instant::now();
+        }
+        self.wall_capture_s += t0.elapsed().as_secs_f64();
         Ok(())
     }
 }
@@ -196,12 +265,15 @@ pub struct StreamReport {
     pub frames: u64,
     /// Frames dropped by fleet backpressure during the window.
     pub drops: u64,
-    /// Delivered frames that missed the stream's deadline.
+    /// Delivered frames whose submit-to-retire time exceeded the stream's
+    /// deadline.
     pub deadline_misses: u64,
     /// Delivered frames per second over the window's wall clock.
     pub fps: f64,
     /// Median capture-to-retire latency, seconds (cumulative since the
-    /// last [`StreamManager::reset_latency_stats`]).
+    /// last [`StreamManager::reset_latency_stats`]). It includes the round
+    /// a captured frame waits before submit; a frame held across the
+    /// reset keeps its capture time.
     pub p50_latency_s: f64,
     /// 99th-percentile capture-to-retire latency, seconds.
     pub p99_latency_s: f64,
@@ -249,12 +321,13 @@ struct StreamSnapshot {
     energy_mj: f64,
 }
 
-/// The multi-tenant serving layer: owns the shared [`WorkerPool`], the
-/// fleet plan cache, the admitted streams, and the cross-stream packing /
-/// retirement protocol. See the module docs for the architecture.
+/// The frame driver's fleet half: owns the optional shared
+/// [`WorkerPool`], the fleet plan cache, the admitted streams, the
+/// cross-stream packing / retirement protocol and the flight recorder.
+/// See the module docs for the schedule.
 #[derive(Debug)]
 pub struct StreamManager {
-    pool: Arc<WorkerPool>,
+    pool: Option<Arc<WorkerPool>>,
     threads: usize,
     max_in_flight: Option<usize>,
     streams: Vec<Stream>,
@@ -262,36 +335,75 @@ pub struct StreamManager {
     plans: Vec<(usize, Arc<TransformPlan>)>,
     plan_hits: u64,
     qos_infeasible: u64,
-    /// Stream ids of pending frames in pool-submission order — the global
+    /// Stream ids of pending frames in submission order — the global
     /// retirement FIFO backpressure drops pop from.
     retire_fifo: VecDeque<usize>,
-    /// Stream ids whose newest inverse batch is still (unstashed) in the
-    /// shared ring, in submission order — the stash walk empties this
-    /// before each packed chunk.
-    unstashed: VecDeque<usize>,
+    /// `(submission number, stream id)` of every inverse batch still
+    /// (unstashed) in the shared ring, in submission order. A retirement
+    /// stashes up to its own frame; each chunk starts by emptying it.
+    unstashed: VecDeque<(u64, usize)>,
+    /// Frames submitted fleet-wide: the next submission number.
+    submissions: u64,
     in_flight: usize,
     digests: bool,
     telemetry: Option<Arc<MetricsRegistry>>,
+    /// One record per delivered frame, fleet-wide: the last
+    /// [`FLIGHT_CAPACITY`] frames; recording is allocation-free.
+    flight: FlightRecorder,
+    /// Host wall-clock origin for flight-record timestamps.
+    wall_origin: Instant,
+    /// Worker-pool scheduler totals already charged to flight records.
+    last_sched: WorkerSchedStats,
 }
 
 impl StreamManager {
     /// Builds a manager with its shared worker fleet (no streams yet).
     pub fn new(fleet: FleetConfig) -> Self {
-        let threads = fleet.threads.max(1);
+        StreamManager::with_pool(Some(fleet.threads.max(1)), fleet.max_in_flight)
+    }
+
+    /// A manager whose streams share a pool of `threads` workers, or run
+    /// serially on the caller's thread with `None`.
+    fn with_pool(threads: Option<usize>, max_in_flight: Option<usize>) -> Self {
         StreamManager {
-            pool: Arc::new(build_worker_pool(threads, true)),
-            threads,
-            max_in_flight: fleet.max_in_flight,
+            pool: threads.map(|t| Arc::new(build_worker_pool(t, true))),
+            threads: threads.unwrap_or(1),
+            max_in_flight,
             streams: Vec::new(),
             plans: Vec::new(),
             plan_hits: 0,
             qos_infeasible: 0,
             retire_fifo: VecDeque::new(),
             unstashed: VecDeque::new(),
+            submissions: 0,
             in_flight: 0,
             digests: false,
             telemetry: None,
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
+            wall_origin: Instant::now(),
+            last_sched: WorkerSchedStats::default(),
         }
+    }
+
+    /// The pipeline's driver: a fleet of one stream, on a private pool when
+    /// `config.threads > 1` and serial otherwise, at the depth
+    /// [`PipelineConfig::depth`]'s degrade rule leaves.
+    pub(crate) fn pipeline(config: PipelineConfig) -> Result<Self, FusionError> {
+        let pooled = config.threads > 1;
+        let depth = match &config.backend {
+            BackendChoice::Fixed(Backend::Arm | Backend::Neon) if pooled => config.depth,
+            _ => 1,
+        };
+        let mut fleet = StreamManager::with_pool(pooled.then_some(config.threads), None);
+        let stream = StreamConfig {
+            frame_size: config.frame_size,
+            levels: config.levels,
+            scene_seed: config.scene_seed,
+            depth,
+            ..StreamConfig::default()
+        };
+        fleet.add_stream(&stream, config.levels, config.backend, -1)?;
+        Ok(fleet)
     }
 
     /// Enables per-stream output digesting: every delivered frame's pixel
@@ -302,33 +414,77 @@ impl StreamManager {
         self.digests = enabled;
     }
 
-    /// Attaches a metrics registry: per-stream labeled frame/drop counters
-    /// and latency histograms are recorded at each retirement. Stream
-    /// labels come from [`stream_label`] (cardinality-capped), so streams
-    /// that share a label add into one series. The streams' engines stay
-    /// un-instrumented — the shared pool's counters are fleet-global and
-    /// per-engine delta reporting would double-count them.
+    /// Attaches a metrics registry. Each delivered frame then records the
+    /// pipeline series (per-backend frame counters, frame-latency and
+    /// frame-energy histograms, the energy gauge, gate drops) and the
+    /// per-stream series (labeled frame counters and capture-to-retire
+    /// latency histograms); each drop records a labeled drop counter.
+    /// Stream labels come from [`stream_label`] (cardinality-capped), so
+    /// streams that share a label add into one series. The streams'
+    /// engines stay un-instrumented — the shared pool's counters are
+    /// fleet-global and per-engine delta reporting would double-count them.
     pub fn set_telemetry(&mut self, telemetry: Arc<MetricsRegistry>) {
-        telemetry.describe(
-            "wavefuse_stream_frames_total",
-            "Frames delivered, by serving stream",
-        );
-        telemetry.describe(
-            "wavefuse_stream_drops_total",
-            "Frames dropped by fleet backpressure, by serving stream",
-        );
-        telemetry.describe(
-            "wavefuse_frame_latency_seconds",
-            "Capture-to-retire frame latency",
-        );
+        for (name, help) in [
+            (
+                "wavefuse_frames_total",
+                "Fused frames produced, by executing backend",
+            ),
+            (
+                "wavefuse_gate_drops_total",
+                "Thermal fields dropped at the depth-1 frame gate",
+            ),
+            (
+                "wavefuse_frame_seconds",
+                "Modeled end-to-end latency per fused frame, seconds",
+            ),
+            (
+                "wavefuse_pipeline_energy_millijoules",
+                "Accumulated modeled energy over the run, all streams",
+            ),
+            (
+                "wavefuse_frame_energy_millijoules",
+                "Modeled per-frame energy, millijoules",
+            ),
+            (
+                "wavefuse_stream_frames_total",
+                "Frames delivered, by serving stream",
+            ),
+            (
+                "wavefuse_stream_drops_total",
+                "Frames dropped by fleet backpressure, by serving stream",
+            ),
+            (
+                "wavefuse_frame_latency_seconds",
+                "Capture-to-retire frame latency",
+            ),
+        ] {
+            telemetry.describe(name, help);
+        }
         self.telemetry = Some(telemetry);
+    }
+
+    /// The attached metrics registry, if any.
+    pub(crate) fn telemetry(&self) -> Option<&Arc<MetricsRegistry>> {
+        self.telemetry.as_ref()
+    }
+
+    /// Attaches `telemetry` to every stream's engine and adaptive
+    /// scheduler too — what a pipeline does. A fleet on a shared pool must
+    /// not (see [`StreamManager::set_telemetry`]).
+    pub(crate) fn instrument_streams(&mut self, telemetry: &Arc<MetricsRegistry>) {
+        for st in &mut self.streams {
+            st.engine.set_telemetry(Arc::clone(telemetry));
+            if let BackendChoice::Adaptive(s) = &mut st.backend {
+                s.set_telemetry(Arc::clone(telemetry));
+            }
+        }
     }
 
     /// Admits one stream into the fleet: resolves its operating point
     /// ([`decide`] for `Auto`), builds its engine on the shared pool,
     /// installs the fleet-cached plan, pre-sizes every steady-state
-    /// buffer, and constructs its deterministic cameras. Returns the
-    /// stream id.
+    /// buffer, constructs its deterministic cameras and captures its first
+    /// frame. Returns the stream id.
     ///
     /// # Errors
     ///
@@ -340,51 +496,65 @@ impl StreamManager {
     /// Panics if a `Fixed` backend is not a pooled CPU backend, or if an
     /// `Auto` target rate is not finite and positive.
     pub fn admit(&mut self, cfg: StreamConfig) -> Result<usize, FusionError> {
-        let (w, h) = cfg.frame_size;
         let (backend, levels, feasible) = operating_point(&cfg)?;
         if !feasible {
             self.qos_infeasible += 1;
         }
+        let tag = self.streams.len() as i64;
+        self.add_stream(&cfg, levels, BackendChoice::Fixed(backend), tag)
+    }
+
+    /// Builds one stream (see [`StreamManager::admit`]) and returns its id.
+    /// Without a pool the engine stays serial at depth 1.
+    fn add_stream(
+        &mut self,
+        cfg: &StreamConfig,
+        levels: usize,
+        backend: BackendChoice,
+        tag: i64,
+    ) -> Result<usize, FusionError> {
+        let (w, h) = cfg.frame_size;
         let depth = cfg.depth.max(1);
         let mut engine = FusionEngine::new(levels)?;
-        engine.set_shared_pool(Arc::clone(&self.pool));
-        engine.set_pipeline_depth(depth);
         engine.adopt_plan(self.fleet_plan(w, h, levels)?);
-        engine.reserve_frame_buffers(w, h)?;
+        if let Some(pool) = &self.pool {
+            engine.set_shared_pool(Arc::clone(pool));
+            engine.set_pipeline_depth(depth);
+            engine.reserve_frame_buffers(w, h)?;
+        }
         let scene = ScenePair::new(cfg.scene_seed);
         let mut stream = Stream {
             engine,
             backend,
-            levels,
-            depth,
+            tag,
             deadline_s: cfg.deadline_s,
             frame_size: (w, h),
             web: WebCamera::new(scene.clone(), w, h),
             thermal: ThermalCamera::new(scene, w, h),
+            gate: FrameGate::new(),
+            thermal_free: Vec::with_capacity(4),
             visible: Frame::new(Image::zeros(0, 0), 0),
-            field: Frame::new(Image::zeros(0, 0), 0),
             captured: Instant::now(),
+            staged: (Instant::now(), Instant::now()),
+            ready: None,
             pending: VecDeque::with_capacity(depth),
+            retired: VecDeque::with_capacity(depth),
+            stats: PipelineStats::default(),
             latency: LogHistogram::with_defaults(),
-            frames: 0,
             drops: 0,
             deadline_misses: 0,
-            energy_mj: 0.0,
             digest: FNV_OFFSET,
+            wall_capture_s: 0.0,
+            last_pool: PoolStats::default(),
         };
-        // Warm the capture path so the first packed round is already in
-        // the zero-allocation steady state, then rebuild the cameras so
-        // the delivered content sequence still starts at frame 0 (the
-        // fleet must stay bit-identical to a solo run — `solo_digest`).
-        stream.capture()?;
-        let scene = ScenePair::new(cfg.scene_seed);
-        stream.web = WebCamera::new(scene.clone(), w, h);
-        stream.thermal = ThermalCamera::new(scene, w, h);
-        let id = self.streams.len();
+        // The first frame is captured now: it warms the capture path, so
+        // the first round is already allocation-free, and it is the frame
+        // that round submits.
+        stream.capture(1, true)?;
         self.streams.push(stream);
         self.retire_fifo.reserve(depth);
         self.unstashed.reserve(depth);
-        Ok(id)
+        Ok(self.streams.len() - 1)
     }
 
     /// Looks up (or builds and caches) the fleet-shared plan for a
@@ -413,7 +583,7 @@ impl StreamManager {
         self.streams.len()
     }
 
-    /// Worker threads of the shared pool.
+    /// Worker threads of the shared pool (1 without one).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -428,7 +598,7 @@ impl StreamManager {
 
     /// Frames a stream has delivered (drops excluded).
     pub fn stream_frames(&self, stream: usize) -> u64 {
-        self.streams[stream].frames
+        self.streams[stream].stats.frames
     }
 
     /// Frames dropped from a stream by fleet backpressure.
@@ -436,14 +606,25 @@ impl StreamManager {
         self.streams[stream].drops
     }
 
+    /// Accumulated statistics of a stream's delivered frames (modeled
+    /// time and energy, backend use, gate drops).
+    pub fn stream_stats(&self, stream: usize) -> PipelineStats {
+        self.streams[stream].stats
+    }
+
     /// The backend a stream was admitted on.
     pub fn stream_backend(&self, stream: usize) -> Backend {
-        self.streams[stream].backend
+        match self.streams[stream].backend {
+            BackendChoice::Fixed(b) => b,
+            // Only a pipeline's stream schedules adaptively, and a
+            // pipeline's fleet is private.
+            BackendChoice::Adaptive(_) => unreachable!("admitted streams run a fixed backend"),
+        }
     }
 
     /// The decomposition levels a stream actually runs.
     pub fn stream_levels(&self, stream: usize) -> usize {
-        self.streams[stream].levels
+        self.streams[stream].engine.levels()
     }
 
     /// Distinct plans in the fleet cache.
@@ -456,6 +637,31 @@ impl StreamManager {
         self.plan_hits
     }
 
+    /// The fleet's flight recorder: one record per delivered frame (drops
+    /// excluded), tagged with its stream, oldest overwritten first.
+    pub fn flight_recorder(&self) -> &FlightRecorder {
+        &self.flight
+    }
+
+    /// A stream's engine.
+    pub(crate) fn engine(&self, stream: usize) -> &FusionEngine {
+        &self.streams[stream].engine
+    }
+
+    /// A stream's engine, mutably (a pipeline's reconfigure hook). Every
+    /// inverse batch still in the ring is stashed first: a reconfigure may
+    /// abandon or replace the engine's ring, and the unstashed FIFO must
+    /// not outlive the batches it names.
+    pub(crate) fn engine_mut(&mut self, stream: usize) -> &mut FusionEngine {
+        self.stash_through(u64::MAX);
+        &mut self.streams[stream].engine
+    }
+
+    /// Cumulative wall-clock seconds a stream spent capturing.
+    pub(crate) fn wall_capture_seconds(&self, stream: usize) -> f64 {
+        self.streams[stream].wall_capture_s
+    }
+
     /// Replaces every stream's latency histogram (they are cumulative and
     /// cannot be snapshotted differentially) — call between a warm-up
     /// window and the measured window.
@@ -465,10 +671,11 @@ impl StreamManager {
         }
     }
 
-    /// Drives every stream for `frames_per_stream` rounds (one capture per
-    /// stream per round), retires everything still pending, and reports
-    /// the window: aggregate and per-stream throughput, latency quantiles,
-    /// fairness, energy, drops, and plan-cache effectiveness.
+    /// Drives every stream for `frames_per_stream` rounds (one submit and
+    /// one capture per stream per round), retires everything still
+    /// pending, and reports the window: aggregate and per-stream
+    /// throughput, latency quantiles, fairness, energy, drops, and
+    /// plan-cache effectiveness.
     ///
     /// # Errors
     ///
@@ -479,86 +686,66 @@ impl StreamManager {
             .streams
             .iter()
             .map(|s| StreamSnapshot {
-                frames: s.frames,
+                frames: s.stats.frames,
                 drops: s.drops,
                 deadline_misses: s.deadline_misses,
-                energy_mj: s.energy_mj,
+                energy_mj: s.stats.energy_mj,
             })
             .collect();
         let t0 = Instant::now();
         for _ in 0..frames_per_stream {
-            self.round()?;
+            self.round(1)?;
+            self.recycle_retired();
         }
-        self.drain()?;
+        while let Some(&i) = self.retire_fifo.front() {
+            self.retire(i, false)?;
+        }
+        self.recycle_retired();
         let wall_s = t0.elapsed().as_secs_f64();
         Ok(self.report(wall_s, &before))
     }
 
-    /// One packed round: every stream captures and fuses one frame, packed
-    /// into the shared ring in chunks of [`PACK_STREAMS`].
-    fn round(&mut self) -> Result<(), FusionError> {
+    /// Runs rounds (offering `burst` thermal fields per frame) until
+    /// stream 0 has retired a frame, and hands that frame out: a
+    /// pipeline's step.
+    pub(crate) fn step(&mut self, burst: usize) -> Result<FusionOutput, FusionError> {
+        loop {
+            if let Some(out) = self.streams[0].retired.pop_front() {
+                return Ok(out);
+            }
+            self.round(burst)?;
+        }
+    }
+
+    /// One round of the schedule in the module docs, in chunks of
+    /// [`PACK_STREAMS`] streams.
+    fn round(&mut self, burst: usize) -> Result<(), FusionError> {
         let n = self.streams.len();
-        let mut start = 0;
-        while start < n {
-            let end = (start + PACK_STREAMS).min(n);
-            // Empty the shared ring: stash every in-flight inverse batch,
-            // walking the global FIFO so `drain_partial`'s oldest-first
-            // harvests land in the right engines' slots.
-            self.stash_all();
-            // Phase A — pack the chunk: one capture + four forward jobs
-            // per stream, no drains, so the ring fills with up to 64
-            // cross-stream jobs. Backpressure retires/drops first.
-            for i in start..end {
-                self.admit_frame(i)?;
+        for start in (0..n).step_by(PACK_STREAMS) {
+            let chunk = start..n.min(start + PACK_STREAMS);
+            // Empty the ring for this chunk's forwards: the inverses a
+            // deeper stream left running ran behind the last retirements.
+            self.stash_through(u64::MAX);
+            for i in chunk.clone() {
+                self.submit(i, burst)?;
             }
-            // Phase B — collect in the same order: each stream harvests
-            // its own (oldest-remaining) forwards, fuses, and leaves its
-            // four inverse jobs in flight behind the later streams'
-            // forwards.
-            for i in start..end {
-                let pending = self.streams[i].engine.packed_forward_finish()?;
-                let captured = self.streams[i].captured;
-                self.streams[i]
-                    .pending
-                    .push_back(PendingFrame { pending, captured });
-                self.retire_fifo.push_back(i);
-                self.unstashed.push_back(i);
-                self.in_flight += 1;
+            for i in chunk.clone() {
+                self.fuse(i)?;
             }
-            start = end;
+            for i in chunk {
+                while self.streams[i].pending.len() >= self.streams[i].engine.pipeline_depth() {
+                    self.retire(i, false)?;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Retires every pending frame (deliveries, not drops), leaving the
-    /// ring and every stream idle.
-    fn drain(&mut self) -> Result<(), FusionError> {
-        self.stash_all();
-        while let Some(&i) = self.retire_fifo.front() {
-            self.retire(i, false)?;
-        }
-        Ok(())
-    }
-
-    /// Harvests every unstashed inverse batch from the shared ring into
-    /// its engine's slot stash, in global submission order — the only
-    /// order `drain_partial`'s oldest-first contract allows.
-    fn stash_all(&mut self) {
-        while let Some(i) = self.unstashed.pop_front() {
-            let stashed = self.streams[i].engine.stash_oldest_in_flight();
-            debug_assert!(stashed, "FIFO entry without an unstashed batch");
-        }
-    }
-
-    /// Backpressure + capture + packed submit for one stream's next frame.
-    fn admit_frame(&mut self, i: usize) -> Result<(), FusionError> {
-        // Per-stream depth: retire this stream's oldest before exceeding
-        // its pipelining depth.
-        while self.streams[i].pending.len() >= self.streams[i].depth {
-            self.retire(i, false)?;
-        }
-        // Fleet cap: drop the globally oldest pending frame, whichever
-        // stream owns it (cross-stream backpressure).
+    /// Enforces the fleet cap, then submits stream `i`'s held frame:
+    /// packed into the shared ring on a pooled CPU backend, fused whole
+    /// otherwise. A frame gets `burst` thermal fields; its first was
+    /// offered when it was captured.
+    fn submit(&mut self, i: usize, burst: usize) -> Result<(), FusionError> {
         while let Some(cap) = self.max_in_flight {
             if self.in_flight < cap {
                 break;
@@ -570,52 +757,182 @@ impl StreamManager {
             self.retire(victim, true)?;
         }
         let st = &mut self.streams[i];
-        st.capture()?;
-        let backend = st.backend;
-        st.engine
-            .packed_forward_submit(st.visible.image(), st.field.image(), backend)
+        let submitted = Instant::now();
+        // A frame whose capture failed is captured whole here.
+        let held = st.gate.is_occupied();
+        st.capture(burst.max(1) - usize::from(held), !held)?;
+        st.staged = (st.captured, submitted);
+        let thermal = st.gate.take().expect("a captured field waits at the gate");
+        let (w, h) = st.visible.image().dims();
+        let result = st.backend.choose(w, h).and_then(|backend| {
+            let (a, b) = (st.visible.image(), thermal.image());
+            if st.engine.packs(backend) {
+                st.engine
+                    .packed_forward_submit(a, b, backend)
+                    .map(|()| None)
+            } else {
+                st.engine.fuse_submit(a, b, backend).map(Some)
+            }
+        });
+        // Either path is done with the inputs: the packed submit copied
+        // them, `fuse_submit` ran the whole frame.
+        st.thermal_free.push(thermal);
+        st.ready = result?;
+        // Capture ahead while this frame's forward jobs run.
+        st.capture(1, true)
     }
 
-    /// Retires stream `i`'s oldest pending frame. `dropped` frames are
-    /// discarded and charged to the stream's drop counter instead of its
-    /// delivery stats. The frame must already be stashed (the pool is not
-    /// touched), so retirement order across streams is free.
+    /// Takes stream `i`'s submitted frame up to its inverse (a packed
+    /// frame harvests its forwards and fuses) and queues it for
+    /// retirement.
+    fn fuse(&mut self, i: usize) -> Result<(), FusionError> {
+        let st = &mut self.streams[i];
+        let pending = match st.ready.take() {
+            Some(done) => done,
+            None => st.engine.packed_forward_finish()?,
+        };
+        let seq = self.submissions;
+        self.submissions += 1;
+        if pending.inverse_in_flight() {
+            self.unstashed.push_back((seq, i));
+        }
+        let (captured, submitted) = st.staged;
+        st.pending.push_back(PendingFrame {
+            pending,
+            seq,
+            captured,
+            submitted,
+        });
+        self.retire_fifo.push_back(i);
+        self.in_flight += 1;
+        Ok(())
+    }
+
+    /// Harvests the unstashed inverse batches of frames submitted up to
+    /// number `seq` from the shared ring into their engines' slot stashes,
+    /// in global submission order — the only order `drain_partial`'s
+    /// oldest-first contract allows. Newer batches stay in flight.
+    fn stash_through(&mut self, seq: u64) {
+        while let Some(&(s, i)) = self.unstashed.front() {
+            if s > seq {
+                break;
+            }
+            self.unstashed.pop_front();
+            let stashed = self.streams[i].engine.stash_oldest_in_flight();
+            debug_assert!(stashed, "FIFO entry without an unstashed batch");
+        }
+    }
+
+    /// Returns every delivered output to its engine's buffer pool.
+    fn recycle_retired(&mut self) {
+        for st in &mut self.streams {
+            while let Some(out) = st.retired.pop_front() {
+                st.engine.recycle(out);
+            }
+        }
+    }
+
+    /// Retires stream `i`'s oldest pending frame. A `dropped` frame is
+    /// discarded and charged to the stream's drop counter. A delivered one
+    /// updates the stream's statistics, digest and adaptive scheduler,
+    /// writes its flight record and metrics, and joins the stream's
+    /// retired outputs. The frame's inverse batch, and every older one, is
+    /// stashed first, so retirement order across streams is free.
     fn retire(&mut self, i: usize, dropped: bool) -> Result<(), FusionError> {
-        let pf = self.streams[i]
+        let PendingFrame {
+            pending,
+            seq,
+            captured,
+            submitted,
+        } = self.streams[i]
             .pending
             .pop_front()
             .expect("retire without a pending frame");
+        self.stash_through(seq);
         remove_first(&mut self.retire_fifo, i);
         self.in_flight -= 1;
         let st = &mut self.streams[i];
-        let out = st.engine.fuse_finish(pf.pending)?;
-        let latency_s = pf.captured.elapsed().as_secs_f64();
+        let slot = pending.slot();
+        let out = st.engine.fuse_finish(pending)?;
+        let label = stream_label(i);
         if dropped {
             st.drops += 1;
-        } else {
-            st.frames += 1;
-            st.energy_mj += out.energy_mj;
-            if latency_s > st.deadline_s {
-                st.deadline_misses += 1;
-            }
-            st.latency.observe(latency_s);
-            if self.digests {
-                st.digest = fnv1a_image(st.digest, &out.image);
-            }
-        }
-        st.engine.recycle(out);
-        if let Some(m) = &self.telemetry {
-            let label = stream_label(i);
-            if dropped {
+            st.engine.recycle(out);
+            if let Some(m) = &self.telemetry {
                 m.counter_add("wavefuse_stream_drops_total", &[("stream", label)], 1.0);
-            } else {
-                m.counter_add("wavefuse_stream_frames_total", &[("stream", label)], 1.0);
-                m.observe(
-                    "wavefuse_frame_latency_seconds",
-                    &[("stream", label)],
-                    latency_s,
-                );
             }
+            return Ok(());
+        }
+        let latency_s = captured.elapsed().as_secs_f64();
+        let wall_dur_s = submitted.elapsed().as_secs_f64();
+        if wall_dur_s > st.deadline_s {
+            st.deadline_misses += 1;
+        }
+        st.latency.observe(latency_s);
+        if self.digests {
+            st.digest = fnv1a_image(st.digest, &out.image);
+        }
+        if let BackendChoice::Adaptive(s) = &mut st.backend {
+            let (w, h) = out.image.dims();
+            s.observe(w, h, out.backend, out.timing.total_seconds(), out.energy_mj);
+        }
+        // Modeled clock position of this frame = everything this stream
+        // fused so far.
+        let model_start_s = st.stats.timing.total_seconds();
+        let gate_drops = st.gate.dropped() - st.stats.gate_drops;
+        let frame = st.stats.frames;
+        st.stats.frames += 1;
+        st.stats.timing.accumulate(&out.timing);
+        st.stats.energy_mj += out.energy_mj;
+        st.stats.backend_usage[out.backend] += 1;
+        st.stats.gate_drops += gate_drops;
+        // Per-frame deltas of cumulative counters; the pool's are
+        // fleet-wide, charged once here. `saturating_sub` because a
+        // reconfigure can swap in a fresh pool with zeroed counters.
+        let sched = st.engine.sched_totals();
+        let pool = st.engine.buffer_pool().stats();
+        self.flight.record(FrameRecord {
+            frame,
+            stream: st.tag,
+            decision: st.backend.decision(),
+            depth: st.engine.pipeline_depth() as u64,
+            slot: slot.map_or(-1, |s| s as i64),
+            wall_start_us: (submitted - self.wall_origin).as_secs_f64() * 1e6,
+            wall_dur_us: wall_dur_s * 1e6,
+            model_start_s,
+            deadline_s: st.deadline_s,
+            pool_hit: pool.hits > st.last_pool.hits,
+            gate_drops,
+            batches_claimed: sched
+                .batches_claimed
+                .saturating_sub(self.last_sched.batches_claimed),
+            steals: sched.steals.saturating_sub(self.last_sched.steals),
+            parked_ns: sched.parked_ns.saturating_sub(self.last_sched.parked_ns),
+            ..st.engine.frame_record(&out)
+        });
+        self.last_sched = sched;
+        st.last_pool = pool;
+        let (backend, frame_s, frame_mj) = (
+            out.backend.label(),
+            out.timing.total_seconds(),
+            out.energy_mj,
+        );
+        st.retired.push_back(out);
+        if let Some(m) = &self.telemetry {
+            m.counter_add("wavefuse_frames_total", &[("backend", backend)], 1.0);
+            m.observe("wavefuse_frame_seconds", &[("backend", backend)], frame_s);
+            m.observe("wavefuse_frame_energy_millijoules", &[], frame_mj);
+            let total_mj: f64 = self.streams.iter().map(|s| s.stats.energy_mj).sum();
+            m.gauge_set("wavefuse_pipeline_energy_millijoules", &[], total_mj);
+            if gate_drops > 0 {
+                m.counter_add("wavefuse_gate_drops_total", &[], gate_drops as f64);
+            }
+            m.counter_add("wavefuse_stream_frames_total", &[("stream", label)], 1.0);
+            m.observe(
+                "wavefuse_frame_latency_seconds",
+                &[("stream", label)],
+                latency_s,
+            );
         }
         Ok(())
     }
@@ -630,9 +947,9 @@ impl StreamManager {
         let mut slowest_fps = f64::INFINITY;
         let mut fastest_fps: f64 = 0.0;
         for (i, s) in self.streams.iter().enumerate() {
-            let frames = s.frames - before[i].frames;
+            let frames = s.stats.frames - before[i].frames;
             let drops = s.drops - before[i].drops;
-            let energy = s.energy_mj - before[i].energy_mj;
+            let energy = s.stats.energy_mj - before[i].energy_mj;
             let fps = frames as f64 / wall;
             if frames > 0 {
                 slowest_fps = slowest_fps.min(fps);
@@ -643,9 +960,9 @@ impl StreamManager {
             total_energy += energy;
             per_stream.push(StreamReport {
                 stream: i,
-                backend: s.backend.label(),
-                levels: s.levels,
-                depth: s.depth,
+                backend: self.stream_backend(i).label(),
+                levels: s.engine.levels(),
+                depth: s.engine.pipeline_depth(),
                 frame_size: s.frame_size,
                 frames,
                 drops,
@@ -744,7 +1061,8 @@ fn operating_point(cfg: &StreamConfig) -> Result<(Backend, usize, bool), FusionE
 }
 
 /// Fuses `frames` frames of a stream's deterministic source **serially**
-/// (no pool, depth 1) and returns the FNV-1a digest of the delivered pixel
+/// (its own cameras and a pool-free [`FusionEngine::fuse`] per frame, no
+/// frame driver) and returns the FNV-1a digest of the delivered pixel
 /// stream — the bit-identity reference the fleet path must reproduce. The
 /// stream runs at the operating point [`StreamManager::admit`] resolves.
 ///

@@ -744,9 +744,8 @@ impl Dtcwt {
     /// work (e.g. capturing the next frame). `tag` labels the batch (the
     /// depth-k engine uses its frame-slot index) and comes back on every
     /// outcome. Each submitted batch must eventually be collected, oldest
-    /// first, by a [`WorkerPool::drain`] (the only batch in flight) or
-    /// [`WorkerPool::drain_partial`] (several batches stacked) of its four
-    /// outcomes, followed by [`Dtcwt::inverse_collect_outcomes`].
+    /// first, by a [`WorkerPool::drain_partial`] of its four outcomes,
+    /// followed by [`Dtcwt::inverse_collect_outcomes`].
     ///
     /// # Errors
     ///
@@ -1389,7 +1388,7 @@ mod tests {
         let mut out = Image::zeros(0, 0);
         t.inverse_pooled_submit(&pool, 0, &pyr, &mut bufs, 0)
             .unwrap();
-        assert_eq!(pool.drain(4, &mut outcomes), None);
+        assert_eq!(pool.drain_partial(4, &mut outcomes), None);
         t.inverse_collect_outcomes(&mut outcomes, &mut bufs, &mut out)
             .unwrap();
         assert_eq!(out, serial);

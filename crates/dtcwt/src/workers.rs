@@ -18,14 +18,17 @@
 //!   forward row tree or an inverse combo) —
 //!   this crate forbids `unsafe`, so a mutable output buffer cannot be
 //!   row-banded across threads; the cursor splits the *batch*, not a row.
-//! * Completion is a single atomic counter plus a per-slot outcome cell;
-//!   there is no drained results vector and no global results lock.
-//! * Errors additionally record the lowest errored submission index in a
-//!   lock-free `fetch_min` cell, so error reporting is deterministic no
-//!   matter which worker hit the failure first.
+//! * Completion is a per-slot outcome cell; there is no drained results
+//!   vector and no global results lock.
+//! * The dispatcher harvests outcomes oldest first
+//!   ([`WorkerPool::drain_partial`]), so several batches can be stacked in
+//!   the ring and collected one by one. Each outcome carries its own error,
+//!   and a harvest reports the earliest errored job among the outcomes it
+//!   collected, so error reporting is deterministic no matter which worker
+//!   hit the failure first.
 //! * Idle workers spin briefly (claims are typically microseconds apart in
-//!   the frame loop) and then park on a condvar; the dispatcher's
-//!   [`WorkerPool::drain`] does the same while waiting for the batch.
+//!   the frame loop) and then park on a condvar; a harvesting dispatcher
+//!   does the same while it waits for an outcome.
 //!
 //! Because this crate forbids `unsafe`, the pool never shares borrowed data
 //! with workers. A [`Job`] *owns* everything it needs: `Arc`s of the
@@ -149,9 +152,6 @@ const WORKER_SPINS: usize = 2_048;
 /// Spin iterations before a draining dispatcher parks on the condvar.
 const DRAIN_SPINS: usize = 2_048;
 
-/// Sentinel for "no errored job recorded".
-const NO_ERROR: usize = usize::MAX;
-
 /// Sentinel for "no worker has claimed yet" in `last_claimer`.
 const NO_WORKER: usize = usize::MAX;
 
@@ -213,14 +213,8 @@ struct Shared {
     limit: AtomicUsize,
     /// Next unclaimed job sequence (monotonic; always `<= limit`).
     cursor: AtomicUsize,
-    /// Jobs completed so far (monotonic).
-    completed: AtomicUsize,
-    /// Outcomes harvested by `drain` so far (monotonic; dispatcher-only).
+    /// Outcomes harvested so far (monotonic; dispatcher-only).
     harvested: AtomicUsize,
-    /// Lowest errored submission sequence since the last drain that
-    /// observed it (`NO_ERROR` if none) — `fetch_min` keeps it
-    /// deterministic under any completion order.
-    first_error: AtomicUsize,
     shutdown: AtomicBool,
     threads: usize,
     /// Number of workers parked on `wake` (Dekker-style flag: submitters
@@ -228,7 +222,7 @@ struct Shared {
     parked: AtomicUsize,
     park: Mutex<()>,
     wake: Condvar,
-    /// Whether the dispatcher is parked in `drain` (same flag pattern).
+    /// Whether the dispatcher is parked in a harvest (same flag pattern).
     drain_waiting: AtomicBool,
     drain_park: Mutex<()>,
     drained: Condvar,
@@ -281,10 +275,11 @@ pub type KernelFactory<'a> = &'a mut dyn FnMut(usize) -> Vec<Box<dyn FilterKerne
 
 /// A fixed set of worker threads executing DT-CWT combo jobs.
 ///
-/// Intended for a **single dispatcher**: submit a batch of jobs (at most
-/// [`BATCH_SLOTS`]), then [`WorkerPool::drain`] exactly that many outcomes
-/// before submitting the next batch. Workers and their kernels/scratch live
-/// as long as the pool; dropping the pool joins all threads.
+/// Intended for a **single dispatcher**: submit jobs (at most
+/// [`BATCH_SLOTS`] unharvested at a time), then harvest their outcomes
+/// oldest first with [`WorkerPool::drain_partial`]. Workers and their
+/// kernels/scratch live as long as the pool; dropping the pool joins all
+/// threads.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -308,9 +303,7 @@ impl WorkerPool {
             slots: (0..BATCH_SLOTS).map(|_| Slot::default()).collect(),
             limit: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
             harvested: AtomicUsize::new(0),
-            first_error: AtomicUsize::new(NO_ERROR),
             shutdown: AtomicBool::new(false),
             threads,
             parked: AtomicUsize::new(0),
@@ -372,14 +365,15 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`BATCH_SLOTS`] jobs are submitted without an
-    /// intervening [`WorkerPool::drain`] (a dispatcher protocol bug).
+    /// Panics if more than [`BATCH_SLOTS`] jobs are outstanding (submitted
+    /// but not harvested by [`WorkerPool::drain_partial`]), a dispatcher
+    /// protocol bug.
     pub fn submit(&self, job: Job) {
         let shared = &self.shared;
         let seq = shared.limit.load(SeqCst);
         assert!(
             seq - shared.harvested.load(SeqCst) < BATCH_SLOTS,
-            "worker pool batch capacity ({BATCH_SLOTS}) exceeded without a drain"
+            "worker pool batch capacity ({BATCH_SLOTS}) exceeded without a harvest"
         );
         *shared.slots[seq % BATCH_SLOTS]
             .job
@@ -394,76 +388,20 @@ impl WorkerPool {
         }
     }
 
-    /// Blocks until the `n` outstanding jobs complete and appends their
-    /// outcomes to `out` **in submission order** (`out` is not cleared).
-    /// Returns the batch-relative index of the earliest-submitted errored
-    /// job, if any failed.
-    ///
-    /// `n` must equal the number of jobs submitted since the last drain —
-    /// the whole batch is collected, so every slot is quiescent when this
-    /// returns.
-    pub fn drain(&self, n: usize, out: &mut Vec<JobOutcome>) -> Option<usize> {
-        let shared = &self.shared;
-        let start = shared.harvested.load(SeqCst);
-        let target = start + n;
-        assert_eq!(
-            target,
-            shared.limit.load(SeqCst),
-            "drain must collect the full outstanding batch"
-        );
-        let mut spins = 0usize;
-        while shared.completed.load(SeqCst) < target {
-            spins += 1;
-            if spins < DRAIN_SPINS {
-                std::hint::spin_loop();
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            let mut g = shared.drain_park.lock().expect("worker pool poisoned");
-            shared.drain_waiting.store(true, SeqCst);
-            while shared.completed.load(SeqCst) < target {
-                g = shared.drained.wait(g).expect("worker pool poisoned");
-            }
-            shared.drain_waiting.store(false, SeqCst);
-            break;
-        }
-        for seq in start..target {
-            let outcome = shared.slots[seq % BATCH_SLOTS]
-                .outcome
-                .lock()
-                .expect("worker pool poisoned")
-                .take()
-                .expect("completed slot holds an outcome");
-            out.push(outcome);
-        }
-        shared.harvested.store(target, SeqCst);
-        let first = shared.first_error.load(SeqCst);
-        if (start..target).contains(&first) {
-            shared.first_error.store(NO_ERROR, SeqCst);
-            Some(first - start)
-        } else {
-            None
-        }
-    }
-
     /// Blocks until the **oldest** `n` outstanding jobs complete and appends
     /// their outcomes to `out` in submission order, leaving any
     /// later-submitted jobs in flight. Returns the batch-relative index of
     /// the earliest-submitted errored job among the harvested `n`, if any.
     ///
-    /// This is the depth-k pipelining primitive: the dispatcher can keep
-    /// several four-job inverse batches in flight and harvest them batch by
-    /// batch as frames retire, interleaved with full [`WorkerPool::drain`]
-    /// calls for the forward batches submitted after them.
+    /// This is the pool's one harvest: the dispatcher can keep several
+    /// batches in flight (a fleet's packed forwards, depth-k inverse
+    /// batches) and collect them batch by batch as frames need them.
     ///
-    /// Unlike `drain`, the shared `completed` counter cannot serve as the
-    /// wait condition (a later job may complete before an earlier one), so
-    /// this waits on each harvested slot's outcome cell individually —
-    /// spinning briefly, then parking on the drain condvar (`run_slot`
-    /// stores the outcome before testing `drain_waiting`, so the flag
-    /// store/recheck pair below cannot miss a wakeup).
+    /// A later job may complete before an earlier one, so this waits on
+    /// each harvested slot's outcome cell individually — spinning briefly,
+    /// then parking on the drain condvar (`run_slot` stores the outcome
+    /// before testing `drain_waiting`, so the flag store/recheck pair below
+    /// cannot miss a wakeup).
     ///
     /// # Panics
     ///
@@ -510,19 +448,6 @@ impl WorkerPool {
             out.push(outcome);
         }
         shared.harvested.store(target, SeqCst);
-        // The harvested outcomes above carry their own errors, so the
-        // `first_error` cell is only cleaned here: entries for the harvested
-        // prefix are dropped, while an error recorded for a still-in-flight
-        // later job must survive for that job's own drain.
-        let cur = shared.first_error.load(SeqCst);
-        if cur < target {
-            let taken = shared.first_error.swap(NO_ERROR, SeqCst);
-            if taken != NO_ERROR && taken >= target {
-                // A later in-flight failure raced in between the load and
-                // the swap; put it back.
-                shared.first_error.fetch_min(taken, SeqCst);
-            }
-        }
         first_err
     }
 
@@ -585,8 +510,8 @@ fn worker_loop(shared: &Shared, me: usize, mut kernels: Vec<Box<dyn FilterKernel
     }
 }
 
-/// Takes the claimed slot's job, runs it, and publishes the outcome plus
-/// completion/error bookkeeping.
+/// Takes the claimed slot's job, runs it, publishes the outcome and wakes
+/// a parked harvester.
 fn run_slot(
     shared: &Shared,
     seq: usize,
@@ -601,11 +526,7 @@ fn run_slot(
         .take()
         .expect("claimed slot holds a job");
     let outcome = run_job(job, kernels, scratch);
-    if outcome.error.is_some() {
-        shared.first_error.fetch_min(seq, SeqCst);
-    }
     *slot.outcome.lock().expect("worker pool poisoned") = Some(outcome);
-    shared.completed.fetch_add(1, SeqCst);
     if shared.drain_waiting.load(SeqCst) {
         let _g = shared.drain_park.lock().expect("worker pool poisoned");
         shared.drained.notify_all();
@@ -613,7 +534,7 @@ fn run_slot(
 }
 
 /// Executes one job, converting panics into an error outcome so the
-/// dispatcher's `drain` never deadlocks on a crashed job.
+/// dispatcher's harvest never deadlocks on a crashed job.
 fn run_job(
     job: Job,
     kernels: &mut [Box<dyn FilterKernel + Send>],
@@ -819,7 +740,7 @@ mod tests {
                 }
             }
             let mut outcomes = Vec::new();
-            assert_eq!(pool.drain(4, &mut outcomes), None);
+            assert_eq!(pool.drain_partial(4, &mut outcomes), None);
             let order: Vec<(u32, usize)> = outcomes.iter().map(|o| (o.tag, o.combo)).collect();
             assert_eq!(order, want, "round {round}");
         }
@@ -846,7 +767,7 @@ mod tests {
                 slots: Default::default(),
             });
         }
-        let first_err = pool.drain(n, &mut outcomes);
+        let first_err = pool.drain_partial(n, &mut outcomes);
         assert_eq!(outcomes.len(), n);
         assert_eq!(first_err, Some(2), "job 2 is the earliest injected failure");
         for (i, oc) in outcomes.iter().enumerate() {
@@ -860,7 +781,7 @@ mod tests {
         // Shutdown/error stress: across several pool widths, hammer the
         // scheduler with back-to-back full batches of tiny jobs, a rotating
         // injected-failure pattern, and finally a shutdown with a full
-        // undrained batch in flight. Every batch must report exactly its
+        // unharvested batch in flight. Every batch must report exactly its
         // own completions (none lost, none duplicated), the earliest error
         // deterministically, and the drop must join cleanly.
         let t = Arc::new(Dtcwt::new(1).unwrap());
@@ -883,7 +804,7 @@ mod tests {
                         slots: Default::default(),
                     });
                 }
-                let first_err = pool.drain(n, &mut outcomes);
+                let first_err = pool.drain_partial(n, &mut outcomes);
                 assert_eq!(outcomes.len(), n, "threads {threads} batch {batch}");
                 assert_eq!(
                     first_err,
@@ -943,8 +864,8 @@ mod tests {
     fn partial_drains_harvest_interleaved_batches_in_order() {
         // Depth-k shape: several inverse batches in flight at once, each
         // harvested by its own partial drain while later batches keep
-        // running, interleaved with a full drain of a forward batch
-        // submitted on top. Outcomes must arrive batch-major in submission
+        // running, interleaved with a harvest of a forward batch submitted
+        // on top. Outcomes must arrive batch-major in submission
         // order at every pool width.
         let t = Arc::new(Dtcwt::new(1).unwrap());
         let img = Arc::new(Image::from_fn(16, 16, |x, y| (3 * x + y) as f32 * 0.05));
@@ -959,7 +880,7 @@ mod tests {
             assert_eq!(pool.drain_partial(8, &mut outcomes), None);
             assert_eq!(pool.outstanding(), 4);
             // Stack a forward batch (both row trees of one image) on top
-            // and full-drain it together with the leftover inverse batch.
+            // and harvest it together with the leftover inverse batch.
             let mut combos = ComboStore::new();
             for (rt, pair) in combos.slots.chunks_exact_mut(2).enumerate() {
                 pool.submit(Job::ForwardTree {
@@ -971,7 +892,7 @@ mod tests {
                     slots: [std::mem::take(&mut pair[0]), std::mem::take(&mut pair[1])],
                 });
             }
-            assert_eq!(pool.drain(6, &mut outcomes), None);
+            assert_eq!(pool.drain_partial(6, &mut outcomes), None);
             assert_eq!(pool.outstanding(), 0);
             let ids: Vec<(u32, usize)> = outcomes.iter().map(|o| (o.tag, o.combo)).collect();
             let want: Vec<(u32, usize)> = [0u32, 1, 2]
@@ -1013,7 +934,7 @@ mod tests {
     #[test]
     fn partial_drain_of_failing_prefix_reports_and_clears() {
         // The earlier batch fails while a clean batch is still in flight:
-        // the partial drain reports the failure, and the follow-up drain of
+        // the partial drain reports the failure, and the follow-up harvest of
         // the clean batch sees no stale error.
         let t = Arc::new(Dtcwt::new(1).unwrap());
         let pool = WorkerPool::new(2, &mut boxed_scalar);
@@ -1022,7 +943,7 @@ mod tests {
         let mut outcomes = Vec::new();
         assert_eq!(pool.drain_partial(4, &mut outcomes), Some(1));
         outcomes.clear();
-        assert_eq!(pool.drain(4, &mut outcomes), None);
+        assert_eq!(pool.drain_partial(4, &mut outcomes), None);
         assert!(outcomes.iter().all(|o| o.error.is_none()));
     }
 }

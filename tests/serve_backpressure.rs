@@ -55,9 +55,9 @@ fn oversubscribed_fleet_never_deadlocks_and_accounts_every_frame() {
 #[test]
 fn drops_land_on_the_stream_holding_the_oldest_frames() {
     // One deep stream (depth 4) next to two shallow ones under a cap of 3:
-    // the shallow streams retire their single pending frame before each
-    // capture, so the globally oldest pending frame — the eviction victim —
-    // always belongs to the deep stream. Its neighbors must come through
+    // the shallow streams retire each frame within its own round, so the
+    // globally oldest pending frame — the eviction victim — always belongs
+    // to the deep stream. Its neighbors must come through
     // drop-free and bit-identical to running alone.
     for threads in [1, 2, 4] {
         let mut mgr = StreamManager::new(FleetConfig {

@@ -9,7 +9,7 @@
 //! streams share the ring.
 
 use wavefuse_core::serve::{
-    solo_digest, FleetConfig, ServeReport, StreamBackend, StreamConfig, StreamManager,
+    solo_digest, FleetConfig, ServeReport, StreamBackend, StreamConfig, StreamManager, PACK_STREAMS,
 };
 use wavefuse_core::Backend;
 
@@ -172,4 +172,22 @@ fn fleet_packing_leaves_digests_independent_of_neighbors() {
         small.stream_digest(0),
         solo_digest(&target, true, FRAMES).unwrap()
     );
+}
+
+#[test]
+fn deep_streams_across_two_chunks_match_solo_runs() {
+    // Two packing chunks, with depth-2 and depth-3 streams whose newest
+    // inverses stay in flight across retirements and rounds next to
+    // depth-1 streams that retire within their own round.
+    let configs: Vec<StreamConfig> = (0..PACK_STREAMS + 2)
+        .map(|s| StreamConfig {
+            frame_size: if s % 3 == 0 { (64, 48) } else { (40, 32) },
+            scene_seed: 300 + s as u64,
+            depth: 1 + s % 3,
+            ..StreamConfig::default()
+        })
+        .collect();
+    for threads in [1, 2] {
+        assert_fleet_matches_solo(threads, &configs);
+    }
 }

@@ -10,8 +10,12 @@
 
 use std::sync::Arc;
 
+use wavefuse::core::pipeline::{
+    BackendChoice, PipelineConfig, VideoFusionPipeline, FLIGHT_CAPACITY,
+};
 use wavefuse::core::serve::{FleetConfig, StreamConfig, StreamManager};
-use wavefuse::trace::{export, MetricsRegistry};
+use wavefuse::core::Backend;
+use wavefuse::trace::{export, FrameRecord, MetricsRegistry};
 
 #[test]
 fn per_stream_series_are_exported_with_capped_cardinality() {
@@ -121,4 +125,87 @@ fn per_stream_series_are_exported_with_capped_cardinality() {
             "stream {label}: latency samples vs delivered frames:\n{prom}"
         );
     }
+}
+
+/// Relative disagreement of `got` from `want`.
+fn rel(got: f64, want: f64) -> f64 {
+    (got - want).abs() / want.abs().max(1e-12)
+}
+
+#[test]
+fn fleet_flight_records_reconcile_with_delivered_frames() {
+    // Two geometries at depths 1 and 2, uncapped and under a cap that
+    // drops frames: the fleet's one recorder must hold one record per
+    // delivered frame, tagged with its stream, and per stream its energy
+    // and phase sums must reproduce the delivered totals within the
+    // limits `repro eval` applies to a pipeline (0.1 % and 1 %).
+    let shapes = [((88, 72), 1), ((64, 48), 2), ((88, 72), 2), ((64, 48), 1)];
+    for cap in [None, Some(2)] {
+        let mut mgr = StreamManager::new(FleetConfig {
+            threads: 2,
+            max_in_flight: cap,
+            ..FleetConfig::default()
+        });
+        for (s, &(frame_size, depth)) in shapes.iter().enumerate() {
+            mgr.admit(StreamConfig {
+                frame_size,
+                depth,
+                scene_seed: 70 + s as u64,
+                ..StreamConfig::default()
+            })
+            .unwrap();
+        }
+        let report = mgr.run(6).unwrap();
+        assert_eq!(report.total_drops > 0, cap.is_some(), "cap {cap:?}");
+        let flight = mgr.flight_recorder();
+        assert!(flight.len() < FLIGHT_CAPACITY && !flight.wrapped());
+        assert_eq!(
+            flight.len() as u64,
+            report.total_frames,
+            "cap {cap:?}: one record per delivered frame, drops excluded"
+        );
+        for s in &report.per_stream {
+            let records: Vec<&FrameRecord> = flight
+                .iter()
+                .filter(|r| r.stream == s.stream as i64)
+                .collect();
+            let tag = format!("cap {cap:?} stream {}", s.stream);
+            assert_eq!(records.len() as u64, s.frames, "{tag}");
+            let frames: Vec<u64> = records.iter().map(|r| r.frame).collect();
+            assert_eq!(frames, (0..s.frames).collect::<Vec<_>>(), "{tag}");
+            for r in &records {
+                assert_eq!(r.backend, s.backend, "{tag}");
+                assert_eq!(r.kernel, "neon-simd", "{tag}");
+                assert_eq!(r.decision, "fixed", "{tag}");
+                assert_eq!(r.depth, s.depth as u64, "{tag}");
+            }
+            let energy: f64 = records.iter().map(|r| r.energy_mj).sum();
+            let delivered = s.energy_mj_per_frame * s.frames as f64;
+            assert!(
+                rel(energy, delivered) < 1e-3,
+                "{tag}: records {energy} mJ vs delivered {delivered} mJ"
+            );
+            let stats = mgr.stream_stats(s.stream);
+            assert_eq!(stats.frames, s.frames, "{tag}");
+            for (i, (phase, want)) in stats.timing.phases().into_iter().enumerate() {
+                let got: f64 = records.iter().map(|r| r.phase_s[i]).sum();
+                assert!(
+                    rel(got, want) < 0.01,
+                    "{tag} {phase}: records {got} s vs modeled {want} s"
+                );
+            }
+        }
+    }
+    // A pipeline is a fleet of one, but its records stay untagged.
+    let mut pipe = VideoFusionPipeline::new(PipelineConfig {
+        frame_size: (48, 40),
+        backend: BackendChoice::Fixed(Backend::Neon),
+        threads: 2,
+        depth: 2,
+        ..PipelineConfig::default()
+    })
+    .unwrap();
+    pipe.run(4).unwrap();
+    assert_eq!(pipe.flight_recorder().len(), 4);
+    assert!(pipe.flight_recorder().iter().all(|r| r.stream == -1));
 }

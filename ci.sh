@@ -5,6 +5,28 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== unsafe boundary (one module of wavefuse-simd; every other crate root forbids unsafe)"
+# The NEON engine calls its AVX2-compiled lane bodies through one module,
+# crates/simd/src/isa.rs, the only place in the workspace's crates where
+# `unsafe` code or an allow(unsafe_code) may appear. wavefuse-simd's root
+# denies unsafe code, so only that module's allow lifts it, and every
+# other library root forbids it outright.
+stray=$(grep -rnE --include='*.rs' \
+    'unsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)|allow\(unsafe_code\)' crates src |
+    grep -v '^crates/simd/src/isa.rs:' || true)
+if [ -n "$stray" ]; then
+    echo "unsafe outside crates/simd/src/isa.rs:"
+    echo "$stray"
+    exit 1
+fi
+grep -q '^#!\[deny(unsafe_code)\]' crates/simd/src/lib.rs
+for root in src/lib.rs crates/*/src/lib.rs; do
+    if [ "$root" != crates/simd/src/lib.rs ] && ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "$root lost #![forbid(unsafe_code)]"
+        exit 1
+    fi
+done
+
 echo "== cargo build --release"
 cargo build --release --workspace
 
@@ -17,14 +39,20 @@ cargo test -q --release --test alloc_steady_state
 echo "== column-pass bit-identity (NEON and FPGA column passes vs the transpose staging)"
 cargo test -q --release --test columnar_identity
 
-echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, kernel fusion)"
+echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, lane-path sweep, kernel fusion)"
 # The crate's lane-exactness tests, the row-oracle sweep (the kernel's
 # lane-parallel row passes vs both per-output dots, bit for bit, over ten
 # banks x output widths 1..=80 x both phases, analysis and synthesis, on
-# finite and NaN/inf rows) and the kernel fuse_strip bit-identity tests on
-# row ranges also run in debug above, but LLVM vectorizes the lane loops
-# only in release, so the identities are checked here too (the column-pass
-# identity runs in the columnar_identity step above).
+# finite and NaN/inf rows), the lane-path sweep
+# (lane_paths_agree_bit_for_bit: the portable and the detected AVX2 copy
+# of the lane bodies agree on rows, columns and fuse_strip over every bank,
+# both phases and widths 1..=80 plus 88/160/320, so every 16/8/4/1 step is
+# hit, on finite and NaN/inf/-0/subnormal planes) and the kernel
+# fuse_strip bit-identity tests on row ranges also run in debug above, but
+# LLVM vectorizes the lane loops only in release, so the identities are
+# checked here too. The row-oracle and fuse_strip sweeps run on both lane
+# paths; a CPU without AVX2 checks the portable one and says so on stderr
+# (the column-pass identity runs in the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
 echo "== wavefuse-dtcwt tests + lowpass fusion sweep in release (slice passes vs per-pixel oracles, per-tree forward vs per-combo oracle)"

@@ -282,6 +282,7 @@ fn main() -> ExitCode {
                     warmup_frames: experiments::BENCH_WARMUP_FRAMES,
                     frames,
                     reps: 1,
+                    lane_path: wavefuse_simd::SimdKernel::new().lane_path(),
                     rows: vec![experiments::serve_row(&serve)],
                 };
                 gate_report(&mini, &baseline_path, opt("tolerance").as_deref())?;

@@ -17,6 +17,7 @@ use wavefuse_core::rules::{FusionRule, LowpassRule};
 use wavefuse_core::serve::{FleetConfig, ServeReport, StreamConfig, StreamManager};
 use wavefuse_core::{Backend, BackendCounts, FusionEngine, FusionError};
 use wavefuse_dtcwt::{FilterBank, Image};
+use wavefuse_simd::SimdKernel;
 use wavefuse_video::camera::{ThermalCamera, WebCamera};
 use wavefuse_video::scene::ScenePair;
 use wavefuse_video::Frame;
@@ -699,6 +700,11 @@ pub struct BenchReport {
     pub frames: usize,
     /// Timed windows per configuration (the row keeps the fastest).
     pub reps: usize,
+    /// The lane path the NEON engine ran on this host (`"avx2"` or
+    /// `"portable"`, see [`SimdKernel::lane_path`]): the same `neon-simd`
+    /// rows run about half again as fast on one as on the other, so a
+    /// baseline says which produced it.
+    pub lane_path: &'static str,
     /// One row per `(backend, threads)` configuration.
     pub rows: Vec<BenchRow>,
 }
@@ -896,6 +902,7 @@ pub fn pipeline_bench(
         warmup_frames: BENCH_WARMUP_FRAMES,
         frames,
         reps: BENCH_REPS,
+        lane_path: SimdKernel::new().lane_path(),
         rows,
     })
 }
@@ -1347,6 +1354,7 @@ impl ToJson for BenchReport {
             ("warmup_frames", self.warmup_frames.to_json()),
             ("frames", self.frames.to_json()),
             ("reps", self.reps.to_json()),
+            ("lane_path", self.lane_path.to_json()),
             (
                 "rows",
                 JsonValue::Arr(self.rows.iter().map(ToJson::to_json).collect()),

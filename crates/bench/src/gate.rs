@@ -300,6 +300,7 @@ mod tests {
             warmup_frames: 4,
             frames: 8,
             reps: 3,
+            lane_path: "portable",
             rows: vec![BenchRow {
                 backend: "FPGA".into(),
                 threads: 2,

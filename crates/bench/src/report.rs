@@ -229,8 +229,13 @@ pub fn render_throughput(rows: &[ThroughputRow]) -> String {
 pub fn render_bench(bench: &BenchReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "## Measured pipeline throughput ({} levels, best of {} windows, {} timed frames at {}x{})\n",
-        bench.levels, bench.reps, bench.frames, bench.frame_size.0, bench.frame_size.1
+        "## Measured pipeline throughput ({} levels, best of {} windows, {} timed frames at {}x{}, {} lane path)\n",
+        bench.levels,
+        bench.reps,
+        bench.frames,
+        bench.frame_size.0,
+        bench.frame_size.1,
+        bench.lane_path
     ));
     out.push_str(&format!(
         "{:>8} | {:>16} | {:>13} | {:>9} {:>7} {:>5} | {:>10} {:>10} {:>12} {:>12} | {:>9} {:>8} | {:>14}\n",

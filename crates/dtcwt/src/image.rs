@@ -195,6 +195,17 @@ impl Image {
         self.data.resize(width * height, 0.0);
     }
 
+    /// Re-dimensions the image in place to `width` x `height` *without*
+    /// clearing it: pixels keep whatever the buffer held (zeros only where
+    /// it grew). For callers that write every pixel before they read any,
+    /// which makes [`Image::reshape`]'s zero fill pure waste; an
+    /// accumulator must use `reshape`. Never shrinks the allocation.
+    pub fn reshape_for_overwrite(&mut self, width: usize, height: usize) {
+        self.width = width;
+        self.height = height;
+        self.data.resize(width * height, 0.0);
+    }
+
     /// Makes `self` a pixel-exact copy of `src`, reusing the existing
     /// allocation when it is large enough.
     pub fn copy_from(&mut self, src: &Image) {
@@ -499,6 +510,18 @@ mod tests {
         let src = Image::from_fn(2, 3, |x, y| (x + 10 * y) as f32);
         img.copy_from(&src);
         assert_eq!(img, src);
+    }
+
+    #[test]
+    fn reshape_for_overwrite_keeps_pixels_and_capacity() {
+        let mut img = Image::filled(8, 8, 2.5);
+        let ptr = img.as_slice().as_ptr();
+        img.reshape_for_overwrite(4, 4);
+        assert_eq!(img.dims(), (4, 4));
+        assert_eq!(img.as_slice(), &[2.5; 16]); // stale, not zeroed
+        img.reshape_for_overwrite(8, 8);
+        assert_eq!(img.as_slice().as_ptr(), ptr, "reallocated within capacity");
+        assert_eq!(img.as_slice()[..16], [2.5; 16]);
     }
 
     #[test]

@@ -26,14 +26,17 @@ const W8: usize = 8;
 
 /// Vectorized twin of [`wavefuse_dtcwt::fuse_strip_scalar`]: fuses rows
 /// `[y0, y1)` of one subband pair into `out_re`/`out_im`, bit-identical to
-/// the scalar reference for every rule.
+/// the scalar reference for every rule. A lane body: the kernel runs it
+/// through its detected path (`Isa::fuse_strip`), which compiles it
+/// (with every helper below) once per path.
 ///
 /// # Errors
 ///
 /// Returns [`DtcwtError::MalformedPyramid`] if the subband shapes differ or
 /// the strip rows fall outside the subband.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn fuse_strip_simd(
+pub(crate) fn fuse_strip_simd(
     a: &ComplexImage,
     b: &ComplexImage,
     y0: usize,
@@ -44,8 +47,8 @@ pub fn fuse_strip_simd(
     out_im: &mut Image,
 ) -> Result<(), DtcwtError> {
     let (w, h) = fuse::check_strip(a, b, y0, y1)?;
-    out_re.reshape(w, y1 - y0);
-    out_im.reshape(w, y1 - y0);
+    out_re.reshape_for_overwrite(w, y1 - y0);
+    out_im.reshape_for_overwrite(w, y1 - y0);
     let radius = match op {
         FuseOp::MaxMagnitude | FuseOp::Weighted { .. } => None,
         FuseOp::WindowEnergy { radius } | FuseOp::ActivityGuided { radius, .. } => Some(radius),
@@ -86,14 +89,24 @@ pub fn fuse_strip_simd(
 struct Sources<'a>([&'a [f32]; 4]);
 
 impl<'a> Sources<'a> {
+    #[inline(always)]
     fn rows(a: &'a ComplexImage, b: &'a ComplexImage, y: usize) -> Self {
         Sources([a.re.row(y), a.im.row(y), b.re.row(y), b.im.row(y)])
     }
 
-    /// Loads `[ar, ai, br, bi]` at columns `x..x + N`.
+    /// Loads `[ar, ai, br, bi]` at columns `x..x + N`. Spelled out rather
+    /// than `array::map`, which LLVM leaves as an out-of-line baseline call:
+    /// inside the AVX2 copy that costs a `vzeroupper` and a round trip
+    /// through memory on every block.
     #[inline(always)]
     fn load<const N: usize>(&self, x: usize) -> [Lanes<N>; 4] {
-        self.0.map(|row| Lanes::load(&row[x..]))
+        let [ar, ai, br, bi] = self.0;
+        [
+            Lanes::load(&ar[x..]),
+            Lanes::load(&ai[x..]),
+            Lanes::load(&br[x..]),
+            Lanes::load(&bi[x..]),
+        ]
     }
 }
 
@@ -177,6 +190,7 @@ fn fuse_block<const N: usize>(
 /// [`fuse::horizontal_energy`] when `b` is `a` (`re * re + im * im` is the
 /// same expression tree): stages each source row's `ar * br + ai * bi` in
 /// 8-lane blocks and a one-lane tail, then applies the horizontal window.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn horizontal_products(
     a: &ComplexImage,
@@ -194,6 +208,7 @@ fn horizontal_products(
     if erow.len() != w {
         erow.resize(w, 0.0);
     }
+    #[inline(always)]
     fn product<const N: usize>(src: &Sources, x: usize, erow: &mut [f32]) {
         let [ar, ai, br, bi] = src.load::<N>(x);
         (ar * br + ai * bi).store(&mut erow[x..]);
@@ -215,6 +230,7 @@ fn horizontal_products(
 /// Vectorized twin of [`fuse::horizontal_window`]: clamped borders run the
 /// scalar fold; the interior (where the whole window is in-bounds) folds
 /// shifted 8-lane loads in the same ascending `dx` order.
+#[inline(always)]
 fn horizontal_window_simd(erow: &[f32], radius: usize, out: &mut [f32]) {
     let w = erow.len();
     let r = radius as isize;
@@ -228,9 +244,11 @@ fn horizontal_window_simd(erow: &[f32], radius: usize, out: &mut [f32]) {
         }
         acc
     };
-    // Left border: the window clamps at 0.
+    // Left border: the window clamps at 0. The border loops iterate
+    // subslices, not `take`/`skip` adapters, for the reason given at
+    // `Sources::load`.
     let left_end = radius.min(w);
-    for (x, o) in out.iter_mut().enumerate().take(left_end) {
+    for (x, o) in out[..left_end].iter_mut().enumerate() {
         *o = scalar_at(x);
     }
     // Interior: x ≥ r and x + 7 + r ≤ w − 1.
@@ -246,14 +264,15 @@ fn horizontal_window_simd(erow: &[f32], radius: usize, out: &mut [f32]) {
         x += W8;
     }
     // Right border + ragged tail.
-    for (x, o) in out.iter_mut().enumerate().take(w).skip(x) {
-        *o = scalar_at(x);
+    for (i, o) in out[x..w].iter_mut().enumerate() {
+        *o = scalar_at(x + i);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{test_paths, Isa};
     use wavefuse_dtcwt::fuse_strip_scalar;
 
     fn pair(w: usize, h: usize) -> (ComplexImage, ComplexImage) {
@@ -301,10 +320,16 @@ mod tests {
 
     #[test]
     fn simd_strip_fusion_matches_scalar_bit_for_bit() {
-        // Every rule × radius × odd/even widths (vector blocks + ragged
-        // tails) × strip decompositions must reproduce the scalar
+        // Every lane path × rule × radius × odd/even widths (vector blocks
+        // + ragged tails) × strip decompositions must reproduce the scalar
         // reference exactly, on finite inputs and on inputs carrying NaN,
         // ±inf and ±0.0 (compared as bits, so NaN and signed zeros count).
+        for isa in test_paths() {
+            strip_fusion_matches_scalar_on(isa);
+        }
+    }
+
+    fn strip_fusion_matches_scalar_on(isa: Isa) {
         let ops = [
             FuseOp::MaxMagnitude,
             FuseOp::Weighted { alpha: 0.3 },
@@ -335,10 +360,13 @@ mod tests {
                         let mut y0 = 0;
                         while y0 < h {
                             let y1 = (y0 + rows).min(h);
-                            fuse_strip_simd(&a, &b, y0, y1, op, &mut fs, &mut sre, &mut sim)
+                            isa.fuse_strip(&a, &b, y0, y1, op, &mut fs, &mut sre, &mut sim)
                                 .unwrap();
                             for y in y0..y1 {
-                                let what = format!("{inputs} {op:?} {w}x{h} rows={rows} y={y}");
+                                let what = format!(
+                                    "{} {inputs} {op:?} {w}x{h} rows={rows} y={y}",
+                                    isa.name()
+                                );
                                 assert_eq!(
                                     bits(sre.row(y - y0)),
                                     bits(want_re.row(y)),

@@ -21,10 +21,18 @@
 //! # Lane-parallel passes
 //!
 //! Every pass runs on one lane-generic body, `col_dot` over [`Lanes<N>`]:
-//! lane `x` computes output `x`, 8 outputs at a time, then 4, then 1 at the
-//! end, with no horizontal sums. An offset table `offs` names the source of
-//! each padded tap for output 0, and output `x` reads `data[offs[i] + x]`,
-//! so each tap is one contiguous `N`-wide load.
+//! lane `x` computes output `x`, 16 outputs at a time, then at most one
+//! step of 8 and one of 4, then 1 at a time at the end, with no horizontal
+//! sums. An offset table `offs` names the source of each padded tap for
+//! output 0, and output `x` reads `data[offs[i] + x]`, so each tap is one
+//! contiguous `N`-wide load.
+//!
+//! The three lane loops on that body (`filter_cols`, `filter_cols2` and
+//! `synth_cols`) are compiled twice, portable and with AVX2 (see the
+//! [crate docs](crate#lane-paths)), and every pass calls them through the
+//! path the kernel detected when it was built. The 16-output step is what
+//! fills AVX2's registers: a `Lanes<16>` accumulator is two 256-bit
+//! registers, where the portable copy splits each 8-lane op in two.
 //!
 //! * **Column passes** hold `N` *adjacent columns* of one output row: rows
 //!   are loaded stride-1 straight from the image, with no transposes.
@@ -43,6 +51,7 @@
 //! unfused `acc + sample * tap`. Since every output is independent, lane width
 //! never changes any output's value.
 
+use crate::isa::Isa;
 use crate::vector::Lanes;
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
 use wavefuse_dtcwt::kernel::taps_changed;
@@ -163,9 +172,41 @@ fn col_dot2<const N: usize>(
     ((a0 + a2) + (a1 + a3), (b0 + b2) + (b1 + b3))
 }
 
+/// Runs `$body` for the outputs `x..x + $n` of `0..$w`: 16 outputs per
+/// step, then at most one 8- and one 4-output step, then one at a time.
+/// `$n` is a `const` in `$body`, so each step instantiates the lane body at
+/// its own width.
+macro_rules! lane_steps {
+    ($w:expr, |$x:ident, $n:ident| $body:expr) => {{
+        let w = $w;
+        let mut $x = 0;
+        while $x + 16 <= w {
+            const $n: usize = 16;
+            $body;
+            $x += $n;
+        }
+        while $x + 8 <= w {
+            const $n: usize = 8;
+            $body;
+            $x += $n;
+        }
+        while $x + 4 <= w {
+            const $n: usize = 4;
+            $body;
+            $x += $n;
+        }
+        while $x < w {
+            const $n: usize = 1;
+            $body;
+            $x += $n;
+        }
+    }};
+}
+
 /// Filters `lo.len()` outputs of both analysis channels in a single pass
 /// over the shared offset window (see [`col_dot2`]).
-fn filter_cols2(
+#[inline(always)]
+pub(crate) fn filter_cols2(
     data: &[f32],
     idx: &[usize],
     t0: &[f32],
@@ -173,51 +214,26 @@ fn filter_cols2(
     lo: &mut [f32],
     hi: &mut [f32],
 ) {
-    let w = lo.len();
-    let mut x = 0;
-    while x + 8 <= w {
-        let (a, b) = col_dot2::<8>(data, idx, t0, t1, x);
+    lane_steps!(lo.len(), |x, N| {
+        let (a, b) = col_dot2::<N>(data, idx, t0, t1, x);
         a.store(&mut lo[x..]);
         b.store(&mut hi[x..]);
-        x += 8;
-    }
-    while x + 4 <= w {
-        let (a, b) = col_dot2::<4>(data, idx, t0, t1, x);
-        a.store(&mut lo[x..]);
-        b.store(&mut hi[x..]);
-        x += 4;
-    }
-    while x < w {
-        let (a, b) = col_dot2::<1>(data, idx, t0, t1, x);
-        a.store(&mut lo[x..]);
-        b.store(&mut hi[x..]);
-        x += 1;
-    }
+    });
 }
 
 /// Filters `out.len()` outputs of one analysis channel: a whole output row
 /// of a column pass, or a whole channel of a row pass.
-fn filter_cols(data: &[f32], idx: &[usize], taps: &[f32], out: &mut [f32]) {
-    let w = out.len();
-    let mut x = 0;
-    while x + 8 <= w {
-        col_dot::<8>(data, idx, taps, x).store(&mut out[x..]);
-        x += 8;
-    }
-    while x + 4 <= w {
-        col_dot::<4>(data, idx, taps, x).store(&mut out[x..]);
-        x += 4;
-    }
-    while x < w {
-        col_dot::<1>(data, idx, taps, x).store(&mut out[x..]);
-        x += 1;
-    }
+#[inline(always)]
+pub(crate) fn filter_cols(data: &[f32], idx: &[usize], taps: &[f32], out: &mut [f32]) {
+    lane_steps!(out.len(), |x, N| col_dot::<N>(data, idx, taps, x)
+        .store(&mut out[x..]));
 }
 
 /// Reconstructs `out.len()` synthesis outputs: the lane-wise sum of the
 /// two channel dot products, matching the per-output `dot(lo) + dot(hi)`.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn synth_cols(
+pub(crate) fn synth_cols(
     lo: &[f32],
     hi: &[f32],
     idx0: &[usize],
@@ -226,26 +242,16 @@ fn synth_cols(
     t1: &[f32],
     out: &mut [f32],
 ) {
-    let w = out.len();
-    let mut x = 0;
-    while x + 8 <= w {
-        (col_dot::<8>(lo, idx0, t0, x) + col_dot::<8>(hi, idx1, t1, x)).store(&mut out[x..]);
-        x += 8;
-    }
-    while x + 4 <= w {
-        (col_dot::<4>(lo, idx0, t0, x) + col_dot::<4>(hi, idx1, t1, x)).store(&mut out[x..]);
-        x += 4;
-    }
-    while x < w {
-        (col_dot::<1>(lo, idx0, t0, x) + col_dot::<1>(hi, idx1, t1, x)).store(&mut out[x..]);
-        x += 1;
-    }
+    lane_steps!(out.len(), |x, N| (col_dot::<N>(lo, idx0, t0, x)
+        + col_dot::<N>(hi, idx1, t1, x))
+    .store(&mut out[x..]));
 }
 
 /// Columnar analysis. Tap caches are the kernel's `reversed_padded`
 /// vectors.
 #[allow(clippy::too_many_arguments)]
 fn lane_analyze_cols(
+    isa: Isa,
     rev0: &[f32],
     rev1: &[f32],
     l0: usize,
@@ -258,8 +264,8 @@ fn lane_analyze_cols(
 ) {
     let (w, h) = img.dims();
     let half = h / 2;
-    lo.reshape(w, half);
-    hi.reshape(w, half);
+    lo.reshape_for_overwrite(w, half);
+    hi.reshape_for_overwrite(w, half);
     let phase = phase.offset();
     let data = img.as_slice();
     // Equal-length filters (the orthonormal banks, e.g. q-shift at DT-CWT
@@ -273,11 +279,11 @@ fn lane_analyze_cols(
         let c = (2 * k + phase) as isize;
         fill_wrapped(&mut cs.idx0, c + 1 - l0 as isize, rev0.len(), h, w);
         if fused {
-            filter_cols2(data, &cs.idx0, rev0, rev1, lo.row_mut(k), hi.row_mut(k));
+            isa.filter_cols2(data, &cs.idx0, rev0, rev1, lo.row_mut(k), hi.row_mut(k));
         } else {
             fill_wrapped(&mut cs.idx1, c + 1 - l1 as isize, rev1.len(), h, w);
-            filter_cols(data, &cs.idx0, rev0, lo.row_mut(k));
-            filter_cols(data, &cs.idx1, rev1, hi.row_mut(k));
+            isa.filter_cols(data, &cs.idx0, rev0, lo.row_mut(k));
+            isa.filter_cols(data, &cs.idx1, rev1, hi.row_mut(k));
         }
     }
 }
@@ -286,6 +292,7 @@ fn lane_analyze_cols(
 /// delay-compensating rotation is fused into the destination row index.
 #[allow(clippy::too_many_arguments)]
 fn lane_synthesize_cols(
+    isa: Isa,
     g0_even: &[f32],
     g0_odd: &[f32],
     g1_even: &[f32],
@@ -299,7 +306,7 @@ fn lane_synthesize_cols(
 ) {
     let (w, nh) = lo.dims();
     let n = nh * 2;
-    out.reshape(w, n);
+    out.reshape_for_overwrite(w, n);
     let d = delay % n;
     let phase = phase.offset();
     let lo_data = lo.as_slice();
@@ -322,7 +329,7 @@ fn lane_synthesize_cols(
         // Raw sample m lands at output row (m - delay) mod n — the rotation
         // the row path applies as a separate copy.
         let dst = (m + n - d) % n;
-        synth_cols(
+        isa.synth_cols(
             lo_data,
             hi_data,
             &cs.idx0,
@@ -384,6 +391,9 @@ fn fill_split(offs: &mut Vec<usize>, start: usize, len: usize, even: usize) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimdKernel {
+    /// The compiled copy of the lane bodies every pass runs, detected when
+    /// the kernel is built.
+    isa: Isa,
     rev0: Vec<f32>,
     rev1: Vec<f32>,
     g0_even: Vec<f32>,
@@ -403,9 +413,17 @@ pub struct SimdKernel {
 }
 
 impl SimdKernel {
-    /// Creates a new kernel.
+    /// Creates a new kernel on the widest lane path this CPU runs.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The lane path this kernel runs: `"avx2"` when it was built on an
+    /// x86-64 CPU with AVX2, else `"portable"` (the build target's own
+    /// vector instructions). Both paths produce the same bits; they differ
+    /// in speed only.
+    pub fn lane_path(&self) -> &'static str {
+        self.isa.name()
     }
 
     /// Rebuilds the reversed analysis taps, only when the filter actually
@@ -456,11 +474,12 @@ impl FilterKernel for SimdKernel {
         if l0 == l1 && self.rev0.len() == self.rev1.len() {
             // Equal-length pair (the q-shift orthonormal banks): both filters
             // read the same window, so share its loads across the two dots.
-            filter_cols2(&self.row, &self.offs0, &self.rev0, &self.rev1, lo, hi);
+            self.isa
+                .filter_cols2(&self.row, &self.offs0, &self.rev0, &self.rev1, lo, hi);
         } else {
             fill_split(&mut self.offs1, start - l1, self.rev1.len(), even);
-            filter_cols(&self.row, &self.offs0, &self.rev0, lo);
-            filter_cols(&self.row, &self.offs1, &self.rev1, hi);
+            self.isa.filter_cols(&self.row, &self.offs0, &self.rev0, lo);
+            self.isa.filter_cols(&self.row, &self.offs1, &self.rev1, hi);
         }
     }
 
@@ -499,7 +518,8 @@ impl FilterKernel for SimdKernel {
             self.offs0.extend(top - t0.len()..top);
             self.offs1.clear();
             self.offs1.extend(top - t1.len()..top);
-            synth_cols(lo_ext, hi_ext, &self.offs0, &self.offs1, t0, t1, run);
+            self.isa
+                .synth_cols(lo_ext, hi_ext, &self.offs0, &self.offs1, t0, t1, run);
         }
         // Even-parity outputs sit at m = phase (mod 2), odd-parity ones at
         // the other slot of each output pair.
@@ -535,6 +555,7 @@ impl FilterKernel for SimdKernel {
         }
         self.analysis_taps(&taps.h0, &taps.h1);
         lane_analyze_cols(
+            self.isa,
             &self.rev0,
             &self.rev1,
             taps.h0.len(),
@@ -567,6 +588,7 @@ impl FilterKernel for SimdKernel {
         }
         self.synthesis_taps(&taps.g0, &taps.g1);
         lane_synthesize_cols(
+            self.isa,
             &self.g0_even,
             &self.g0_odd,
             &self.g1_even,
@@ -592,13 +614,14 @@ impl FilterKernel for SimdKernel {
         out_re: &mut Image,
         out_im: &mut Image,
     ) -> Result<(), DtcwtError> {
-        crate::fuse::fuse_strip_simd(a, b, y0, y1, op, fs, out_re, out_im)
+        self.isa.fuse_strip(a, b, y0, y1, op, fs, out_re, out_im)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::test_paths;
     use crate::vector::F32x4;
     use wavefuse_dtcwt::dwt1d::{analyze, synthesize, BankTaps, Phase};
     use wavefuse_dtcwt::{Dtcwt, FilterBank, Image, ScalarKernel};
@@ -800,15 +823,29 @@ mod tests {
         }
     }
 
-    /// Sweeps the lane-parallel rows against both per-output dots: every
-    /// sweep bank, output widths 1..=80, both phases, analysis and
-    /// synthesis, on a finite row and on the same row seeded with NaN and
-    /// ±inf at both ends and in the middle. One kernel and one oracle of
-    /// each dot serve the whole sweep, so tap caches and row scratch are
-    /// reused across banks and widths.
+    /// A kernel on the given lane path.
+    fn kernel_on(isa: Isa) -> SimdKernel {
+        SimdKernel {
+            isa,
+            ..SimdKernel::new()
+        }
+    }
+
+    /// Sweeps the lane-parallel rows against both per-output dots on every
+    /// lane path: every sweep bank, output widths 1..=80, both phases,
+    /// analysis and synthesis, on a finite row and on the same row seeded
+    /// with NaN and ±inf at both ends and in the middle. One kernel per
+    /// path and one oracle of each dot serve the whole sweep, so tap caches
+    /// and row scratch are reused across banks and widths.
     #[test]
     fn lane_rows_match_the_per_output_dots_bit_for_bit() {
-        let mut lanes = SimdKernel::new();
+        for isa in test_paths() {
+            lane_rows_match_the_per_output_dots_on(isa);
+        }
+    }
+
+    fn lane_rows_match_the_per_output_dots_on(isa: Isa) {
+        let mut lanes = kernel_on(isa);
         let mut oracles = [PerOutput::simd(), PerOutput::unrolled()];
         for bank in sweep_banks() {
             let taps = BankTaps::new(&bank);
@@ -825,8 +862,9 @@ mod tests {
                         let out = synthesize(&mut lanes, &taps, c_lo, c_hi, phase).unwrap();
                         for oracle in &mut oracles {
                             let what = format!(
-                                "{} vs {} {} width {width} {phase:?} finite={is_finite}",
+                                "{} ({}) vs {} {} width {width} {phase:?} finite={is_finite}",
                                 lanes.name(),
+                                isa.name(),
                                 oracle.name(),
                                 bank.name()
                             );
@@ -839,6 +877,214 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Output widths that hit every lane step and tail: each of 1..=80,
+    /// and the 16-lane step alone (88 = 5 x 16 + 8, 160, 320).
+    fn sweep_widths() -> impl Iterator<Item = usize> {
+        (1..=80).chain([88, 160, 320])
+    }
+
+    /// A finite plane, and the same plane with NaN, ±inf, ±0 and positive
+    /// and negative subnormals scattered over lane blocks and tails.
+    fn sweep_planes(w: usize, h: usize, seed: usize) -> [Image; 2] {
+        let finite = Image::from_fn(w, h, |x, y| {
+            ((x * 7 + y * 13 + seed) as f32 * 0.37).sin() * 3.0 - 0.5
+        });
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e-40,
+            -f32::MIN_POSITIVE / 8.0,
+        ];
+        let mut poisoned = finite.clone();
+        for y in 0..h {
+            for x in 0..w {
+                if (x * 5 + y * 3 + seed).is_multiple_of(11) {
+                    poisoned.set(x, y, specials[(x + 2 * y + seed) % specials.len()]);
+                }
+            }
+        }
+        [finite, poisoned]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The portable and detected lane paths are two compilations of one
+    /// body, so they must agree on every output bit for row and column
+    /// analysis and synthesis and strip fusion, over every sweep bank, both
+    /// phases, the sweep widths and finite and non-finite planes. The one
+    /// freedom is a transform output's NaN payload: each compilation may
+    /// commute an `fadd`'s operands, and x86 returns the first operand's
+    /// NaN, so where an input NaN meets an `inf - inf` NaN the sign bit may
+    /// differ. Every other bit — ±inf, ±0, subnormals — must match.
+    #[test]
+    fn lane_paths_agree_bit_for_bit() {
+        let paths = test_paths();
+        let mut kernels: Vec<SimdKernel> = paths.iter().map(|&isa| kernel_on(isa)).collect();
+        let (mut cs, mut s1) = (ColScratch::new(), Scratch1d::new());
+        let rows_h = 6; // plane height: even, and short enough to wrap every bank
+        for bank in sweep_banks() {
+            let taps = BankTaps::new(&bank);
+            for width in sweep_widths() {
+                for (plane, src) in sweep_planes(width, rows_h, width).iter().enumerate() {
+                    for phase in [Phase::A, Phase::B] {
+                        let mut outs = Vec::new();
+                        for k in &mut kernels {
+                            // Rows: the plane's first two rows as one row
+                            // of 2 * width samples.
+                            let row = &src.as_slice()[..2 * width];
+                            let (lo, hi) = analyze(k, &taps, row, phase).unwrap();
+                            let syn =
+                                synthesize(k, &taps, &row[..width], &row[width..], phase).unwrap();
+                            let (mut clo, mut chi) = (Image::zeros(0, 0), Image::zeros(0, 0));
+                            k.analyze_cols(&taps, phase, src, &mut clo, &mut chi, &mut cs, &mut s1)
+                                .unwrap();
+                            let mut csyn = Image::zeros(0, 0);
+                            k.synthesize_cols(
+                                &taps, phase, &clo, &chi, &mut csyn, &mut cs, &mut s1,
+                            )
+                            .unwrap();
+                            outs.push([
+                                lo,
+                                hi,
+                                syn,
+                                clo.into_vec(),
+                                chi.into_vec(),
+                                csyn.into_vec(),
+                            ]);
+                        }
+                        for (isa, out) in paths.iter().zip(&outs).skip(1) {
+                            for (part, (got, want)) in out.iter().zip(&outs[0]).enumerate() {
+                                let what = format!(
+                                    "{} vs portable: {} width {width} {phase:?} plane {plane} \
+                                     output {part} (row lo/hi/syn, col lo/hi/syn)",
+                                    isa.name(),
+                                    bank.name()
+                                );
+                                assert_rows_match(got, want, plane == 0, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let ops = [
+            FuseOp::MaxMagnitude,
+            FuseOp::Weighted { alpha: 0.3 },
+            FuseOp::WindowEnergy { radius: 1 },
+            FuseOp::WindowEnergy { radius: 3 },
+            FuseOp::ActivityGuided {
+                radius: 2,
+                match_threshold: 0.75,
+            },
+        ];
+        let mut fs = FuseScratch::new();
+        for width in sweep_widths() {
+            let h = 5;
+            let [ar, ar_bad] = sweep_planes(width, h, 1);
+            let [ai, ai_bad] = sweep_planes(width, h, 2);
+            let [br, br_bad] = sweep_planes(width, h, 3);
+            let [bi, bi_bad] = sweep_planes(width, h, 4);
+            let finite = (
+                ComplexImage::new(ar, ai).unwrap(),
+                ComplexImage::new(br, bi).unwrap(),
+            );
+            let poisoned = (
+                ComplexImage::new(ar_bad, ai_bad).unwrap(),
+                ComplexImage::new(br_bad, bi_bad).unwrap(),
+            );
+            for (plane, (a, b)) in [finite, poisoned].iter().enumerate() {
+                for op in ops {
+                    let mut outs = Vec::new();
+                    for k in &mut kernels {
+                        let (mut re, mut im) = (Image::zeros(0, 0), Image::zeros(0, 0));
+                        k.fuse_strip(a, b, 1, h, op, &mut fs, &mut re, &mut im)
+                            .unwrap();
+                        outs.push((bits(re.as_slice()), bits(im.as_slice())));
+                    }
+                    for (isa, out) in paths.iter().zip(&outs).skip(1) {
+                        let what = format!("{op:?} width {width} plane {plane}");
+                        assert_eq!(out.0, outs[0].0, "{} re {what}", isa.name());
+                        assert_eq!(out.1, outs[0].1, "{} im {what}", isa.name());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The column passes and strip fusion reshape their outputs without
+    /// zero-filling, so a reused output must come out bit-identical to a
+    /// fresh one: NaN-filled buffers at the same geometry and a larger one.
+    #[test]
+    fn outputs_overwrite_stale_buffers() {
+        let taps = BankTaps::new(&FilterBank::near_sym_b().unwrap());
+        let (mut cs, mut s1) = (ColScratch::new(), Scratch1d::new());
+        let mut k = SimdKernel::new();
+        let src = &sweep_planes(37, 10, 0)[0];
+        let stale = |w: usize, h: usize| Image::filled(w, h, f32::NAN);
+        let (mut lo, mut hi) = (Image::zeros(0, 0), Image::zeros(0, 0));
+        k.analyze_cols(&taps, Phase::A, src, &mut lo, &mut hi, &mut cs, &mut s1)
+            .unwrap();
+        let mut out = Image::zeros(0, 0);
+        k.synthesize_cols(&taps, Phase::B, &lo, &hi, &mut out, &mut cs, &mut s1)
+            .unwrap();
+        let a = ComplexImage::new(lo.clone(), hi.clone()).unwrap();
+        let b = ComplexImage::new(hi.clone(), lo.clone()).unwrap();
+        let op = FuseOp::WindowEnergy { radius: 1 };
+        let (mut re, mut im) = (Image::zeros(0, 0), Image::zeros(0, 0));
+        k.fuse_strip(&a, &b, 0, 5, op, &mut FuseScratch::new(), &mut re, &mut im)
+            .unwrap();
+        for (w, h) in [(37, 5), (40, 12)] {
+            let (mut slo, mut shi) = (stale(w, h), stale(w, h));
+            k.analyze_cols(&taps, Phase::A, src, &mut slo, &mut shi, &mut cs, &mut s1)
+                .unwrap();
+            assert_eq!(
+                bits(slo.as_slice()),
+                bits(lo.as_slice()),
+                "analysis lo over {w}x{h}"
+            );
+            assert_eq!(
+                bits(shi.as_slice()),
+                bits(hi.as_slice()),
+                "analysis hi over {w}x{h}"
+            );
+            let mut sout = stale(w, h);
+            k.synthesize_cols(&taps, Phase::B, &lo, &hi, &mut sout, &mut cs, &mut s1)
+                .unwrap();
+            assert_eq!(
+                bits(sout.as_slice()),
+                bits(out.as_slice()),
+                "synthesis over {w}x{h}"
+            );
+            let (mut sre, mut sim) = (stale(w, h), stale(w, h));
+            k.fuse_strip(
+                &a,
+                &b,
+                0,
+                5,
+                op,
+                &mut FuseScratch::new(),
+                &mut sre,
+                &mut sim,
+            )
+            .unwrap();
+            assert_eq!(
+                bits(sre.as_slice()),
+                bits(re.as_slice()),
+                "fusion re over {w}x{h}"
+            );
+            assert_eq!(
+                bits(sim.as_slice()),
+                bits(im.as_slice()),
+                "fusion im over {w}x{h}"
+            );
         }
     }
 

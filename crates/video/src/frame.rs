@@ -157,7 +157,7 @@ impl RawFrame {
     pub fn to_gray_into(&self, seq: u64, out: &mut Frame) {
         out.seq = seq;
         let img = &mut out.image;
-        img.reshape(self.width, self.height);
+        img.reshape_for_overwrite(self.width, self.height);
         match self.format {
             PixelFormat::Gray8 => {
                 for (dst, &b) in img.as_mut_slice().iter_mut().zip(&self.bytes) {
@@ -359,5 +359,34 @@ mod tests {
         let mut f = Frame::filled(2, 1, 2.0);
         f.image_mut().set(1, 0, -1.0);
         assert_eq!(f.to_gray8_bytes(), vec![255, 0]);
+    }
+
+    #[test]
+    fn to_gray_into_overwrites_stale_buffers() {
+        // `to_gray_into` reshapes without zero-filling: a NaN-filled frame
+        // at the same geometry and at a larger one must match a fresh
+        // conversion bit for bit, in every pixel format.
+        let bits = |img: &Image| {
+            img.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let (w, h) = (7, 3);
+        for format in [PixelFormat::Gray8, PixelFormat::Yuv422, PixelFormat::Rgb888] {
+            let len = w * h * format.bytes_per_pixel();
+            let bytes = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+            let raw = RawFrame::new(format, w, h, bytes).unwrap();
+            let fresh = raw.to_gray(1);
+            for (sw, sh) in [(w, h), (w + 2, h + 4)] {
+                let mut stale = Frame::new(Image::filled(sw, sh, f32::NAN), 0);
+                raw.to_gray_into(1, &mut stale);
+                assert_eq!(
+                    bits(stale.image()),
+                    bits(fresh.image()),
+                    "{format:?} over {sw}x{sh}"
+                );
+            }
+        }
     }
 }

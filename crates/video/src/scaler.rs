@@ -153,7 +153,7 @@ impl BilinearPlan {
             return Ok(());
         }
         let (dst_w, dst_h) = self.dst;
-        out.reshape(dst_w, dst_h);
+        out.reshape_for_overwrite(dst_w, dst_h);
         let data = src.as_slice();
         // Cached rows belong to whatever source the last call resampled.
         self.held = [usize::MAX; 2];
@@ -335,5 +335,23 @@ mod tests {
             .iter()
             .fold((f32::MAX, f32::MIN), |(l, h), &v| (l.min(v), h.max(v)));
         assert!(lo >= 0.0 && hi <= 96.0);
+    }
+
+    #[test]
+    fn plan_overwrites_stale_buffers() {
+        // `apply` reshapes without zero-filling: a NaN-filled output at the
+        // same geometry and at a larger one must match a fresh output bit
+        // for bit.
+        let src = Image::from_fn(53, 37, |x, y| ((x * 7 + y * 3) % 23) as f32 * 0.1);
+        for (dw, dh) in [(88, 72), (17, 90), (1, 5)] {
+            let mut plan = BilinearPlan::new(53, 37, dw, dh).unwrap();
+            let mut fresh = Image::zeros(0, 0);
+            plan.apply(&src, &mut fresh).unwrap();
+            for (sw, sh) in [(dw, dh), (dw + 5, dh + 1)] {
+                let mut stale = Image::filled(sw, sh, f32::NAN);
+                plan.apply(&src, &mut stale).unwrap();
+                assert_eq!(bits(&stale), bits(&fresh), "{dw}x{dh} over {sw}x{sh}");
+            }
+        }
     }
 }

@@ -126,7 +126,7 @@ impl ScenePair {
     ) {
         let (bx, by) = self.body_center(t);
         let tn = (t * 1000.0) as u64;
-        out.reshape(w, h);
+        out.reshape_for_overwrite(w, h);
         scratch.fit(w);
         // Per-column terms, same expressions as the per-pixel form so the
         // assembled value is bit-identical.
@@ -211,7 +211,7 @@ impl ScenePair {
         let lampx = 0.72;
         let lampy = 0.22;
         let tn = (t * 1000.0) as u64;
-        out.reshape(w, h);
+        out.reshape_for_overwrite(w, h);
         scratch.fit(w);
         // Per-column terms, same expressions as the per-pixel form so the
         // assembled value is bit-identical.
@@ -417,5 +417,33 @@ mod tests {
             v.iter().cloned().fold(f32::MIN, f32::max) - v.iter().cloned().fold(f32::MAX, f32::min)
         };
         assert!(spread(&stripe_vis) > 4.0 * spread(&stripe_ir));
+    }
+
+    #[test]
+    fn renders_overwrite_stale_buffers() {
+        // The renders reshape without zero-filling, so no pixel of a reused
+        // buffer may survive: NaN-filled buffers at the same geometry and
+        // at a larger one must come out bit-identical to fresh renders.
+        let bits = |img: &Image| {
+            img.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let scene = ScenePair::new(5);
+        for (w, h) in [(97, 61), (1, 9), (64, 18)] {
+            let (vis, ir) = (
+                scene.render_visible(w, h, 0.4),
+                scene.render_thermal(w, h, 0.4),
+            );
+            for (sw, sh) in [(w, h), (w + 3, h + 2)] {
+                let mut stale = Image::filled(sw, sh, f32::NAN);
+                scene.render_visible_into(w, h, 0.4, &mut stale);
+                assert_eq!(bits(&stale), bits(&vis), "visible {w}x{h} over {sw}x{sh}");
+                let mut stale = Image::filled(sw, sh, f32::NAN);
+                scene.render_thermal_into(w, h, 0.4, &mut stale);
+                assert_eq!(bits(&stale), bits(&ir), "thermal {w}x{h} over {sw}x{sh}");
+            }
+        }
     }
 }

@@ -22,6 +22,8 @@
 //! See the repository `README.md` for the architecture overview and
 //! `EXPERIMENTS.md` for the paper-reproduction results.
 
+#![forbid(unsafe_code)]
+
 pub use wavefuse_core as core;
 pub use wavefuse_dtcwt as dtcwt;
 pub use wavefuse_metrics as metrics;

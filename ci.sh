@@ -55,7 +55,7 @@ echo "== wavefuse-simd unit tests in release (lane exactness, row-oracle sweep, 
 # (the column-pass identity runs in the columnar_identity step above).
 cargo test -q --release -p wavefuse-simd
 
-echo "== wavefuse-dtcwt tests + lowpass fusion sweep in release (slice passes vs per-pixel oracles, per-tree forward vs per-combo oracle)"
+echo "== wavefuse-dtcwt and wavefuse-core lib tests in release (slice passes vs per-pixel oracles, per-tree forward vs per-combo oracle, lowpass fusion sweep, engine ring and fleet schedule)"
 # The DT-CWT's inter-stage glue (q2c after each forward, c2q before each
 # inverse level) runs as flat slice passes; their tests sweep them against
 # the per-pixel accessor loops bit for bit over degenerate and odd
@@ -66,9 +66,12 @@ echo "== wavefuse-dtcwt tests + lowpass fusion sweep in release (slice passes vs
 # checks the forward's one level-1 row pass per row tree against the
 # per-combo analysis it replaced (to_bits, every depth of 2x2 to
 # 320x240, finite and NaN/inf/-0 planes); the NEON and FPGA kernels get
-# the same sweep in the forward_identity step below.
+# the same sweep in the forward_identity step below. The rest of
+# wavefuse-core's lib tests (the engine's ring, abandon and reconfigure
+# tests, the serve unit tests) run with the rules sweep, under release
+# pool scheduling.
 cargo test -q --release -p wavefuse-dtcwt
-cargo test -q --release -p wavefuse-core --lib rules::tests
+cargo test -q --release -p wavefuse-core --lib
 
 echo "== wavefuse-zynq unit tests in release (lane-parallel engine bit-identity)"
 # The simulated wavelet engine evaluates outputs lane-parallel; its tests

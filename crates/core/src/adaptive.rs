@@ -182,7 +182,7 @@ pub struct AdaptiveScheduler {
     power: PowerModel,
     /// EMA of observed per-frame cost (seconds or millijoules) per geometry
     /// and backend, for the online policy.
-    observations: HashMap<(usize, usize), [Option<f64>; 4]>,
+    observations: HashMap<(usize, usize), [Option<f64>; Backend::COUNT]>,
     /// The model policy's decision per geometry. `cost` and `power` are
     /// fixed once [`AdaptiveScheduler::new`] returns, so a geometry's
     /// argmin never changes and is planned once.
@@ -190,7 +190,7 @@ pub struct AdaptiveScheduler {
     /// The cost model's per-frame seconds per geometry and backend, which
     /// [`AdaptiveScheduler::observe`] compares each measurement with. Fixed
     /// for the same reason as `decided`, so each is planned once.
-    predicted_s: HashMap<(usize, usize), [Option<f64>; 4]>,
+    predicted_s: HashMap<(usize, usize), [Option<f64>; Backend::COUNT]>,
     /// Decisions made per backend (for reports).
     decisions: BackendCounts,
     telemetry: Option<Arc<MetricsRegistry>>,
@@ -281,7 +281,7 @@ impl AdaptiveScheduler {
                 let obs = self
                     .observations
                     .entry((width, height))
-                    .or_insert([None; 4]);
+                    .or_insert([None; Backend::COUNT]);
                 // `None < Some(_)`, so each candidate is explored once, in
                 // order, before the lowest EMA is exploited (the objective
                 // chooses what observe() records).
@@ -340,7 +340,7 @@ impl AdaptiveScheduler {
         let slot = &mut self
             .observations
             .entry((width, height))
-            .or_insert([None; 4])[backend.index()];
+            .or_insert([None; Backend::COUNT])[backend.index()];
         *slot = Some(match *slot {
             None => value,
             Some(prev) => prev * (1.0 - EMA_ALPHA) + value * EMA_ALPHA,
@@ -378,7 +378,9 @@ impl AdaptiveScheduler {
             return Ok(s);
         }
         let s = self.predicted_cost(width, height, backend, Objective::Time)?;
-        self.predicted_s.entry((width, height)).or_insert([None; 4])[backend.index()] = Some(s);
+        self.predicted_s
+            .entry((width, height))
+            .or_insert([None; Backend::COUNT])[backend.index()] = Some(s);
         Ok(s)
     }
 }

@@ -76,8 +76,8 @@ pub struct FusionOutput {
 /// On the pooled CPU backends the inverse transform is still running on the
 /// workers while the caller holds this — overlap capture/render of the next
 /// frame with it, then call [`FusionEngine::fuse_finish`] to collect the
-/// result. On the serial and FPGA backends everything already completed
-/// inside `fuse_submit` and `fuse_finish` only does accounting.
+/// result. A frame that ran whole (serially, or on the FPGA) already
+/// completed inside `fuse_submit`, and `fuse_finish` only does accounting.
 #[derive(Debug)]
 pub struct PendingFusion {
     /// Output buffer (the fused image once the inverse lands).
@@ -94,29 +94,16 @@ pub struct PendingFusion {
     forward_s: f64,
     /// Modeled inverse seconds.
     inverse_s: f64,
-    /// Measured wall-clock phase seconds so far.
-    wall_forward_s: f64,
-    wall_fusion_s: f64,
-    wall_inverse_s: f64,
+    /// Measured wall-clock phase seconds so far (forward, fusion and
+    /// inverse only).
+    wall: PhaseTiming,
     /// PL-busy seconds accumulated across the frame's transforms.
     pl_busy_s: f64,
 }
 
 impl PendingFusion {
-    /// Whether the inverse transform is still running on the worker pool —
-    /// i.e. whether there is real work to overlap with.
-    pub fn inverse_in_flight(&self) -> bool {
-        self.inflight.is_some()
-    }
-
-    /// The backend executing this frame.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The engine ring slot this frame's in-flight state lives in (`None`
-    /// on the serial and FPGA paths, which complete inside
-    /// [`FusionEngine::fuse_submit`]).
+    /// The engine ring slot this frame's in-flight inverse lives in
+    /// (`None` for a frame that ran whole, serially or on the FPGA).
     pub fn slot(&self) -> Option<usize> {
         self.inflight.as_ref().map(|(si, _)| *si)
     }
@@ -153,6 +140,20 @@ impl FrameSlot {
             stashed: false,
             busy: false,
         }
+    }
+
+    /// Harvests this slot's four inverse outcomes from `pool` into its
+    /// stash unless they are already there, returning whether it drained
+    /// the pool. `drain_partial` takes the pool's oldest jobs, so this
+    /// slot's batch must be the oldest one left in the ring.
+    fn harvest(&mut self, pool: &WorkerPool) -> bool {
+        if self.stashed {
+            return false;
+        }
+        self.stash.clear();
+        pool.drain_partial(INVERSE_BATCH_JOBS, &mut self.stash);
+        self.stashed = true;
+        true
     }
 }
 
@@ -199,13 +200,14 @@ pub struct FusionEngine {
     /// Busy slot indices, oldest submission first (in-order retirement).
     inflight: VecDeque<usize>,
     /// Next ring slot to submit into (round-robin; always idle thanks to
-    /// the ring-full backpressure in [`FusionEngine::fuse_submit`]).
+    /// the ring-full backpressure in [`FusionEngine::fuse_submit`], and
+    /// the retirements a [`FusionEngine::stage`] caller makes first).
     next_slot: usize,
     /// Configured pipelining depth = ring size, `>= 1`.
     depth: usize,
-    /// Fused-pyramid staging of the serial CPU and FPGA paths, which
-    /// complete inside `fuse_submit` (pooled frames stage in their ring
-    /// slot's pyramid instead).
+    /// Fused-pyramid staging of the frames that run whole inside
+    /// [`FusionEngine::stage`] (pooled frames stage in their ring slot's
+    /// pyramid instead).
     fused_serial: CwtPyramid,
     /// Input image slots for the pooled forward (same `Arc` discipline).
     img_a: Arc<Image>,
@@ -229,23 +231,26 @@ pub struct FusionEngine {
     /// Shared (`Arc`) so a fleet of engines can multiplex one pool — see
     /// [`FusionEngine::set_shared_pool`].
     pool: Option<Arc<WorkerPool>>,
-    /// In-progress packed forward parked between
-    /// [`FusionEngine::packed_forward_submit`] and
-    /// [`FusionEngine::packed_forward_finish`].
-    packed: Option<PackedForward>,
+    /// The frame between [`FusionEngine::stage`] and
+    /// [`FusionEngine::advance`].
+    staged: Option<Staged>,
     /// Cumulative measured wall-clock seconds per phase (host time, not the
     /// modeled platform clock) — see [`FusionEngine::wall_phase_totals`].
     wall: PhaseTiming,
 }
 
-/// Per-frame state parked between [`FusionEngine::packed_forward_submit`]
-/// and [`FusionEngine::packed_forward_finish`] while the four forward
-/// jobs are in flight on the shared pool.
+/// A frame between [`FusionEngine::stage`] and [`FusionEngine::advance`].
 #[derive(Debug)]
-struct PackedForward {
-    backend: Backend,
-    dims: (usize, usize),
-    submitted: std::time::Instant,
+enum Staged {
+    /// A pooled CPU frame whose four forward jobs are on the pool,
+    /// published at `submitted`.
+    Forward {
+        backend: Backend,
+        dims: (usize, usize),
+        submitted: std::time::Instant,
+    },
+    /// A frame that ran whole inside `stage`.
+    Whole(PendingFusion),
 }
 
 /// The engine's three backend kernels, grouped so the one a frame runs on
@@ -359,7 +364,7 @@ impl FusionEngine {
             reported_transpose: wavefuse_dtcwt::transpose_bytes_total(),
             reported_sched: Vec::new(),
             pool: None,
-            packed: None,
+            staged: None,
             wall: PhaseTiming::default(),
         })
     }
@@ -412,14 +417,6 @@ impl FusionEngine {
     /// Number of transform threads (1 when running serially).
     pub fn threads(&self) -> usize {
         self.pool.as_ref().map_or(1, |p| p.threads())
-    }
-
-    /// Whether a frame on `backend` runs on the worker pool: a CPU backend
-    /// with a pool attached. Such frames go through
-    /// [`FusionEngine::packed_forward_submit`]; every other frame completes
-    /// inside [`FusionEngine::fuse_submit`].
-    pub(crate) fn packs(&self, backend: Backend) -> bool {
-        self.pool.is_some() && matches!(backend, Backend::Arm | Backend::Neon)
     }
 
     /// Sets the frame-pipelining depth: how many frames may have their
@@ -670,90 +667,46 @@ impl FusionEngine {
         while self.inflight.len() >= self.depth {
             self.abandon_oldest_in_flight();
         }
-        if self.packs(backend) {
-            // Harvest older frames' in-flight inverse outcomes into their
-            // slots first (oldest first), so the forward collect only waits
-            // on this frame's four jobs. Workers run the ring in submission
-            // order either way, so stashing early costs no overlap — the
-            // combo-order accumulation still happens at each frame's own
-            // `fuse_finish`.
-            while self.stash_oldest_in_flight() {}
-            self.packed_forward_submit(a, b, backend)?;
-            return self.packed_forward_finish();
-        }
-        if a.dims() != b.dims() {
-            return Err(FusionError::DimensionMismatch {
-                a: a.dims(),
-                b: b.dims(),
-            });
-        }
-        let (w, h) = a.dims();
-        self.ensure_plan(w, h)?;
-
-        // The output buffer comes from the pool; recycle it afterwards
-        // (see `recycle`) and the steady state never allocates.
-        let mut pending = PendingFusion {
-            image: self.out_pool.acquire(w, h),
-            backend,
-            dims: (w, h),
-            inflight: None,
-            forward_s: 0.0,
-            inverse_s: 0.0,
-            wall_forward_s: 0.0,
-            wall_fusion_s: 0.0,
-            wall_inverse_s: 0.0,
-            pl_busy_s: 0.0,
-        };
-        match self.run_serial(a, b, &mut pending) {
-            Ok(()) => Ok(pending),
-            Err(e) => {
-                self.out_pool.release(pending.image);
-                Err(e)
-            }
-        }
+        // Harvest older frames' in-flight inverse outcomes into their
+        // slots first (oldest first), so the forward collect only waits on
+        // this frame's four jobs. Workers run the ring in submission order
+        // either way, so stashing early costs no overlap — the combo-order
+        // accumulation still happens at each frame's own `fuse_finish`.
+        while self.stash_oldest_in_flight() {}
+        self.stage(a, b, backend)?;
+        self.advance()
     }
 
-    /// Stages one frame pair's four forward DT-CWT jobs (one per row tree
-    /// of each image) into the worker pool **without draining them** — the
-    /// packing half of cross-stream batch coalescing. A fleet owner calls
-    /// this for several engines in a row so every stream's forwards land in
-    /// the shared ring together, then calls
-    /// [`FusionEngine::packed_forward_finish`] on each engine in the same
-    /// order.
+    /// Starts one frame pair on `backend`. A pooled frame (a CPU backend
+    /// with a pool attached) publishes its four forward jobs, one per row
+    /// tree of each image, **without draining them**, so a fleet owner
+    /// can stage several engines in a row and every stream's forwards
+    /// land in the shared ring together. Any other frame runs whole here.
+    /// Either way the inputs are no longer needed;
+    /// [`FusionEngine::advance`] takes the frame on.
     ///
     /// Unlike [`FusionEngine::fuse_submit`] this never abandons frames as
     /// ring backpressure (an abandon drains the *globally* oldest jobs,
-    /// which on a shared ring may belong to another stream) — the caller
-    /// must retire or stash this engine's oldest frame first when the ring
-    /// is full.
+    /// which on a shared ring may belong to another stream): the caller
+    /// must retire or stash this engine's oldest frame first when the
+    /// ring is full.
     ///
     /// # Errors
     ///
-    /// * [`FusionError::DimensionMismatch`] if the frames differ in size.
-    /// * [`FusionError::Transform`] if the frames cannot support the
-    ///   configured decomposition depth.
+    /// Same as [`FusionEngine::fuse`].
     ///
     /// # Panics
     ///
-    /// If the engine has no worker pool, `backend` is not a CPU backend, a
-    /// packed forward is already staged, or the frame ring is full.
-    pub fn packed_forward_submit(
+    /// If a frame is already staged, or a pooled frame meets a full ring.
+    pub(crate) fn stage(
         &mut self,
         a: &Image,
         b: &Image,
         backend: Backend,
     ) -> Result<(), FusionError> {
         assert!(
-            self.packed.is_none(),
-            "one packed forward per engine at a time"
-        );
-        assert!(
-            matches!(backend, Backend::Arm | Backend::Neon),
-            "packed forwards run on the pooled CPU backends"
-        );
-        assert!(
-            self.inflight.len() < self.depth,
-            "packed submit onto a full frame ring: retire the oldest frame first"
+            self.staged.is_none(),
+            "one staged frame per engine at a time"
         );
         if a.dims() != b.dims() {
             return Err(FusionError::DimensionMismatch {
@@ -763,12 +716,20 @@ impl FusionEngine {
         }
         let (w, h) = a.dims();
         self.ensure_plan(w, h)?;
+        let pool = match &self.pool {
+            Some(pool) if matches!(backend, Backend::Arm | Backend::Neon) => pool,
+            _ => {
+                let whole = self.run_whole(a, b, backend, (w, h))?;
+                self.staged = Some(Staged::Whole(whole));
+                return Ok(());
+            }
+        };
+        assert!(
+            self.inflight.len() < self.depth,
+            "staged onto a full frame ring: retire the oldest frame first"
+        );
         stage_image(&mut self.img_a, a);
         stage_image(&mut self.img_b, b);
-        let pool = self
-            .pool
-            .as_ref()
-            .expect("packed forwards need a worker pool");
         // Stamped before the submit so the four job publishes count as
         // forward wall time.
         let submitted = std::time::Instant::now();
@@ -780,7 +741,7 @@ impl FusionEngine {
             &self.img_b,
             &mut self.combos_b,
         )?;
-        self.packed = Some(PackedForward {
+        self.staged = Some(Staged::Forward {
             backend,
             dims: (w, h),
             submitted,
@@ -788,13 +749,13 @@ impl FusionEngine {
         Ok(())
     }
 
-    /// Harvests the packed forwards staged by
-    /// [`FusionEngine::packed_forward_submit`] (which must be the oldest
-    /// jobs left in the ring — collects run in submit order across the
+    /// Takes the frame [`FusionEngine::stage`] started up to its inverse.
+    /// A pooled frame harvests its four forward jobs (which must be the
+    /// oldest jobs left in the ring: collects run in stage order across a
     /// fleet), fuses the pyramids on the dispatcher through the SIMD
-    /// `fuse_strip`, and leaves the inverse batch in flight. This is the pooled
-    /// path of [`FusionEngine::fuse_submit`] too, so a private pool and a
-    /// fleet-shared one fuse identically. Retire with
+    /// `fuse_strip`, and leaves its inverse batch in flight; a frame that
+    /// ran whole comes back as it is. A private pool and a fleet-shared
+    /// one run this same path, so they fuse identically. Retire with
     /// [`FusionEngine::fuse_finish`].
     ///
     /// # Errors
@@ -804,22 +765,23 @@ impl FusionEngine {
     ///
     /// # Panics
     ///
-    /// If no packed forward is staged.
-    pub fn packed_forward_finish(&mut self) -> Result<PendingFusion, FusionError> {
-        let PackedForward {
-            backend,
-            dims: (w, h),
-            submitted,
-        } = self.packed.take().expect("no packed forward staged");
-        let kslot = worker_slot(backend);
-        let pool = Arc::clone(
-            self.pool
-                .as_ref()
-                .expect("packed forwards need a worker pool"),
-        );
+    /// If no frame is staged.
+    pub(crate) fn advance(&mut self) -> Result<PendingFusion, FusionError> {
+        let (backend, (w, h), submitted) = match self.staged.take().expect("no frame staged") {
+            Staged::Whole(pending) => return Ok(pending),
+            Staged::Forward {
+                backend,
+                dims,
+                submitted,
+            } => (backend, dims, submitted),
+        };
+        let pool = self
+            .pool
+            .as_ref()
+            .expect("a staged forward runs on the worker pool");
         let image = self.out_pool.acquire(w, h);
         if let Err(e) = self.dtcwt.forward_pooled_pair_collect(
-            &pool,
+            pool,
             (w, h),
             &mut self.combos,
             &mut self.pyr_a,
@@ -844,8 +806,8 @@ impl FusionEngine {
         );
         let t2 = std::time::Instant::now();
         if let Err(e) = self.dtcwt.inverse_pooled_submit(
-            &pool,
-            kslot,
+            pool,
+            worker_slot(backend),
             &fslot.fused,
             &mut fslot.inv_bufs,
             si as u32,
@@ -867,9 +829,11 @@ impl FusionEngine {
             inflight: Some((si, fused)),
             forward_s,
             inverse_s,
-            wall_forward_s: (t1 - submitted).as_secs_f64(),
-            wall_fusion_s: (t2 - t1).as_secs_f64(),
-            wall_inverse_s: 0.0,
+            wall: PhaseTiming {
+                forward_s: (t1 - submitted).as_secs_f64(),
+                fusion_s: (t2 - t1).as_secs_f64(),
+                ..PhaseTiming::default()
+            },
             pl_busy_s: 0.0,
         })
     }
@@ -889,9 +853,7 @@ impl FusionEngine {
             inflight,
             forward_s,
             inverse_s,
-            wall_forward_s,
-            wall_fusion_s,
-            mut wall_inverse_s,
+            mut wall,
             pl_busy_s,
         } = pending;
         if let Some((si, fused)) = inflight {
@@ -912,18 +874,8 @@ impl FusionEngine {
                     Some(si),
                     "fuse_finish out of submission order: slot {si}, oldest in flight {front:?}"
                 );
-                self.inflight.pop_front();
-                if !self.slots[si].stashed {
-                    if let Some(pool) = &self.pool {
-                        let fslot = &mut self.slots[si];
-                        fslot.stash.clear();
-                        pool.drain_partial(INVERSE_BATCH_JOBS, &mut fslot.stash);
-                        fslot.stashed = true;
-                    }
-                }
+                self.retire_oldest_slot();
                 let fslot = &mut self.slots[si];
-                fslot.busy = false;
-                fslot.stashed = false;
                 self.dtcwt.inverse_collect_outcomes(
                     &mut fslot.stash,
                     &mut fslot.inv_bufs,
@@ -944,11 +896,9 @@ impl FusionEngine {
                 self.out_pool.release(image);
                 return Err(e.into());
             }
-            wall_inverse_s += t0.elapsed().as_secs_f64();
+            wall.inverse_s += t0.elapsed().as_secs_f64();
         }
-        self.wall.forward_s += wall_forward_s;
-        self.wall.fusion_s += wall_fusion_s;
-        self.wall.inverse_s += wall_inverse_s;
+        self.wall.accumulate(&wall);
 
         let plan = self.cached_plan(w, h);
         let timing = PhaseTiming {
@@ -1100,21 +1050,11 @@ impl FusionEngine {
     /// multiplexing engines over one pool must call this across its
     /// engines in global submission order to empty the ring before packing
     /// the next round of batches into it.
-    pub fn stash_oldest_in_flight(&mut self) -> bool {
+    pub(crate) fn stash_oldest_in_flight(&mut self) -> bool {
         let Some(pool) = &self.pool else {
             return false;
         };
-        for idx in 0..self.inflight.len() {
-            let si = self.inflight[idx];
-            let fslot = &mut self.slots[si];
-            if !fslot.stashed {
-                fslot.stash.clear();
-                pool.drain_partial(INVERSE_BATCH_JOBS, &mut fslot.stash);
-                fslot.stashed = true;
-                return true;
-            }
-        }
-        false
+        self.inflight.iter().any(|&si| self.slots[si].harvest(pool))
     }
 
     /// Abandons the oldest in-flight pooled frame (a [`PendingFusion`]
@@ -1123,19 +1063,24 @@ impl FusionEngine {
     /// pool and recycles the buffers, leaving the slot idle. Errors are
     /// discarded.
     fn abandon_oldest_in_flight(&mut self) {
-        let Some(si) = self.inflight.pop_front() else {
-            return;
-        };
-        let fslot = &mut self.slots[si];
-        if !fslot.stashed {
-            if let Some(pool) = &self.pool {
-                fslot.stash.clear();
-                pool.drain_partial(INVERSE_BATCH_JOBS, &mut fslot.stash);
-            }
+        if let Some(si) = self.retire_oldest_slot() {
+            let fslot = &mut self.slots[si];
+            Dtcwt::recycle_inverse_outcomes(&mut fslot.stash, &mut fslot.inv_bufs);
         }
-        Dtcwt::recycle_inverse_outcomes(&mut fslot.stash, &mut fslot.inv_bufs);
-        fslot.stashed = false;
+    }
+
+    /// Takes the oldest in-flight frame off the ring: harvests its four
+    /// outcomes into its slot's stash if they are still on the pool and
+    /// marks the slot idle, returning its index.
+    fn retire_oldest_slot(&mut self) -> Option<usize> {
+        let si = self.inflight.pop_front()?;
+        let fslot = &mut self.slots[si];
+        if let Some(pool) = &self.pool {
+            fslot.harvest(pool);
+        }
         fslot.busy = false;
+        fslot.stashed = false;
+        Some(si)
     }
 
     /// Abandons every in-flight pooled frame, oldest first (see
@@ -1160,20 +1105,19 @@ impl FusionEngine {
     }
 
     /// Runs forward x2 → fuse → inverse serially on the backend's own
-    /// kernel, writing the fused frame into `p.image` and the modeled and
-    /// measured phase times into `p`. Fusion runs on the SIMD `fuse_strip`,
-    /// as on every path: by the fold-order contract of
-    /// [`wavefuse_dtcwt::fuse`] it is bit-identical to the scalar reference,
-    /// and the model prices fusion at the ARM rate on every backend, so on
-    /// the FPGA backend it stays on the PS, as in the paper, and charges
-    /// nothing to the cycle ledger.
-    fn run_serial(
+    /// kernel and returns the finished frame with its modeled and measured
+    /// phase times. Fusion runs on the SIMD `fuse_strip`, as on every
+    /// path: by the fold-order contract of [`wavefuse_dtcwt::fuse`] it is
+    /// bit-identical to the scalar reference, and the model prices fusion
+    /// at the ARM rate on every backend, so on the FPGA backend it stays on
+    /// the PS, as in the paper, and charges nothing to the cycle ledger.
+    fn run_whole(
         &mut self,
         a: &Image,
         b: &Image,
-        p: &mut PendingFusion,
-    ) -> Result<(), FusionError> {
-        let backend = p.backend;
+        backend: Backend,
+        dims: (usize, usize),
+    ) -> Result<PendingFusion, FusionError> {
         self.kernels.restart_ledger(backend);
         let t0 = std::time::Instant::now();
         let kernel = self.kernels.get(backend);
@@ -1192,7 +1136,7 @@ impl FusionEngine {
             &mut self.pyr_b,
         )?;
         let t1 = std::time::Instant::now();
-        let (forward_s, forward_pl_s) = self.take_phase_cost(backend, p.dims, Direction::Forward);
+        let (forward_s, forward_pl_s) = self.take_phase_cost(backend, dims, Direction::Forward);
         fuse_pyramids_with_kernel(
             &mut self.kernels.simd,
             &self.pyr_a,
@@ -1203,17 +1147,34 @@ impl FusionEngine {
             &mut self.fused_serial,
         );
         let t2 = std::time::Instant::now();
+        // The output buffer comes from the pool; recycle it afterwards
+        // (see `recycle`) and the steady state never allocates.
+        let mut image = self.out_pool.acquire(dims.0, dims.1);
         let kernel = self.kernels.get(backend);
-        self.dtcwt
-            .inverse_into(kernel, &self.fused_serial, &mut self.scratch, &mut p.image)?;
-        p.wall_inverse_s = t2.elapsed().as_secs_f64();
-        let (inverse_s, inverse_pl_s) = self.take_phase_cost(backend, p.dims, Direction::Inverse);
-        p.forward_s = forward_s;
-        p.inverse_s = inverse_s;
-        p.pl_busy_s = forward_pl_s + inverse_pl_s;
-        p.wall_forward_s = (t1 - t0).as_secs_f64();
-        p.wall_fusion_s = (t2 - t1).as_secs_f64();
-        Ok(())
+        if let Err(e) =
+            self.dtcwt
+                .inverse_into(kernel, &self.fused_serial, &mut self.scratch, &mut image)
+        {
+            self.out_pool.release(image);
+            return Err(e.into());
+        }
+        let t3 = std::time::Instant::now();
+        let (inverse_s, inverse_pl_s) = self.take_phase_cost(backend, dims, Direction::Inverse);
+        Ok(PendingFusion {
+            image,
+            backend,
+            dims,
+            inflight: None,
+            forward_s,
+            inverse_s,
+            wall: PhaseTiming {
+                forward_s: (t1 - t0).as_secs_f64(),
+                fusion_s: (t2 - t1).as_secs_f64(),
+                inverse_s: (t3 - t2).as_secs_f64(),
+                ..PhaseTiming::default()
+            },
+            pl_busy_s: forward_pl_s + inverse_pl_s,
+        })
     }
 
     /// Modeled `(seconds, PL-busy seconds)` of one frame's transform phase

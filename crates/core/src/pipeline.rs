@@ -263,6 +263,7 @@ impl VideoFusionPipeline {
 mod tests {
     use super::*;
     use crate::adaptive::{Objective, Policy};
+    use wavefuse_dtcwt::Image;
 
     #[test]
     fn ten_frame_run_accumulates() {
@@ -486,6 +487,37 @@ mod tests {
             2,
             "small frames -> NEON"
         );
+    }
+
+    #[test]
+    fn online_pipeline_on_a_pool_matches_the_serial_pipeline() {
+        // The online policy explores NEON (pooled frames on `threads: 2`)
+        // and then exploits the FPGA (frames that run whole in
+        // `FusionEngine::stage` on the same pooled engine); both runs must
+        // deliver the same images and statistics bit for bit.
+        let run = |threads| {
+            let mut pipe = VideoFusionPipeline::new(PipelineConfig {
+                frame_size: (88, 72),
+                levels: 3,
+                backend: BackendChoice::Adaptive(Box::new(AdaptiveScheduler::new(
+                    Policy::Online(Objective::Time),
+                    3,
+                ))),
+                scene_seed: 9,
+                threads,
+                depth: 1,
+            })
+            .unwrap();
+            let images: Vec<Image> = (0..6).map(|_| pipe.step().unwrap().image).collect();
+            (images, pipe.stats())
+        };
+        let (serial_images, serial) = run(1);
+        let (pooled_images, pooled) = run(2);
+        assert_eq!(pooled_images, serial_images);
+        assert_eq!(pooled, serial);
+        for backend in [Backend::Neon, Backend::Fpga] {
+            assert!(pooled.backend_usage[backend] > 0, "{backend:?} unused");
+        }
     }
 
     #[test]

@@ -16,19 +16,22 @@
 //!
 //! 1. **Empty the ring**: stash every inverse batch still in flight, in
 //!    global submission order, so the chunk's forwards fill a free ring.
-//! 2. **Submit** every stream's held frame. A pooled CPU frame stages its
-//!    four forward jobs into the shared ring without draining them
-//!    ([`FusionEngine::packed_forward_submit`]), so 16 streams x 4 row-tree
-//!    jobs fill the ring's 64 slots and the workers see a deep queue; any
-//!    other frame runs whole through [`FusionEngine::fuse_submit`]. A fleet
-//!    cap first drops the globally oldest pending frame, charged to its own
-//!    stream (cross-stream backpressure).
-//! 3. **Capture ahead**: right after its submit (which copied the inputs),
-//!    the stream captures its next frame while the workers run the
-//!    forwards, so the ring is busy from the first submit of the round.
-//! 4. **Fuse**, in the same order: each stream harvests its own
-//!    (oldest-remaining) forwards, fuses on the dispatcher and leaves its
-//!    inverse batch in flight.
+//! 2. **Submit** every stream's held frame through the engine's one entry
+//!    point, `FusionEngine::stage`. A pooled CPU frame publishes its four
+//!    forward jobs into the shared ring without draining them, so 16
+//!    streams x 4 row-tree jobs fill the ring's 64 slots and the workers
+//!    see a deep queue; any other frame (an FPGA frame, or any frame of a
+//!    serial fleet) runs whole inside the stage. A fleet cap first drops
+//!    the globally oldest pending frame, charged to its own stream
+//!    (cross-stream backpressure).
+//! 3. **Capture ahead**: right after its submit (the stage copied the
+//!    inputs or ran the frame), the stream captures its next frame while
+//!    the workers run the forwards, so the ring is busy from the first
+//!    submit of the round.
+//! 4. **Fuse**, in the same order, through `FusionEngine::advance`: a
+//!    pooled frame harvests its own (oldest-remaining) forwards, fuses on
+//!    the dispatcher and leaves its inverse batch in flight; a frame that
+//!    ran whole is queued as it is.
 //! 5. **Retire** every stream down to `depth - 1` pending frames. A
 //!    retirement stashes inverse batches in global submission order (the
 //!    ring's `drain_partial` harvests oldest first) only up to its own
@@ -206,8 +209,6 @@ struct Stream {
     /// Capture end and submit time of this round's frame, from its submit
     /// to its fuse.
     staged: (Instant, Instant),
-    /// This round's frame, when it ran whole inside `fuse_submit`.
-    ready: Option<PendingFusion>,
     pending: VecDeque<PendingFrame>,
     /// Delivered frames not yet handed out (a pipeline) or recycled.
     retired: VecDeque<FusionOutput>,
@@ -215,6 +216,10 @@ struct Stream {
     latency: LogHistogram,
     drops: u64,
     deadline_misses: u64,
+    /// Modeled energy of the frames delivered in this
+    /// [`StreamManager::run`] window, summed frame by frame so equal
+    /// windows report equal bits.
+    window_mj: f64,
     digest: u64,
     /// Wall-clock seconds spent capturing (both cameras and the gate).
     wall_capture_s: f64,
@@ -318,7 +323,6 @@ struct StreamSnapshot {
     frames: u64,
     drops: u64,
     deadline_misses: u64,
-    energy_mj: f64,
 }
 
 /// The frame driver's fleet half: owns the optional shared
@@ -336,7 +340,8 @@ pub struct StreamManager {
     plan_hits: u64,
     qos_infeasible: u64,
     /// Stream ids of pending frames in submission order — the global
-    /// retirement FIFO backpressure drops pop from.
+    /// retirement FIFO backpressure drops pop from. Its length is the
+    /// fleet's pending count the cap bounds.
     retire_fifo: VecDeque<usize>,
     /// `(submission number, stream id)` of every inverse batch still
     /// (unstashed) in the shared ring, in submission order. A retirement
@@ -344,7 +349,6 @@ pub struct StreamManager {
     unstashed: VecDeque<(u64, usize)>,
     /// Frames submitted fleet-wide: the next submission number.
     submissions: u64,
-    in_flight: usize,
     digests: bool,
     telemetry: Option<Arc<MetricsRegistry>>,
     /// One record per delivered frame, fleet-wide: the last
@@ -376,7 +380,6 @@ impl StreamManager {
             retire_fifo: VecDeque::new(),
             unstashed: VecDeque::new(),
             submissions: 0,
-            in_flight: 0,
             digests: false,
             telemetry: None,
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
@@ -536,13 +539,13 @@ impl StreamManager {
             visible: Frame::new(Image::zeros(0, 0), 0),
             captured: Instant::now(),
             staged: (Instant::now(), Instant::now()),
-            ready: None,
             pending: VecDeque::with_capacity(depth),
             retired: VecDeque::with_capacity(depth),
             stats: PipelineStats::default(),
             latency: LogHistogram::with_defaults(),
             drops: 0,
             deadline_misses: 0,
+            window_mj: 0.0,
             digest: FNV_OFFSET,
             wall_capture_s: 0.0,
             last_pool: PoolStats::default(),
@@ -684,12 +687,14 @@ impl StreamManager {
     pub fn run(&mut self, frames_per_stream: usize) -> Result<ServeReport, FusionError> {
         let before: Vec<StreamSnapshot> = self
             .streams
-            .iter()
-            .map(|s| StreamSnapshot {
-                frames: s.stats.frames,
-                drops: s.drops,
-                deadline_misses: s.deadline_misses,
-                energy_mj: s.stats.energy_mj,
+            .iter_mut()
+            .map(|s| {
+                s.window_mj = 0.0;
+                StreamSnapshot {
+                    frames: s.stats.frames,
+                    drops: s.drops,
+                    deadline_misses: s.deadline_misses,
+                }
             })
             .collect();
         let t0 = Instant::now();
@@ -741,13 +746,12 @@ impl StreamManager {
         Ok(())
     }
 
-    /// Enforces the fleet cap, then submits stream `i`'s held frame:
-    /// packed into the shared ring on a pooled CPU backend, fused whole
-    /// otherwise. A frame gets `burst` thermal fields; its first was
-    /// offered when it was captured.
+    /// Enforces the fleet cap, then stages stream `i`'s held frame
+    /// ([`FusionEngine::stage`]). A frame gets `burst` thermal fields; its
+    /// first was offered when it was captured.
     fn submit(&mut self, i: usize, burst: usize) -> Result<(), FusionError> {
         while let Some(cap) = self.max_in_flight {
-            if self.in_flight < cap {
+            if self.retire_fifo.len() < cap {
                 break;
             }
             let victim = *self
@@ -765,35 +769,25 @@ impl StreamManager {
         let thermal = st.gate.take().expect("a captured field waits at the gate");
         let (w, h) = st.visible.image().dims();
         let result = st.backend.choose(w, h).and_then(|backend| {
-            let (a, b) = (st.visible.image(), thermal.image());
-            if st.engine.packs(backend) {
-                st.engine
-                    .packed_forward_submit(a, b, backend)
-                    .map(|()| None)
-            } else {
-                st.engine.fuse_submit(a, b, backend).map(Some)
-            }
+            st.engine
+                .stage(st.visible.image(), thermal.image(), backend)
         });
-        // Either path is done with the inputs: the packed submit copied
-        // them, `fuse_submit` ran the whole frame.
+        // The stage is done with the inputs: it copied them, or ran the
+        // whole frame.
         st.thermal_free.push(thermal);
-        st.ready = result?;
+        result?;
         // Capture ahead while this frame's forward jobs run.
         st.capture(1, true)
     }
 
-    /// Takes stream `i`'s submitted frame up to its inverse (a packed
-    /// frame harvests its forwards and fuses) and queues it for
-    /// retirement.
+    /// Takes stream `i`'s staged frame up to its inverse
+    /// ([`FusionEngine::advance`]) and queues it for retirement.
     fn fuse(&mut self, i: usize) -> Result<(), FusionError> {
         let st = &mut self.streams[i];
-        let pending = match st.ready.take() {
-            Some(done) => done,
-            None => st.engine.packed_forward_finish()?,
-        };
+        let pending = st.engine.advance()?;
         let seq = self.submissions;
         self.submissions += 1;
-        if pending.inverse_in_flight() {
+        if pending.slot().is_some() {
             self.unstashed.push_back((seq, i));
         }
         let (captured, submitted) = st.staged;
@@ -804,7 +798,6 @@ impl StreamManager {
             submitted,
         });
         self.retire_fifo.push_back(i);
-        self.in_flight += 1;
         Ok(())
     }
 
@@ -850,7 +843,6 @@ impl StreamManager {
             .expect("retire without a pending frame");
         self.stash_through(seq);
         remove_first(&mut self.retire_fifo, i);
-        self.in_flight -= 1;
         let st = &mut self.streams[i];
         let slot = pending.slot();
         let out = st.engine.fuse_finish(pending)?;
@@ -884,6 +876,7 @@ impl StreamManager {
         st.stats.frames += 1;
         st.stats.timing.accumulate(&out.timing);
         st.stats.energy_mj += out.energy_mj;
+        st.window_mj += out.energy_mj;
         st.stats.backend_usage[out.backend] += 1;
         st.stats.gate_drops += gate_drops;
         // Per-frame deltas of cumulative counters; the pool's are
@@ -949,7 +942,7 @@ impl StreamManager {
         for (i, s) in self.streams.iter().enumerate() {
             let frames = s.stats.frames - before[i].frames;
             let drops = s.drops - before[i].drops;
-            let energy = s.stats.energy_mj - before[i].energy_mj;
+            let energy = s.window_mj;
             let fps = frames as f64 / wall;
             if frames > 0 {
                 slowest_fps = slowest_fps.min(fps);
@@ -1168,6 +1161,34 @@ mod tests {
         }
         // Different seeds produce different content.
         assert_ne!(mgr.stream_digest(0), mgr.stream_digest(1));
+    }
+
+    #[test]
+    fn equal_windows_report_equal_energy_bits() {
+        // Every frame here has the same modeled energy, so every window
+        // must report the first window's bits, however many windows ran
+        // before it.
+        let mut mgr = StreamManager::new(FleetConfig {
+            threads: 2,
+            ..FleetConfig::default()
+        });
+        for seed in 0..3 {
+            mgr.admit(StreamConfig {
+                frame_size: (48, 40),
+                scene_seed: seed,
+                ..StreamConfig::default()
+            })
+            .unwrap();
+        }
+        let bits = |r: &ServeReport| {
+            let mut b = vec![r.energy_mj_per_frame.to_bits()];
+            b.extend(r.per_stream.iter().map(|s| s.energy_mj_per_frame.to_bits()));
+            b
+        };
+        let first = bits(&mgr.run(1).unwrap());
+        for window in 1..20 {
+            assert_eq!(bits(&mgr.run(1).unwrap()), first, "window {window}");
+        }
     }
 
     #[test]

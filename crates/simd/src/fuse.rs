@@ -189,7 +189,8 @@ fn fuse_block<const N: usize>(
 /// Vectorized twin of [`fuse::horizontal_cross`], and of
 /// [`fuse::horizontal_energy`] when `b` is `a` (`re * re + im * im` is the
 /// same expression tree): stages each source row's `ar * br + ai * bi` in
-/// 8-lane blocks and a one-lane tail, then applies the horizontal window.
+/// 8-lane blocks and a one-lane tail, then applies the horizontal window,
+/// which writes every pixel of `hmap`'s row, so `hmap` is not zeroed first.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn horizontal_products(
@@ -204,7 +205,7 @@ fn horizontal_products(
 ) {
     let (w, _) = a.dims();
     let (lo, hi) = fuse::strip_source_span(y0, y1, h, radius);
-    hmap.reshape(w, hi - lo);
+    hmap.reshape_for_overwrite(w, hi - lo);
     if erow.len() != w {
         erow.resize(w, 0.0);
     }
@@ -413,6 +414,51 @@ mod tests {
             &mut im
         )
         .is_err());
+    }
+
+    #[test]
+    fn stale_window_maps_never_reach_the_output() {
+        // The window maps are resized without zeroing: scratch holding NaN
+        // from a larger earlier subband must fuse exactly like a fresh one,
+        // on every lane path.
+        let ops = [
+            FuseOp::WindowEnergy { radius: 1 },
+            FuseOp::WindowEnergy { radius: 3 },
+            FuseOp::ActivityGuided {
+                radius: 2,
+                match_threshold: 0.75,
+            },
+        ];
+        let (w, h) = (23, 11);
+        let (a, b) = pair(w, h);
+        for isa in test_paths() {
+            for op in ops {
+                for rows in [1usize, 4, h] {
+                    let mut fresh = FuseScratch::new();
+                    let mut stale = FuseScratch::new();
+                    for map in [&mut stale.ha, &mut stale.hb, &mut stale.hx] {
+                        *map = Image::from_fn(2 * w, 2 * h, |_, _| f32::NAN);
+                    }
+                    let mut y0 = 0;
+                    while y0 < h {
+                        let y1 = (y0 + rows).min(h);
+                        let run = |fs: &mut FuseScratch| {
+                            let (mut re, mut im) = (Image::zeros(0, 0), Image::zeros(0, 0));
+                            isa.fuse_strip(&a, &b, y0, y1, op, fs, &mut re, &mut im)
+                                .unwrap();
+                            (bits(re.as_slice()), bits(im.as_slice()))
+                        };
+                        assert_eq!(
+                            run(&mut stale),
+                            run(&mut fresh),
+                            "{} {op:?} rows={rows} y0={y0}",
+                            isa.name()
+                        );
+                        y0 = y1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]
